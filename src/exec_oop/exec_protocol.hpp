@@ -18,34 +18,29 @@
 // fully written block and a missing magic means the child never finished
 // (killed, crashed, hung).
 //
-// Pipe protocol (classic AFL two-pipe handshake, enriched, versioned):
+// Pipe protocol (classic AFL two-pipe handshake, enriched):
 //
-//   spawn:    shim dup2s the control pipe onto fd kCtlFd and the status
-//             pipe onto fd kStFd, then handshakes on kStFd. A v1 shim
-//             writes the bare [u32 kHelloMagic]; a v2 shim writes
-//             [u32 kHelloMagicV2][u32 caps] where caps advertises optional
-//             features (kCapPersistent). The client accepts either hello
-//             and downgrades its request format to what the server speaks,
-//             which is how a new fuzzer degrades gracefully to
-//             fork-per-exec against an old shim binary.
-//   per exec: v1 request  [u32 timeout_ms][u32 packet_len][packet]
-//             v2 request  [u32 timeout_ms][u32 control][u32 packet_len]
-//                         [packet], where control == 0 keeps the v1
-//                         fork-per-exec semantics and a persistent control
-//                         word (encode_control) routes the execution into
-//                         the persistent child over a shm test-case slot
-//                         (packet_len is then 0 — the packet travels
-//                         through the segment, not the pipe).
+//   spawn:    the client (TargetProcess) dup2s the control pipe onto fd
+//             kCtlFd and the status pipe onto fd kStFd before exec; the
+//             shim writes the hello [u32 kHelloMagicV2][u32 caps] on
+//             kStFd, where caps advertises optional features
+//             (kCapPersistent).
+//   per exec: request [u32 timeout_ms][u32 control][u32 packet_len]
+//             [packet], where control == 0 forks one child for the packet
+//             on the pipe (results in the fork-per-exec region) and a
+//             persistent control word (encode_control) routes the
+//             execution into the persistent child over a shm test-case
+//             slot (packet_len is then 0 — the packet travels through the
+//             segment, not the pipe).
 //             The shim runs the execution (fork per exec, or one iteration
 //             of the persistent child's loop), SIGKILLing the child when
 //             its timeout_ms interval timer fires first — the shim owns
 //             the pid, so the kill can never hit a recycled pid — then
 //             replies on kStFd:
-//             v1 reply  [i32 wstatus][u8 timed_out]
-//             v2 reply  [i32 wstatus][u32 flags][u32 iteration], flags
-//                       carrying timed-out / ran-persistent / recycled
-//                       (+ the recycle reason), iteration saying which
-//                       "N of K" of the serving child this execution was.
+//             reply [i32 wstatus][u32 flags][u32 iteration], flags
+//             carrying timed-out / ran-persistent / recycled (+ the
+//             recycle reason), iteration saying which "N of K" of the
+//             serving child this execution was.
 //             The executor's own read deadline (timeout_ms plus a grace
 //             margin) only guards against the server itself wedging,
 //             which is reported as server-lost, not as a hang.
@@ -54,7 +49,7 @@
 //             cleanly (exit 0 — an *orderly* shutdown the client tells
 //             apart from a lost server).
 //
-// Persistent mode (v2 + kCapPersistent): the shim forks one long-lived
+// Persistent mode (kCapPersistent): the shim forks one long-lived
 // child that loops up to K executions (the request's budget). Between
 // iterations the child raises SIGSTOP (AFL deferred/persistent-mode
 // convention); the shim observes the stop via waitpid(WUNTRACED), which is
@@ -83,39 +78,34 @@ namespace icsfuzz::oop {
 inline constexpr int kCtlFd = 198;
 inline constexpr int kStFd = 199;
 
-/// First word the shim writes after attaching the segment ("ICSF") —
-/// protocol v1: fork-per-exec only, no capability word.
-inline constexpr std::uint32_t kHelloMagic = 0x49435346;
-
-/// v2 hello magic ("ICS2"): followed by a u32 capability word.
+/// Fork-server hello magic ("ICS2"): followed by a u32 capability word.
 inline constexpr std::uint32_t kHelloMagicV2 = 0x49435332;
 
-/// Capability bits in the v2 hello.
+/// Capability bits in the fork-server hello.
 inline constexpr std::uint32_t kCapPersistent = 1u << 0;
 
 /// TCP session-server hello magic ("ICST"), written by a shim started in
-/// `--tcp` mode (session/tcp_server.hpp) instead of the fork-server hellos
+/// `--tcp` mode (session/tcp_server.hpp) instead of the fork-server hello
 /// above, followed by [u32 port]: the loopback port the session server
 /// accepts connections on. The segment then carries one extra sync block
-/// after the v1 region (session/session_wire.hpp documents the geometry);
-/// executions travel over the socket, not the control pipe — the pipe's
-/// only remaining job is EOF-triggered shutdown.
+/// after the fork-per-exec region (session/session_wire.hpp documents the
+/// geometry); executions travel over the socket, not the control pipe —
+/// the pipe's only remaining job is EOF-triggered shutdown.
 inline constexpr std::uint32_t kTcpHelloMagic = 0x49435354;
 
 /// Aux-block completion magic ("OOP!"), stored last by the child.
 inline constexpr std::uint32_t kAuxCompleteMagic = 0x4F4F5021;
 
-/// v1 segment geometry: the coverage map followed by the aux result block.
-/// This region still serves every fork-per-exec execution (and is all a v1
-/// shim ever touches).
+/// Fork-per-exec region: the coverage map followed by the aux result block.
+/// It serves every fork-per-exec execution and every TCP session.
 inline constexpr std::size_t kAuxOffset = cov::kMapSize;
 inline constexpr std::size_t kAuxBytes = std::size_t{1} << 16;
 inline constexpr std::size_t kSegmentBytes = kAuxOffset + kAuxBytes;
 
-/// v2 slot region, appended after the v1 region: kNumSlots independent
-/// execution slots, each with its own coverage map, aux block and
-/// test-case buffer, so up to kNumSlots persistent-mode requests can be in
-/// flight (pipelined into the pipe) with no shared mutable state between
+/// Slot region, appended after the fork-per-exec region: kNumSlots
+/// independent execution slots, each with its own coverage map, aux block
+/// and test-case buffer, so up to kNumSlots persistent-mode requests can be
+/// in flight (pipelined into the pipe) with no shared mutable state between
 /// them.
 inline constexpr std::uint32_t kNumSlots = 4;
 inline constexpr std::size_t kSlotAuxOffset = cov::kMapSize;
@@ -133,8 +123,7 @@ inline constexpr std::size_t kCtlBlockOffset =
     kSlotsOffset + std::size_t{kNumSlots} * kSlotBytes;
 inline constexpr std::size_t kCtlBlockBytes = 64;
 
-/// Full v2 segment size (the client always creates this much; a v1 shim
-/// simply never looks past kSegmentBytes).
+/// Full fork-server segment size (the client always creates this much).
 inline constexpr std::size_t kSegmentBytesV2 = kCtlBlockOffset + kCtlBlockBytes;
 
 /// Byte offset of persistent slot `slot` inside the segment.
@@ -142,9 +131,9 @@ inline constexpr std::size_t kSegmentBytesV2 = kCtlBlockOffset + kCtlBlockBytes;
   return kSlotsOffset + std::size_t{slot} * kSlotBytes;
 }
 
-// -- v2 request control word. ----------------------------------------------
+// -- Request control word. -------------------------------------------------
 //
-// 0 = v1 fork-per-exec semantics (packet on the pipe, results in the v1
+// 0 = fork-per-exec (packet on the pipe, results in the fork-per-exec
 // region). Otherwise: bits [0,4) the slot index, bit 4 the persistent
 // marker, bits [8,32) the iteration budget K.
 inline constexpr std::uint32_t kCtlPersistent = 1u << 4;
@@ -163,7 +152,7 @@ inline constexpr std::uint32_t kCtlBudgetShift = 8;
   return control >> kCtlBudgetShift;
 }
 
-// -- v2 reply flags. -------------------------------------------------------
+// -- Reply flags. ----------------------------------------------------------
 inline constexpr std::uint32_t kReplyTimedOut = 1u << 0;
 /// The execution ran inside the persistent child (not a fresh fork).
 inline constexpr std::uint32_t kReplyPersistent = 1u << 1;

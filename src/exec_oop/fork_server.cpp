@@ -1,67 +1,12 @@
 #include "exec_oop/fork_server.hpp"
 
-#include <fcntl.h>
-#include <signal.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
-
-#include "exec_oop/exec_protocol.hpp"
-
-extern char** environ;
 
 namespace icsfuzz::oop {
 
 namespace {
-
-/// A dead server must surface as EPIPE on the next write, not kill the
-/// fuzzer with SIGPIPE. Installed once, process-wide, on first spawn —
-/// the same disposition AFL-style frontends set up.
-void ignore_sigpipe_once() {
-  static const bool done = [] {
-    struct sigaction action {};
-    action.sa_handler = SIG_IGN;
-    ::sigaction(SIGPIPE, &action, nullptr);
-    return true;
-  }();
-  (void)done;
-}
-
-/// Resolves a bare command name through PATH *before* fork: the post-fork
-/// child is restricted to async-signal-safe calls, which rules out
-/// execvp's PATH walk (it may allocate). Returns the command unchanged
-/// when it contains a slash or nothing on PATH matches (execve will then
-/// fail and the child exits 127, surfacing as a handshake failure).
-std::string resolve_executable(const std::string& command) {
-  if (command.find('/') != std::string::npos) return command;
-  const char* path = std::getenv("PATH");
-  if (path == nullptr) return command;
-  const std::string entries = path;
-  std::size_t begin = 0;
-  while (begin <= entries.size()) {
-    const std::size_t end = entries.find(':', begin);
-    const std::string dir = entries.substr(
-        begin, end == std::string::npos ? std::string::npos : end - begin);
-    if (!dir.empty()) {
-      const std::string candidate = dir + "/" + command;
-      if (::access(candidate.c_str(), X_OK) == 0) return candidate;
-    }
-    if (end == std::string::npos) break;
-    begin = end + 1;
-  }
-  return command;
-}
-
-/// True when `entry` ("NAME=value") defines the same NAME as `other`.
-bool same_env_name(const char* entry, const std::string& other) {
-  const std::size_t eq = other.find('=');
-  if (eq == std::string::npos) return false;
-  return std::strncmp(entry, other.c_str(), eq + 1) == 0;
-}
 
 /// Pipe-I/O deadline for one request/reply: the exec budget plus a grace
 /// margin (the shim owns the real deadline; ours only catches a wedged
@@ -75,171 +20,22 @@ int io_deadline_for(int timeout_ms) {
 
 }  // namespace
 
-ForkServer::~ForkServer() { stop(); }
-
-bool ForkServer::start(const std::vector<std::string>& argv,
-                       const std::vector<std::string>& extra_env,
-                       int handshake_timeout_ms) {
-  stop();
-  error_.clear();
-  last_failure_ = RunOutcome::Kind::kServerLost;
-  if (argv.empty()) {
-    error_ = "empty target command";
-    return false;
-  }
-  ignore_sigpipe_once();
-
-  int ctl_pipe[2];
-  int st_pipe[2];
-  if (::pipe2(ctl_pipe, O_CLOEXEC) != 0) {
-    error_ = std::string("pipe2(ctl): ") + std::strerror(errno);
-    return false;
-  }
-  if (::pipe2(st_pipe, O_CLOEXEC) != 0) {
-    error_ = std::string("pipe2(st): ") + std::strerror(errno);
-    ::close(ctl_pipe[0]);
-    ::close(ctl_pipe[1]);
-    return false;
-  }
-
-  // Everything execve() needs is materialized BEFORE fork(): a worker
-  // thread of a parallel campaign may fork while siblings hold allocator
-  // locks, so the child must restrict itself to async-signal-safe calls
-  // (setpgid/fcntl/dup2/execve/_exit). That includes the PATH walk —
-  // resolved here, not via execvp in the child.
-  const std::string executable = resolve_executable(argv[0]);
-  std::vector<char*> child_argv;
-  child_argv.reserve(argv.size() + 1);
-  for (const std::string& arg : argv) {
-    child_argv.push_back(const_cast<char*>(arg.c_str()));
-  }
-  child_argv.push_back(nullptr);
-
-  // extra_env must OVERRIDE inherited duplicates, not merely follow them:
-  // getenv returns the first match, so an inherited ICSFUZZ_OOP_SHM (a
-  // debugging leftover, a nested harness) would otherwise shadow the
-  // fresh per-spawn segment name.
-  std::vector<char*> child_env;
-  for (char** env = environ; *env != nullptr; ++env) {
-    bool overridden = false;
-    for (const std::string& entry : extra_env) {
-      overridden |= same_env_name(*env, entry);
-    }
-    if (!overridden) child_env.push_back(*env);
-  }
-  for (const std::string& entry : extra_env) {
-    child_env.push_back(const_cast<char*>(entry.c_str()));
-  }
-  child_env.push_back(nullptr);
-
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    error_ = std::string("fork: ") + std::strerror(errno);
-    ::close(ctl_pipe[0]);
-    ::close(ctl_pipe[1]);
-    ::close(st_pipe[0]);
-    ::close(st_pipe[1]);
-    return false;
-  }
-  if (pid == 0) {
-    // Child: lead a fresh process group — the shim's per-exec forks stay
-    // in it, so stop()'s group kill reaps a wedged server AND any
-    // in-flight exec child instead of orphaning the grandchild.
-    ::setpgid(0, 0);
-    // Install the protocol descriptors and exec the shim. Two edge cases
-    // under fd pressure: a pipe end may already BE 198/199 (dup2 would be
-    // a no-op that leaves O_CLOEXEC set and the fd closes across exec),
-    // and the ctl end could occupy the st end's slot (the second dup2
-    // would clobber it) — so first move any end sitting inside the target
-    // range above it, then dup2 (which clears CLOEXEC) or clear CLOEXEC
-    // in place. fcntl/dup2 are async-signal-safe.
-    int ctl = ctl_pipe[0];
-    int st = st_pipe[1];
-    if (ctl == kCtlFd || ctl == kStFd) {
-      ctl = ::fcntl(ctl, F_DUPFD, kStFd + 1);
-    }
-    if (st == kCtlFd || st == kStFd) {
-      st = ::fcntl(st, F_DUPFD, kStFd + 1);
-    }
-    if (ctl < 0 || st < 0 || ::dup2(ctl, kCtlFd) < 0 ||
-        ::dup2(st, kStFd) < 0) {
-      ::_exit(126);
-    }
-    ::execve(executable.c_str(), child_argv.data(), child_env.data());
-    ::_exit(127);
-  }
-
-  // Parent. The control pipe goes non-blocking: run() writes through the
-  // deadline-aware poll loop, so a wedged server that stops draining the
-  // pipe surfaces as a timeout instead of blocking the fuzzer forever on
-  // a larger-than-pipe-buffer packet.
-  ::close(ctl_pipe[0]);
-  ::close(st_pipe[1]);
-  ctl_fd_ = ctl_pipe[1];
-  st_fd_ = st_pipe[0];
-  ::fcntl(ctl_fd_, F_SETFL, ::fcntl(ctl_fd_, F_GETFL) | O_NONBLOCK);
-  server_pid_ = pid;
-
-  // Versioned hello: a v1 server sends the bare magic (fork-per-exec
-  // only), a v2 server follows its magic with a capability word. Keeping
-  // both accepted is what lets a new fuzzer drive an old shim binary —
-  // it simply never gets the persistent capability and degrades to
-  // fork-per-exec requests in the v1 wire format.
-  version_ = 0;
-  caps_ = 0;
-  std::uint32_t hello = 0;
-  ReadStatus status =
-      read_full_deadline(st_fd_, &hello, sizeof(hello), handshake_timeout_ms);
-  if (status == ReadStatus::kOk && hello == kHelloMagicV2) {
-    status = read_full_deadline(st_fd_, &caps_, sizeof(caps_),
-                                handshake_timeout_ms);
-    if (status == ReadStatus::kOk) version_ = 2;
-  } else if (status == ReadStatus::kOk && hello == kHelloMagic) {
-    version_ = 1;
-  }
-  if (version_ == 0) {
-    error_ = status == ReadStatus::kTimeout
-                 ? "fork server handshake timed out"
-                 : (status == ReadStatus::kClosed
-                        ? "fork server exited before handshake"
-                        : "fork server sent a bad hello");
-    stop();
-    return false;
-  }
-  return true;
-}
-
 ForkServer::RunOutcome::Kind ForkServer::classify_server_gone() {
-  // EOF can race the exit status by a hair (the pipe ends close inside
-  // the exiting process before it turns waitable), so poll briefly. An
-  // orderly exit (status 0 — the shim retired after its final execution,
-  // or was asked to shut down) is reaped here and must NOT be booked as a
-  // lost server; anything else keeps the kServerLost verdict and leaves
-  // stop() to do the killing.
-  for (int spin = 0; server_pid_ > 0 && spin < 500; ++spin) {
-    int wstatus = 0;
-    const pid_t reaped = ::waitpid(server_pid_, &wstatus, WNOHANG);
-    if (reaped == server_pid_) {
-      server_pid_ = -1;  // already reaped: stop() must not kill this pid
-      if (ctl_fd_ >= 0) ::close(ctl_fd_);
-      if (st_fd_ >= 0) ::close(st_fd_);
-      ctl_fd_ = st_fd_ = -1;
-      last_failure_ = WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0
-                          ? RunOutcome::Kind::kServerExited
+  // An orderly exit (status 0 — the shim retired after its final
+  // execution, or was asked to shut down) must NOT be booked as a lost
+  // server; anything else keeps the kServerLost verdict and leaves the
+  // owner to stop() the server.
+  const bool orderly = process_.reap_within(500) &&
+                       WIFEXITED(process_.wait_status()) &&
+                       WEXITSTATUS(process_.wait_status()) == 0;
+  last_failure_ = orderly ? RunOutcome::Kind::kServerExited
                           : RunOutcome::Kind::kServerLost;
-      return last_failure_;
-    }
-    if (reaped < 0 && errno == EINTR) continue;  // supervisor signal; re-poll
-    if (reaped != 0) break;  // ECHILD or error: treat as lost
-    ::usleep(1000);
-  }
-  last_failure_ = RunOutcome::Kind::kServerLost;
   return last_failure_;
 }
 
 bool ForkServer::write_request(std::uint32_t control, ByteSpan packet,
                                int timeout_ms, int io_deadline_ms) {
-  if (!running()) {
+  if (!process_.running()) {
     // Keep last_failure_ as classify_server_gone() left it: a caller that
     // races a just-retired server still sees kServerExited, not a loss.
     error_ = "fork server not running";
@@ -249,23 +45,14 @@ bool ForkServer::write_request(std::uint32_t control, ByteSpan packet,
   // the shim disarms its interval timer and this side waits indefinitely
   // — a wedged server is then caught only by pipe EOF (the caller opted
   // out of wall-clock limits).
-  const std::uint32_t wire_timeout =
-      timeout_ms <= 0 ? 0 : static_cast<std::uint32_t>(timeout_ms);
-  const std::uint32_t length = static_cast<std::uint32_t>(packet.size());
-
-  ReadStatus status = write_full_deadline(ctl_fd_, &wire_timeout,
-                                          sizeof(wire_timeout),
-                                          io_deadline_ms);
-  if (status == ReadStatus::kOk && version_ >= 2) {
-    status = write_full_deadline(ctl_fd_, &control, sizeof(control),
-                                 io_deadline_ms);
-  }
-  if (status == ReadStatus::kOk) {
-    status = write_full_deadline(ctl_fd_, &length, sizeof(length),
-                                 io_deadline_ms);
-  }
-  if (status == ReadStatus::kOk && length != 0) {
-    status = write_full_deadline(ctl_fd_, packet.data(), length,
+  const std::uint32_t header[3] = {
+      timeout_ms <= 0 ? 0 : static_cast<std::uint32_t>(timeout_ms), control,
+      static_cast<std::uint32_t>(packet.size())};
+  const int fd = process_.ctl_fd();
+  ReadStatus status =
+      write_full_deadline(fd, header, sizeof header, io_deadline_ms);
+  if (status == ReadStatus::kOk && !packet.empty()) {
+    status = write_full_deadline(fd, packet.data(), packet.size(),
                                  io_deadline_ms);
   }
   if (status != ReadStatus::kOk) {
@@ -287,7 +74,7 @@ bool ForkServer::submit(std::uint32_t control, int timeout_ms) {
 
 ForkServer::RunOutcome ForkServer::await_reply(int io_deadline_ms) {
   RunOutcome outcome;
-  if (st_fd_ < 0) {
+  if (process_.st_fd() < 0) {
     outcome.kind = last_failure_;
     return outcome;
   }
@@ -296,28 +83,10 @@ ForkServer::RunOutcome ForkServer::await_reply(int io_deadline_ms) {
   // the timer fires and reports timed_out) — our read deadline only has
   // to catch the server itself wedging, so it gets a generous grace
   // margin on top of the exec budget and expiry means server-gone, never
-  // a hang verdict.
-  std::int32_t wstatus = 0;
-  std::uint32_t flags = 0;
-  ReadStatus status =
-      read_full_deadline(st_fd_, &wstatus, sizeof(wstatus), io_deadline_ms);
-  if (version_ >= 2) {
-    if (status == ReadStatus::kOk) {
-      status = read_full_deadline(st_fd_, &flags, sizeof(flags),
-                                  io_deadline_ms);
-    }
-    if (status == ReadStatus::kOk) {
-      status = read_full_deadline(st_fd_, &outcome.iteration,
-                                  sizeof(outcome.iteration), io_deadline_ms);
-    }
-  } else {
-    std::uint8_t timed_out = 0;
-    if (status == ReadStatus::kOk) {
-      status = read_full_deadline(st_fd_, &timed_out, sizeof(timed_out),
-                                  io_deadline_ms);
-    }
-    if (timed_out != 0) flags |= kReplyTimedOut;
-  }
+  // a hang verdict. Reply: [i32 wstatus][u32 flags][u32 iteration].
+  std::uint32_t reply[3] = {0, 0, 0};
+  const ReadStatus status = read_full_deadline(process_.st_fd(), reply,
+                                               sizeof reply, io_deadline_ms);
   if (status != ReadStatus::kOk) {
     error_ = "fork server died mid-execution";
     outcome.kind = status == ReadStatus::kClosed
@@ -326,65 +95,27 @@ ForkServer::RunOutcome ForkServer::await_reply(int io_deadline_ms) {
     return outcome;
   }
 
+  const std::uint32_t flags = reply[1];
+  outcome.wstatus = static_cast<std::int32_t>(reply[0]);
+  outcome.iteration = reply[2];
   outcome.persistent = (flags & kReplyPersistent) != 0;
   outcome.recycled = (flags & kReplyChildRecycled) != 0
                          ? reply_recycle_reason(flags)
                          : RecycleReason::kNone;
-  if ((flags & kReplyTimedOut) != 0) {
-    outcome.kind = RunOutcome::Kind::kTimeout;
-    outcome.term_signal = WIFSIGNALED(wstatus) ? WTERMSIG(wstatus) : SIGKILL;
-  } else if (WIFSIGNALED(wstatus)) {
-    outcome.kind = RunOutcome::Kind::kSignaled;
-    outcome.term_signal = WTERMSIG(wstatus);
-  } else {
-    outcome.kind = RunOutcome::Kind::kExited;
-    outcome.exit_code = WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : 0;
-  }
+  outcome.kind = (flags & kReplyTimedOut) != 0 ? RunOutcome::Kind::kTimeout
+                                               : RunOutcome::Kind::kCompleted;
   return outcome;
 }
 
-ForkServer::RunOutcome ForkServer::run(ByteSpan packet, int timeout_ms) {
+ForkServer::RunOutcome ForkServer::run(std::uint32_t control, ByteSpan packet,
+                                       int timeout_ms) {
   const int io_deadline_ms = io_deadline_for(timeout_ms);
-  if (!write_request(0, packet, timeout_ms, io_deadline_ms)) {
+  if (!write_request(control, packet, timeout_ms, io_deadline_ms)) {
     RunOutcome outcome;
     outcome.kind = last_failure_;
     return outcome;
   }
   return await_reply(io_deadline_ms);
-}
-
-ForkServer::RunOutcome ForkServer::run_persistent(std::uint32_t control,
-                                                  int timeout_ms) {
-  const int io_deadline_ms = io_deadline_for(timeout_ms);
-  if (!write_request(control, {}, timeout_ms, io_deadline_ms)) {
-    RunOutcome outcome;
-    outcome.kind = last_failure_;
-    return outcome;
-  }
-  return await_reply(io_deadline_ms);
-}
-
-void ForkServer::stop() {
-  if (ctl_fd_ >= 0) {
-    ::close(ctl_fd_);
-    ctl_fd_ = -1;
-  }
-  if (st_fd_ >= 0) {
-    ::close(st_fd_);
-    st_fd_ = -1;
-  }
-  if (server_pid_ > 0) {
-    // Group kill first: the server leads its own process group (set up
-    // before exec), so this also reaps any in-flight per-exec child a
-    // wedged or already-dead server left behind. The direct kill is the
-    // fallback for a server that died before setpgid took effect.
-    ::kill(-server_pid_, SIGKILL);
-    ::kill(server_pid_, SIGKILL);
-    int wstatus = 0;
-    while (::waitpid(server_pid_, &wstatus, 0) < 0 && errno == EINTR) {
-    }
-    server_pid_ = -1;
-  }
 }
 
 }  // namespace icsfuzz::oop

@@ -1,5 +1,5 @@
-// ForkServer — fuzzer-side client of the classic AFL two-pipe fork-server
-// protocol (exec_protocol.hpp).
+// ForkServer — fuzzer-side request/reply framing of the classic AFL
+// two-pipe fork-server protocol (exec_protocol.hpp).
 //
 // One spawn pays the exec + dynamic-link cost once; every execution after
 // that is a single fork() inside the target — or, in persistent mode, one
@@ -8,15 +8,13 @@
 // executions per second. The server process is the shim's request loop;
 // the per-execution child is the shim's fork (or persistent loop body).
 //
-// The handshake is versioned: a v1 server speaks fork-per-exec only, a v2
-// server adds a capability word (persistent mode). start() records what
-// the server offered; callers that want persistent execution check
-// persistent_capable() and degrade to fork-per-exec when an old shim is
-// on the other side.
+// The server process itself — spawn, hello, kill, reap, respawn — belongs
+// to a TargetProcess; this class only writes requests and reads replies on
+// its pipes. The hello's capability word says whether the server offers
+// persistent mode (persistent_capable()).
 //
 // Failure surface (all reported, never thrown — the campaign must outlive
 // a dying target):
-//   * spawn/handshake failure  -> start() false, error() says why
 //   * per-exec wall-clock hang -> the shim SIGKILLs its own child at the
 //                                 deadline (it owns the pid — no recycled
 //                                 -pid hazard) and the run reports
@@ -29,41 +27,34 @@
 //                                 (OutOfProcessExecutor) respawns
 #pragma once
 
-#include <sys/types.h>
-
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "exec_oop/exec_protocol.hpp"
+#include "exec_oop/target_process.hpp"
 #include "util/bytes.hpp"
 
 namespace icsfuzz::oop {
 
 class ForkServer {
  public:
-  ForkServer() = default;
-  ~ForkServer();
-
-  ForkServer(const ForkServer&) = delete;
-  ForkServer& operator=(const ForkServer&) = delete;
+  explicit ForkServer(TargetProcess& process) : process_(process) {}
 
   /// One execution's transport-level outcome (the semantic mapping onto
   /// crash/hang/ok lives in OutOfProcessExecutor, which also reads the
   /// segment's aux block).
   struct RunOutcome {
     enum class Kind : std::uint8_t {
-      kExited,        ///< child exited; exit_code valid
-      kSignaled,      ///< child died on a signal; term_signal valid
+      kCompleted,     ///< the child's execution ended; wstatus says how
       kTimeout,       ///< deadline hit; child was SIGKILLed
       kServerExited,  ///< server exited 0 in an orderly way (respawn, but
                       ///< do not count a lost server)
       kServerLost,    ///< the fork server itself is gone mid-run
     };
     Kind kind = Kind::kServerLost;
-    int exit_code = 0;
-    int term_signal = 0;
-    /// The execution ran inside the persistent child (v2 reply flag).
+    /// The child's raw wait status (kCompleted / kTimeout).
+    int wstatus = 0;
+    /// The execution ran inside the persistent child.
     bool persistent = false;
     /// 1-based iteration "N of K" within the serving child (persistent).
     std::uint32_t iteration = 0;
@@ -71,23 +62,13 @@ class ForkServer {
     RecycleReason recycled = RecycleReason::kNone;
   };
 
-  /// Spawns `argv` (argv[0] resolved through PATH) with `extra_env`
-  /// appended to the inherited environment, performs the hello handshake.
-  /// False on spawn or handshake failure (error() explains).
-  bool start(const std::vector<std::string>& argv,
-             const std::vector<std::string>& extra_env,
-             int handshake_timeout_ms);
-
-  /// Runs one packet fork-per-exec with a wall-clock deadline, enforced by
-  /// the shim on its own child. `timeout_ms` <= 0 disables the deadline
-  /// end to end (the client then waits indefinitely; only pipe EOF catches
-  /// a wedged server). Requires running().
-  RunOutcome run(ByteSpan packet, int timeout_ms);
-
-  /// Persistent-mode single execution: the packet must already sit in the
-  /// control word's shm slot (exec_protocol slot_store_packet). Requires
-  /// persistent_capable().
-  RunOutcome run_persistent(std::uint32_t control, int timeout_ms);
+  /// Runs one execution with a wall-clock deadline, enforced by the shim
+  /// on its own child: `control` 0 forks one child for `packet`; a
+  /// persistent control word (encode_control) runs the packet already in
+  /// that shm slot. `timeout_ms` <= 0 disables the deadline end to end
+  /// (the client then waits indefinitely; only pipe EOF catches a wedged
+  /// server). Requires a running server.
+  RunOutcome run(std::uint32_t control, ByteSpan packet, int timeout_ms);
 
   /// Pipelined dispatch, persistent mode: queues one request without
   /// waiting for its reply (up to kNumSlots may be in flight; replies
@@ -101,38 +82,25 @@ class ForkServer {
   /// indefinitely.
   RunOutcome await_reply(int io_deadline_ms);
 
-  /// Kills the server process (SIGKILL), reaps it, closes the pipes.
-  /// Idempotent; start() may be called again afterwards.
-  void stop();
-
-  [[nodiscard]] bool running() const { return server_pid_ > 0; }
-  [[nodiscard]] pid_t server_pid() const { return server_pid_; }
-  [[nodiscard]] const std::string& error() const { return error_; }
-
-  /// Negotiated protocol version (1 or 2); 0 before the first handshake.
-  [[nodiscard]] int protocol_version() const { return version_; }
-  /// The server advertised the persistent capability (v2 only).
+  /// The server advertised the persistent capability in its hello.
   [[nodiscard]] bool persistent_capable() const {
-    return (caps_ & kCapPersistent) != 0;
+    return (process_.hello_word() & kCapPersistent) != 0;
   }
   /// How the last failed submit/run left the server (orderly vs lost).
   [[nodiscard]] RunOutcome::Kind last_failure() const { return last_failure_; }
+  [[nodiscard]] const std::string& error() const { return error_; }
 
  private:
-  /// Writes one request ([timeout][control?][len][packet]) in the
-  /// negotiated wire format; classifies the server on failure.
+  /// Writes one request ([timeout][control][len][packet]); classifies the
+  /// server on failure.
   bool write_request(std::uint32_t control, ByteSpan packet, int timeout_ms,
                      int io_deadline_ms);
 
   /// EOF/EPIPE on a pipe: decides kServerExited (reaped, exit status 0)
-  /// vs kServerLost, updating last_failure_ and reaping an orderly exit.
+  /// vs kServerLost, updating last_failure_.
   RunOutcome::Kind classify_server_gone();
 
-  pid_t server_pid_ = -1;
-  int ctl_fd_ = -1;  ///< write side: request stream
-  int st_fd_ = -1;   ///< read side: hello / reply stream
-  int version_ = 0;
-  std::uint32_t caps_ = 0;
+  TargetProcess& process_;
   RunOutcome::Kind last_failure_ = RunOutcome::Kind::kServerLost;
   std::string error_;
 };

@@ -11,20 +11,21 @@
 // asserts exactly that.
 //
 // Two execution modes behind one run() call:
-//   * fork-per-exec — one fork() per packet (protocol v1 semantics; the
-//     only mode a v1 shim offers).
+//   * fork-per-exec — one fork() per packet (control word 0).
 //   * persistent    — `persistent_budget` > 1 and the server advertises
 //     kCapPersistent: packets travel through shm test-case slots into a
 //     long-lived child that loops K executions per process, which removes
 //     the per-exec fork() and recovers an order of magnitude of
 //     throughput. run_batch() additionally pipelines up to kNumSlots
 //     requests so the round-trip stall disappears from replay-style
-//     workloads. An old (v1) server silently degrades the executor to
-//     fork-per-exec — persistent_active() reports what actually runs.
+//     workloads. A server without the capability (an injected binary that
+//     does not cooperate) keeps the executor on fork-per-exec —
+//     persistent_active() reports what actually runs.
 //
-// Robustness: a lost fork server (crashed, killed, never handshaken) is
-// respawned transparently with a fresh shm segment and the packet retried
-// once; an *orderly* server exit (status 0 — e.g. periodic retirement) is
+// Robustness: the server's lifecycle is a TargetProcess. A lost fork
+// server (crashed, killed, never handshaken) is respawned transparently
+// with a fresh shm segment and the packet retried under the RetryPolicy;
+// an *orderly* server exit (status 0 — e.g. periodic retirement) is
 // respawned the same way but never booked as a lost server; a target that
 // cannot be started at all degrades every run to kServerLost without
 // throwing, so campaigns report the failure instead of dying.
@@ -39,6 +40,7 @@
 #include "exec_oop/exec_protocol.hpp"
 #include "exec_oop/fork_server.hpp"
 #include "exec_oop/shm_segment.hpp"
+#include "exec_oop/target_process.hpp"
 #include "supervise/resource_jail.hpp"
 #include "util/bytes.hpp"
 
@@ -50,32 +52,10 @@ enum class ExecStatus : std::uint8_t {
   kCrash,       ///< child died on a signal / abnormal exit mid-execution
   kHang,        ///< wall-clock deadline expired; child was SIGKILLed
   kOom,         ///< resource jail fired: allocation failure under RLIMIT_AS
-  kServerLost,  ///< fork server unreachable even after a respawn
+  kServerLost,  ///< target server unreachable even after a respawn
 };
 
 std::string to_string(ExecStatus status);
-
-/// Respawn/retry policy for a lost fork server. The defaults reproduce the
-/// historical hard-coded behavior exactly: one retry per packet, unlimited
-/// respawns, no backoff — so existing campaigns and the differential
-/// oracles are bit-identical unless a supervisor opts in.
-struct RetryPolicy {
-  /// Extra attempts per packet after the first one loses the server.
-  int max_retries = 1;
-  /// Lifetime respawn budget — the crash-loop breaker. Once a server that
-  /// had come up has been respawned this many times, further losses fail
-  /// fast as kServerLost instead of forking a doomed target forever.
-  /// Negative = unlimited.
-  int max_respawns = -1;
-  /// Backoff before the Nth consecutive respawn (doubling, capped at
-  /// backoff_max_ms). 0 disables sleeping entirely.
-  std::uint32_t backoff_initial_ms = 0;
-  std::uint32_t backoff_max_ms = 2000;
-  /// Deterministic jitter: up to this percentage is added on top of the
-  /// backoff delay, derived by hashing the respawn count (no RNG stream —
-  /// the fuzzing trajectory never depends on it).
-  std::uint32_t jitter_pct = 0;
-};
 
 struct OopExecutorConfig {
   /// argv of the fork-server target; argv[0] resolved through PATH.
@@ -123,7 +103,6 @@ class OutOfProcessExecutor {
   };
 
   explicit OutOfProcessExecutor(OopExecutorConfig config);
-  ~OutOfProcessExecutor();
 
   OutOfProcessExecutor(const OutOfProcessExecutor&) = delete;
   OutOfProcessExecutor& operator=(const OutOfProcessExecutor&) = delete;
@@ -132,7 +111,7 @@ class OutOfProcessExecutor {
   /// loss). False when the target cannot be started; error() explains.
   bool ensure_started();
 
-  /// Runs one packet, retrying once across a server respawn. The returned
+  /// Runs one packet, retrying across a server respawn. The returned
   /// reference points at internal scratch refilled every run (vector
   /// capacities reused), valid until the next call.
   const Outcome& run(ByteSpan packet);
@@ -150,26 +129,21 @@ class OutOfProcessExecutor {
       const std::function<void(std::size_t, const Outcome&)>& on_outcome);
 
   /// The shm coverage words the last outcome's execution produced
-  /// (kMapWords uint64s), ready for CoverageMap::adopt_external — the v1
-  /// map region or the persistent slot that served the execution. Null
-  /// until the server started. During run_batch this advances with each
-  /// callback.
+  /// (kMapWords uint64s), ready for CoverageMap::adopt_external — the
+  /// fork-per-exec map region or the persistent slot that served the
+  /// execution. Null until the server started. During run_batch this
+  /// advances with each callback.
   [[nodiscard]] const std::uint64_t* map_words() const {
-    return segment_.valid()
-               ? reinterpret_cast<const std::uint64_t*>(segment_.data() +
+    return segment().valid()
+               ? reinterpret_cast<const std::uint64_t*>(segment().data() +
                                                         map_offset_)
                : nullptr;
   }
 
-  /// Persistent mode requested by the config (budget > 1).
-  [[nodiscard]] bool persistent_requested() const {
-    return config_.persistent_budget > 1;
-  }
-  /// Persistent mode actually in effect: requested AND the serving shim
-  /// advertised the capability. False before the first spawn and after a
-  /// v1 server degraded us to fork-per-exec.
+  /// Persistent mode in effect: requested by the config (budget > 1) AND
+  /// advertised by the serving target. False before the first spawn.
   [[nodiscard]] bool persistent_active() const {
-    return persistent_requested() && server_.persistent_capable();
+    return config_.persistent_budget > 1 && server_.persistent_capable();
   }
 
   /// Successful respawns of a server that had previously come up (a
@@ -177,20 +151,21 @@ class OutOfProcessExecutor {
   /// the fault-injection suite watches this climb. Orderly exits count
   /// here too (the respawn is real) but never in the lost-server
   /// accounting.
-  [[nodiscard]] std::uint64_t server_restarts() const { return restarts_; }
+  [[nodiscard]] std::uint64_t server_restarts() const {
+    return process_.tallies().restarts;
+  }
 
   /// Packets that needed a second attempt after the first one lost the
-  /// server (counted whether or not the retry then succeeded). Together
-  /// with server_restarts() this feeds the telemetry registry's
-  /// oop_restarts/oop_retries counters, which used to be visible only to
-  /// the fault-injection tests.
-  [[nodiscard]] std::uint64_t run_retries() const { return retries_; }
+  /// server (counted whether or not the retry then succeeded).
+  [[nodiscard]] std::uint64_t run_retries() const {
+    return process_.tallies().retries;
+  }
 
   /// Orderly server exits (EOF + exit status 0) absorbed by a respawn —
   /// kept apart from lost servers so `oop_server_lost` telemetry does not
   /// overcount periodic retirement.
   [[nodiscard]] std::uint64_t orderly_server_exits() const {
-    return orderly_exits_;
+    return process_.tallies().orderly_exits;
   }
 
   /// Persistent children recycled so far (budget exhaustion, crash or
@@ -202,18 +177,16 @@ class OutOfProcessExecutor {
   /// Executions the resource jail terminated (classified kOom).
   [[nodiscard]] std::uint64_t oom_kills() const { return oom_kills_; }
 
-  [[nodiscard]] bool server_running() const { return server_.running(); }
+  [[nodiscard]] bool server_running() const { return process_.running(); }
   [[nodiscard]] const std::string& last_error() const { return error_; }
-  [[nodiscard]] const ShmSegment& segment() const { return segment_; }
+  [[nodiscard]] const ShmSegment& segment() const {
+    return process_.segment();
+  }
   [[nodiscard]] const OopExecutorConfig& config() const { return config_; }
   [[nodiscard]] const ForkServer& server() const { return server_; }
-
-  /// Tears the server down (next run respawns it).
-  void shutdown();
+  [[nodiscard]] const TargetProcess& process() const { return process_; }
 
  private:
-  bool spawn();
-
   /// Maps a transport outcome + the aux block at `aux_offset` onto the
   /// semantic Outcome, and points map_words() at `map_offset`.
   void classify(const ForkServer::RunOutcome& raw, std::size_t map_offset,
@@ -226,21 +199,22 @@ class OutOfProcessExecutor {
   void fail_outcome(Outcome& out);
 
   OopExecutorConfig config_;
-  ShmSegment segment_;
-  ForkServer server_;
+  TargetProcess process_;
+  ForkServer server_{process_};
   Outcome outcome_;
   std::string error_;
   std::size_t map_offset_ = 0;
-  std::uint64_t restarts_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t orderly_exits_ = 0;
   std::uint64_t child_recycles_ = 0;
   std::uint64_t oom_kills_ = 0;
-  /// Respawns since the last successful reply — drives the exponential
-  /// backoff and the crash-loop verdict; reset by any classified outcome.
-  std::uint32_t consecutive_respawns_ = 0;
-  /// A spawn has succeeded at least once (gates restart counting).
-  bool ever_started_ = false;
 };
+
+/// The classification rule for a target that terminated, shared by every
+/// out-of-process transport: a signal is kCrash (term_signal set), exit
+/// supervise::kOomExitCode is kOom (the resource jail fired), exit 0 with
+/// `completed` (the aux block / session finished) is kOk, and any other
+/// exit — a nonzero code, or a clean exit that never completed — is kCrash
+/// (exit_code set). Fills status, term_signal and exit_code of `out`.
+void classify_termination(int wstatus, bool completed,
+                          OutOfProcessExecutor::Outcome& out);
 
 }  // namespace icsfuzz::oop

@@ -1,6 +1,7 @@
 #include "exec_oop/shim_runner.hpp"
 
 #include <signal.h>
+#include <sys/mman.h>
 #include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -8,12 +9,15 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <new>
+#include <optional>
 
 #include "coverage/instrument.hpp"
 #include "exec_oop/exec_protocol.hpp"
 #include "exec_oop/shm_segment.hpp"
 #include "sanitizer/fault.hpp"
 #include "supervise/resource_jail.hpp"
+#include "util/strings.hpp"
 
 namespace icsfuzz::oop {
 
@@ -95,23 +99,29 @@ int await_child(pid_t child, std::uint32_t timeout_ms, bool wait_stops,
   return wstatus;
 }
 
-/// Fault-plan OOM hook: allocates address space until the resource jail's
-/// new_handler fires (_exit through supervise::kOomExitCode). Chunks are
-/// never touched, so an unjailed run consumes address space only, and
-/// after a bounded number of allocations the child leaves through the
-/// marker code anyway — the hook exists to drive the jail's kOom
-/// classification path, not to actually exhaust the host.
+/// Fault-plan OOM hook: maps address space until RLIMIT_AS refuses, then
+/// calls the new_handler as a failing operator new would (the jail's
+/// handler exits through supervise::kOomExitCode). It maps directly
+/// because a sanitizer's operator new reports OOM itself and never calls
+/// the handler. Chunks are never touched, and an unjailed run leaves
+/// through the marker code after a bounded number of mappings — the hook
+/// drives the jail's kOom classification path, it does not exhaust the
+/// host.
 [[noreturn]] void exhaust_memory() {
-  constexpr std::size_t kChunkBytes = 64u << 20;  // 64 MiB per allocation
+  constexpr std::size_t kChunkBytes = 64u << 20;  // 64 MiB per mapping
   for (int i = 0; i < (1 << 14); ++i) {           // <= 1 TiB of VA
-    (void)new std::uint8_t[kChunkBytes];
+    if (::mmap(nullptr, kChunkBytes, PROT_READ | PROT_WRITE,
+               MAP_PRIVATE | MAP_ANONYMOUS, -1, 0) == MAP_FAILED) {
+      if (const std::new_handler handler = std::get_new_handler()) handler();
+      break;
+    }
   }
   ::_exit(supervise::kOomExitCode);
 }
 
 /// One fork-per-exec execution, inside the forked child: trace into the
-/// v1 region of the shm segment, run the target, publish the aux block,
-/// _exit. Never returns.
+/// fork-per-exec region of the shm segment, run the target, publish the
+/// aux block, _exit. Never returns.
 [[noreturn]] void run_child(ProtocolTarget& target, std::uint8_t* segment,
                             ByteSpan packet) {
   // Same arming order as the in-process Executor::run_into — reset,
@@ -174,18 +184,7 @@ int await_child(pid_t child, std::uint32_t timeout_ms, bool wait_stops,
 
     // Fault-plan hooks key off the campaign-global execution index, same
     // semantics as the fork-per-exec path.
-    if (plan.kill_child_at != 0 && ctl.exec_index == plan.kill_child_at) {
-      ::raise(SIGKILL);
-    }
-    if (plan.segv_at != 0 && ctl.exec_index == plan.segv_at) {
-      ::raise(SIGSEGV);
-    }
-    if (plan.hang_at != 0 && ctl.exec_index == plan.hang_at) {
-      for (;;) ::pause();
-    }
-    if (plan.oom_at != 0 && ctl.exec_index == plan.oom_at) {
-      exhaust_memory();
-    }
+    trip_execution_faults(plan, ctl.exec_index);
 
     // Pristine slot state: full memset on this child's first use of the
     // slot, sparse-clear of the previous iteration's dirty words after
@@ -250,7 +249,6 @@ void kill_persistent_child(PersistentChild& child) {
 ShimFaultPlan shim_fault_plan_from_env() {
   ShimFaultPlan plan;
   plan.no_handshake = env_u64("ICSFUZZ_SHIM_NO_HANDSHAKE") != 0;
-  plan.legacy_v1 = env_u64("ICSFUZZ_SHIM_LEGACY_V1") != 0;
   plan.kill_child_at = env_u64("ICSFUZZ_SHIM_KILL_CHILD_AT");
   plan.segv_at = env_u64("ICSFUZZ_SHIM_SEGV_AT");
   plan.hang_at = env_u64("ICSFUZZ_SHIM_HANG_AT");
@@ -260,31 +258,42 @@ ShimFaultPlan shim_fault_plan_from_env() {
   return plan;
 }
 
+void trip_execution_faults(const ShimFaultPlan& plan, std::uint64_t index) {
+  if (plan.kill_child_at != 0 && index == plan.kill_child_at) {
+    ::raise(SIGKILL);
+  }
+  if (plan.segv_at != 0 && index == plan.segv_at) ::raise(SIGSEGV);
+  if (plan.hang_at != 0 && index == plan.hang_at) {
+    for (;;) ::pause();
+  }
+  if (plan.oom_at != 0 && index == plan.oom_at) exhaust_memory();
+}
+
+ShmSegment attach_announced_segment(std::size_t min_bytes) {
+  constexpr std::uint64_t kMaxShmBytes = std::uint64_t{1} << 30;
+  const char* name = std::getenv(kShmNameEnv);
+  const char* size_text = std::getenv(kShmSizeEnv);
+  const std::optional<std::uint64_t> size =
+      size_text != nullptr ? parse_u64(size_text) : std::nullopt;
+  if (name == nullptr || !size || *size < min_bytes || *size > kMaxShmBytes) {
+    return ShmSegment();
+  }
+  return ShmSegment::attach(name, static_cast<std::size_t>(*size));
+}
+
 int run_shim_server(ProtocolTarget& target, const ShimFaultPlan& plan) {
-  const char* shm_name = std::getenv(kShmNameEnv);
-  const std::uint64_t shm_size = env_u64(kShmSizeEnv);
-  if (shm_name == nullptr || shm_size < kSegmentBytes) {
-    // Not spawned by a fork server; exiting without the hello makes the
-    // client report a handshake failure with this code visible in ps/logs.
+  ShmSegment segment = attach_announced_segment(kSegmentBytesV2);
+  if (!segment.valid()) {
+    // Not spawned by a fork server (or handed a bad segment); exiting
+    // without the hello makes the client report a handshake failure with
+    // this code visible in ps/logs.
     return 3;
   }
-  ShmSegment segment =
-      ShmSegment::attach(shm_name, static_cast<std::size_t>(shm_size));
-  if (!segment.valid()) return 3;
-  // Persistent mode needs the v2 slot region; a client that mapped only
-  // the v1 geometry gets a v1 server (and fork-per-exec semantics).
-  const bool v2 = !plan.legacy_v1 && shm_size >= kSegmentBytesV2;
-
   if (plan.no_handshake) return 7;
 
   install_deadline_handler();
-  if (v2) {
-    const std::uint32_t hello[2] = {kHelloMagicV2, kCapPersistent};
-    if (!write_full(kStFd, hello, sizeof(hello))) return 4;
-  } else {
-    const std::uint32_t hello = kHelloMagic;
-    if (!write_full(kStFd, &hello, sizeof(hello))) return 4;
-  }
+  const std::uint32_t hello[2] = {kHelloMagicV2, kCapPersistent};
+  if (!write_full(kStFd, hello, sizeof(hello))) return 4;
 
   // The jail travels from the fuzzing parent as environment variables and
   // is applied inside every forked execution child — never in this server
@@ -295,15 +304,15 @@ int run_shim_server(ProtocolTarget& target, const ShimFaultPlan& plan) {
   PersistentChild persistent;
   std::uint64_t exec_index = 0;
   for (;;) {
-    std::uint32_t timeout_ms = 0;
-    std::uint32_t control = 0;
-    std::uint32_t length = 0;
-    if (!read_full(kCtlFd, &timeout_ms, sizeof(timeout_ms))) {
+    // Request header: [u32 timeout_ms][u32 control][u32 packet_len].
+    std::uint32_t header[3] = {0, 0, 0};
+    if (!read_full(kCtlFd, header, sizeof header)) {
       kill_persistent_child(persistent);
       return 0;  // EOF: clean shutdown
     }
-    if (v2 && !read_full(kCtlFd, &control, sizeof(control))) return 0;
-    if (!read_full(kCtlFd, &length, sizeof(length))) return 0;
+    const std::uint32_t timeout_ms = header[0];
+    const std::uint32_t control = header[1];
+    const std::uint32_t length = header[2];
     packet.resize(length);
     if (length != 0 && !read_full(kCtlFd, packet.data(), length)) return 0;
 
@@ -366,12 +375,12 @@ int run_shim_server(ProtocolTarget& target, const ShimFaultPlan& plan) {
         persistent.pid = -1;
       }
     } else {
-      // -- Fork-per-exec (v1 semantics; also v2 requests with control 0).
+      // -- Fork-per-exec (control 0).
       //
-      // Pristine v1 region for the child: the map invariant (all words
-      // zero) and a magic-less aux block, whatever the previous child
-      // left behind. The slot region keeps its own invariants (each
-      // persistent child re-zeroes a slot on first use), so only the v1
+      // Pristine fork-per-exec region for the child: the map invariant
+      // (all words zero) and a magic-less aux block, whatever the previous
+      // child left behind. The slot region keeps its own invariants (each
+      // persistent child re-zeroes a slot on first use), so only this
       // region is touched here.
       std::memset(segment.data(), 0, kSegmentBytes);
 
@@ -379,18 +388,7 @@ int run_shim_server(ProtocolTarget& target, const ShimFaultPlan& plan) {
       if (child < 0) return 5;
       if (child == 0) {
         supervise::apply_in_child(jail);
-        if (plan.kill_child_at != 0 && exec_index == plan.kill_child_at) {
-          ::raise(SIGKILL);
-        }
-        if (plan.segv_at != 0 && exec_index == plan.segv_at) {
-          ::raise(SIGSEGV);
-        }
-        if (plan.hang_at != 0 && exec_index == plan.hang_at) {
-          for (;;) ::pause();
-        }
-        if (plan.oom_at != 0 && exec_index == plan.oom_at) {
-          exhaust_memory();
-        }
+        trip_execution_faults(plan, exec_index);
         run_child(target, segment.data(), packet);
       }
 
@@ -405,17 +403,9 @@ int run_shim_server(ProtocolTarget& target, const ShimFaultPlan& plan) {
       if (timed_out) flags |= kReplyTimedOut;
     }
 
-    if (v2) {
-      if (!write_full(kStFd, &wire_status, sizeof(wire_status))) return 6;
-      if (!write_full(kStFd, &flags, sizeof(flags))) return 6;
-      if (!write_full(kStFd, &iteration, sizeof(iteration))) return 6;
-    } else {
-      const std::uint8_t wire_timed_out = timed_out ? 1 : 0;
-      if (!write_full(kStFd, &wire_status, sizeof(wire_status))) return 6;
-      if (!write_full(kStFd, &wire_timed_out, sizeof(wire_timed_out))) {
-        return 6;
-      }
-    }
+    const std::uint32_t reply[3] = {static_cast<std::uint32_t>(wire_status),
+                                    flags, iteration};
+    if (!write_full(kStFd, reply, sizeof reply)) return 6;
 
     if (plan.server_retire_after != 0 &&
         exec_index >= plan.server_retire_after) {

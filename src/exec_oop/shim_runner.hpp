@@ -7,30 +7,33 @@
 // here — and so future real-target harnesses can reuse it by linking
 // against their own ProtocolTarget.
 //
-// The shim speaks protocol v2 (exec_protocol.hpp) and advertises the
-// persistent capability: fork-per-exec requests (control == 0) fork one
-// child per execution exactly as v1 did, while persistent requests run K
-// executions per child through an ICSFUZZ_LOOP-style loop — the child
-// raises SIGSTOP between iterations (the AFL persistent-mode convention),
-// the shim SIGCONTs it per request, and the child is re-forked
-// automatically after a crash, a deadline kill, or budget exhaustion.
+// The shim speaks exec_protocol.hpp and advertises the persistent
+// capability: fork-per-exec requests (control == 0) fork one child per
+// execution, while persistent requests run K executions per child through
+// an ICSFUZZ_LOOP-style loop — the child raises SIGSTOP between iterations
+// (the AFL persistent-mode convention), the shim SIGCONTs it per request,
+// and the child is re-forked automatically after a crash, a deadline kill,
+// or budget exhaustion.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+
+#include "exec_oop/shm_segment.hpp"
 #include "protocols/protocol_target.hpp"
 
 namespace icsfuzz::oop {
 
 /// Deterministic fault-injection knobs, parsed from the environment by the
-/// shim binary (tests drive the fork-server failure surface with these;
-/// all default to "off"). Execution indices are 1-based.
+/// shim binary (tests drive the out-of-process failure surface with these;
+/// all default to "off"). Execution indices are 1-based. The `--tcp`
+/// session server honours kill_child_at, segv_at, hang_at, oom_at and
+/// server_exit_at keyed on the session index, applied to itself — it is
+/// the process serving the session.
 struct ShimFaultPlan {
   /// Exit (code 7) before writing the hello — a target that never
   /// handshakes.
   bool no_handshake = false;
-  /// Speak protocol v1 (bare hello, no capability word, fork-per-exec
-  /// request format) — the handshake-negotiation tests use this to stand
-  /// in for an old shim binary.
-  bool legacy_v1 = false;
   /// On execution #N the (forked or persistent) child SIGKILLs itself
   /// mid-execution.
   std::uint64_t kill_child_at = 0;
@@ -48,7 +51,8 @@ struct ShimFaultPlan {
   /// code after a bounded number of untouched allocations).
   std::uint64_t oom_at = 0;
   /// Before serving execution #N the server process itself exits (code 9)
-  /// — a crashed fork server the executor must respawn.
+  /// — a crashed fork server the executor must respawn. The TCP server
+  /// exits on accepting session #N, so the client sees it die mid-session.
   std::uint64_t server_exit_at = 0;
   /// After serving N executions the server exits 0 — an ORDERLY
   /// retirement (periodic server recycling) the client must distinguish
@@ -58,6 +62,20 @@ struct ShimFaultPlan {
 
 /// Reads the ICSFUZZ_SHIM_* fault-injection variables.
 ShimFaultPlan shim_fault_plan_from_env();
+
+/// Fires the plan's per-execution hooks (kill_child_at, segv_at, hang_at,
+/// oom_at) that match `index`, in the calling process. Returns only when
+/// none matched.
+void trip_execution_faults(const ShimFaultPlan& plan, std::uint64_t index);
+
+/// Target-side attach of the segment the spawning client announced through
+/// the ICSFUZZ_OOP_SHM pair (exec_protocol.hpp). The size comes from
+/// whatever spawned us, so it gets the distrust of network input: a strict
+/// decimal parse (no strtoull garbage-as-0 or trailing junk), a floor of
+/// `min_bytes` (the layout the caller writes to) and a 1 GiB ceiling, so a
+/// corrupt value cannot turn the mmap into an address-space grab. Both
+/// shim modes attach through it; an invalid segment means "refuse".
+ShmSegment attach_announced_segment(std::size_t min_bytes);
 
 /// Attaches the shm segment named by the environment (exec_protocol.hpp),
 /// writes the hello, and serves run requests on the protocol descriptors

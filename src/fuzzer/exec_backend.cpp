@@ -112,12 +112,16 @@ class OopBackend final : public ExecBackend {
     return exec_.get();
   }
 
+  [[nodiscard]] const oop::TargetProcess* target_process() const override {
+    return &exec_->process();
+  }
+
   cov::TraceSummary execute(ProtocolTarget& /*target*/, ByteSpan packet,
                             cov::CoverageMap& map,
                             ExecResult& result) override {
-    const Tallies before = tallies();
+    const oop::TargetProcess::Tallies before = exec_->process().tallies();
     const oop::OutOfProcessExecutor::Outcome& outcome = exec_->run(packet);
-    mirror_telemetry(before, outcome, content_hash(packet));
+    mirror(before, outcome, packet);
     return adopt_and_fill(outcome, map, result);
   }
 
@@ -126,13 +130,12 @@ class OopBackend final : public ExecBackend {
       cov::CoverageMap& map, ExecResult& scratch,
       const std::function<void(std::size_t, const cov::TraceSummary&,
                                ExecResult&)>& each) override {
-    Tallies before = tallies();
+    oop::TargetProcess::Tallies before = exec_->process().tallies();
     exec_->run_batch(
         packets, [&](std::size_t index,
                      const oop::OutOfProcessExecutor::Outcome& outcome) {
-          mirror_telemetry(before, outcome,
-                           content_hash(ByteSpan(packets[index])));
-          before = tallies();
+          mirror(before, outcome, ByteSpan(packets[index]));
+          before = exec_->process().tallies();
           const cov::TraceSummary summary =
               adopt_and_fill(outcome, map, scratch);
           each(index, summary, scratch);
@@ -140,65 +143,12 @@ class OopBackend final : public ExecBackend {
   }
 
  private:
-  /// Backend tallies sampled before a run, so telemetry mirrors deltas
-  /// (the backend aggregates across retries inside one run()).
-  struct Tallies {
-    std::uint64_t restarts = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t orderly_exits = 0;
-  };
-
-  [[nodiscard]] Tallies tallies() const {
-    return {exec_->server_restarts(), exec_->run_retries(),
-            exec_->orderly_server_exits()};
-  }
-
-  /// Mirrors the backend's restart/retry/recycle tallies (previously
-  /// visible only to the fault-injection tests) into the campaign
-  /// metrics, and journals each kill with its reason — a deadline SIGKILL
-  /// ("hang") is a target bug, a lost server is infrastructure trouble,
-  /// and an orderly retirement is neither.
-  void mirror_telemetry(const Tallies& before,
-                        const oop::OutOfProcessExecutor::Outcome& outcome,
-                        std::uint64_t packet_hash) const {
-    if (!telemetry_.enabled()) return;
-    const std::uint64_t respawns = exec_->server_restarts() - before.restarts;
-    const std::uint64_t retries = exec_->run_retries() - before.retries;
-    const std::uint64_t orderly =
-        exec_->orderly_server_exits() - before.orderly_exits;
-    if (respawns > 0) {
-      telemetry_.add(telem::Counter::kOopRestarts, respawns);
-      telemetry_.event(
-          telem::EventType::kForkServerRespawn, packet_hash,
-          orderly > 0 ? "reason=server-exited" : "reason=server-lost");
-    }
-    if (retries > 0) telemetry_.add(telem::Counter::kOopRetries, retries);
-    if (orderly > 0) {
-      telemetry_.add(telem::Counter::kOopServerExits, orderly);
-    }
-    if (outcome.child_recycled) {
-      telemetry_.add(telem::Counter::kOopChildRecycles);
-      telemetry_.observe(telem::Histogram::kOopIterationsPerChild,
-                         outcome.iteration);
-    }
-    if (outcome.status == oop::ExecStatus::kHang) {
-      telemetry_.add(telem::Counter::kOopHangs);
-      char detail[48];
-      std::snprintf(detail, sizeof detail, "reason=hang deadline_ms=%d",
-                    exec_timeout_ms_);
-      telemetry_.event(telem::EventType::kHang, packet_hash, detail);
-    } else if (outcome.status == oop::ExecStatus::kOom) {
-      telemetry_.add(telem::Counter::kOopOomKills);
-      char detail[48];
-      std::snprintf(detail, sizeof detail, "reason=oom jail_as_mb=%llu",
-                    static_cast<unsigned long long>(
-                        exec_->config().jail.address_space_mb));
-      telemetry_.event(telem::EventType::kOomKill, packet_hash, detail);
-    } else if (outcome.status == oop::ExecStatus::kServerLost) {
-      telemetry_.add(telem::Counter::kOopServerLost);
-      telemetry_.event(telem::EventType::kServerLost, packet_hash,
-                       "reason=server-lost");
-    }
+  void mirror(const oop::TargetProcess::Tallies& before,
+              const oop::OutOfProcessExecutor::Outcome& outcome,
+              ByteSpan packet) const {
+    mirror_oop_telemetry(telemetry_, before, exec_->process().tallies(),
+                         outcome, packet, exec_timeout_ms_,
+                         exec_->config().jail);
   }
 
   /// Adopts the child's shared-memory trace into `map` (reader-side dirty
@@ -237,27 +187,14 @@ class OopBackend final : public ExecBackend {
       case oop::ExecStatus::kOk:
         break;
       case oop::ExecStatus::kCrash:
-        result.faults.push_back(san::FaultReport{
-            san::FaultKind::Segv, san::site_id("oop-child-terminated"),
-            outcome.term_signal != 0
-                ? "target child died on signal " +
-                      std::to_string(outcome.term_signal)
-                : "target child exited abnormally (code " +
-                      std::to_string(outcome.exit_code) + ")"});
+      case oop::ExecStatus::kOom:
+        result.faults.push_back(target_death_fault(outcome));
         break;
       case oop::ExecStatus::kHang:
         result.faults.push_back(san::FaultReport{
             san::FaultKind::Hang, san::site_id("oop-exec-deadline"),
             "execution exceeded the " + std::to_string(exec_timeout_ms_) +
                 " ms fork-server deadline"});
-        break;
-      case oop::ExecStatus::kOom:
-        // The jail's distinct exit code keeps allocation-failure deaths
-        // out of the memory-safety crash buckets.
-        result.faults.push_back(san::FaultReport{
-            san::FaultKind::Segv, san::site_id("oop-child-oom"),
-            "resource jail killed the child (allocation failure under "
-            "RLIMIT_AS)"});
         break;
       case oop::ExecStatus::kServerLost:
         result.faults.push_back(san::FaultReport{
@@ -276,6 +213,77 @@ class OopBackend final : public ExecBackend {
 };
 
 }  // namespace
+
+void mirror_oop_telemetry(const telem::Sink& sink,
+                          const oop::TargetProcess::Tallies& before,
+                          const oop::TargetProcess::Tallies& after,
+                          const oop::OutOfProcessExecutor::Outcome& outcome,
+                          ByteSpan packet, int exec_timeout_ms,
+                          const supervise::ResourceJail& jail) {
+  if (!sink.enabled()) return;
+  // A deadline SIGKILL ("hang") is a target bug, a lost server is
+  // infrastructure trouble, and an orderly retirement is neither — the
+  // journal says which with each event's reason. Events are rare, so the
+  // packet is hashed only for one.
+  const auto packet_hash = [packet] { return content_hash(packet); };
+  const std::uint64_t respawns = after.restarts - before.restarts;
+  const std::uint64_t orderly = after.orderly_exits - before.orderly_exits;
+  if (respawns > 0) {
+    sink.add(telem::Counter::kOopRestarts, respawns);
+    sink.event(telem::EventType::kForkServerRespawn, packet_hash(),
+               orderly > 0 ? "reason=server-exited" : "reason=server-lost");
+  }
+  if (after.retries > before.retries) {
+    sink.add(telem::Counter::kOopRetries, after.retries - before.retries);
+  }
+  if (orderly > 0) sink.add(telem::Counter::kOopServerExits, orderly);
+  if (outcome.child_recycled) {
+    sink.add(telem::Counter::kOopChildRecycles);
+    sink.observe(telem::Histogram::kOopIterationsPerChild, outcome.iteration);
+  }
+  char detail[48];
+  switch (outcome.status) {
+    case oop::ExecStatus::kHang:
+      sink.add(telem::Counter::kOopHangs);
+      std::snprintf(detail, sizeof detail, "reason=hang deadline_ms=%d",
+                    exec_timeout_ms);
+      sink.event(telem::EventType::kHang, packet_hash(), detail);
+      break;
+    case oop::ExecStatus::kOom:
+      sink.add(telem::Counter::kOopOomKills);
+      std::snprintf(detail, sizeof detail, "reason=oom jail_as_mb=%llu",
+                    static_cast<unsigned long long>(jail.address_space_mb));
+      sink.event(telem::EventType::kOomKill, packet_hash(), detail);
+      break;
+    case oop::ExecStatus::kServerLost:
+      sink.add(telem::Counter::kOopServerLost);
+      sink.event(telem::EventType::kServerLost, packet_hash(),
+                 "reason=server-lost");
+      break;
+    case oop::ExecStatus::kOk:
+    case oop::ExecStatus::kCrash:
+      break;
+  }
+}
+
+san::FaultReport target_death_fault(
+    const oop::OutOfProcessExecutor::Outcome& outcome) {
+  if (outcome.status == oop::ExecStatus::kOom) {
+    // The jail's distinct exit code keeps allocation-failure deaths out of
+    // the memory-safety crash buckets.
+    return san::FaultReport{
+        san::FaultKind::Segv, san::site_id("oop-child-oom"),
+        "resource jail killed the child (allocation failure under "
+        "RLIMIT_AS)"};
+  }
+  return san::FaultReport{
+      san::FaultKind::Segv, san::site_id("oop-child-terminated"),
+      outcome.term_signal != 0
+          ? "target child died on signal " +
+                std::to_string(outcome.term_signal)
+          : "target child exited abnormally (code " +
+                std::to_string(outcome.exit_code) + ")"};
+}
 
 std::unique_ptr<ExecBackend> make_exec_backend(const ExecBackendConfig& config,
                                                bool dense_reference,

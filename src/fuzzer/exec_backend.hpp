@@ -8,13 +8,19 @@
 //   kInProcess   — the ProtocolTarget runs in this process under the
 //                  thread-local trace arming (fastest; the default).
 //   kForkPerExec — packets cross into a fork-server target; every
-//                  execution is one fork() inside the server (protocol v1
-//                  semantics — crash isolation for real binaries).
+//                  execution is one fork() inside the server (crash
+//                  isolation for real binaries).
 //   kPersistent  — fork-server target with ICSFUZZ_LOOP-style persistent
 //                  children: K executions per fork, packets through shm
 //                  test-case slots, SIGSTOP/SIGCONT between iterations.
-//                  An old (v1) server degrades this to fork-per-exec at
-//                  handshake time; nothing else changes.
+//                  A server whose hello lacks the persistent capability
+//                  keeps this on fork-per-exec; nothing else changes.
+//   kTcp         — session streams against a loopback TCP session server
+//                  (session/tcp_backend.hpp).
+//
+// Every out-of-process kind runs its server through one oop::TargetProcess
+// and books telemetry through mirror_oop_telemetry: one supervision
+// contract and one set of counters, whichever transport is in use.
 //
 // Contract of execute(): fill the observable fields of `result` (events,
 // faults, response, truncation flags) and run the map's trace
@@ -105,8 +111,9 @@ struct ExecBackendConfig {
   /// Lost-server respawn/retry policy (out-of-process kinds only; the
   /// defaults reproduce the historical respawn-once behavior).
   oop::RetryPolicy retry;
-  /// Resource jail applied inside every forked execution child
-  /// (out-of-process kinds only; disabled by default).
+  /// Resource jail (out-of-process kinds only; disabled by default):
+  /// applied inside every forked execution child of a fork server, and to
+  /// the whole serving process of a kTcp session server.
   supervise::ResourceJail jail;
   /// Path to libicsfuzz-preload.so (out-of-process kinds and kTcp).
   /// Non-empty: the target is spawned under the instrumentation-injection
@@ -150,9 +157,16 @@ class ExecBackend {
                                ExecResult&)>& each);
 
   /// The fork-server transport, when this backend has one (null
-  /// in-process). Fault-injection tests and the OOP bench read restart /
-  /// recycle counts and transport errors through this.
+  /// in-process and for kTcp). Fault-injection tests and the OOP bench
+  /// read recycle counts and transport errors through this.
   [[nodiscard]] virtual const oop::OutOfProcessExecutor* oop() const {
+    return nullptr;
+  }
+
+  /// The target server process of any out-of-process backend (null
+  /// in-process): the supervisor watchdog kills a wedged server through
+  /// it, and its tallies count restarts and retries.
+  [[nodiscard]] virtual const oop::TargetProcess* target_process() const {
     return nullptr;
   }
 
@@ -172,5 +186,25 @@ class ExecBackend {
 std::unique_ptr<ExecBackend> make_exec_backend(const ExecBackendConfig& config,
                                                bool dense_reference,
                                                telem::Sink telemetry);
+
+/// Books one out-of-process execution into `sink`, identically for every
+/// out-of-process backend: the lifecycle deltas between two TargetProcess
+/// tallies (restarts with a fork-server-respawn event and its reason,
+/// retries, orderly server exits), a persistent child's recycle, and the
+/// outcome's hang / OOM / server-lost verdict with its journal event.
+/// `packet` is hashed only for a journal event.
+void mirror_oop_telemetry(const telem::Sink& sink,
+                          const oop::TargetProcess::Tallies& before,
+                          const oop::TargetProcess::Tallies& after,
+                          const oop::OutOfProcessExecutor::Outcome& outcome,
+                          ByteSpan packet, int exec_timeout_ms,
+                          const supervise::ResourceJail& jail);
+
+/// The synthetic fault of an execution whose target died (kCrash / kOom):
+/// oop-child-oom when the resource jail fired, oop-child-terminated with
+/// the signal or exit code otherwise — one rule, so a target death buckets
+/// identically whichever transport ran it.
+san::FaultReport target_death_fault(
+    const oop::OutOfProcessExecutor::Outcome& outcome);
 
 }  // namespace icsfuzz::fuzz

@@ -19,8 +19,8 @@
 //                   in-tree shim. Persistent mode engages only when the
 //                   target exports icsfuzz_persistent_target and drives
 //                   __icsfuzz_persistent_loop (see inject_protocol.hpp);
-//                   otherwise the v2 hello advertises no capability and
-//                   the client degrades to fork-per-exec.
+//                   otherwise the hello advertises no capability and the
+//                   client stays on fork-per-exec.
 //
 //   tcp             The constructor returns and the target's own socket
 //                   server runs; the runtime interposes listen/accept/
@@ -29,7 +29,8 @@
 //                   port, per-session map arming at accept, a served
 //                   counter per response write, aux + session counter at
 //                   close. A watcher thread turns control-pipe EOF into
-//                   orderly shutdown.
+//                   orderly shutdown. The resource jail applies to the
+//                   serving process itself.
 //
 // Without ICSFUZZ_OOP_SHM in the environment the runtime is fully dormant
 // — every interposer forwards — so a binary can keep the preload in its
@@ -75,8 +76,9 @@ std::size_t g_segment_size = 0;
 bool g_advertised_persistent = false;
 bool g_tcp_mode = false;
 
-/// Upper bound a hostile/corrupt environment cannot push us past: the v2
-/// segment is ~576 KiB, the TCP segment ~128 KiB — 1 GiB is absurd.
+/// Upper bound a hostile/corrupt environment cannot push us past: the
+/// fork-server segment is ~576 KiB, the TCP segment ~128 KiB — 1 GiB is
+/// absurd.
 constexpr std::uint64_t kMaxSegmentBytes = std::uint64_t{1} << 30;
 
 void warn(const char* what) {
@@ -98,7 +100,7 @@ bool parse_env_u64(const char* text, std::uint64_t& out) {
   return true;
 }
 
-/// Publishes the inject-info block into the v2 control-block tail (magic
+/// Publishes the inject-info block into the control-block tail (magic
 /// last, behind a release fence). Called whenever fresher facts exist —
 /// guard tables register during each child's loader init, after the
 /// constructor already ran.
@@ -182,7 +184,7 @@ std::uint32_t g_response_len = 0;
 
 struct ExecChild {
   bool active = false;
-  std::uint8_t* region = nullptr;  ///< map base (v1 region or a v2 slot)
+  std::uint8_t* region = nullptr;  ///< map base (fork region or a slot)
 };
 ExecChild g_exec_child;
 
@@ -199,8 +201,8 @@ void publish_exec_aux() {
     result.response.assign(g_response, g_response + g_response_len);
   }
   trace_disarm();
-  // The aux block follows the map at the same offset in the v1 region and
-  // in every v2 slot (kAuxOffset == kSlotAuxOffset == cov::kMapSize).
+  // The aux block follows the map at the same offset in the fork-per-exec
+  // region and in every slot (kAuxOffset == kSlotAuxOffset == kMapSize).
   oop::aux_store(g_exec_child.region + cov::kMapSize, kAuxBytes, result);
   publish_inject_info();
 }
@@ -334,7 +336,7 @@ void kill_persistent_child(PersistentParent& child) {
 }
 
 /// Forks one execution child that runs the target's real main() with
-/// `packet` on stdin, tracing into `region` (v1 base or a v2 slot base —
+/// `packet` on stdin, tracing into `region` (fork-per-exec base or a slot —
 /// caller memset it). Returns true from THE CHILD, which must let the
 /// constructor return so the dynamic loader finishes initialization (the
 /// target's sancov guard tables register there) and main() runs. In the
@@ -406,29 +408,20 @@ bool fork_exec_child(const supervise::ResourceJail& jail,
 /// left in the parent. Returns (true) only inside a freshly forked child,
 /// which then continues loader init toward the target's main().
 bool fork_server_loop() {
-  const bool v2 = g_segment_size >= oop::kSegmentBytesV2;
-  bool persistent_ok = false;
-  if (v2) {
-    const char* veto = std::getenv(inject::kInjectPersistentEnv);
-    const bool vetoed = veto != nullptr && std::strcmp(veto, "0") == 0;
-    // Persistent mode is a cooperation contract, not something a preload
-    // can impose: only a target exporting the marker (and driving
-    // __icsfuzz_persistent_loop) gets the capability advertised. Everyone
-    // else degrades to fork-per-exec by construction.
-    persistent_ok =
-        !vetoed &&
-        ::dlsym(RTLD_DEFAULT, inject::kPersistentMarkerSymbol) != nullptr;
-  }
+  const char* veto = std::getenv(inject::kInjectPersistentEnv);
+  const bool vetoed = veto != nullptr && std::strcmp(veto, "0") == 0;
+  // Persistent mode is a cooperation contract, not something a preload can
+  // impose: only a target exporting the marker (and driving
+  // __icsfuzz_persistent_loop) gets the capability advertised. Everyone
+  // else degrades to fork-per-exec by construction.
+  const bool persistent_ok =
+      !vetoed &&
+      ::dlsym(RTLD_DEFAULT, inject::kPersistentMarkerSymbol) != nullptr;
   g_advertised_persistent = persistent_ok;
 
-  if (v2) {
-    const std::uint32_t hello[2] = {oop::kHelloMagicV2,
-                                    persistent_ok ? oop::kCapPersistent : 0};
-    if (!oop::write_full(kStFd, hello, sizeof(hello))) ::_exit(4);
-  } else {
-    const std::uint32_t hello = oop::kHelloMagic;
-    if (!oop::write_full(kStFd, &hello, sizeof(hello))) ::_exit(4);
-  }
+  const std::uint32_t hello[2] = {oop::kHelloMagicV2,
+                                  persistent_ok ? oop::kCapPersistent : 0};
+  if (!oop::write_full(kStFd, hello, sizeof(hello))) ::_exit(4);
 
   install_deadline_handler();
   const supervise::ResourceJail jail = supervise::jail_from_env();
@@ -437,15 +430,15 @@ bool fork_server_loop() {
   PersistentParent persistent;
   std::uint64_t exec_index = 0;
   for (;;) {
-    std::uint32_t timeout_ms = 0;
-    std::uint32_t control = 0;
-    std::uint32_t length = 0;
-    if (!oop::read_full(kCtlFd, &timeout_ms, sizeof(timeout_ms))) {
+    // Request header: [u32 timeout_ms][u32 control][u32 packet_len].
+    std::uint32_t header[3] = {0, 0, 0};
+    if (!oop::read_full(kCtlFd, header, sizeof header)) {
       kill_persistent_child(persistent);
       ::_exit(0);  // EOF: orderly shutdown, target's main never runs here
     }
-    if (v2 && !oop::read_full(kCtlFd, &control, sizeof(control))) ::_exit(0);
-    if (!oop::read_full(kCtlFd, &length, sizeof(length))) ::_exit(0);
+    const std::uint32_t timeout_ms = header[0];
+    const std::uint32_t control = header[1];
+    const std::uint32_t length = header[2];
     if (length > kMaxSegmentBytes) ::_exit(5);
     packet.resize(length);
     if (length != 0 && !oop::read_full(kCtlFd, packet.data(), length)) {
@@ -535,7 +528,7 @@ bool fork_server_loop() {
         flags |= oop::encode_recycle(oop::RecycleReason::kCrash);
       }
     } else {
-      // -- Fork-per-exec over the v1 region. ------------------------------
+      // -- Fork-per-exec over the fork-per-exec region. -------------------
       std::memset(g_segment, 0, oop::kSegmentBytes);
       int wstatus = 0;
       if (fork_exec_child(jail, g_segment, packet, timeout_ms, wstatus,
@@ -546,21 +539,9 @@ bool fork_server_loop() {
       if (timed_out) flags |= oop::kReplyTimedOut;
     }
 
-    if (v2) {
-      if (!oop::write_full(kStFd, &wire_status, sizeof(wire_status))) {
-        ::_exit(6);
-      }
-      if (!oop::write_full(kStFd, &flags, sizeof(flags))) ::_exit(6);
-      if (!oop::write_full(kStFd, &iteration, sizeof(iteration))) ::_exit(6);
-    } else {
-      const std::uint8_t wire_timed_out = timed_out ? 1 : 0;
-      if (!oop::write_full(kStFd, &wire_status, sizeof(wire_status))) {
-        ::_exit(6);
-      }
-      if (!oop::write_full(kStFd, &wire_timed_out, sizeof(wire_timed_out))) {
-        ::_exit(6);
-      }
-    }
+    const std::uint32_t reply[3] = {static_cast<std::uint32_t>(wire_status),
+                                    flags, iteration};
+    if (!oop::write_full(kStFd, reply, sizeof reply)) ::_exit(6);
   }
 }
 
@@ -643,6 +624,9 @@ void tcp_on_listen(int fd) {
 
 void tcp_init() {
   g_tcp.active = true;
+  // The target's own process serves every session, so the resource jail
+  // applies to it (the fork mode applies it per execution child instead).
+  supervise::apply_in_child(supervise::jail_from_env());
   pthread_t watcher;
   if (::pthread_create(&watcher, nullptr, tcp_watch_ctl, nullptr) == 0) {
     ::pthread_detach(watcher);
@@ -655,9 +639,14 @@ __attribute__((constructor)) void icsfuzz_inject_init() {
   const char* shm_name = std::getenv(oop::kShmNameEnv);
   if (shm_name == nullptr || *shm_name == '\0') return;  // dormant
 
+  const char* mode = std::getenv(inject::kInjectModeEnv);
+  const bool tcp = mode != nullptr &&
+                   std::strcmp(mode, inject::kInjectModeTcp) == 0;
+  const std::uint64_t min_size =
+      tcp ? session::kTcpSegmentBytes : oop::kSegmentBytesV2;
   std::uint64_t shm_size = 0;
   if (!parse_env_u64(std::getenv(oop::kShmSizeEnv), shm_size) ||
-      shm_size < oop::kSegmentBytes || shm_size > kMaxSegmentBytes) {
+      shm_size < min_size || shm_size > kMaxSegmentBytes) {
     warn("invalid ICSFUZZ_OOP_SHM_SIZE; staying dormant");
     return;
   }
@@ -682,10 +671,6 @@ __attribute__((constructor)) void icsfuzz_inject_init() {
   }
   g_segment = static_cast<std::uint8_t*>(mapped);
   g_segment_size = static_cast<std::size_t>(shm_size);
-
-  const char* mode = std::getenv(inject::kInjectModeEnv);
-  const bool tcp = mode != nullptr &&
-                   std::strcmp(mode, inject::kInjectModeTcp) == 0;
 
   // Processes the *target* spawns must not re-enter the protocol: scrub
   // the attach variables now that they are consumed. LD_PRELOAD may stay —

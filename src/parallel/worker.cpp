@@ -1,11 +1,8 @@
 #include "parallel/worker.hpp"
 
-#include <signal.h>
-
 #include <cstdio>
 
-#include "exec_oop/fork_server.hpp"
-#include "exec_oop/oop_executor.hpp"
+#include "exec_oop/target_process.hpp"
 
 namespace icsfuzz::par {
 
@@ -97,18 +94,13 @@ void Worker::restore_state(const WorkerState& state) {
 }
 
 void Worker::kill_target_server() const {
-  const oop::OutOfProcessExecutor* oop = fuzzer_.executor().oop_backend();
-  if (oop == nullptr) return;
-  const pid_t pid = oop->server().server_pid();
-  // Group kill first: the server leads its own process group, so a wedged
-  // in-flight exec child dies with it instead of pausing forever as an
-  // orphan; the direct kill covers a server that died before setpgid took
-  // effect. ESRCH (the server died on its own in the meantime) is harmless;
-  // the executor reaps and respawns through its normal server-lost path
-  // either way. Never reap here — the pid belongs to the executor.
-  if (pid > 0) {
-    ::kill(-pid, SIGKILL);
-    ::kill(pid, SIGKILL);
+  // Group kill of whichever out-of-process server this worker drives (fork
+  // server or TCP session server), so a wedged in-flight exec child dies
+  // with it. The backend notices through its normal server-lost path and
+  // reaps and respawns; nothing is reaped here.
+  if (const oop::TargetProcess* process =
+          fuzzer_.executor().backend().target_process()) {
+    process->kill();
   }
 }
 

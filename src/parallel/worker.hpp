@@ -93,11 +93,12 @@ class Worker {
     return progress_.load(std::memory_order_relaxed);
   }
 
-  /// Watchdog remediation: SIGKILLs the worker's fork server (if any), so
-  /// a worker wedged inside a blocking transport read unblocks through the
-  /// normal server-lost respawn path. Callable from another thread; no-op
-  /// for in-process backends or when no server is up (a raced pid that
-  /// just exited is harmless — the executor owns reaping).
+  /// Watchdog remediation: SIGKILLs the worker's target server (fork
+  /// server or TCP session server, if any), so a worker wedged inside a
+  /// blocking transport wait unblocks through the backend's normal
+  /// server-death path. Callable from another thread; no-op for
+  /// in-process backends or when no server is up (a raced pid that just
+  /// exited is harmless — the backend owns reaping).
   void kill_target_server() const;
 
   [[nodiscard]] const fuzz::Fuzzer& fuzzer() const { return fuzzer_; }

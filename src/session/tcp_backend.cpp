@@ -4,9 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <signal.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -15,13 +13,11 @@
 #include <string>
 
 #include "exec_oop/exec_protocol.hpp"
-#include "exec_oop/shm_segment.hpp"
+#include "exec_oop/target_process.hpp"
 #include "inject/inject_protocol.hpp"
 #include "session/framing.hpp"
 #include "session/session_state.hpp"
 #include "session/session_wire.hpp"
-
-extern char** environ;
 
 namespace icsfuzz::session {
 
@@ -52,21 +48,30 @@ bool send_full(int fd, const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
+/// RST close (SO_LINGER 0): one connection per session must not pile up
+/// TIME_WAIT entries at campaign execution rates.
+void close_abortive(int fd) {
+  struct linger lg {1, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof lg);
+  ::close(fd);
+}
+
 class TcpSessionBackend final : public fuzz::ExecBackend {
  public:
   TcpSessionBackend(const fuzz::ExecBackendConfig& config,
                     bool dense_reference, telem::Sink telemetry)
       : options_(config.session),
-        target_cmd_(config.target_cmd),
-        preload_(config.preload),
         exec_timeout_ms_(config.exec_timeout_ms),
-        handshake_timeout_ms_(config.handshake_timeout_ms),
         dense_(dense_reference),
-        telemetry_(telemetry) {
-    segment_ = oop::ShmSegment::create(kTcpSegmentBytes);
-  }
-
-  ~TcpSessionBackend() override { stop_server(/*orderly=*/true); }
+        telemetry_(telemetry),
+        process_({.argv = config.target_cmd,
+                  .segment_bytes = kTcpSegmentBytes,
+                  .hello_magic = oop::kTcpHelloMagic,
+                  .inject_mode = inject::kInjectModeTcp,
+                  .preload = config.preload,
+                  .jail = config.jail,
+                  .retry = config.retry,
+                  .handshake_timeout_ms = config.handshake_timeout_ms}) {}
 
   [[nodiscard]] fuzz::BackendKind kind() const override {
     return fuzz::BackendKind::kTcp;
@@ -74,6 +79,10 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
 
   [[nodiscard]] const SessionTraffic* traffic() const override {
     return options_.record_traffic ? &traffic_ : nullptr;
+  }
+
+  [[nodiscard]] const oop::TargetProcess* target_process() const override {
+    return &process_;
   }
 
   cov::TraceSummary execute(ProtocolTarget& /*target*/, ByteSpan packet,
@@ -84,91 +93,17 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
     responses_.resize(ranges_.size());
     if (options_.record_traffic) traffic_.clear();
 
-    if (!ensure_server()) {
-      return fail(map, result, san::FaultKind::Segv, "tcp-server-lost",
-                  "tcp session server unreachable: " + last_error_);
-    }
-
-    // One wall-clock deadline spans the whole session (the out-of-process
-    // analogue treats a session as one execution, and so does the hang
-    // accounting here).
-    const std::uint64_t deadline =
-        exec_timeout_ms_ > 0
-            ? monotonic_ms() + static_cast<std::uint64_t>(exec_timeout_ms_)
-            : 0;
-    const std::uint64_t base_served = served_seen_;
-
-    const int conn = connect_deadline(deadline);
-    if (conn < 0) {
-      stop_server(/*orderly=*/false);
-      return fail(map, result, san::FaultKind::Segv, "tcp-server-lost",
-                  "tcp session connect failed: " + last_error_);
-    }
-
-    bool wrote_shutdown = false;
-    for (std::size_t i = 0; i < ranges_.size(); ++i) {
-      const std::uint8_t* data = packet.data() + ranges_[i].offset;
-      const std::size_t length = ranges_[i].length;
-      if (!send_full(conn, data, length)) {
-        close_abortive(conn);
-        stop_server(/*orderly=*/false);
-        return fail(map, result, san::FaultKind::Segv, "tcp-server-lost",
-                    "tcp session send failed");
-      }
-      if (i == residue_index) {
-        // The server can only complete the residue at EOF — half-close
-        // BEFORE waiting for its ack or the session deadlocks.
-        ::shutdown(conn, SHUT_WR);
-        wrote_shutdown = true;
-      }
-      if (!wait_counter(
-              [&] { return sync_load_served(segment_.data()); },
-              base_served + i + 1, deadline)) {
-        close_abortive(conn);
-        stop_server(/*orderly=*/false);
-        return fail(map, result, san::FaultKind::Hang, "tcp-session-deadline",
-                    "session exceeded the " +
-                        std::to_string(exec_timeout_ms_) +
-                        " ms tcp deadline");
-      }
-      const std::uint32_t len = sync_load_response_len(segment_.data());
-      Bytes& response = responses_[i];
-      response.resize(len);
-      if (len != 0 &&
-          oop::read_full_deadline(conn, response.data(), len,
-                                  remaining_ms(deadline)) !=
-              oop::ReadStatus::kOk) {
-        close_abortive(conn);
-        stop_server(/*orderly=*/false);
-        return fail(map, result, san::FaultKind::Hang, "tcp-session-deadline",
-                    "session response read missed the tcp deadline");
-      }
-    }
-    if (!wrote_shutdown) ::shutdown(conn, SHUT_WR);
-    if (!wait_counter(
-            [&] { return sync_load_sessions_done(segment_.data()); },
-            sessions_seen_ + 1, deadline)) {
-      close_abortive(conn);
-      stop_server(/*orderly=*/false);
-      return fail(map, result, san::FaultKind::Hang, "tcp-session-deadline",
-                  "session completion missed the tcp deadline");
-    }
-    ++sessions_seen_;
-    served_seen_ = base_served + ranges_.size();
-    close_abortive(conn);
-
-    oop::AuxResult aux;
-    if (!oop::aux_load(segment_.data() + oop::kAuxOffset, oop::kAuxBytes,
-                       aux)) {
-      stop_server(/*orderly=*/false);
-      return fail(map, result, san::FaultKind::Segv, "tcp-server-lost",
-                  "tcp session server published no aux block");
-    }
+    const oop::TargetProcess::Tallies before = process_.tallies();
+    run_session(packet, residue_index);
+    fuzz::mirror_oop_telemetry(telemetry_, before, process_.tallies(),
+                               outcome_, packet, exec_timeout_ms_,
+                               process_.config().jail);
+    if (outcome_.status != oop::ExecStatus::kOk) return fail(map, result);
 
     // Adopt the server's trace, inject the client-computed session-state
     // cells, then run the exact in-process analysis.
-    map.adopt_external(reinterpret_cast<const std::uint64_t*>(
-        segment_.data()));
+    map.adopt_external(
+        reinterpret_cast<const std::uint64_t*>(process_.segment().data()));
     result.response.clear();
     result.session_states.clear();
     std::uint32_t state = kInitialSessionState;
@@ -195,6 +130,7 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
 
     const cov::TraceSummary summary =
         dense_ ? map.finalize_execution_dense() : map.finalize_execution();
+    const oop::AuxResult& aux = outcome_.aux;
     result.events = aux.events;
     result.faults.assign(aux.faults.begin(), aux.faults.end());
     result.response_truncated = false;
@@ -206,27 +142,146 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
     return summary;
   }
 
-  [[nodiscard]] std::uint64_t server_restarts() const { return restarts_; }
-
  private:
+  /// Runs one session and classifies it into outcome_. A server that is
+  /// down before the session starts (never came up, died between sessions,
+  /// refuses the connection) is respawned and the session retried under
+  /// the RetryPolicy; once connected, the session's fate is the target's.
+  void run_session(ByteSpan packet, std::size_t residue_index) {
+    outcome_.status = oop::ExecStatus::kServerLost;
+    outcome_.term_signal = 0;
+    outcome_.exit_code = 0;
+    for (int attempt = 0; attempt <= process_.config().retry.max_retries;
+         ++attempt) {
+      if (attempt == 1) process_.note_retry();
+      if (!start_server()) continue;
+      // One wall-clock deadline spans the whole session (the session is
+      // one execution, for the hang accounting too).
+      const std::uint64_t deadline =
+          exec_timeout_ms_ > 0
+              ? monotonic_ms() + static_cast<std::uint64_t>(exec_timeout_ms_)
+              : 0;
+      const int conn = connect_deadline(deadline);
+      if (conn < 0) {
+        process_.stop();
+        continue;
+      }
+      exchange(conn, packet, residue_index, deadline);
+      close_abortive(conn);
+      return;
+    }
+  }
+
+  bool start_server() {
+    if (process_.running()) return true;
+    // Fresh server, fresh wire state: the sync counters restart at zero
+    // with the new process, so the client's expectations must too.
+    served_seen_ = 0;
+    sessions_seen_ = 0;
+    if (!process_.ensure_started()) {
+      last_error_ = process_.error();
+      return false;
+    }
+    port_ = process_.hello_word();
+    if (port_ == 0 || port_ > 0xFFFF) {
+      last_error_ = "tcp session hello announced no port";
+      process_.stop();
+      return false;
+    }
+    return true;
+  }
+
+  /// The lockstep message exchange of one connected session.
+  void exchange(int conn, ByteSpan packet, std::size_t residue_index,
+                std::uint64_t deadline) {
+    std::uint8_t* segment = process_.segment().data();
+    const std::uint64_t base_served = served_seen_;
+    bool wrote_shutdown = false;
+    for (std::size_t i = 0; i < ranges_.size(); ++i) {
+      if (!send_full(conn, packet.data() + ranges_[i].offset,
+                     ranges_[i].length)) {
+        return broken(deadline, "tcp session send failed");
+      }
+      if (i == residue_index) {
+        // The server can only complete the residue at EOF — half-close
+        // BEFORE waiting for its ack or the session deadlocks.
+        ::shutdown(conn, SHUT_WR);
+        wrote_shutdown = true;
+      }
+      if (!wait_counter([&] { return sync_load_served(segment); },
+                        base_served + i + 1, deadline)) {
+        return broken(deadline, "tcp session server stopped answering");
+      }
+      const std::uint32_t len = sync_load_response_len(segment);
+      Bytes& response = responses_[i];
+      response.resize(len);
+      if (len != 0 &&
+          oop::read_full_deadline(conn, response.data(), len,
+                                  remaining_ms(deadline)) !=
+              oop::ReadStatus::kOk) {
+        return broken(deadline, "tcp session response read failed");
+      }
+    }
+    if (!wrote_shutdown) ::shutdown(conn, SHUT_WR);
+    if (!wait_counter([&] { return sync_load_sessions_done(segment); },
+                      sessions_seen_ + 1, deadline)) {
+      return broken(deadline, "tcp session never completed");
+    }
+    ++sessions_seen_;
+    served_seen_ = base_served + ranges_.size();
+    if (!oop::aux_load(segment + oop::kAuxOffset, oop::kAuxBytes,
+                       outcome_.aux)) {
+      last_error_ = "tcp session server published no aux block";
+      process_.stop();
+      return;
+    }
+    process_.note_answered();
+    outcome_.status = oop::ExecStatus::kOk;
+  }
+
+  /// A session that broke off. A server that died is classified by its
+  /// wait status with the fork server's rules (kOom / kCrash); a live one
+  /// either missed the deadline (kHang) or lost the wire (kServerLost).
+  /// The server is torn down either way.
+  void broken(std::uint64_t deadline, const char* what) {
+    const bool late = deadline != 0 && monotonic_ms() >= deadline;
+    // A dying server's EOF can race its exit status by a hair.
+    if (late ? process_.try_reap() : process_.reap_within(500)) {
+      oop::classify_termination(process_.wait_status(), /*completed=*/false,
+                                outcome_);
+    } else if (late) {
+      outcome_.status = oop::ExecStatus::kHang;
+    } else {
+      last_error_ = what;
+    }
+    process_.stop();
+  }
+
   /// Transport failure: the map still runs one (empty) trace cycle so the
   /// campaign-lifetime analysis stays uniform, and the failure surfaces as
   /// a synthetic fault exactly like the fork-server transport's.
-  cov::TraceSummary fail(cov::CoverageMap& map, fuzz::ExecResult& result,
-                         san::FaultKind kind, const char* site,
-                         std::string detail) {
-    if (telemetry_.enabled()) {
-      telemetry_.add(kind == san::FaultKind::Hang
-                         ? telem::Counter::kOopHangs
-                         : telem::Counter::kOopServerLost);
-    }
+  cov::TraceSummary fail(cov::CoverageMap& map, fuzz::ExecResult& result) {
     map.adopt_external(nullptr);
     const cov::TraceSummary summary =
         dense_ ? map.finalize_execution_dense() : map.finalize_execution();
     result.events = 0;
     result.faults.clear();
-    result.faults.push_back(
-        san::FaultReport{kind, san::site_id(site), std::move(detail)});
+    switch (outcome_.status) {
+      case oop::ExecStatus::kHang:
+        result.faults.push_back(san::FaultReport{
+            san::FaultKind::Hang, san::site_id("tcp-session-deadline"),
+            "session exceeded the " + std::to_string(exec_timeout_ms_) +
+                " ms tcp deadline"});
+        break;
+      case oop::ExecStatus::kServerLost:
+        result.faults.push_back(san::FaultReport{
+            san::FaultKind::Segv, san::site_id("tcp-server-lost"),
+            "tcp session server unreachable: " + last_error_});
+        break;
+      default:
+        result.faults.push_back(fuzz::target_death_fault(outcome_));
+        break;
+    }
     result.response.clear();
     result.response_truncated = false;
     result.session_states.clear();
@@ -241,7 +296,8 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
   }
 
   /// Polls a shm counter up to the deadline: a short busy-spin for the
-  /// common sub-millisecond reply, then a sleeping loop.
+  /// common sub-millisecond reply, then a sleeping loop that also watches
+  /// the server — one that died mid-session ends the wait at once.
   template <typename Load>
   bool wait_counter(Load load, std::uint64_t expected,
                     std::uint64_t deadline) {
@@ -250,121 +306,10 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
     }
     while (deadline == 0 || monotonic_ms() < deadline) {
       if (load() >= expected) return true;
+      if (process_.try_reap()) return false;
       ::usleep(100);
     }
     return load() >= expected;
-  }
-
-  bool ensure_server() {
-    if (server_pid_ > 0) return true;
-    if (!segment_.valid()) {
-      last_error_ = "shm segment: " + segment_.error();
-      return false;
-    }
-    if (!segment_.named()) {
-      last_error_ =
-          "tcp session server needs a named shm segment (anonymous "
-          "fallback cannot cross exec)";
-      return false;
-    }
-    if (target_cmd_.empty()) {
-      last_error_ = "no target_cmd configured";
-      return false;
-    }
-    // Fresh server, fresh wire state: the sync counters restart at zero
-    // with the new process, so the client's expectations must too.
-    std::memset(segment_.data(), 0, kTcpSegmentBytes);
-    served_seen_ = 0;
-    sessions_seen_ = 0;
-
-    int ctl_pipe[2];
-    int st_pipe[2];
-    if (::pipe2(ctl_pipe, O_CLOEXEC) != 0) {
-      last_error_ = std::string("pipe2: ") + std::strerror(errno);
-      return false;
-    }
-    if (::pipe2(st_pipe, O_CLOEXEC) != 0) {
-      last_error_ = std::string("pipe2: ") + std::strerror(errno);
-      ::close(ctl_pipe[0]);
-      ::close(ctl_pipe[1]);
-      return false;
-    }
-
-    // Materialize argv/envp before fork (same discipline as the fork
-    // server: nothing between fork and exec may allocate).
-    std::vector<std::string> env_store;
-    for (char** env = environ; *env != nullptr; ++env) {
-      const std::string_view entry(*env);
-      if (entry.rfind("ICSFUZZ_OOP_SHM", 0) == 0) continue;
-      // When spawning under the injection runtime, append_preload_env
-      // provides these two itself (folding the inherited LD_PRELOAD in).
-      if (!preload_.empty() && (entry.rfind("LD_PRELOAD=", 0) == 0 ||
-                                entry.rfind("ICSFUZZ_INJECT_MODE=", 0) == 0)) {
-        continue;
-      }
-      env_store.emplace_back(entry);
-    }
-    env_store.push_back(std::string(oop::kShmNameEnv) + "=" +
-                        segment_.name());
-    env_store.push_back(std::string(oop::kShmSizeEnv) + "=" +
-                        std::to_string(segment_.size()));
-    inject::append_preload_env(preload_, inject::kInjectModeTcp, env_store);
-    std::vector<char*> envp;
-    envp.reserve(env_store.size() + 1);
-    for (std::string& entry : env_store) envp.push_back(entry.data());
-    envp.push_back(nullptr);
-    std::vector<char*> argv;
-    argv.reserve(target_cmd_.size() + 1);
-    for (std::string& arg : target_cmd_) argv.push_back(arg.data());
-    argv.push_back(nullptr);
-
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      last_error_ = std::string("fork: ") + std::strerror(errno);
-      ::close(ctl_pipe[0]);
-      ::close(ctl_pipe[1]);
-      ::close(st_pipe[0]);
-      ::close(st_pipe[1]);
-      return false;
-    }
-    if (pid == 0) {
-      ::setpgid(0, 0);
-      // Move the child-side ends clear of the protocol fd range before
-      // landing them on kCtlFd/kStFd (an end could already occupy one).
-      int ctl = ctl_pipe[0];
-      int st = st_pipe[1];
-      if (ctl < oop::kStFd + 1) ctl = ::fcntl(ctl, F_DUPFD, oop::kStFd + 1);
-      if (st < oop::kStFd + 1) st = ::fcntl(st, F_DUPFD, oop::kStFd + 1);
-      if (ctl < 0 || st < 0 || ::dup2(ctl, oop::kCtlFd) < 0 ||
-          ::dup2(st, oop::kStFd) < 0) {
-        ::_exit(127);
-      }
-      ::execvpe(argv[0], argv.data(), envp.data());
-      ::_exit(127);
-    }
-
-    ::close(ctl_pipe[0]);
-    ::close(st_pipe[1]);
-    ctl_write_ = ctl_pipe[1];
-    st_read_ = st_pipe[0];
-    server_pid_ = pid;
-    ++restarts_;
-    if (telemetry_.enabled() && restarts_ > 1) {
-      telemetry_.add(telem::Counter::kOopRestarts);
-    }
-
-    std::uint32_t hello[2] = {0, 0};
-    if (oop::read_full_deadline(st_read_, hello, sizeof hello,
-                                handshake_timeout_ms_) !=
-            oop::ReadStatus::kOk ||
-        hello[0] != oop::kTcpHelloMagic || hello[1] == 0 ||
-        hello[1] > 0xFFFF) {
-      last_error_ = "tcp session hello failed";
-      stop_server(/*orderly=*/false);
-      return false;
-    }
-    port_ = static_cast<std::uint16_t>(hello[1]);
-    return true;
   }
 
   int connect_deadline(std::uint64_t deadline) {
@@ -376,7 +321,7 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port_);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port_));
     const int flags = ::fcntl(fd, F_GETFL);
     ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
     if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
@@ -406,58 +351,17 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
     return fd;
   }
 
-  /// RST close (SO_LINGER 0): one connection per session must not pile up
-  /// TIME_WAIT entries at campaign execution rates.
-  static void close_abortive(int fd) {
-    struct linger lg {1, 0};
-    ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof lg);
-    ::close(fd);
-  }
-
-  void stop_server(bool orderly) {
-    if (ctl_write_ >= 0) {
-      ::close(ctl_write_);  // EOF: the server's accept loop exits 0
-      ctl_write_ = -1;
-    }
-    if (st_read_ >= 0) {
-      ::close(st_read_);
-      st_read_ = -1;
-    }
-    if (server_pid_ > 0) {
-      if (orderly) {
-        // Grace window for the EOF-triggered exit before the SIGKILL.
-        for (int i = 0; i < 50; ++i) {
-          if (::waitpid(server_pid_, nullptr, WNOHANG) == server_pid_) {
-            server_pid_ = -1;
-            return;
-          }
-          ::usleep(2000);
-        }
-      }
-      ::kill(server_pid_, SIGKILL);
-      while (::waitpid(server_pid_, nullptr, 0) < 0 && errno == EINTR) {
-      }
-      server_pid_ = -1;
-    }
-  }
-
   SessionOptions options_;
-  std::vector<std::string> target_cmd_;
-  std::string preload_;
   int exec_timeout_ms_;
-  int handshake_timeout_ms_;
   bool dense_;
   telem::Sink telemetry_;
 
-  oop::ShmSegment segment_;
-  pid_t server_pid_ = -1;
-  int ctl_write_ = -1;
-  int st_read_ = -1;
-  std::uint16_t port_ = 0;
+  oop::TargetProcess process_;
+  std::uint32_t port_ = 0;
   std::uint64_t served_seen_ = 0;
   std::uint64_t sessions_seen_ = 0;
-  std::uint64_t restarts_ = 0;
   std::string last_error_;
+  oop::OutOfProcessExecutor::Outcome outcome_;
 
   std::vector<MessageRange> ranges_;
   std::vector<Bytes> responses_;

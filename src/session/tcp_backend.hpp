@@ -11,6 +11,12 @@
 // client-computed session-state cells, and runs the exact in-process
 // analysis — which is what makes in-process vs over-TCP execution a
 // differential oracle (tests/test_session.cpp).
+//
+// The server process is an oop::TargetProcess, so kTcp keeps the same
+// supervision contract as the fork-server backends: RetryPolicy respawns,
+// the resource jail, group kill by the watchdog, and telemetry booked
+// through fuzz::mirror_oop_telemetry. A server that dies mid-session is
+// classified by its wait status (docs/SESSIONS.md lists every outcome).
 #pragma once
 
 #include <memory>

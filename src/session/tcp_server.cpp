@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include "coverage/instrument.hpp"
@@ -16,7 +15,7 @@
 #include "sanitizer/fault.hpp"
 #include "session/reassembler.hpp"
 #include "session/session_wire.hpp"
-#include "util/strings.hpp"
+#include "supervise/resource_jail.hpp"
 
 namespace icsfuzz::session {
 
@@ -106,25 +105,14 @@ void serve_session(ProtocolTarget& target, Framing framing, int conn,
 
 }  // namespace
 
-int run_tcp_session_server(ProtocolTarget& target, Framing framing) {
-  const char* shm_name = std::getenv(oop::kShmNameEnv);
-  const char* shm_size_text = std::getenv(oop::kShmSizeEnv);
-  // The size comes from the environment — i.e. from whatever spawned us —
-  // so it gets the same distrust as network input: a checked parse (no
-  // strtoull garbage-as-0), a floor of the segment layout this server
-  // writes to, and a 1 GiB ceiling so a corrupt value cannot turn the mmap
-  // into an address-space grab.
-  constexpr std::uint64_t kMaxShmBytes = std::uint64_t{1} << 30;
-  const std::optional<std::uint64_t> shm_size =
-      shm_size_text != nullptr ? parse_u64(shm_size_text)
-                               : std::nullopt;
-  if (shm_name == nullptr || !shm_size || *shm_size < kTcpSegmentBytes ||
-      *shm_size > kMaxShmBytes) {
-    return 3;
-  }
-  oop::ShmSegment segment =
-      oop::ShmSegment::attach(shm_name, static_cast<std::size_t>(*shm_size));
+int run_tcp_session_server(ProtocolTarget& target, Framing framing,
+                           const oop::ShimFaultPlan& plan) {
+  oop::ShmSegment segment = oop::attach_announced_segment(kTcpSegmentBytes);
   if (!segment.valid()) return 3;
+  // This process runs every session itself, so the resource jail applies
+  // to it: an allocation past the cap ends the server with kOomExitCode,
+  // which the client classifies from the wait status.
+  supervise::apply_in_child(supervise::jail_from_env());
 
   const int listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listen_fd < 0) return 8;
@@ -156,6 +144,7 @@ int run_tcp_session_server(ProtocolTarget& target, Framing framing) {
   dirty.count = 0;
   std::uint64_t served = 0;
   std::uint64_t sessions = 0;
+  std::uint64_t accepted = 0;
 
   for (;;) {
     struct pollfd fds[2];
@@ -175,6 +164,11 @@ int run_tcp_session_server(ProtocolTarget& target, Framing framing) {
     if (conn < 0) continue;
     const int nodelay = 1;
     ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof nodelay);
+    // Fault-plan hooks, keyed on the session index: the server dies (or
+    // hangs) with the client already connected, i.e. mid-session.
+    ++accepted;
+    if (plan.server_exit_at != 0 && accepted == plan.server_exit_at) return 9;
+    oop::trip_execution_faults(plan, accepted);
 
     bool shutdown = false;
     serve_session(target, framing, conn, segment.data(), dirty, served,

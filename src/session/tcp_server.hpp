@@ -12,9 +12,13 @@
 //
 // Shutdown mirrors the fork server: EOF on the inherited control
 // descriptor (the client closing its pipe end) ends the accept loop with
-// exit status 0.
+// exit status 0. The server runs every session in its own process, so the
+// resource jail and the shim fault plan (shim_runner.hpp, keyed on the
+// session index) apply to the server itself; the client classifies a
+// server that dies mid-session by its wait status.
 #pragma once
 
+#include "exec_oop/shim_runner.hpp"
 #include "protocols/protocol_target.hpp"
 #include "session/session_types.hpp"
 
@@ -22,7 +26,9 @@ namespace icsfuzz::session {
 
 /// Runs the accept loop until control-pipe EOF. Exit codes match
 /// oop::run_shim_server's conventions: 0 orderly shutdown, 3 segment
-/// attach failure, 4 hello write failure, 8 socket setup failure.
-int run_tcp_session_server(ProtocolTarget& target, Framing framing);
+/// attach failure, 4 hello write failure, 8 socket setup failure, 9 the
+/// plan's server_exit_at.
+int run_tcp_session_server(ProtocolTarget& target, Framing framing,
+                           const oop::ShimFaultPlan& plan);
 
 }  // namespace icsfuzz::session

@@ -10,11 +10,13 @@
 // allocation-failure deaths as ExecStatus::kOom instead of kCrash.
 //
 // The jail crosses the exec boundary as environment variables: the parent
-// (OutOfProcessExecutor::spawn) serializes the limits with
+// (oop::TargetProcess, at every spawn) serializes the limits with
 // append_jail_env(); the fork-server shim re-reads them with
 // jail_from_env() and applies them inside every forked execution child
-// (apply_in_child) — never in the server process itself, which must stay
-// alive across crashing children.
+// (apply_in_child) — never in the fork server itself, which must stay
+// alive across crashing children. A TCP session server has no execution
+// children (it serves every session itself), so it applies the jail to
+// its own process.
 #pragma once
 
 #include <cstdint>
@@ -58,8 +60,9 @@ void append_jail_env(const ResourceJail& jail, std::vector<std::string>& env);
 [[nodiscard]] ResourceJail jail_from_env();
 
 /// Applies the jail to the calling process: setrlimit AS/CPU/CORE plus the
-/// OOM-marking new_handler. Call in the forked execution child, after
-/// fork() and before the target runs. No-op for a disabled jail.
+/// OOM-marking new_handler. Call in the process about to run the target
+/// (a forked execution child, or a TCP session server), before it runs.
+/// No-op for a disabled jail.
 /// Async-signal-safe except for set_new_handler (safe directly after fork).
 void apply_in_child(const ResourceJail& jail);
 

@@ -3,8 +3,8 @@
 // The shim binary honours ICSFUZZ_SHIM_* environment knobs that inject
 // deterministic failures (exec_oop/shim_runner.hpp): a child SIGKILLed
 // mid-execution, a target that never handshakes, a child hanging into the
-// wall-clock deadline, the fork-server process itself dying, an orderly
-// server retirement, and a legacy v1 shim. This suite drives each of them
+// wall-clock deadline, the fork-server process itself dying, and an
+// orderly server retirement. This suite drives each of them
 // — plus an shm unlink race and a missing binary — across BOTH
 // out-of-process backends (fork-per-exec and persistent) where the fault
 // applies, and asserts the executor reports the right status while the
@@ -13,14 +13,19 @@
 #include <gtest/gtest.h>
 
 #include <sys/mman.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "exec_oop/exec_protocol.hpp"
 #include "exec_oop/oop_executor.hpp"
+#include "exec_oop/shm_segment.hpp"
 #include "fuzzer/fuzzer.hpp"
 #include "pits/pits.hpp"
 #include "protocols/target_registry.hpp"
@@ -317,36 +322,49 @@ TEST(ForkServerFaults, OrderlyServerRetirementIsNotALostServer) {
   }
 }
 
-TEST(ForkServerFaults, LegacyV1ShimDegradesPersistentToForkPerExec) {
-  // Handshake version negotiation: a persistent-mode fuzzer against an old
-  // (v1) shim — which advertises no capability word at all — must degrade
-  // gracefully to fork-per-exec, with results still bit-identical.
-  ScopedEnv knob("ICSFUZZ_SHIM_LEGACY_V1", "1");
-  const std::unique_ptr<ProtocolTarget> placeholder =
-      proto::target_factory("libmodbus")();
-  const std::unique_ptr<ProtocolTarget> reference_target =
-      proto::target_factory("libmodbus")();
-
-  fuzz::Executor executor(oop_config(fuzz::BackendKind::kPersistent));
-  fuzz::Executor reference;
-
-  for (int i = 0; i < 4; ++i) {
-    const fuzz::ExecResult result = executor.run(*placeholder, kPacket);
-    const fuzz::ExecResult expected =
-        reference.run(*reference_target, kPacket);
-    EXPECT_FALSE(result.crashed()) << "execution " << i;
-    EXPECT_EQ(result.trace_hash, expected.trace_hash) << "execution " << i;
-    EXPECT_EQ(result.events, expected.events) << "execution " << i;
-    EXPECT_EQ(result.response, expected.response) << "execution " << i;
+/// Spawns the fork-server shim with the given shm env pair and no protocol
+/// descriptors; returns its exit code (-1 on abnormal termination).
+int spawn_shim_with_shm_env(const std::string& name, const std::string& size) {
+  const pid_t child = ::fork();
+  if (child == 0) {
+    ::setenv(oop::kShmNameEnv, name.c_str(), 1);
+    ::setenv(oop::kShmSizeEnv, size.c_str(), 1);
+    ::execl(ICSFUZZ_SHIM_PATH, ICSFUZZ_SHIM_PATH, "--project", "libmodbus",
+            static_cast<char*>(nullptr));
+    ::_exit(127);
   }
-  const oop::OutOfProcessExecutor* backend = executor.oop_backend();
-  ASSERT_NE(backend, nullptr);
-  EXPECT_EQ(backend->server().protocol_version(), 1);
-  EXPECT_TRUE(backend->persistent_requested());
-  EXPECT_FALSE(backend->persistent_active())
-      << "a v1 server cannot serve persistent executions";
-  EXPECT_EQ(backend->child_recycles(), 0u);
-  EXPECT_EQ(backend->server_restarts(), 0u);
+  int wstatus = 0;
+  while (::waitpid(child, &wstatus, 0) < 0 && errno == EINTR) {
+  }
+  return WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
+}
+
+TEST(ForkServerFaults, ShimRejectsMalformedShmSizeEnv) {
+  // A real, attachable segment: the only thing wrong is the announced size.
+  oop::ShmSegment segment = oop::ShmSegment::create(oop::kSegmentBytesV2);
+  if (!segment.named()) GTEST_SKIP() << "POSIX shm namespace unavailable";
+  const std::string exact = std::to_string(oop::kSegmentBytesV2);
+  // The exact size attaches and gets as far as the hello, which fails
+  // (exit 4) because this spawn installed no status descriptor.
+  EXPECT_EQ(spawn_shim_with_shm_env(segment.name(), exact), 4);
+  // strtoull used to read "<size>stray" as <size> and attach anyway, turn
+  // garbage into 0 and map any size it was told. Each of these must now
+  // exit through the no-usable-segment code (3) before the mmap.
+  const std::string bad_sizes[] = {
+      exact + "stray",
+      "banana",
+      "",
+      "-" + exact,
+      "0",
+      std::to_string(oop::kSegmentBytesV2 - 1),
+      std::to_string(oop::kSegmentBytes),
+      "999999999999",
+      "18446744073709551615",
+  };
+  for (const std::string& size : bad_sizes) {
+    EXPECT_EQ(spawn_shim_with_shm_env(segment.name(), size), 3)
+        << "size '" << size << "'";
+  }
 }
 
 TEST(ForkServerFaults, CampaignKeepsRunningThroughChildDeaths) {

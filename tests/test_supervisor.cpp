@@ -1,8 +1,10 @@
 // CampaignSupervisor + resilience-layer coverage (src/supervise/): the
-// worker watchdog unwedging a hung fork server, graceful stop/resume
-// through the checkpoint, the resource jail's kOom classification, the
-// retry policy's crash-loop breaker, and shm hygiene after a SIGKILLed
-// campaign (sweep_orphans / unlink_all_registered).
+// worker watchdog unwedging a hung fork server or TCP session server,
+// graceful stop/resume through the checkpoint, the resource jail's kOom
+// classification, the retry policy's crash-loop breaker, and shm hygiene
+// after a SIGKILLed campaign (sweep_orphans / unlink_all_registered). The
+// kTcp cases hold the session transport to the same supervision contract
+// as the fork-server backends, telemetry included.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -12,6 +14,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,6 +28,7 @@
 #include "protocols/modbus/modbus_server.hpp"
 #include "protocols/target_registry.hpp"
 #include "sanitizer/fault.hpp"
+#include "session/framing.hpp"
 #include "supervise/supervisor.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tests/test_support.hpp"
@@ -36,6 +40,7 @@ namespace fs = std::filesystem;
 
 using test::ScopedEnv;
 using test::shim_cmd;
+using test::shim_tcp_cmd;
 
 class ScopedTempDir {
  public:
@@ -79,6 +84,38 @@ fuzz::TargetFactory modbus_factory() {
   return [] { return std::make_unique<proto::ModbusServer>(); };
 }
 
+/// A one-message IEC 104 session (STARTDT act) for the kTcp cases.
+const Bytes kStartDtAct = {0x68, 0x04, 0x07, 0x00, 0x00, 0x00};
+
+/// ExecutorConfig for the IEC 104 session server under kTcp.
+fuzz::ExecutorConfig tcp_config() {
+  fuzz::ExecutorConfig config;
+  config.backend.kind = fuzz::BackendKind::kTcp;
+  config.backend.target_cmd = shim_tcp_cmd("IEC104");
+  config.backend.session.framing = session::framing_for_project("IEC104");
+  return config;
+}
+
+const fuzz::ExecResult& run_session(fuzz::Executor& executor) {
+  static const std::unique_ptr<ProtocolTarget> placeholder =
+      proto::target_factory("IEC104")();
+  return executor.run(*placeholder, kStartDtAct);
+}
+
+/// Blocks until `pid` is a zombie (dead, not yet reaped) — the state a
+/// killed server is in when its owner next looks.
+void wait_until_dead(pid_t pid) {
+  const std::string stat = "/proc/" + std::to_string(pid) + "/stat";
+  for (int i = 0; i < 5000; ++i) {
+    std::ifstream in(stat);
+    std::string pid_field;
+    std::string comm;
+    char state = 0;
+    if (!(in >> pid_field >> comm >> state) || state == 'Z') return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 // --------------------------------------------------------- crash-loop breaker
 
 TEST(RetryPolicy, CrashLoopBudgetFailsFastInsteadOfRespawningForever) {
@@ -100,6 +137,37 @@ TEST(RetryPolicy, CrashLoopBudgetFailsFastInsteadOfRespawningForever) {
   EXPECT_NE(executor.last_error().find("crash-loop"), std::string::npos)
       << "last_error: " << executor.last_error();
   EXPECT_FALSE(executor.server_running());
+}
+
+TEST(RetryPolicy, TcpCrashLoopBudgetFailsFast) {
+  // Every TCP session server dies on its first session: each death is the
+  // target's (classified, not retried), and the next session has to
+  // respawn. With a budget of 2 the third respawn never happens.
+  ScopedEnv knob("ICSFUZZ_SHIM_SERVER_EXIT_AT", "1");
+  fuzz::ExecutorConfig config = tcp_config();
+  config.backend.retry.max_respawns = 2;
+  fuzz::Executor executor(config);
+
+  for (int i = 1; i <= 5; ++i) {
+    const fuzz::ExecResult& result = run_session(executor);
+    ASSERT_TRUE(result.crashed()) << "session " << i;
+    if (i <= 3) {
+      EXPECT_TRUE(has_fault_site(result, san::site_id("oop-child-terminated")))
+          << "session " << i;
+      EXPECT_NE(result.faults[0].detail.find("code 9"), std::string::npos)
+          << result.faults[0].detail;
+    } else {
+      EXPECT_TRUE(has_fault_site(result, san::site_id("tcp-server-lost")))
+          << "session " << i;
+      EXPECT_NE(result.faults[0].detail.find("crash-loop"), std::string::npos)
+          << result.faults[0].detail;
+    }
+  }
+  const oop::TargetProcess* process = executor.backend().target_process();
+  ASSERT_NE(process, nullptr);
+  EXPECT_EQ(process->tallies().restarts, 2u)
+      << "respawns must stop at the configured budget";
+  EXPECT_FALSE(process->running());
 }
 
 TEST(RetryPolicy, DefaultsKeepUnlimitedRespawns) {
@@ -146,6 +214,117 @@ TEST(ResourceJail, AllocationFailureClassifiedAsOomNotCrash) {
   }
 }
 
+TEST(ResourceJail, TcpServerOomClassifiedAsOomNotCrash) {
+  // The session server runs sessions in its own process, so the jail caps
+  // that process: the OOM session ends it with the jail's exit code.
+#if defined(__SANITIZE_ADDRESS__)
+  // AddressSanitizer has already reserved terabytes of shadow address
+  // space, so an RLIMIT_AS cap on a whole long-lived server makes the
+  // sanitizer runtime's own later mappings fail while serving session 1.
+  GTEST_SKIP() << "RLIMIT_AS on a whole AddressSanitizer process";
+#endif
+  ScopedEnv knob("ICSFUZZ_SHIM_OOM_AT", "2");
+  telem::Telemetry hub;
+  fuzz::ExecutorConfig config = tcp_config();
+  config.backend.jail.address_space_mb = 512;
+  config.telemetry = telem::Sink(&hub, 0);
+  fuzz::Executor executor(config);
+
+  for (int i = 1; i <= 3; ++i) {
+    const fuzz::ExecResult& result = run_session(executor);
+    if (i == 2) {
+      EXPECT_TRUE(result.crashed()) << "session " << i;
+      EXPECT_TRUE(has_fault_site(result, san::site_id("oop-child-oom")))
+          << "session " << i;
+    } else {
+      EXPECT_FALSE(result.crashed()) << "session " << i;
+    }
+  }
+  const oop::TargetProcess* process = executor.backend().target_process();
+  ASSERT_NE(process, nullptr);
+  // Session 3 needs the one respawn the dead server forces, and no more:
+  // the OOM session itself is classified, never retried.
+  EXPECT_EQ(process->tallies().restarts, 1u);
+  EXPECT_EQ(process->tallies().retries, 0u);
+  const telem::Snapshot snap = hub.snapshot();
+  EXPECT_EQ(snap.counter(telem::Counter::kOopOomKills), 1u);
+  EXPECT_EQ(snap.counter(telem::Counter::kOopServerLost), 0u);
+}
+
+// ------------------------------------------------- kTcp failure classification
+
+TEST(TcpSupervision, MidSessionCrashIsClassifiedWellInsideTheDeadline) {
+  // The server segfaults while serving session 2. The client must notice
+  // the death and classify it by the wait status — not sit out the 30 s
+  // deadline and book a hang.
+  ScopedEnv knob("ICSFUZZ_SHIM_SEGV_AT", "2");
+  telem::Telemetry hub;
+  fuzz::ExecutorConfig config = tcp_config();
+  config.backend.exec_timeout_ms = 30000;
+  config.telemetry = telem::Sink(&hub, 0);
+  fuzz::Executor executor(config);
+
+  for (int i = 1; i <= 3; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    const fuzz::ExecResult& result = run_session(executor);
+    const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::steady_clock::now() - start);
+    if (i == 2) {
+      ASSERT_TRUE(result.crashed());
+      EXPECT_EQ(result.faults[0].kind, san::FaultKind::Segv);
+      EXPECT_TRUE(has_fault_site(result, san::site_id("oop-child-terminated")));
+      // "signal 11" — or "code 1" under AddressSanitizer, whose SEGV
+      // handler reports and exits instead of dying on the signal.
+      const std::string& detail = result.faults[0].detail;
+      EXPECT_TRUE(detail.find("signal 11") != std::string::npos ||
+                  detail.find("code 1)") != std::string::npos)
+          << detail;
+      EXPECT_LT(elapsed.count(), 5000) << "classified only at the deadline";
+    } else {
+      EXPECT_FALSE(result.crashed()) << "session " << i;
+    }
+  }
+  const telem::Snapshot snap = hub.snapshot();
+  EXPECT_EQ(snap.counter(telem::Counter::kOopHangs), 0u);
+  EXPECT_EQ(snap.counter(telem::Counter::kOopServerLost), 0u);
+}
+
+TEST(TcpSupervision, ForcedRespawnBooksForkServerTelemetry) {
+  // A server killed between sessions is down before the next session
+  // starts: the backend respawns it and retries the session, and books
+  // exactly what a fork-server backend books for the same event.
+  telem::Telemetry hub;
+  fuzz::ExecutorConfig config = tcp_config();
+  config.telemetry = telem::Sink(&hub, 0);
+  fuzz::Executor executor(config);
+
+  EXPECT_FALSE(run_session(executor).crashed());
+  const oop::TargetProcess* process = executor.backend().target_process();
+  ASSERT_NE(process, nullptr);
+  const pid_t first = process->pid();
+  ASSERT_GT(first, 0);
+  process->kill();
+  wait_until_dead(first);
+  EXPECT_FALSE(run_session(executor).crashed()) << "the retry must succeed";
+  EXPECT_FALSE(run_session(executor).crashed());
+  EXPECT_NE(process->pid(), first);
+
+  EXPECT_EQ(process->tallies().restarts, 1u);
+  EXPECT_EQ(process->tallies().retries, 1u);
+  const telem::Snapshot snap = hub.snapshot();
+  EXPECT_EQ(snap.counter(telem::Counter::kOopRestarts), 1u);
+  EXPECT_EQ(snap.counter(telem::Counter::kOopRetries), 1u);
+  EXPECT_EQ(snap.counter(telem::Counter::kOopServerExits), 0u);
+  EXPECT_EQ(snap.counter(telem::Counter::kOopServerLost), 0u);
+  std::size_t respawn_events = 0;
+  for (const telem::Event& event : hub.journal().events()) {
+    if (event.type != telem::EventType::kForkServerRespawn) continue;
+    ++respawn_events;
+    EXPECT_EQ(event.detail_view(), "reason=server-lost");
+  }
+  EXPECT_EQ(respawn_events, 1u);
+}
+
 // ----------------------------------------------------------------- watchdog
 
 TEST(Supervisor, WatchdogUnwedgesHungForkServer) {
@@ -174,6 +353,45 @@ TEST(Supervisor, WatchdogUnwedgesHungForkServer) {
   config.max_watchdog_kicks = 8;
 
   supervise::CampaignSupervisor supervisor(modbus_factory(), models, config);
+  const supervise::SupervisorResult result = supervisor.run();
+
+  EXPECT_FALSE(result.interrupted);
+  EXPECT_EQ(result.completed_iterations, 12u);
+  EXPECT_GE(result.watchdog_kicks, 1u);
+  ASSERT_EQ(result.campaign.workers.size(), 1u);
+  EXPECT_EQ(result.campaign.workers[0].executions, 12u);
+  EXPECT_GE(hub.snapshot().counter(telem::Counter::kWatchdogKicks), 1u);
+}
+
+TEST(Supervisor, WatchdogUnwedgesHungTcpSessionServer) {
+  // The same wedge over the session transport: the server hangs on its 5th
+  // session with no deadline, so only the watchdog's group kill frees the
+  // worker, which sees the server die and carries on.
+  ScopedEnv knob("ICSFUZZ_SHIM_HANG_AT", "5");
+  const std::string project = "IEC104";
+  const model::DataModelSet models = pits::pit_for_project(project);
+  telem::Telemetry hub;
+
+  supervise::SupervisorConfig config;
+  config.campaign.workers = 1;
+  config.campaign.iterations_per_worker = 12;
+  config.campaign.base_seed = 5;
+  config.campaign.sync_interval = 0;
+  config.campaign.fuzzer = small_config(0);
+  config.campaign.fuzzer.telemetry = telem::Sink(&hub, 0);
+  config.campaign.fuzzer.session.enabled = true;
+  config.campaign.fuzzer.session.framing =
+      session::framing_for_project(project);
+  config.campaign.fuzzer.session.project = project;
+  config.campaign.fuzzer.executor = tcp_config();
+  config.campaign.fuzzer.executor.backend.exec_timeout_ms = 0;  // no deadline
+  config.checkpoint_interval = 0;  // single chunk
+  config.wedge_timeout_ms = 250;
+  config.watchdog_poll_ms = 50;
+  config.max_watchdog_kicks = 8;
+
+  supervise::CampaignSupervisor supervisor(proto::target_factory(project),
+                                           models, config);
   const supervise::SupervisorResult result = supervisor.run();
 
   EXPECT_FALSE(result.interrupted);

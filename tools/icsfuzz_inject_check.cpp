@@ -134,14 +134,12 @@ int main(int argc, char** argv) {
 
   std::printf(
       "{\"tool\": \"inject-check\", \"started\": true, "
-      "\"protocol_version\": %d, "
       "\"persistent_capable\": %s, \"persistent_active\": %s, "
       "\"probe_status\": \"%s\", \"term_signal\": %d, \"exit_code\": %d, "
       "\"events\": %llu, \"map_cells_nonzero\": %zu, "
       "\"inject_info\": {\"present\": %s, \"version\": %u, "
       "\"guard_count\": %u, \"sancov\": %s, \"persistent\": %s, "
       "\"tcp\": %s}}\n",
-      executor.server().protocol_version(),
       json_bool(executor.server().persistent_capable()),
       json_bool(executor.persistent_active()),
       oop::to_string(outcome.status).c_str(), outcome.term_signal,

@@ -19,8 +19,8 @@
 // message framing — for the kTcp session backend.
 //
 // ICSFUZZ_SHIM_* environment knobs inject deterministic faults (child
-// kill / hang / server crash / no handshake) for the fork-server
-// fault-injection suite; see exec_oop/shim_runner.hpp.
+// kill / hang / OOM / server crash / no handshake) for the fault-injection
+// suites, in both modes; see exec_oop/shim_runner.hpp.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -62,9 +62,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::unique_ptr<ProtocolTarget> target = factory();
+  const oop::ShimFaultPlan plan = oop::shim_fault_plan_from_env();
   if (tcp) {
     return session::run_tcp_session_server(
-        *target, session::framing_for_project(project));
+        *target, session::framing_for_project(project), plan);
   }
-  return oop::run_shim_server(*target, oop::shim_fault_plan_from_env());
+  return oop::run_shim_server(*target, plan);
 }
