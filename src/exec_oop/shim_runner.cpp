@@ -262,7 +262,12 @@ void trip_execution_faults(const ShimFaultPlan& plan, std::uint64_t index) {
   if (plan.kill_child_at != 0 && index == plan.kill_child_at) {
     ::raise(SIGKILL);
   }
-  if (plan.segv_at != 0 && index == plan.segv_at) ::raise(SIGSEGV);
+  if (plan.segv_at != 0 && index == plan.segv_at) {
+    // Default disposition first: a sanitizer's SEGV handler would report
+    // and exit(1) instead of dying on the signal a stock binary dies on.
+    ::signal(SIGSEGV, SIG_DFL);
+    ::raise(SIGSEGV);
+  }
   if (plan.hang_at != 0 && index == plan.hang_at) {
     for (;;) ::pause();
   }

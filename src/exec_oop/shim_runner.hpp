@@ -37,8 +37,9 @@ struct ShimFaultPlan {
   /// On execution #N the (forked or persistent) child SIGKILLs itself
   /// mid-execution.
   std::uint64_t kill_child_at = 0;
-  /// On execution #N the child raises SIGSEGV — a genuine memory-fault
-  /// signal, so differential tests can compare the shim's crash
+  /// On execution #N the child raises SIGSEGV under the default
+  /// disposition — a genuine memory-fault death even in a sanitizer
+  /// build, so differential tests can compare the shim's crash
   /// classification bit-for-bit against a real segfaulting binary
   /// (kill_child_at's SIGKILL is indistinguishable from a deadline kill).
   std::uint64_t segv_at = 0;

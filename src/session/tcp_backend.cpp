@@ -5,7 +5,6 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -22,13 +21,6 @@
 namespace icsfuzz::session {
 
 namespace {
-
-std::uint64_t monotonic_ms() {
-  struct timespec ts {};
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1000 +
-         static_cast<std::uint64_t>(ts.tv_nsec) / 1000000;
-}
 
 bool send_full(int fd, const std::uint8_t* data, std::size_t size) {
   while (size != 0) {
@@ -195,6 +187,9 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
   void exchange(int conn, ByteSpan packet, std::size_t residue_index,
                 std::uint64_t deadline) {
     std::uint8_t* segment = process_.segment().data();
+    // Blocked on the sync block's wake word; a server that died
+    // mid-session ends the wait within one slice.
+    const auto server_dead = [&] { return process_.try_reap(); };
     const std::uint64_t base_served = served_seen_;
     bool wrote_shutdown = false;
     for (std::size_t i = 0; i < ranges_.size(); ++i) {
@@ -208,8 +203,9 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
         ::shutdown(conn, SHUT_WR);
         wrote_shutdown = true;
       }
-      if (!wait_counter([&] { return sync_load_served(segment); },
-                        base_served + i + 1, deadline)) {
+      if (!sync_wait_counter(segment,
+                             [&] { return sync_load_served(segment); },
+                             base_served + i + 1, deadline, server_dead)) {
         return broken(deadline, "tcp session server stopped answering");
       }
       const std::uint32_t len = sync_load_response_len(segment);
@@ -223,8 +219,9 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
       }
     }
     if (!wrote_shutdown) ::shutdown(conn, SHUT_WR);
-    if (!wait_counter([&] { return sync_load_sessions_done(segment); },
-                      sessions_seen_ + 1, deadline)) {
+    if (!sync_wait_counter(segment,
+                           [&] { return sync_load_sessions_done(segment); },
+                           sessions_seen_ + 1, deadline, server_dead)) {
       return broken(deadline, "tcp session never completed");
     }
     ++sessions_seen_;
@@ -293,23 +290,6 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
     if (deadline == 0) return -1;
     const std::uint64_t now = monotonic_ms();
     return now >= deadline ? 0 : static_cast<int>(deadline - now);
-  }
-
-  /// Polls a shm counter up to the deadline: a short busy-spin for the
-  /// common sub-millisecond reply, then a sleeping loop that also watches
-  /// the server — one that died mid-session ends the wait at once.
-  template <typename Load>
-  bool wait_counter(Load load, std::uint64_t expected,
-                    std::uint64_t deadline) {
-    for (int spin = 0; spin < 4096; ++spin) {
-      if (load() >= expected) return true;
-    }
-    while (deadline == 0 || monotonic_ms() < deadline) {
-      if (load() >= expected) return true;
-      if (process_.try_reap()) return false;
-      ::usleep(100);
-    }
-    return load() >= expected;
   }
 
   int connect_deadline(std::uint64_t deadline) {

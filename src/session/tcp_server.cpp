@@ -37,12 +37,13 @@ bool send_full(int fd, const std::uint8_t* data, std::size_t size) {
 }
 
 /// One accepted connection = one session. Reassembles the request stream,
-/// serves each message, and publishes progress; returns once the client
-/// half-closes (EOF) or the control pipe says shut down (`*shutdown`).
+/// serves each message into the caller's reused `response` scratch, and
+/// publishes progress; returns once the client half-closes (EOF) or the
+/// control pipe says shut down (`*shutdown`).
 void serve_session(ProtocolTarget& target, Framing framing, int conn,
                    std::uint8_t* segment, cov::DirtyWordList& dirty,
-                   std::uint64_t& served, std::uint64_t& sessions,
-                   bool* shutdown) {
+                   Bytes& response, std::uint64_t& served,
+                   std::uint64_t& sessions, bool* shutdown) {
   // Pristine per-session map state: sparse-clear the previous session's
   // dirty words, invalidate the aux magic so a torn-down session is never
   // mistaken for a completed one.
@@ -57,7 +58,6 @@ void serve_session(ProtocolTarget& target, Framing framing, int conn,
   san::FaultSink::arm();
   cov::begin_trace(segment, &dirty);
 
-  Bytes response;
   const auto serve_message = [&](ByteSpan message) {
     response.clear();
     // A tripped sink models the server process having died on its first
@@ -142,6 +142,7 @@ int run_tcp_session_server(ProtocolTarget& target, Framing framing,
   std::memset(segment.data(), 0, cov::kMapSize);
   static cov::DirtyWordList dirty;
   dirty.count = 0;
+  Bytes response;
   std::uint64_t served = 0;
   std::uint64_t sessions = 0;
   std::uint64_t accepted = 0;
@@ -171,8 +172,8 @@ int run_tcp_session_server(ProtocolTarget& target, Framing framing,
     oop::trip_execution_faults(plan, accepted);
 
     bool shutdown = false;
-    serve_session(target, framing, conn, segment.data(), dirty, served,
-                  sessions, &shutdown);
+    serve_session(target, framing, conn, segment.data(), dirty, response,
+                  served, sessions, &shutdown);
     ::close(conn);
     if (shutdown) {
       ::close(listen_fd);

@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -162,16 +164,23 @@ SupervisorResult CampaignSupervisor::run() {
   while (completed < total && g_stop_requested == 0) {
     const std::uint64_t chunk_end = std::min(total, completed + chunk_size);
 
-    // All workers on spawned threads; this thread runs the watchdog.
+    // All workers on spawned threads; this thread runs the watchdog. The
+    // last worker to finish wakes it, so a chunk ends when its work does,
+    // not at the watchdog's next poll.
     const std::size_t n = workers.size();
     std::unique_ptr<std::atomic<bool>[]> done(new std::atomic<bool>[n]);
     for (std::size_t w = 0; w < n; ++w) done[w].store(false);
+    std::mutex running_mutex;
+    std::condition_variable all_done;
+    std::size_t running = n;
     std::vector<std::thread> threads;
     threads.reserve(n);
     for (std::size_t w = 0; w < n; ++w) {
       threads.emplace_back([&, w] {
         workers[w]->run_range(completed, chunk_end, total);
         done[w].store(true, std::memory_order_release);
+        const std::lock_guard<std::mutex> lock(running_mutex);
+        if (--running == 0) all_done.notify_one();
       });
     }
 
@@ -183,16 +192,23 @@ SupervisorResult CampaignSupervisor::run() {
     }
     const int poll_ms = config_.watchdog_poll_ms > 0 ? config_.watchdog_poll_ms
                                                      : 200;
+    auto last_poll = std::chrono::steady_clock::now();
     for (;;) {
-      bool all_done = true;
-      for (std::size_t w = 0; w < n; ++w) {
-        if (!done[w].load(std::memory_order_acquire)) {
-          all_done = false;
+      {
+        std::unique_lock<std::mutex> lock(running_mutex);
+        if (all_done.wait_for(lock, std::chrono::milliseconds(poll_ms),
+                              [&] { return running == 0; })) {
           break;
         }
       }
-      if (all_done) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
+      // A stall is charged the time that actually passed, so a late or
+      // early poll can neither hide a wedge nor fake one.
+      const auto now = std::chrono::steady_clock::now();
+      const int elapsed_ms = static_cast<int>(
+          std::chrono::duration_cast<std::chrono::milliseconds>(now -
+                                                                last_poll)
+              .count());
+      last_poll = now;
       for (std::size_t w = 0; w < n; ++w) {
         if (done[w].load(std::memory_order_acquire)) continue;
         const std::uint64_t progress = workers[w]->progress();
@@ -201,7 +217,7 @@ SupervisorResult CampaignSupervisor::run() {
           stalled_ms[w] = 0;
           continue;
         }
-        stalled_ms[w] += poll_ms;
+        stalled_ms[w] += elapsed_ms;
         if (stalled_ms[w] < config_.wedge_timeout_ms) continue;
         stalled_ms[w] = 0;
         if (kicks[w] >= config_.max_watchdog_kicks) continue;

@@ -20,20 +20,29 @@
 //   * Checkpoint/resume — reached session states survive the Fuzzer
 //     checkpoint round trip and the supervise on-disk format ("sstates"),
 //     and a restored campaign continues bit-for-bit.
+//   * Sync wait — the client's blocking wait on the sync block's wake word,
+//     run across fork() on a real shm segment: a publish wakes it, a stale
+//     wake value never blocks, a silent server costs exactly the deadline,
+//     and a server that dies without publishing is noticed within a few
+//     wait slices.
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <optional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec_oop/exec_protocol.hpp"
+#include "exec_oop/shm_segment.hpp"
 
 #include "fuzzer/fuzzer.hpp"
 #include "fuzzer/instantiator.hpp"
@@ -43,6 +52,7 @@
 #include "session/sequencer.hpp"
 #include "session/session_state.hpp"
 #include "session/session_types.hpp"
+#include "session/session_wire.hpp"
 #include "supervise/checkpoint.hpp"
 #include "tests/test_support.hpp"
 #include "util/rng.hpp"
@@ -616,6 +626,165 @@ TEST(SessionTcpServer, RejectsMalformedShmSizeEnv) {
             3);
   EXPECT_EQ(
       spawn_tcp_server_with_shm_env("/icsfuzz-test-none", "999999999999"), 3);
+}
+
+// ---------------------------------------------------------------- sync wait
+
+/// A peer process sharing a TCP-session shm segment: forked, it runs
+/// `body` on the segment, then blocks until killed or `_exit`s if `body`
+/// returns false. Killed and reaped on destruction if still running.
+class SyncPeer {
+ public:
+  template <typename Body>
+  SyncPeer(std::uint8_t* segment, Body body) {
+    pid_ = ::fork();
+    if (pid_ == 0) {
+      if (!body(segment)) ::_exit(3);
+      for (;;) ::pause();
+    }
+  }
+  ~SyncPeer() {
+    if (pid_ <= 0 || reaped_) return;
+    ::kill(pid_, SIGKILL);
+    int wstatus = 0;
+    ::waitpid(pid_, &wstatus, 0);
+  }
+  SyncPeer(const SyncPeer&) = delete;
+  SyncPeer& operator=(const SyncPeer&) = delete;
+
+  [[nodiscard]] pid_t pid() const { return pid_; }
+
+  /// Non-blocking reap: the backend's liveness check.
+  bool dead() {
+    if (!reaped_) reaped_ = ::waitpid(pid_, &wstatus_, WNOHANG) == pid_;
+    return reaped_;
+  }
+  void reap() {
+    while (!reaped_) reaped_ = ::waitpid(pid_, &wstatus_, 0) == pid_;
+  }
+  [[nodiscard]] int wstatus() const { return wstatus_; }
+
+ private:
+  pid_t pid_ = -1;
+  bool reaped_ = false;
+  int wstatus_ = 0;
+};
+
+oop::ShmSegment sync_segment() {
+  return oop::ShmSegment::create(session::kTcpSegmentBytes);
+}
+
+std::int64_t ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+void sleep_ms(int ms) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+}
+
+TEST(SessionSyncWait, PublishAfterDelayWakesTheBlockedWaiter) {
+  oop::ShmSegment shm = sync_segment();
+  ASSERT_TRUE(shm.valid()) << shm.error();
+  std::uint8_t* segment = shm.data();
+  const std::uint32_t seen = session::sync_load_wake(segment);
+  SyncPeer peer(segment, [](std::uint8_t* seg) {
+    sleep_ms(50);
+    session::sync_publish_served(seg, 1, 7);
+    return true;
+  });
+  ASSERT_GT(peer.pid(), 0);
+
+  // One 10 s futex wait (re-entered only on a spurious return): ending
+  // well before that needs the peer's FUTEX_WAKE.
+  const auto start = std::chrono::steady_clock::now();
+  while (session::sync_load_wake(segment) == seen && ms_since(start) < 10000) {
+    session::sync_wait_wake(segment, seen, 10000);
+  }
+  const std::int64_t waited = ms_since(start);
+  EXPECT_GE(waited, 40);
+  EXPECT_LT(waited, 5000) << "the publish did not wake the waiter";
+  EXPECT_EQ(session::sync_load_served(segment), 1u);
+  EXPECT_EQ(session::sync_load_response_len(segment), 7u);
+
+  // The session-done publish wakes the same way, through the full wait.
+  SyncPeer finisher(segment, [](std::uint8_t* seg) {
+    sleep_ms(50);
+    session::sync_publish_session_done(seg, 1);
+    return true;
+  });
+  ASSERT_GT(finisher.pid(), 0);
+  EXPECT_TRUE(session::sync_wait_counter(
+      segment, [&] { return session::sync_load_sessions_done(segment); }, 1,
+      session::monotonic_ms() + 10000, [&] { return finisher.dead(); }));
+}
+
+TEST(SessionSyncWait, StaleSeenValueReturnsAtOnce) {
+  oop::ShmSegment shm = sync_segment();
+  ASSERT_TRUE(shm.valid()) << shm.error();
+  std::uint8_t* segment = shm.data();
+  const std::uint32_t seen = session::sync_load_wake(segment);
+  SyncPeer peer(segment, [](std::uint8_t* seg) {
+    session::sync_publish_served(seg, 1, 0);
+    return false;  // publish, then exit
+  });
+  ASSERT_GT(peer.pid(), 0);
+  peer.reap();
+  ASSERT_NE(session::sync_load_wake(segment), seen);
+
+  const auto start = std::chrono::steady_clock::now();
+  session::sync_wait_wake(segment, seen, 10000);
+  EXPECT_LT(ms_since(start), 100) << "a moved wake word must not block";
+  // A counter that already arrived is never waited for, dead peer or not.
+  EXPECT_TRUE(session::sync_wait_counter(
+      segment, [&] { return session::sync_load_served(segment); }, 1,
+      session::monotonic_ms() + 10000, [] { return true; }));
+}
+
+TEST(SessionSyncWait, SilentPeerCostsExactlyTheDeadline) {
+  oop::ShmSegment shm = sync_segment();
+  ASSERT_TRUE(shm.valid()) << shm.error();
+  std::uint8_t* segment = shm.data();
+  SyncPeer peer(segment, [](std::uint8_t*) { return true; });  // never publishes
+  ASSERT_GT(peer.pid(), 0);
+
+  constexpr int kDeadlineMs = 200;
+  const auto start = std::chrono::steady_clock::now();
+  const bool arrived = session::sync_wait_counter(
+      segment, [&] { return session::sync_load_served(segment); }, 1,
+      session::monotonic_ms() + kDeadlineMs, [&] { return peer.dead(); });
+  const std::int64_t waited = ms_since(start);
+  EXPECT_FALSE(arrived);
+  EXPECT_FALSE(peer.dead());
+  // The deadline is on a millisecond clock: it may fall up to 1 ms early.
+  EXPECT_GE(waited, kDeadlineMs - 1);
+  EXPECT_LT(waited, kDeadlineMs + 150) << "the wait overshot its deadline";
+}
+
+TEST(SessionSyncWait, PeerThatExitsIsNoticedWithinAFewSlices) {
+  oop::ShmSegment shm = sync_segment();
+  ASSERT_TRUE(shm.valid()) << shm.error();
+  std::uint8_t* segment = shm.data();
+  SyncPeer peer(segment, [](std::uint8_t*) {
+    sleep_ms(30);
+    return false;  // dies without ever publishing
+  });
+  ASSERT_GT(peer.pid(), 0);
+
+  const auto start = std::chrono::steady_clock::now();
+  const bool arrived = session::sync_wait_counter(
+      segment, [&] { return session::sync_load_served(segment); }, 1,
+      session::monotonic_ms() + 30000, [&] { return peer.dead(); });
+  const std::int64_t waited = ms_since(start);
+  EXPECT_FALSE(arrived);
+  ASSERT_TRUE(peer.dead());
+  EXPECT_TRUE(WIFEXITED(peer.wstatus()));
+  EXPECT_EQ(WEXITSTATUS(peer.wstatus()), 3);
+  // 30 ms of life plus a few 1 ms slices; the slack absorbs a loaded
+  // runner's scheduling delay, still far inside the 30 s deadline.
+  EXPECT_LT(waited, 30 + 20 * session::kSyncWaitSliceMs + 250)
+      << "the death was noticed late";
 }
 
 }  // namespace

@@ -402,6 +402,38 @@ TEST(Supervisor, WatchdogUnwedgesHungTcpSessionServer) {
   EXPECT_GE(hub.snapshot().counter(telem::Counter::kWatchdogKicks), 1u);
 }
 
+TEST(Supervisor, ChunkEndsWhenItsWorkDoesNotAtTheNextPoll) {
+  // Six short chunks under the default 200 ms watchdog poll. The last
+  // worker to finish wakes the watchdog, so the campaign takes its work's
+  // time, not a poll interval per chunk — and an early wake must never
+  // read as a stall.
+  const model::DataModelSet models = pits::modbus_pit();
+  constexpr int kPollMs = 200;
+  constexpr std::uint64_t kChunks = 6;
+
+  supervise::SupervisorConfig config;
+  config.campaign.workers = 2;
+  config.campaign.iterations_per_worker = 100 * kChunks;
+  config.campaign.base_seed = 17;
+  config.campaign.sync_interval = 0;
+  config.campaign.fuzzer = small_config(0);
+  config.checkpoint_interval = 100;
+  config.watchdog_poll_ms = kPollMs;
+
+  supervise::CampaignSupervisor supervisor(modbus_factory(), models, config);
+  const auto start = std::chrono::steady_clock::now();
+  const supervise::SupervisorResult result = supervisor.run();
+  const auto wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+
+  EXPECT_FALSE(result.interrupted);
+  EXPECT_EQ(result.completed_iterations, 100 * kChunks);
+  EXPECT_EQ(result.watchdog_kicks, 0u);
+  EXPECT_LT(wall_ms, static_cast<std::int64_t>(kChunks * kPollMs / 2))
+      << "chunks still wait out the watchdog poll";
+}
+
 // ------------------------------------------------------- supervised campaigns
 
 TEST(Supervisor, MultiWorkerCampaignCompletesWithPeriodicCheckpoints) {
