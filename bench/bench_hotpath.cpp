@@ -26,6 +26,11 @@
 //     allocation-free stub target (must be 0), and per stacked
 //     mutate_bytes_into ping-pong iteration (must be 0).
 //
+//   * Generation allocations — per packet of ModelInstantiator::
+//     generate_into and SemanticGenerator::generate_into on all six pits
+//     (the semantic arm with the puzzle corpus of a short Peach* campaign),
+//     after warm-up (must be 0).
+//
 //   * Path-tracker probe A/B — the campaign-shaped record() stream (a few
 //     percent fresh hashes, the rest repeats of the resident set) through
 //     the open-addressing PathTracker and through a std::unordered_set
@@ -37,6 +42,7 @@
 //   ICSFUZZ_BENCH_HOTPATH_EXECS   executions per density tier (default 3000)
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -48,7 +54,10 @@
 #include "coverage/path_tracker.hpp"
 #include "coverage/simd.hpp"
 #include "fuzzer/executor.hpp"
+#include "fuzzer/fuzzer.hpp"
 #include "mutation/mutator.hpp"
+#include "pits/pits.hpp"
+#include "protocols/target_registry.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -121,6 +130,47 @@ double time_analysis(cov::CoverageMap& map, const std::vector<Trace>& traces,
     sink ^= summary.trace_hash + summary.trace_edges;
   }
   return total;
+}
+
+/// Steady-state heap allocations per generated packet, both generators, all
+/// six pits: each generator first warms its per-model trees up on
+/// kGenerateWarmup packets, then kGenerateMeasured packets are counted.
+double generate_allocs_per_packet() {
+  constexpr int kGenerateWarmup = 100000;
+  constexpr int kGenerateMeasured = 5000;
+  std::uint64_t allocs = 0;
+  std::uint64_t packets = 0;
+  for (const std::string& project : pits::all_project_names()) {
+    const model::DataModelSet models = pits::pit_for_project(project);
+    fuzz::FuzzerConfig config;
+    config.telemetry = telem::Sink();
+    const std::unique_ptr<ProtocolTarget> target =
+        proto::target_factory(project)();
+    fuzz::Fuzzer fuzzer(*target, models, config);
+    fuzzer.run(3000);
+    const fuzz::ModelInstantiator instantiator(config.mutators);
+    const fuzz::SemanticGenerator semantic(config.semantic, config.mutators);
+    for (const bool use_corpus : {false, true}) {
+      Rng rng(0xA110C);
+      Bytes out;
+      const auto generate = [&] {
+        const model::DataModel& model =
+            models.models()[rng.index(models.size())];
+        if (use_corpus) {
+          semantic.generate_into(model, fuzzer.corpus(), rng, out);
+        } else {
+          instantiator.generate_into(model, rng, out);
+        }
+      };
+      for (int i = 0; i < kGenerateWarmup; ++i) generate();
+      const std::uint64_t before =
+          g_allocations.load(std::memory_order_relaxed);
+      for (int i = 0; i < kGenerateMeasured; ++i) generate();
+      allocs += g_allocations.load(std::memory_order_relaxed) - before;
+      packets += kGenerateMeasured;
+    }
+  }
+  return static_cast<double>(allocs) / static_cast<double>(packets);
 }
 
 /// Allocation-free stub target for the executor-pipeline measurement.
@@ -351,6 +401,9 @@ int main() {
                           mut_before) /
       static_cast<double>(mut_iters);
 
+  // -- Generation allocations. --------------------------------------------
+  const double gen_allocs = generate_allocs_per_packet();
+
   std::printf("{\n  \"bench\": \"hotpath\",\n");
   std::printf("  \"map_execs_per_density\": %zu,\n", execs);
   std::printf("  \"dense_map_execs_per_sec\": %.0f,\n",
@@ -394,9 +447,11 @@ int main() {
                                  : 0.0);
   std::printf("  \"steady_state_allocs_per_exec\": %.4f,\n", allocs_per_exec);
   std::printf("  \"mutate_into_allocs_per_iter\": %.4f,\n", mut_allocs);
+  std::printf("  \"generate_allocs_per_packet\": %.4f,\n", gen_allocs);
   std::printf("  \"checksum\": %llu\n}\n",
               static_cast<unsigned long long>(sink & 0xFFFF));
-  return allocs_per_exec == 0.0 && mut_allocs == 0.0 && simd_matches_scalar
+  return allocs_per_exec == 0.0 && mut_allocs == 0.0 && gen_allocs == 0.0 &&
+                 simd_matches_scalar
              ? 0
              : 1;
 }

@@ -51,13 +51,12 @@ Fuzzer::Fuzzer(ProtocolTarget& target, const model::DataModelSet& models,
       rng_(config.rng_seed),
       executed_(config.dedup_capacity),
       executor_(executor_config_with_telemetry(config)),
-      instantiator_(config.mutators),
       semantic_(config.semantic, config.mutators),
       corpus_(config.corpus),
       stats_(config.stats_interval) {
   if (config_.session.enabled && !models.empty()) {
     sequencer_ = std::make_unique<session::SessionSequencer>(
-        config_.session, models_, instantiator_);
+        config_.session, models_, semantic_.instantiator());
   }
 }
 
@@ -127,7 +126,7 @@ void Fuzzer::next_packet_into(const model::DataModel*& used_model,
       if (semantic) {
         semantic_.generate_into(model, corpus_, rng_, out);
       } else {
-        instantiator_.generate_into(model, rng_, out);
+        semantic_.instantiator().generate_into(model, rng_, out);
       }
       if (attempt >= kDedupAttempts || !seen_before(out)) return;
     }
@@ -144,10 +143,7 @@ void Fuzzer::next_packet_into(const model::DataModel*& used_model,
       out.assign(seed.begin(), seed.end());
       const std::uint64_t stack = rng_.between(1, 8);
       for (std::uint64_t i = 0; i < stack; ++i) {
-        // Ping-pong with the second scratch buffer: mutate_bytes_into must
-        // not read and write the same vector.
-        instantiator_.mutators().mutate_bytes_into(out, mutate_scratch_, rng_);
-        out.swap(mutate_scratch_);
+        semantic_.instantiator().mutators().mutate_in_place(out, rng_);
       }
       if (attempt >= kDedupAttempts || !seen_before(out)) return;
     }
@@ -156,7 +152,7 @@ void Fuzzer::next_packet_into(const model::DataModel*& used_model,
   for (int attempt = 0;; ++attempt) {
     const model::DataModel& model = choose_model();
     used_model = &model;
-    instantiator_.generate_into(model, rng_, out);
+    semantic_.instantiator().generate_into(model, rng_, out);
     if (attempt >= kDedupAttempts || !seen_before(out)) return;
   }
 }

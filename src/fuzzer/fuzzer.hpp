@@ -234,10 +234,12 @@ class Fuzzer {
   GenerationalDedup executed_;
 
   Executor executor_;
-  ModelInstantiator instantiator_;
+  /// Semantic-aware generation; its inherent instantiator also serves the
+  /// plain Peach generation and the sequencer, so one set of per-model
+  /// trees backs every generator of this fuzzer.
+  SemanticGenerator semantic_;
   /// Session-stream generation (FuzzerConfig::session.enabled only).
   std::unique_ptr<session::SessionSequencer> sequencer_;
-  SemanticGenerator semantic_;
   FileCracker cracker_;
   PuzzleCorpus corpus_;
   CrashDb crash_db_;
@@ -251,12 +253,11 @@ class Fuzzer {
 
   /// Peer seeds queued by import_external_seed (drained before generation).
   std::deque<Bytes> imported_;
-  /// Iteration scratch reused by step_fast(): the generated packet, the
-  /// stacked-mutation ping-pong buffer, and the execution result. Their
-  /// capacities converge after warm-up, making the steady-state loop
-  /// allocation-free outside rare events (new coverage, crashes).
+  /// Iteration scratch reused by step_fast(): the generated packet and the
+  /// execution result. Their capacities converge after warm-up, making the
+  /// steady-state loop allocation-free outside rare events (new coverage,
+  /// crashes).
   Bytes packet_scratch_;
-  Bytes mutate_scratch_;
   ExecResult exec_scratch_;
   /// Lifetime count of retained seeds and how many have been exported —
   /// the eviction-safe cursor behind drain_new_retained().

@@ -1,124 +1,66 @@
 #include "fuzzer/instantiator.hpp"
 
-#include <functional>
-
 namespace icsfuzz::fuzz {
+namespace {
 
-model::InsNode ModelInstantiator::build(const model::Chunk& chunk,
-                                        Rng& rng) const {
-  model::InsNode node;
-  node.rule = &chunk;
-  switch (chunk.kind()) {
-    case model::ChunkKind::Number:
-    case model::ChunkKind::String:
-    case model::ChunkKind::Blob:
-      node.content = mutators_.generate_leaf(chunk, rng);
-      break;
-    case model::ChunkKind::Block:
-      for (const model::Chunk& child : chunk.children()) {
-        node.children.push_back(build(child, rng));
-      }
-      break;
-    case model::ChunkKind::Choice: {
-      const std::size_t pick = rng.index(chunk.children().size());
-      node.choice_index = pick;
-      node.children.push_back(build(chunk.children()[pick], rng));
-      break;
-    }
+void collect_free_leaves(model::InsNode& node,
+                         std::vector<model::InsNode*>& out) {
+  if (node.rule != nullptr && node.rule->is_leaf()) {
+    if (ModelInstantiator::is_free_leaf(*node.rule)) out.push_back(&node);
+    return;
   }
-  return node;
+  for (model::InsNode& child : node.children) collect_free_leaves(child, out);
 }
 
-model::InsNode ModelInstantiator::build_defaults(const model::Chunk& chunk,
-                                                 Rng& rng) const {
-  model::InsNode node;
-  node.rule = &chunk;
-  switch (chunk.kind()) {
-    case model::ChunkKind::Number: {
-      const model::NumberSpec& spec = chunk.number_spec();
-      node.content = encode_uint(spec.default_value, spec.width, spec.endian);
-      break;
-    }
-    case model::ChunkKind::String: {
-      const model::StringSpec& spec = chunk.string_spec();
-      std::string text = spec.default_value;
-      if (spec.length) text.resize(*spec.length, ' ');
-      node.content = to_bytes(text);
-      if (spec.null_terminated) node.content.push_back(0);
-      break;
-    }
-    case model::ChunkKind::Blob: {
-      const model::BlobSpec& spec = chunk.blob_spec();
-      node.content = spec.default_value;
-      if (spec.length) node.content.resize(*spec.length, 0);
-      break;
-    }
-    case model::ChunkKind::Block:
-      for (const model::Chunk& child : chunk.children()) {
-        node.children.push_back(build_defaults(child, rng));
-      }
-      break;
-    case model::ChunkKind::Choice: {
-      const std::size_t pick = rng.index(chunk.children().size());
-      node.choice_index = pick;
-      node.children.push_back(build_defaults(chunk.children()[pick], rng));
-      break;
-    }
-  }
-  return node;
+}  // namespace
+
+bool ModelInstantiator::is_free_leaf(const model::Chunk& chunk) {
+  if (!chunk.is_leaf()) return false;
+  const bool derived = chunk.kind() == model::ChunkKind::Number &&
+                       (chunk.number_spec().is_token ||
+                        chunk.relation().active() || chunk.fixup().active());
+  return !derived;
 }
 
-std::vector<model::InsNode*> ModelInstantiator::free_leaves(
-    model::InsNode& root) {
-  std::vector<model::InsNode*> out;
-  const std::function<void(model::InsNode&)> visit = [&](model::InsNode& node) {
-    if (node.rule != nullptr && node.rule->is_leaf()) {
-      const bool derived =
-          node.rule->kind() == model::ChunkKind::Number &&
-          (node.rule->number_spec().is_token ||
-           node.rule->relation().active() || node.rule->fixup().active());
-      if (!derived) out.push_back(&node);
-      return;
-    }
-    for (model::InsNode& child : node.children) visit(child);
-  };
-  visit(root);
-  return out;
+void ModelInstantiator::free_leaves_into(model::InsNode& root,
+                                         std::vector<model::InsNode*>& out) {
+  out.clear();
+  collect_free_leaves(root, out);
 }
 
-model::InsTree ModelInstantiator::instantiate(const model::DataModel& model,
-                                              Rng& rng) const {
-  model::InsTree tree;
-  tree.model = &model;
+model::TreeBuilder& ModelInstantiator::build_defaults(
+    const model::DataModel& model, Rng& rng) const {
+  model::TreeBuilder& builder = tree_for(model);
+  builder.rebuild(model, RandomChoice{rng}, model::write_default);
+  return builder;
+}
+
+const model::InsTree& ModelInstantiator::build(const model::DataModel& model,
+                                               Rng& rng) const {
+  model::TreeBuilder* builder = nullptr;
   if (rng.chance(config_.sequential_mode_pct, 100)) {
     // Peach's sequential profile: every field at its default, then 1-2
     // randomly chosen free fields take aggressive values.
-    tree.root = build_defaults(model.root(), rng);
-    std::vector<model::InsNode*> leaves = free_leaves(tree.root);
-    if (!leaves.empty()) {
+    builder = &build_defaults(model, rng);
+    free_leaves_into(builder->tree().root, leaves_);
+    if (!leaves_.empty()) {
       const std::size_t perturbations =
-          rng.chance(1, 3) && leaves.size() > 1 ? 2 : 1;
+          rng.chance(1, 3) && leaves_.size() > 1 ? 2 : 1;
       for (std::size_t i = 0; i < perturbations; ++i) {
-        model::InsNode* leaf = rng.pick(leaves);
-        leaf->content = mutators_.generate_leaf(*leaf->rule, rng);
+        model::InsNode* leaf = rng.pick(leaves_);
+        mutators_.generate_leaf_into(*leaf->rule, rng, leaf->content);
       }
     }
   } else {
     // Independent regeneration of every field.
-    tree.root = build(model.root(), rng);
+    builder = &tree_for(model);
+    builder->rebuild(model, RandomChoice{rng},
+                     [&](const model::Chunk& leaf, Bytes& content) {
+                       mutators_.generate_leaf_into(leaf, rng, content);
+                     });
   }
-  model::apply_constraints(tree);
-  return tree;
-}
-
-Bytes ModelInstantiator::generate(const model::DataModel& model,
-                                  Rng& rng) const {
-  return instantiate(model, rng).serialize();
-}
-
-void ModelInstantiator::generate_into(const model::DataModel& model, Rng& rng,
-                                      Bytes& out) const {
-  instantiate(model, rng).serialize_into(out);
+  builder->apply_constraints();
+  return builder->tree();
 }
 
 }  // namespace icsfuzz::fuzz

@@ -7,30 +7,19 @@
 namespace icsfuzz::fuzz {
 namespace {
 
-/// Donation happens at *leaf* granularity: the paper's linear model ML
-/// (Figure 2a) is the flat sequence of chunk construction rules, and a
-/// donated leaf splices into freshly generated siblings. Composite puzzles
-/// stay in the corpus (Definition 2) but are not replayed wholesale —
-/// replaying whole packets would collapse exploration into repetition.
-bool donor_eligible(const model::Chunk& chunk) {
-  if (!chunk.is_leaf()) return false;
-  if (chunk.kind() == model::ChunkKind::Number) {
-    const bool derived = chunk.number_spec().is_token ||
-                         chunk.relation().active() || chunk.fixup().active();
-    return !derived;
-  }
-  return true;  // free String / Blob
-}
+// Donation happens at *leaf* granularity, on free leaves only
+// (ModelInstantiator::is_free_leaf): the paper's linear model ML (Figure 2a)
+// is the flat sequence of chunk construction rules, and a donated leaf
+// splices into freshly generated siblings. Composite puzzles stay in the
+// corpus (Definition 2) but are not replayed wholesale — replaying whole
+// packets would collapse exploration into repetition.
 
-model::InsNode leaf_node(const model::Chunk& chunk, Bytes content) {
-  model::InsNode node;
-  node.rule = &chunk;
-  node.content = std::move(content);
-  return node;
+/// True when `leaf` lies in the subtree of `chunk` (ordinals of a subtree
+/// are contiguous).
+bool contains(const model::Chunk& chunk, const model::Chunk& leaf) {
+  return leaf.ordinal() >= chunk.ordinal() &&
+         leaf.ordinal() < chunk.ordinal() + chunk.node_count();
 }
-
-/// Pinned leaf assignments used by the batch construction.
-using Assignment = std::unordered_map<const model::Chunk*, const Bytes*>;
 
 }  // namespace
 
@@ -42,167 +31,105 @@ unsigned SemanticGenerator::roll_donor_intensity(Rng& rng) const {
   }
 }
 
-model::InsNode SemanticGenerator::build_with_donors(const model::Chunk& chunk,
-                                                    const PuzzleCorpus& corpus,
-                                                    Rng& rng,
-                                                    unsigned donor_pct) const {
-  if (donor_eligible(chunk) && rng.chance(donor_pct, 100)) {
-    const std::vector<Bytes>* pool = corpus.exact_candidates(chunk);
-    if (pool == nullptr && rng.chance(config_.similar_tier_pct, 100)) {
-      pool = corpus.similar_candidates(chunk);
-    }
-    if (pool != nullptr) {
-      Bytes donation = rng.pick(*pool);
-      // "Mutation on existing chunks": occasionally perturb the donated
-      // bytes so learned values seed neighbourhood exploration.
-      if (rng.chance(config_.mutate_donor_pct, 100)) {
-        const std::size_t original_size = donation.size();
-        donation = instantiator_.mutators().mutate_bytes(donation, rng);
-        const bool fixed_width =
-            chunk.fixed_width().has_value();
-        if (fixed_width) donation.resize(original_size, 0);
-      }
-      return leaf_node(chunk, std::move(donation));
-    }
+const std::vector<Bytes>* SemanticGenerator::donor_pool(
+    const model::Chunk& leaf, const PuzzleCorpus& corpus, Rng& rng) const {
+  const std::vector<Bytes>* pool = corpus.exact_candidates(leaf);
+  if (pool == nullptr && rng.chance(config_.similar_tier_pct, 100)) {
+    pool = corpus.similar_candidates(leaf);
   }
-
-  model::InsNode node;
-  node.rule = &chunk;
-  switch (chunk.kind()) {
-    case model::ChunkKind::Number:
-    case model::ChunkKind::String:
-    case model::ChunkKind::Blob:
-      node.content = instantiator_.mutators().generate_leaf(chunk, rng);
-      break;
-    case model::ChunkKind::Block:
-      for (const model::Chunk& child : chunk.children()) {
-        node.children.push_back(build_with_donors(child, corpus, rng, donor_pct));
-      }
-      break;
-    case model::ChunkKind::Choice: {
-      const std::size_t pick = rng.index(chunk.children().size());
-      node.choice_index = pick;
-      node.children.push_back(
-          build_with_donors(chunk.children()[pick], corpus, rng, donor_pct));
-      break;
-    }
-  }
-  return node;
+  return pool;
 }
 
-Bytes SemanticGenerator::generate(const model::DataModel& model,
-                                  const PuzzleCorpus& corpus, Rng& rng) const {
-  Bytes out;
-  generate_into(model, corpus, rng, out);
-  return out;
+void SemanticGenerator::mutate_leaf(const model::Chunk& leaf, Rng& rng,
+                                    Bytes& content) const {
+  const std::size_t original_size = content.size();
+  instantiator_.mutators().mutate_in_place(content, rng);
+  if (leaf.fixed_width().has_value()) content.resize(original_size, 0);
+}
+
+model::TreeBuilder& SemanticGenerator::rebuild_with_donors(
+    const model::DataModel& model, const PuzzleCorpus& corpus, Rng& rng,
+    unsigned donor_pct, const Pins* pins) const {
+  const auto choose = [&](const model::Chunk& choice) {
+    std::size_t pick = ModelInstantiator::RandomChoice{rng}(choice);
+    if (pins != nullptr) {
+      // Prefer an alternative that contains a pinned leaf.
+      for (std::size_t i = 0; i < choice.children().size(); ++i) {
+        for (const auto& [leaf, bytes] : *pins) {
+          if (contains(choice.children()[i], *leaf)) {
+            pick = i;
+            break;
+          }
+        }
+      }
+    }
+    return pick;
+  };
+  const auto fill = [&](const model::Chunk& leaf, Bytes& content) {
+    if (pins != nullptr) {
+      if (auto it = pins->find(&leaf); it != pins->end()) {
+        content = *it->second;
+        return;
+      }
+    }
+    if (ModelInstantiator::is_free_leaf(leaf) && rng.chance(donor_pct, 100)) {
+      if (const std::vector<Bytes>* pool = donor_pool(leaf, corpus, rng)) {
+        content = rng.pick(*pool);
+        // "Mutation on existing chunks": occasionally perturb the donated
+        // bytes so learned values seed neighbourhood exploration.
+        if (rng.chance(config_.mutate_donor_pct, 100)) {
+          mutate_leaf(leaf, rng, content);
+        }
+        return;
+      }
+    }
+    instantiator_.mutators().generate_leaf_into(leaf, rng, content);
+  };
+  model::TreeBuilder& builder = instantiator_.tree_for(model);
+  builder.rebuild(model, choose, fill);
+  return builder;
 }
 
 void SemanticGenerator::generate_into(const model::DataModel& model,
                                       const PuzzleCorpus& corpus, Rng& rng,
                                       Bytes& out) const {
-  model::InsTree tree;
-  tree.model = &model;
+  model::TreeBuilder* builder = nullptr;
   if (rng.chance(60, 100)) {
     // Donor-recombination profile: the structural counterpart of Peach's
     // sequential mutation. Every free field takes either a donated puzzle
     // or its default, then 0-2 fields go aberrant. This is what reaches
     // multi-field non-default combinations — each learned separately from
     // different valuable seeds — that single-field mutation cannot.
-    tree.root = instantiator_.instantiate_defaults(model, rng);
-    std::vector<model::InsNode*> leaves =
-        ModelInstantiator::free_leaves(tree.root);
+    builder = &instantiator_.build_defaults(model, rng);
+    ModelInstantiator::free_leaves_into(builder->tree().root, leaves_);
     const unsigned donor_pct = roll_donor_intensity(rng);
-    for (model::InsNode* leaf : leaves) {
+    for (model::InsNode* leaf : leaves_) {
       if (!rng.chance(donor_pct, 100)) continue;
-      const std::vector<Bytes>* pool = corpus.exact_candidates(*leaf->rule);
-      if (pool == nullptr && rng.chance(config_.similar_tier_pct, 100)) {
-        pool = corpus.similar_candidates(*leaf->rule);
-      }
+      const std::vector<Bytes>* pool = donor_pool(*leaf->rule, corpus, rng);
       if (pool != nullptr) leaf->content = rng.pick(*pool);
     }
-    if (!leaves.empty() && rng.chance(2, 3)) {
+    if (!leaves_.empty() && rng.chance(2, 3)) {
       const std::size_t perturbations =
-          rng.chance(1, 3) && leaves.size() > 1 ? 2 : 1;
+          rng.chance(1, 3) && leaves_.size() > 1 ? 2 : 1;
       for (std::size_t i = 0; i < perturbations; ++i) {
-        model::InsNode* leaf = rng.pick(leaves);
+        model::InsNode* leaf = rng.pick(leaves_);
         if (rng.chance(config_.mutate_donor_pct, 100) &&
             !leaf->content.empty()) {
-          const std::size_t original_size = leaf->content.size();
-          leaf->content =
-              instantiator_.mutators().mutate_bytes(leaf->content, rng);
-          if (leaf->rule->fixed_width().has_value()) {
-            leaf->content.resize(original_size, 0);
-          }
+          mutate_leaf(*leaf->rule, rng, leaf->content);
         } else {
-          leaf->content = instantiator_.mutators().generate_leaf(*leaf->rule, rng);
+          instantiator_.mutators().generate_leaf_into(*leaf->rule, rng,
+                                                      leaf->content);
         }
       }
     }
   } else {
-    tree.root =
-        build_with_donors(model.root(), corpus, rng, roll_donor_intensity(rng));
+    const unsigned donor_pct = roll_donor_intensity(rng);
+    builder = &rebuild_with_donors(model, corpus, rng, donor_pct, nullptr);
   }
   if (config_.apply_file_fixup) {
-    model::apply_constraints(tree);  // File Fixup
+    builder->apply_constraints();  // File Fixup
   }
-  tree.serialize_into(out);
-}
-
-namespace {
-
-/// Tree builder honouring pinned leaf assignments; unpinned content comes
-/// from the donor-aware recursive generator.
-model::InsNode build_pinned(const SemanticGenerator& gen,
-                            const model::Chunk& chunk,
-                            const PuzzleCorpus& corpus, Rng& rng,
-                            const Assignment& pinned);
-
-model::InsNode build_pinned_children(const SemanticGenerator& gen,
-                                     const model::Chunk& chunk,
-                                     const PuzzleCorpus& corpus, Rng& rng,
-                                     const Assignment& pinned) {
-  model::InsNode node;
-  node.rule = &chunk;
-  if (chunk.kind() == model::ChunkKind::Choice) {
-    // Prefer an alternative that contains a pinned leaf; random otherwise.
-    std::size_t pick = rng.index(chunk.children().size());
-    for (std::size_t i = 0; i < chunk.children().size(); ++i) {
-      for (const auto& [leaf, bytes] : pinned) {
-        if (chunk.children()[i].find(leaf->name()) != nullptr) {
-          pick = i;
-          break;
-        }
-      }
-    }
-    node.choice_index = pick;
-    node.children.push_back(
-        build_pinned(gen, chunk.children()[pick], corpus, rng, pinned));
-    return node;
-  }
-  for (const model::Chunk& child : chunk.children()) {
-    node.children.push_back(build_pinned(gen, child, corpus, rng, pinned));
-  }
-  return node;
-}
-
-model::InsNode build_pinned(const SemanticGenerator& gen,
-                            const model::Chunk& chunk,
-                            const PuzzleCorpus& corpus, Rng& rng,
-                            const Assignment& pinned) {
-  if (auto it = pinned.find(&chunk); it != pinned.end()) {
-    return leaf_node(chunk, *it->second);
-  }
-  if (chunk.is_leaf()) {
-    return gen.build_leaf_or_donor(chunk, corpus, rng);
-  }
-  return build_pinned_children(gen, chunk, corpus, rng, pinned);
-}
-
-}  // namespace
-
-model::InsNode SemanticGenerator::build_leaf_or_donor(
-    const model::Chunk& chunk, const PuzzleCorpus& corpus, Rng& rng) const {
-  return build_with_donors(chunk, corpus, rng, config_.donor_use_pct / 2);
+  builder->tree().serialize_into(out);
 }
 
 std::vector<Bytes> SemanticGenerator::generate_batch(
@@ -219,7 +146,7 @@ std::vector<Bytes> SemanticGenerator::generate_batch(
   };
   std::vector<Position> positions;
   for (const model::Chunk* leaf : model.leaves()) {
-    if (!donor_eligible(*leaf)) continue;
+    if (!ModelInstantiator::is_free_leaf(*leaf)) continue;
     if (const std::vector<Bytes>* candidates = corpus.exact_candidates(*leaf)) {
       positions.push_back({leaf, candidates});
     }
@@ -245,26 +172,25 @@ std::vector<Bytes> SemanticGenerator::generate_batch(
   }
 
   // Recursive construct: depth-first product over the selected positions.
-  Assignment pinned;
-  std::vector<std::size_t> cursor(positions.size(), 0);
+  // Unpinned leaves come from the donor-aware generator at medium intensity.
+  Pins pins;
   const std::function<void(std::size_t)> construct = [&](std::size_t pos) {
     if (out.size() >= config_.max_batch) return;
     if (pos == positions.size()) {
-      model::InsTree tree;
-      tree.model = &model;
-      tree.root = build_pinned(*this, model.root(), corpus, rng, pinned);
+      model::TreeBuilder& builder = rebuild_with_donors(
+          model, corpus, rng, config_.donor_use_pct / 2, &pins);
       if (config_.apply_file_fixup) {
-        model::apply_constraints(tree);  // File Fixup
+        builder.apply_constraints();  // File Fixup
       }
-      out.push_back(tree.serialize());
+      out.push_back(builder.tree().serialize());
       return;
     }
     for (const Bytes* candidate : choices[pos]) {
-      pinned[positions[pos].leaf] = candidate;
+      pins[positions[pos].leaf] = candidate;
       construct(pos + 1);
       if (out.size() >= config_.max_batch) break;
     }
-    pinned.erase(positions[pos].leaf);
+    pins.erase(positions[pos].leaf);
   };
   construct(0);
   return out;

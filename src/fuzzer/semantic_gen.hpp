@@ -14,7 +14,13 @@
 //
 // Both modes finish with model::apply_constraints — the File Fixup module —
 // so spliced seeds regain their size-of/count-of/CRC integrity.
+//
+// Both build into the instantiator's reused per-model trees, so `generate`
+// is allocation-free once warm; like the instantiator, a generator is not
+// thread-safe.
 #pragma once
+
+#include <unordered_map>
 
 #include "fuzzer/corpus.hpp"
 #include "fuzzer/instantiator.hpp"
@@ -52,14 +58,18 @@ class SemanticGenerator {
   SemanticGenerator(SemanticGenConfig config, mutation::MutatorConfig mutators)
       : config_(config), instantiator_(mutators) {}
 
-  /// Steady-state semantic-aware generation of one seed.
-  Bytes generate(const model::DataModel& model, const PuzzleCorpus& corpus,
-                 Rng& rng) const;
-
-  /// Buffer-reusing variant of generate(): serializes into `out` (cleared
-  /// first, capacity retained). Identical RNG draws.
+  /// Steady-state semantic-aware generation of one seed, serialized into
+  /// `out` (cleared first, capacity retained).
   void generate_into(const model::DataModel& model, const PuzzleCorpus& corpus,
                      Rng& rng, Bytes& out) const;
+
+  /// Value-returning generate_into (tests).
+  Bytes generate(const model::DataModel& model, const PuzzleCorpus& corpus,
+                 Rng& rng) const {
+    Bytes out;
+    generate_into(model, corpus, rng, out);
+    return out;
+  }
 
   /// Post-crack combinatorial batch (Algorithm 3's cartesian construction).
   std::vector<Bytes> generate_batch(const model::DataModel& model,
@@ -68,21 +78,42 @@ class SemanticGenerator {
 
   [[nodiscard]] const SemanticGenConfig& config() const { return config_; }
 
-  /// Generates one leaf (donor-aware) — used by the batch tree builder.
-  model::InsNode build_leaf_or_donor(const model::Chunk& chunk,
-                                     const PuzzleCorpus& corpus,
-                                     Rng& rng) const;
+  /// The inherent generator this one falls back to (and whose per-model
+  /// trees it builds into).
+  [[nodiscard]] const ModelInstantiator& instantiator() const {
+    return instantiator_;
+  }
 
  private:
-  model::InsNode build_with_donors(const model::Chunk& chunk,
-                                   const PuzzleCorpus& corpus, Rng& rng,
-                                   unsigned donor_pct) const;
+  /// Leaf pins of one batch seed: chunk -> donated bytes.
+  using Pins = std::unordered_map<const model::Chunk*, const Bytes*>;
+
+  /// Rebuilds `model`'s tree donor-aware: at every free leaf, a donor with
+  /// probability `donor_pct` (Algorithm 3's GETDONOR), else the inherent
+  /// rule. With `pins`, pinned leaves take their pinned bytes and a Choice
+  /// prefers an alternative holding a pinned leaf. No File Fixup. Returns
+  /// the model's builder.
+  model::TreeBuilder& rebuild_with_donors(const model::DataModel& model,
+                                          const PuzzleCorpus& corpus,
+                                          Rng& rng, unsigned donor_pct,
+                                          const Pins* pins) const;
+
+  /// GETDONOR: the exact-tier donors of `leaf`, else (sometimes) the
+  /// similar tier; nullptr when neither applies.
+  const std::vector<Bytes>* donor_pool(const model::Chunk& leaf,
+                                       const PuzzleCorpus& corpus,
+                                       Rng& rng) const;
+
+  /// "Mutation on existing chunks": perturbs `content` in place, keeping a
+  /// fixed-width leaf at its width.
+  void mutate_leaf(const model::Chunk& leaf, Rng& rng, Bytes& content) const;
 
   /// Rolls this seed's donor intensity (heavy / medium / light).
   unsigned roll_donor_intensity(Rng& rng) const;
 
   SemanticGenConfig config_;
   ModelInstantiator instantiator_;
+  mutable std::vector<model::InsNode*> leaves_;
 };
 
 }  // namespace icsfuzz::fuzz

@@ -114,7 +114,14 @@ class Chunk {
   /// Total node count of this subtree (diagnostics / tests).
   [[nodiscard]] std::size_t node_count() const;
 
+  /// Pre-order position in the owning DataModel's tree (root = 0), assigned
+  /// when the model is constructed; a subtree's ordinals are contiguous.
+  /// 0 for a chunk that belongs to no model.
+  [[nodiscard]] std::uint32_t ordinal() const { return ordinal_; }
+
  private:
+  friend class DataModel;  // assigns ordinals
+
   Chunk(std::string name, ChunkKind kind) : name_(std::move(name)), kind_(kind) {}
 
   std::string name_;
@@ -126,6 +133,7 @@ class Chunk {
   Relation relation_;
   Fixup fixup_;
   std::vector<Chunk> children_;
+  std::uint32_t ordinal_ = 0;
 };
 
 }  // namespace icsfuzz::model

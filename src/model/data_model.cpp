@@ -1,5 +1,7 @@
 #include "model/data_model.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <unordered_set>
 #include <utility>
 
@@ -80,8 +82,60 @@ std::optional<std::string> validate_chunk(const Chunk& chunk, const Chunk& root,
 
 }  // namespace
 
+std::uint64_t InstanceId::next() noexcept {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+void DataModel::number_chunks(Chunk& chunk, std::uint32_t depth,
+                              std::vector<const Chunk*>& chunks,
+                              std::vector<std::uint32_t>& depths) {
+  chunk.ordinal_ = static_cast<std::uint32_t>(chunks.size());
+  chunks.push_back(&chunk);
+  depths.push_back(depth);
+  for (Chunk& child : chunk.children()) {
+    number_chunks(child, depth + 1, chunks, depths);
+  }
+}
+
 DataModel::DataModel(std::string name, Chunk root)
-    : name_(std::move(name)), root_(std::move(root)) {}
+    : name_(std::move(name)), root_(std::move(root)) {
+  node_count_ = root_.node_count();
+  std::vector<const Chunk*> chunks;  // by ordinal
+  std::vector<std::uint32_t> depths;
+  chunks.reserve(node_count_);
+  depths.reserve(node_count_);
+  number_chunks(root_, 0, chunks, depths);
+
+  // Constraint sites are few, so a scan of the numbered chunks resolves
+  // each name faster than building a name index would.
+  const auto resolve = [&](const Chunk& field, const std::string& target,
+                           std::vector<ConstraintSite>& sites) {
+    if (field.kind() != ChunkKind::Number) return;
+    for (const Chunk* chunk : chunks) {  // first one wins
+      if (chunk->name() == target) {
+        sites.push_back({field.ordinal(), chunk->ordinal()});
+        return;
+      }
+    }
+  };
+  for (const Chunk* chunk : chunks) {
+    if (chunk->relation().active()) {
+      resolve(*chunk, chunk->relation().target, relation_sites_);
+    }
+    if (chunk->fixup().active()) {
+      resolve(*chunk, chunk->fixup().ref, fixup_sites_);
+    }
+  }
+  // Deepest ref first; pre-order (field ordinal) among equals.
+  std::sort(fixup_sites_.begin(), fixup_sites_.end(),
+            [&](const ConstraintSite& a, const ConstraintSite& b) {
+              if (depths[a.target] != depths[b.target]) {
+                return depths[a.target] > depths[b.target];
+              }
+              return a.field < b.field;
+            });
+}
 
 std::vector<const Chunk*> DataModel::linear() const {
   std::vector<const Chunk*> out;

@@ -9,14 +9,45 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "model/chunk.hpp"
 
 namespace icsfuzz::model {
 
+/// A process-unique id that is fresh on every construction, copy and
+/// assignment, so a cache keyed by it never mistakes an object for a
+/// destroyed one that lived at the same address. (noexcept, so a
+/// DataModel stays nothrow-movable and vectors of them move, not copy.)
+class InstanceId {
+ public:
+  InstanceId() noexcept : value_(next()) {}
+  InstanceId(const InstanceId&) noexcept : value_(next()) {}
+  InstanceId& operator=(const InstanceId&) noexcept {
+    value_ = next();
+    return *this;
+  }
+  [[nodiscard]] std::uint64_t value() const { return value_; }
+
+ private:
+  static std::uint64_t next() noexcept;
+  std::uint64_t value_;
+};
+
+/// One integrity constraint of the File Fixup plan: the Number chunk that
+/// carries it and the chunk it measures or checksums, both as ordinals.
+struct ConstraintSite {
+  std::uint32_t field = 0;
+  std::uint32_t target = 0;
+};
+
 class DataModel {
  public:
+  /// Numbers the chunks in pre-order and resolves the File Fixup plan once:
+  /// relation targets and fixup refs name chunks, and names are unique
+  /// within a model (validate()), so each resolves to one ordinal. A ref
+  /// that names no chunk constrains nothing.
   DataModel(std::string name, Chunk root);
 
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -47,13 +78,39 @@ class DataModel {
   /// widths, empty composites), or nullopt when well-formed.
   [[nodiscard]] std::optional<std::string> validate() const;
 
-  [[nodiscard]] std::size_t node_count() const { return root_.node_count(); }
+  [[nodiscard]] std::size_t node_count() const { return node_count_; }
+
+  /// Size-of / count-of fields and their targets, in pre-order.
+  [[nodiscard]] const std::vector<ConstraintSite>& relation_sites() const {
+    return relation_sites_;
+  }
+  /// Checksum fields and their refs, innermost ref first (so an outer
+  /// checksum covers an inner one's final bytes), pre-order among equals.
+  /// Static: an instantiation tree's depths mirror the model's.
+  [[nodiscard]] const std::vector<ConstraintSite>& fixup_sites() const {
+    return fixup_sites_;
+  }
+
+  /// Identity of this model object for per-model generator scratch.
+  [[nodiscard]] std::uint64_t instance_id() const { return id_.value(); }
 
  private:
+  /// Assigns pre-order ordinals under `chunk`, recording each chunk and its
+  /// depth by ordinal.
+  static void number_chunks(Chunk& chunk, std::uint32_t depth,
+                            std::vector<const Chunk*>& chunks,
+                            std::vector<std::uint32_t>& depths);
+
   std::string name_;
   Chunk root_;
   std::optional<std::uint64_t> opcode_;
+  std::size_t node_count_ = 0;
+  std::vector<ConstraintSite> relation_sites_;
+  std::vector<ConstraintSite> fixup_sites_;
+  InstanceId id_;
 };
+
+static_assert(std::is_nothrow_move_constructible_v<DataModel>);
 
 /// The data-model set extracted from one format specification.
 class DataModelSet {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <unordered_map>
+#include <utility>
 
 #include "util/hexdump.hpp"
 
@@ -236,40 +237,25 @@ class Parser {
   LengthEnv env_;
 };
 
-InsNode build_default(const Chunk& chunk) {
-  InsNode node;
-  node.rule = &chunk;
-  switch (chunk.kind()) {
-    case ChunkKind::Number: {
-      const NumberSpec& spec = chunk.number_spec();
-      node.content = encode_uint(spec.default_value, spec.width, spec.endian);
-      break;
-    }
-    case ChunkKind::String: {
-      const StringSpec& spec = chunk.string_spec();
-      std::string text = spec.default_value;
-      if (spec.length) text.resize(*spec.length, ' ');
-      node.content = to_bytes(text);
-      if (spec.null_terminated) node.content.push_back(0);
-      break;
-    }
-    case ChunkKind::Blob: {
-      const BlobSpec& spec = chunk.blob_spec();
-      node.content = spec.default_value;
-      if (spec.length) node.content.resize(*spec.length, 0);
-      break;
-    }
-    case ChunkKind::Block:
-      for (const Chunk& child : chunk.children()) {
-        node.children.push_back(build_default(child));
-      }
-      break;
-    case ChunkKind::Choice:
-      node.choice_index = 0;
-      node.children.push_back(build_default(chunk.children().front()));
-      break;
+/// Fills `by_ordinal` with the nodes of the subtree at `node`.
+void index_nodes(InsNode& node, std::vector<InsNode*>& by_ordinal) {
+  if (node.rule != nullptr && node.rule->ordinal() < by_ordinal.size()) {
+    by_ordinal[node.rule->ordinal()] = &node;
   }
-  return node;
+  for (InsNode& child : node.children) index_nodes(child, by_ordinal);
+}
+
+/// Encodes `value` into a Number node in place; true when its bytes changed.
+bool store_number(InsNode& node, std::uint64_t value) {
+  const NumberSpec& spec = node.rule->number_spec();
+  const std::uint64_t mask =
+      spec.width >= 8 ? ~0ULL : ((1ULL << (spec.width * 8)) - 1);
+  if (node.content.size() == spec.width &&
+      decode_uint(node.content, spec.endian) == (value & mask)) {
+    return false;
+  }
+  encode_uint_into(value, spec.width, spec.endian, node.content);
+  return true;
 }
 
 void dump_node(const InsNode& node, std::size_t depth, std::string& out) {
@@ -282,10 +268,9 @@ void dump_node(const InsNode& node, std::size_t depth, std::string& out) {
   } else {
     out += "?";
   }
-  if (node.opaque) out += " (opaque donor)";
   const Bytes bytes = node.serialize();
   out += " [" + std::to_string(bytes.size()) + "B]";
-  if (node.rule != nullptr && (node.rule->is_leaf() || node.opaque)) {
+  if (node.rule != nullptr && node.rule->is_leaf()) {
     const std::size_t preview = std::min<std::size_t>(bytes.size(), 16);
     out += " ";
     out += to_hex(ByteSpan(bytes.data(), preview));
@@ -305,7 +290,7 @@ Bytes InsNode::serialize() const {
 }
 
 void InsNode::serialize_append(Bytes& out) const {
-  if ((rule != nullptr && rule->is_leaf()) || opaque) {
+  if (rule != nullptr && rule->is_leaf()) {
     append(out, content);
     return;
   }
@@ -313,7 +298,7 @@ void InsNode::serialize_append(Bytes& out) const {
 }
 
 std::size_t InsNode::serialized_size() const {
-  if ((rule != nullptr && rule->is_leaf()) || opaque) return content.size();
+  if (rule != nullptr && rule->is_leaf()) return content.size();
   std::size_t total = 0;
   for (const InsNode& child : children) total += child.serialized_size();
   return total;
@@ -347,84 +332,90 @@ std::optional<InsTree> parse_packet(const DataModel& model, ByteSpan packet,
   return parser.run();
 }
 
-std::size_t apply_constraints(InsTree& tree) {
+std::size_t apply_constraints(InsTree& tree, ConstraintScratch& scratch) {
   if (tree.model == nullptr) return 0;
+  const DataModel& model = *tree.model;
+  std::vector<InsNode*>& nodes = scratch.by_ordinal;
+  nodes.assign(model.node_count(), nullptr);
+  index_nodes(tree.root, nodes);
   std::size_t rewritten = 0;
 
   // Pass 1: relations. Relation fields are fixed-width numbers, so writing
   // them never changes any measured size.
-  std::function<void(InsNode&)> fix_relations = [&](InsNode& node) {
-    if (node.opaque) return;  // donor bytes are immutable
-    if (node.rule != nullptr && node.rule->relation().active() &&
-        node.rule->kind() == ChunkKind::Number) {
-      const InsNode* target = tree.root.find(node.rule->relation().target);
-      if (target != nullptr) {
-        const NumberSpec& spec = node.rule->number_spec();
-        const std::uint64_t value =
-            relation_value(node.rule->relation(), target->serialized_size());
-        Bytes encoded = encode_uint(value, spec.width, spec.endian);
-        if (encoded != node.content) {
-          node.content = std::move(encoded);
-          ++rewritten;
-        }
-      }
-    }
-    for (InsNode& child : node.children) fix_relations(child);
-  };
-  fix_relations(tree.root);
+  for (const ConstraintSite& site : model.relation_sites()) {
+    InsNode* field = nodes[site.field];
+    const InsNode* target = nodes[site.target];
+    if (field == nullptr || target == nullptr) continue;
+    rewritten += store_number(
+        *field, relation_value(field->rule->relation(),
+                               target->serialized_size()));
+  }
 
   // Pass 2: fixups, innermost reference first so that an outer checksum
   // covers the final bytes of any inner one.
-  struct FixupSite {
-    InsNode* node = nullptr;
-    std::size_t ref_depth = 0;
-  };
-  std::vector<FixupSite> sites;
-  std::function<std::size_t(const InsNode&, const std::string&, std::size_t)>
-      depth_of = [&](const InsNode& node, const std::string& name,
-                     std::size_t depth) -> std::size_t {
-    if (node.rule != nullptr && node.rule->name() == name) return depth;
-    for (const InsNode& child : node.children) {
-      const std::size_t found = depth_of(child, name, depth + 1);
-      if (found != 0) return found;
-    }
-    return 0;
-  };
-  std::function<void(InsNode&)> collect = [&](InsNode& node) {
-    if (node.opaque) return;
-    if (node.rule != nullptr && node.rule->fixup().active() &&
-        node.rule->kind() == ChunkKind::Number) {
-      sites.push_back(
-          {&node, depth_of(tree.root, node.rule->fixup().ref, 1)});
-    }
-    for (InsNode& child : node.children) collect(child);
-  };
-  collect(tree.root);
-  std::stable_sort(sites.begin(), sites.end(),
-                   [](const FixupSite& a, const FixupSite& b) {
-                     return a.ref_depth > b.ref_depth;
-                   });
-  for (FixupSite& site : sites) {
-    const InsNode* ref = tree.root.find(site.node->rule->fixup().ref);
-    if (ref == nullptr) continue;
-    const NumberSpec& spec = site.node->rule->number_spec();
-    const std::uint64_t value =
-        fixup_value(site.node->rule->fixup().kind, ref->serialize());
-    Bytes encoded = encode_uint(value, spec.width, spec.endian);
-    if (encoded != site.node->content) {
-      site.node->content = std::move(encoded);
-      ++rewritten;
-    }
+  for (const ConstraintSite& site : model.fixup_sites()) {
+    InsNode* field = nodes[site.field];
+    const InsNode* ref = nodes[site.target];
+    if (field == nullptr || ref == nullptr) continue;
+    scratch.ref_bytes.clear();
+    ref->serialize_append(scratch.ref_bytes);
+    rewritten += store_number(
+        *field, fixup_value(field->rule->fixup().kind, scratch.ref_bytes));
   }
   return rewritten;
 }
 
+std::size_t apply_constraints(InsTree& tree) {
+  ConstraintScratch scratch;
+  return apply_constraints(tree, scratch);
+}
+
+void write_default(const Chunk& leaf, Bytes& out) {
+  out.clear();
+  switch (leaf.kind()) {
+    case ChunkKind::Number: {
+      const NumberSpec& spec = leaf.number_spec();
+      encode_uint_into(spec.default_value, spec.width, spec.endian, out);
+      break;
+    }
+    case ChunkKind::String: {
+      const StringSpec& spec = leaf.string_spec();
+      out.assign(spec.default_value.begin(), spec.default_value.end());
+      if (spec.length) out.resize(*spec.length, ' ');
+      if (spec.null_terminated) out.push_back(0);
+      break;
+    }
+    case ChunkKind::Blob: {
+      const BlobSpec& spec = leaf.blob_spec();
+      out.assign(spec.default_value.begin(), spec.default_value.end());
+      if (spec.length) out.resize(*spec.length, 0);
+      break;
+    }
+    case ChunkKind::Block:
+    case ChunkKind::Choice:
+      break;
+  }
+}
+
+void TreeBuilder::select(InsNode& node, const Chunk& chunk, std::size_t pick) {
+  if (node.children.empty()) {
+    node.children.emplace_back();
+  } else if (node.choice_index == pick) {
+    return;
+  } else {
+    std::swap(node.children.front(),
+              parked_[chunk.children()[*node.choice_index].ordinal()]);
+  }
+  std::swap(node.children.front(), parked_[chunk.children()[pick].ordinal()]);
+  node.choice_index = pick;
+}
+
 InsTree default_instance(const DataModel& model) {
-  InsTree tree;
-  tree.model = &model;
-  tree.root = build_default(model.root());
-  apply_constraints(tree);
-  return tree;
+  TreeBuilder builder;
+  builder.rebuild(model, [](const Chunk&) { return std::size_t{0}; },
+                  write_default);
+  builder.apply_constraints();
+  return std::move(builder.tree());
 }
 
 std::string dump_tree(const InsTree& tree) {

@@ -11,9 +11,15 @@
 //
 // `apply_constraints` implements the File Fixup module (§IV-D): it rewrites
 // relation-carrying numbers (size-of / count-of) from measured child sizes
-// and then recomputes checksum fixups, innermost first.
+// and then recomputes checksum fixups, innermost first. It follows the plan
+// the DataModel resolved once (chunk ordinals, not names).
+//
+// `TreeBuilder` is how the generators build packet after packet without
+// touching the heap: it rebuilds one model's tree in place, so node vectors
+// and content buffers keep their capacity.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -26,17 +32,15 @@ namespace icsfuzz::model {
 
 /// One node of an instantiation tree.
 ///
-/// Leaf nodes hold `content` (their wire bytes). Composite nodes normally
-/// hold children; a composite may instead be *opaque* — carrying pre-built
-/// bytes donated from the puzzle corpus — in which case its internal
-/// structure is not materialised (the donor was already a legal fragment).
+/// Leaf nodes hold `content` (their wire bytes); composite nodes hold
+/// children.
 struct InsNode {
   const Chunk* rule = nullptr;     // borrowed from the DataModel (must outlive)
-  Bytes content;                   // leaf bytes, or opaque composite bytes
-  bool opaque = false;             // composite with donor-provided content
-  std::vector<InsNode> children;   // composite structure when !opaque
+  Bytes content;                   // leaf bytes
+  std::vector<InsNode> children;   // composite structure
 
-  /// For a parsed Choice node: index of the alternative that matched.
+  /// For a Choice node: index of the alternative it holds (the one that
+  /// matched, for a parsed tree).
   std::optional<std::size_t> choice_index;
 
   [[nodiscard]] bool is_composite() const {
@@ -70,9 +74,14 @@ struct InsTree {
 
   /// Serializes into a caller-owned buffer (cleared first, capacity
   /// retained) — the packet pipeline's zero-allocation serialization path.
+  /// A fresh buffer is sized exactly; a reused one grows geometrically, so
+  /// it settles at the longest packet.
   void serialize_into(Bytes& out) const {
     out.clear();
-    out.reserve(root.serialized_size());
+    const std::size_t size = root.serialized_size();
+    if (size > out.capacity()) {
+      out.reserve(std::max(size, 2 * out.capacity()));
+    }
     root.serialize_append(out);
   }
 };
@@ -93,11 +102,25 @@ struct ParseOptions {
 std::optional<InsTree> parse_packet(const DataModel& model, ByteSpan packet,
                                     const ParseOptions& options = {});
 
+/// Buffers apply_constraints reuses: the tree's nodes by chunk ordinal and
+/// the bytes a checksum is computed over.
+struct ConstraintScratch {
+  std::vector<InsNode*> by_ordinal;
+  Bytes ref_bytes;
+};
+
 /// File Fixup: recomputes relation fields and checksum fixups in `tree` so
-/// the serialized packet satisfies its integrity constraints. Opaque donor
-/// composites are treated as immutable byte ranges. Returns the number of
-/// fields rewritten.
+/// the serialized packet satisfies its integrity constraints. Returns the
+/// number of fields rewritten. Allocation-free once `scratch` has grown to
+/// the model.
+std::size_t apply_constraints(InsTree& tree, ConstraintScratch& scratch);
+
+/// apply_constraints with throwaway scratch.
 std::size_t apply_constraints(InsTree& tree);
+
+/// Writes a leaf chunk's default content into `out` (cleared first): the
+/// default value, padded to a fixed length, plus a string's terminator.
+void write_default(const Chunk& leaf, Bytes& out);
 
 /// Builds the default instantiation of a model: every leaf takes its
 /// default value, choices take their first alternative, then constraints
@@ -106,5 +129,67 @@ InsTree default_instance(const DataModel& model);
 
 /// Renders a one-line-per-node dump of the tree (tests, crash triage).
 std::string dump_tree(const InsTree& tree);
+
+/// Rebuilds one model's instantiation tree in place, packet after packet.
+///
+/// A Choice node holds only its selected alternative. When the selection
+/// changes, the old alternative's subtree is parked (indexed by its chunk
+/// ordinal) with all its buffers, and the new one is taken out of the park,
+/// so every subtree is allocated once and then reused. Not thread-safe;
+/// bind one builder to one model for its whole life.
+class TreeBuilder {
+ public:
+  /// Rebuilds the tree as an instance of `model`, visiting chunks in
+  /// pre-order exactly as a fresh recursive build would:
+  /// `choose(choice_chunk)` returns each Choice's alternative index and
+  /// `fill(leaf_chunk, content)` writes each leaf. Constraints are not
+  /// applied.
+  template <typename Choose, typename Fill>
+  void rebuild(const DataModel& model, Choose&& choose, Fill&& fill) {
+    tree_.model = &model;
+    parked_.resize(model.node_count());
+    build(tree_.root, model.root(), choose, fill);
+  }
+
+  /// The last rebuilt tree.
+  [[nodiscard]] InsTree& tree() { return tree_; }
+
+  /// File Fixup on the last rebuilt tree.
+  std::size_t apply_constraints() {
+    return model::apply_constraints(tree_, constraints_);
+  }
+
+ private:
+  template <typename Choose, typename Fill>
+  void build(InsNode& node, const Chunk& chunk, Choose& choose, Fill& fill) {
+    node.rule = &chunk;
+    switch (chunk.kind()) {
+      case ChunkKind::Number:
+      case ChunkKind::String:
+      case ChunkKind::Blob:
+        fill(chunk, node.content);
+        return;
+      case ChunkKind::Block:
+        node.children.resize(chunk.children().size());
+        for (std::size_t i = 0; i < chunk.children().size(); ++i) {
+          build(node.children[i], chunk.children()[i], choose, fill);
+        }
+        return;
+      case ChunkKind::Choice: {
+        const std::size_t pick = choose(chunk);
+        select(node, chunk, pick);
+        build(node.children.front(), chunk.children()[pick], choose, fill);
+        return;
+      }
+    }
+  }
+
+  /// Makes alternative `pick` the Choice node's only child.
+  void select(InsNode& node, const Chunk& chunk, std::size_t pick);
+
+  InsTree tree_;
+  std::vector<InsNode> parked_;  // by chunk ordinal
+  ConstraintScratch constraints_;
+};
 
 }  // namespace icsfuzz::model

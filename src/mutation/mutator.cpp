@@ -61,40 +61,40 @@ std::uint64_t MutatorSuite::generate_number_value(const NumberSpec& spec,
   return rng.next_u64() & mask;
 }
 
-Bytes MutatorSuite::generate_string(const StringSpec& spec, Rng& rng) const {
+void MutatorSuite::generate_string_into(const StringSpec& spec, Rng& rng,
+                                        Bytes& out) const {
   std::size_t length;
   if (spec.length) {
     length = *spec.length;
   } else {
     length = static_cast<std::size_t>(rng.below(spec.max_generated + 1));
   }
-  std::string text;
+  out.clear();
   const unsigned roll = static_cast<unsigned>(rng.below(100));
   if (roll < config_.default_value_pct) {
-    text = spec.default_value;
+    out.assign(spec.default_value.begin(), spec.default_value.end());
   } else if (roll < config_.default_value_pct + 30 && length > 0) {
     // Compose from spicy fragments.
-    while (text.size() < length) {
+    while (out.size() < length) {
       const std::string_view fragment =
           kSpicyFragments[rng.index(std::size(kSpicyFragments))];
-      text.append(fragment);
+      out.insert(out.end(), fragment.begin(), fragment.end());
     }
   } else {
     for (std::size_t i = 0; i < length; ++i) {
-      text.push_back(static_cast<char>(rng.between('!', '~')));
+      out.push_back(static_cast<std::uint8_t>(rng.between('!', '~')));
     }
   }
   if (spec.length) {
-    text.resize(*spec.length, ' ');
-  } else if (text.size() > spec.max_generated) {
-    text.resize(spec.max_generated);
+    out.resize(*spec.length, ' ');
+  } else if (out.size() > spec.max_generated) {
+    out.resize(spec.max_generated);
   }
-  Bytes out = to_bytes(text);
   if (spec.null_terminated) out.push_back(0);
-  return out;
 }
 
-Bytes MutatorSuite::generate_blob(const BlobSpec& spec, Rng& rng) const {
+void MutatorSuite::generate_blob_into(const BlobSpec& spec, Rng& rng,
+                                      Bytes& out) const {
   std::size_t length;
   if (spec.length) {
     length = *spec.length;
@@ -106,19 +106,28 @@ Bytes MutatorSuite::generate_blob(const BlobSpec& spec, Rng& rng) const {
   }
   const unsigned roll = static_cast<unsigned>(rng.below(100));
   if (roll < config_.default_value_pct && !spec.default_value.empty()) {
-    Bytes out = spec.default_value;
+    out.assign(spec.default_value.begin(), spec.default_value.end());
     if (spec.length) out.resize(*spec.length, 0);
-    return out;
+    return;
   }
   if (roll < config_.default_value_pct + 20) {
     // Repeating single byte — exercises run-length and loop paths.
-    return Bytes(length, rng.byte());
+    out.assign(length, rng.byte());
+    return;
   }
-  return rng.bytes(length);
+  out.resize(length);
+  for (std::uint8_t& byte : out) byte = rng.byte();
 }
 
 Bytes MutatorSuite::generate_leaf(const Chunk& chunk, Rng& rng) const {
   Bytes out;
+  generate_leaf_into(chunk, rng, out);
+  return out;
+}
+
+void MutatorSuite::generate_leaf_into(const Chunk& chunk, Rng& rng,
+                                      Bytes& out) const {
+  out.clear();
   switch (chunk.kind()) {
     case ChunkKind::Number: {
       const NumberSpec& spec = chunk.number_spec();
@@ -126,14 +135,14 @@ Bytes MutatorSuite::generate_leaf(const Chunk& chunk, Rng& rng) const {
       // rewritten later by apply_constraints anyway.
       const std::uint64_t value =
           spec.is_token ? spec.default_value : generate_number_value(spec, rng);
-      out = encode_uint(value, spec.width, spec.endian);
+      encode_uint_into(value, spec.width, spec.endian, out);
       break;
     }
     case ChunkKind::String:
-      out = generate_string(chunk.string_spec(), rng);
+      generate_string_into(chunk.string_spec(), rng, out);
       break;
     case ChunkKind::Blob:
-      out = generate_blob(chunk.blob_spec(), rng);
+      generate_blob_into(chunk.blob_spec(), rng, out);
       break;
     case ChunkKind::Block:
     case ChunkKind::Choice:
@@ -153,12 +162,11 @@ Bytes MutatorSuite::generate_leaf(const Chunk& chunk, Rng& rng) const {
                              chunk.blob_spec().length.has_value());
   if (!is_token && !out.empty() &&
       rng.chance(config_.post_mutate_pct, 100)) {
-    Bytes mutated = mutate_bytes(out, rng);
+    const std::size_t original_size = out.size();
+    mutate_in_place(out, rng);
     // Fixed-width fields must stay fixed-width.
-    if (fixed_length) mutated.resize(out.size(), 0);
-    out = std::move(mutated);
+    if (fixed_length) out.resize(original_size, 0);
   }
-  return out;
 }
 
 Bytes MutatorSuite::mutate_bytes(ByteSpan input, Rng& rng) const {
@@ -170,6 +178,10 @@ Bytes MutatorSuite::mutate_bytes(ByteSpan input, Rng& rng) const {
 void MutatorSuite::mutate_bytes_into(ByteSpan input, Bytes& out,
                                      Rng& rng) const {
   out.assign(input.begin(), input.end());
+  mutate_in_place(out, rng);
+}
+
+void MutatorSuite::mutate_in_place(Bytes& out, Rng& rng) const {
   const std::uint64_t op = rng.below(6);
   switch (op) {
     case 0: {  // bit flip

@@ -50,6 +50,12 @@ class MutatorSuite {
   /// Generates wire content for a leaf chunk (Number/String/Blob).
   Bytes generate_leaf(const model::Chunk& chunk, Rng& rng) const;
 
+  /// Buffer-reusing generate_leaf: writes the content into `out` (cleared
+  /// first, capacity retained), drawing the identical RNG sequence. The
+  /// generators build leaves straight into their reused trees with it.
+  void generate_leaf_into(const model::Chunk& chunk, Rng& rng,
+                          Bytes& out) const;
+
   /// Generates a numeric value honouring the spec's legal values/bounds per
   /// the configured mode mix (exposed for tests and the baseline engine).
   std::uint64_t generate_number_value(const model::NumberSpec& spec,
@@ -62,15 +68,22 @@ class MutatorSuite {
 
   /// Buffer-reusing variant: writes the mutated bytes into `out` (cleared
   /// first, capacity retained), drawing the identical RNG sequence as
-  /// mutate_bytes. `input` must not alias `out` — stacked-mutation callers
-  /// ping-pong two scratch buffers (see Fuzzer::next_packet_into).
+  /// mutate_bytes. `input` must not alias `out`; mutate_in_place stacks
+  /// mutations on one buffer.
   void mutate_bytes_into(ByteSpan input, Bytes& out, Rng& rng) const;
+
+  /// The one implementation behind both: applies one mutation operator to
+  /// `out` in place (identical RNG draws and result). Allocation-free once
+  /// `out` has capacity for the grown bytes.
+  void mutate_in_place(Bytes& out, Rng& rng) const;
 
   [[nodiscard]] const MutatorConfig& config() const { return config_; }
 
  private:
-  Bytes generate_string(const model::StringSpec& spec, Rng& rng) const;
-  Bytes generate_blob(const model::BlobSpec& spec, Rng& rng) const;
+  void generate_string_into(const model::StringSpec& spec, Rng& rng,
+                            Bytes& out) const;
+  void generate_blob_into(const model::BlobSpec& spec, Rng& rng,
+                          Bytes& out) const;
 
   MutatorConfig config_;
 };

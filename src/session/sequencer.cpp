@@ -225,9 +225,7 @@ void SessionSequencer::instantiate_step(const SessionStep& step, Rng& rng) {
     Bytes message;
     instantiator_.generate_into(*model, rng, message);
     if (rng.chance(config_.mutate_message_pct, 100)) {
-      instantiator_.mutators().mutate_bytes_into(ByteSpan(message), scratch_,
-                                                 rng);
-      message.swap(scratch_);
+      instantiator_.mutators().mutate_in_place(message, rng);
     }
     messages_.push_back(std::move(message));
   }
@@ -323,9 +321,7 @@ void SessionSequencer::mutate_stream_into(ByteSpan stream, Rng& rng,
   }
   if (!messages_.empty() && rng.chance(config_.mutate_message_pct, 100)) {
     Bytes& victim = messages_[rng.index(messages_.size())];
-    instantiator_.mutators().mutate_bytes_into(ByteSpan(victim), scratch_,
-                                               rng);
-    victim.swap(scratch_);
+    instantiator_.mutators().mutate_in_place(victim, rng);
   }
   mutate_sequence(rng);
   if (rng.chance(config_.fixup_pct, 100)) apply_iec104_fixup();

@@ -125,7 +125,6 @@ class SessionSequencer {
   std::vector<SessionTemplate> templates_;
   /// Message list under construction (reused across calls).
   std::vector<Bytes> messages_;
-  Bytes scratch_;
 };
 
 }  // namespace icsfuzz::session

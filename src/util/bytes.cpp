@@ -153,8 +153,16 @@ bool ByteWriter::patch_uint(std::size_t offset, std::uint64_t value,
 }
 
 Bytes encode_uint(std::uint64_t value, std::size_t width, Endian endian) {
-  if (width == 0 || width > 8) return {};
-  Bytes out(width);
+  Bytes out;
+  encode_uint_into(value, width, endian, out);
+  return out;
+}
+
+void encode_uint_into(std::uint64_t value, std::size_t width, Endian endian,
+                      Bytes& out) {
+  out.clear();
+  if (width == 0 || width > 8) return;
+  out.resize(width);
   if (endian == Endian::Big) {
     for (std::size_t i = 0; i < width; ++i) {
       out[width - 1 - i] = static_cast<std::uint8_t>(value >> (8 * i));
@@ -164,7 +172,6 @@ Bytes encode_uint(std::uint64_t value, std::size_t width, Endian endian) {
       out[i] = static_cast<std::uint8_t>(value >> (8 * i));
     }
   }
-  return out;
 }
 
 std::uint64_t decode_uint(ByteSpan span, Endian endian) {

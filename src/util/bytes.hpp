@@ -134,6 +134,11 @@ class ByteWriter {
 /// Encodes `value` as `width` bytes with the requested byte order.
 Bytes encode_uint(std::uint64_t value, std::size_t width, Endian endian);
 
+/// Buffer-reusing encode_uint: writes the bytes into `out` (cleared first,
+/// capacity retained).
+void encode_uint_into(std::uint64_t value, std::size_t width, Endian endian,
+                      Bytes& out);
+
 /// Decodes `span` (1..8 bytes) as an unsigned integer; returns 0 for empty.
 std::uint64_t decode_uint(ByteSpan span, Endian endian);
 

@@ -2,8 +2,9 @@
 //
 // The zero-allocation packet pipeline promises that steady-state executions
 // perform no heap allocations: Executor::run_into reuses the ExecResult's
-// vectors, FaultSink::disarm_into swaps instead of reallocating, and
-// MutatorSuite::mutate_bytes_into ping-pongs caller-owned buffers. This
+// vectors, FaultSink::disarm_into swaps instead of reallocating,
+// MutatorSuite::mutate_bytes_into ping-pongs caller-owned buffers, and both
+// generators rebuild reused per-model trees. This
 // file asserts those promises with a counting global allocator (each test
 // binary is standalone, so overriding operator new here is safe), and
 // covers the GenerationalDedup half-clear scheme that replaced the
@@ -14,7 +15,11 @@
 #include "coverage/instrument.hpp"
 #include "fuzzer/dedup.hpp"
 #include "fuzzer/executor.hpp"
+#include "fuzzer/fuzzer.hpp"
+#include "fuzzer/instantiator.hpp"
+#include "fuzzer/semantic_gen.hpp"
 #include "mutation/mutator.hpp"
+#include "pits/pits.hpp"
 #include "protocols/dnp3/dnp3_server.hpp"
 #include "protocols/iccp/iccp_server.hpp"
 #include "protocols/iec104/iec104_server.hpp"
@@ -22,6 +27,7 @@
 #include "protocols/lib60870/cs101_server.hpp"
 #include "protocols/modbus/modbus_server.hpp"
 #include "protocols/protocol_target.hpp"
+#include "protocols/target_registry.hpp"
 #include "sanitizer/fault.hpp"
 #include "util/checksum.hpp"
 #include "util/rng.hpp"
@@ -342,6 +348,66 @@ TEST(ZeroAllocation, IccpSteadyStateIsAllocationFree) {
           cat({tpkt(initiate), tpkt(confirmed(0xA4, tlv(0x80, {0x03})))}),
           cat({tpkt(initiate), tpkt(confirmed(0xA1, tlv(0x80, {0x00})))}),
       });
+}
+
+// ------------------------------------------------------------------------
+// Generation allocation audits.
+//
+// Both generators build into reused per-model trees (model::TreeBuilder):
+// after a warm-up in which every Choice alternative has been built once and
+// the leaf buffers have reached their largest sizes, generating a packet
+// must not touch the heap — on every pit, with a real puzzle corpus.
+
+constexpr int kGenerationWarmup = 100000;
+constexpr int kGenerationMeasured = 5000;
+
+/// Heap allocations over kGenerationMeasured packets of `generate(model,
+/// rng, out)`, each from a random model of `models`, after warm-up.
+template <typename Generate>
+std::uint64_t generation_allocs(const model::DataModelSet& models,
+                                Generate&& generate) {
+  Rng rng(0xA110C);
+  Bytes out;
+  for (int i = 0; i < kGenerationWarmup; ++i) {
+    generate(models.models()[rng.index(models.size())], rng, out);
+  }
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < kGenerationMeasured; ++i) {
+    generate(models.models()[rng.index(models.size())], rng, out);
+  }
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(ZeroAllocation, InstantiatorGenerationIsAllocationFree) {
+  for (const std::string& project : pits::all_project_names()) {
+    const model::DataModelSet models = pits::pit_for_project(project);
+    const ModelInstantiator instantiator;
+    const std::uint64_t allocs = generation_allocs(
+        models, [&](const model::DataModel& model, Rng& rng, Bytes& out) {
+          instantiator.generate_into(model, rng, out);
+        });
+    EXPECT_EQ(allocs, 0u) << project;
+  }
+}
+
+TEST(ZeroAllocation, SemanticGenerationIsAllocationFree) {
+  for (const std::string& project : pits::all_project_names()) {
+    const model::DataModelSet models = pits::pit_for_project(project);
+    // The puzzle corpus of a short Peach* campaign.
+    FuzzerConfig config;
+    config.telemetry = telem::Sink();
+    std::unique_ptr<ProtocolTarget> target = proto::target_factory(project)();
+    Fuzzer fuzzer(*target, models, config);
+    fuzzer.run(3000);
+    ASSERT_FALSE(fuzzer.corpus().empty()) << project;
+
+    const SemanticGenerator generator(config.semantic, config.mutators);
+    const std::uint64_t allocs = generation_allocs(
+        models, [&](const model::DataModel& model, Rng& rng, Bytes& out) {
+          generator.generate_into(model, fuzzer.corpus(), rng, out);
+        });
+    EXPECT_EQ(allocs, 0u) << project;
+  }
 }
 
 TEST(GenerationalDedup, DedupSurvivesTheRotationThreshold) {

@@ -4,6 +4,8 @@
 // property-style generate->parse->reserialize round-trips.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "fuzzer/instantiator.hpp"
 #include "model/instantiation.hpp"
 #include "pits/pits.hpp"
@@ -181,6 +183,80 @@ TEST(Parse, ChoiceSelectsMatchingAlternative) {
 
   const Bytes bogus{0x07, 0x00, 0x10};
   EXPECT_FALSE(parse_packet(model, bogus).has_value());
+}
+
+/// Len(sizeof Op) + Op{Read | Write{Addr, PLen, Payload{Bytes | Text |
+/// Nested{Deep, Inner{D1 | D2}}}, Crc16(Payload)} | Ping} + Sum8(Op): nested
+/// choices with constraints across them, none of which the built-in pits
+/// exercise.
+DataModel nested_choice_model() {
+  std::vector<Chunk> inner;
+  inner.push_back(Chunk::number("D1", u8(1)));
+  inner.push_back(Chunk::blob("D2", {}));
+  std::vector<Chunk> nested;
+  nested.push_back(Chunk::blob("Deep", {}));
+  nested.push_back(Chunk::choice("Inner", std::move(inner)));
+  std::vector<Chunk> payload;
+  payload.push_back(Chunk::blob("Bytes", {}));
+  payload.push_back(Chunk::string("Text", StringSpec{.default_value = "hi"}));
+  payload.push_back(Chunk::block("Nested", std::move(nested)));
+  Chunk plen = Chunk::number("PLen", u8());
+  plen.with_relation(Relation{RelationKind::SizeOf, "Payload", 1, 0});
+  Chunk crc = Chunk::number("Crc", u16());
+  crc.with_fixup(Fixup{FixupKind::Crc16Modbus, "Payload"});
+  std::vector<Chunk> write;
+  write.push_back(Chunk::number("Addr", u16(0x20)));
+  write.push_back(std::move(plen));
+  write.push_back(Chunk::choice("Payload", std::move(payload)));
+  write.push_back(std::move(crc));
+  std::vector<Chunk> ops;
+  ops.push_back(Chunk::block("Read", {Chunk::token("ReadFc", 1, Endian::Big, 3),
+                                      Chunk::number("ReadAddr", u16())}));
+  ops.push_back(Chunk::block("Write", std::move(write)));
+  ops.push_back(Chunk::token("Ping", 1, Endian::Big, 8));
+  Chunk len = Chunk::number("Len", u16());
+  len.with_relation(Relation{RelationKind::SizeOf, "Op", 1, 0});
+  Chunk sum = Chunk::number("Sum", u8());
+  sum.with_fixup(Fixup{FixupKind::Sum8, "Op"});
+  std::vector<Chunk> root;
+  root.push_back(std::move(len));
+  root.push_back(Chunk::choice("Op", std::move(ops)));
+  root.push_back(std::move(sum));
+  return DataModel("nested", Chunk::block("root", std::move(root)));
+}
+
+// A TreeBuilder reused packet after packet parks and restores Choice
+// alternatives; every rebuild must equal a fresh build from the same RNG
+// state, node for node, with its constraints satisfied.
+TEST(TreeBuilder, ReusedTreeMatchesAFreshBuild) {
+  const DataModel model = nested_choice_model();
+  ASSERT_FALSE(model.validate().has_value());
+  const mutation::MutatorSuite mutators;
+  const auto build = [&](TreeBuilder& builder, Rng& rng) -> InsTree& {
+    builder.rebuild(
+        model,
+        [&](const Chunk& choice) { return rng.index(choice.children().size()); },
+        [&](const Chunk& leaf, Bytes& content) {
+          mutators.generate_leaf_into(leaf, rng, content);
+        });
+    builder.apply_constraints();
+    return builder.tree();
+  };
+  TreeBuilder reused;
+  std::set<std::size_t> ops_seen;
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    Rng reused_rng(i);
+    Rng fresh_rng(i);
+    TreeBuilder fresh;
+    const InsTree& got = build(reused, reused_rng);
+    const InsTree& want = build(fresh, fresh_rng);
+    ASSERT_EQ(dump_tree(got), dump_tree(want)) << "iteration " << i;
+    ASSERT_EQ(got.root.node_count(), want.root.node_count());
+    ops_seen.insert(*got.root.children[1].choice_index);
+    InsTree copy = got;
+    ASSERT_EQ(apply_constraints(copy), 0u) << "iteration " << i;
+  }
+  EXPECT_EQ(ops_seen.size(), 3u);
 }
 
 TEST(Parse, NullTerminatedString) {
