@@ -31,6 +31,12 @@
 //     (the semantic arm with the puzzle corpus of a short Peach* campaign),
 //     after warm-up (must be 0).
 //
+//   * Checkpoint image — save_checkpoint/load_checkpoint of a synthetic
+//     supervised-campaign image (2 workers x 150k executed-packet hashes
+//     plus coverage maps), median of 7. `checkpoint_save_ms` has a generous
+//     ceiling; `checkpoint_bytes_per_dedup_hash` is deterministic (16 hex
+//     digits per hash in the v3 format) and gated at <= 17.
+//
 //   * Path-tracker probe A/B — the campaign-shaped record() stream (a few
 //     percent fresh hashes, the rest repeats of the resident set) through
 //     the open-addressing PathTracker and through a std::unordered_set
@@ -40,9 +46,14 @@
 //
 // Budget knobs:
 //   ICSFUZZ_BENCH_HOTPATH_EXECS   executions per density tier (default 3000)
+#include <unistd.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -58,6 +69,8 @@
 #include "mutation/mutator.hpp"
 #include "pits/pits.hpp"
 #include "protocols/target_registry.hpp"
+#include "supervise/checkpoint.hpp"
+#include "util/flat_u64_set.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -190,6 +203,79 @@ class StubTarget final : public ProtocolTarget {
     response.assign(packet.begin(), packet.end());
   }
 };
+
+/// Checkpoint cost of a supervised campaign's image: two workers with
+/// 150k executed-packet hashes each (the dedup size `modbus-supervised-2w`
+/// reaches) beside a full coverage map.
+struct CheckpointCost {
+  double save_ms = 0.0;  // median save_checkpoint (serialize + write)
+  double load_ms = 0.0;  // median load_checkpoint (read + parse)
+  double bytes_per_dedup_hash = 0.0;
+  bool round_trips = false;
+};
+
+CheckpointCost measure_checkpoint() {
+  constexpr std::size_t kWorkers = 2;
+  constexpr std::size_t kHashes = 150000;
+  constexpr int kReps = 7;
+  supervise::CampaignCheckpoint image;
+  image.iterations_per_worker = 150000;
+  image.sync_interval = 1000;
+  Rng rng(0xC4EC);
+  for (std::size_t w = 0; w < kWorkers; ++w) {
+    par::WorkerState worker;
+    worker.cursor_next.assign(kWorkers, 0);
+    worker.fuzzer.coverage.assign(cov::kMapSize, 0);
+    for (std::uint8_t& cell : worker.fuzzer.coverage) {
+      if (rng.chance(1, 16)) cell = static_cast<std::uint8_t>(rng.next_u64());
+    }
+    FlatU64Set dedup;
+    while (dedup.size() < kHashes) dedup.insert(rng.next_u64());
+    worker.fuzzer.dedup_current = dedup.snapshot();
+    image.workers.push_back(std::move(worker));
+  }
+
+  CheckpointCost cost;
+  supervise::CampaignCheckpoint bare = image;
+  for (par::WorkerState& worker : bare.workers) {
+    worker.fuzzer.dedup_current.clear();
+  }
+  const std::string text = supervise::serialize_checkpoint(image);
+  cost.bytes_per_dedup_hash =
+      static_cast<double>(text.size() -
+                          supervise::serialize_checkpoint(bare).size()) /
+      static_cast<double>(kWorkers * kHashes);
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("icsfuzz-bench-hotpath-" + std::to_string(::getpid()) + ".ckpt"))
+          .string();
+  std::vector<double> save_ms;
+  std::vector<double> load_ms;
+  cost.round_trips = true;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const auto save_start = Clock::now();
+    const bool saved = !supervise::save_checkpoint(image, path).has_value();
+    const auto load_start = Clock::now();
+    const std::optional<supervise::CampaignCheckpoint> loaded =
+        supervise::load_checkpoint(path);
+    const auto load_end = Clock::now();
+    save_ms.push_back(
+        std::chrono::duration<double, std::milli>(load_start - save_start)
+            .count());
+    load_ms.push_back(
+        std::chrono::duration<double, std::milli>(load_end - load_start)
+            .count());
+    cost.round_trips = cost.round_trips && saved && loaded.has_value() &&
+                       supervise::serialize_checkpoint(*loaded) == text;
+  }
+  std::filesystem::remove(path);
+  std::sort(save_ms.begin(), save_ms.end());
+  std::sort(load_ms.begin(), load_ms.end());
+  cost.save_ms = save_ms[kReps / 2];
+  cost.load_ms = load_ms[kReps / 2];
+  return cost;
+}
 
 }  // namespace
 
@@ -404,6 +490,13 @@ int main() {
   // -- Generation allocations. --------------------------------------------
   const double gen_allocs = generate_allocs_per_packet();
 
+  // -- Checkpoint image cost. ---------------------------------------------
+  const CheckpointCost checkpoint = measure_checkpoint();
+  if (!checkpoint.round_trips) {
+    std::fprintf(stderr, "checkpoint image did not round-trip\n");
+    return 1;
+  }
+
   std::printf("{\n  \"bench\": \"hotpath\",\n");
   std::printf("  \"map_execs_per_density\": %zu,\n", execs);
   std::printf("  \"dense_map_execs_per_sec\": %.0f,\n",
@@ -448,6 +541,10 @@ int main() {
   std::printf("  \"steady_state_allocs_per_exec\": %.4f,\n", allocs_per_exec);
   std::printf("  \"mutate_into_allocs_per_iter\": %.4f,\n", mut_allocs);
   std::printf("  \"generate_allocs_per_packet\": %.4f,\n", gen_allocs);
+  std::printf("  \"checkpoint_save_ms\": %.2f,\n", checkpoint.save_ms);
+  std::printf("  \"checkpoint_load_ms\": %.2f,\n", checkpoint.load_ms);
+  std::printf("  \"checkpoint_bytes_per_dedup_hash\": %.2f,\n",
+              checkpoint.bytes_per_dedup_hash);
   std::printf("  \"checksum\": %llu\n}\n",
               static_cast<unsigned long long>(sink & 0xFFFF));
   return allocs_per_exec == 0.0 && mut_allocs == 0.0 && gen_allocs == 0.0 &&

@@ -11,11 +11,17 @@
 // (dropping the generation before it). Membership checks consult both, so
 // at any moment at least the most recent capacity/2 distinct hashes are
 // still deduplicated — the half-clear costs one move, no rehash, no copy.
+//
+// Each generation is a FlatU64Set (util/flat_u64_set.hpp) holding the raw
+// FNV-1a packet hashes: an insert allocates only when its table doubles,
+// and a checkpoint copies each table in slot order, unsorted.
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
+#include <span>
 #include <utility>
+
+#include "util/flat_u64_set.hpp"
 
 namespace icsfuzz::fuzz {
 
@@ -28,13 +34,11 @@ class GenerationalDedup {
   /// Records `hash`; returns true when it was NOT seen in the two retained
   /// generations (i.e. the packet should execute).
   bool insert(std::uint64_t hash) {
-    if (current_.contains(hash) || previous_.contains(hash)) return false;
-    current_.insert(hash);
+    if (previous_.contains(hash) || !current_.insert(hash)) return false;
     if (current_.size() >= capacity_ / 2) {
       // Rotate: the oldest generation's memory is released, the newest
       // half of the history is retained verbatim.
       previous_ = std::move(current_);
-      current_.clear();
     }
     return true;
   }
@@ -52,25 +56,24 @@ class GenerationalDedup {
 
   /// Checkpoint access: the two generations, separately. Which set is
   /// `current_` matters — rotation fires off current_'s size — so resume
-  /// must restore them as distinct sets, not a merged union.
-  [[nodiscard]] const std::unordered_set<std::uint64_t>& current_generation()
-      const {
+  /// must restore them as distinct sets, not a merged union. Restoring
+  /// their snapshot() lists rebuilds both tables slot for slot.
+  [[nodiscard]] const FlatU64Set& current_generation() const {
     return current_;
   }
-  [[nodiscard]] const std::unordered_set<std::uint64_t>& previous_generation()
-      const {
+  [[nodiscard]] const FlatU64Set& previous_generation() const {
     return previous_;
   }
-  void restore_generations(std::unordered_set<std::uint64_t> current,
-                           std::unordered_set<std::uint64_t> previous) {
-    current_ = std::move(current);
-    previous_ = std::move(previous);
+  void restore_generations(std::span<const std::uint64_t> current,
+                           std::span<const std::uint64_t> previous) {
+    current_.restore(current);
+    previous_.restore(previous);
   }
 
  private:
   std::size_t capacity_;
-  std::unordered_set<std::uint64_t> current_;
-  std::unordered_set<std::uint64_t> previous_;
+  FlatU64Set current_;
+  FlatU64Set previous_;
 };
 
 }  // namespace icsfuzz::fuzz

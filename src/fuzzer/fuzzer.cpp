@@ -342,12 +342,8 @@ void Fuzzer::import_external_seed(Bytes packet) {
 FuzzerCheckpoint Fuzzer::capture_checkpoint() const {
   FuzzerCheckpoint cp;
   cp.rng = rng_.state();
-  cp.dedup_current.assign(executed_.current_generation().begin(),
-                          executed_.current_generation().end());
-  cp.dedup_previous.assign(executed_.previous_generation().begin(),
-                           executed_.previous_generation().end());
-  std::sort(cp.dedup_current.begin(), cp.dedup_current.end());
-  std::sort(cp.dedup_previous.begin(), cp.dedup_previous.end());
+  cp.dedup_current = executed_.current_generation().snapshot();
+  cp.dedup_previous = executed_.previous_generation().snapshot();
   cp.corpus = corpus_.snapshot();
   for (const CrashRecord* record : crash_db_.records()) {
     cp.crashes.push_back(*record);
@@ -371,11 +367,7 @@ FuzzerCheckpoint Fuzzer::capture_checkpoint() const {
 
 void Fuzzer::restore_checkpoint(const FuzzerCheckpoint& cp) {
   rng_.set_state(cp.rng);
-  executed_.restore_generations(
-      std::unordered_set<std::uint64_t>(cp.dedup_current.begin(),
-                                        cp.dedup_current.end()),
-      std::unordered_set<std::uint64_t>(cp.dedup_previous.begin(),
-                                        cp.dedup_previous.end()));
+  executed_.restore_generations(cp.dedup_current, cp.dedup_previous);
   corpus_.restore(cp.corpus);
   crash_db_.clear();
   for (const CrashRecord& record : cp.crashes) crash_db_.restore(record);

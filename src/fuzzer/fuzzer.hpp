@@ -102,7 +102,9 @@ struct RetainedSeed {
 struct FuzzerCheckpoint {
   Rng::State rng{};
   /// Both dedup generations, separately — which set is current decides
-  /// when the next rotation fires. Sorted for a stable serialized form.
+  /// when the next rotation fires. Each lists its table in slot order
+  /// (FlatU64Set::snapshot), so restoring rebuilds the same layout and a
+  /// re-capture reproduces the same lists.
   std::vector<std::uint64_t> dedup_current;
   std::vector<std::uint64_t> dedup_previous;
   CorpusSnapshot corpus;

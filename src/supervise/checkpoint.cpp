@@ -1,9 +1,9 @@
 #include "supervise/checkpoint.hpp"
 
-#include <cctype>
+#include <array>
+#include <bit>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "telemetry/export.hpp"
 #include "util/hexdump.hpp"
@@ -14,9 +14,22 @@ namespace {
 
 constexpr const char* kMagic = "icsfuzz-checkpoint";
 // v2: per-worker "sstates" list (reached session states) after "paths".
-constexpr const char* kVersion = "v2";
+// v3: each dedup generation is one hex blob of little-endian u64s in table
+// order, replacing a sorted decimal list.
+constexpr const char* kVersion = "v3";
+
+/// Hex digits per serialized u64 word.
+constexpr std::size_t kWordDigits = 16;
+// Dedup blobs are the words' memory hex-encoded as is, which is the
+// format's little-endian byte order only on a little-endian host.
+static_assert(std::endian::native == std::endian::little);
 
 // -- Writer helpers. -------------------------------------------------------
+
+void put_tag(std::string& out, const char* tag) {
+  out += tag;
+  out += ' ';
+}
 
 void put_u64(std::string& out, std::uint64_t value) {
   char buffer[24];
@@ -29,20 +42,27 @@ void put_u64(std::string& out, std::uint64_t value) {
 void put_blob(std::string& out, ByteSpan bytes) {
   if (bytes.empty()) {
     out += "- ";
-  } else {
-    out += to_hex(bytes);
-    out += ' ';
+    return;
   }
+  const std::size_t start = out.size();
+  out.resize(start + bytes.size() * 2);
+  write_hex(bytes, out.data() + start);
+  out += ' ';
+}
+
+/// One blob of little-endian u64 words, hex-encoded straight into `out`
+/// ("-" when empty).
+void put_u64_blob(std::string& out, const char* tag,
+                  const std::vector<std::uint64_t>& words) {
+  put_tag(out, tag);
+  put_blob(out, ByteSpan(reinterpret_cast<const std::uint8_t*>(words.data()),
+                         words.size() * sizeof(std::uint64_t)));
+  out += '\n';
 }
 
 void put_string(std::string& out, const std::string& text) {
   put_blob(out, ByteSpan(reinterpret_cast<const std::uint8_t*>(text.data()),
                          text.size()));
-}
-
-void put_tag(std::string& out, const char* tag) {
-  out += tag;
-  out += ' ';
 }
 
 void put_u64_list(std::string& out, const char* tag,
@@ -67,6 +87,17 @@ void put_bytes_list(std::string& out, const char* tag,
 
 // -- Reader. ---------------------------------------------------------------
 
+/// The C locale's whitespace as a table: a dedup blob is one multi-MiB
+/// token, and std::isspace's per-character locale lookup dominated the
+/// parse.
+constexpr std::array<bool, 256> kSpace = [] {
+  std::array<bool, 256> space{};
+  for (const char c : std::string_view(" \t\n\v\f\r")) {
+    space[static_cast<unsigned char>(c)] = true;
+  }
+  return space;
+}();
+
 /// Whitespace-token scanner with sticky failure: any mismatch or exhausted
 /// input marks the reader failed and every later read returns defaults, so
 /// the parse routine checks once at the end.
@@ -75,20 +106,18 @@ struct TokenReader {
   std::size_t pos = 0;
   bool failed = false;
 
+  static bool is_space(char c) {
+    return kSpace[static_cast<unsigned char>(c)];
+  }
+
   std::string_view next() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
-      ++pos;
-    }
+    while (pos < text.size() && is_space(text[pos])) ++pos;
     if (pos >= text.size()) {
       failed = true;
       return {};
     }
     const std::size_t start = pos;
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])) == 0) {
-      ++pos;
-    }
+    while (pos < text.size() && !is_space(text[pos])) ++pos;
     return text.substr(start, pos - start);
   }
 
@@ -115,13 +144,27 @@ struct TokenReader {
 
   Bytes blob() {
     const std::string_view token = next();
-    if (failed) return {};
-    if (token == "-") return {};
-    Bytes bytes = from_hex(token);
-    // from_hex drops malformed input silently; a non-empty token decoding
-    // to nothing means corruption.
-    if (bytes.empty() && !token.empty()) failed = true;
+    if (failed || token == "-") return {};
+    Bytes bytes(token.size() / 2);
+    if (!read_hex(token, bytes.data())) {
+      failed = true;
+      return {};
+    }
     return bytes;
+  }
+
+  /// A put_u64_blob list, decoded straight into the words' memory.
+  std::vector<std::uint64_t> u64_blob(const char* tag) {
+    expect(tag);
+    const std::string_view token = next();
+    if (failed || token == "-") return {};
+    std::vector<std::uint64_t> words(token.size() / kWordDigits);
+    if (token.size() % kWordDigits != 0 ||
+        !read_hex(token, reinterpret_cast<std::uint8_t*>(words.data()))) {
+      failed = true;
+      return {};
+    }
+    return words;
   }
 
   std::string string() {
@@ -242,8 +285,8 @@ void put_worker(std::string& out, const par::WorkerState& state) {
 
   const fuzz::FuzzerCheckpoint& cp = state.fuzzer;
   put_rng(out, "rng", cp.rng);
-  put_u64_list(out, "dcur", cp.dedup_current);
-  put_u64_list(out, "dprev", cp.dedup_previous);
+  put_u64_blob(out, "dcur", cp.dedup_current);
+  put_u64_blob(out, "dprev", cp.dedup_previous);
   put_tag(out, "crev");
   put_u64(out, cp.corpus.revision);
   out += '\n';
@@ -334,8 +377,8 @@ bool read_worker(TokenReader& reader, par::WorkerState& state) {
 
   fuzz::FuzzerCheckpoint& cp = state.fuzzer;
   cp.rng = read_rng(reader, "rng");
-  cp.dedup_current = reader.u64_list("dcur");
-  cp.dedup_previous = reader.u64_list("dprev");
+  cp.dedup_current = reader.u64_blob("dcur");
+  cp.dedup_previous = reader.u64_blob("dprev");
   reader.expect("crev");
   cp.corpus.revision = reader.u64();
   cp.corpus.exact = read_corpus_tier(reader, "exact");
@@ -410,8 +453,17 @@ bool read_worker(TokenReader& reader, par::WorkerState& state) {
 }  // namespace
 
 std::string serialize_checkpoint(const CampaignCheckpoint& cp) {
+  // The dedup blobs and coverage maps are nearly all of an image; sizing
+  // for them up front spares the multi-MiB regrowth copies.
+  std::size_t estimate = 1 << 16;
+  for (const par::WorkerState& worker : cp.workers) {
+    estimate += (worker.fuzzer.dedup_current.size() +
+                 worker.fuzzer.dedup_previous.size()) *
+                    kWordDigits +
+                worker.fuzzer.coverage.size() * 2;
+  }
   std::string out;
-  out.reserve(1 << 16);
+  out.reserve(estimate);
   out += kMagic;
   out += ' ';
   out += kVersion;
@@ -455,11 +507,16 @@ std::optional<std::string> save_checkpoint(const CampaignCheckpoint& cp,
 }
 
 std::optional<CampaignCheckpoint> load_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  // One read into a string sized from the opened file (`ate` opens it
+  // positioned at its end).
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_checkpoint(buffer.str());
+  const std::streamoff size = in.tellg();
+  if (size < 0) return std::nullopt;
+  std::string text(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  if (!in.read(text.data(), size)) return std::nullopt;
+  return parse_checkpoint(text);
 }
 
 }  // namespace icsfuzz::supervise

@@ -11,11 +11,16 @@
 // resumed campaign reproduces the uninterrupted run's trajectory
 // bit-for-bit (gated by tests/test_checkpoint_resume.cpp).
 //
-// Format: "icsfuzz-checkpoint v1", then a whitespace-separated token
-// stream — integers in decimal, byte blobs as hex ("-" for empty). The
-// identity line ties a checkpoint to the campaign shape that wrote it
-// (base seed, iteration budget, sync interval, worker count); a mismatch
-// on load is rejected rather than silently resuming a different campaign.
+// Format: "icsfuzz-checkpoint v3", then a whitespace-separated token
+// stream — counts and small lists in decimal, byte blobs as lowercase hex
+// ("-" for empty). Each executed-packet dedup generation ("dcur", "dprev")
+// is one blob of little-endian u64 hashes, 16 hex digits each, in the
+// table order FlatU64Set::snapshot lists them; it is nearly all of an
+// image. Images of older versions are rejected. The identity line ties a
+// checkpoint to the campaign shape that wrote it (base seed, iteration
+// budget, sync interval, worker count); a mismatch on load is rejected
+// rather than silently resuming a different campaign. docs/RESILIENCE.md
+// has the full layout.
 #pragma once
 
 #include <optional>
@@ -51,7 +56,8 @@ struct CampaignCheckpoint {
 std::optional<std::string> save_checkpoint(const CampaignCheckpoint& cp,
                                            const std::string& path);
 
-/// Loads and parses `path` (nullopt when absent or malformed).
+/// Loads and parses `path` (nullopt when absent or malformed). The file is
+/// read once, into a string sized from the opened file.
 [[nodiscard]] std::optional<CampaignCheckpoint> load_checkpoint(
     const std::string& path);
 

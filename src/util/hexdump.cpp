@@ -2,29 +2,53 @@
 
 #include <array>
 #include <cctype>
+#include <cstdint>
 
 namespace icsfuzz {
 namespace {
 
 constexpr char kHexDigits[] = "0123456789abcdef";
 
-int hex_value(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
+/// Digit value per character, -1 for non-hex. A table, not comparisons:
+/// on random digits the branches mispredict, and checkpoint loads decode
+/// megabytes of them.
+constexpr std::array<std::int8_t, 256> kHexValues = [] {
+  std::array<std::int8_t, 256> values{};
+  values.fill(-1);
+  for (int i = 0; i < 10; ++i) values['0' + i] = static_cast<std::int8_t>(i);
+  for (int i = 0; i < 6; ++i) {
+    values['a' + i] = static_cast<std::int8_t>(10 + i);
+    values['A' + i] = static_cast<std::int8_t>(10 + i);
+  }
+  return values;
+}();
+
+int hex_value(char c) { return kHexValues[static_cast<unsigned char>(c)]; }
 
 }  // namespace
 
 std::string to_hex(ByteSpan data) {
-  std::string out;
-  out.reserve(data.size() * 2);
-  for (std::uint8_t byte : data) {
-    out.push_back(kHexDigits[byte >> 4]);
-    out.push_back(kHexDigits[byte & 0xF]);
-  }
+  std::string out(data.size() * 2, '\0');
+  write_hex(data, out.data());
   return out;
+}
+
+void write_hex(ByteSpan data, char* dest) {
+  for (const std::uint8_t byte : data) {
+    *dest++ = kHexDigits[byte >> 4];
+    *dest++ = kHexDigits[byte & 0xF];
+  }
+}
+
+bool read_hex(std::string_view hex, std::uint8_t* dest) {
+  if (hex.size() % 2 != 0) return false;
+  for (std::size_t i = 0; i < hex.size(); i += 2) {
+    const int high = hex_value(hex[i]);
+    const int low = hex_value(hex[i + 1]);
+    if (high < 0 || low < 0) return false;
+    *dest++ = static_cast<std::uint8_t>((high << 4) | low);
+  }
+  return true;
 }
 
 Bytes from_hex(std::string_view hex) {

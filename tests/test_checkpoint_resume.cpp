@@ -248,6 +248,51 @@ TEST(CheckpointFormat, RestoredWorkerFromParsedTextContinuesBitForBit) {
   expect_same_trajectory(resumed->fuzzer(), reference->fuzzer());
 }
 
+TEST(CheckpointFormat, DedupTablesRoundTripByteIdenticalPastRotation) {
+  // capture -> serialize -> parse -> restore -> capture reproduces the
+  // image byte for byte: each dedup generation is written in table order
+  // and restored into the same slot layout. A small dedup_capacity rotates
+  // the generations every 64 fresh packets, so both are populated and the
+  // current one has been rebuilt from empty many times.
+  const model::DataModelSet models = pits::modbus_pit();
+  fuzz::FuzzerConfig config = small_config(7);
+  config.dedup_capacity = 128;
+  proto::ModbusServer original_target;
+  fuzz::Fuzzer original(original_target, models, config);
+  original.run(1500);
+
+  supervise::CampaignCheckpoint image;
+  image.completed_iterations = 1500;
+  image.base_seed = 7;
+  image.iterations_per_worker = 3000;
+  image.sync_interval = 128;
+  image.workers.emplace_back();
+  fuzz::FuzzerCheckpoint& captured = image.workers[0].fuzzer;
+  captured = original.capture_checkpoint();
+  ASSERT_FALSE(captured.dedup_previous.empty());
+  ASSERT_FALSE(captured.dedup_current.empty());
+  // The zero hash is a legal FNV-1a value and lives outside the slot
+  // array; a snapshot lists it first.
+  captured.dedup_current.insert(captured.dedup_current.begin(), 0);
+  const std::string text = supervise::serialize_checkpoint(image);
+
+  const std::optional<supervise::CampaignCheckpoint> parsed =
+      supervise::parse_checkpoint(text);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->workers[0].fuzzer.dedup_current, captured.dedup_current);
+  EXPECT_EQ(parsed->workers[0].fuzzer.dedup_previous,
+            captured.dedup_previous);
+  proto::ModbusServer resumed_target;
+  fuzz::Fuzzer resumed(resumed_target, models, config);
+  resumed.restore_checkpoint(parsed->workers[0].fuzzer);
+
+  supervise::CampaignCheckpoint recaptured = image;
+  recaptured.workers[0].fuzzer = resumed.capture_checkpoint();
+  EXPECT_EQ(recaptured.workers[0].fuzzer.dedup_current,
+            captured.dedup_current);
+  EXPECT_EQ(supervise::serialize_checkpoint(recaptured), text);
+}
+
 TEST(CheckpointFormat, RejectsMalformedInput) {
   const model::DataModelSet models = pits::modbus_pit();
   const std::string text =
@@ -271,6 +316,27 @@ TEST(CheckpointFormat, RejectsMalformedInput) {
   ASSERT_NE(digit, std::string::npos);
   corrupt[digit] = 'z';
   EXPECT_FALSE(supervise::parse_checkpoint(corrupt).has_value());
+}
+
+TEST(CheckpointFormat, RejectsMalformedDedupBlob) {
+  const model::DataModelSet models = pits::modbus_pit();
+  const std::string text =
+      supervise::serialize_checkpoint(mid_campaign_checkpoint(models));
+  const std::size_t blob = text.find("dcur ");
+  ASSERT_NE(blob, std::string::npos);
+  const std::size_t start = blob + 5;
+  ASSERT_NE(text[start], '-') << "the fixture should carry dedup hashes";
+
+  std::string non_hex = text;
+  non_hex[start + 3] = 'g';
+  EXPECT_FALSE(supervise::parse_checkpoint(non_hex).has_value());
+  // A blob that is not a whole number of 16-digit words is torn.
+  std::string short_word = text;
+  short_word.erase(start, 1);
+  EXPECT_FALSE(supervise::parse_checkpoint(short_word).has_value());
+  std::string odd = text;
+  odd.erase(start, 2);
+  EXPECT_FALSE(supervise::parse_checkpoint(odd).has_value());
 }
 
 TEST(CheckpointFormat, SaveLoadFileRoundTrip) {

@@ -410,6 +410,29 @@ TEST(ZeroAllocation, SemanticGenerationIsAllocationFree) {
   }
 }
 
+TEST(ZeroAllocation, DedupInsertAllocatesOnlyWhenATableGrows) {
+  // Each generation is a flat table that doubles at 50% load: 5000 hashes
+  // fill a 16384-slot table, which then takes 8192 before it grows. Every
+  // insert, repeat and probe in between must allocate nothing.
+  GenerationalDedup dedup;
+  std::uint64_t hash = 0;
+  for (int i = 0; i < 5000; ++i) ASSERT_TRUE(dedup.insert(mix64(++hash)));
+  const std::size_t slots = dedup.current_generation().slot_count();
+  ASSERT_EQ(slots, 16384u);
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 5000; i < 8192; ++i) {
+    ASSERT_TRUE(dedup.insert(mix64(++hash)));
+    ASSERT_FALSE(dedup.insert(mix64(hash - 17)));
+    ASSERT_FALSE(dedup.contains(mix64(hash + 1)));
+  }
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_EQ(dedup.current_generation().slot_count(), slots);
+  ASSERT_TRUE(dedup.insert(mix64(++hash)));
+  EXPECT_EQ(dedup.current_generation().slot_count(), 2 * slots);
+}
+
 TEST(GenerationalDedup, DedupSurvivesTheRotationThreshold) {
   // Capacity 64 -> generations rotate every 32 inserts. The regression the
   // old wipe-everything scheme had: immediately after the threshold, ALL

@@ -17,6 +17,7 @@
 #include "fuzzer/fuzzer.hpp"
 #include "pits/pits.hpp"
 #include "protocols/modbus/modbus_server.hpp"
+#include "util/flat_u64_set.hpp"
 #include "util/rng.hpp"
 
 namespace icsfuzz::cov {
@@ -113,6 +114,43 @@ TEST(PathTracker, GrowthPreservesEveryRecordedPath) {
   for (std::uint64_t i = 0; i < kPaths; ++i) {
     ASSERT_TRUE(tracker.contains(mix64(i))) << i;
     ASSERT_FALSE(tracker.record(mix64(i))) << i;
+  }
+}
+
+TEST(FlatU64Set, SnapshotRestoreRebuildsTheSameLayout) {
+  // The checkpoint form: a set rebuilt from its snapshot() must snapshot
+  // identically (same slot layout, so the same order). Sets at up to the
+  // 50% load cap have long probe runs, and many trials make runs that wrap
+  // from the last slot to slot 0 — the case a replay from slot 0 breaks.
+  Rng rng(0xF1A7);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t keys =
+        trial < 150 ? 256 + rng.below(257) : 1 + rng.below(20000);
+    FlatU64Set set;
+    std::unordered_set<std::uint64_t> oracle;
+    for (std::size_t i = 0; i < keys; ++i) {
+      const std::uint64_t key = rng.chance(1, 500) ? 0 : rng.next_u64();
+      set.insert(key);
+      oracle.insert(key);
+    }
+    const std::vector<std::uint64_t> image = set.snapshot();
+    FlatU64Set restored;
+    restored.restore(image);
+    ASSERT_EQ(restored.snapshot(), image) << "trial " << trial;
+    ASSERT_EQ(restored.size(), oracle.size()) << "trial " << trial;
+    ASSERT_EQ(restored.slot_count(), set.slot_count()) << "trial " << trial;
+    for (const std::uint64_t key : oracle) {
+      ASSERT_TRUE(restored.contains(key)) << "trial " << trial;
+    }
+    // The rebuilt layout also evolves identically under further inserts.
+    for (int i = 0; i < 100; ++i) {
+      const std::uint64_t key = rng.next_u64();
+      set.insert(key);
+      restored.insert(key);
+    }
+    ASSERT_EQ(restored.snapshot(), set.snapshot()) << "trial " << trial;
+    const FlatU64Set copy = restored;
+    ASSERT_EQ(copy.snapshot(), set.snapshot()) << "trial " << trial;
   }
 }
 

@@ -39,6 +39,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exec_oop/exec_protocol.hpp"
@@ -578,13 +579,32 @@ TEST(SessionCheckpoint, SupervisorFormatRoundTripsSessionStates) {
   EXPECT_EQ(parsed->workers[0].fuzzer.session_states,
             checkpoint.workers[0].fuzzer.session_states);
 
-  // Pre-session images carry the old version tag and must be rejected
-  // outright, never resumed with a silently empty state set.
+  // Older images carry an older version tag and must be rejected
+  // outright, never resumed with a silently empty state set. The tag is
+  // read from the image header: "icsfuzz-checkpoint v<N>\n".
+  const std::string magic = "icsfuzz-checkpoint v";
+  ASSERT_EQ(text.rfind(magic, 0), 0u);
+  const std::size_t newline = text.find('\n');
+  ASSERT_NE(newline, std::string::npos);
+  const int version =
+      std::stoi(text.substr(magic.size(), newline - magic.size()));
+  ASSERT_GE(version, 3);
   std::string downgraded = text;
-  const std::size_t tag = downgraded.find("v2");
-  ASSERT_NE(tag, std::string::npos);
-  downgraded.replace(tag, 2, "v1");
+  downgraded.replace(0, newline, magic + std::to_string(version - 1));
   EXPECT_FALSE(supervise::parse_checkpoint(downgraded).has_value());
+
+  // A v2 image — session states, but decimal dedup lists — is rejected
+  // too, not misread as hex.
+  std::string v2 = downgraded;
+  v2.replace(0, v2.find('\n'), magic + "2");
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{"dcur -", "dcur 2 5 7"},
+        std::pair<std::string, std::string>{"dprev -", "dprev 1 9"}}) {
+    const std::size_t at = v2.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    v2.replace(at, from.size(), to);
+  }
+  EXPECT_FALSE(supervise::parse_checkpoint(v2).has_value());
 }
 
 // ------------------------------------------------- shm-size env validation
