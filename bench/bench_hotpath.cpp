@@ -3,9 +3,9 @@
 // document for the bench-regression gate.
 //
 //   * Map ops A/B — identical synthetic traces (three edge densities)
-//     replayed through the dense full-map reference
-//     (begin_execution_dense + finalize_execution_dense: memset + ~5 whole
-//     64 KiB sweeps per exec) and through the sparse dirty-word path
+//     replayed through the dense full-map reference (a map pinned to
+//     simd::Kernel::kDense: memset + ~5 whole 64 KiB sweeps per exec) and
+//     through the sparse dirty-word path
 //     (begin_execution + fused finalize_execution: O(touched words)).
 //     `speedup_vs_dense` is the hardware-independent headline — both arms
 //     run the same workload on the same machine, so the ratio gates
@@ -109,16 +109,15 @@ std::vector<Trace> make_traces(std::size_t execs, std::size_t edges,
   return traces;
 }
 
-template <typename Begin, typename Finalize>
 double time_arm(cov::CoverageMap& map, const std::vector<Trace>& traces,
-                Begin begin, Finalize finalize, std::uint64_t& sink) {
+                std::uint64_t& sink) {
   const auto start = Clock::now();
   for (const Trace& trace : traces) {
-    begin(map);
+    map.begin_execution();
     for (const auto& [cell, count] : trace) {
       for (std::uint32_t i = 0; i < count; ++i) emit_cell(cell);
     }
-    const cov::TraceSummary summary = finalize(map);
+    const cov::TraceSummary summary = map.finalize_execution();
     sink ^= summary.trace_hash + summary.trace_edges;
   }
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -294,29 +293,18 @@ int main() {
     const std::vector<Trace> traces = make_traces(execs, edges, 1000 + edges);
     cov::CoverageMap sparse_map;
     cov::CoverageMap dense_map;
+    dense_map.use_kernel(cov::simd::Kernel::kDense);
     // Warm both arms (page in maps, saturate virgin bits) with a slice.
     std::uint64_t warm_sink = 0;
     const std::vector<Trace> warmup(traces.begin(),
                                     traces.begin() +
                                         static_cast<std::ptrdiff_t>(
                                             std::min<std::size_t>(64, execs)));
-    time_arm(
-        sparse_map, warmup, [](cov::CoverageMap& m) { m.begin_execution(); },
-        [](cov::CoverageMap& m) { return m.finalize_execution(); }, warm_sink);
-    time_arm(
-        dense_map, warmup,
-        [](cov::CoverageMap& m) { m.begin_execution_dense(); },
-        [](cov::CoverageMap& m) { return m.finalize_execution_dense(); },
-        warm_sink);
+    time_arm(sparse_map, warmup, warm_sink);
+    time_arm(dense_map, warmup, warm_sink);
 
-    const double sparse = time_arm(
-        sparse_map, traces, [](cov::CoverageMap& m) { m.begin_execution(); },
-        [](cov::CoverageMap& m) { return m.finalize_execution(); }, sink);
-    const double dense = time_arm(
-        dense_map, traces,
-        [](cov::CoverageMap& m) { m.begin_execution_dense(); },
-        [](cov::CoverageMap& m) { return m.finalize_execution_dense(); },
-        sink);
+    const double sparse = time_arm(sparse_map, traces, sink);
+    const double dense = time_arm(dense_map, traces, sink);
     sparse_seconds += sparse;
     dense_seconds += dense;
     per_density_speedup[tier++] = sparse > 0.0 ? dense / sparse : 0.0;

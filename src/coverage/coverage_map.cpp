@@ -15,38 +15,39 @@ CoverageMap::CoverageMap()
       virgin_(std::make_unique<std::uint64_t[]>(kMapWords)),
       dirty_(std::make_unique<DirtyWordList>()),
       acc_dirty_(std::make_unique<DirtyWordList>()),
-      ops_(&simd::active()) {
+      ops_(simd::ops_for(simd::Kernel::kAuto)) {
   std::memset(trace_.get(), 0, kMapSize);
   std::memset(virgin_.get(), 0, kMapSize);
 }
 
 void CoverageMap::use_kernel(simd::Kernel kind) {
-  const simd::KernelOps* ops = kind == simd::Kernel::kAuto
-                                   ? &simd::active()
-                                   : simd::ops_for(kind);
+  const simd::KernelOps* ops = simd::ops_for(kind);
   ops_ = ops == nullptr ? &simd::scalar_ops() : ops;
 }
 
-void CoverageMap::begin_execution() {
-  // Sparse clear: only the words the previous execution made nonzero. The
-  // invariant "every word not in the dirty list is zero" holds from the
-  // constructor memset onwards, because hit() appends each word on its
-  // 0 -> nonzero transition and counters never decrease while armed.
-  for (std::uint32_t i = 0; i < dirty_->count; ++i) {
-    trace_[dirty_->indices[i]] = 0;
+void CoverageMap::clear_trace() {
+  if (dense()) {
+    std::memset(trace_.get(), 0, kMapSize);
+  } else {
+    // Sparse clear: only the words the previous execution made nonzero. The
+    // invariant "every word not in the dirty list is zero" holds from the
+    // constructor memset onwards, because hit() appends each word on its
+    // 0 -> nonzero transition and counters never decrease while armed.
+    for (std::uint32_t i = 0; i < dirty_->count; ++i) {
+      trace_[dirty_->indices[i]] = 0;
+    }
   }
   dirty_->count = 0;
-  begin_trace(trace_bytes(), dirty_.get());
 }
 
-void CoverageMap::begin_execution_dense() {
-  std::memset(trace_.get(), 0, kMapSize);
-  dirty_->count = 0;
+void CoverageMap::begin_execution() {
+  clear_trace();
   begin_trace(trace_bytes(), dirty_.get());
 }
 
 TraceSummary CoverageMap::finalize_execution() {
   end_trace();
+  if (dense()) return finalize_dense();
   // The fused classify+hash+count+accumulate pass, dispatched to the active
   // SIMD kernel (scalar reference produces bit-identical results).
   const simd::TraceAnalysis analysis = ops_->analyze_trace(
@@ -61,8 +62,7 @@ TraceSummary CoverageMap::finalize_execution() {
   return summary;
 }
 
-TraceSummary CoverageMap::finalize_execution_dense() {
-  end_trace();
+TraceSummary CoverageMap::finalize_dense() {
   dense::classify_in_place(trace_bytes());
   TraceSummary summary;
   summary.trace_hash = dense::trace_hash(trace_bytes());
@@ -88,13 +88,9 @@ void CoverageMap::end_execution() {
 }
 
 void CoverageMap::adopt_external(const std::uint64_t* words) {
-  // Same sparse clear as begin_execution (the invariant "every word not in
-  // the dirty list is zero" carries over), but tracing stays disarmed: the
-  // trace was produced in another process and only needs adopting.
-  for (std::uint32_t i = 0; i < dirty_->count; ++i) {
-    trace_[dirty_->indices[i]] = 0;
-  }
-  dirty_->count = 0;
+  // Same clear as begin_execution, but tracing stays disarmed: the trace
+  // was produced in another process and only needs adopting.
+  clear_trace();
   // Null = the empty trace (a lost fork server produced no coverage): the
   // clear above already is that state, no sweep needed.
   if (words != nullptr) ops_->adopt_full(trace_.get(), words, dirty_.get());

@@ -11,12 +11,13 @@
 // as the bit-for-bit reference (equivalence tests, bench_hotpath's A/B).
 //
 // The per-word cell work itself (classify + nonzero scan + hash mix, and the
-// word compares of merges) runs through a pluggable SIMD kernel
-// (coverage/simd.hpp): byte-wide SSE2/AVX2/NEON implementations selected at
-// runtime, with the scalar fused loop as the always-available reference. A
-// map defaults to the process-wide best kernel; use_kernel() pins one
-// explicitly (tests, bench_hotpath's scalar-vs-SIMD arms,
-// ExecutorConfig::coverage_kernel).
+// word compares of merges) runs through a pluggable kernel
+// (coverage/simd.hpp): AVX2 when the CPU has it, with the scalar fused loop
+// as the always-available reference. A map defaults to the best kernel;
+// use_kernel() pins one explicitly (tests, bench_hotpath's arms,
+// ExecutorConfig::coverage_kernel). Pinning simd::Kernel::kDense turns the
+// map into the dense reference oracle: begin_execution and
+// finalize_execution then run the full-map passes instead.
 #pragma once
 
 #include <array>
@@ -52,14 +53,17 @@ class CoverageMap {
   CoverageMap();
 
   /// Clears the words the previous execution dirtied (sparse analogue of
-  /// the full memset) and arms thread-local tracing into the trace buffer.
+  /// the full memset; a kDense map memsets the whole trace) and arms
+  /// thread-local tracing into the trace buffer.
   void begin_execution();
 
   /// Disarms tracing, then classifies, hashes, counts and accumulates the
   /// trace in one sweep of the dirty words. Exactly equivalent to
   /// end_execution() + trace_hash() + trace_edge_count() + accumulate(),
   /// fused; call one or the other per execution (classification is not
-  /// idempotent). The per-query API below remains valid afterwards.
+  /// idempotent). The per-query API below remains valid afterwards. A
+  /// kDense map runs the full-map passes of coverage/dense_ref.hpp instead
+  /// (~6 whole-map sweeps, bit-identical results).
   TraceSummary finalize_execution();
 
   /// Disarms tracing and classifies the raw counts in place (dirty words
@@ -75,8 +79,8 @@ class CoverageMap {
   /// is in exactly the state begin_execution + in-process tracing would
   /// have left it (dirty order is ascending instead of first-touch, which
   /// every consumer is insensitive to — the hash accumulators are
-  /// commutative), so finalize_execution / finalize_execution_dense and the
-  /// per-query API apply unchanged. Does NOT arm thread-local tracing.
+  /// commutative), so finalize_execution (on any kernel) and the per-query
+  /// API apply unchanged. Does NOT arm thread-local tracing.
   /// `words == nullptr` adopts the empty trace (clear only, no sweep).
   void adopt_external(const std::uint64_t* words);
 
@@ -139,26 +143,15 @@ class CoverageMap {
     return acc_dirty_->count;
   }
 
-  /// Pins this map's analysis/merge kernel (kAuto restores the process-wide
-  /// default; unavailable kernels fall back to scalar). Results are
-  /// bit-identical across kernels — only throughput changes.
+  /// Pins this map's analysis/merge kernel (kAuto restores the best
+  /// runnable kernel; unavailable kernels fall back to scalar; kDense selects
+  /// the dense reference oracle). Results are bit-identical across kernels —
+  /// only throughput changes.
   void use_kernel(simd::Kernel kind);
 
   /// The kernel this map currently dispatches to.
   [[nodiscard]] simd::Kernel kernel() const { return ops_->kind; }
   [[nodiscard]] const char* kernel_name() const { return ops_->name; }
-
-  // -- Dense reference mode (tests / bench_hotpath / Executor's
-  //    dense_reference flag). Bit-identical results via the retained
-  //    full-map passes of coverage/dense_ref.hpp; ~6 whole-map sweeps per
-  //    execution, exactly the pre-overhaul cost profile. --
-
-  /// Full-memset variant of begin_execution (dirty tracking stays armed, so
-  /// the sparse queries remain valid even in dense mode).
-  void begin_execution_dense();
-
-  /// Full-map-pass variant of finalize_execution.
-  TraceSummary finalize_execution_dense();
 
   /// Merges `other`'s accumulated map into this one (bitwise OR of the
   /// classified bits). Returns true when anything new was added. The
@@ -185,6 +178,14 @@ class CoverageMap {
   [[nodiscard]] std::uint8_t* virgin_bytes() {
     return reinterpret_cast<std::uint8_t*>(virgin_.get());
   }
+  [[nodiscard]] bool dense() const {
+    return ops_->kind == simd::Kernel::kDense;
+  }
+
+  /// Zeroes the trace and empties its dirty list (begin/adopt).
+  void clear_trace();
+  /// kDense finalize: the independent full-map passes of dense_ref.hpp.
+  TraceSummary finalize_dense();
 
   // Maps are stored as uint64 words (the unit every sparse operation works
   // in); cell access goes through the uint8_t aliases above. Heap-allocated
@@ -199,7 +200,7 @@ class CoverageMap {
   /// merge path (rebuilt by the dense-reference finalize, which bypasses the
   /// incremental paths). Cleared by reset_accumulated().
   std::unique_ptr<DirtyWordList> acc_dirty_;
-  /// Active analysis/merge kernel (never null; defaults to simd::active()).
+  /// Active analysis/merge kernel (never null; defaults to kAuto's).
   const simd::KernelOps* ops_;
   /// Incrementally maintained nonzero-cell count of the virgin map.
   std::size_t edges_covered_ = 0;

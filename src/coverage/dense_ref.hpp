@@ -2,15 +2,17 @@
 //
 // These are the pre-sparse whole-map passes (memset + classify + has-new-bits
 // + accumulate + hash + count, each a full 64 KiB sweep), retained verbatim
-// for two consumers:
+// as an oracle independent of the sparse path. A CoverageMap pinned to
+// simd::Kernel::kDense runs its begin/finalize through them, which is how
+// they reach their consumers:
 //
 //   * the equivalence suite (tests/test_coverage_sparse.cpp) asserts the
 //     sparse dirty-word path produces bit-identical hashes, edge counts,
 //     new-bit decisions and accumulated maps;
 //   * bench_hotpath.cpp measures speedup_vs_dense, the hardware-independent
-//     headline number of the hot-path overhaul, and Executor's
-//     dense_reference mode replays whole campaigns through these passes to
-//     prove trajectory preservation.
+//     headline number of the hot-path overhaul;
+//   * campaigns run with ExecutorConfig::coverage_kernel = kDense, on any
+//     backend, to prove trajectory preservation.
 //
 // All word access goes through memcpy so the functions are alias-safe on any
 // uint8_t buffer (the sparse CoverageMap stores its maps as real uint64

@@ -1,18 +1,17 @@
 // Kernel implementations for coverage/simd.hpp.
 //
-// Layout of every analyze kernel: classify a batch of dirty words with
-// byte-wide vector ops (the scalar cost was 8 bucket-table lookups per word),
-// then finish each 64-bit word with the shared scalar tail — virgin
+// Layout of the AVX2 analyze kernel: classify a batch of four dirty words
+// with byte-wide vector ops (the scalar cost was 8 bucket-table lookups per
+// word), then finish each 64-bit word with a scalar tail — virgin
 // accumulate, dirty-superset append, and a hash mix per nonzero cell driven
 // by a branchless nonzero-byte bitmask, so only cells that actually hashed
 // under the scalar reference are visited. The (sum, xor) hash accumulators
 // are commutative, which is what makes any batch width bit-identical to the
 // scalar loop.
 //
-// The classify sequence itself uses only operations present on SSE2, AVX2
-// and NEON alike: unsigned byte max (v >= c  <=>  max(v, c) == v), byte
-// equality, and mask blends. Applied in ascending threshold order, later
-// ranges overwrite earlier ones:
+// The classify sequence uses unsigned byte max (v >= c  <=>  max(v, c) ==
+// v), byte equality, and mask blends. Applied in ascending threshold order,
+// later ranges overwrite earlier ones:
 //
 //   r = v                    // 0, 1, 2 map to themselves
 //   r = (v == 3)   ? 4   : r
@@ -24,24 +23,15 @@
 #include "coverage/simd.hpp"
 
 #include <bit>
-#include <cstdlib>
-#include <cstring>
 
 #include "coverage/dense_ref.hpp"
 
-#if defined(ICSFUZZ_SCALAR_COVERAGE)
-// Portable-fallback build: compile no vector kernel at all.
-#elif defined(__x86_64__) || defined(_M_X64)
-#define ICSFUZZ_SIMD_SSE2 1
-#include <immintrin.h>
-#if defined(__AVX2__) || defined(__GNUC__) || defined(__clang__)
+#if (defined(__x86_64__) || defined(_M_X64)) && \
+    (defined(__AVX2__) || defined(__GNUC__) || defined(__clang__))
 // The AVX2 kernel is compiled even in baseline builds via the target
 // attribute; best_kernel() gates it behind a cpuid probe.
 #define ICSFUZZ_SIMD_AVX2 1
-#endif
-#elif defined(__aarch64__) || defined(__ARM_NEON)
-#define ICSFUZZ_SIMD_NEON 1
-#include <arm_neon.h>
+#include <immintrin.h>
 #endif
 
 #if defined(__GNUC__) && !defined(__AVX2__) && defined(ICSFUZZ_SIMD_AVX2)
@@ -64,10 +54,9 @@ inline std::uint32_t nonzero_byte_mask(std::uint64_t word) {
   return static_cast<std::uint32_t>((t * 0x0102040810204080ULL) >> 56);
 }
 
-/// Scalar tail shared by every vector analyze kernel: store the classified
-/// word, fold fresh bits into the virgin map (appending the 0 -> nonzero
-/// transition to the accumulated dirty superset), and mix the hash of each
-/// nonzero cell.
+/// Scalar tail of the AVX2 analyze kernel: store the classified word, fold
+/// fresh bits into the virgin map (appending the 0 -> nonzero transition to
+/// the accumulated dirty superset), and mix the hash of each nonzero cell.
 inline void finish_word(std::uint64_t* trace, std::uint64_t* virgin,
                         DirtyWordList* acc_dirty, TraceAnalysis& out,
                         std::size_t w, std::uint64_t classified) {
@@ -111,8 +100,8 @@ inline void merge_one_word(std::uint64_t* dst, std::uint64_t src_word,
 }
 
 // ------------------------------------------------------------- scalar --
-// PR 3's fused loop, verbatim — the reference every vector kernel must
-// match bit for bit (and the portability fallback for untested targets).
+// The sparse path's fused loop — the reference the AVX2 kernel must match
+// bit for bit, and the kernel every CPU without AVX2 runs.
 
 TraceAnalysis analyze_trace_scalar(std::uint64_t* trace,
                                    const std::uint16_t* indices,
@@ -196,146 +185,6 @@ constexpr KernelOps kScalarOps = {Kernel::kScalar,      "scalar",
                                   analyze_trace_scalar, classify_words_scalar,
                                   merge_words_scalar,   merge_full_scalar,
                                   adopt_full_scalar};
-
-// --------------------------------------------------------------- SSE2 --
-#if defined(ICSFUZZ_SIMD_SSE2)
-
-/// v >= c, per unsigned byte (max(v, c) == v).
-inline __m128i ge_epu8(__m128i v, __m128i c) {
-  return _mm_cmpeq_epi8(_mm_max_epu8(v, c), v);
-}
-
-/// mask ? a : b, per byte.
-inline __m128i blend8(__m128i mask, __m128i a, __m128i b) {
-  return _mm_or_si128(_mm_and_si128(mask, a), _mm_andnot_si128(mask, b));
-}
-
-/// AFL-classifies 16 raw counts at once.
-inline __m128i classify16(__m128i v) {
-  __m128i r = v;
-  r = blend8(_mm_cmpeq_epi8(v, _mm_set1_epi8(3)), _mm_set1_epi8(4), r);
-  r = blend8(ge_epu8(v, _mm_set1_epi8(4)), _mm_set1_epi8(8), r);
-  r = blend8(ge_epu8(v, _mm_set1_epi8(8)), _mm_set1_epi8(16), r);
-  r = blend8(ge_epu8(v, _mm_set1_epi8(16)), _mm_set1_epi8(32), r);
-  r = blend8(ge_epu8(v, _mm_set1_epi8(32)), _mm_set1_epi8(64), r);
-  r = blend8(ge_epu8(v, _mm_set1_epi8(static_cast<char>(128))),
-             _mm_set1_epi8(static_cast<char>(128)), r);
-  return r;
-}
-
-TraceAnalysis analyze_trace_sse2(std::uint64_t* trace,
-                                 const std::uint16_t* indices,
-                                 std::uint32_t count, std::uint64_t* virgin,
-                                 DirtyWordList* acc_dirty) {
-  TraceAnalysis out;
-  std::uint32_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const std::size_t w0 = indices[i];
-    const std::size_t w1 = indices[i + 1];
-    const __m128i raw =
-        _mm_set_epi64x(static_cast<long long>(trace[w1]),
-                       static_cast<long long>(trace[w0]));
-    alignas(16) std::uint64_t classified[2];
-    _mm_store_si128(reinterpret_cast<__m128i*>(classified), classify16(raw));
-    finish_word(trace, virgin, acc_dirty, out, w0, classified[0]);
-    finish_word(trace, virgin, acc_dirty, out, w1, classified[1]);
-  }
-  for (; i < count; ++i) {
-    const std::size_t w = indices[i];
-    const __m128i raw =
-        _mm_set_epi64x(0, static_cast<long long>(trace[w]));
-    alignas(16) std::uint64_t classified[2];
-    _mm_store_si128(reinterpret_cast<__m128i*>(classified), classify16(raw));
-    finish_word(trace, virgin, acc_dirty, out, w, classified[0]);
-  }
-  return out;
-}
-
-void classify_words_sse2(std::uint64_t* trace, const std::uint16_t* indices,
-                         std::uint32_t count) {
-  std::uint32_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const std::size_t w0 = indices[i];
-    const std::size_t w1 = indices[i + 1];
-    const __m128i raw =
-        _mm_set_epi64x(static_cast<long long>(trace[w1]),
-                       static_cast<long long>(trace[w0]));
-    alignas(16) std::uint64_t classified[2];
-    _mm_store_si128(reinterpret_cast<__m128i*>(classified), classify16(raw));
-    trace[w0] = classified[0];
-    trace[w1] = classified[1];
-  }
-  if (i < count) classify_words_scalar(trace, indices + i, count - i);
-}
-
-MergeResult merge_words_sse2(std::uint64_t* dst, const std::uint64_t* src,
-                             const std::uint16_t* indices, std::uint32_t count,
-                             DirtyWordList* acc_dirty) {
-  MergeResult out;
-  std::uint32_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const std::size_t w0 = indices[i];
-    const std::size_t w1 = indices[i + 1];
-    const __m128i s = _mm_set_epi64x(static_cast<long long>(src[w1]),
-                                     static_cast<long long>(src[w0]));
-    const __m128i d = _mm_set_epi64x(static_cast<long long>(dst[w1]),
-                                     static_cast<long long>(dst[w0]));
-    const __m128i fresh = _mm_andnot_si128(d, s);
-    // Steady state: nothing fresh in the whole batch, skip it in one test.
-    if (_mm_movemask_epi8(
-            _mm_cmpeq_epi8(fresh, _mm_setzero_si128())) == 0xFFFF) {
-      continue;
-    }
-    merge_one_word(dst, src[w0], w0, acc_dirty, out);
-    merge_one_word(dst, src[w1], w1, acc_dirty, out);
-  }
-  for (; i < count; ++i) {
-    const std::size_t w = indices[i];
-    merge_one_word(dst, src[w], w, acc_dirty, out);
-  }
-  return out;
-}
-
-MergeResult merge_full_sse2(std::uint64_t* dst, const std::uint8_t* src_bytes,
-                            DirtyWordList* acc_dirty) {
-  MergeResult out;
-  for (std::size_t w = 0; w < kMapWords; w += 2) {
-    const __m128i s = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(src_bytes + w * 8));
-    const __m128i d =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + w));
-    const __m128i fresh = _mm_andnot_si128(d, s);
-    if (_mm_movemask_epi8(
-            _mm_cmpeq_epi8(fresh, _mm_setzero_si128())) == 0xFFFF) {
-      continue;
-    }
-    merge_one_word(dst, dense::load_word(src_bytes, w), w, acc_dirty, out);
-    merge_one_word(dst, dense::load_word(src_bytes, w + 1), w + 1, acc_dirty,
-                   out);
-  }
-  return out;
-}
-
-void adopt_full_sse2(std::uint64_t* dst, const std::uint64_t* src,
-                     DirtyWordList* dirty) {
-  for (std::size_t w = 0; w < kMapWords; w += 2) {
-    const __m128i s =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + w));
-    // Steady state: the external map is mostly zero — skip the whole batch
-    // on one compare.
-    if (_mm_movemask_epi8(_mm_cmpeq_epi8(s, _mm_setzero_si128())) == 0xFFFF) {
-      continue;
-    }
-    adopt_one_word(dst, src[w], w, dirty);
-    adopt_one_word(dst, src[w + 1], w + 1, dirty);
-  }
-}
-
-constexpr KernelOps kSse2Ops = {Kernel::kSSE2,       "sse2",
-                                analyze_trace_sse2,  classify_words_sse2,
-                                merge_words_sse2,    merge_full_sse2,
-                                adopt_full_sse2};
-#endif  // ICSFUZZ_SIMD_SSE2
 
 // --------------------------------------------------------------- AVX2 --
 #if defined(ICSFUZZ_SIMD_AVX2)
@@ -489,81 +338,15 @@ constexpr KernelOps kAvx2Ops = {Kernel::kAVX2,       "avx2",
                                 adopt_full_avx2};
 #endif  // ICSFUZZ_SIMD_AVX2
 
-// --------------------------------------------------------------- NEON --
-#if defined(ICSFUZZ_SIMD_NEON)
-
-/// AFL-classifies 16 raw counts at once (NEON has native unsigned >=).
-inline uint8x16_t classify16_neon(uint8x16_t v) {
-  uint8x16_t r = v;
-  r = vbslq_u8(vceqq_u8(v, vdupq_n_u8(3)), vdupq_n_u8(4), r);
-  r = vbslq_u8(vcgeq_u8(v, vdupq_n_u8(4)), vdupq_n_u8(8), r);
-  r = vbslq_u8(vcgeq_u8(v, vdupq_n_u8(8)), vdupq_n_u8(16), r);
-  r = vbslq_u8(vcgeq_u8(v, vdupq_n_u8(16)), vdupq_n_u8(32), r);
-  r = vbslq_u8(vcgeq_u8(v, vdupq_n_u8(32)), vdupq_n_u8(64), r);
-  r = vbslq_u8(vcgeq_u8(v, vdupq_n_u8(128)), vdupq_n_u8(128), r);
-  return r;
-}
-
-TraceAnalysis analyze_trace_neon(std::uint64_t* trace,
-                                 const std::uint16_t* indices,
-                                 std::uint32_t count, std::uint64_t* virgin,
-                                 DirtyWordList* acc_dirty) {
-  TraceAnalysis out;
-  std::uint32_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const std::size_t w0 = indices[i];
-    const std::size_t w1 = indices[i + 1];
-    const uint8x16_t raw =
-        vcombine_u8(vcreate_u8(trace[w0]), vcreate_u8(trace[w1]));
-    const uint8x16_t cls = classify16_neon(raw);
-    finish_word(trace, virgin, acc_dirty, out, w0,
-                vgetq_lane_u64(vreinterpretq_u64_u8(cls), 0));
-    finish_word(trace, virgin, acc_dirty, out, w1,
-                vgetq_lane_u64(vreinterpretq_u64_u8(cls), 1));
-  }
-  for (; i < count; ++i) {
-    const std::size_t w = indices[i];
-    const uint8x16_t raw =
-        vcombine_u8(vcreate_u8(trace[w]), vcreate_u8(0));
-    const uint8x16_t cls = classify16_neon(raw);
-    finish_word(trace, virgin, acc_dirty, out, w,
-                vgetq_lane_u64(vreinterpretq_u64_u8(cls), 0));
-  }
-  return out;
-}
-
-void classify_words_neon(std::uint64_t* trace, const std::uint16_t* indices,
-                         std::uint32_t count) {
-  std::uint32_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const std::size_t w0 = indices[i];
-    const std::size_t w1 = indices[i + 1];
-    const uint8x16_t cls = classify16_neon(
-        vcombine_u8(vcreate_u8(trace[w0]), vcreate_u8(trace[w1])));
-    trace[w0] = vgetq_lane_u64(vreinterpretq_u64_u8(cls), 0);
-    trace[w1] = vgetq_lane_u64(vreinterpretq_u64_u8(cls), 1);
-  }
-  if (i < count) classify_words_scalar(trace, indices + i, count - i);
-}
-
-void adopt_full_neon(std::uint64_t* dst, const std::uint64_t* src,
-                     DirtyWordList* dirty) {
-  for (std::size_t w = 0; w < kMapWords; w += 2) {
-    if ((src[w] | src[w + 1]) == 0) continue;
-    adopt_one_word(dst, src[w], w, dirty);
-    adopt_one_word(dst, src[w + 1], w + 1, dirty);
-  }
-}
-
-// Merges batch only two words per vector on NEON, so the compare-and-skip
-// trick buys little; the scalar merge kernels serve as the merge arms.
-constexpr KernelOps kNeonOps = {Kernel::kNEON,       "neon",
-                                analyze_trace_neon,  classify_words_neon,
-                                merge_words_scalar,  merge_full_scalar,
-                                adopt_full_neon};
-#endif  // ICSFUZZ_SIMD_NEON
-
 // ----------------------------------------------------------- dispatch --
+
+/// kDense: the scalar table under its own identity. CoverageMap routes a
+/// dense map's begin/finalize through coverage/dense_ref.hpp; merges and
+/// adoption dispatch here.
+constexpr KernelOps kDenseOps = {Kernel::kDense,       "dense",
+                                 analyze_trace_scalar, classify_words_scalar,
+                                 merge_words_scalar,   merge_full_scalar,
+                                 adopt_full_scalar};
 
 Kernel probe_best() {
 #if defined(ICSFUZZ_SIMD_AVX2)
@@ -573,31 +356,7 @@ Kernel probe_best() {
   if (__builtin_cpu_supports("avx2")) return Kernel::kAVX2;
 #endif
 #endif
-#if defined(ICSFUZZ_SIMD_SSE2)
-  return Kernel::kSSE2;
-#elif defined(ICSFUZZ_SIMD_NEON)
-  return Kernel::kNEON;
-#else
   return Kernel::kScalar;
-#endif
-}
-
-/// The process default, mutated only by force_kernel(). Initialized from the
-/// runtime probe, then the ICSFUZZ_COV_KERNEL environment override.
-const KernelOps* default_ops() {
-  static const KernelOps* chosen = [] {
-    const KernelOps* ops = ops_for(probe_best());
-    if (const char* env = std::getenv("ICSFUZZ_COV_KERNEL")) {
-      if (const KernelOps* forced = ops_for(parse_kernel(env))) ops = forced;
-    }
-    return ops == nullptr ? &scalar_ops() : ops;
-  }();
-  return chosen;
-}
-
-const KernelOps*& active_slot() {
-  static const KernelOps* slot = default_ops();
-  return slot;
 }
 
 }  // namespace
@@ -610,24 +369,14 @@ const KernelOps* ops_for(Kernel kind) {
       return ops_for(best_kernel());
     case Kernel::kScalar:
       return &kScalarOps;
-    case Kernel::kSSE2:
-#if defined(ICSFUZZ_SIMD_SSE2)
-      return &kSse2Ops;
-#else
-      return nullptr;
-#endif
     case Kernel::kAVX2:
 #if defined(ICSFUZZ_SIMD_AVX2)
       return best_kernel() == Kernel::kAVX2 ? &kAvx2Ops : nullptr;
 #else
       return nullptr;
 #endif
-    case Kernel::kNEON:
-#if defined(ICSFUZZ_SIMD_NEON)
-      return &kNeonOps;
-#else
-      return nullptr;
-#endif
+    case Kernel::kDense:
+      return &kDenseOps;
   }
   return nullptr;
 }
@@ -637,38 +386,18 @@ Kernel best_kernel() {
   return best;
 }
 
-const KernelOps& active() { return *active_slot(); }
-
-bool force_kernel(Kernel kind) {
-  const KernelOps* ops =
-      kind == Kernel::kAuto ? default_ops() : ops_for(kind);
-  if (ops == nullptr) return false;
-  active_slot() = ops;
-  return true;
-}
-
 std::string_view kernel_name(Kernel kind) {
   switch (kind) {
     case Kernel::kAuto:
       return "auto";
     case Kernel::kScalar:
       return "scalar";
-    case Kernel::kSSE2:
-      return "sse2";
     case Kernel::kAVX2:
       return "avx2";
-    case Kernel::kNEON:
-      return "neon";
+    case Kernel::kDense:
+      return "dense";
   }
   return "scalar";
-}
-
-Kernel parse_kernel(std::string_view name) {
-  if (name == "scalar") return Kernel::kScalar;
-  if (name == "sse2") return Kernel::kSSE2;
-  if (name == "avx2") return Kernel::kAVX2;
-  if (name == "neon") return Kernel::kNEON;
-  return Kernel::kAuto;
 }
 
 }  // namespace icsfuzz::cov::simd

@@ -1,33 +1,32 @@
-// Byte-wide SIMD kernels for the coverage hot loops.
+// Coverage analysis kernels: the per-cell work of the hot loops behind one
+// dispatch table.
 //
-// PR 3's sparse dirty-word overhaul removed every full-map sweep from the
+// The sparse dirty-word path removed every full-map sweep from the
 // execution path; what remained on the profile was the per-cell work *inside*
 // each dirty word (8 bucket-table lookups + a nonzero scan + a hash mix per
-// cell) and the full 8192-word sweep of worker-to-exchange merges. This layer
-// vectorizes both with plain byte-wide operations (compare / min-max / blend)
-// that exist identically on SSE2, AVX2 and NEON, behind one dispatch table:
+// cell) and the full 8192-word sweep of worker-to-exchange merges. A kernel
+// is one implementation of that work. CoverageMap::use_kernel (and
+// ExecutorConfig::coverage_kernel, which feeds it) is the one place a kernel
+// is chosen:
 //
-//   * Compile-time selection — each kernel is compiled only when the target
-//     architecture can express it (SSE2 is x86-64 baseline; AVX2 additionally
-//     via the GCC/Clang `target("avx2")` function attribute so a plain
-//     -march=x86-64 build still *contains* the AVX2 kernel; NEON on
-//     aarch64/ARM; the portable scalar kernel always). Defining
-//     ICSFUZZ_SCALAR_COVERAGE (CMake: -DICSFUZZ_SCALAR_COVERAGE=ON) compiles
-//     the scalar kernel alone.
-//   * Runtime dispatch — best_kernel() probes the CPU once (AVX2 via
-//     __builtin_cpu_supports) and active() returns the process-wide default
-//     table, overridable with force_kernel() or the ICSFUZZ_COV_KERNEL
-//     environment variable (scalar|sse2|avx2|neon|auto). Each CoverageMap can
-//     also pin its own kernel (CoverageMap::use_kernel /
-//     ExecutorConfig::coverage_kernel), which is how tests and bench_hotpath
-//     run the scalar and SIMD arms side by side in one process.
+//   * kAuto   — best_kernel(): AVX2 when the CPU has it (probed once via
+//               __builtin_cpu_supports; the kernel is compiled into every
+//               x86-64 build through the GCC/Clang `target("avx2")`
+//               attribute), otherwise scalar. The default.
+//   * kScalar — the portable fused loop, always available; the reference
+//               every other kernel must match bit for bit.
+//   * kAVX2   — byte-wide compare / min-max / blend over four map words per
+//               register.
+//   * kDense  — the full-map reference oracle (coverage/dense_ref.hpp):
+//               CoverageMap runs begin/finalize as a full memset plus the
+//               dense whole-map sweeps; merges and adoption use the scalar
+//               table.
 //
 // Every kernel is bit-identical to the scalar reference: same classified
 // bytes, same commutative (sum, xor) hash accumulators, same edge counts,
-// same accumulated maps, same dirty-superset append order. The scalar kernel
-// *is* PR 3's fused loop, verbatim; the equivalence suite
-// (tests/test_coverage_sparse.cpp) drives all compiled kernels against it and
-// against the dense full-map reference (coverage/dense_ref.hpp).
+// same accumulated maps, same dirty-superset append order. The equivalence
+// suite (tests/test_coverage_sparse.cpp) drives every runnable kernel against
+// scalar and against the dense reference.
 #pragma once
 
 #include <array>
@@ -38,13 +37,12 @@
 
 namespace icsfuzz::cov::simd {
 
-/// Kernel identities, in dispatch-preference order (higher is preferred).
+/// Kernel identities (see the file comment).
 enum class Kernel : std::uint8_t {
   kAuto = 0,  ///< "best available" — resolved by ops_for()/best_kernel()
   kScalar,
-  kSSE2,
   kAVX2,
-  kNEON,
+  kDense,
 };
 
 /// AFL bucket table: raw hit count -> bucket bitmask. Shared by the scalar
@@ -159,24 +157,10 @@ const KernelOps& scalar_ops();
 /// runnable kernel (never nullptr: scalar always runs).
 const KernelOps* ops_for(Kernel kind);
 
-/// The best kernel this build can run on this CPU (compile-time selection
-/// refined by the one-time runtime probe).
+/// The best kernel this build can run on this CPU (kAVX2 or kScalar).
 Kernel best_kernel();
 
-/// The process-wide default table: best_kernel(), unless overridden by
-/// force_kernel() or the ICSFUZZ_COV_KERNEL environment variable
-/// (scalar|sse2|avx2|neon|auto), read once on first use.
-const KernelOps& active();
-
-/// Overrides the process-wide default. Returns false (and changes nothing)
-/// when `kind` is unavailable; kAuto restores runtime selection.
-bool force_kernel(Kernel kind);
-
-/// Human-readable kernel name ("scalar", "sse2", "avx2", "neon", "auto").
+/// Human-readable kernel name ("auto", "scalar", "avx2", "dense").
 std::string_view kernel_name(Kernel kind);
-
-/// Parses a kernel name (as accepted by ICSFUZZ_COV_KERNEL); kAuto for
-/// unrecognized input.
-Kernel parse_kernel(std::string_view name);
 
 }  // namespace icsfuzz::cov::simd

@@ -39,9 +39,6 @@ namespace {
 /// thread-local trace arming — reset, arm, trace, process, finalize.
 class InProcessBackend final : public ExecBackend {
  public:
-  explicit InProcessBackend(bool dense_reference)
-      : dense_(dense_reference) {}
-
   [[nodiscard]] BackendKind kind() const override {
     return BackendKind::kInProcess;
   }
@@ -55,30 +52,21 @@ class InProcessBackend final : public ExecBackend {
 
     target.reset();
     san::FaultSink::arm();
-    if (dense_) {
-      map.begin_execution_dense();
-    } else {
-      map.begin_execution();
-    }
+    map.begin_execution();
 
     target.process_into(packet, result.response);
     result.response_truncated = false;  // reused-result hygiene
     result.session_states.clear();      // plain exchanges have no session
     result.session_messages = 0;
 
-    // The fused sparse pass (or its dense reference twin) replaces the old
-    // end_execution -> trace_hash -> trace_edge_count -> accumulate
-    // sequence: one sweep of the dirty words instead of four full-map
-    // passes.
-    const cov::TraceSummary summary =
-        dense_ ? map.finalize_execution_dense() : map.finalize_execution();
+    // The fused sparse pass replaces the old end_execution -> trace_hash ->
+    // trace_edge_count -> accumulate sequence: one sweep of the dirty words
+    // instead of four full-map passes.
+    const cov::TraceSummary summary = map.finalize_execution();
     result.events = cov::tls_event_count;
     san::FaultSink::disarm_into(result.faults);
     return summary;
   }
-
- private:
-  bool dense_;
 };
 
 /// kForkPerExec / kPersistent: packets cross into the fork-server target
@@ -87,10 +75,8 @@ class InProcessBackend final : public ExecBackend {
 /// is byte-for-byte the in-process one.
 class OopBackend final : public ExecBackend {
  public:
-  OopBackend(const ExecBackendConfig& config, bool dense_reference,
-             telem::Sink telemetry)
+  OopBackend(const ExecBackendConfig& config, telem::Sink telemetry)
       : kind_(config.kind),
-        dense_(dense_reference),
         exec_timeout_ms_(config.exec_timeout_ms),
         telemetry_(telemetry) {
     oop::OopExecutorConfig oop_config;
@@ -163,8 +149,7 @@ class OopBackend final : public ExecBackend {
       const oop::OutOfProcessExecutor::Outcome& outcome, cov::CoverageMap& map,
       ExecResult& result) {
     map.adopt_external(exec_->map_words());
-    const cov::TraceSummary summary =
-        dense_ ? map.finalize_execution_dense() : map.finalize_execution();
+    const cov::TraceSummary summary = map.finalize_execution();
 
     result.events = outcome.aux.events;
     result.faults.assign(outcome.aux.faults.begin(),
@@ -206,7 +191,6 @@ class OopBackend final : public ExecBackend {
   }
 
   BackendKind kind_;
-  bool dense_;
   int exec_timeout_ms_;
   telem::Sink telemetry_;
   std::unique_ptr<oop::OutOfProcessExecutor> exec_;
@@ -286,19 +270,17 @@ san::FaultReport target_death_fault(
 }
 
 std::unique_ptr<ExecBackend> make_exec_backend(const ExecBackendConfig& config,
-                                               bool dense_reference,
                                                telem::Sink telemetry) {
   if (config.kind == BackendKind::kTcp) {
-    return session::make_tcp_session_backend(config, dense_reference,
-                                             telemetry);
+    return session::make_tcp_session_backend(config, telemetry);
   }
   if (config.kind == BackendKind::kInProcess) {
     if (config.session.framing != session::Framing::kNone) {
-      return session::make_in_process_session_backend(config, dense_reference);
+      return session::make_in_process_session_backend(config);
     }
-    return std::make_unique<InProcessBackend>(dense_reference);
+    return std::make_unique<InProcessBackend>();
   }
-  return std::make_unique<OopBackend>(config, dense_reference, telemetry);
+  return std::make_unique<OopBackend>(config, telemetry);
 }
 
 }  // namespace icsfuzz::fuzz

@@ -179,12 +179,10 @@ class ExecBackend {
   }
 };
 
-/// Builds the backend `config` describes. `dense_reference` routes the
-/// trace analysis through the retained dense full-map passes (tests /
-/// benches); `telemetry` receives the out-of-process restart / retry /
-/// hang / recycle observables (in-process backends never touch it).
+/// Builds the backend `config` describes. `telemetry` receives the
+/// out-of-process restart / retry / hang / recycle observables (in-process
+/// backends never touch it).
 std::unique_ptr<ExecBackend> make_exec_backend(const ExecBackendConfig& config,
-                                               bool dense_reference,
                                                telem::Sink telemetry);
 
 /// Books one out-of-process execution into `sink`, identically for every

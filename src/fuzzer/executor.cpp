@@ -8,8 +8,7 @@ namespace icsfuzz::fuzz {
 
 Executor::Executor(ExecutorConfig config)
     : config_(std::move(config)),
-      backend_(make_exec_backend(config_.backend, config_.dense_reference,
-                                 config_.telemetry)) {
+      backend_(make_exec_backend(config_.backend, config_.telemetry)) {
   map_.use_kernel(config_.coverage_kernel);
 }
 

@@ -31,16 +31,15 @@ struct ExecutorConfig {
   /// Executions whose instrumentation-event count exceeds this budget are
   /// flagged as hangs (the deterministic analogue of Peach's timeout).
   std::uint64_t hang_event_budget = 200000;
-  /// Reference mode for tests and benches: route all trace analysis through
-  /// the retained dense full-map passes (coverage/dense_ref.hpp) instead of
-  /// the sparse dirty-word path. Results are bit-identical — asserted by the
-  /// trajectory-preservation suite — but every execution pays the
-  /// pre-overhaul ~6 whole-map sweeps again.
-  bool dense_reference = false;
-  /// Which coverage/simd.hpp kernel this executor's map dispatches to.
-  /// kAuto picks the best the build + CPU support; kScalar force-selects the
-  /// portable reference loop (the equivalence suite runs campaigns under
-  /// both arms so CI exercises the dispatch even on a single ISA).
+  /// Which coverage/simd.hpp kernel this executor's map dispatches to —
+  /// the one coverage-analysis knob. kAuto picks the best the build + CPU
+  /// support; kScalar force-selects the portable reference loop (the
+  /// equivalence suite runs campaigns under both arms so CI exercises the
+  /// dispatch even on a single ISA); kDense routes all trace analysis
+  /// through the retained dense full-map passes (coverage/dense_ref.hpp) on
+  /// every backend. Results are bit-identical — asserted by the
+  /// trajectory-preservation suite — but kDense pays the pre-overhaul ~6
+  /// whole-map sweeps per execution again.
   cov::simd::Kernel coverage_kernel = cov::simd::Kernel::kAuto;
   /// Execution backend selection: kInProcess (default) runs the
   /// ProtocolTarget passed to run() on this thread; the out-of-process

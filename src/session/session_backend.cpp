@@ -12,8 +12,8 @@ namespace {
 
 class InProcessSessionBackend final : public fuzz::ExecBackend {
  public:
-  InProcessSessionBackend(const SessionOptions& options, bool dense_reference)
-      : options_(options), dense_(dense_reference) {}
+  explicit InProcessSessionBackend(const SessionOptions& options)
+      : options_(options) {}
 
   [[nodiscard]] fuzz::BackendKind kind() const override {
     return fuzz::BackendKind::kInProcess;
@@ -33,11 +33,7 @@ class InProcessSessionBackend final : public fuzz::ExecBackend {
     // across messages, which is the entire point of the session layer.
     target.reset();
     san::FaultSink::arm();
-    if (dense_) {
-      map.begin_execution_dense();
-    } else {
-      map.begin_execution();
-    }
+    map.begin_execution();
 
     result.response.clear();
     result.session_states.clear();
@@ -71,8 +67,7 @@ class InProcessSessionBackend final : public fuzz::ExecBackend {
     result.session_messages = static_cast<std::uint32_t>(ranges_.size());
     result.response_truncated = false;
 
-    const cov::TraceSummary summary =
-        dense_ ? map.finalize_execution_dense() : map.finalize_execution();
+    const cov::TraceSummary summary = map.finalize_execution();
     result.events = cov::tls_event_count;
     san::FaultSink::disarm_into(result.faults);
     return summary;
@@ -80,7 +75,6 @@ class InProcessSessionBackend final : public fuzz::ExecBackend {
 
  private:
   SessionOptions options_;
-  bool dense_;
   std::vector<MessageRange> ranges_;
   Bytes response_scratch_;
   SessionTraffic traffic_;
@@ -89,9 +83,8 @@ class InProcessSessionBackend final : public fuzz::ExecBackend {
 }  // namespace
 
 std::unique_ptr<fuzz::ExecBackend> make_in_process_session_backend(
-    const fuzz::ExecBackendConfig& config, bool dense_reference) {
-  return std::make_unique<InProcessSessionBackend>(config.session,
-                                                   dense_reference);
+    const fuzz::ExecBackendConfig& config) {
+  return std::make_unique<InProcessSessionBackend>(config.session);
 }
 
 }  // namespace icsfuzz::session

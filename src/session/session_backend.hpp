@@ -15,6 +15,6 @@
 namespace icsfuzz::session {
 
 std::unique_ptr<fuzz::ExecBackend> make_in_process_session_backend(
-    const fuzz::ExecBackendConfig& config, bool dense_reference);
+    const fuzz::ExecBackendConfig& config);
 
 }  // namespace icsfuzz::session

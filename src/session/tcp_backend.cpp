@@ -51,10 +51,9 @@ void close_abortive(int fd) {
 class TcpSessionBackend final : public fuzz::ExecBackend {
  public:
   TcpSessionBackend(const fuzz::ExecBackendConfig& config,
-                    bool dense_reference, telem::Sink telemetry)
+                    telem::Sink telemetry)
       : options_(config.session),
         exec_timeout_ms_(config.exec_timeout_ms),
-        dense_(dense_reference),
         telemetry_(telemetry),
         process_({.argv = config.target_cmd,
                   .segment_bytes = kTcpSegmentBytes,
@@ -120,8 +119,7 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
     }
     result.session_messages = static_cast<std::uint32_t>(ranges_.size());
 
-    const cov::TraceSummary summary =
-        dense_ ? map.finalize_execution_dense() : map.finalize_execution();
+    const cov::TraceSummary summary = map.finalize_execution();
     const oop::AuxResult& aux = outcome_.aux;
     result.events = aux.events;
     result.faults.assign(aux.faults.begin(), aux.faults.end());
@@ -259,8 +257,7 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
   /// a synthetic fault exactly like the fork-server transport's.
   cov::TraceSummary fail(cov::CoverageMap& map, fuzz::ExecResult& result) {
     map.adopt_external(nullptr);
-    const cov::TraceSummary summary =
-        dense_ ? map.finalize_execution_dense() : map.finalize_execution();
+    const cov::TraceSummary summary = map.finalize_execution();
     result.events = 0;
     result.faults.clear();
     switch (outcome_.status) {
@@ -333,7 +330,6 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
 
   SessionOptions options_;
   int exec_timeout_ms_;
-  bool dense_;
   telem::Sink telemetry_;
 
   oop::TargetProcess process_;
@@ -351,10 +347,8 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
 }  // namespace
 
 std::unique_ptr<fuzz::ExecBackend> make_tcp_session_backend(
-    const fuzz::ExecBackendConfig& config, bool dense_reference,
-    telem::Sink telemetry) {
-  return std::make_unique<TcpSessionBackend>(config, dense_reference,
-                                             telemetry);
+    const fuzz::ExecBackendConfig& config, telem::Sink telemetry) {
+  return std::make_unique<TcpSessionBackend>(config, telemetry);
 }
 
 }  // namespace icsfuzz::session

@@ -26,7 +26,6 @@
 namespace icsfuzz::session {
 
 std::unique_ptr<fuzz::ExecBackend> make_tcp_session_backend(
-    const fuzz::ExecBackendConfig& config, bool dense_reference,
-    telem::Sink telemetry);
+    const fuzz::ExecBackendConfig& config, telem::Sink telemetry);
 
 }  // namespace icsfuzz::session

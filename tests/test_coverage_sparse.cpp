@@ -3,11 +3,11 @@
 // Every analysis the feedback loop consumes — classified trace, trace hash,
 // edge count, new-bit decision, accumulated map — must be bit-identical
 // across a three-implementation matrix: the dense full-map reference
-// (coverage/dense_ref.hpp, driven via begin_execution_dense /
-// finalize_execution_dense), the sparse path pinned to the scalar reference
-// kernel, and the sparse path on every vector kernel this build + CPU can
-// run (coverage/simd.hpp — force-selecting the scalar kernel alongside the
-// SIMD one exercises both dispatch arms even on a single ISA). The suite
+// (coverage/dense_ref.hpp, a map pinned to simd::Kernel::kDense), the sparse
+// path pinned to the scalar reference kernel, and the sparse path on every
+// vector kernel this build + CPU can run (coverage/simd.hpp —
+// force-selecting the scalar kernel alongside the SIMD one exercises both
+// dispatch arms even on a single ISA). The suite
 // drives the matrix through randomized trace patterns (including empty,
 // dense, and the boundary words 0 and 8191), proves the merge kernels
 // equivalent on both sides of the dirty-superset/full-sweep hybrid, and then
@@ -40,26 +40,13 @@ using icsfuzz::test::runnable_kernels;
 /// One synthetic execution: the (cell, raw-count) multiset to emit.
 using Pattern = icsfuzz::test::CellPattern;
 
-/// Replays `pattern` into `map` between the given begin/finalize pair and
-/// returns the summary.
-template <typename Begin, typename Finalize>
-TraceSummary replay(CoverageMap& map, const Pattern& pattern, Begin begin,
-                    Finalize finalize) {
-  begin(map);
+/// Replays `pattern` into `map` between begin_execution and
+/// finalize_execution (on whatever kernel the map is pinned to) and returns
+/// the summary.
+TraceSummary replay(CoverageMap& map, const Pattern& pattern) {
+  map.begin_execution();
   icsfuzz::test::emit_pattern(pattern);
-  return finalize(map);
-}
-
-TraceSummary replay_sparse(CoverageMap& map, const Pattern& pattern) {
-  return replay(
-      map, pattern, [](CoverageMap& m) { m.begin_execution(); },
-      [](CoverageMap& m) { return m.finalize_execution(); });
-}
-
-TraceSummary replay_dense(CoverageMap& map, const Pattern& pattern) {
-  return replay(
-      map, pattern, [](CoverageMap& m) { m.begin_execution_dense(); },
-      [](CoverageMap& m) { return m.finalize_execution_dense(); });
+  return map.finalize_execution();
 }
 
 /// Drives the full three-way matrix: for every runnable vector kernel, the
@@ -76,10 +63,11 @@ void expect_equivalent(const std::vector<Pattern>& executions) {
     CoverageMap scalar;
     scalar.use_kernel(simd::Kernel::kScalar);
     CoverageMap dense;
+    dense.use_kernel(simd::Kernel::kDense);
     for (std::size_t i = 0; i < executions.size(); ++i) {
-      const TraceSummary s = replay_sparse(sparse, executions[i]);
-      const TraceSummary sc = replay_sparse(scalar, executions[i]);
-      const TraceSummary d = replay_dense(dense, executions[i]);
+      const TraceSummary s = replay(sparse, executions[i]);
+      const TraceSummary sc = replay(scalar, executions[i]);
+      const TraceSummary d = replay(dense, executions[i]);
       ASSERT_EQ(s.trace_hash, d.trace_hash) << "execution " << i;
       ASSERT_EQ(s.trace_hash, sc.trace_hash) << "execution " << i;
       ASSERT_EQ(s.trace_edges, d.trace_edges) << "execution " << i;
@@ -165,7 +153,7 @@ TEST(SparseEquivalence, PerQueryApiMatchesFusedSummary) {
           {static_cast<std::uint32_t>(rng.below(kMapSize)),
            static_cast<std::uint32_t>(1 + rng.below(5))});
     }
-    const TraceSummary summary = replay_sparse(fused, pattern);
+    const TraceSummary summary = replay(fused, pattern);
 
     queried.begin_execution();
     icsfuzz::test::emit_pattern(pattern);
@@ -186,7 +174,7 @@ TEST(SparseEquivalence, DirtyListIsCompleteAndDuplicateFree) {
   for (const std::uint32_t cell : {8u, 9u, 15u, 4096u, 65535u, 10u}) {
     pattern.push_back({cell, 2});
   }
-  replay_sparse(map, pattern);
+  replay(map, pattern);
   std::vector<bool> listed(kMapWords, false);
   for (std::uint32_t i = 0; i < map.dirty_word_count(); ++i) {
     const std::uint16_t w = map.dirty_words()[i];
@@ -207,12 +195,13 @@ TEST(SimdDispatch, ScalarKernelAlwaysRunnable) {
   // kAuto always resolves (to scalar at worst).
   EXPECT_NE(simd::ops_for(simd::Kernel::kAuto), nullptr);
   EXPECT_NE(simd::ops_for(simd::best_kernel()), nullptr);
+  // The dense reference oracle is selectable on every build.
+  EXPECT_NE(simd::ops_for(simd::Kernel::kDense), nullptr);
 }
 
 TEST(SimdDispatch, UseKernelPinsOrFallsBackToScalar) {
   for (const simd::Kernel kind :
-       {simd::Kernel::kScalar, simd::Kernel::kSSE2, simd::Kernel::kAVX2,
-        simd::Kernel::kNEON}) {
+       {simd::Kernel::kScalar, simd::Kernel::kAVX2, simd::Kernel::kDense}) {
     CoverageMap map;
     map.use_kernel(kind);
     if (simd::ops_for(kind) != nullptr) {
@@ -222,26 +211,6 @@ TEST(SimdDispatch, UseKernelPinsOrFallsBackToScalar) {
           << simd::kernel_name(kind);
     }
   }
-}
-
-TEST(SimdDispatch, ForceKernelOverridesProcessDefault) {
-  const simd::Kernel before = simd::active().kind;
-  ASSERT_TRUE(simd::force_kernel(simd::Kernel::kScalar));
-  EXPECT_EQ(simd::active().kind, simd::Kernel::kScalar);
-  // A map created while scalar is forced inherits it.
-  CoverageMap map;
-  EXPECT_EQ(map.kernel(), simd::Kernel::kScalar);
-  ASSERT_TRUE(simd::force_kernel(simd::Kernel::kAuto));
-  EXPECT_EQ(simd::active().kind, before);
-}
-
-TEST(SimdDispatch, KernelNamesRoundTrip) {
-  for (const simd::Kernel kind :
-       {simd::Kernel::kScalar, simd::Kernel::kSSE2, simd::Kernel::kAVX2,
-        simd::Kernel::kNEON}) {
-    EXPECT_EQ(simd::parse_kernel(simd::kernel_name(kind)), kind);
-  }
-  EXPECT_EQ(simd::parse_kernel("bogus"), simd::Kernel::kAuto);
 }
 
 // -- Accumulated-map dirty superset (the sparse merge's iteration set). ---
@@ -275,7 +244,7 @@ TEST(AccumulatedDirtySuperset, TracksEveryAccumulatePath) {
             {static_cast<std::uint32_t>(rng.below(kMapSize)),
              static_cast<std::uint32_t>(1 + rng.below(5))});
       }
-      replay_sparse(map, pattern);
+      replay(map, pattern);
     }
     expect_superset_exact(map);
 
@@ -294,7 +263,7 @@ TEST(AccumulatedDirtySuperset, TracksEveryAccumulatePath) {
     for (const std::uint32_t cell : {77u, 40000u, 65528u}) {
       foreign.push_back({cell, 2});
     }
-    replay_sparse(other, foreign);
+    replay(other, foreign);
     map.merge(other);
     expect_superset_exact(map);
     CoverageMap snapshot_sink;
@@ -303,7 +272,8 @@ TEST(AccumulatedDirtySuperset, TracksEveryAccumulatePath) {
     expect_superset_exact(snapshot_sink);
 
     // Dense-reference finalize rebuilds the superset.
-    replay_dense(map, foreign);
+    map.use_kernel(simd::Kernel::kDense);
+    replay(map, foreign);
     expect_superset_exact(map);
 
     map.reset_accumulated();
@@ -329,7 +299,7 @@ CoverageMap make_accumulated(simd::Kernel kind, std::size_t words,
         {word * 8 + static_cast<std::uint32_t>(rng.below(8)),
          static_cast<std::uint32_t>(1 + rng.below(200))});
   }
-  replay_sparse(map, pattern);
+  replay(map, pattern);
   return map;
 }
 
@@ -413,15 +383,13 @@ struct Trajectory {
   bool operator==(const Trajectory&) const = default;
 };
 
-Trajectory run_campaign(bool dense_reference, std::uint64_t iterations,
-                        std::uint64_t distill_interval = 0,
-                        simd::Kernel kernel = simd::Kernel::kAuto) {
+Trajectory run_campaign(simd::Kernel kernel, std::uint64_t iterations,
+                        std::uint64_t distill_interval = 0) {
   proto::ModbusServer server;
   fuzz::FuzzerConfig config;
   config.strategy = fuzz::Strategy::PeachStar;
   config.rng_seed = 42;
   config.distill_interval = distill_interval;
-  config.executor.dense_reference = dense_reference;
   config.executor.coverage_kernel = kernel;
   fuzz::Fuzzer fuzzer(server, modbus_models(), config);
   Trajectory trajectory;
@@ -445,11 +413,9 @@ TEST(TrajectoryPreservation, FuzzerCampaignIdenticalToDenseReference) {
   // Three-way: dense reference vs sparse-scalar vs sparse on the best SIMD
   // kernel (the executor config force-selects the scalar arm, so both
   // dispatch paths run even when CI has a single ISA).
-  const Trajectory simd =
-      run_campaign(false, 10000, 0, simd::Kernel::kAuto);
-  const Trajectory scalar =
-      run_campaign(false, 10000, 0, simd::Kernel::kScalar);
-  const Trajectory dense = run_campaign(true, 10000);
+  const Trajectory simd = run_campaign(simd::Kernel::kAuto, 10000);
+  const Trajectory scalar = run_campaign(simd::Kernel::kScalar, 10000);
+  const Trajectory dense = run_campaign(simd::Kernel::kDense, 10000);
   EXPECT_EQ(simd, dense);
   EXPECT_EQ(simd, scalar);
   EXPECT_FALSE(simd.path_series.empty());
@@ -457,17 +423,18 @@ TEST(TrajectoryPreservation, FuzzerCampaignIdenticalToDenseReference) {
 }
 
 TEST(TrajectoryPreservation, AutoDistillCampaignIdenticalToDenseReference) {
-  const Trajectory simd = run_campaign(false, 4000, /*distill_interval=*/1000,
-                                       simd::Kernel::kAuto);
-  const Trajectory scalar = run_campaign(
-      false, 4000, /*distill_interval=*/1000, simd::Kernel::kScalar);
-  const Trajectory dense = run_campaign(true, 4000, /*distill_interval=*/1000);
+  const Trajectory simd =
+      run_campaign(simd::Kernel::kAuto, 4000, /*distill_interval=*/1000);
+  const Trajectory scalar =
+      run_campaign(simd::Kernel::kScalar, 4000, /*distill_interval=*/1000);
+  const Trajectory dense =
+      run_campaign(simd::Kernel::kDense, 4000, /*distill_interval=*/1000);
   EXPECT_EQ(simd, dense);
   EXPECT_EQ(simd, scalar);
 }
 
 TEST(TrajectoryPreservation, ParallelCampaignW2IdenticalAcrossAllModes) {
-  auto run_parallel = [&](bool dense_reference, simd::Kernel kernel) {
+  auto run_parallel = [&](simd::Kernel kernel) {
     par::ParallelCampaignConfig config;
     config.workers = 2;
     config.iterations_per_worker = 3000;
@@ -479,18 +446,15 @@ TEST(TrajectoryPreservation, ParallelCampaignW2IdenticalAcrossAllModes) {
     // MergeEquivalence suites.
     config.sync_interval = 0;
     config.fuzzer.strategy = fuzz::Strategy::PeachStar;
-    config.fuzzer.executor.dense_reference = dense_reference;
     config.fuzzer.executor.coverage_kernel = kernel;
     par::ParallelCampaign campaign(modbus_factory(), modbus_models(), config);
     return campaign.run();
   };
   // Three-way fixed-seed matrix at W=2: sparse-SIMD, sparse-scalar, dense.
-  const par::ParallelCampaignResult simd =
-      run_parallel(false, simd::Kernel::kAuto);
+  const par::ParallelCampaignResult simd = run_parallel(simd::Kernel::kAuto);
   const par::ParallelCampaignResult scalar =
-      run_parallel(false, simd::Kernel::kScalar);
-  const par::ParallelCampaignResult dense =
-      run_parallel(true, simd::Kernel::kAuto);
+      run_parallel(simd::Kernel::kScalar);
+  const par::ParallelCampaignResult dense = run_parallel(simd::Kernel::kDense);
 
   for (const par::ParallelCampaignResult* other : {&scalar, &dense}) {
     ASSERT_EQ(simd.workers.size(), other->workers.size());

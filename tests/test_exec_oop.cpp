@@ -320,29 +320,33 @@ TEST(OopDifferential, EveryProjectMatchesInProcessExecution) {
 
 TEST(OopDifferential, DenseReferenceModeAlsoMatches) {
   // The dense full-map reference analysis applies unchanged to adopted
-  // traces — the sparse/dense x in-process/OOP square commutes.
+  // traces — the sparse/dense x in-process/OOP square commutes on both
+  // out-of-process kinds.
   const std::string project = "libmodbus";
   const auto factory = proto::target_factory(project);
-  const std::unique_ptr<ProtocolTarget> inproc_target = factory();
-  const std::unique_ptr<ProtocolTarget> placeholder = factory();
+  for (const fuzz::BackendKind kind :
+       {fuzz::BackendKind::kForkPerExec, fuzz::BackendKind::kPersistent}) {
+    SCOPED_TRACE(std::string(fuzz::to_string(kind)));
+    const std::unique_ptr<ProtocolTarget> inproc_target = factory();
+    const std::unique_ptr<ProtocolTarget> placeholder = factory();
 
-  fuzz::ExecutorConfig dense_config;
-  dense_config.dense_reference = true;
-  fuzz::Executor inproc(dense_config);
-  fuzz::ExecutorConfig oop_config =
-      oop_executor_config(project, fuzz::BackendKind::kForkPerExec);
-  oop_config.dense_reference = true;
-  fuzz::Executor oop(oop_config);
+    fuzz::ExecutorConfig dense_config;
+    dense_config.coverage_kernel = cov::simd::Kernel::kDense;
+    fuzz::Executor inproc(dense_config);
+    fuzz::ExecutorConfig oop_config = oop_executor_config(project, kind);
+    oop_config.coverage_kernel = cov::simd::Kernel::kDense;
+    fuzz::Executor oop(oop_config);
 
-  for (const Bytes& packet : packet_batch(project)) {
-    const fuzz::ExecResult a = inproc.run(*inproc_target, packet);
-    const fuzz::ExecResult b = oop.run(*placeholder, packet);
-    ASSERT_EQ(a.trace_hash, b.trace_hash);
-    ASSERT_EQ(a.trace_edges, b.trace_edges);
-    ASSERT_EQ(a.new_coverage, b.new_coverage);
+    for (const Bytes& packet : packet_batch(project)) {
+      const fuzz::ExecResult a = inproc.run(*inproc_target, packet);
+      const fuzz::ExecResult b = oop.run(*placeholder, packet);
+      ASSERT_EQ(a.trace_hash, b.trace_hash);
+      ASSERT_EQ(a.trace_edges, b.trace_edges);
+      ASSERT_EQ(a.new_coverage, b.new_coverage);
+    }
+    EXPECT_EQ(inproc.coverage().snapshot_accumulated(),
+              oop.coverage().snapshot_accumulated());
   }
-  EXPECT_EQ(inproc.coverage().snapshot_accumulated(),
-            oop.coverage().snapshot_accumulated());
 }
 
 // -- Persistent-mode hygiene. ---------------------------------------------

@@ -241,17 +241,23 @@ TEST(SessionSequencer, MutateStreamPreservesFramedShape) {
 
 #ifdef ICSFUZZ_SHIM_PATH
 
-void run_differential_oracle(const std::string& project) {
+void run_differential_oracle(
+    const std::string& project,
+    cov::simd::Kernel kernel = cov::simd::Kernel::kAuto) {
   const std::vector<Bytes> streams = differential_streams(project, 24);
   const auto factory = proto::target_factory(project);
   ASSERT_TRUE(factory) << project;
   std::unique_ptr<ProtocolTarget> in_proc_target = factory();
   std::unique_ptr<ProtocolTarget> placeholder = factory();
 
-  fuzz::Executor in_proc(session_executor_config(
-      project, fuzz::BackendKind::kInProcess, /*record_traffic=*/true));
-  fuzz::Executor tcp(session_executor_config(
-      project, fuzz::BackendKind::kTcp, /*record_traffic=*/true));
+  fuzz::ExecutorConfig in_proc_config = session_executor_config(
+      project, fuzz::BackendKind::kInProcess, /*record_traffic=*/true);
+  fuzz::ExecutorConfig tcp_config = session_executor_config(
+      project, fuzz::BackendKind::kTcp, /*record_traffic=*/true);
+  in_proc_config.coverage_kernel = kernel;
+  tcp_config.coverage_kernel = kernel;
+  fuzz::Executor in_proc(in_proc_config);
+  fuzz::Executor tcp(tcp_config);
 
   for (std::size_t i = 0; i < streams.size(); ++i) {
     const ByteSpan packet(streams[i].data(), streams[i].size());
@@ -280,6 +286,12 @@ TEST(SessionDifferential, TcpMatchesInProcessIec104) {
 
 TEST(SessionDifferential, TcpMatchesInProcessModbus) {
   run_differential_oracle("libmodbus");
+}
+
+TEST(SessionDifferential, DenseReferenceModeAlsoMatches) {
+  // Both session backends route their trace through the dense full-map
+  // reference passes; the in-process vs over-TCP square still commutes.
+  run_differential_oracle("IEC104", cov::simd::Kernel::kDense);
 }
 
 TEST(SessionDifferential, FixedSeedCampaignTrajectoryIdenticalOverTcp) {

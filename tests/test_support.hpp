@@ -144,13 +144,12 @@ inline void emit_pattern(const CellPattern& pattern) {
   }
 }
 
-/// Every kernel this build + CPU can actually dispatch to (scalar first).
+/// Every sparse-path kernel this build + CPU can actually dispatch to
+/// (scalar first; the dense reference oracle is not among them).
 inline std::vector<cov::simd::Kernel> runnable_kernels() {
   std::vector<cov::simd::Kernel> kernels = {cov::simd::Kernel::kScalar};
-  for (const cov::simd::Kernel kind :
-       {cov::simd::Kernel::kSSE2, cov::simd::Kernel::kAVX2,
-        cov::simd::Kernel::kNEON}) {
-    if (cov::simd::ops_for(kind) != nullptr) kernels.push_back(kind);
+  if (cov::simd::ops_for(cov::simd::Kernel::kAVX2) != nullptr) {
+    kernels.push_back(cov::simd::Kernel::kAVX2);
   }
   return kernels;
 }
