@@ -17,7 +17,11 @@
 //     the per-exec fork() disappears and `persistent_execs_per_sec` must
 //     clear both an absolute floor and a relative one
 //     (`persistent_speedup` over fork-per-exec — the order-of-magnitude
-//     win that motivates the mode).
+//     win that motivates the mode). Executions pass straight between
+//     client and child, so the fork server sleeps between recycles:
+//     `persistent_shim_switches_per_exec`, its context switches over the
+//     arm per execution, is capped — a count, not a rate, so it holds on
+//     any hardware.
 //
 //   * in-process — the plain Executor on the same packets.
 //     `slowdown_vs_in_process` contextualizes the fork tax, and all arms'
@@ -197,9 +201,17 @@ int main() {
   const ArmResult oop = run_arm(oop_executor, *placeholder, packets, execs);
   const ArmResult inproc =
       run_arm(inproc_executor, *inproc_target, packets, execs);
+  const auto* persistent_backend = persistent_executor.oop_backend();
+  const auto shim_switches = [&] {
+    return persistent_backend != nullptr
+               ? persistent_backend->process().context_switches()
+               : 0;
+  };
+  const std::uint64_t switches_before = shim_switches();
   const ArmResult persistent =
       run_batch_arm(persistent_executor, *placeholder, packets,
                     persistent_execs);
+  const std::uint64_t shim_switch_count = shim_switches() - switches_before;
 
   // The persistent checksum covers a different execution count; compare it
   // against a fresh in-process replay of the same sequence, with the same
@@ -227,7 +239,6 @@ int main() {
       oop_executor.oop_backend() != nullptr
           ? oop_executor.oop_backend()->server_restarts()
           : 0;
-  const auto* persistent_backend = persistent_executor.oop_backend();
   const std::uint64_t persistent_restarts =
       persistent_backend != nullptr ? persistent_backend->server_restarts()
                                     : 0;
@@ -260,6 +271,11 @@ int main() {
               static_cast<unsigned long long>(persistent_restarts));
   std::printf("  \"persistent_child_recycles\": %llu,\n",
               static_cast<unsigned long long>(recycles));
+  std::printf("  \"persistent_shim_switches_per_exec\": %.5f,\n",
+              persistent_execs > 0
+                  ? static_cast<double>(shim_switch_count) /
+                        static_cast<double>(persistent_execs)
+                  : 0.0);
   std::printf("  \"checksum\": %llu\n}\n",
               static_cast<unsigned long long>(oop.checksum & 0xFFFF));
   return matches && persistent_matches && state_bleed_free &&

@@ -1,12 +1,18 @@
 #include "exec_oop/exec_protocol.hpp"
 
 #include <poll.h>
+#include <signal.h>
+#include <sys/prctl.h>
+#include <sys/syscall.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+
+#include "exec_oop/wake_word.hpp"
 
 namespace icsfuzz::oop {
 
@@ -127,22 +133,139 @@ bool aux_load(const std::uint8_t* aux, std::size_t aux_size, AuxResult& out) {
   return true;
 }
 
-void ctl_store(std::uint8_t* segment, const CtlBlock& ctl) {
-  std::uint8_t* block = segment + kCtlBlockOffset;
-  store<std::uint32_t>(block, 0, ctl.slot);
-  store<std::uint32_t>(block, 4, ctl.budget);
-  store<std::uint64_t>(block, 8, ctl.exec_index);
-  std::atomic_thread_fence(std::memory_order_release);
+void child_claim(HandoffBlock& block, std::uint32_t request) {
+  for (;;) {
+    const std::uint32_t posted = shared_load(block.request);
+    if (static_cast<std::int32_t>(posted - request) >= 0) break;
+    wait_wake(&block.request, posted, -1);
+  }
+  shared_store(block.claimed, request);
 }
 
-CtlBlock ctl_load(const std::uint8_t* segment) {
-  std::atomic_thread_fence(std::memory_order_acquire);
-  const std::uint8_t* block = segment + kCtlBlockOffset;
-  CtlBlock ctl;
-  ctl.slot = load<std::uint32_t>(block, 0);
-  ctl.budget = load<std::uint32_t>(block, 4);
-  ctl.exec_index = load<std::uint64_t>(block, 8);
-  return ctl;
+void child_complete(HandoffBlock& block, std::uint32_t request,
+                    std::uint32_t iteration) {
+  HandoffRecord& record = handoff_record(block, request);
+  record.died = 0;
+  record.iteration = iteration;
+  shared_store(record.done, request);
+  bump_wake(&block.wake);
+}
+
+namespace {
+
+/// Publishes a server-observed death of the child serving `request`.
+void publish_result(HandoffBlock& block, std::uint32_t request, int wstatus,
+                   std::uint32_t iteration) {
+  HandoffRecord& record = handoff_record(block, request);
+  record.died = 1;
+  record.wstatus = wstatus;
+  record.iteration = iteration;
+  shared_store(record.done, request);
+}
+
+bool request_done(HandoffBlock& block, std::uint32_t request) {
+  return shared_load(handoff_record(block, request).done) == request;
+}
+
+int reap_pid(pid_t pid, int pidfd) {
+  int wstatus = 0;
+  while (::waitpid(pid, &wstatus, 0) < 0 && errno == EINTR) {
+  }
+  ::close(pidfd);
+  return wstatus;
+}
+
+}  // namespace
+
+int PersistentChild::fork(HandoffBlock& block, std::uint32_t budget) {
+  if (alive()) return 1;
+  const pid_t server = ::getpid();
+  claimed_at_fork_ = shared_load(block.claimed);
+  budget_ = budget;
+  const pid_t pid = ::fork();
+  if (pid < 0) return -1;
+  if (pid == 0) {
+    // Die with the server: a server that exits without reaping must not
+    // leave a child blocked on the request word forever.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != server) ::_exit(0);
+    return 0;
+  }
+  const int fd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+  if (fd < 0) {
+    ::kill(pid, SIGKILL);
+    while (::waitpid(pid, nullptr, 0) < 0 && errno == EINTR) {
+    }
+    return -1;
+  }
+  pid_ = pid;
+  pidfd_ = fd;
+  std::atomic_ref<std::uint32_t>(block.generation).fetch_add(1);
+  return 1;
+}
+
+bool PersistentChild::requests_pending(HandoffBlock& block) {
+  // Sequentially consistent, after the generation bump: pairs with the
+  // client's request bump and generation read (see the protocol comment).
+  const std::uint32_t posted =
+      std::atomic_ref<std::uint32_t>(block.request).load();
+  return static_cast<std::int32_t>(posted - shared_load(block.claimed)) > 0;
+}
+
+int PersistentChild::reap() {
+  const int wstatus = reap_pid(pid_, pidfd_);
+  pid_ = -1;
+  pidfd_ = -1;
+  return wstatus;
+}
+
+void PersistentChild::publish_death(HandoffBlock& block, int wstatus) {
+  const std::uint32_t claimed = shared_load(block.claimed);
+  if (claimed != claimed_at_fork_) {
+    // Died on (or after) the last request it took.
+    if (!request_done(block, claimed)) {
+      publish_result(block, claimed, wstatus, claimed - claimed_at_fork_);
+    }
+  } else if (static_cast<std::int32_t>(shared_load(block.request) - claimed) >
+             0) {
+    // Died before taking its first request (a preloaded target that
+    // crashed on its way to the loop): that request is the casualty.
+    shared_store(block.claimed, claimed + 1);
+    publish_result(block, claimed + 1, wstatus, 1);
+  }
+  std::atomic_ref<std::uint32_t>(block.generation).fetch_add(1);
+  bump_wake(&block.wake);
+}
+
+int PersistentChild::kill_for_deadline(HandoffBlock& block,
+                                       std::uint32_t request) {
+  if (request_done(block, request)) return 0;  // finished at the boundary
+  int wstatus = 0;
+  if (alive()) {
+    ::kill(pid_, SIGKILL);
+    wstatus = reap();
+    std::atomic_ref<std::uint32_t>(block.generation).fetch_add(1);
+  }
+  const std::uint32_t claimed = shared_load(block.claimed);
+  const std::int32_t ahead = static_cast<std::int32_t>(claimed - request);
+  if (ahead >= 0 && request_done(block, claimed)) {
+    // Everything through `claimed` finished before the kill landed.
+  } else if (ahead > 0) {
+    // The kill caught a later request the client has not timed out: it
+    // did not finish, so the next child serves it again from scratch.
+    shared_store(block.claimed, claimed - 1);
+  } else {
+    publish_result(block, request, wstatus, request - claimed_at_fork_);
+    shared_store(block.claimed, request);
+  }
+  bump_wake(&block.wake);
+  return wstatus;
+}
+
+void PersistentChild::kill() {
+  if (!alive()) return;
+  ::kill(pid_, SIGKILL);
+  reap();
 }
 
 bool slot_store_packet(std::uint8_t* segment, std::uint32_t slot,

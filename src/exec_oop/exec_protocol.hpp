@@ -1,68 +1,95 @@
 // Wire + segment protocol shared by the fuzzer-side fork-server client
-// (fork_server.hpp / oop_executor.hpp) and the target-side shim loop
-// (shim_runner.hpp, linked into tools/icsfuzz_shim_target.cpp).
+// (fork_server.hpp / oop_executor.hpp) and the two target-side servers: the
+// shim loop (shim_runner.hpp, linked into tools/icsfuzz_shim_target.cpp)
+// and the preload runtime (inject/preload_runtime.cpp).
 //
-// Segment layout (one ShmSegment of kSegmentBytes):
+// Segment layout (one ShmSegment of kSegmentBytesV2):
 //
 //   [0, kMapSize)                  raw edge-hit map (cov::kMapSize bytes),
 //                                  written by the instrumented child via
 //                                  cov::begin_trace into the mapping
 //   [kAuxOffset, kAuxOffset+kAux)  auxiliary execution result, written by
 //                                  the child just before _exit
+//   [kSlotsOffset, ...)            kNumSlots persistent slots, each a map,
+//                                  an aux block and a test-case buffer
+//   [kHandoffOffset, ...)          the persistent handoff block
 //
 // The aux block ships the observables a pipe could lose if the child died
 // mid-write: the instrumentation event count (the deterministic hang
 // budget), the soft-sanitizer fault reports, and the response bytes. The
 // child stores the completion magic LAST (release fence); the parent reads
-// it only after waitpid() has reaped the child, so a set magic implies a
-// fully written block and a missing magic means the child never finished
-// (killed, crashed, hung).
+// it only after the child was reaped or published completion, so a set
+// magic implies a fully written block and a missing magic means the child
+// never finished (killed, crashed, hung).
 //
-// Pipe protocol (classic AFL two-pipe handshake, enriched):
+// Pipe protocol (the control pipe on kCtlFd carries requests, the status
+// pipe on kStFd hello and replies):
 //
 //   spawn:    the client (TargetProcess) dup2s the control pipe onto fd
 //             kCtlFd and the status pipe onto fd kStFd before exec; the
-//             shim writes the hello [u32 kHelloMagicV2][u32 caps] on
+//             server writes the hello [u32 kHelloMagicV2][u32 caps] on
 //             kStFd, where caps advertises optional features
 //             (kCapPersistent).
-//   per exec: request [u32 timeout_ms][u32 control][u32 packet_len]
-//             [packet], where control == 0 forks one child for the packet
-//             on the pipe (results in the fork-per-exec region) and a
-//             persistent control word (encode_control) routes the
-//             execution into the persistent child over a shm test-case
-//             slot (packet_len is then 0 — the packet travels through the
-//             segment, not the pipe).
-//             The shim runs the execution (fork per exec, or one iteration
-//             of the persistent child's loop), SIGKILLing the child when
-//             its timeout_ms interval timer fires first — the shim owns
-//             the pid, so the kill can never hit a recycled pid — then
-//             replies on kStFd:
-//             reply [i32 wstatus][u32 flags][u32 iteration], flags
-//             carrying timed-out / ran-persistent / recycled (+ the
-//             recycle reason), iteration saying which "N of K" of the
-//             serving child this execution was.
-//             The executor's own read deadline (timeout_ms plus a grace
-//             margin) only guards against the server itself wedging,
-//             which is reported as server-lost, not as a hang.
-//   shutdown: executor closes the control pipe; the shim's request read
-//             sees EOF, reaps any stopped persistent child and exits
+//   request:  one Request header, then packet_len packet bytes:
+//     kExec    fork-per-exec: one child runs the packet that follows
+//              (results in the fork-per-exec region); the server SIGKILLs
+//              it when its timeout_ms interval timer fires first — it owns
+//              the pid, so the kill can never hit a recycled pid — and
+//              replies [i32 wstatus][u32 flags] (kReplyTimedOut).
+//     kFork    persistent: fork a child with budget `arg` unless one lives.
+//              No reply.
+//     kKill    persistent deadline: SIGKILL and reap the child if it still
+//              serves request `arg` or has not reached it yet, then reply
+//              [i32 wstatus][u32 flags]. No child serves `arg` afterwards.
+//             The client's own pipe deadlines (the exec budget plus a grace
+//             margin) only guard against the server itself wedging, which
+//             is reported as server-lost, not as a hang.
+//   shutdown: the client closes the control pipe; the server's request
+//             read sees EOF, kills and reaps any persistent child and exits
 //             cleanly (exit 0 — an *orderly* shutdown the client tells
 //             apart from a lost server).
 //
-// Persistent mode (kCapPersistent): the shim forks one long-lived
-// child that loops up to K executions (the request's budget). Between
-// iterations the child raises SIGSTOP (AFL deferred/persistent-mode
-// convention); the shim observes the stop via waitpid(WUNTRACED), which is
-// the "iteration complete" signal, and SIGCONTs it when the next request
-// arrives. The child _exit(0)s at iteration K (budget exhaustion) and the
-// shim re-forks on the next request — likewise after a crash or a
-// deadline kill, so one bad execution never poisons the loop. Each
-// iteration's observables land in that request's shm *slot* (its own map,
-// aux block and test-case buffer), so the client can pipeline up to
-// kNumSlots requests into the pipe without a round-trip stall per exec
-// and adopt each slot's results as the in-order replies drain.
+// Persistent mode (kCapPersistent) keeps the server off the per-exec path.
+// One long-lived child loops up to K executions (its kFork budget), and
+// the client and the child hand each execution to each other through the
+// handoff block with process-shared futex words (wake_word.hpp):
+//
+//   * request: the client numbers its persistent requests 1, 2, ... per
+//     server. For request S it writes the packet into a free slot and the
+//     slot and exec index into record S % kNumSlots, then bumps the request
+//     word and wakes it. Up to kNumSlots requests may be in flight; results
+//     are consumed strictly in order.
+//   * child: waits on the request word, stores claimed = S, runs the
+//     target into the record's slot, publishes the slot's aux block and
+//     the record's iteration, stores the record's done = S (release), and
+//     bumps and wakes the client's wake word. After iteration K it
+//     _exit(0)s (the budget recycle) instead of waiting for the next
+//     request.
+//   * death: the server polls a pidfd of the child and the control pipe,
+//     nothing else. When the child dies it reaps it and, if the request the
+//     child had claimed has no result yet — or, for a child that died
+//     before claiming anything, the next posted request — publishes the
+//     wait status into that record (died = 1) before done. Then it bumps the
+//     generation to even and wakes the client.
+//   * fork: a child serves from claimed + 1. The server forks one after a
+//     death (or deadline kill) when posted requests are left unclaimed, and
+//     on kFork, which a client about to wait sends once per even (childless)
+//     generation. The request and generation bumps are sequentially
+//     consistent and each side reads the other's word after its own bump,
+//     so at least one side sees that a fork is due. Forks therefore happen
+//     for the first request and after every recycle, and never without a
+//     request to serve.
+//   * deadline: the client times the wait itself. When the deadline passes
+//     it sends kKill; after the reply it re-checks the record, so an
+//     execution that finished at the boundary still counts as completed.
+//   * server death: the client notices it between wait slices (its
+//     liveness check reaps the server); the child dies with the server
+//     (PR_SET_PDEATHSIG).
 #pragma once
 
+#include <sys/types.h>
+
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -105,8 +132,7 @@ inline constexpr std::size_t kSegmentBytes = kAuxOffset + kAuxBytes;
 /// Slot region, appended after the fork-per-exec region: kNumSlots
 /// independent execution slots, each with its own coverage map, aux block
 /// and test-case buffer, so up to kNumSlots persistent-mode requests can be
-/// in flight (pipelined into the pipe) with no shared mutable state between
-/// them.
+/// in flight with no shared mutable state between them.
 inline constexpr std::uint32_t kNumSlots = 4;
 inline constexpr std::size_t kSlotAuxOffset = cov::kMapSize;
 inline constexpr std::size_t kSlotTestCaseOffset = kSlotAuxOffset + kAuxBytes;
@@ -115,78 +141,148 @@ inline constexpr std::size_t kSlotBytes =
     kSlotTestCaseOffset + kSlotTestCaseBytes;
 inline constexpr std::size_t kSlotsOffset = kSegmentBytes;
 
-/// Per-iteration control block the shim writes before waking (or forking)
-/// the persistent child: which slot this iteration serves, the loop budget
-/// K, and the campaign-global execution index (fault-injection hooks key
-/// off it, mirroring the fork-per-exec plan semantics).
-inline constexpr std::size_t kCtlBlockOffset =
+/// The persistent handoff block, after the slots (layout: HandoffBlock).
+inline constexpr std::size_t kHandoffOffset =
     kSlotsOffset + std::size_t{kNumSlots} * kSlotBytes;
-inline constexpr std::size_t kCtlBlockBytes = 64;
+inline constexpr std::size_t kHandoffBytes = 192;
 
 /// Full fork-server segment size (the client always creates this much).
-inline constexpr std::size_t kSegmentBytesV2 = kCtlBlockOffset + kCtlBlockBytes;
+inline constexpr std::size_t kSegmentBytesV2 = kHandoffOffset + kHandoffBytes;
 
 /// Byte offset of persistent slot `slot` inside the segment.
 [[nodiscard]] constexpr std::size_t slot_offset(std::uint32_t slot) {
   return kSlotsOffset + std::size_t{slot} * kSlotBytes;
 }
 
-// -- Request control word. -------------------------------------------------
-//
-// 0 = fork-per-exec (packet on the pipe, results in the fork-per-exec
-// region). Otherwise: bits [0,4) the slot index, bit 4 the persistent
-// marker, bits [8,32) the iteration budget K.
-inline constexpr std::uint32_t kCtlPersistent = 1u << 4;
-inline constexpr std::uint32_t kCtlSlotMask = 0xF;
-inline constexpr std::uint32_t kCtlBudgetShift = 8;
+// -- Pipe requests. --------------------------------------------------------
 
-[[nodiscard]] constexpr std::uint32_t encode_control(std::uint32_t slot,
-                                                     std::uint32_t budget) {
-  return kCtlPersistent | (slot & kCtlSlotMask) |
-         (budget << kCtlBudgetShift);
-}
-[[nodiscard]] constexpr std::uint32_t control_slot(std::uint32_t control) {
-  return control & kCtlSlotMask;
-}
-[[nodiscard]] constexpr std::uint32_t control_budget(std::uint32_t control) {
-  return control >> kCtlBudgetShift;
-}
+enum class Op : std::uint32_t { kExec = 1, kFork = 2, kKill = 3 };
 
-// -- Reply flags. ----------------------------------------------------------
-inline constexpr std::uint32_t kReplyTimedOut = 1u << 0;
-/// The execution ran inside the persistent child (not a fresh fork).
-inline constexpr std::uint32_t kReplyPersistent = 1u << 1;
-/// The serving child is gone after this execution; the next request
-/// re-forks. The recycle *reason* sits in bits [8,16).
-inline constexpr std::uint32_t kReplyChildRecycled = 1u << 2;
-inline constexpr std::uint32_t kReplyRecycleShift = 8;
-enum class RecycleReason : std::uint8_t {
-  kNone = 0,
-  kBudget,  ///< orderly _exit(0) at iteration K
-  kCrash,   ///< signal / abnormal exit mid-iteration
-  kHang,    ///< deadline SIGKILL
-};
-[[nodiscard]] constexpr std::uint32_t encode_recycle(RecycleReason reason) {
-  return kReplyChildRecycled |
-         (static_cast<std::uint32_t>(reason) << kReplyRecycleShift);
-}
-[[nodiscard]] constexpr RecycleReason reply_recycle_reason(
-    std::uint32_t flags) {
-  return static_cast<RecycleReason>((flags >> kReplyRecycleShift) & 0xFF);
-}
-
-/// The per-iteration control block (kCtlBlockOffset).
-struct CtlBlock {
-  std::uint32_t slot = 0;
-  std::uint32_t budget = 0;
+/// Request header on the control pipe, followed by packet_len packet bytes
+/// (kExec only).
+struct Request {
+  Op op = Op::kExec;
+  /// kFork: the child's budget K. kKill: the request number to abandon.
+  std::uint32_t arg = 0;
+  std::uint32_t packet_len = 0;
+  /// kExec: the wall-clock deadline; 0 disables it.
+  std::uint32_t timeout_ms = 0;
+  /// kExec: 1-based index of the execution on this server (fault-plan key).
   std::uint64_t exec_index = 0;
 };
+static_assert(sizeof(Request) == 24);
 
-/// Publishes `ctl` into the segment (shim side, before fork/SIGCONT) /
-/// reads it back (child side, after resuming). The kernel round trip of
-/// the wakeup orders the accesses; the fences make the pairing explicit.
-void ctl_store(std::uint8_t* segment, const CtlBlock& ctl);
-CtlBlock ctl_load(const std::uint8_t* segment);
+/// Reply flag: the deadline fired and the child was SIGKILLed.
+inline constexpr std::uint32_t kReplyTimedOut = 1u << 0;
+
+// -- Persistent handoff. ---------------------------------------------------
+
+/// The result record of one in-flight persistent request.
+struct HandoffRecord {
+  /// 1-based index of the execution on this server (client; the child's
+  /// fault-plan key).
+  std::uint64_t exec_index;
+  /// The request whose result the record holds (release store, last).
+  std::uint32_t done;
+  /// 1 when the server published the serving child's death (wstatus).
+  std::uint32_t died;
+  std::int32_t wstatus;
+  /// "N of K" within the serving child.
+  std::uint32_t iteration;
+  /// The slot holding the packet and, once done, the results (client).
+  std::uint32_t slot;
+};
+
+struct HandoffBlock {
+  /// Futex: persistent requests posted (client).
+  std::uint32_t request;
+  /// Futex: the client's wake word (child on completion, server on death).
+  std::uint32_t wake;
+  /// The last request a child took (child; server after a death or kill).
+  std::uint32_t claimed;
+  /// Odd while a persistent child lives (server).
+  std::uint32_t generation;
+  HandoffRecord records[kNumSlots];
+};
+static_assert(sizeof(HandoffBlock) <= kHandoffBytes);
+
+[[nodiscard]] inline HandoffBlock& handoff_block(std::uint8_t* segment) {
+  return *reinterpret_cast<HandoffBlock*>(segment + kHandoffOffset);
+}
+[[nodiscard]] inline HandoffRecord& handoff_record(HandoffBlock& block,
+                                                   std::uint32_t request) {
+  return block.records[request % kNumSlots];
+}
+/// The slot of a posted request (child side; a corrupt index reads as 0).
+[[nodiscard]] inline std::uint32_t request_slot(HandoffBlock& block,
+                                                std::uint32_t request) {
+  const std::uint32_t slot = handoff_record(block, request).slot;
+  return slot < kNumSlots ? slot : 0;
+}
+
+/// Shared-word accessors: every handoff field crosses processes.
+template <typename T>
+[[nodiscard]] T shared_load(T& word) {
+  return std::atomic_ref<T>(word).load(std::memory_order_acquire);
+}
+template <typename T>
+void shared_store(T& word, T value) {
+  std::atomic_ref<T>(word).store(value, std::memory_order_release);
+}
+
+/// Child side: blocks (no timeout — the child dies with its server) until
+/// request `request` is posted, then claims it.
+void child_claim(HandoffBlock& block, std::uint32_t request);
+
+/// Child side: publishes that request `request` completed as iteration
+/// `iteration` (its aux block is already stored), then wakes the client.
+void child_complete(HandoffBlock& block, std::uint32_t request,
+                    std::uint32_t iteration);
+
+/// Server side: the persistent child — fork, pidfd, reap, kill — and the
+/// handoff bookkeeping of its deaths. Shared by the shim and the preload
+/// runtime, which differ only in what the forked child runs. No destructor
+/// kills the child: every execution child a server forks inherits a copy
+/// of this object, and a preloaded one unwinds it on its way to main().
+class PersistentChild {
+ public:
+  /// Forks a child unless one lives. Returns 0 in the child (which dies
+  /// with this process), 1 in the parent, -1 when fork/pidfd_open failed.
+  int fork(HandoffBlock& block, std::uint32_t budget);
+
+  /// Posted requests wait unclaimed: after a death, a child is due.
+  [[nodiscard]] static bool requests_pending(HandoffBlock& block);
+
+  [[nodiscard]] bool alive() const { return pid_ > 0; }
+  /// Readable once the child has died (poll it with the control pipe).
+  [[nodiscard]] int pidfd() const { return pidfd_; }
+  /// The budget K of the last fork (the client always asks for the same).
+  [[nodiscard]] std::uint32_t budget() const { return budget_; }
+
+  /// Reaps the child once its pidfd is readable; returns its wait status.
+  int reap();
+
+  /// Publishes the reaped child's death: the request it died on gets the
+  /// wait status (see the protocol comment above), the generation turns
+  /// even and the client wakes.
+  void publish_death(HandoffBlock& block, int wstatus);
+
+  /// kKill: SIGKILLs the child unless it has moved past `request`, reaps
+  /// it, and makes sure no later child serves `request`. Returns the wait
+  /// status of a killed child, 0 otherwise.
+  int kill_for_deadline(HandoffBlock& block, std::uint32_t request);
+
+  /// Shutdown: SIGKILLs and reaps the child without publishing anything.
+  void kill();
+
+ private:
+  pid_t pid_ = -1;
+  int pidfd_ = -1;
+  std::uint32_t budget_ = 0;
+  /// `claimed` when the child was forked: unchanged at death means the
+  /// child died before claiming any request.
+  std::uint32_t claimed_at_fork_ = 0;
+};
 
 /// Writes `packet` into slot `slot`'s test-case buffer as [u32 len][bytes]
 /// (client side). False when the packet exceeds the buffer — the caller

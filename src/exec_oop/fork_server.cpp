@@ -4,12 +4,14 @@
 
 #include <limits>
 
+#include "exec_oop/wake_word.hpp"
+
 namespace icsfuzz::oop {
 
 namespace {
 
 /// Pipe-I/O deadline for one request/reply: the exec budget plus a grace
-/// margin (the shim owns the real deadline; ours only catches a wedged
+/// margin (the server owns the real deadline; ours only catches a wedged
 /// server). Negative for an unbounded exec budget.
 int io_deadline_for(int timeout_ms) {
   if (timeout_ms <= 0) return -1;
@@ -19,6 +21,16 @@ int io_deadline_for(int timeout_ms) {
 }
 
 }  // namespace
+
+void ForkServer::sync_server() {
+  if (process_.spawns() == spawn_seen_) return;
+  // A fresh server comes with a fresh (zeroed) segment: numbering restarts.
+  spawn_seen_ = process_.spawns();
+  exec_index_ = 0;
+  posted_ = 0;
+  awaited_ = 0;
+  fork_sent_for_ = 1;
+}
 
 ForkServer::RunOutcome::Kind ForkServer::classify_server_gone() {
   // An orderly exit (status 0 — the shim retired after its final
@@ -33,89 +45,152 @@ ForkServer::RunOutcome::Kind ForkServer::classify_server_gone() {
   return last_failure_;
 }
 
-bool ForkServer::write_request(std::uint32_t control, ByteSpan packet,
-                               int timeout_ms, int io_deadline_ms) {
+bool ForkServer::write_request(const Request& request, ByteSpan packet,
+                               int io_deadline_ms) {
   if (!process_.running()) {
     // Keep last_failure_ as classify_server_gone() left it: a caller that
     // races a just-retired server still sees kServerExited, not a loss.
     error_ = "fork server not running";
     return false;
   }
-  // timeout_ms <= 0 disables the per-exec wall-clock deadline end to end:
-  // the shim disarms its interval timer and this side waits indefinitely
-  // — a wedged server is then caught only by pipe EOF (the caller opted
-  // out of wall-clock limits).
-  const std::uint32_t header[3] = {
-      timeout_ms <= 0 ? 0 : static_cast<std::uint32_t>(timeout_ms), control,
-      static_cast<std::uint32_t>(packet.size())};
   const int fd = process_.ctl_fd();
   ReadStatus status =
-      write_full_deadline(fd, header, sizeof header, io_deadline_ms);
+      write_full_deadline(fd, &request, sizeof request, io_deadline_ms);
   if (status == ReadStatus::kOk && !packet.empty()) {
     status = write_full_deadline(fd, packet.data(), packet.size(),
                                  io_deadline_ms);
   }
-  if (status != ReadStatus::kOk) {
-    if (status == ReadStatus::kTimeout) {
-      error_ = "fork server stopped draining the request pipe";
-      last_failure_ = RunOutcome::Kind::kServerLost;
-    } else {
-      error_ = "fork server pipe write failed (server gone?)";
-      classify_server_gone();
-    }
-    return false;
+  if (status == ReadStatus::kOk) return true;
+  if (status == ReadStatus::kTimeout) {
+    error_ = "fork server stopped draining the request pipe";
+    last_failure_ = RunOutcome::Kind::kServerLost;
+  } else {
+    error_ = "fork server pipe write failed (server gone?)";
+    classify_server_gone();
   }
-  return true;
+  return false;
 }
 
-bool ForkServer::submit(std::uint32_t control, int timeout_ms) {
-  return write_request(control, {}, timeout_ms, io_deadline_for(timeout_ms));
+bool ForkServer::read_reply(std::uint32_t (&reply)[2], int io_deadline_ms) {
+  // Expiry means the server itself wedged (it owns the exec deadline), so
+  // it is server-gone, never a hang verdict.
+  const ReadStatus status = read_full_deadline(process_.st_fd(), reply,
+                                               sizeof reply, io_deadline_ms);
+  if (status == ReadStatus::kOk) return true;
+  error_ = "fork server died mid-execution";
+  if (status == ReadStatus::kClosed) {
+    classify_server_gone();
+  } else {
+    last_failure_ = RunOutcome::Kind::kServerLost;
+  }
+  return false;
 }
 
-ForkServer::RunOutcome ForkServer::await_reply(int io_deadline_ms) {
+ForkServer::RunOutcome ForkServer::run(ByteSpan packet, int timeout_ms) {
+  sync_server();
   RunOutcome outcome;
-  if (process_.st_fd() < 0) {
+  const int io_deadline_ms = io_deadline_for(timeout_ms);
+  // timeout_ms <= 0 disables the per-exec wall-clock deadline end to end:
+  // the server disarms its interval timer and this side waits indefinitely.
+  const Request request{
+      .op = Op::kExec,
+      .packet_len = static_cast<std::uint32_t>(packet.size()),
+      .timeout_ms =
+          timeout_ms <= 0 ? 0u : static_cast<std::uint32_t>(timeout_ms),
+      .exec_index = ++exec_index_};
+  std::uint32_t reply[2] = {0, 0};
+  if (!write_request(request, packet, io_deadline_ms) ||
+      !read_reply(reply, io_deadline_ms)) {
     outcome.kind = last_failure_;
     return outcome;
   }
-
-  // The shim owns the per-exec deadline (it SIGKILLs its own child when
-  // the timer fires and reports timed_out) — our read deadline only has
-  // to catch the server itself wedging, so it gets a generous grace
-  // margin on top of the exec budget and expiry means server-gone, never
-  // a hang verdict. Reply: [i32 wstatus][u32 flags][u32 iteration].
-  std::uint32_t reply[3] = {0, 0, 0};
-  const ReadStatus status = read_full_deadline(process_.st_fd(), reply,
-                                               sizeof reply, io_deadline_ms);
-  if (status != ReadStatus::kOk) {
-    error_ = "fork server died mid-execution";
-    outcome.kind = status == ReadStatus::kClosed
-                       ? classify_server_gone()
-                       : RunOutcome::Kind::kServerLost;
-    return outcome;
-  }
-
-  const std::uint32_t flags = reply[1];
   outcome.wstatus = static_cast<std::int32_t>(reply[0]);
-  outcome.iteration = reply[2];
-  outcome.persistent = (flags & kReplyPersistent) != 0;
-  outcome.recycled = (flags & kReplyChildRecycled) != 0
-                         ? reply_recycle_reason(flags)
-                         : RecycleReason::kNone;
-  outcome.kind = (flags & kReplyTimedOut) != 0 ? RunOutcome::Kind::kTimeout
-                                               : RunOutcome::Kind::kCompleted;
+  outcome.kind = (reply[1] & kReplyTimedOut) != 0
+                     ? RunOutcome::Kind::kTimeout
+                     : RunOutcome::Kind::kCompleted;
   return outcome;
 }
 
-ForkServer::RunOutcome ForkServer::run(std::uint32_t control, ByteSpan packet,
-                                       int timeout_ms) {
+bool ForkServer::post(ByteSpan packet, std::uint32_t slot) {
+  sync_server();
+  std::uint8_t* segment = process_.segment().data();
+  if (!slot_store_packet(segment, slot, packet)) return false;
+  const std::uint32_t request = posted_ + 1;
+  HandoffRecord& record = handoff_record(handoff_block(segment), request);
+  record.slot = slot;
+  record.exec_index = ++exec_index_;
+  posted_ = request;
+  // The request word counts posts, so the bump publishes exactly `request`.
+  bump_wake(&handoff_block(segment).request);
+  return true;
+}
+
+ForkServer::RunOutcome ForkServer::await(int timeout_ms) {
+  RunOutcome outcome;
+  const std::uint32_t request = ++awaited_;
+  HandoffBlock& block = handoff_block(process_.segment().data());
+  HandoffRecord& record = handoff_record(block, request);
+  outcome.persistent = true;
+  outcome.slot = record.slot;
+
   const int io_deadline_ms = io_deadline_for(timeout_ms);
-  if (!write_request(control, packet, timeout_ms, io_deadline_ms)) {
-    RunOutcome outcome;
-    outcome.kind = last_failure_;
+  const std::uint64_t deadline =
+      timeout_ms > 0 ? monotonic_ms() + static_cast<std::uint64_t>(timeout_ms)
+                     : 0;
+  // No child lives (even generation): ask for one, once per generation.
+  // The load is sequentially consistent and follows post()'s request bump,
+  // so it pairs with the server's own check after a death.
+  const std::uint32_t generation =
+      std::atomic_ref<std::uint32_t>(block.generation).load();
+  if ((generation & 1) == 0 && generation != fork_sent_for_) {
+    if (!write_request({.op = Op::kFork, .arg = budget_}, {},
+                       io_deadline_ms)) {
+      outcome.kind = last_failure_;
+      return outcome;
+    }
+    fork_sent_for_ = generation;
+  }
+
+  const auto done = [&] {
+    return shared_load(record.done) == request ? 1u : 0u;
+  };
+  // Child deaths are published (and wake us); only a server that died
+  // without publishing needs this check, made when a slice passes quietly.
+  const auto server_gone = [&] { return process_.try_reap(); };
+  bool timed_out = false;
+  bool killed = false;
+  if (!sync_wait_counter(&block.wake, done, 1, deadline, server_gone,
+                         process_.spin_waits())) {
+    if (!process_.running()) {
+      error_ = "fork server died mid-execution";
+      classify_server_gone();
+      outcome.kind = last_failure_;
+      return outcome;
+    }
+    // The deadline passed: the server kills the child (it owns the pid),
+    // and the record then says whether the execution finished first.
+    std::uint32_t reply[2] = {0, 0};
+    if (!write_request({.op = Op::kKill, .arg = request}, {},
+                       io_deadline_ms) ||
+        !read_reply(reply, io_deadline_ms)) {
+      outcome.kind = last_failure_;
+      return outcome;
+    }
+    timed_out = true;
+    killed = reply[0] != 0;
+  }
+
+  outcome.iteration = record.iteration;
+  if (done() != 0 && record.died == 0) {
+    outcome.kind = RunOutcome::Kind::kCompleted;
+    outcome.recycled = killed || outcome.iteration >= budget_;
     return outcome;
   }
-  return await_reply(io_deadline_ms);
+  outcome.recycled = true;
+  outcome.wstatus = done() != 0 ? record.wstatus : 0;
+  outcome.kind = timed_out ? RunOutcome::Kind::kTimeout
+                           : RunOutcome::Kind::kCompleted;
+  return outcome;
 }
 
 }  // namespace icsfuzz::oop

@@ -67,19 +67,19 @@ void classify_termination(int wstatus, bool completed,
 }
 
 void OutOfProcessExecutor::classify(const ForkServer::RunOutcome& raw,
-                                    std::size_t map_offset,
-                                    std::size_t aux_offset, Outcome& out) {
+                                    Outcome& out) {
   out.persistent = raw.persistent;
   out.iteration = raw.iteration;
-  out.child_recycled = raw.recycled != RecycleReason::kNone;
+  out.child_recycled = raw.recycled;
   if (out.child_recycled) ++child_recycles_;
-  map_offset_ = map_offset;
+  map_offset_ = raw.persistent ? slot_offset(raw.slot) : 0;
   // Any classified outcome means the server answered — the crash loop (if
   // there was one) is over.
   process_.note_answered();
 
-  const bool aux_complete =
-      aux_load(process_.segment().data() + aux_offset, kAuxBytes, out.aux);
+  const bool aux_complete = aux_load(
+      process_.segment().data() + map_offset_ + cov::kMapSize, kAuxBytes,
+      out.aux);
   if (raw.kind == ForkServer::RunOutcome::Kind::kTimeout) {
     out.status = ExecStatus::kHang;
     out.exit_code = 0;
@@ -117,28 +117,20 @@ const OutOfProcessExecutor::Outcome& OutOfProcessExecutor::run(
     if (attempt == 1) process_.note_retry();
     if (!ensure_started()) continue;  // next attempt retries the spawn
 
-    ForkServer::RunOutcome raw;
-    std::size_t map_offset = 0;
-    std::size_t aux_offset = kAuxOffset;
     // Persistent single-exec path: packet through slot 0, oversized
     // packets (rare — > kSlotTestCaseBytes) fall back to a fork-per-exec
-    // pipe request for this one execution.
-    if (persistent_active() &&
-        slot_store_packet(process_.segment().data(), 0, packet)) {
-      raw = server_.run(encode_control(0, config_.persistent_budget), {},
-                        config_.exec_timeout_ms);
-      map_offset = slot_offset(0);
-      aux_offset = slot_offset(0) + kSlotAuxOffset;
-    } else {
-      raw = server_.run(0, packet, config_.exec_timeout_ms);
-    }
+    // request for this one execution.
+    const ForkServer::RunOutcome raw =
+        persistent_active() && server_.post(packet, 0)
+            ? server_.await(config_.exec_timeout_ms)
+            : server_.run(packet, config_.exec_timeout_ms);
 
     if (raw.kind == ForkServer::RunOutcome::Kind::kServerExited ||
         raw.kind == ForkServer::RunOutcome::Kind::kServerLost) {
       note_server_gone(raw.kind);
       continue;  // respawn + retry
     }
-    classify(raw, map_offset, aux_offset, outcome);
+    classify(raw, outcome);
     return outcome;
   }
   fail_outcome(outcome);
@@ -162,45 +154,27 @@ std::size_t OutOfProcessExecutor::run_batch(
       break;
     }
 
-    // Fill the window: one in-flight request per shm slot. Replies drain
-    // strictly in submission order, so slot i%kNumSlots is never reused
-    // before its reply has been consumed.
-    bool submit_failed = false;
-    while (!submit_failed && next_submit < packets.size() &&
-           next_submit - next_deliver < kNumSlots) {
-      const std::uint32_t slot =
-          static_cast<std::uint32_t>(next_submit % kNumSlots);
-      if (!slot_store_packet(process_.segment().data(), slot,
-                             ByteSpan(packets[next_submit]))) {
-        break;  // oversized: drain in-flight first, then run() it inline
-      }
-      if (!server_.submit(encode_control(slot, config_.persistent_budget),
-                          config_.exec_timeout_ms)) {
-        submit_failed = true;
-        break;
-      }
+    // Fill the window: one in-flight request per shm slot. Results come
+    // back strictly in order, so slot i%kNumSlots is never reused before
+    // its result has been consumed.
+    while (next_submit < packets.size() &&
+           next_submit - next_deliver < kNumSlots &&
+           server_.post(ByteSpan(packets[next_submit]),
+                        static_cast<std::uint32_t>(next_submit % kNumSlots))) {
       ++next_submit;
     }
 
     if (next_submit == next_deliver) {
-      // Nothing in flight: the head request never went out (respawn via
-      // the sequential path, which counts the retry) or is oversized.
-      if (submit_failed) note_server_gone(server_.last_failure());
+      // Nothing in flight: the head packet is oversized for a slot.
       on_outcome(next_deliver, run(ByteSpan(packets[next_deliver])));
       next_submit = ++next_deliver;
       continue;
     }
 
-    // Drain one reply. The deadline covers every exec queued ahead of it
-    // in the worst case, plus IO grace.
-    const int deadline =
-        config_.exec_timeout_ms > 0
-            ? config_.exec_timeout_ms * static_cast<int>(kNumSlots) + 5000
-            : -1;
-    const ForkServer::RunOutcome raw = server_.await_reply(deadline);
+    const ForkServer::RunOutcome raw = server_.await(config_.exec_timeout_ms);
     if (raw.kind == ForkServer::RunOutcome::Kind::kServerExited ||
         raw.kind == ForkServer::RunOutcome::Kind::kServerLost) {
-      // Every in-flight reply is gone with the server. Re-run the whole
+      // Every in-flight result is gone with the server. Re-run the whole
       // window sequentially (run() respawns and retries).
       note_server_gone(raw.kind);
       for (; next_deliver < next_submit; ++next_deliver) {
@@ -209,10 +183,7 @@ std::size_t OutOfProcessExecutor::run_batch(
       next_submit = next_deliver;
       continue;
     }
-    const std::uint32_t slot =
-        static_cast<std::uint32_t>(next_deliver % kNumSlots);
-    classify(raw, slot_offset(slot), slot_offset(slot) + kSlotAuxOffset,
-             outcome_);
+    classify(raw, outcome_);
     on_outcome(next_deliver, outcome_);
     ++next_deliver;
   }

@@ -11,15 +11,16 @@
 // asserts exactly that.
 //
 // Two execution modes behind one run() call:
-//   * fork-per-exec — one fork() per packet (control word 0).
+//   * fork-per-exec — one fork() per packet (an Op::kExec request).
 //   * persistent    — `persistent_budget` > 1 and the server advertises
 //     kCapPersistent: packets travel through shm test-case slots into a
-//     long-lived child that loops K executions per process, which removes
-//     the per-exec fork() and recovers an order of magnitude of
-//     throughput. run_batch() additionally pipelines up to kNumSlots
-//     requests so the round-trip stall disappears from replay-style
-//     workloads. A server without the capability (an injected binary that
-//     does not cooperate) keeps the executor on fork-per-exec —
+//     long-lived child that loops K executions per process, handed over
+//     through futex words with the server asleep, which removes the
+//     per-exec fork() and recovers an order of magnitude of throughput.
+//     run_batch() additionally keeps up to kNumSlots requests in flight so
+//     the round-trip stall disappears from replay-style workloads. A
+//     server without the capability (an injected binary that does not
+//     cooperate) keeps the executor on fork-per-exec —
 //     persistent_active() reports what actually runs.
 //
 // Robustness: the server's lifecycle is a TargetProcess. A lost fork
@@ -118,7 +119,7 @@ class OutOfProcessExecutor {
 
   /// Pipelined batch dispatch (replay/bench/distill workloads — the
   /// adaptive fuzzing loop stays per-exec because generation depends on
-  /// each result). Up to kNumSlots requests ride the pipe concurrently in
+  /// each result). Up to kNumSlots requests are in flight at once in
   /// persistent mode; outcomes are delivered strictly in packet order,
   /// each valid only for the duration of its callback (the scratch is
   /// reused). Falls back to sequential run() calls when persistent mode
@@ -187,10 +188,10 @@ class OutOfProcessExecutor {
   [[nodiscard]] const TargetProcess& process() const { return process_; }
 
  private:
-  /// Maps a transport outcome + the aux block at `aux_offset` onto the
-  /// semantic Outcome, and points map_words() at `map_offset`.
-  void classify(const ForkServer::RunOutcome& raw, std::size_t map_offset,
-                std::size_t aux_offset, Outcome& out);
+  /// Maps a transport outcome + the aux block of the region that served it
+  /// (fork-per-exec or its slot) onto the semantic Outcome, and points
+  /// map_words() at that region's map.
+  void classify(const ForkServer::RunOutcome& raw, Outcome& out);
 
   /// Handles a gone server (orderly vs lost) before a respawn attempt.
   void note_server_gone(ForkServer::RunOutcome::Kind kind);
@@ -200,7 +201,7 @@ class OutOfProcessExecutor {
 
   OopExecutorConfig config_;
   TargetProcess process_;
-  ForkServer server_{process_};
+  ForkServer server_{process_, config_.persistent_budget};
   Outcome outcome_;
   std::string error_;
   std::size_t map_offset_ = 0;

@@ -1,11 +1,13 @@
 #include "exec_oop/shim_runner.hpp"
 
+#include <poll.h>
 #include <signal.h>
 #include <sys/mman.h>
 #include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -62,33 +64,19 @@ void arm_deadline(std::uint32_t timeout_ms) {
   ::setitimer(ITIMER_REAL, &timer, nullptr);
 }
 
-/// Waits for `child` with the per-exec deadline armed; SIGKILLs it when
-/// the timer fires first. With `wait_stops` the waitpid also returns for a
-/// child that stopped itself (the persistent child's iteration-complete
-/// SIGSTOP). Returns the raw wstatus; `timed_out` reports a deadline kill.
-int await_child(pid_t child, std::uint32_t timeout_ms, bool wait_stops,
-                bool& timed_out) {
+/// Waits for the fork-per-exec `child` with the per-exec deadline armed;
+/// SIGKILLs it when the timer fires first. Returns the raw wstatus;
+/// `timed_out` reports a deadline kill.
+int await_child(pid_t child, std::uint32_t timeout_ms, bool& timed_out) {
   g_deadline_fired = 0;
   if (timeout_ms != 0) arm_deadline(timeout_ms);
   int wstatus = 0;
   timed_out = false;
-  const int options = wait_stops ? WUNTRACED : 0;
   for (;;) {
-    const pid_t reaped = ::waitpid(child, &wstatus, options);
-    if (reaped == child) {
-      // After a deadline SIGKILL, a stop that was already pending can be
-      // reported first; keep waiting for the termination so the child is
-      // actually reaped (no zombie) before the hang verdict goes out.
-      if (timed_out && WIFSTOPPED(wstatus)) continue;
-      break;
-    }
-    if (reaped < 0 && errno == EINTR) {
+    if (::waitpid(child, &wstatus, 0) == child) break;
+    if (errno == EINTR) {
       if (g_deadline_fired && !timed_out) {
         timed_out = true;
-        // SIGKILL terminates even a stopped child, so a deadline that
-        // races the iteration-complete stop still converges: whichever
-        // state change waitpid reports first wins, and a just-stopped
-        // child is reported as stopped (completed), not as a hang.
         ::kill(child, SIGKILL);
       }
       continue;
@@ -151,40 +139,52 @@ int await_child(pid_t child, std::uint32_t timeout_ms, bool wait_stops,
   ::_exit(0);
 }
 
+/// Exit codes a persistent child uses to hand a server-level fault-plan
+/// hook to the shim, which no longer sees each execution: the child that
+/// reads execution index N is the first to know. The shim honours them
+/// only while the matching knob is set.
+constexpr int kChildServerExit = 94;    ///< server_exit_at: shim exits 9
+constexpr int kChildServerRetire = 95;  ///< server_retire_after: exits 0
+
 /// The persistent child's ICSFUZZ_LOOP: up to `budget` executions in one
-/// process, one per wakeup. Each iteration reads its slot assignment from
-/// the control block, restores the slot's map invariant with a sparse
-/// clear (its own per-slot dirty list — nobody else writes a slot's map
-/// while this child serves it), runs the target, publishes the slot's aux
-/// block, and raises SIGSTOP to report completion. The final iteration
-/// _exit(0)s instead — the budget-exhaustion recycle the shim re-forks
-/// after. Never returns.
+/// process, one per request handed over through the handoff block. Each
+/// iteration claims the next request, restores its slot's map invariant
+/// with a sparse clear (its own per-slot dirty list — nobody else writes a
+/// slot's map while this child serves it), runs the target, publishes the
+/// slot's aux block and completes the request. After the final iteration
+/// it _exit(0)s — the budget recycle. Never returns.
 [[noreturn]] void run_persistent_child(ProtocolTarget& target,
                                        std::uint8_t* segment,
+                                       std::uint32_t budget,
                                        const ShimFaultPlan& plan) {
-  const std::uint32_t budget = ctl_load(segment).budget;
+  HandoffBlock& block = handoff_block(segment);
   // Per-slot dirty lists, paired with first-use flags: a slot is fully
   // zeroed the first time THIS child serves it (establishing "empty list
   // == all-zero map" whatever an earlier child left behind), and
   // sparse-cleared on every later iteration. Clearing lazily — instead of
   // the server wiping all slots at fork — matters with pipelining: at a
   // recycle boundary the client may not yet have read the previous
-  // child's final slots, and the window protocol only guarantees a slot's
-  // reply has been consumed before a NEW request lands on that slot.
+  // child's final slots, and the handoff only guarantees a slot's result
+  // has been consumed before a NEW request lands on that slot.
   static cov::DirtyWordList dirty[kNumSlots];
   static bool slot_used[kNumSlots];
   for (cov::DirtyWordList& list : dirty) list.count = 0;
   for (bool& used : slot_used) used = false;
   AuxResult result;
 
+  std::uint32_t request = shared_load(block.claimed);
   for (std::uint32_t iteration = 1;; ++iteration) {
-    const CtlBlock ctl = ctl_load(segment);
-    const std::uint32_t slot = ctl.slot < kNumSlots ? ctl.slot : 0;
+    child_claim(block, ++request);
+    const std::uint32_t slot = request_slot(block, request);
     std::uint8_t* slot_base = segment + slot_offset(slot);
 
-    // Fault-plan hooks key off the campaign-global execution index, same
-    // semantics as the fork-per-exec path.
-    trip_execution_faults(plan, ctl.exec_index);
+    // Fault-plan hooks key off the client's per-server execution index,
+    // same semantics as the fork-per-exec path.
+    const std::uint64_t index = handoff_record(block, request).exec_index;
+    if (plan.server_exit_at != 0 && index == plan.server_exit_at) {
+      ::_exit(kChildServerExit);
+    }
+    trip_execution_faults(plan, index);
 
     // Pristine slot state: full memset on this child's first use of the
     // slot, sparse-clear of the previous iteration's dirty words after
@@ -216,32 +216,64 @@ int await_child(pid_t child, std::uint32_t timeout_ms, bool wait_stops,
     san::FaultSink::disarm_into(result.faults);
 
     aux_store(slot_base + kSlotAuxOffset, kAuxBytes, result);
+    child_complete(block, request, iteration);
 
+    if (plan.server_retire_after != 0 && index >= plan.server_retire_after) {
+      ::_exit(kChildServerRetire);
+    }
     if (iteration >= budget) ::_exit(0);  // budget exhausted: recycle me
-    // Iteration complete: stop until the shim SIGCONTs us with the next
-    // assignment in the control block.
-    ::raise(SIGSTOP);
   }
 }
 
-/// Shim-side bookkeeping for the persistent child.
-struct PersistentChild {
-  pid_t pid = -1;
-  std::uint32_t iteration = 0;  ///< executions served by this child
-  std::uint32_t budget = 0;
-
-  [[nodiscard]] bool alive() const { return pid > 0; }
-};
-
-/// SIGKILLs and reaps a (possibly stopped) persistent child — shutdown
-/// and server-retirement hygiene so no stopped process outlives the shim.
-void kill_persistent_child(PersistentChild& child) {
-  if (!child.alive()) return;
-  ::kill(child.pid, SIGKILL);
-  int wstatus = 0;
-  while (::waitpid(child.pid, &wstatus, 0) < 0 && errno == EINTR) {
+/// One fork-per-exec request (its header already read): reads the packet,
+/// forks the child, enforces the deadline and replies. Returns the shim's
+/// exit code when the server must stop (pipe loss, fork failure, a
+/// fault-plan exit or retirement), -1 to keep serving.
+int serve_fork_per_exec(ProtocolTarget& target, std::uint8_t* segment,
+                        const supervise::ResourceJail& jail,
+                        const ShimFaultPlan& plan, const Request& request,
+                        Bytes& packet) {
+  packet.resize(request.packet_len);
+  if (request.packet_len != 0 &&
+      !read_full(kCtlFd, packet.data(), request.packet_len)) {
+    return 0;
   }
-  child.pid = -1;
+  if (plan.server_exit_at != 0 && request.exec_index == plan.server_exit_at) {
+    return 9;  // simulated fork-server crash
+  }
+  // Pristine fork-per-exec region for the child: the map invariant (all
+  // words zero) and a magic-less aux block, whatever the previous child
+  // left behind. The slot region keeps its own invariants (each persistent
+  // child re-zeroes a slot on first use), so only this region is touched.
+  std::memset(segment, 0, kSegmentBytes);
+
+  const pid_t child = ::fork();
+  if (child < 0) return 5;
+  if (child == 0) {
+    supervise::apply_in_child(jail);
+    trip_execution_faults(plan, request.exec_index);
+    run_child(target, segment, packet);
+  }
+
+  // The shim enforces the wall-clock deadline itself: it is the child's
+  // parent, so between here and a successful waitpid the pid provably
+  // belongs to this child and the SIGKILL can never hit a recycled pid. A
+  // child that finishes right at the boundary is reaped normally and
+  // reported as completed, not as a hang.
+  bool timed_out = false;
+  const int wstatus = await_child(child, request.timeout_ms, timed_out);
+  const std::uint32_t reply[2] = {static_cast<std::uint32_t>(wstatus),
+                                  timed_out ? kReplyTimedOut : 0u};
+  if (!write_full(kStFd, reply, sizeof reply)) return 6;
+
+  if (plan.server_retire_after != 0 &&
+      request.exec_index >= plan.server_retire_after) {
+    // Orderly retirement: the reply above completed this execution, so the
+    // client loses nothing — its next request sees EOF plus our exit
+    // status 0 and respawns without charging a lost server.
+    return 0;
+  }
+  return -1;
 }
 
 }  // namespace
@@ -304,121 +336,66 @@ int run_shim_server(ProtocolTarget& target, const ShimFaultPlan& plan) {
   // is applied inside every forked execution child — never in this server
   // process, which must stay alive across jail-killed children.
   const supervise::ResourceJail jail = supervise::jail_from_env();
+  HandoffBlock& block = handoff_block(segment.data());
 
   Bytes packet;
   PersistentChild persistent;
-  std::uint64_t exec_index = 0;
   for (;;) {
-    // Request header: [u32 timeout_ms][u32 control][u32 packet_len].
-    std::uint32_t header[3] = {0, 0, 0};
-    if (!read_full(kCtlFd, header, sizeof header)) {
-      kill_persistent_child(persistent);
-      return 0;  // EOF: clean shutdown
+    // Sleep until the client asks for something or the persistent child
+    // dies; persistent executions themselves never pass through here.
+    struct pollfd fds[2] = {{kCtlFd, POLLIN, 0},
+                            {persistent.pidfd(), POLLIN, 0}};
+    if (::poll(fds, persistent.alive() ? 2 : 1, -1) < 0) {
+      if (errno == EINTR) continue;
+      return 6;
     }
-    const std::uint32_t timeout_ms = header[0];
-    const std::uint32_t control = header[1];
-    const std::uint32_t length = header[2];
-    packet.resize(length);
-    if (length != 0 && !read_full(kCtlFd, packet.data(), length)) return 0;
-
-    ++exec_index;
-    if (plan.server_exit_at != 0 && exec_index == plan.server_exit_at) {
-      return 9;  // simulated fork-server crash
-    }
-
-    std::int32_t wire_status = 0;
-    std::uint32_t flags = 0;
-    std::uint32_t iteration = 0;
-    bool timed_out = false;
-
-    if ((control & kCtlPersistent) != 0) {
-      // -- Persistent iteration. ------------------------------------------
-      const std::uint32_t slot = control_slot(control);
-      std::uint32_t budget = control_budget(control);
-      if (budget == 0) budget = 1;
-      const bool fresh = !persistent.alive();
-      ctl_store(segment.data(),
-                CtlBlock{slot, fresh ? budget : persistent.budget,
-                         exec_index});
-      if (fresh) {
-        // The child zeroes each slot on its own first use (see
-        // run_persistent_child): wiping all slots here would destroy
-        // results the pipelined client has not read yet.
-        const pid_t child = ::fork();
-        if (child < 0) return 5;
-        if (child == 0) {
-          supervise::apply_in_child(jail);
-          run_persistent_child(target, segment.data(), plan);
+    std::uint32_t fork_budget = 0;  // nonzero: fork a child now
+    if (persistent.alive() && fds[1].revents != 0) {
+      const int wstatus = persistent.reap();
+      const int code = WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
+      if (plan.server_exit_at != 0 && code == kChildServerExit) {
+        return 9;  // simulated fork-server crash
+      }
+      if (plan.server_retire_after != 0 && code == kChildServerRetire) {
+        return 0;  // orderly retirement after the child's last execution
+      }
+      persistent.publish_death(block, wstatus);
+      if (PersistentChild::requests_pending(block)) {
+        fork_budget = persistent.budget();
+      }
+    } else if (fds[0].revents != 0) {
+      Request request;
+      if (!read_full(kCtlFd, &request, sizeof request)) {
+        persistent.kill();
+        return 0;  // EOF: clean shutdown
+      }
+      if (request.op == Op::kFork) {
+        fork_budget = std::max(request.arg, 1u);
+      } else if (request.op == Op::kKill) {
+        const std::uint32_t reply[2] = {
+            static_cast<std::uint32_t>(
+                persistent.kill_for_deadline(block, request.arg)),
+            0};
+        if (!write_full(kStFd, reply, sizeof reply)) return 6;
+        if (PersistentChild::requests_pending(block)) {
+          fork_budget = persistent.budget();
         }
-        persistent = PersistentChild{child, 1, budget};
       } else {
-        ++persistent.iteration;
-        ::kill(persistent.pid, SIGCONT);
+        const int code = serve_fork_per_exec(target, segment.data(), jail,
+                                             plan, request, packet);
+        if (code >= 0) {
+          persistent.kill();
+          return code;
+        }
       }
-
-      const int wstatus = await_child(persistent.pid, timeout_ms,
-                                      /*wait_stops=*/true, timed_out);
-      iteration = persistent.iteration;
-      flags = kReplyPersistent;
-      wire_status = static_cast<std::int32_t>(wstatus);
-      if (timed_out) {
-        flags |= kReplyTimedOut | encode_recycle(RecycleReason::kHang);
-        persistent.pid = -1;  // killed and reaped by await_child
-      } else if (WIFSTOPPED(wstatus)) {
-        wire_status = 0;  // iteration complete, child healthy
-      } else if (WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0 &&
-                 persistent.iteration >= persistent.budget) {
-        // Orderly budget exhaustion: the execution completed (aux block
-        // published) and the child retired itself.
-        wire_status = 0;
-        flags |= encode_recycle(RecycleReason::kBudget);
-        persistent.pid = -1;
-      } else {
-        // Crash: signal, abnormal exit, or an exit-0 before the budget
-        // (the target pulled the child down mid-loop).
-        flags |= encode_recycle(RecycleReason::kCrash);
-        persistent.pid = -1;
-      }
-    } else {
-      // -- Fork-per-exec (control 0).
-      //
-      // Pristine fork-per-exec region for the child: the map invariant
-      // (all words zero) and a magic-less aux block, whatever the previous
-      // child left behind. The slot region keeps its own invariants (each
-      // persistent child re-zeroes a slot on first use), so only this
-      // region is touched here.
-      std::memset(segment.data(), 0, kSegmentBytes);
-
-      const pid_t child = ::fork();
-      if (child < 0) return 5;
-      if (child == 0) {
-        supervise::apply_in_child(jail);
-        trip_execution_faults(plan, exec_index);
-        run_child(target, segment.data(), packet);
-      }
-
-      // The shim enforces the wall-clock deadline itself: it is the
-      // child's parent, so between here and a successful waitpid the pid
-      // provably belongs to this child and the SIGKILL can never hit a
-      // recycled pid. A child that finishes right at the boundary is
-      // reaped normally and reported as completed, not as a hang.
-      const int wstatus = await_child(child, timeout_ms,
-                                      /*wait_stops=*/false, timed_out);
-      wire_status = static_cast<std::int32_t>(wstatus);
-      if (timed_out) flags |= kReplyTimedOut;
     }
-
-    const std::uint32_t reply[3] = {static_cast<std::uint32_t>(wire_status),
-                                    flags, iteration};
-    if (!write_full(kStFd, reply, sizeof reply)) return 6;
-
-    if (plan.server_retire_after != 0 &&
-        exec_index >= plan.server_retire_after) {
-      // Orderly retirement: the reply above completed this execution, so
-      // the client loses nothing — its next request sees EOF plus our
-      // exit status 0 and respawns without charging a lost server.
-      kill_persistent_child(persistent);
-      return 0;
+    if (fork_budget != 0) {
+      const int forked = persistent.fork(block, fork_budget);
+      if (forked < 0) return 5;
+      if (forked == 0) {
+        supervise::apply_in_child(jail);
+        run_persistent_child(target, segment.data(), fork_budget, plan);
+      }
     }
   }
 }

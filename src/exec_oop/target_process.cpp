@@ -7,10 +7,12 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "exec_oop/exec_protocol.hpp"
+#include "exec_oop/wake_word.hpp"
 #include "inject/inject_protocol.hpp"
 
 extern char** environ;
@@ -254,6 +256,10 @@ bool TargetProcess::spawn() {
     return false;
   }
   hello_word_ = hello[1];
+  ++spawns_;
+  // Re-read per spawn, not cached for the process lifetime: a campaign
+  // may pin itself to one core after its first server came up.
+  spin_waits_ = affinity_allows_spin();
   return true;
 }
 
@@ -308,6 +314,25 @@ void TargetProcess::stop() {
   }
   hello_word_ = 0;
   exited_ = false;
+}
+
+std::uint64_t TargetProcess::context_switches() const {
+  const pid_t pid = this->pid();
+  if (pid <= 0) return 0;
+  const std::string path = "/proc/" + std::to_string(pid) + "/status";
+  std::FILE* status = std::fopen(path.c_str(), "r");
+  if (status == nullptr) return 0;
+  std::uint64_t total = 0;
+  char line[256];
+  while (std::fgets(line, sizeof line, status) != nullptr) {
+    unsigned long long count = 0;
+    if (std::sscanf(line, "voluntary_ctxt_switches: %llu", &count) == 1 ||
+        std::sscanf(line, "nonvoluntary_ctxt_switches: %llu", &count) == 1) {
+      total += count;
+    }
+  }
+  std::fclose(status);
+  return total;
 }
 
 void TargetProcess::kill() const {

@@ -124,6 +124,17 @@ class TargetProcess {
   [[nodiscard]] std::uint32_t hello_word() const { return hello_word_; }
   /// How the server that try_reap()/reap_within() reaped ended.
   [[nodiscard]] int wait_status() const { return wait_status_; }
+  /// Successful spawns so far: a transport keeps per-server state (request
+  /// numbering) keyed on it, since every spawn starts a fresh segment.
+  [[nodiscard]] std::uint64_t spawns() const { return spawns_; }
+  /// Whether a wait on this server may spin before blocking
+  /// (oop::affinity_allows_spin, evaluated at the last spawn).
+  [[nodiscard]] bool spin_waits() const { return spin_waits_; }
+  /// Context switches (voluntary + involuntary) of the running server so
+  /// far, from /proc; 0 when no server runs or /proc is unavailable. How
+  /// often the server itself woke up — a transport that keeps it off the
+  /// per-exec path shows a count that grows per recycle, not per exec.
+  [[nodiscard]] std::uint64_t context_switches() const;
   [[nodiscard]] ShmSegment& segment() { return segment_; }
   [[nodiscard]] const ShmSegment& segment() const { return segment_; }
   [[nodiscard]] const Tallies& tallies() const { return tallies_; }
@@ -142,6 +153,8 @@ class TargetProcess {
   int st_fd_ = -1;   ///< read side: hello / reply stream
   std::uint32_t hello_word_ = 0;
   int wait_status_ = 0;
+  std::uint64_t spawns_ = 0;
+  bool spin_waits_ = false;
   bool exited_ = false;
   Tallies tallies_;
   /// Respawns since the server last answered — drives the backoff.

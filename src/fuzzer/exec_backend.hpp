@@ -12,7 +12,8 @@
 //                  isolation for real binaries).
 //   kPersistent  — fork-server target with ICSFUZZ_LOOP-style persistent
 //                  children: K executions per fork, packets through shm
-//                  test-case slots, SIGSTOP/SIGCONT between iterations.
+//                  test-case slots, handed between client and child by
+//                  futex words while the server sleeps.
 //                  A server whose hello lacks the persistent capability
 //                  keeps this on fork-per-exec; nothing else changes.
 //   kTcp         — session streams against a loopback TCP session server

@@ -164,12 +164,11 @@ const ExecResult& Fuzzer::step_fast() {
   const model::DataModel* used_model = nullptr;
   next_packet_into(used_model, packet_scratch_);
   const Bytes& packet = packet_scratch_;
-  // Latency is sampled every 64th execution, decided on the execution
+  // Latency is sampled once per 64 executions, decided on the execution
   // count — deterministic across repeats — so the ~40ns clock-read pair
   // amortizes to well under a nanosecond of per-execution cost.
   const bool sample_latency =
-      telemetry.enabled() &&
-      (executor_.executions() & (telem::kLatencySampleInterval - 1)) == 0;
+      telemetry.enabled() && telem::latency_sampled(executor_.executions());
   const std::uint64_t latency_start = sample_latency ? telemetry.now_ns() : 0;
   executor_.run_into(target_, packet, exec_scratch_);
   ExecResult& result = exec_scratch_;

@@ -56,10 +56,13 @@ inline constexpr const char* kPersistentMarkerSymbol =
 // Weak-hook names a cooperating target declares (weak, so the same binary
 // runs standalone when the runtime is not preloaded):
 //   extern "C" int __icsfuzz_persistent_loop(void);
-//     First call of an iteration returns 1 ("run one execution"); the call
-//     after the final budgeted iteration publishes that iteration's aux
-//     block and _exit(0)s (budget recycle). Outside a persistent child it
-//     returns 0, which routes the target to its standalone input path.
+//     Each call completes the previous iteration (publishes its aux block
+//     and hands the result to the client), blocks until the client hands
+//     over the next request through the handoff block's futex words
+//     (exec_oop/exec_protocol.hpp), and returns 1 ("run one execution").
+//     The call after the final budgeted iteration _exit(0)s instead (budget
+//     recycle). Outside a persistent child it returns 0, which routes the
+//     target to its standalone input path.
 //   extern "C" const unsigned char* __icsfuzz_testcase(unsigned* len);
 //     The current iteration's packet (the shm test-case slot).
 //   extern "C" void __icsfuzz_set_response(const void* data, unsigned len);
@@ -68,13 +71,15 @@ inline constexpr const char* kPersistentLoopSymbol =
     "__icsfuzz_persistent_loop";
 
 /// Info block the runtime publishes inside the (otherwise unused) tail of
-/// the control block: [u32 magic][u32 version][u32 guard_count]
+/// the handoff block: [u32 magic][u32 version][u32 guard_count]
 /// [u32 flags]. Exec children write it after module initializers have
 /// registered their sancov guard ranges, so guard_count reports what the
 /// target actually instruments; icsfuzz-inject-check reads it back after a
-/// probe execution. A TCP-sized segment has no control block and carries
+/// probe execution. A TCP-sized segment has no handoff block and carries
 /// no info block.
-inline constexpr std::size_t kInjectInfoOffset = oop::kCtlBlockOffset + 32;
+inline constexpr std::size_t kInjectInfoOffset =
+    oop::kHandoffOffset + sizeof(oop::HandoffBlock);
+static_assert(kInjectInfoOffset + 16 <= oop::kSegmentBytesV2);
 inline constexpr std::uint32_t kInjectInfoMagic = 0x494E4A31;  // "INJ1"
 inline constexpr std::uint32_t kInjectRuntimeVersion = 1;
 /// Info flag: at least one sancov guard range was registered.

@@ -49,6 +49,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -100,7 +101,7 @@ bool parse_env_u64(const char* text, std::uint64_t& out) {
   return true;
 }
 
-/// Publishes the inject-info block into the control-block tail (magic
+/// Publishes the inject-info block into the handoff-block tail (magic
 /// last, behind a release fence). Called whenever fresher facts exist —
 /// guard tables register during each child's loader init, after the
 /// constructor already ran.
@@ -145,23 +146,17 @@ void arm_deadline(std::uint32_t timeout_ms) {
   ::setitimer(ITIMER_REAL, &timer, nullptr);
 }
 
-/// waitpid with the deadline armed; SIGKILLs the child when the timer
-/// fires first. The runtime is the child's parent, so the pid cannot have
-/// been recycled before the reap.
-int await_child(pid_t child, std::uint32_t timeout_ms, bool wait_stops,
-                bool& timed_out) {
+/// waitpid on a fork-per-exec child with the deadline armed; SIGKILLs it
+/// when the timer fires first. The runtime is the child's parent, so the
+/// pid cannot have been recycled before the reap.
+int await_child(pid_t child, std::uint32_t timeout_ms, bool& timed_out) {
   g_deadline_fired = 0;
   if (timeout_ms != 0) arm_deadline(timeout_ms);
   int wstatus = 0;
   timed_out = false;
-  const int options = wait_stops ? WUNTRACED : 0;
   for (;;) {
-    const pid_t reaped = ::waitpid(child, &wstatus, options);
-    if (reaped == child) {
-      if (timed_out && WIFSTOPPED(wstatus)) continue;
-      break;
-    }
-    if (reaped < 0 && errno == EINTR) {
+    if (::waitpid(child, &wstatus, 0) == child) break;
+    if (errno == EINTR) {
       if (g_deadline_fired && !timed_out) {
         timed_out = true;
         ::kill(child, SIGKILL);
@@ -218,6 +213,7 @@ struct PersistentChildState {
   bool active = false;          ///< this process is the persistent child
   std::uint32_t iteration = 0;  ///< loop calls completed (1-based)
   std::uint32_t budget = 0;
+  std::uint32_t request = 0;    ///< the handoff request being served
   std::uint32_t slot = 0;
   std::uint32_t dirty_count[oop::kNumSlots] = {};
   std::uint16_t dirty_indices[oop::kNumSlots][cov::kMapWords] = {};
@@ -318,23 +314,6 @@ void harvest_child_stdout(int fd, std::uint8_t* region) {
   oop::aux_store(aux, kAuxBytes, result);
 }
 
-struct PersistentParent {
-  pid_t pid = -1;
-  std::uint32_t iteration = 0;
-  std::uint32_t budget = 0;
-
-  [[nodiscard]] bool alive() const { return pid > 0; }
-};
-
-void kill_persistent_child(PersistentParent& child) {
-  if (!child.alive()) return;
-  ::kill(child.pid, SIGKILL);
-  int wstatus = 0;
-  while (::waitpid(child.pid, &wstatus, 0) < 0 && errno == EINTR) {
-  }
-  child.pid = -1;
-}
-
 /// Forks one execution child that runs the target's real main() with
 /// `packet` on stdin, tracing into `region` (fork-per-exec base or a slot —
 /// caller memset it). Returns true from THE CHILD, which must let the
@@ -396,8 +375,7 @@ bool fork_exec_child(const supervise::ResourceJail& jail,
     // await_child below reports how.
   }
   ::close(wfd);
-  wstatus = await_child(child, stdin_stalled ? 0 : timeout_ms,
-                        /*wait_stops=*/false, timed_out);
+  wstatus = await_child(child, stdin_stalled ? 0 : timeout_ms, timed_out);
   if (stdin_stalled) timed_out = true;
   harvest_child_stdout(stdout_pipe[0], region);
   ::close(stdout_pipe[0]);
@@ -425,123 +403,81 @@ bool fork_server_loop() {
 
   install_deadline_handler();
   const supervise::ResourceJail jail = supervise::jail_from_env();
+  oop::HandoffBlock& block = oop::handoff_block(g_segment);
 
   std::vector<std::uint8_t> packet;
-  PersistentParent persistent;
-  std::uint64_t exec_index = 0;
+  oop::PersistentChild persistent;
   for (;;) {
-    // Request header: [u32 timeout_ms][u32 control][u32 packet_len].
-    std::uint32_t header[3] = {0, 0, 0};
-    if (!oop::read_full(kCtlFd, header, sizeof header)) {
-      kill_persistent_child(persistent);
-      ::_exit(0);  // EOF: orderly shutdown, target's main never runs here
+    // Asleep until a request or the persistent child's death; persistent
+    // executions never pass through here (exec_protocol.hpp).
+    struct pollfd fds[2] = {{kCtlFd, POLLIN, 0},
+                            {persistent.pidfd(), POLLIN, 0}};
+    if (::poll(fds, persistent.alive() ? 2 : 1, -1) < 0) {
+      if (errno == EINTR) continue;
+      ::_exit(6);
     }
-    const std::uint32_t timeout_ms = header[0];
-    const std::uint32_t control = header[1];
-    const std::uint32_t length = header[2];
-    if (length > kMaxSegmentBytes) ::_exit(5);
-    packet.resize(length);
-    if (length != 0 && !oop::read_full(kCtlFd, packet.data(), length)) {
-      ::_exit(0);
-    }
-    ++exec_index;
-
-    std::int32_t wire_status = 0;
-    std::uint32_t flags = 0;
-    std::uint32_t iteration = 0;
-    bool timed_out = false;
-
-    if ((control & oop::kCtlPersistent) != 0 && persistent_ok) {
-      // -- Persistent iteration (cooperating target). ---------------------
-      const std::uint32_t slot = oop::control_slot(control);
-      std::uint32_t budget = oop::control_budget(control);
-      if (budget == 0) budget = 1;
-      const bool fresh = !persistent.alive();
-      oop::ctl_store(g_segment,
-                     oop::CtlBlock{slot, fresh ? budget : persistent.budget,
-                                   exec_index});
-      if (fresh) {
-        const pid_t child = ::fork();
-        if (child < 0) ::_exit(5);
-        if (child == 0) {
-          supervise::apply_in_child(jail);
-          g_pchild.active = true;
-          g_response_len = 0;
-          // Loader init continues to main(); the target drives iterations
-          // through __icsfuzz_persistent_loop below.
-          return true;
+    std::uint32_t fork_budget = 0;  // nonzero: fork a loop child now
+    if (persistent.alive() && fds[1].revents != 0) {
+      persistent.publish_death(block, persistent.reap());
+      if (oop::PersistentChild::requests_pending(block)) {
+        fork_budget = persistent.budget();
+      }
+    } else if (fds[0].revents != 0) {
+      oop::Request request;
+      if (!oop::read_full(kCtlFd, &request, sizeof request)) {
+        persistent.kill();
+        ::_exit(0);  // EOF: orderly shutdown, target's main never runs here
+      }
+      if (request.op == oop::Op::kFork) {
+        // Only a cooperating target (persistent capability advertised)
+        // gets a loop child; the client never asks anyone else.
+        if (persistent_ok) {
+          fork_budget = std::max(request.arg, std::uint32_t{1});
         }
-        persistent = PersistentParent{child, 1, budget};
+      } else if (request.op == oop::Op::kKill) {
+        const std::uint32_t reply[2] = {
+            static_cast<std::uint32_t>(
+                persistent.kill_for_deadline(block, request.arg)),
+            0};
+        if (!oop::write_full(kStFd, reply, sizeof reply)) ::_exit(6);
+        if (oop::PersistentChild::requests_pending(block)) {
+          fork_budget = persistent.budget();
+        }
       } else {
-        ++persistent.iteration;
-        ::kill(persistent.pid, SIGCONT);
+        // -- Fork-per-exec over the fork-per-exec region. -----------------
+        if (request.packet_len > kMaxSegmentBytes) ::_exit(5);
+        packet.resize(request.packet_len);
+        if (request.packet_len != 0 &&
+            !oop::read_full(kCtlFd, packet.data(), request.packet_len)) {
+          ::_exit(0);
+        }
+        std::memset(g_segment, 0, oop::kSegmentBytes);
+        int wstatus = 0;
+        bool timed_out = false;
+        if (fork_exec_child(jail, g_segment, packet, request.timeout_ms,
+                            wstatus, timed_out)) {
+          return true;  // the child: continue to main()
+        }
+        const std::uint32_t reply[2] = {
+            static_cast<std::uint32_t>(wstatus),
+            timed_out ? oop::kReplyTimedOut : 0u};
+        if (!oop::write_full(kStFd, reply, sizeof reply)) ::_exit(6);
       }
-
-      const int wstatus = await_child(persistent.pid, timeout_ms,
-                                      /*wait_stops=*/true, timed_out);
-      iteration = persistent.iteration;
-      flags = oop::kReplyPersistent;
-      wire_status = static_cast<std::int32_t>(wstatus);
-      if (timed_out) {
-        flags |= oop::kReplyTimedOut |
-                 oop::encode_recycle(oop::RecycleReason::kHang);
-        persistent.pid = -1;
-      } else if (WIFSTOPPED(wstatus)) {
-        wire_status = 0;
-      } else if (WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0 &&
-                 persistent.iteration >= persistent.budget) {
-        wire_status = 0;
-        flags |= oop::encode_recycle(oop::RecycleReason::kBudget);
-        persistent.pid = -1;
-      } else {
-        flags |= oop::encode_recycle(oop::RecycleReason::kCrash);
-        persistent.pid = -1;
-      }
-    } else if ((control & oop::kCtlPersistent) != 0) {
-      // -- Persistent requested, target not cooperating: serve it as a
-      // budget-1 persistent child — a fresh fork whose packet comes from
-      // the slot (stdin) and whose results land in the slot. The reply
-      // says "budget recycle at iteration 1", so a client that raced the
-      // capability handshake still gets correct semantics, just at
-      // fork-per-exec cost.
-      const std::uint32_t slot = oop::control_slot(control);
-      std::uint8_t* slot_base = g_segment + oop::slot_offset(slot);
-      std::memset(slot_base, 0, cov::kMapSize + kAuxBytes);
-      const auto slot_packet = oop::slot_load_packet(g_segment, slot);
-      std::vector<std::uint8_t> slot_bytes(slot_packet.begin(),
-                                           slot_packet.end());
-      int wstatus = 0;
-      if (fork_exec_child(jail, slot_base, slot_bytes, timeout_ms, wstatus,
-                          timed_out)) {
-        return true;  // the child: continue to main()
-      }
-      iteration = 1;
-      flags = oop::kReplyPersistent;
-      wire_status = static_cast<std::int32_t>(wstatus);
-      if (timed_out) {
-        flags |= oop::kReplyTimedOut |
-                 oop::encode_recycle(oop::RecycleReason::kHang);
-      } else if (WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0) {
-        wire_status = 0;
-        flags |= oop::encode_recycle(oop::RecycleReason::kBudget);
-      } else {
-        flags |= oop::encode_recycle(oop::RecycleReason::kCrash);
-      }
-    } else {
-      // -- Fork-per-exec over the fork-per-exec region. -------------------
-      std::memset(g_segment, 0, oop::kSegmentBytes);
-      int wstatus = 0;
-      if (fork_exec_child(jail, g_segment, packet, timeout_ms, wstatus,
-                          timed_out)) {
-        return true;  // the child: continue to main()
-      }
-      wire_status = static_cast<std::int32_t>(wstatus);
-      if (timed_out) flags |= oop::kReplyTimedOut;
     }
-
-    const std::uint32_t reply[3] = {static_cast<std::uint32_t>(wire_status),
-                                    flags, iteration};
-    if (!oop::write_full(kStFd, reply, sizeof reply)) ::_exit(6);
+    if (fork_budget != 0) {
+      const int forked = persistent.fork(block, fork_budget);
+      if (forked < 0) ::_exit(5);
+      if (forked == 0) {
+        supervise::apply_in_child(jail);
+        g_pchild.active = true;
+        g_pchild.budget = fork_budget;
+        g_pchild.request = oop::shared_load(block.claimed);
+        g_response_len = 0;
+        // Loader init continues to main(); the target drives iterations
+        // through __icsfuzz_persistent_loop below.
+        return true;
+      }
+    }
   }
 }
 
@@ -703,18 +639,17 @@ int __icsfuzz_persistent_loop(void) {
   using namespace icsfuzz;
   using namespace icsfuzz::inject_rt;
   if (!g_pchild.active) return 0;
+  oop::HandoffBlock& block = oop::handoff_block(g_segment);
   if (g_pchild.iteration != 0) {
     publish_iteration_aux();
+    oop::child_complete(block, g_pchild.request, g_pchild.iteration);
     if (g_pchild.iteration >= g_pchild.budget) ::_exit(0);  // budget recycle
-    ::raise(SIGSTOP);  // iteration complete; SIGCONT resumes with new ctl
-  }
-  const oop::CtlBlock ctl = oop::ctl_load(g_segment);
-  const std::uint32_t slot =
-      ctl.slot < oop::kNumSlots ? ctl.slot : 0;
-  if (g_pchild.iteration == 0) {
-    g_pchild.budget = ctl.budget != 0 ? ctl.budget : 1;
+  } else {
     publish_inject_info();  // guard tables registered during loader init
   }
+  // Blocks until the client hands over the next request.
+  oop::child_claim(block, ++g_pchild.request);
+  const std::uint32_t slot = oop::request_slot(block, g_pchild.request);
   g_pchild.slot = slot;
   prepare_slot(slot);
   g_response_len = 0;

@@ -149,7 +149,8 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
       // one execution, for the hang accounting too).
       const std::uint64_t deadline =
           exec_timeout_ms_ > 0
-              ? monotonic_ms() + static_cast<std::uint64_t>(exec_timeout_ms_)
+              ? oop::monotonic_ms() +
+                    static_cast<std::uint64_t>(exec_timeout_ms_)
               : 0;
       const int conn = connect_deadline(deadline);
       if (conn < 0) {
@@ -187,6 +188,8 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
     std::uint8_t* segment = process_.segment().data();
     // Blocked on the sync block's wake word; a server that died
     // mid-session ends the wait within one slice.
+    std::uint32_t* wake = sync_wake_word(segment);
+    const bool spin = process_.spin_waits();
     const auto server_dead = [&] { return process_.try_reap(); };
     const std::uint64_t base_served = served_seen_;
     bool wrote_shutdown = false;
@@ -201,9 +204,9 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
         ::shutdown(conn, SHUT_WR);
         wrote_shutdown = true;
       }
-      if (!sync_wait_counter(segment,
-                             [&] { return sync_load_served(segment); },
-                             base_served + i + 1, deadline, server_dead)) {
+      if (!oop::sync_wait_counter(
+              wake, [&] { return sync_load_served(segment); },
+              base_served + i + 1, deadline, server_dead, spin)) {
         return broken(deadline, "tcp session server stopped answering");
       }
       const std::uint32_t len = sync_load_response_len(segment);
@@ -217,9 +220,9 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
       }
     }
     if (!wrote_shutdown) ::shutdown(conn, SHUT_WR);
-    if (!sync_wait_counter(segment,
-                           [&] { return sync_load_sessions_done(segment); },
-                           sessions_seen_ + 1, deadline, server_dead)) {
+    if (!oop::sync_wait_counter(
+            wake, [&] { return sync_load_sessions_done(segment); },
+            sessions_seen_ + 1, deadline, server_dead, spin)) {
       return broken(deadline, "tcp session never completed");
     }
     ++sessions_seen_;
@@ -239,7 +242,7 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
   /// either missed the deadline (kHang) or lost the wire (kServerLost).
   /// The server is torn down either way.
   void broken(std::uint64_t deadline, const char* what) {
-    const bool late = deadline != 0 && monotonic_ms() >= deadline;
+    const bool late = deadline != 0 && oop::monotonic_ms() >= deadline;
     // A dying server's EOF can race its exit status by a hair.
     if (late ? process_.try_reap() : process_.reap_within(500)) {
       oop::classify_termination(process_.wait_status(), /*completed=*/false,
@@ -285,7 +288,7 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
 
   [[nodiscard]] int remaining_ms(std::uint64_t deadline) const {
     if (deadline == 0) return -1;
-    const std::uint64_t now = monotonic_ms();
+    const std::uint64_t now = oop::monotonic_ms();
     return now >= deadline ? 0 : static_cast<int>(deadline - now);
   }
 

@@ -24,11 +24,24 @@
 
 namespace icsfuzz::telem {
 
-/// Exec-latency clock sampling: one steady-clock read pair every 64th
-/// execution (decided on the execution count, so sampling is deterministic
-/// and identical across repeats), amortizing the ~40ns cost to well under
-/// a nanosecond per execution.
+/// Exec-latency clock sampling: one steady-clock read pair per 64
+/// executions, amortizing the ~40ns cost to well under a nanosecond per
+/// execution.
 inline constexpr std::uint64_t kLatencySampleInterval = 64;
+
+/// Whether execution `exec_index` samples its latency: exactly one in each
+/// aligned block of kLatencySampleInterval executions, at an offset hashed
+/// from the block number (the top bits of a Fibonacci hash, one multiply).
+/// Deterministic (identical across repeats), yet no power-of-two period
+/// aliases with it — a persistent child budget of 1024 puts every recycle's
+/// fork on the same residue, which an `index % 64` rule would sample every
+/// time.
+[[nodiscard]] inline bool latency_sampled(std::uint64_t exec_index) {
+  static_assert(kLatencySampleInterval == 64, "the hash keeps 6 bits");
+  const std::uint64_t block = exec_index / kLatencySampleInterval;
+  return (exec_index % kLatencySampleInterval) ==
+         (block * 0x9E3779B97F4A7C15ULL) >> 58;
+}
 
 class Telemetry {
  public:

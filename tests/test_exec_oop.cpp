@@ -15,7 +15,8 @@
 //     for BOTH out-of-process backends (fork-per-exec and persistent),
 //   * persistent-mode hygiene: no state bleed between iterations of one
 //     child (same packet at iteration 1 vs K-1 of the budget), recycle
-//     accounting, pipelined batch == sequential execution,
+//     accounting, a shim that stays asleep between recycles, pipelined
+//     batch == sequential execution,
 //   * fixed-seed campaign trajectories (Fuzzer with and without
 //     auto-distill, ParallelCampaign at W=2) bit-identical across all
 //     three ExecBackend kinds.
@@ -430,6 +431,33 @@ TEST(OopPersistent, RecycleAccountingAndIterationCycling) {
   EXPECT_EQ(exec.child_recycles(), 2u);  // after executions 4 and 8
   EXPECT_EQ(exec.server_restarts(), 0u);
   EXPECT_EQ(exec.orderly_server_exits(), 0u);
+}
+
+TEST(OopPersistent, ShimSleepsBetweenRecycles) {
+  // Persistent executions pass straight between client and child; the shim
+  // wakes only to fork, reap or kill. Its context switches must therefore
+  // grow with recycles, not with executions: 4096 executions at budget
+  // 1024 are four recycles.
+  constexpr std::uint32_t kBudget = 1024;
+  constexpr int kExecs = 4096;
+  oop::OutOfProcessExecutor exec(raw_oop_config("libmodbus", kBudget));
+  const std::vector<Bytes> packets = packet_batch("libmodbus");
+  ASSERT_EQ(exec.run(packets.front()).status, oop::ExecStatus::kOk);
+  ASSERT_TRUE(exec.persistent_active());
+
+  const std::uint64_t before = exec.process().context_switches();
+  ASSERT_GT(before, 0u) << "no /proc status for the shim";
+  for (int i = 1; i < kExecs; ++i) {
+    ASSERT_EQ(exec.run(packets[i % packets.size()]).status,
+              oop::ExecStatus::kOk)
+        << "exec " << i;
+  }
+  const std::uint64_t switches = exec.process().context_switches() - before;
+  EXPECT_EQ(exec.child_recycles(), 4u);
+  EXPECT_EQ(exec.server_restarts(), 0u);
+  EXPECT_LE(switches, 8u * (exec.child_recycles() + 1))
+      << "the shim woke " << switches << " times for " << kExecs
+      << " executions";
 }
 
 TEST(OopPersistent, BatchMatchesSequentialExecution) {

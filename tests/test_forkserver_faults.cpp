@@ -3,13 +3,13 @@
 // The shim binary honours ICSFUZZ_SHIM_* environment knobs that inject
 // deterministic failures (exec_oop/shim_runner.hpp): a child SIGKILLed
 // mid-execution, a target that never handshakes, a child hanging into the
-// wall-clock deadline, the fork-server process itself dying, and an
-// orderly server retirement. This suite drives each of them
-// — plus an shm unlink race and a missing binary — across BOTH
-// out-of-process backends (fork-per-exec and persistent) where the fault
-// applies, and asserts the executor reports the right status while the
-// campaign keeps running (a dying target must never take the fuzzer with
-// it).
+// wall-clock deadline (also inside a pipelined persistent window), the
+// fork-server process itself dying, and an orderly server retirement.
+// This suite drives each of them — plus an shm unlink race and a missing
+// binary — across BOTH out-of-process backends (fork-per-exec and
+// persistent) where the fault applies, and asserts the executor reports
+// the right status while the campaign keeps running (a dying target must
+// never take the fuzzer with it).
 #include <gtest/gtest.h>
 
 #include <sys/mman.h>
@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec_oop/exec_protocol.hpp"
@@ -186,6 +187,54 @@ TEST(ForkServerFaults, HangHitsTheDeadlineAndTheServerSurvives) {
     ASSERT_NE(executor.oop_backend(), nullptr);
     EXPECT_EQ(executor.oop_backend()->server_restarts(), 0u);
   }
+}
+
+TEST(ForkServerFaults, HangInsidePipelinedBatchCostsOnlyItsOwnExecution) {
+  // Persistent executions time their deadline on the client. A hang in
+  // the middle of a pipelined window must kill exactly the hung execution:
+  // the requests already queued behind it run on a fresh child and match
+  // in-process execution bit for bit.
+  ScopedEnv knob("ICSFUZZ_SHIM_HANG_AT", "3");
+  const std::unique_ptr<ProtocolTarget> placeholder =
+      proto::target_factory("libmodbus")();
+  const std::unique_ptr<ProtocolTarget> reference_target =
+      proto::target_factory("libmodbus")();
+
+  std::vector<Bytes> packets;
+  for (std::uint8_t quantity = 1; quantity <= 8; ++quantity) {
+    // The register count differs, so distinct responses pin the mapping.
+    Bytes packet(kPacket.begin(), kPacket.end() - 1);
+    packet.push_back(quantity);
+    packets.push_back(std::move(packet));
+  }
+  fuzz::ExecutorConfig config = oop_config(fuzz::BackendKind::kPersistent);
+  config.backend.exec_timeout_ms = 200;
+  fuzz::Executor executor(config);
+  fuzz::Executor reference;
+
+  std::size_t delivered = 0;
+  executor.run_batch(
+      *placeholder, packets,
+      [&](std::size_t index, const fuzz::ExecResult& result) {
+        ASSERT_EQ(index, delivered++);
+        if (index == 2) {
+          ASSERT_TRUE(result.crashed());
+          EXPECT_EQ(result.faults[0].kind, san::FaultKind::Hang);
+          EXPECT_TRUE(
+              has_fault_site(result, san::site_id("oop-exec-deadline")));
+          return;
+        }
+        const fuzz::ExecResult expected =
+            reference.run(*reference_target, packets[index]);
+        EXPECT_FALSE(result.crashed()) << "execution " << index;
+        EXPECT_EQ(result.trace_hash, expected.trace_hash)
+            << "execution " << index;
+        EXPECT_EQ(result.response, expected.response) << "execution " << index;
+      });
+  EXPECT_EQ(delivered, packets.size());
+  ASSERT_NE(executor.oop_backend(), nullptr);
+  EXPECT_EQ(executor.oop_backend()->server_restarts(), 0u);
+  EXPECT_EQ(executor.oop_backend()->child_recycles(), 1u);
 }
 
 TEST(ForkServerFaults, DisabledDeadlineStillExecutesNormally) {

@@ -44,6 +44,7 @@
 
 #include "exec_oop/exec_protocol.hpp"
 #include "exec_oop/shm_segment.hpp"
+#include "exec_oop/wake_word.hpp"
 
 #include "fuzzer/fuzzer.hpp"
 #include "fuzzer/instantiator.hpp"
@@ -716,11 +717,21 @@ void sleep_ms(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
+/// The TCP client's wait on the sync block, as tcp_backend.cpp calls it.
+template <typename Load, typename PeerDead>
+bool wait_counter(std::uint8_t* segment, Load load, std::uint64_t expected,
+                  std::uint64_t deadline_ms, PeerDead peer_dead) {
+  return oop::sync_wait_counter(session::sync_wake_word(segment), load,
+                                expected, deadline_ms, peer_dead,
+                                oop::affinity_allows_spin());
+}
+
 TEST(SessionSyncWait, PublishAfterDelayWakesTheBlockedWaiter) {
   oop::ShmSegment shm = sync_segment();
   ASSERT_TRUE(shm.valid()) << shm.error();
   std::uint8_t* segment = shm.data();
-  const std::uint32_t seen = session::sync_load_wake(segment);
+  std::uint32_t* wake = session::sync_wake_word(segment);
+  const std::uint32_t seen = oop::load_wake(wake);
   SyncPeer peer(segment, [](std::uint8_t* seg) {
     sleep_ms(50);
     session::sync_publish_served(seg, 1, 7);
@@ -731,8 +742,8 @@ TEST(SessionSyncWait, PublishAfterDelayWakesTheBlockedWaiter) {
   // One 10 s futex wait (re-entered only on a spurious return): ending
   // well before that needs the peer's FUTEX_WAKE.
   const auto start = std::chrono::steady_clock::now();
-  while (session::sync_load_wake(segment) == seen && ms_since(start) < 10000) {
-    session::sync_wait_wake(segment, seen, 10000);
+  while (oop::load_wake(wake) == seen && ms_since(start) < 10000) {
+    oop::wait_wake(wake, seen, 10000);
   }
   const std::int64_t waited = ms_since(start);
   EXPECT_GE(waited, 40);
@@ -747,31 +758,32 @@ TEST(SessionSyncWait, PublishAfterDelayWakesTheBlockedWaiter) {
     return true;
   });
   ASSERT_GT(finisher.pid(), 0);
-  EXPECT_TRUE(session::sync_wait_counter(
+  EXPECT_TRUE(wait_counter(
       segment, [&] { return session::sync_load_sessions_done(segment); }, 1,
-      session::monotonic_ms() + 10000, [&] { return finisher.dead(); }));
+      oop::monotonic_ms() + 10000, [&] { return finisher.dead(); }));
 }
 
 TEST(SessionSyncWait, StaleSeenValueReturnsAtOnce) {
   oop::ShmSegment shm = sync_segment();
   ASSERT_TRUE(shm.valid()) << shm.error();
   std::uint8_t* segment = shm.data();
-  const std::uint32_t seen = session::sync_load_wake(segment);
+  std::uint32_t* wake = session::sync_wake_word(segment);
+  const std::uint32_t seen = oop::load_wake(wake);
   SyncPeer peer(segment, [](std::uint8_t* seg) {
     session::sync_publish_served(seg, 1, 0);
     return false;  // publish, then exit
   });
   ASSERT_GT(peer.pid(), 0);
   peer.reap();
-  ASSERT_NE(session::sync_load_wake(segment), seen);
+  ASSERT_NE(oop::load_wake(wake), seen);
 
   const auto start = std::chrono::steady_clock::now();
-  session::sync_wait_wake(segment, seen, 10000);
+  oop::wait_wake(wake, seen, 10000);
   EXPECT_LT(ms_since(start), 100) << "a moved wake word must not block";
   // A counter that already arrived is never waited for, dead peer or not.
-  EXPECT_TRUE(session::sync_wait_counter(
+  EXPECT_TRUE(wait_counter(
       segment, [&] { return session::sync_load_served(segment); }, 1,
-      session::monotonic_ms() + 10000, [] { return true; }));
+      oop::monotonic_ms() + 10000, [] { return true; }));
 }
 
 TEST(SessionSyncWait, SilentPeerCostsExactlyTheDeadline) {
@@ -783,9 +795,9 @@ TEST(SessionSyncWait, SilentPeerCostsExactlyTheDeadline) {
 
   constexpr int kDeadlineMs = 200;
   const auto start = std::chrono::steady_clock::now();
-  const bool arrived = session::sync_wait_counter(
+  const bool arrived = wait_counter(
       segment, [&] { return session::sync_load_served(segment); }, 1,
-      session::monotonic_ms() + kDeadlineMs, [&] { return peer.dead(); });
+      oop::monotonic_ms() + kDeadlineMs, [&] { return peer.dead(); });
   const std::int64_t waited = ms_since(start);
   EXPECT_FALSE(arrived);
   EXPECT_FALSE(peer.dead());
@@ -805,17 +817,18 @@ TEST(SessionSyncWait, PeerThatExitsIsNoticedWithinAFewSlices) {
   ASSERT_GT(peer.pid(), 0);
 
   const auto start = std::chrono::steady_clock::now();
-  const bool arrived = session::sync_wait_counter(
+  const bool arrived = wait_counter(
       segment, [&] { return session::sync_load_served(segment); }, 1,
-      session::monotonic_ms() + 30000, [&] { return peer.dead(); });
+      oop::monotonic_ms() + 30000, [&] { return peer.dead(); });
   const std::int64_t waited = ms_since(start);
   EXPECT_FALSE(arrived);
   ASSERT_TRUE(peer.dead());
   EXPECT_TRUE(WIFEXITED(peer.wstatus()));
   EXPECT_EQ(WEXITSTATUS(peer.wstatus()), 3);
-  // 30 ms of life plus a few 1 ms slices; the slack absorbs a loaded
-  // runner's scheduling delay, still far inside the 30 s deadline.
-  EXPECT_LT(waited, 30 + 20 * session::kSyncWaitSliceMs + 250)
+  // 30 ms of life plus the slice that was running when it died and one
+  // more; the slack absorbs a loaded runner's scheduling delay, still far
+  // inside the 30 s deadline.
+  EXPECT_LT(waited, 30 + 2 * oop::kSyncWaitSliceMs + 250)
       << "the death was noticed late";
 }
 

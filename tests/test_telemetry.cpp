@@ -427,6 +427,62 @@ TEST(TelemetryDeterminism, CampaignCountersMatchEngineTallies) {
             fuzzer.executor().executions());
 }
 
+/// A Modbus server whose every 1024th execution costs one manual-clock
+/// second — the way a budget-1024 persistent campaign pays its recycle fork
+/// on every 1024th execution.
+class RecycleCostTarget final : public ProtocolTarget {
+ public:
+  static constexpr std::uint64_t kSlowNs = 1'000'000'000;
+
+  explicit RecycleCostTarget(Clock& clock) : clock_(clock) {}
+  void bind(const fuzz::Fuzzer* fuzzer) { fuzzer_ = fuzzer; }
+
+  [[nodiscard]] std::string_view name() const override {
+    return server_.name();
+  }
+  void reset() override { server_.reset(); }
+  Bytes process(ByteSpan packet) override { return server_.process(packet); }
+  void process_into(ByteSpan packet, Bytes& response) override {
+    // The executor counts an execution before it runs it.
+    if (fuzzer_ != nullptr &&
+        (fuzzer_->executor().executions() - 1) % 1024 == 0) {
+      clock_.advance(kSlowNs);
+    }
+    server_.process_into(packet, response);
+  }
+
+ private:
+  Clock& clock_;
+  const fuzz::Fuzzer* fuzzer_ = nullptr;
+  proto::ModbusServer server_;
+};
+
+TEST(TelemetryDeterminism, LatencySamplingDoesNotAliasWithPowerOfTwoBudgets) {
+  Telemetry hub;
+  hub.clock().set_manual(0);
+  RecycleCostTarget target(hub.clock());
+  const model::DataModelSet models = pits::modbus_pit();
+  fuzz::FuzzerConfig config;
+  config.strategy = fuzz::Strategy::PeachStar;
+  config.rng_seed = 77;
+  config.telemetry = Sink(&hub, 0);
+  fuzz::Fuzzer fuzzer(target, models, config);
+  target.bind(&fuzzer);
+  constexpr std::uint64_t kSlowExecs = 128;
+  fuzzer.run(1024 * kSlowExecs);
+
+  const HistogramSnapshot latency =
+      hub.snapshot().histogram(Histogram::kExecLatencyNs);
+  // The rate is unchanged: one sample per 64 executions.
+  EXPECT_NEAR(static_cast<double>(latency.count),
+              static_cast<double>(fuzzer.executor().executions()) / 64.0, 2.0);
+  // Every other execution takes 0 ns, so the sum counts the slow ones that
+  // were sampled: ~1/64 of them (2 expected), where an `index % 64` rule
+  // samples all 128.
+  const std::uint64_t slow_sampled = latency.sum / RecycleCostTarget::kSlowNs;
+  EXPECT_LE(slow_sampled, kSlowExecs / 8);
+}
+
 TEST(TelemetryDeterminism, StatsSeriesCarriesManualClockTimestamps) {
   Telemetry hub;
   hub.clock().set_manual(5 * kSecondNs);
