@@ -6,9 +6,9 @@
 // protocol stack (libmodbus):
 //
 //   * fork-per-exec — fuzz::Executor with an out-of-process backend
-//     pointing at the shim binary: every execution pays the shim's fork(),
-//     the pipe round trip, the shm sweep (CoverageMap::adopt_external) and
-//     the fused analysis. `oop_execs_per_sec` is floored by the baseline;
+//     pointing at the shim binary: every execution pays a fresh child
+//     (the shim's fork(), budget K = 1), the handoff round trip, the shm
+//     sweep (CoverageMap::adopt_external) and the fused analysis. `oop_execs_per_sec` is floored by the baseline;
 //     the acceptance bar is fork-server execution in the thousands per
 //     second.
 //

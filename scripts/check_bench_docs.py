@@ -12,9 +12,10 @@ Three checks, all run from the repository root:
   from the row of its kind. A "Current entries" cell lists sections
   separated by `;`, each a section name followed by its backticked keys,
   e.g. `oop_exec `oop_execs_per_sec` 3k, `persistent_execs_per_sec` 30k`.
-* Environment variables. Every `ICSFUZZ_*` variable in the
-  `| Variable | Meaning | Default |` table of docs/BENCHMARKS.md must be
-  named by some file under src/, bench/ or tools/ (the code that reads it).
+* Environment variables. Every `ICSFUZZ_*` variable in the first column
+  of a `| Variable | ... |` table in any docs/*.md (docs/BENCHMARKS.md's
+  bench knobs, docs/INJECTION.md's runtime contract, ...) must be named by
+  some file under src/, bench/ or tools/ (the code that reads it).
 * CMake switches. Every `-DICSFUZZ_*` switch named in README.md or
   docs/*.md must be declared by an `option()` in CMakeLists.txt.
 
@@ -122,11 +123,14 @@ def main(argv):
         print(f"undocumented gate: {section} {kind} `{key}` "
               f"(add it to the {kind} row of {docs_path})", file=sys.stderr)
         failed = True
-    for name in unread_variables(documented_variables(markdown)):
-        print(f"stale variable: `{name}` is in the Variable table of "
-              f"{docs_path} but no file under {', '.join(SOURCE_DIRS)} "
-              f"reads it", file=sys.stderr)
-        failed = True
+    for doc in sorted(glob.glob(os.path.join("docs", "*.md"))):
+        with open(doc, encoding="utf-8") as handle:
+            names = documented_variables(handle.read())
+        for name in unread_variables(names):
+            print(f"stale variable: `{name}` is in the Variable table of "
+                  f"{doc} but no file under {', '.join(SOURCE_DIRS)} "
+                  f"reads it", file=sys.stderr)
+            failed = True
     for doc, name in undeclared_switches():
         print(f"stale CMake switch: {doc} names -D{name}, which no option() "
               f"in CMakeLists.txt declares", file=sys.stderr)
@@ -134,7 +138,8 @@ def main(argv):
     if failed:
         return 1
     print(f"OK: {docs_path} documents every gate in {baseline_path}; "
-          f"every documented variable and CMake switch exists")
+          f"every variable in a docs/ Variable table and every CMake "
+          f"switch exists")
     return 0
 
 

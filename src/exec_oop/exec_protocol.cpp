@@ -177,11 +177,10 @@ int reap_pid(pid_t pid, int pidfd) {
 
 }  // namespace
 
-int PersistentChild::fork(HandoffBlock& block, std::uint32_t budget) {
+int ExecChild::fork(HandoffBlock& block) {
   if (alive()) return 1;
   const pid_t server = ::getpid();
   claimed_at_fork_ = shared_load(block.claimed);
-  budget_ = budget;
   const pid_t pid = ::fork();
   if (pid < 0) return -1;
   if (pid == 0) {
@@ -204,7 +203,7 @@ int PersistentChild::fork(HandoffBlock& block, std::uint32_t budget) {
   return 1;
 }
 
-bool PersistentChild::requests_pending(HandoffBlock& block) {
+bool ExecChild::requests_pending(HandoffBlock& block) {
   // Sequentially consistent, after the generation bump: pairs with the
   // client's request bump and generation read (see the protocol comment).
   const std::uint32_t posted =
@@ -212,19 +211,34 @@ bool PersistentChild::requests_pending(HandoffBlock& block) {
   return static_cast<std::int32_t>(posted - shared_load(block.claimed)) > 0;
 }
 
-int PersistentChild::reap() {
+std::uint32_t ExecChild::clear_next_map(HandoffBlock& block,
+                                        std::uint8_t* segment) {
+  if (!requests_pending(block)) return kNumSlots;
+  const std::uint32_t slot =
+      request_slot(block, shared_load(block.claimed) + 1);
+  std::memset(segment + slot_offset(slot), 0, cov::kMapSize);
+  return slot;
+}
+
+bool ExecChild::claimed_any(HandoffBlock& block) const {
+  return shared_load(block.claimed) != claimed_at_fork_;
+}
+
+int ExecChild::reap() {
   const int wstatus = reap_pid(pid_, pidfd_);
   pid_ = -1;
   pidfd_ = -1;
   return wstatus;
 }
 
-void PersistentChild::publish_death(HandoffBlock& block, int wstatus) {
+void ExecChild::publish_death(HandoffBlock& block, int wstatus) {
   const std::uint32_t claimed = shared_load(block.claimed);
+  bool published = false;
   if (claimed != claimed_at_fork_) {
     // Died on (or after) the last request it took.
     if (!request_done(block, claimed)) {
       publish_result(block, claimed, wstatus, claimed - claimed_at_fork_);
+      published = true;
     }
   } else if (static_cast<std::int32_t>(shared_load(block.request) - claimed) >
              0) {
@@ -232,20 +246,19 @@ void PersistentChild::publish_death(HandoffBlock& block, int wstatus) {
     // crashed on its way to the loop): that request is the casualty.
     shared_store(block.claimed, claimed + 1);
     publish_result(block, claimed + 1, wstatus, 1);
+    published = true;
   }
   std::atomic_ref<std::uint32_t>(block.generation).fetch_add(1);
-  bump_wake(&block.wake);
+  // A budget recycle published nothing, and no client waits on it: the
+  // next request's fork is settled through the request and generation
+  // words alone.
+  if (published) bump_wake(&block.wake);
 }
 
-int PersistentChild::kill_for_deadline(HandoffBlock& block,
-                                       std::uint32_t request) {
+int ExecChild::kill_for_deadline(HandoffBlock& block,
+                                 std::uint32_t request) {
   if (request_done(block, request)) return 0;  // finished at the boundary
-  int wstatus = 0;
-  if (alive()) {
-    ::kill(pid_, SIGKILL);
-    wstatus = reap();
-    std::atomic_ref<std::uint32_t>(block.generation).fetch_add(1);
-  }
+  const int wstatus = kill_and_reap(block);
   const std::uint32_t claimed = shared_load(block.claimed);
   const std::int32_t ahead = static_cast<std::int32_t>(claimed - request);
   if (ahead >= 0 && request_done(block, claimed)) {
@@ -262,15 +275,40 @@ int PersistentChild::kill_for_deadline(HandoffBlock& block,
   return wstatus;
 }
 
-void PersistentChild::kill() {
+int ExecChild::retire_and_post(HandoffBlock& block) {
+  const int wstatus = kill_and_reap(block);
+  bump_wake(&block.request);
+  return wstatus;
+}
+
+int ExecChild::kill_and_reap(HandoffBlock& block) {
+  if (!alive()) return 0;
+  ::kill(pid_, SIGKILL);
+  const int wstatus = reap();
+  std::atomic_ref<std::uint32_t>(block.generation).fetch_add(1);
+  return wstatus;
+}
+
+void ExecChild::kill() {
   if (!alive()) return;
   ::kill(pid_, SIGKILL);
   reap();
 }
 
+bool read_request(Request& request, Bytes& packet) {
+  if (!read_full(kCtlFd, &request, sizeof request)) return false;
+  packet.clear();
+  if (request.packet_len == 0) return true;
+  if (request.op != Op::kFork || request.packet_len > kMaxPacketBytes) {
+    return false;
+  }
+  packet.resize(request.packet_len);
+  return read_full(kCtlFd, packet.data(), packet.size());
+}
+
 bool slot_store_packet(std::uint8_t* segment, std::uint32_t slot,
                        ByteSpan packet) {
-  if (packet.size() > kSlotTestCaseBytes - 4) return false;
+  if (packet.size() > kSlotPacketBytes) return false;
   std::uint8_t* buffer = segment + slot_offset(slot) + kSlotTestCaseOffset;
   store<std::uint32_t>(buffer, 0, static_cast<std::uint32_t>(packet.size()));
   if (!packet.empty()) {
@@ -283,7 +321,7 @@ ByteSpan slot_load_packet(const std::uint8_t* segment, std::uint32_t slot) {
   const std::uint8_t* buffer =
       segment + slot_offset(slot) + kSlotTestCaseOffset;
   std::uint32_t length = load<std::uint32_t>(buffer, 0);
-  if (length > kSlotTestCaseBytes - 4) length = 0;  // corrupt header
+  if (length > kSlotPacketBytes) length = 0;  // corrupt header
   return ByteSpan(buffer + 4, length);
 }
 

@@ -5,80 +5,76 @@
 //
 // Segment layout (one ShmSegment of kSegmentBytesV2):
 //
-//   [0, kMapSize)                  raw edge-hit map (cov::kMapSize bytes),
-//                                  written by the instrumented child via
-//                                  cov::begin_trace into the mapping
-//   [kAuxOffset, kAuxOffset+kAux)  auxiliary execution result, written by
-//                                  the child just before _exit
-//   [kSlotsOffset, ...)            kNumSlots persistent slots, each a map,
-//                                  an aux block and a test-case buffer
-//   [kHandoffOffset, ...)          the persistent handoff block
+//   [0, kHandoffOffset)   kNumSlots execution slots, each a coverage map
+//                         (written by the child via cov::begin_trace), an
+//                         aux result block and a test-case buffer
+//   [kHandoffOffset, ...) the handoff block (HandoffBlock)
 //
 // The aux block ships the observables a pipe could lose if the child died
 // mid-write: the instrumentation event count (the deterministic hang
 // budget), the soft-sanitizer fault reports, and the response bytes. The
-// child stores the completion magic LAST (release fence); the parent reads
-// it only after the child was reaped or published completion, so a set
-// magic implies a fully written block and a missing magic means the child
-// never finished (killed, crashed, hung).
+// child stores the completion magic LAST (release fence); the client reads
+// it only after the record says the execution ended, so a set magic implies
+// a fully written block and a missing magic means the child never finished
+// (killed, crashed, hung).
 //
-// Pipe protocol (the control pipe on kCtlFd carries requests, the status
-// pipe on kStFd hello and replies):
+// There is one way to execute: a child forked by the server with a budget
+// of K executions (K = 1 is fork-per-exec) takes each request straight from
+// the client through the handoff block, with process-shared futex words
+// (wake_word.hpp), while the server sleeps. The pipes carry only what needs
+// the server: the hello, forks, deadline kills and oversized packets.
 //
 //   spawn:    the client (TargetProcess) dup2s the control pipe onto fd
 //             kCtlFd and the status pipe onto fd kStFd before exec; the
 //             server writes the hello [u32 kHelloMagicV2][u32 caps] on
-//             kStFd, where caps advertises optional features
-//             (kCapPersistent).
-//   request:  one Request header, then packet_len packet bytes:
-//     kExec    fork-per-exec: one child runs the packet that follows
-//              (results in the fork-per-exec region); the server SIGKILLs
-//              it when its timeout_ms interval timer fires first — it owns
-//              the pid, so the kill can never hit a recycled pid — and
-//              replies [i32 wstatus][u32 flags] (kReplyTimedOut).
-//     kFork    persistent: fork a child with budget `arg` unless one lives.
-//              No reply.
-//     kKill    persistent deadline: SIGKILL and reap the child if it still
-//              serves request `arg` or has not reached it yet, then reply
-//              [i32 wstatus][u32 flags]. No child serves `arg` afterwards.
-//             The client's own pipe deadlines (the exec budget plus a grace
+//             kStFd. kCapPersistent says the server honours K > 1; a server
+//             without it forks every child with K = 1.
+//   request:  one Request header on kCtlFd:
+//     kFork    fork a child with budget `arg` unless one lives. No reply.
+//              With packet_len != 0 (at most kMaxPacketBytes) the packet
+//              follows on the pipe: it did not fit a slot. The client sends
+//              it only with nothing else in flight, so a living child is
+//              idle and has claimed nothing; the server retires it, posts
+//              the request itself and forks a K = 1 child that runs the
+//              bytes it inherited.
+//     kKill    deadline: SIGKILL and reap the child if it still serves
+//              request `arg` or has not reached it yet, then reply
+//              [i32 wstatus]. No child serves `arg` afterwards.
+//             The client's pipe deadlines (the exec budget plus a grace
 //             margin) only guard against the server itself wedging, which
 //             is reported as server-lost, not as a hang.
 //   shutdown: the client closes the control pipe; the server's request
-//             read sees EOF, kills and reaps any persistent child and exits
-//             cleanly (exit 0 — an *orderly* shutdown the client tells
-//             apart from a lost server).
+//             read sees EOF, kills and reaps any child and exits cleanly
+//             (exit 0 — an *orderly* shutdown the client tells apart from a
+//             lost server).
 //
-// Persistent mode (kCapPersistent) keeps the server off the per-exec path.
-// One long-lived child loops up to K executions (its kFork budget), and
-// the client and the child hand each execution to each other through the
-// handoff block with process-shared futex words (wake_word.hpp):
+// The handoff:
 //
-//   * request: the client numbers its persistent requests 1, 2, ... per
-//     server. For request S it writes the packet into a free slot and the
-//     slot and exec index into record S % kNumSlots, then bumps the request
-//     word and wakes it. Up to kNumSlots requests may be in flight; results
-//     are consumed strictly in order.
+//   * request: the client numbers its requests 1, 2, ... per server. For
+//     request S it writes the packet into a free slot and the slot and exec
+//     index into record S % kNumSlots, then bumps the request word and
+//     wakes it. Up to kNumSlots requests may be in flight; results are
+//     consumed strictly in order.
 //   * child: waits on the request word, stores claimed = S, runs the
 //     target into the record's slot, publishes the slot's aux block and
 //     the record's iteration, stores the record's done = S (release), and
 //     bumps and wakes the client's wake word. After iteration K it
 //     _exit(0)s (the budget recycle) instead of waiting for the next
-//     request.
+//     request. A stock binary's child (preload runtime, K = 1) runs main()
+//     and publishes only its aux block; the server completes the record
+//     when it reaps the child.
 //   * death: the server polls a pidfd of the child and the control pipe,
 //     nothing else. When the child dies it reaps it and, if the request the
 //     child had claimed has no result yet — or, for a child that died
 //     before claiming anything, the next posted request — publishes the
 //     wait status into that record (died = 1) before done. Then it bumps the
-//     generation to even and wakes the client.
+//     generation to even and, if it published a result, wakes the client.
 //   * fork: a child serves from claimed + 1. The server forks one after a
 //     death (or deadline kill) when posted requests are left unclaimed, and
 //     on kFork, which a client about to wait sends once per even (childless)
 //     generation. The request and generation bumps are sequentially
 //     consistent and each side reads the other's word after its own bump,
-//     so at least one side sees that a fork is due. Forks therefore happen
-//     for the first request and after every recycle, and never without a
-//     request to serve.
+//     so at least one side sees that a fork is due.
 //   * deadline: the client times the wait itself. When the deadline passes
 //     it sends kKill; after the reply it re-checks the record, so an
 //     execution that finished at the boundary still counts as completed.
@@ -114,70 +110,60 @@ inline constexpr std::uint32_t kCapPersistent = 1u << 0;
 /// TCP session-server hello magic ("ICST"), written by a shim started in
 /// `--tcp` mode (session/tcp_server.hpp) instead of the fork-server hello
 /// above, followed by [u32 port]: the loopback port the session server
-/// accepts connections on. The segment then carries one extra sync block
-/// after the fork-per-exec region (session/session_wire.hpp documents the
-/// geometry); executions travel over the socket, not the control pipe —
-/// the pipe's only remaining job is EOF-triggered shutdown.
+/// accepts connections on. The segment then has the TCP layout of
+/// session/session_wire.hpp; executions travel over the socket, not the
+/// control pipe — the pipe's only remaining job is EOF-triggered shutdown.
 inline constexpr std::uint32_t kTcpHelloMagic = 0x49435354;
 
 /// Aux-block completion magic ("OOP!"), stored last by the child.
 inline constexpr std::uint32_t kAuxCompleteMagic = 0x4F4F5021;
-
-/// Fork-per-exec region: the coverage map followed by the aux result block.
-/// It serves every fork-per-exec execution and every TCP session.
-inline constexpr std::size_t kAuxOffset = cov::kMapSize;
 inline constexpr std::size_t kAuxBytes = std::size_t{1} << 16;
-inline constexpr std::size_t kSegmentBytes = kAuxOffset + kAuxBytes;
 
-/// Slot region, appended after the fork-per-exec region: kNumSlots
-/// independent execution slots, each with its own coverage map, aux block
-/// and test-case buffer, so up to kNumSlots persistent-mode requests can be
-/// in flight with no shared mutable state between them.
+/// kNumSlots independent execution slots, each with its own coverage map,
+/// aux block and test-case buffer, so up to kNumSlots requests can be in
+/// flight with no shared mutable state between them.
 inline constexpr std::uint32_t kNumSlots = 4;
 inline constexpr std::size_t kSlotAuxOffset = cov::kMapSize;
 inline constexpr std::size_t kSlotTestCaseOffset = kSlotAuxOffset + kAuxBytes;
 inline constexpr std::size_t kSlotTestCaseBytes = std::size_t{1} << 16;
 inline constexpr std::size_t kSlotBytes =
     kSlotTestCaseOffset + kSlotTestCaseBytes;
-inline constexpr std::size_t kSlotsOffset = kSegmentBytes;
+/// The largest packet a slot holds ([u32 len][bytes]); larger ones ride
+/// their kFork on the control pipe.
+inline constexpr std::size_t kSlotPacketBytes = kSlotTestCaseBytes - 4;
+/// The largest packet either server accepts on the control pipe.
+inline constexpr std::size_t kMaxPacketBytes = std::size_t{1} << 30;
 
-/// The persistent handoff block, after the slots (layout: HandoffBlock).
+/// The handoff block, after the slots (layout: HandoffBlock).
 inline constexpr std::size_t kHandoffOffset =
-    kSlotsOffset + std::size_t{kNumSlots} * kSlotBytes;
+    std::size_t{kNumSlots} * kSlotBytes;
 inline constexpr std::size_t kHandoffBytes = 192;
 
 /// Full fork-server segment size (the client always creates this much).
 inline constexpr std::size_t kSegmentBytesV2 = kHandoffOffset + kHandoffBytes;
 
-/// Byte offset of persistent slot `slot` inside the segment.
+/// Byte offset of slot `slot` inside the segment.
 [[nodiscard]] constexpr std::size_t slot_offset(std::uint32_t slot) {
-  return kSlotsOffset + std::size_t{slot} * kSlotBytes;
+  return std::size_t{slot} * kSlotBytes;
 }
 
 // -- Pipe requests. --------------------------------------------------------
 
-enum class Op : std::uint32_t { kExec = 1, kFork = 2, kKill = 3 };
+enum class Op : std::uint32_t { kFork = 2, kKill = 3 };
 
-/// Request header on the control pipe, followed by packet_len packet bytes
-/// (kExec only).
+/// Request header on the control pipe; a kFork with packet_len != 0 is
+/// followed by that many packet bytes.
 struct Request {
-  Op op = Op::kExec;
+  Op op = Op::kFork;
   /// kFork: the child's budget K. kKill: the request number to abandon.
   std::uint32_t arg = 0;
   std::uint32_t packet_len = 0;
-  /// kExec: the wall-clock deadline; 0 disables it.
-  std::uint32_t timeout_ms = 0;
-  /// kExec: 1-based index of the execution on this server (fault-plan key).
-  std::uint64_t exec_index = 0;
 };
-static_assert(sizeof(Request) == 24);
+static_assert(sizeof(Request) == 12);
 
-/// Reply flag: the deadline fired and the child was SIGKILLed.
-inline constexpr std::uint32_t kReplyTimedOut = 1u << 0;
+// -- Handoff. --------------------------------------------------------------
 
-// -- Persistent handoff. ---------------------------------------------------
-
-/// The result record of one in-flight persistent request.
+/// The result record of one in-flight request.
 struct HandoffRecord {
   /// 1-based index of the execution on this server (client; the child's
   /// fault-plan key).
@@ -194,13 +180,13 @@ struct HandoffRecord {
 };
 
 struct HandoffBlock {
-  /// Futex: persistent requests posted (client).
+  /// Futex: requests posted (client; the server for an oversized packet).
   std::uint32_t request;
   /// Futex: the client's wake word (child on completion, server on death).
   std::uint32_t wake;
   /// The last request a child took (child; server after a death or kill).
   std::uint32_t claimed;
-  /// Odd while a persistent child lives (server).
+  /// Odd while a child lives (server).
   std::uint32_t generation;
   HandoffRecord records[kNumSlots];
 };
@@ -239,32 +225,40 @@ void child_claim(HandoffBlock& block, std::uint32_t request);
 void child_complete(HandoffBlock& block, std::uint32_t request,
                     std::uint32_t iteration);
 
-/// Server side: the persistent child — fork, pidfd, reap, kill — and the
+/// Server side: the execution child — fork, pidfd, reap, kill — and the
 /// handoff bookkeeping of its deaths. Shared by the shim and the preload
 /// runtime, which differ only in what the forked child runs. No destructor
 /// kills the child: every execution child a server forks inherits a copy
 /// of this object, and a preloaded one unwinds it on its way to main().
-class PersistentChild {
+class ExecChild {
  public:
   /// Forks a child unless one lives. Returns 0 in the child (which dies
   /// with this process), 1 in the parent, -1 when fork/pidfd_open failed.
-  int fork(HandoffBlock& block, std::uint32_t budget);
+  int fork(HandoffBlock& block);
 
   /// Posted requests wait unclaimed: after a death, a child is due.
   [[nodiscard]] static bool requests_pending(HandoffBlock& block);
 
+  /// Before a fork: when the request the next child serves first is
+  /// already posted, zeroes its slot's map here, where the pages are
+  /// mapped — a fresh child would fault in every one of them. Its result
+  /// slot is the client's to reuse once posted. Returns that slot (the
+  /// child starts with it clean), kNumSlots when nothing was posted yet.
+  static std::uint32_t clear_next_map(HandoffBlock& block,
+                                      std::uint8_t* segment);
+
   [[nodiscard]] bool alive() const { return pid_ > 0; }
   /// Readable once the child has died (poll it with the control pipe).
   [[nodiscard]] int pidfd() const { return pidfd_; }
-  /// The budget K of the last fork (the client always asks for the same).
-  [[nodiscard]] std::uint32_t budget() const { return budget_; }
+  /// The child claimed a request (call before publish_death).
+  [[nodiscard]] bool claimed_any(HandoffBlock& block) const;
 
   /// Reaps the child once its pidfd is readable; returns its wait status.
   int reap();
 
   /// Publishes the reaped child's death: the request it died on gets the
-  /// wait status (see the protocol comment above), the generation turns
-  /// even and the client wakes.
+  /// wait status and the client wakes (see the protocol comment above),
+  /// and the generation turns even.
   void publish_death(HandoffBlock& block, int wstatus);
 
   /// kKill: SIGKILLs the child unless it has moved past `request`, reaps
@@ -272,25 +266,39 @@ class PersistentChild {
   /// status of a killed child, 0 otherwise.
   int kill_for_deadline(HandoffBlock& block, std::uint32_t request);
 
+  /// kFork with a packet: SIGKILLs and reaps the idle child, publishing
+  /// nothing (it has claimed nothing), then posts the request the client
+  /// numbered but could not post. Returns the retired child's wait status,
+  /// 0 when none lived.
+  int retire_and_post(HandoffBlock& block);
+
   /// Shutdown: SIGKILLs and reaps the child without publishing anything.
   void kill();
 
  private:
+  /// SIGKILLs and reaps a living child and turns the generation even.
+  /// Returns its wait status, 0 when none lived.
+  int kill_and_reap(HandoffBlock& block);
+
   pid_t pid_ = -1;
   int pidfd_ = -1;
-  std::uint32_t budget_ = 0;
   /// `claimed` when the child was forked: unchanged at death means the
   /// child died before claiming any request.
   std::uint32_t claimed_at_fork_ = 0;
 };
 
+/// Server side: reads the next request from kCtlFd and, for a kFork that
+/// carries a packet, its bytes into `packet` (emptied otherwise). False
+/// when the client is gone (EOF, read error) or sent a packet_len above
+/// kMaxPacketBytes.
+bool read_request(Request& request, Bytes& packet);
+
 /// Writes `packet` into slot `slot`'s test-case buffer as [u32 len][bytes]
-/// (client side). False when the packet exceeds the buffer — the caller
-/// must fall back to a fork-per-exec request over the pipe.
+/// (client side). False when the packet exceeds kSlotPacketBytes.
 bool slot_store_packet(std::uint8_t* segment, std::uint32_t slot,
                        ByteSpan packet);
 
-/// The packet span stored in slot `slot` (persistent-child side).
+/// The packet span stored in slot `slot` (child side).
 ByteSpan slot_load_packet(const std::uint8_t* segment, std::uint32_t slot);
 
 /// Environment variables carrying the segment to the exec'd shim.
@@ -312,13 +320,13 @@ struct AuxResult {
   bool faults_truncated = false;
 };
 
-/// Serializes `result` into the aux block (child side; `aux` points at
-/// kAuxOffset, `aux_size` bytes available). Stores the completion magic
+/// Serializes `result` into the aux block (child side; `aux` points at a
+/// slot's kSlotAuxOffset, `aux_size` bytes available). Stores the completion magic
 /// last, behind a release fence.
 void aux_store(std::uint8_t* aux, std::size_t aux_size,
                const AuxResult& result);
 
-/// Reads the aux block (parent side, after waitpid). Returns false when the
+/// Reads the aux block (client side, once the execution ended). Returns false when the
 /// completion magic is absent — the child never finished its execution.
 bool aux_load(const std::uint8_t* aux, std::size_t aux_size, AuxResult& out);
 

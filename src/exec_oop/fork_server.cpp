@@ -11,8 +11,8 @@ namespace icsfuzz::oop {
 namespace {
 
 /// Pipe-I/O deadline for one request/reply: the exec budget plus a grace
-/// margin (the server owns the real deadline; ours only catches a wedged
-/// server). Negative for an unbounded exec budget.
+/// margin (the client's own wait owns the real deadline; this one only
+/// catches a wedged server). Negative for an unbounded exec budget.
 int io_deadline_for(int timeout_ms) {
   if (timeout_ms <= 0) return -1;
   return timeout_ms > std::numeric_limits<int>::max() - 5000
@@ -30,6 +30,8 @@ void ForkServer::sync_server() {
   posted_ = 0;
   awaited_ = 0;
   fork_sent_for_ = 1;
+  piped_request_ = 0;
+  piped_sent_ = false;
 }
 
 ForkServer::RunOutcome::Kind ForkServer::classify_server_gone() {
@@ -71,11 +73,11 @@ bool ForkServer::write_request(const Request& request, ByteSpan packet,
   return false;
 }
 
-bool ForkServer::read_reply(std::uint32_t (&reply)[2], int io_deadline_ms) {
-  // Expiry means the server itself wedged (it owns the exec deadline), so
-  // it is server-gone, never a hang verdict.
-  const ReadStatus status = read_full_deadline(process_.st_fd(), reply,
-                                               sizeof reply, io_deadline_ms);
+bool ForkServer::read_reply(std::int32_t& wstatus, int io_deadline_ms) {
+  // Expiry means the server itself wedged, so it is server-gone, never a
+  // hang verdict.
+  const ReadStatus status = read_full_deadline(
+      process_.st_fd(), &wstatus, sizeof wstatus, io_deadline_ms);
   if (status == ReadStatus::kOk) return true;
   error_ = "fork server died mid-execution";
   if (status == ReadStatus::kClosed) {
@@ -86,64 +88,67 @@ bool ForkServer::read_reply(std::uint32_t (&reply)[2], int io_deadline_ms) {
   return false;
 }
 
-ForkServer::RunOutcome ForkServer::run(ByteSpan packet, int timeout_ms) {
-  sync_server();
-  RunOutcome outcome;
-  const int io_deadline_ms = io_deadline_for(timeout_ms);
-  // timeout_ms <= 0 disables the per-exec wall-clock deadline end to end:
-  // the server disarms its interval timer and this side waits indefinitely.
-  const Request request{
-      .op = Op::kExec,
-      .packet_len = static_cast<std::uint32_t>(packet.size()),
-      .timeout_ms =
-          timeout_ms <= 0 ? 0u : static_cast<std::uint32_t>(timeout_ms),
-      .exec_index = ++exec_index_};
-  std::uint32_t reply[2] = {0, 0};
-  if (!write_request(request, packet, io_deadline_ms) ||
-      !read_reply(reply, io_deadline_ms)) {
-    outcome.kind = last_failure_;
-    return outcome;
-  }
-  outcome.wstatus = static_cast<std::int32_t>(reply[0]);
-  outcome.kind = (reply[1] & kReplyTimedOut) != 0
-                     ? RunOutcome::Kind::kTimeout
-                     : RunOutcome::Kind::kCompleted;
-  return outcome;
-}
-
 bool ForkServer::post(ByteSpan packet, std::uint32_t slot) {
   sync_server();
+  const bool piped = packet.size() > kSlotPacketBytes;
+  if (static_cast<std::int32_t>(piped_request_ - awaited_) > 0 ||
+      (piped && posted_ != awaited_)) {
+    return false;  // a piped packet travels alone
+  }
   std::uint8_t* segment = process_.segment().data();
-  if (!slot_store_packet(segment, slot, packet)) return false;
   const std::uint32_t request = posted_ + 1;
   HandoffRecord& record = handoff_record(handoff_block(segment), request);
   record.slot = slot;
   record.exec_index = ++exec_index_;
   posted_ = request;
-  // The request word counts posts, so the bump publishes exactly `request`.
-  bump_wake(&handoff_block(segment).request);
+  if (!piped) {
+    slot_store_packet(segment, slot, packet);
+    // The request word counts posts, so the bump publishes exactly `request`.
+    bump_wake(&handoff_block(segment).request);
+    return true;
+  }
+  // Too large for a slot: the packet rides a budget-1 kFork, and the server
+  // posts the request once the bytes have arrived.
+  piped_request_ = request;
+  if (packet.size() > kMaxPacketBytes) {
+    error_ = "packet exceeds the fork server's kMaxPacketBytes";
+    last_failure_ = RunOutcome::Kind::kServerLost;
+    piped_sent_ = false;
+    return true;
+  }
+  piped_sent_ = write_request(
+      {.op = Op::kFork,
+       .arg = 1,
+       .packet_len = static_cast<std::uint32_t>(packet.size())},
+      packet, io_deadline_for(timeout_ms_));
   return true;
 }
 
-ForkServer::RunOutcome ForkServer::await(int timeout_ms) {
+ForkServer::RunOutcome ForkServer::await() {
   RunOutcome outcome;
   const std::uint32_t request = ++awaited_;
   HandoffBlock& block = handoff_block(process_.segment().data());
   HandoffRecord& record = handoff_record(block, request);
-  outcome.persistent = true;
   outcome.slot = record.slot;
+  const bool piped = request == piped_request_;
+  if (piped && !piped_sent_) {
+    outcome.kind = last_failure_;
+    return outcome;
+  }
 
-  const int io_deadline_ms = io_deadline_for(timeout_ms);
+  const int io_deadline_ms = io_deadline_for(timeout_ms_);
   const std::uint64_t deadline =
-      timeout_ms > 0 ? monotonic_ms() + static_cast<std::uint64_t>(timeout_ms)
-                     : 0;
-  // No child lives (even generation): ask for one, once per generation.
-  // The load is sequentially consistent and follows post()'s request bump,
-  // so it pairs with the server's own check after a death.
+      timeout_ms_ > 0
+          ? monotonic_ms() + static_cast<std::uint64_t>(timeout_ms_)
+          : 0;
+  // No child lives (even generation): ask for one, once per generation (a
+  // piped request brought its own). The load is sequentially consistent
+  // and follows post()'s request bump, so it pairs with the server's own
+  // check after a death.
   const std::uint32_t generation =
       std::atomic_ref<std::uint32_t>(block.generation).load();
-  if ((generation & 1) == 0 && generation != fork_sent_for_) {
-    if (!write_request({.op = Op::kFork, .arg = budget_}, {},
+  if (!piped && (generation & 1) == 0 && generation != fork_sent_for_) {
+    if (!write_request({.op = Op::kFork, .arg = child_budget()}, {},
                        io_deadline_ms)) {
       outcome.kind = last_failure_;
       return outcome;
@@ -169,21 +174,22 @@ ForkServer::RunOutcome ForkServer::await(int timeout_ms) {
     }
     // The deadline passed: the server kills the child (it owns the pid),
     // and the record then says whether the execution finished first.
-    std::uint32_t reply[2] = {0, 0};
+    std::int32_t wstatus = 0;
     if (!write_request({.op = Op::kKill, .arg = request}, {},
                        io_deadline_ms) ||
-        !read_reply(reply, io_deadline_ms)) {
+        !read_reply(wstatus, io_deadline_ms)) {
       outcome.kind = last_failure_;
       return outcome;
     }
     timed_out = true;
-    killed = reply[0] != 0;
+    killed = wstatus != 0;
   }
 
   outcome.iteration = record.iteration;
   if (done() != 0 && record.died == 0) {
     outcome.kind = RunOutcome::Kind::kCompleted;
-    outcome.recycled = killed || outcome.iteration >= budget_;
+    outcome.recycled =
+        killed || piped || outcome.iteration >= child_budget();
     return outcome;
   }
   outcome.recycled = true;

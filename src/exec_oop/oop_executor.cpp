@@ -68,17 +68,17 @@ void classify_termination(int wstatus, bool completed,
 
 void OutOfProcessExecutor::classify(const ForkServer::RunOutcome& raw,
                                     Outcome& out) {
-  out.persistent = raw.persistent;
+  out.persistent = persistent_active();
   out.iteration = raw.iteration;
   out.child_recycled = raw.recycled;
   if (out.child_recycled) ++child_recycles_;
-  map_offset_ = raw.persistent ? slot_offset(raw.slot) : 0;
+  map_offset_ = slot_offset(raw.slot);
   // Any classified outcome means the server answered — the crash loop (if
   // there was one) is over.
   process_.note_answered();
 
   const bool aux_complete = aux_load(
-      process_.segment().data() + map_offset_ + cov::kMapSize, kAuxBytes,
+      process_.segment().data() + map_offset_ + kSlotAuxOffset, kAuxBytes,
       out.aux);
   if (raw.kind == ForkServer::RunOutcome::Kind::kTimeout) {
     out.status = ExecStatus::kHang;
@@ -117,13 +117,9 @@ const OutOfProcessExecutor::Outcome& OutOfProcessExecutor::run(
     if (attempt == 1) process_.note_retry();
     if (!ensure_started()) continue;  // next attempt retries the spawn
 
-    // Persistent single-exec path: packet through slot 0, oversized
-    // packets (rare — > kSlotTestCaseBytes) fall back to a fork-per-exec
-    // request for this one execution.
-    const ForkServer::RunOutcome raw =
-        persistent_active() && server_.post(packet, 0)
-            ? server_.await(config_.exec_timeout_ms)
-            : server_.run(packet, config_.exec_timeout_ms);
+    // Nothing is in flight, so the post always queues.
+    server_.post(packet, 0);
+    const ForkServer::RunOutcome raw = server_.await();
 
     if (raw.kind == ForkServer::RunOutcome::Kind::kServerExited ||
         raw.kind == ForkServer::RunOutcome::Kind::kServerLost) {
@@ -144,19 +140,19 @@ std::size_t OutOfProcessExecutor::run_batch(
   std::size_t next_deliver = 0;  // next packet whose reply we owe
 
   while (next_deliver < packets.size()) {
-    if (!persistent_active() || !ensure_started()) {
-      // No pipelining available (fork-per-exec, a server without the
-      // persistent capability, or the server is down): drain the remainder
-      // through the sequential path, which owns the respawn/retry policy.
-      for (; next_deliver < packets.size(); ++next_deliver) {
-        on_outcome(next_deliver, run(ByteSpan(packets[next_deliver])));
-      }
-      break;
+    if (!ensure_started()) {
+      // The server is down: the sequential path owns the respawn/retry
+      // policy.
+      on_outcome(next_deliver, run(ByteSpan(packets[next_deliver])));
+      next_submit = ++next_deliver;
+      continue;
     }
 
     // Fill the window: one in-flight request per shm slot. Results come
     // back strictly in order, so slot i%kNumSlots is never reused before
-    // its result has been consumed.
+    // its result has been consumed. post() refuses only to pipeline around
+    // a packet too large for a slot, which travels alone, so at least the
+    // head packet is in flight.
     while (next_submit < packets.size() &&
            next_submit - next_deliver < kNumSlots &&
            server_.post(ByteSpan(packets[next_submit]),
@@ -164,14 +160,7 @@ std::size_t OutOfProcessExecutor::run_batch(
       ++next_submit;
     }
 
-    if (next_submit == next_deliver) {
-      // Nothing in flight: the head packet is oversized for a slot.
-      on_outcome(next_deliver, run(ByteSpan(packets[next_deliver])));
-      next_submit = ++next_deliver;
-      continue;
-    }
-
-    const ForkServer::RunOutcome raw = server_.await(config_.exec_timeout_ms);
+    const ForkServer::RunOutcome raw = server_.await();
     if (raw.kind == ForkServer::RunOutcome::Kind::kServerExited ||
         raw.kind == ForkServer::RunOutcome::Kind::kServerLost) {
       // Every in-flight result is gone with the server. Re-run the whole

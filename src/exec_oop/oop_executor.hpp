@@ -10,18 +10,17 @@
 // to in-process execution — the differential oracle test_exec_oop.cpp
 // asserts exactly that.
 //
-// Two execution modes behind one run() call:
-//   * fork-per-exec — one fork() per packet (an Op::kExec request).
-//   * persistent    — `persistent_budget` > 1 and the server advertises
-//     kCapPersistent: packets travel through shm test-case slots into a
-//     long-lived child that loops K executions per process, handed over
-//     through futex words with the server asleep, which removes the
-//     per-exec fork() and recovers an order of magnitude of throughput.
-//     run_batch() additionally keeps up to kNumSlots requests in flight so
-//     the round-trip stall disappears from replay-style workloads. A
-//     server without the capability (an injected binary that does not
-//     cooperate) keeps the executor on fork-per-exec —
-//     persistent_active() reports what actually runs.
+// One execution path behind run(): the packet goes into a shm slot and a
+// child the server forked takes it through the handoff block's futex words
+// with the server asleep (exec_protocol.hpp). The child serves
+// `persistent_budget` executions (K) when the server advertises
+// kCapPersistent and K > 1 — persistent mode, an order of magnitude faster
+// than a fork per packet — and one otherwise: fork-per-exec, the
+// BackendKind::kForkPerExec default and what a stock injected binary
+// always gets. persistent_active() reports which. run_batch() keeps up to
+// kNumSlots requests in flight so the round-trip stall disappears from
+// replay-style workloads. A packet too large for a slot rides its fork
+// request on the control pipe and runs alone in a K = 1 child.
 //
 // Robustness: the server's lifecycle is a TargetProcess. A lost fork
 // server (crashed, killed, never handshaken) is respawned transparently
@@ -66,9 +65,9 @@ struct OopExecutorConfig {
   int exec_timeout_ms = 1000;
   /// Deadline for the spawn handshake.
   int handshake_timeout_ms = 5000;
-  /// Executions per persistent child (the ICSFUZZ_LOOP budget K). <= 1
-  /// keeps fork-per-exec; larger values request persistent mode, which
-  /// engages when the server also advertises the capability.
+  /// Executions per child (the ICSFUZZ_LOOP budget K). <= 1 is
+  /// fork-per-exec; larger values request persistent mode, which engages
+  /// when the server also advertises the capability.
   std::uint32_t persistent_budget = 0;
   /// Lost-server respawn/retry policy (defaults preserve the historical
   /// respawn-once behavior).
@@ -92,12 +91,13 @@ class OutOfProcessExecutor {
     int term_signal = 0;
     /// Child exit code (kCrash with a nonzero abnormal exit), 0 otherwise.
     int exit_code = 0;
-    /// The execution ran inside the persistent child.
+    /// Persistent mode was in effect (persistent_active()).
     bool persistent = false;
-    /// 1-based iteration "N of K" within the serving child (persistent).
+    /// 1-based iteration "N of K" within the serving child.
     std::uint32_t iteration = 0;
-    /// The serving child was recycled after this execution (persistent:
-    /// budget exhaustion, crash, or hang — see status for which).
+    /// The serving child was recycled after this execution (budget
+    /// exhaustion — every execution at K = 1 — crash, or hang; see status
+    /// for which).
     bool child_recycled = false;
     /// Aux-block observables; valid (and exact) only for kOk.
     AuxResult aux;
@@ -119,20 +119,19 @@ class OutOfProcessExecutor {
 
   /// Pipelined batch dispatch (replay/bench/distill workloads — the
   /// adaptive fuzzing loop stays per-exec because generation depends on
-  /// each result). Up to kNumSlots requests are in flight at once in
-  /// persistent mode; outcomes are delivered strictly in packet order,
-  /// each valid only for the duration of its callback (the scratch is
-  /// reused). Falls back to sequential run() calls when persistent mode
-  /// is inactive. Returns the number of packets executed (always
-  /// packets.size(); failures surface per-outcome, not as early exits).
+  /// each result). Up to kNumSlots requests are in flight at once;
+  /// outcomes are delivered strictly in packet order, each valid only for
+  /// the duration of its callback (the scratch is reused). Returns the
+  /// number of packets executed (always packets.size(); failures surface
+  /// per-outcome, not as early exits).
   std::size_t run_batch(
       const std::vector<Bytes>& packets,
       const std::function<void(std::size_t, const Outcome&)>& on_outcome);
 
   /// The shm coverage words the last outcome's execution produced
-  /// (kMapWords uint64s), ready for CoverageMap::adopt_external — the
-  /// fork-per-exec map region or the persistent slot that served the
-  /// execution. Null until the server started. During run_batch this
+  /// (kMapWords uint64s), ready for CoverageMap::adopt_external — the map
+  /// of the slot that served the execution. Null until the server
+  /// started. During run_batch this
   /// advances with each callback.
   [[nodiscard]] const std::uint64_t* map_words() const {
     return segment().valid()
@@ -169,8 +168,8 @@ class OutOfProcessExecutor {
     return process_.tallies().orderly_exits;
   }
 
-  /// Persistent children recycled so far (budget exhaustion, crash or
-  /// hang — each one costs the next request a fork).
+  /// Children recycled so far (budget exhaustion, crash or hang — each
+  /// one costs the next request a fork; one per execution at K = 1).
   [[nodiscard]] std::uint64_t child_recycles() const {
     return child_recycles_;
   }
@@ -188,9 +187,8 @@ class OutOfProcessExecutor {
   [[nodiscard]] const TargetProcess& process() const { return process_; }
 
  private:
-  /// Maps a transport outcome + the aux block of the region that served it
-  /// (fork-per-exec or its slot) onto the semantic Outcome, and points
-  /// map_words() at that region's map.
+  /// Maps a transport outcome + the aux block of the slot that served it
+  /// onto the semantic Outcome, and points map_words() at that slot's map.
   void classify(const ForkServer::RunOutcome& raw, Outcome& out);
 
   /// Handles a gone server (orderly vs lost) before a respawn attempt.
@@ -201,7 +199,8 @@ class OutOfProcessExecutor {
 
   OopExecutorConfig config_;
   TargetProcess process_;
-  ForkServer server_{process_, config_.persistent_budget};
+  ForkServer server_{process_, config_.persistent_budget,
+                     config_.exec_timeout_ms};
   Outcome outcome_;
   std::string error_;
   std::size_t map_offset_ = 0;

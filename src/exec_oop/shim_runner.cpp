@@ -3,7 +3,6 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/mman.h>
-#include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -31,62 +30,6 @@ std::uint64_t env_u64(const char* name) {
   return std::strtoull(value, nullptr, 10);
 }
 
-/// Set by the SIGALRM handler when the per-exec deadline fires. The
-/// handler only flags: the kill happens in normal context inside the
-/// waitpid loop, where the child is provably not yet reaped — so the shim
-/// can never SIGKILL a recycled pid.
-volatile sig_atomic_t g_deadline_fired = 0;
-
-void on_deadline(int) { g_deadline_fired = 1; }
-
-/// Installs the SIGALRM disposition WITHOUT SA_RESTART, so the blocking
-/// waitpid returns EINTR when the timer fires.
-void install_deadline_handler() {
-  struct sigaction action {};
-  action.sa_handler = on_deadline;
-  ::sigemptyset(&action.sa_mask);
-  action.sa_flags = 0;
-  ::sigaction(SIGALRM, &action, nullptr);
-}
-
-/// Arms (or with 0 disarms) the per-exec interval timer. The timer
-/// REPEATS at the same period: a one-shot could fire (and be consumed by
-/// the handler) in the window between arming and waitpid() blocking —
-/// e.g. the shim descheduled on a loaded runner — after which a hung
-/// child would block the shim forever. With a repeating interval the next
-/// tick delivers another EINTR and the kill still happens.
-void arm_deadline(std::uint32_t timeout_ms) {
-  struct itimerval timer {};
-  timer.it_value.tv_sec = timeout_ms / 1000;
-  timer.it_value.tv_usec =
-      static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
-  timer.it_interval = timer.it_value;
-  ::setitimer(ITIMER_REAL, &timer, nullptr);
-}
-
-/// Waits for the fork-per-exec `child` with the per-exec deadline armed;
-/// SIGKILLs it when the timer fires first. Returns the raw wstatus;
-/// `timed_out` reports a deadline kill.
-int await_child(pid_t child, std::uint32_t timeout_ms, bool& timed_out) {
-  g_deadline_fired = 0;
-  if (timeout_ms != 0) arm_deadline(timeout_ms);
-  int wstatus = 0;
-  timed_out = false;
-  for (;;) {
-    if (::waitpid(child, &wstatus, 0) == child) break;
-    if (errno == EINTR) {
-      if (g_deadline_fired && !timed_out) {
-        timed_out = true;
-        ::kill(child, SIGKILL);
-      }
-      continue;
-    }
-    break;  // unexpected waitpid failure; report whatever we have
-  }
-  arm_deadline(0);
-  return wstatus;
-}
-
 /// Fault-plan OOM hook: maps address space until RLIMIT_AS refuses, then
 /// calls the new_handler as a failing operator new would (the jail's
 /// handler exits through supervise::kOomExitCode). It maps directly
@@ -107,56 +50,26 @@ int await_child(pid_t child, std::uint32_t timeout_ms, bool& timed_out) {
   ::_exit(supervise::kOomExitCode);
 }
 
-/// One fork-per-exec execution, inside the forked child: trace into the
-/// fork-per-exec region of the shm segment, run the target, publish the
-/// aux block, _exit. Never returns.
-[[noreturn]] void run_child(ProtocolTarget& target, std::uint8_t* segment,
-                            ByteSpan packet) {
-  // Same arming order as the in-process Executor::run_into — reset,
-  // fault sink, then tracing — so an instrumented reset() contributes to
-  // neither the map nor the event count in either mode (the differential
-  // oracle depends on this symmetry, not on reset() happening to be
-  // uninstrumented).
-  target.reset();
-  san::FaultSink::arm();
-  // The child's trace must satisfy the dirty-list invariant "every word not
-  // listed is zero": the server memset the whole segment before forking,
-  // and this list starts empty.
-  static cov::DirtyWordList dirty;
-  dirty.count = 0;
-  cov::begin_trace(segment, &dirty);
-
-  AuxResult result;
-  target.process_into(packet, result.response);
-  result.events = cov::tls_event_count;
-  cov::end_trace();
-  san::FaultSink::disarm_into(result.faults);
-
-  aux_store(segment + kAuxOffset, kAuxBytes, result);
-  // _exit (not exit): no atexit handlers, no stdio flush, and — under
-  // AddressSanitizer — no leak check in the short-lived child; the parent
-  // process is the one leak detection watches.
-  ::_exit(0);
-}
-
-/// Exit codes a persistent child uses to hand a server-level fault-plan
-/// hook to the shim, which no longer sees each execution: the child that
-/// reads execution index N is the first to know. The shim honours them
-/// only while the matching knob is set.
+/// Exit codes a child uses to hand a server-level fault-plan hook to the
+/// shim, which never sees an execution: the child that reads execution
+/// index N is the first to know. The shim honours them only while the
+/// matching knob is set.
 constexpr int kChildServerExit = 94;    ///< server_exit_at: shim exits 9
 constexpr int kChildServerRetire = 95;  ///< server_retire_after: exits 0
 
-/// The persistent child's ICSFUZZ_LOOP: up to `budget` executions in one
-/// process, one per request handed over through the handoff block. Each
-/// iteration claims the next request, restores its slot's map invariant
-/// with a sparse clear (its own per-slot dirty list — nobody else writes a
-/// slot's map while this child serves it), runs the target, publishes the
-/// slot's aux block and completes the request. After the final iteration
-/// it _exit(0)s — the budget recycle. Never returns.
-[[noreturn]] void run_persistent_child(ProtocolTarget& target,
-                                       std::uint8_t* segment,
-                                       std::uint32_t budget,
-                                       const ShimFaultPlan& plan) {
+/// The child's ICSFUZZ_LOOP: up to `budget` executions in one process, one
+/// per request handed over through the handoff block. Each iteration
+/// claims the next request, restores its slot's map invariant with a
+/// sparse clear (its own per-slot dirty list — nobody else writes a slot's
+/// map while this child serves it), runs the target, publishes the slot's
+/// aux block and completes the request. The first iteration runs `piped`
+/// instead of the slot's packet when the request's packet rode the control
+/// pipe, and slot `clean` (kNumSlots: none) starts with its map zeroed
+/// (ExecChild::clear_next_map). After the final iteration it _exit(0)s —
+/// the budget recycle. Never returns.
+[[noreturn]] void run_child(ProtocolTarget& target, std::uint8_t* segment,
+                            std::uint32_t budget, const ShimFaultPlan& plan,
+                            const Bytes& piped, std::uint32_t clean) {
   HandoffBlock& block = handoff_block(segment);
   // Per-slot dirty lists, paired with first-use flags: a slot is fully
   // zeroed the first time THIS child serves it (establishing "empty list
@@ -165,11 +78,12 @@ constexpr int kChildServerRetire = 95;  ///< server_retire_after: exits 0
   // the server wiping all slots at fork — matters with pipelining: at a
   // recycle boundary the client may not yet have read the previous
   // child's final slots, and the handoff only guarantees a slot's result
-  // has been consumed before a NEW request lands on that slot.
+  // has been consumed before a NEW request lands on that slot. Only
+  // children write these statics, and each enters here once, so they
+  // start zeroed — touching them costs a fresh child page faults.
   static cov::DirtyWordList dirty[kNumSlots];
   static bool slot_used[kNumSlots];
-  for (cov::DirtyWordList& list : dirty) list.count = 0;
-  for (bool& used : slot_used) used = false;
+  if (clean < kNumSlots) slot_used[clean] = true;
   AuxResult result;
 
   std::uint32_t request = shared_load(block.claimed);
@@ -178,39 +92,46 @@ constexpr int kChildServerRetire = 95;  ///< server_retire_after: exits 0
     const std::uint32_t slot = request_slot(block, request);
     std::uint8_t* slot_base = segment + slot_offset(slot);
 
-    // Fault-plan hooks key off the client's per-server execution index,
-    // same semantics as the fork-per-exec path.
+    // Fault-plan hooks key off the client's per-server execution index.
     const std::uint64_t index = handoff_record(block, request).exec_index;
     if (plan.server_exit_at != 0 && index == plan.server_exit_at) {
       ::_exit(kChildServerExit);
     }
     trip_execution_faults(plan, index);
 
-    // Pristine slot state: full memset on this child's first use of the
-    // slot, sparse-clear of the previous iteration's dirty words after
-    // that (the in-process begin_execution analogue). Either way the aux
-    // magic ends up invalidated, so a crash mid-iteration can never be
-    // mistaken for a completed one.
+    // Pristine slot state: the map fully zeroed on this child's first use
+    // of the slot, sparse-cleared of the previous iteration's dirty words
+    // after that (the in-process begin_execution analogue), and the aux
+    // magic invalidated, so a crash mid-iteration can never be mistaken
+    // for a completed one. Only the magic: aux_store bounds every later
+    // read, and each page of the shared slot costs a fresh child a fault.
     cov::DirtyWordList& slot_dirty = dirty[slot];
     if (!slot_used[slot]) {
-      std::memset(slot_base, 0, cov::kMapSize + kAuxBytes);
+      std::memset(slot_base, 0, cov::kMapSize);
       slot_used[slot] = true;
-      slot_dirty.count = 0;
     } else {
       auto* words = reinterpret_cast<std::uint64_t*>(slot_base);
       for (std::uint32_t i = 0; i < slot_dirty.count; ++i) {
         words[slot_dirty.indices[i]] = 0;
       }
-      slot_dirty.count = 0;
-      std::memset(slot_base + kSlotAuxOffset, 0, 4);
     }
+    slot_dirty.count = 0;
+    std::memset(slot_base + kSlotAuxOffset, 0, 4);
 
+    // Same arming order as the in-process Executor::run_into — reset,
+    // fault sink, then tracing — so an instrumented reset() contributes to
+    // neither the map nor the event count in either mode (the differential
+    // oracle depends on this symmetry, not on reset() happening to be
+    // uninstrumented).
     target.reset();
     san::FaultSink::arm();
     cov::begin_trace(slot_base, &slot_dirty);
 
     result.response.clear();
-    target.process_into(slot_load_packet(segment, slot), result.response);
+    const ByteSpan packet = iteration == 1 && !piped.empty()
+                                ? ByteSpan(piped)
+                                : slot_load_packet(segment, slot);
+    target.process_into(packet, result.response);
     result.events = cov::tls_event_count;
     cov::end_trace();
     san::FaultSink::disarm_into(result.faults);
@@ -225,53 +146,15 @@ constexpr int kChildServerRetire = 95;  ///< server_retire_after: exits 0
   }
 }
 
-/// One fork-per-exec request (its header already read): reads the packet,
-/// forks the child, enforces the deadline and replies. Returns the shim's
-/// exit code when the server must stop (pipe loss, fork failure, a
-/// fault-plan exit or retirement), -1 to keep serving.
-int serve_fork_per_exec(ProtocolTarget& target, std::uint8_t* segment,
-                        const supervise::ResourceJail& jail,
-                        const ShimFaultPlan& plan, const Request& request,
-                        Bytes& packet) {
-  packet.resize(request.packet_len);
-  if (request.packet_len != 0 &&
-      !read_full(kCtlFd, packet.data(), request.packet_len)) {
-    return 0;
-  }
-  if (plan.server_exit_at != 0 && request.exec_index == plan.server_exit_at) {
+/// The shim's exit code for a reaped child's fault-plan exit (see
+/// kChildServerExit), -1 to keep serving.
+int fault_plan_exit(const ShimFaultPlan& plan, int wstatus) {
+  const int code = WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
+  if (plan.server_exit_at != 0 && code == kChildServerExit) {
     return 9;  // simulated fork-server crash
   }
-  // Pristine fork-per-exec region for the child: the map invariant (all
-  // words zero) and a magic-less aux block, whatever the previous child
-  // left behind. The slot region keeps its own invariants (each persistent
-  // child re-zeroes a slot on first use), so only this region is touched.
-  std::memset(segment, 0, kSegmentBytes);
-
-  const pid_t child = ::fork();
-  if (child < 0) return 5;
-  if (child == 0) {
-    supervise::apply_in_child(jail);
-    trip_execution_faults(plan, request.exec_index);
-    run_child(target, segment, packet);
-  }
-
-  // The shim enforces the wall-clock deadline itself: it is the child's
-  // parent, so between here and a successful waitpid the pid provably
-  // belongs to this child and the SIGKILL can never hit a recycled pid. A
-  // child that finishes right at the boundary is reaped normally and
-  // reported as completed, not as a hang.
-  bool timed_out = false;
-  const int wstatus = await_child(child, request.timeout_ms, timed_out);
-  const std::uint32_t reply[2] = {static_cast<std::uint32_t>(wstatus),
-                                  timed_out ? kReplyTimedOut : 0u};
-  if (!write_full(kStFd, reply, sizeof reply)) return 6;
-
-  if (plan.server_retire_after != 0 &&
-      request.exec_index >= plan.server_retire_after) {
-    // Orderly retirement: the reply above completed this execution, so the
-    // client loses nothing — its next request sees EOF plus our exit
-    // status 0 and respawns without charging a lost server.
-    return 0;
+  if (plan.server_retire_after != 0 && code == kChildServerRetire) {
+    return 0;  // orderly retirement after the child's last execution
   }
   return -1;
 }
@@ -328,7 +211,6 @@ int run_shim_server(ProtocolTarget& target, const ShimFaultPlan& plan) {
   }
   if (plan.no_handshake) return 7;
 
-  install_deadline_handler();
   const std::uint32_t hello[2] = {kHelloMagicV2, kCapPersistent};
   if (!write_full(kStFd, hello, sizeof(hello))) return 4;
 
@@ -338,64 +220,56 @@ int run_shim_server(ProtocolTarget& target, const ShimFaultPlan& plan) {
   const supervise::ResourceJail jail = supervise::jail_from_env();
   HandoffBlock& block = handoff_block(segment.data());
 
-  Bytes packet;
-  PersistentChild persistent;
+  Bytes piped;  // a packet too large for a slot, from its kFork
+  std::uint32_t budget = 1;  // the K of the client's last plain kFork
+  ExecChild child;
   for (;;) {
-    // Sleep until the client asks for something or the persistent child
-    // dies; persistent executions themselves never pass through here.
-    struct pollfd fds[2] = {{kCtlFd, POLLIN, 0},
-                            {persistent.pidfd(), POLLIN, 0}};
-    if (::poll(fds, persistent.alive() ? 2 : 1, -1) < 0) {
+    // Sleep until the client asks for something or the child dies;
+    // executions themselves never pass through here.
+    struct pollfd fds[2] = {{kCtlFd, POLLIN, 0}, {child.pidfd(), POLLIN, 0}};
+    if (::poll(fds, child.alive() ? 2 : 1, -1) < 0) {
       if (errno == EINTR) continue;
       return 6;
     }
     std::uint32_t fork_budget = 0;  // nonzero: fork a child now
-    if (persistent.alive() && fds[1].revents != 0) {
-      const int wstatus = persistent.reap();
-      const int code = WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
-      if (plan.server_exit_at != 0 && code == kChildServerExit) {
-        return 9;  // simulated fork-server crash
-      }
-      if (plan.server_retire_after != 0 && code == kChildServerRetire) {
-        return 0;  // orderly retirement after the child's last execution
-      }
-      persistent.publish_death(block, wstatus);
-      if (PersistentChild::requests_pending(block)) {
-        fork_budget = persistent.budget();
-      }
+    if (child.alive() && fds[1].revents != 0) {
+      const int wstatus = child.reap();
+      const int code = fault_plan_exit(plan, wstatus);
+      if (code >= 0) return code;
+      child.publish_death(block, wstatus);
+      if (ExecChild::requests_pending(block)) fork_budget = budget;
     } else if (fds[0].revents != 0) {
       Request request;
-      if (!read_full(kCtlFd, &request, sizeof request)) {
-        persistent.kill();
+      if (!read_request(request, piped)) {
+        child.kill();
         return 0;  // EOF: clean shutdown
       }
-      if (request.op == Op::kFork) {
-        fork_budget = std::max(request.arg, 1u);
+      if (request.op == Op::kFork && piped.empty()) {
+        budget = std::max(request.arg, 1u);
+        fork_budget = budget;
+      } else if (request.op == Op::kFork) {
+        const int code = fault_plan_exit(plan, child.retire_and_post(block));
+        if (code >= 0) return code;
+        fork_budget = 1;
       } else if (request.op == Op::kKill) {
-        const std::uint32_t reply[2] = {
-            static_cast<std::uint32_t>(
-                persistent.kill_for_deadline(block, request.arg)),
-            0};
-        if (!write_full(kStFd, reply, sizeof reply)) return 6;
-        if (PersistentChild::requests_pending(block)) {
-          fork_budget = persistent.budget();
-        }
+        const std::int32_t wstatus =
+            child.kill_for_deadline(block, request.arg);
+        if (!write_full(kStFd, &wstatus, sizeof wstatus)) return 6;
+        if (ExecChild::requests_pending(block)) fork_budget = budget;
       } else {
-        const int code = serve_fork_per_exec(target, segment.data(), jail,
-                                             plan, request, packet);
-        if (code >= 0) {
-          persistent.kill();
-          return code;
-        }
+        return 6;  // not a request this protocol knows
       }
     }
-    if (fork_budget != 0) {
-      const int forked = persistent.fork(block, fork_budget);
+    if (fork_budget != 0 && !child.alive()) {
+      const std::uint32_t clean =
+          ExecChild::clear_next_map(block, segment.data());
+      const int forked = child.fork(block);
       if (forked < 0) return 5;
       if (forked == 0) {
         supervise::apply_in_child(jail);
-        run_persistent_child(target, segment.data(), fork_budget, plan);
+        run_child(target, segment.data(), fork_budget, plan, piped, clean);
       }
+      piped.clear();
     }
   }
 }

@@ -8,14 +8,14 @@
 // against their own ProtocolTarget.
 //
 // The shim speaks exec_protocol.hpp and advertises the persistent
-// capability: fork-per-exec requests (Op::kExec) fork one child per
-// execution, while persistent executions run K per child through an
-// ICSFUZZ_LOOP-style loop that takes each request straight from the
-// client through the handoff block's futex words. The shim sleeps in poll
-// on the control pipe and the child's pidfd: it forks the child, reaps it
-// and publishes its death (crash, budget exhaustion), and kills it when
-// the client's deadline passes — it is the child's parent and its only
-// killer, so no kill can hit a recycled pid.
+// capability: every execution runs in a forked child that loops up to K
+// executions (K = 1 is fork-per-exec) through an ICSFUZZ_LOOP-style loop,
+// taking each request straight from the client through the handoff
+// block's futex words. The shim sleeps in poll on the control pipe and the
+// child's pidfd: it forks the child, reaps it and publishes its death
+// (crash, budget exhaustion), and kills it when the client's deadline
+// passes — it is the child's parent and its only killer, so no kill can
+// hit a recycled pid.
 #pragma once
 
 #include <cstddef>
@@ -36,8 +36,7 @@ struct ShimFaultPlan {
   /// Exit (code 7) before writing the hello — a target that never
   /// handshakes.
   bool no_handshake = false;
-  /// On execution #N the (forked or persistent) child SIGKILLs itself
-  /// mid-execution. Execution indices are numbered per server by the
+  /// On execution #N the child SIGKILLs itself mid-execution. Execution indices are numbered per server by the
   /// client, which ships them with each request.
   std::uint64_t kill_child_at = 0;
   /// On execution #N the child raises SIGSEGV under the default

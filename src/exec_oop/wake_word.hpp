@@ -1,6 +1,6 @@
 // Process-shared futex wake words: the one blocking wait of every
 // out-of-process transport that hands work across shared memory — the
-// persistent fork-server handoff (exec_protocol.hpp) and the TCP session
+// fork-server handoff (exec_protocol.hpp) and the TCP session
 // sync block (session/session_wire.hpp).
 //
 // A wake word is a u32 in a shared mapping. Every publisher stores its

@@ -7,15 +7,15 @@
 //
 //   kInProcess   — the ProtocolTarget runs in this process under the
 //                  thread-local trace arming (fastest; the default).
-//   kForkPerExec — packets cross into a fork-server target; every
-//                  execution is one fork() inside the server (crash
-//                  isolation for real binaries).
-//   kPersistent  — fork-server target with ICSFUZZ_LOOP-style persistent
-//                  children: K executions per fork, packets through shm
+//   kForkPerExec — packets cross into a fork-server target through shm
 //                  test-case slots, handed between client and child by
-//                  futex words while the server sleeps.
-//                  A server whose hello lacks the persistent capability
-//                  keeps this on fork-per-exec; nothing else changes.
+//                  futex words while the server sleeps; every execution
+//                  gets a freshly forked child (budget K = 1: crash
+//                  isolation for real binaries).
+//   kPersistent  — the same transport with ICSFUZZ_LOOP-style persistent
+//                  children: K executions per fork. A server whose hello
+//                  lacks the persistent capability forks with K = 1;
+//                  nothing else changes.
 //   kTcp         — session streams against a loopback TCP session server
 //                  (session/tcp_backend.hpp).
 //
@@ -106,8 +106,9 @@ struct ExecBackendConfig {
   int exec_timeout_ms = 1000;
   /// Deadline for the fork-server spawn handshake.
   int handshake_timeout_ms = 5000;
-  /// kPersistent: executions per persistent child before it retires and
-  /// the next request pays a fresh fork (the ICSFUZZ_LOOP budget K).
+  /// kPersistent: executions per child before it retires and the next
+  /// request pays a fresh fork (the ICSFUZZ_LOOP budget K; kForkPerExec
+  /// is K = 1).
   std::uint32_t persistent_budget = 1024;
   /// Lost-server respawn/retry policy (out-of-process kinds only; the
   /// defaults reproduce the historical respawn-once behavior).
@@ -149,7 +150,7 @@ class ExecBackend {
   /// trajectory replay): delivers one (index, summary, result) triple per
   /// packet, strictly in order, through `each`; `scratch` is reused for
   /// every delivery. The default implementation loops execute(); the
-  /// persistent backend overrides it to pipeline requests across the shm
+  /// fork-server backends override it to pipeline requests across the shm
   /// slots.
   virtual void execute_batch(
       ProtocolTarget& target, const std::vector<Bytes>& packets,

@@ -9,8 +9,11 @@
 //   * Its constructor runs before the host binary's main(). When the
 //     ICSFUZZ_OOP_SHM environment pair is present it attaches the segment
 //     and (in fork mode) takes over the process as the fork server: the
-//     original main() only ever runs inside per-execution fork children,
-//     which receive the packet on stdin.
+//     original main() only ever runs inside the execution children it
+//     forks. Each child takes its request from the handoff block like any
+//     fork-server child; a stock binary's child runs main() once with the
+//     packet on stdin and its stdout captured as the response, and the
+//     server completes the request when it reaps the child.
 //   * A SanitizerCoverage bridge maps `-fsanitize-coverage=trace-pc-guard`
 //     guard hits (and the gcc-flavored `trace-pc` callback) into the same
 //     64 KiB coverage map cells the in-tree instrumentation uses, so the
@@ -41,15 +44,18 @@ inline constexpr const char* kInjectModeFork = "fork";
 inline constexpr const char* kInjectModeTcp = "tcp";
 
 /// Set to "0" to veto persistent-mode advertisement even when the target
-/// exports the cooperation marker (debugging / forcing fork-per-exec).
+/// exports the cooperation marker (debugging / forcing a fresh main() per
+/// execution).
 inline constexpr const char* kInjectPersistentEnv = "ICSFUZZ_INJECT_PERSISTENT";
 
 /// Persistent-mode cooperation marker: the runtime advertises
 /// kCapPersistent only when dlsym(RTLD_DEFAULT) finds this symbol — i.e.
 /// the target binary exports it (requires linking with -Wl,--export-dynamic)
 /// and drives its input loop through the __icsfuzz_persistent_loop /
-/// __icsfuzz_testcase hooks below. Targets without the marker degrade
-/// gracefully to fork-per-exec (the hello simply carries caps == 0).
+/// __icsfuzz_testcase hooks below. Targets without the marker get a fresh
+/// main() per execution (the hello simply carries caps == 0). A loop child
+/// serves only a client asking for K > 1; at K = 1, and for a packet that
+/// rode the control pipe, a cooperating target runs main() on stdin too.
 inline constexpr const char* kPersistentMarkerSymbol =
     "icsfuzz_persistent_target";
 
@@ -72,7 +78,8 @@ inline constexpr const char* kPersistentLoopSymbol =
 
 /// Info block the runtime publishes inside the (otherwise unused) tail of
 /// the handoff block: [u32 magic][u32 version][u32 guard_count]
-/// [u32 flags]. Exec children write it after module initializers have
+/// [u32 flags], right after the HandoffBlock. Exec children write it after
+/// module initializers have
 /// registered their sancov guard ranges, so guard_count reports what the
 /// target actually instruments; icsfuzz-inject-check reads it back after a
 /// probe execution. A TCP-sized segment has no handoff block and carries

@@ -8,19 +8,22 @@
 //
 //   fork (default)  The constructor NEVER RETURNS in the spawned process:
 //                   it becomes the fork server (the target's own main()
-//                   does not run there). Each request forks a child; the
-//                   child finishes dynamic-loader initialization — which
-//                   is where the target's sancov guard tables register,
-//                   fresh and deterministic per execution — and runs the
-//                   real main() with the fuzz packet on stdin. An atexit
-//                   hook publishes the aux block on orderly exit; _exit /
-//                   signals skip it, so the missing completion magic
-//                   classifies the run as a crash, exactly like the
-//                   in-tree shim. Persistent mode engages only when the
-//                   target exports icsfuzz_persistent_target and drives
-//                   __icsfuzz_persistent_loop (see inject_protocol.hpp);
-//                   otherwise the hello advertises no capability and the
-//                   client stays on fork-per-exec.
+//                   does not run there) and forks one execution child at a
+//                   time. A stock binary's child (budget K = 1) claims its
+//                   request from the handoff block, finishes
+//                   dynamic-loader initialization — which is where the
+//                   target's sancov guard tables register, fresh and
+//                   deterministic per execution — and runs the real main()
+//                   with the packet on stdin and stdout captured. An
+//                   atexit hook publishes the aux block on orderly exit;
+//                   _exit / signals skip it, so the missing completion
+//                   magic classifies the run as a crash, exactly like the
+//                   in-tree shim. The server completes the record when it
+//                   reaps the child, after harvesting its stdout. A target
+//                   that exports icsfuzz_persistent_target and drives
+//                   __icsfuzz_persistent_loop (see inject_protocol.hpp)
+//                   gets the persistent capability, and its children loop
+//                   K > 1 executions when the client asks for them.
 //
 //   tcp             The constructor returns and the target's own socket
 //                   server runs; the runtime interposes listen/accept/
@@ -45,8 +48,6 @@
 #include <sys/mman.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/time.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -66,9 +67,9 @@ namespace icsfuzz::inject_rt {
 namespace {
 
 using oop::kAuxBytes;
-using oop::kAuxOffset;
 using oop::kCtlFd;
 using oop::kStFd;
+using session::kAuxOffset;
 
 // -- Attached-segment state (set once, in the constructor). ----------------
 
@@ -78,7 +79,7 @@ bool g_advertised_persistent = false;
 bool g_tcp_mode = false;
 
 /// Upper bound a hostile/corrupt environment cannot push us past: the
-/// fork-server segment is ~576 KiB, the TCP segment ~128 KiB — 1 GiB is
+/// fork-server segment is ~768 KiB, the TCP segment ~128 KiB — 1 GiB is
 /// absurd.
 constexpr std::uint64_t kMaxSegmentBytes = std::uint64_t{1} << 30;
 
@@ -121,54 +122,6 @@ void publish_inject_info() {
   std::memcpy(info, &inject::kInjectInfoMagic, sizeof(std::uint32_t));
 }
 
-// -- Deadline supervision (mirrors shim_runner.cpp). -----------------------
-
-volatile sig_atomic_t g_deadline_fired = 0;
-
-void on_deadline(int) { g_deadline_fired = 1; }
-
-/// SIGALRM without SA_RESTART so the blocking waitpid EINTRs on the tick.
-void install_deadline_handler() {
-  struct sigaction action {};
-  action.sa_handler = on_deadline;
-  ::sigemptyset(&action.sa_mask);
-  action.sa_flags = 0;
-  ::sigaction(SIGALRM, &action, nullptr);
-}
-
-/// Repeating interval timer (0 disarms): a one-shot could fire and be
-/// consumed before waitpid blocks; the repeat delivers another EINTR.
-void arm_deadline(std::uint32_t timeout_ms) {
-  struct itimerval timer {};
-  timer.it_value.tv_sec = timeout_ms / 1000;
-  timer.it_value.tv_usec = static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
-  timer.it_interval = timer.it_value;
-  ::setitimer(ITIMER_REAL, &timer, nullptr);
-}
-
-/// waitpid on a fork-per-exec child with the deadline armed; SIGKILLs it
-/// when the timer fires first. The runtime is the child's parent, so the
-/// pid cannot have been recycled before the reap.
-int await_child(pid_t child, std::uint32_t timeout_ms, bool& timed_out) {
-  g_deadline_fired = 0;
-  if (timeout_ms != 0) arm_deadline(timeout_ms);
-  int wstatus = 0;
-  timed_out = false;
-  for (;;) {
-    if (::waitpid(child, &wstatus, 0) == child) break;
-    if (errno == EINTR) {
-      if (g_deadline_fired && !timed_out) {
-        timed_out = true;
-        ::kill(child, SIGKILL);
-      }
-      continue;
-    }
-    break;
-  }
-  arm_deadline(0);
-  return wstatus;
-}
-
 // -- Execution-child state (inside a fork child, post-fork only). ----------
 
 /// Response bytes a cooperating target published via __icsfuzz_set_response
@@ -177,28 +130,27 @@ constexpr std::size_t kResponseCap = std::size_t{1} << 14;
 std::uint8_t g_response[kResponseCap];
 std::uint32_t g_response_len = 0;
 
-struct ExecChild {
+struct StockChild {
   bool active = false;
-  std::uint8_t* region = nullptr;  ///< map base (fork region or a slot)
+  std::uint8_t* region = nullptr;  ///< the request's slot
 };
-ExecChild g_exec_child;
+StockChild g_stock_child;
 
-/// atexit hook of a fork-per-exec child: harvest the trace and publish the
-/// aux block. Registered before the target's own handlers, so it runs
-/// after them (LIFO) — their instrumented work still lands in the count.
+/// atexit hook of a stock child: harvest the trace and publish the aux
+/// block. Registered before the target's own handlers, so it runs after
+/// them (LIFO) — their instrumented work still lands in the count.
 /// _exit()/abort()/signals skip atexit entirely: no completion magic, and
 /// the client classifies the run as a crash.
-void publish_exec_aux() {
-  if (!g_exec_child.active) return;
+void publish_stock_aux() {
+  if (!g_stock_child.active) return;
   oop::AuxResult result;
   result.events = trace_events();
   if (g_response_len != 0) {
     result.response.assign(g_response, g_response + g_response_len);
   }
   trace_disarm();
-  // The aux block follows the map at the same offset in the fork-per-exec
-  // region and in every slot (kAuxOffset == kSlotAuxOffset == kMapSize).
-  oop::aux_store(g_exec_child.region + cov::kMapSize, kAuxBytes, result);
+  oop::aux_store(g_stock_child.region + oop::kSlotAuxOffset, kAuxBytes,
+                 result);
   publish_inject_info();
 }
 
@@ -221,25 +173,25 @@ struct PersistentChildState {
 };
 PersistentChildState g_pchild;
 
-/// Restores a slot's map invariant before an iteration: full memset on
-/// this child's first use (whatever an earlier child left), sparse clear
-/// of this child's previous dirty words after that. Either way the aux
-/// magic ends up invalid, so a crash mid-iteration cannot read as done.
+/// Restores a slot's map invariant before an iteration: full memset of
+/// the map on this child's first use (whatever an earlier child left),
+/// sparse clear of this child's previous dirty words after that. Either
+/// way the aux magic ends up invalid, so a crash mid-iteration cannot read
+/// as done.
 void prepare_slot(std::uint32_t slot) {
   std::uint8_t* slot_base = g_segment + oop::slot_offset(slot);
   if (!g_pchild.slot_used[slot]) {
-    std::memset(slot_base, 0, cov::kMapSize + kAuxBytes);
+    std::memset(slot_base, 0, cov::kMapSize);
     g_pchild.slot_used[slot] = true;
-    g_pchild.dirty_count[slot] = 0;
   } else {
     auto* words = reinterpret_cast<std::uint64_t*>(slot_base);
     const std::uint16_t* indices = g_pchild.dirty_indices[slot];
     for (std::uint32_t i = 0; i < g_pchild.dirty_count[slot]; ++i) {
       words[indices[i]] = 0;
     }
-    g_pchild.dirty_count[slot] = 0;
-    std::memset(slot_base + oop::kSlotAuxOffset, 0, 4);
   }
+  g_pchild.dirty_count[slot] = 0;
+  std::memset(slot_base + oop::kSlotAuxOffset, 0, 4);
 }
 
 /// Publishes the finished iteration's aux block into its slot and saves
@@ -261,23 +213,6 @@ void publish_iteration_aux() {
 }
 
 // -- Fork-server parent loop (never returns). ------------------------------
-
-/// Writes what fits without blocking; the rest is finished after fork (the
-/// child is the reader, so a pre-fork full-pipe write would deadlock).
-std::size_t write_some_nonblocking(int fd, const std::uint8_t* data,
-                                   std::size_t size) {
-  std::size_t off = 0;
-  while (off < size) {
-    const ssize_t n = ::write(fd, data + off, size - off);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    break;  // EAGAIN (pipe full until the child drains) or error
-  }
-  return off;
-}
 
 /// Drains the reaped child's captured stdout and, when the child published
 /// a complete aux block without a cooperative response, re-stores the block
@@ -305,7 +240,7 @@ void harvest_child_stdout(int fd, std::uint8_t* region) {
     break;  // EOF, EAGAIN (a live grandchild still holds the pipe), error
   }
   if (total == 0) return;
-  std::uint8_t* aux = region + cov::kMapSize;
+  std::uint8_t* aux = region + oop::kSlotAuxOffset;
   oop::AuxResult result;
   if (!oop::aux_load(aux, kAuxBytes, result)) return;
   if (!result.response.empty()) return;  // cooperative response wins
@@ -314,72 +249,34 @@ void harvest_child_stdout(int fd, std::uint8_t* region) {
   oop::aux_store(aux, kAuxBytes, result);
 }
 
-/// Forks one execution child that runs the target's real main() with
-/// `packet` on stdin, tracing into `region` (fork-per-exec base or a slot —
-/// caller memset it). Returns true from THE CHILD, which must let the
-/// constructor return so the dynamic loader finishes initialization (the
-/// target's sancov guard tables register there) and main() runs. In the
-/// parent, fills wstatus/timed_out.
-bool fork_exec_child(const supervise::ResourceJail& jail,
-                     std::uint8_t* region, const std::vector<std::uint8_t>& packet,
-                     std::uint32_t timeout_ms, int& wstatus, bool& timed_out) {
-  int stdin_pipe[2];
-  if (::pipe(stdin_pipe) != 0) ::_exit(5);
-  const int rfd = stdin_pipe[0];
-  const int wfd = stdin_pipe[1];
-  ::fcntl(wfd, F_SETFL, O_NONBLOCK);
-  const std::size_t pre_written =
-      packet.empty() ? 0
-                     : write_some_nonblocking(wfd, packet.data(), packet.size());
-  // Child stdout rides a second pipe: a stock target's response is whatever
-  // it prints, and the fuzzer's own stdout must not be polluted by fuzzed
-  // traffic. Drained after the reap (nonblocking), capped at kResponseCap;
-  // a target flooding past the pipe buffer blocks and the deadline turns
-  // that into a hang — defensible for a filter-style program.
-  int stdout_pipe[2];
-  if (::pipe(stdout_pipe) != 0) ::_exit(5);
-
-  const pid_t child = ::fork();
-  if (child < 0) ::_exit(5);
-  if (child == 0) {
-    ::close(wfd);
-    ::close(stdout_pipe[0]);
-    ::dup2(rfd, STDIN_FILENO);
-    if (rfd != STDIN_FILENO) ::close(rfd);
-    ::dup2(stdout_pipe[1], STDOUT_FILENO);
-    if (stdout_pipe[1] != STDOUT_FILENO) ::close(stdout_pipe[1]);
-    supervise::apply_in_child(jail);
-    g_exec_child.active = true;
-    g_exec_child.region = region;
-    g_response_len = 0;
-    trace_arm(region);
-    std::atexit(publish_exec_aux);
-    return true;
+/// Inside a freshly forked stock child: claims the next request, puts its
+/// packet (the slot's, or `piped` when it rode the control pipe) on stdin
+/// through a memfd, points stdout at `stdout_fd`, and arms the trace into
+/// the request's slot. The caller then lets the constructor return, so the
+/// dynamic loader finishes initialization (the target's sancov guard
+/// tables register there) and main() runs.
+void enter_stock_child(oop::HandoffBlock& block, const Bytes& piped,
+                       int stdout_fd) {
+  const std::uint32_t request = oop::shared_load(block.claimed) + 1;
+  oop::child_claim(block, request);
+  const std::uint32_t slot = oop::request_slot(block, request);
+  const ByteSpan packet =
+      piped.empty() ? oop::slot_load_packet(g_segment, slot) : ByteSpan(piped);
+  const int input = ::memfd_create("icsfuzz-stdin", 0);
+  if (input < 0 || !oop::write_full(input, packet.data(), packet.size()) ||
+      ::lseek(input, 0, SEEK_SET) != 0) {
+    ::_exit(5);
   }
-
-  ::close(rfd);
-  ::close(stdout_pipe[1]);
-  ::fcntl(stdout_pipe[0], F_SETFL, O_NONBLOCK);
-  bool stdin_stalled = false;
-  if (pre_written < packet.size()) {
-    const oop::ReadStatus st = oop::write_full_deadline(
-        wfd, packet.data() + pre_written, packet.size() - pre_written,
-        timeout_ms != 0 ? static_cast<int>(timeout_ms) : -1);
-    if (st == oop::ReadStatus::kTimeout) {
-      // The child never drained its input inside the deadline: a hang by
-      // definition, whatever it was doing instead.
-      ::kill(child, SIGKILL);
-      stdin_stalled = true;
-    }
-    // kClosed (EPIPE) means the child exited without reading everything —
-    // await_child below reports how.
-  }
-  ::close(wfd);
-  wstatus = await_child(child, stdin_stalled ? 0 : timeout_ms, timed_out);
-  if (stdin_stalled) timed_out = true;
-  harvest_child_stdout(stdout_pipe[0], region);
-  ::close(stdout_pipe[0]);
-  return false;
+  ::dup2(input, STDIN_FILENO);
+  if (input != STDIN_FILENO) ::close(input);
+  ::dup2(stdout_fd, STDOUT_FILENO);
+  if (stdout_fd != STDOUT_FILENO) ::close(stdout_fd);
+  prepare_slot(slot);
+  g_stock_child.active = true;
+  g_stock_child.region = g_segment + oop::slot_offset(slot);
+  g_response_len = 0;
+  trace_arm(g_stock_child.region);
+  std::atexit(publish_stock_aux);
 }
 
 /// The fork-server request loop, entered from the constructor and never
@@ -391,7 +288,7 @@ bool fork_server_loop() {
   // Persistent mode is a cooperation contract, not something a preload can
   // impose: only a target exporting the marker (and driving
   // __icsfuzz_persistent_loop) gets the capability advertised. Everyone
-  // else degrades to fork-per-exec by construction.
+  // else gets a fresh main() per execution by construction.
   const bool persistent_ok =
       !vetoed &&
       ::dlsym(RTLD_DEFAULT, inject::kPersistentMarkerSymbol) != nullptr;
@@ -401,82 +298,88 @@ bool fork_server_loop() {
                                   persistent_ok ? oop::kCapPersistent : 0};
   if (!oop::write_full(kStFd, hello, sizeof(hello))) ::_exit(4);
 
-  install_deadline_handler();
   const supervise::ResourceJail jail = supervise::jail_from_env();
   oop::HandoffBlock& block = oop::handoff_block(g_segment);
 
-  std::vector<std::uint8_t> packet;
-  oop::PersistentChild persistent;
+  Bytes piped;  // a packet too large for a slot, from its kFork
+  std::uint32_t budget = 1;  // the K of the client's last plain kFork
+  oop::ExecChild child;
+  int child_stdout = -1;  // a stock child's captured stdout (read end)
   for (;;) {
-    // Asleep until a request or the persistent child's death; persistent
-    // executions never pass through here (exec_protocol.hpp).
-    struct pollfd fds[2] = {{kCtlFd, POLLIN, 0},
-                            {persistent.pidfd(), POLLIN, 0}};
-    if (::poll(fds, persistent.alive() ? 2 : 1, -1) < 0) {
+    // Asleep until a request or the child's death; executions never pass
+    // through here (exec_protocol.hpp).
+    struct pollfd fds[2] = {{kCtlFd, POLLIN, 0}, {child.pidfd(), POLLIN, 0}};
+    if (::poll(fds, child.alive() ? 2 : 1, -1) < 0) {
       if (errno == EINTR) continue;
       ::_exit(6);
     }
-    std::uint32_t fork_budget = 0;  // nonzero: fork a loop child now
-    if (persistent.alive() && fds[1].revents != 0) {
-      persistent.publish_death(block, persistent.reap());
-      if (oop::PersistentChild::requests_pending(block)) {
-        fork_budget = persistent.budget();
+    std::uint32_t fork_budget = 0;  // nonzero: fork a child now
+    if (child.alive() && fds[1].revents != 0) {
+      const int wstatus = child.reap();
+      if (child_stdout >= 0 && child.claimed_any(block)) {
+        const std::uint32_t slot =
+            oop::request_slot(block, oop::shared_load(block.claimed));
+        harvest_child_stdout(child_stdout, g_segment + oop::slot_offset(slot));
       }
+      child.publish_death(block, wstatus);
+      if (oop::ExecChild::requests_pending(block)) fork_budget = budget;
     } else if (fds[0].revents != 0) {
       oop::Request request;
-      if (!oop::read_full(kCtlFd, &request, sizeof request)) {
-        persistent.kill();
+      if (!oop::read_request(request, piped)) {
+        child.kill();
         ::_exit(0);  // EOF: orderly shutdown, target's main never runs here
       }
-      if (request.op == oop::Op::kFork) {
-        // Only a cooperating target (persistent capability advertised)
-        // gets a loop child; the client never asks anyone else.
-        if (persistent_ok) {
-          fork_budget = std::max(request.arg, std::uint32_t{1});
-        }
+      if (request.op == oop::Op::kFork && piped.empty()) {
+        budget = std::max(request.arg, std::uint32_t{1});
+        fork_budget = budget;
+      } else if (request.op == oop::Op::kFork) {
+        (void)child.retire_and_post(block);
+        fork_budget = 1;
       } else if (request.op == oop::Op::kKill) {
-        const std::uint32_t reply[2] = {
-            static_cast<std::uint32_t>(
-                persistent.kill_for_deadline(block, request.arg)),
-            0};
-        if (!oop::write_full(kStFd, reply, sizeof reply)) ::_exit(6);
-        if (oop::PersistentChild::requests_pending(block)) {
-          fork_budget = persistent.budget();
-        }
+        const std::int32_t wstatus =
+            child.kill_for_deadline(block, request.arg);
+        if (!oop::write_full(kStFd, &wstatus, sizeof wstatus)) ::_exit(6);
+        if (oop::ExecChild::requests_pending(block)) fork_budget = budget;
       } else {
-        // -- Fork-per-exec over the fork-per-exec region. -----------------
-        if (request.packet_len > kMaxSegmentBytes) ::_exit(5);
-        packet.resize(request.packet_len);
-        if (request.packet_len != 0 &&
-            !oop::read_full(kCtlFd, packet.data(), request.packet_len)) {
-          ::_exit(0);
-        }
-        std::memset(g_segment, 0, oop::kSegmentBytes);
-        int wstatus = 0;
-        bool timed_out = false;
-        if (fork_exec_child(jail, g_segment, packet, request.timeout_ms,
-                            wstatus, timed_out)) {
-          return true;  // the child: continue to main()
-        }
-        const std::uint32_t reply[2] = {
-            static_cast<std::uint32_t>(wstatus),
-            timed_out ? oop::kReplyTimedOut : 0u};
-        if (!oop::write_full(kStFd, reply, sizeof reply)) ::_exit(6);
+        ::_exit(6);  // not a request this protocol knows
       }
     }
-    if (fork_budget != 0) {
-      const int forked = persistent.fork(block, fork_budget);
-      if (forked < 0) ::_exit(5);
-      if (forked == 0) {
-        supervise::apply_in_child(jail);
+    if (!child.alive() && child_stdout >= 0) {
+      ::close(child_stdout);
+      child_stdout = -1;
+    }
+    if (fork_budget == 0 || child.alive()) continue;
+
+    // A loop child only for a cooperating target asked for K > 1; every
+    // other execution is a stock child running main() once.
+    const bool loop_child = persistent_ok && fork_budget > 1;
+    int stdout_pipe[2] = {-1, -1};
+    if (!loop_child && ::pipe(stdout_pipe) != 0) ::_exit(5);
+    const std::uint32_t clean =
+        oop::ExecChild::clear_next_map(block, g_segment);
+    const int forked = child.fork(block);
+    if (forked < 0) ::_exit(5);
+    if (forked == 0) {
+      supervise::apply_in_child(jail);
+      if (clean < oop::kNumSlots) g_pchild.slot_used[clean] = true;
+      g_response_len = 0;
+      if (loop_child) {
         g_pchild.active = true;
         g_pchild.budget = fork_budget;
         g_pchild.request = oop::shared_load(block.claimed);
-        g_response_len = 0;
         // Loader init continues to main(); the target drives iterations
         // through __icsfuzz_persistent_loop below.
-        return true;
+      } else {
+        ::close(stdout_pipe[0]);
+        enter_stock_child(block, piped, stdout_pipe[1]);
       }
+      return true;
+    }
+    piped.clear();
+    if (!loop_child) {
+      ::close(stdout_pipe[1]);
+      child_stdout = stdout_pipe[0];
+      ::fcntl(child_stdout, F_SETFL, O_NONBLOCK);
     }
   }
 }
@@ -658,8 +561,8 @@ int __icsfuzz_persistent_loop(void) {
   return 1;
 }
 
-/// The current iteration's packet (persistent children only; fork-per-exec
-/// children read stdin and get nullptr here).
+/// The current iteration's packet (loop children only; stock children read
+/// stdin and get nullptr here).
 const unsigned char* __icsfuzz_testcase(unsigned* len) {
   using namespace icsfuzz;
   using namespace icsfuzz::inject_rt;

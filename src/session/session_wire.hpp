@@ -43,7 +43,9 @@
 
 namespace icsfuzz::session {
 
-inline constexpr std::size_t kSyncOffset = oop::kSegmentBytes;
+/// The aux block follows the map: the server publishes one per session.
+inline constexpr std::size_t kAuxOffset = cov::kMapSize;
+inline constexpr std::size_t kSyncOffset = kAuxOffset + oop::kAuxBytes;
 inline constexpr std::size_t kSyncBytes = 64;
 inline constexpr std::size_t kTcpSegmentBytes = kSyncOffset + kSyncBytes;
 

@@ -227,7 +227,7 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
     }
     ++sessions_seen_;
     served_seen_ = base_served + ranges_.size();
-    if (!oop::aux_load(segment + oop::kAuxOffset, oop::kAuxBytes,
+    if (!oop::aux_load(segment + kAuxOffset, oop::kAuxBytes,
                        outcome_.aux)) {
       last_error_ = "tcp session server published no aux block";
       process_.stop();

@@ -50,7 +50,7 @@ void serve_session(ProtocolTarget& target, Framing framing, int conn,
   auto* words = reinterpret_cast<std::uint64_t*>(segment);
   for (std::uint32_t i = 0; i < dirty.count; ++i) words[dirty.indices[i]] = 0;
   dirty.count = 0;
-  std::memset(segment + oop::kAuxOffset, 0, 4);
+  std::memset(segment + kAuxOffset, 0, 4);
 
   // Same arming order as every other backend (reset, fault sink, trace) —
   // the differential oracle depends on the symmetry.
@@ -99,7 +99,7 @@ void serve_session(ProtocolTarget& target, Framing framing, int conn,
   result.events = cov::tls_event_count;
   cov::end_trace();
   san::FaultSink::disarm_into(result.faults);
-  oop::aux_store(segment + oop::kAuxOffset, oop::kAuxBytes, result);
+  oop::aux_store(segment + kAuxOffset, oop::kAuxBytes, result);
   sync_publish_session_done(segment, ++sessions);
 }
 

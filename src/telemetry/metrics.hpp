@@ -45,7 +45,7 @@ enum class Counter : std::uint8_t {
   kOopHangs,            ///< wall-clock deadline kills (SIGKILLed child)
   kOopServerLost,       ///< executions lost even after the respawn retry
   kOopServerExits,      ///< orderly fork-server exits absorbed by respawn
-  kOopChildRecycles,    ///< persistent children recycled (budget/crash/hang)
+  kOopChildRecycles,    ///< fork-server children recycled (budget/crash/hang)
   kOopOomKills,         ///< resource-jail allocation-failure kills
   kCheckpointsSaved,    ///< supervisor checkpoints written to disk
   kWatchdogKicks,       ///< wedged workers remediated by the watchdog
@@ -74,7 +74,7 @@ enum class Histogram : std::uint8_t {
   kExecLatencyNs = 0,  ///< sampled wall time of one execution
   kPacketBytes,        ///< generated packet size
   kTraceDirtyWords,    ///< dirty coverage words per execution
-  kOopIterationsPerChild,  ///< executions a persistent child served before
+  kOopIterationsPerChild,  ///< executions a fork-server child served before
                            ///< recycling (observed at each recycle)
   kCount,
 };

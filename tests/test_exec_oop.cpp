@@ -240,7 +240,11 @@ TEST(AdoptExternal, InterleavesWithInProcessExecutions) {
 // -- Differential execution: in-process vs fork server. -------------------
 
 /// A deterministic packet batch for `project`: every model's default
-/// instance plus fixed-seed byte mutations of each.
+/// instance plus fixed-seed byte mutations of each, an empty packet, junk,
+/// and the two packets either side of a slot's capacity (the larger rides
+/// its fork request on the control pipe). Those two are an MBAP frame the
+/// Modbus stack skips followed by the first model's default instance, so
+/// on libmodbus the response depends on the final bytes arriving intact.
 std::vector<Bytes> packet_batch(const std::string& project) {
   const model::DataModelSet models = pits::pit_for_project(project);
   const mutation::MutatorSuite mutators;
@@ -255,6 +259,16 @@ std::vector<Bytes> packet_batch(const std::string& project) {
   }
   packets.push_back({});                          // empty packet
   packets.push_back(rng.bytes(512));              // oversized junk
+  const Bytes tail = packets[3];
+  for (const std::size_t size :
+       {oop::kSlotTestCaseBytes - 4, oop::kSlotTestCaseBytes - 3}) {
+    Bytes big(size - tail.size(), 0);
+    const std::size_t declared = big.size() - 6;
+    big[4] = static_cast<std::uint8_t>(declared >> 8);
+    big[5] = static_cast<std::uint8_t>(declared & 0xFF);
+    big.insert(big.end(), tail.begin(), tail.end());
+    packets.push_back(std::move(big));
+  }
   return packets;
 }
 
@@ -441,7 +455,12 @@ TEST(OopPersistent, ShimSleepsBetweenRecycles) {
   constexpr std::uint32_t kBudget = 1024;
   constexpr int kExecs = 4096;
   oop::OutOfProcessExecutor exec(raw_oop_config("libmodbus", kBudget));
-  const std::vector<Bytes> packets = packet_batch("libmodbus");
+  // Slot-sized packets only: a larger one runs alone in a budget-1 child,
+  // which is a recycle of its own.
+  std::vector<Bytes> packets = packet_batch("libmodbus");
+  std::erase_if(packets, [](const Bytes& packet) {
+    return packet.size() > oop::kSlotPacketBytes;
+  });
   ASSERT_EQ(exec.run(packets.front()).status, oop::ExecStatus::kOk);
   ASSERT_TRUE(exec.persistent_active());
 
@@ -463,11 +482,15 @@ TEST(OopPersistent, ShimSleepsBetweenRecycles) {
 TEST(OopPersistent, BatchMatchesSequentialExecution) {
   // The pipelined batch path must be an optimization only: same per-packet
   // results, same campaign aggregates as one run() per packet. The small
-  // budget forces child recycles mid-batch.
+  // budget forces child recycles mid-batch, and a packet too large for a
+  // slot mid-batch has to wait for the window to drain and run alone.
   const std::string project = "libmodbus";
   const std::unique_ptr<ProtocolTarget> placeholder =
       proto::target_factory(project)();
-  const std::vector<Bytes> packets = packet_batch(project);
+  std::vector<Bytes> packets = packet_batch(project);
+  packets.insert(packets.begin() + static_cast<std::ptrdiff_t>(
+                                       packets.size() / 2),
+                 packets.back());
 
   fuzz::Executor seq(
       oop_executor_config(project, fuzz::BackendKind::kPersistent, 5));
@@ -503,6 +526,33 @@ TEST(OopPersistent, BatchMatchesSequentialExecution) {
   ASSERT_NE(batch.oop_backend(), nullptr);
   EXPECT_EQ(batch.oop_backend()->server_restarts(), 0u);
   EXPECT_GT(batch.oop_backend()->child_recycles(), 0u);
+}
+
+TEST(OopPersistent, OversizedPacketRunsAloneAndKeepsTheBudget) {
+  // A packet too large for a slot rides its fork request and runs alone in
+  // a budget-1 child; the children after it go back to the client's K.
+  constexpr std::uint32_t kBudget = 4;
+  oop::OutOfProcessExecutor exec(raw_oop_config("libmodbus", kBudget));
+  std::vector<Bytes> packets = packet_batch("libmodbus");
+  const Bytes oversized = packets.back();
+  ASSERT_GT(oversized.size(), oop::kSlotPacketBytes);
+  packets.resize(8);
+  packets.insert(packets.begin() + 2, oversized);
+
+  std::vector<std::uint32_t> iterations;
+  std::vector<bool> recycled;
+  exec.run_batch(packets, [&](std::size_t index,
+                              const oop::OutOfProcessExecutor::Outcome& out) {
+    EXPECT_EQ(out.status, oop::ExecStatus::kOk) << "packet " << index;
+    iterations.push_back(out.iteration);
+    recycled.push_back(out.child_recycled);
+  });
+  const std::vector<std::uint32_t> expect_iterations = {1, 2, 1, 1, 2,
+                                                        3, 4, 1, 2};
+  EXPECT_EQ(iterations, expect_iterations);
+  EXPECT_TRUE(recycled[2]);
+  EXPECT_TRUE(recycled[6]);
+  EXPECT_EQ(exec.server_restarts(), 0u);
 }
 
 /// Hand-framed Modbus/TCP packet (MBAP header + unit id + PDU) for the

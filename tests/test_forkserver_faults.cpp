@@ -239,7 +239,7 @@ TEST(ForkServerFaults, HangInsidePipelinedBatchCostsOnlyItsOwnExecution) {
 
 TEST(ForkServerFaults, DisabledDeadlineStillExecutesNormally) {
   // backend.exec_timeout_ms <= 0 disables the wall-clock deadline end to
-  // end (shim timer disarmed, client waits indefinitely); healthy
+  // end (the client never sends a kill and waits indefinitely); healthy
   // executions must flow exactly as with a deadline.
   for (const fuzz::BackendKind kind : kOopKinds) {
     SCOPED_TRACE(std::string("backend ") + std::string(fuzz::to_string(kind)));
@@ -406,7 +406,7 @@ TEST(ForkServerFaults, ShimRejectsMalformedShmSizeEnv) {
       "-" + exact,
       "0",
       std::to_string(oop::kSegmentBytesV2 - 1),
-      std::to_string(oop::kSegmentBytes),
+      std::to_string(oop::kHandoffOffset),
       "999999999999",
       "18446744073709551615",
   };

@@ -20,6 +20,7 @@
 // via ICSFUZZ_DEMO_SERVER / ICSFUZZ_DEMO_SERVER_PLAIN env vars.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdlib>
 #include <memory>
@@ -201,6 +202,27 @@ TEST(Inject, UninstrumentedBinaryRunsFaultDriven) {
       executor.segment().data(), executor.segment().size());
   ASSERT_TRUE(info.present);
   EXPECT_FALSE(info.sancov());
+
+  // A packet too large for a slot reaches stdin byte for byte: a filler
+  // frame that ends exactly 12 bytes before the end, then kBenign. Any
+  // lost tail byte would turn kBenign into a residue exception.
+  Bytes filler(oop::kSlotTestCaseBytes - 3 - kBenign.size(), 0x00);
+  const std::size_t declared = filler.size() - 6;
+  const Bytes head = {0x00, 0x02, 0x00, 0x00,
+                      static_cast<std::uint8_t>(declared >> 8),
+                      static_cast<std::uint8_t>(declared & 0xFF),
+                      0x11, 0x03, 0x00, 0x6B, 0x00, 0x02};
+  std::copy(head.begin(), head.end(), filler.begin());
+  Bytes oversized = filler;
+  oversized.insert(oversized.end(), kBenign.begin(), kBenign.end());
+  ASSERT_GT(oversized.size(), oop::kSlotPacketBytes);
+  const Bytes benign_response = benign.aux.response;
+  Bytes expected = executor.run(filler).aux.response;
+  expected.insert(expected.end(), benign_response.begin(),
+                  benign_response.end());
+  const oop::OutOfProcessExecutor::Outcome& piped = executor.run(oversized);
+  ASSERT_EQ(piped.status, oop::ExecStatus::kOk) << executor.last_error();
+  EXPECT_EQ(piped.aux.response, expected);
 
   // Crash classification works without any instrumentation.
   const oop::OutOfProcessExecutor::Outcome& crash =
