@@ -8,9 +8,11 @@
 //
 //   * tcp — fuzz::Executor with the kTcp session backend driving an
 //     external `icsfuzz-shim-target --tcp` server over a real loopback
-//     socket: per execution one connection, per message one send/receive
-//     lockstep through the shm sync block, coverage adopted from the
-//     shared map. `session_execs_per_sec` is floored by the baseline.
+//     socket: per execution one connection and one pipelined exchange
+//     (the whole stream sent while the replies are read to EOF, then split
+//     per message by the response-length log in the shm sync block),
+//     coverage adopted from the shared map. `session_execs_per_sec` is
+//     floored by the baseline.
 //
 //   * in-process — the in-process session backend on the same streams:
 //     the same canonical split, the same per-message state chain, no

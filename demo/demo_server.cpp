@@ -16,8 +16,12 @@
 //   --serve     TCP server on an ephemeral loopback port: one response
 //               write per complete MBAP frame, one for a trailing
 //               malformed/incomplete residue at half-close — mirroring the
-//               session transport's framing contract so the injected
-//               served-counter stays in lockstep with the client.
+//               session transport's framing contract. TCP keeps no message
+//               boundaries, so the server frames the request stream itself
+//               (the client sends a whole session at once); the injected
+//               runtime logs the length of every write, and the client
+//               splits the reply stream by that log, one write per
+//               message.
 //
 // Fault-trigger function codes (for crash/hang/OOM classification tests):
 //   0x66  null-pointer write (SIGSEGV)
@@ -282,8 +286,8 @@ void process_buffer(const std::uint8_t* data, std::size_t size,
     ++frames;
   }
   if (offset < size) {
-    // Residue: answer something deterministic so the exchange stays
-    // lockstep — a generic exception keyed off the first residue byte.
+    // Residue: answer something deterministic so every message has a
+    // response — a generic exception keyed off the first residue byte.
     respond_exception(out, 0xFFFF, 0, data[offset], 0x00, 0x04);
   }
 }
@@ -352,8 +356,8 @@ void serve_connection(int conn) {
 
   for (;;) {
     // Drain complete frames before reading more: one response write per
-    // frame keeps the injected served-counter aligned with the client's
-    // per-message waits.
+    // frame gives the injected response-length log one entry per message,
+    // which is how the client attributes the reply bytes.
     while (!residue_mode && stream.size() - offset >= kFrameHeader &&
            frames < kMaxStreamMessages && offset < kMaxStreamBytes) {
       const std::uint16_t declared = be16(stream.data() + offset + 4);

@@ -29,11 +29,15 @@
 //                   server runs; the runtime interposes listen/accept/
 //                   write/send/close to speak the TCP session wire
 //                   (session/session_wire.hpp): hello with the real bound
-//                   port, per-session map arming at accept, a served
-//                   counter per response write, aux + session counter at
-//                   close. A watcher thread turns control-pipe EOF into
-//                   orderly shutdown. The resource jail applies to the
-//                   serving process itself.
+//                   port, per-session map arming at accept, one
+//                   response-length log entry per successful write or
+//                   send on the session connection, aux + session counter
+//                   at close. The client splits the reply stream by that
+//                   log, so a target that answers message i with one write
+//                   lines its responses up with the messages; TCP itself
+//                   keeps no boundaries. A watcher thread turns
+//                   control-pipe EOF into orderly shutdown. The resource
+//                   jail applies to the serving process itself.
 //
 // Without ICSFUZZ_OOP_SHM in the environment the runtime is fully dormant
 // — every interposer forwards — so a binary can keep the preload in its
@@ -390,7 +394,6 @@ struct TcpState {
   bool active = false;
   bool hello_sent = false;
   int conn_fd = -1;  ///< the tracked (first concurrent) session connection
-  std::uint64_t served = 0;
   std::uint64_t sessions = 0;
 };
 TcpState g_tcp;
@@ -422,6 +425,7 @@ void tcp_session_begin(int fd) {
   g_tcp.conn_fd = fd;
   std::memset(g_segment, 0, cov::kMapSize);
   std::memset(g_segment + kAuxOffset, 0, 4);  // invalidate aux magic
+  session::sync_log_reset(g_segment);
   g_response_len = 0;
   trace_arm(g_segment);
 }
@@ -629,9 +633,7 @@ ssize_t write(int fd, const void* buf, size_t count) {
       ::dlsym(RTLD_NEXT, "write"));
   const ssize_t rc = real(fd, buf, count);
   if (rc > 0 && g_tcp.active && fd == g_tcp.conn_fd) {
-    ++g_tcp.served;
-    session::sync_publish_served(g_segment, g_tcp.served,
-                                 static_cast<std::uint32_t>(rc));
+    session::sync_log_append(g_segment, static_cast<std::uint32_t>(rc));
   }
   return rc;
 }
@@ -644,9 +646,7 @@ ssize_t send(int fd, const void* buf, size_t count, int flags) {
           ::dlsym(RTLD_NEXT, "send"));
   const ssize_t rc = real(fd, buf, count, flags);
   if (rc > 0 && g_tcp.active && fd == g_tcp.conn_fd) {
-    ++g_tcp.served;
-    session::sync_publish_served(g_segment, g_tcp.served,
-                                 static_cast<std::uint32_t>(rc));
+    session::sync_log_append(g_segment, static_cast<std::uint32_t>(rc));
   }
   return rc;
 }

@@ -9,92 +9,103 @@
 //   [kAuxOffset, ...)    oop::AuxResult block, published at session end
 //                        (events + faults; the response bytes travel over
 //                        the socket, so the aux response stays empty)
-//   [kSyncOffset, +64)   the sync block below
+//   [kSyncOffset, ...)   the sync block below
 //
 // The sync block solves the one thing a raw protocol socket cannot: the
-// client must know when message i's response is COMPLETE (these protocols
-// answer with zero, one or several frames — "no more bytes yet" and "no
-// response" are indistinguishable on the wire). The server publishes a
-// monotonic served-message counter and the byte length of the last
-// response; the client sends message i, waits for served == i+1, then
-// reads exactly last_response_len bytes. Socket traffic therefore stays
-// pure protocol bytes in both directions — nothing about the transport
-// leaks into the fuzzed stream. Counters are campaign-monotonic (never
-// reset per session) so a stale read from a previous session can never be
-// mistaken for this one's progress.
+// client must know which reply bytes answer which message (these
+// protocols answer with zero, one or several frames, so the reply stream
+// carries no boundaries the client could trust). The client sends the
+// whole session stream at once and reads the reply stream to EOF; the
+// server logs the byte length of every response it writes, and the client
+// splits what it read by that log once the session is done. Socket traffic
+// therefore stays pure protocol bytes in both directions — nothing about
+// the transport leaks into the fuzzed stream. The session counter is
+// campaign-monotonic (never reset per session) so a stale read from a
+// previous session can never be mistaken for this one's completion.
 //
 // Sync block layout:
 //
-//   +0   u64 served-message counter
-//   +8   u64 completed-session counter
-//   +16  u32 byte length of the last response
-//   +24  u32 wake word (process-shared futex)
+//   +0   u64 completed-session counter
+//   +8   u32 wake word (process-shared futex)
+//   +12  u32 response-length log count
+//   +16  u32 response-length log, kResponseLogEntries entries
 //
-// The wake word lets the client block instead of polling: every publish
-// bumps it after storing its counter, and the client waits on it through
-// oop::sync_wait_counter (exec_oop/wake_word.hpp documents the protocol).
+// The log is written by the server during the session and read by the
+// client only after the session counter has moved (release / acquire), and
+// the server empties it only when the next connection arrives — which the
+// client opens after it has read the log. The wake word lets the client
+// block instead of polling: the session-done publish bumps it after storing
+// the counter, and the client waits on it through oop::sync_wait_counter
+// (exec_oop/wake_word.hpp documents the protocol).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <span>
 
 #include "exec_oop/exec_protocol.hpp"
 #include "exec_oop/wake_word.hpp"
+#include "session/session_types.hpp"
 
 namespace icsfuzz::session {
+
+/// Response-length log entries: one per message a session can carry (the
+/// complete frames plus the residue).
+inline constexpr std::size_t kResponseLogEntries = kMaxSessionMessages + 1;
 
 /// The aux block follows the map: the server publishes one per session.
 inline constexpr std::size_t kAuxOffset = cov::kMapSize;
 inline constexpr std::size_t kSyncOffset = kAuxOffset + oop::kAuxBytes;
-inline constexpr std::size_t kSyncBytes = 64;
+inline constexpr std::size_t kSyncBytes = 16 + 4 * kResponseLogEntries;
 inline constexpr std::size_t kTcpSegmentBytes = kSyncOffset + kSyncBytes;
 
 namespace wire_detail {
-inline std::uint8_t* served_addr(std::uint8_t* segment) {
+inline std::uint8_t* sessions_addr(std::uint8_t* segment) {
   return segment + kSyncOffset;
 }
-inline std::uint8_t* sessions_addr(std::uint8_t* segment) {
-  return segment + kSyncOffset + 8;
+inline std::uint32_t* log_count(std::uint8_t* segment) {
+  return reinterpret_cast<std::uint32_t*>(segment + kSyncOffset + 12);
 }
-inline std::uint8_t* response_len_addr(std::uint8_t* segment) {
-  return segment + kSyncOffset + 16;
+inline std::uint32_t* log_entries(std::uint8_t* segment) {
+  return reinterpret_cast<std::uint32_t*>(segment + kSyncOffset + 16);
 }
 }  // namespace wire_detail
 
 /// The sync block's wake word (exec_oop/wake_word.hpp).
 inline std::uint32_t* sync_wake_word(std::uint8_t* segment) {
-  return reinterpret_cast<std::uint32_t*>(segment + kSyncOffset + 24);
+  return reinterpret_cast<std::uint32_t*>(segment + kSyncOffset + 8);
 }
 
-/// Server side: publishes "message done" — the response length first, the
-/// served count last (release), so a client that observes the new count
-/// also observes the matching length. Then wakes the client.
-inline void sync_publish_served(std::uint8_t* segment, std::uint64_t served,
-                                std::uint32_t response_len) {
-  std::atomic_ref<std::uint32_t>(
-      *reinterpret_cast<std::uint32_t*>(wire_detail::response_len_addr(segment)))
-      .store(response_len, std::memory_order_relaxed);
-  std::atomic_ref<std::uint64_t>(
-      *reinterpret_cast<std::uint64_t*>(wire_detail::served_addr(segment)))
-      .store(served, std::memory_order_release);
-  oop::bump_wake(sync_wake_word(segment));
+/// Server side: empties the response-length log (a new session starts).
+inline void sync_log_reset(std::uint8_t* segment) {
+  *wire_detail::log_count(segment) = 0;
 }
 
-inline std::uint64_t sync_load_served(std::uint8_t* segment) {
-  return std::atomic_ref<std::uint64_t>(
-             *reinterpret_cast<std::uint64_t*>(wire_detail::served_addr(segment)))
-      .load(std::memory_order_acquire);
+/// Server side: logs one response write of `len` bytes. Writes past the
+/// last entry fold into it, so the logged lengths always sum to the bytes
+/// written.
+inline void sync_log_append(std::uint8_t* segment, std::uint32_t len) {
+  std::uint32_t& count = *wire_detail::log_count(segment);
+  std::uint32_t* entries = wire_detail::log_entries(segment);
+  if (count < kResponseLogEntries) {
+    entries[count++] = len;
+  } else {
+    entries[kResponseLogEntries - 1] += len;
+  }
 }
 
-inline std::uint32_t sync_load_response_len(std::uint8_t* segment) {
-  return std::atomic_ref<std::uint32_t>(
-             *reinterpret_cast<std::uint32_t*>(
-                 wire_detail::response_len_addr(segment)))
-      .load(std::memory_order_relaxed);
+/// Client side: the response-length log of the last completed session.
+/// Read it only after sync_load_sessions_done has reached that session.
+inline std::span<const std::uint32_t> sync_response_log(
+    std::uint8_t* segment) {
+  const std::size_t count = std::min<std::size_t>(
+      *wire_detail::log_count(segment), kResponseLogEntries);
+  return {wire_detail::log_entries(segment), count};
 }
 
-/// Server side: publishes "session done" (map + aux block fully written),
-/// then wakes the client.
+/// Server side: publishes "session done" (map, aux block and response log
+/// fully written), then wakes the client.
 inline void sync_publish_session_done(std::uint8_t* segment,
                                       std::uint64_t sessions) {
   std::atomic_ref<std::uint64_t>(

@@ -1,14 +1,15 @@
 #include "session/tcp_backend.hpp"
 
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <span>
 #include <string>
 
 #include "exec_oop/exec_protocol.hpp"
@@ -22,23 +23,13 @@ namespace icsfuzz::session {
 
 namespace {
 
-bool send_full(int fd, const std::uint8_t* data, std::size_t size) {
-  while (size != 0) {
-    const ssize_t sent = ::send(fd, data, size, MSG_NOSIGNAL);
-    if (sent < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        struct pollfd pfd {fd, POLLOUT, 0};
-        ::poll(&pfd, 1, 100);
-        continue;
-      }
-      return false;
-    }
-    data += sent;
-    size -= static_cast<std::size_t>(sent);
-  }
-  return true;
-}
+/// Reply-buffer growth step: the receive loop always offers recv() at
+/// least this much room.
+constexpr std::size_t kReadChunk = std::size_t{64} << 10;
+/// Reply bytes a session may send before it counts as broken: far above
+/// what any served message answers, it only stops a server that writes
+/// without end from growing the reply buffer until the deadline.
+constexpr std::size_t kMaxReplyBytes = std::size_t{64} << 20;
 
 /// RST close (SO_LINGER 0): one connection per session must not pile up
 /// TIME_WAIT entries at campaign execution rates.
@@ -79,13 +70,11 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
   cov::TraceSummary execute(ProtocolTarget& /*target*/, ByteSpan packet,
                             cov::CoverageMap& map,
                             fuzz::ExecResult& result) override {
-    const std::size_t residue_index =
-        split_stream(options_.framing, packet, ranges_);
-    responses_.resize(ranges_.size());
+    split_stream(options_.framing, packet, ranges_);
     if (options_.record_traffic) traffic_.clear();
 
     const oop::TargetProcess::Tallies before = process_.tallies();
-    run_session(packet, residue_index);
+    run_session(packet);
     fuzz::mirror_oop_telemetry(telemetry_, before, process_.tallies(),
                                outcome_, packet, exec_timeout_ms_,
                                process_.config().jail);
@@ -95,14 +84,16 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
     // cells, then run the exact in-process analysis.
     map.adopt_external(
         reinterpret_cast<const std::uint64_t*>(process_.segment().data()));
-    result.response.clear();
+    const std::size_t reply_bytes =
+        replies_.empty() ? 0 : replies_.back().offset + replies_.back().length;
+    result.response.assign(received_.begin(),
+                           received_.begin() + static_cast<std::ptrdiff_t>(
+                                                   reply_bytes));
     result.session_states.clear();
     std::uint32_t state = kInitialSessionState;
-    for (std::size_t i = 0; i < responses_.size(); ++i) {
-      append(result.response, ByteSpan(responses_[i]));
+    for (std::size_t i = 0; i < replies_.size(); ++i) {
       state = next_session_state(
-          state, classify_response(options_.framing, ByteSpan(responses_[i])),
-          i);
+          state, classify_response(options_.framing, reply(i)), i);
       result.session_states.push_back(state);
     }
     if (options_.state_coverage) {
@@ -114,7 +105,7 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
       for (std::size_t i = 0; i < ranges_.size(); ++i) {
         const std::uint8_t* data = packet.data() + ranges_[i].offset;
         traffic_.requests.emplace_back(data, data + ranges_[i].length);
-        traffic_.responses.push_back(responses_[i]);
+        traffic_.responses.emplace_back(reply(i).begin(), reply(i).end());
       }
     }
     result.session_messages = static_cast<std::uint32_t>(ranges_.size());
@@ -137,7 +128,7 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
   /// down before the session starts (never came up, died between sessions,
   /// refuses the connection) is respawned and the session retried under
   /// the RetryPolicy; once connected, the session's fate is the target's.
-  void run_session(ByteSpan packet, std::size_t residue_index) {
+  void run_session(ByteSpan packet) {
     outcome_.status = oop::ExecStatus::kServerLost;
     outcome_.term_signal = 0;
     outcome_.exit_code = 0;
@@ -157,7 +148,7 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
         process_.stop();
         continue;
       }
-      exchange(conn, packet, residue_index, deadline);
+      exchange(conn, packet, deadline);
       close_abortive(conn);
       return;
     }
@@ -165,9 +156,8 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
 
   bool start_server() {
     if (process_.running()) return true;
-    // Fresh server, fresh wire state: the sync counters restart at zero
-    // with the new process, so the client's expectations must too.
-    served_seen_ = 0;
+    // Fresh server, fresh wire state: the session counter restarts at zero
+    // with the new process, so the client's expectation must too.
     sessions_seen_ = 0;
     if (!process_.ensure_started()) {
       last_error_ = process_.error();
@@ -182,59 +172,128 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
     return true;
   }
 
-  /// The lockstep message exchange of one connected session.
-  void exchange(int conn, ByteSpan packet, std::size_t residue_index,
-                std::uint64_t deadline) {
-    std::uint8_t* segment = process_.segment().data();
-    // Blocked on the sync block's wake word; a server that died
-    // mid-session ends the wait within one slice.
-    std::uint32_t* wake = sync_wake_word(segment);
-    const bool spin = process_.spin_waits();
-    const auto server_dead = [&] { return process_.try_reap(); };
-    const std::uint64_t base_served = served_seen_;
-    bool wrote_shutdown = false;
-    for (std::size_t i = 0; i < ranges_.size(); ++i) {
-      if (!send_full(conn, packet.data() + ranges_[i].offset,
-                     ranges_[i].length)) {
-        return broken(deadline, "tcp session send failed");
+  /// The pipelined exchange of one connected session. One poll loop sends
+  /// the stream and half-closes once it is all sent, while it drains the
+  /// reply stream until EOF; reading as it writes is what keeps a large
+  /// session from deadlocking on full socket buffers in both directions.
+  /// Then the session-done wait, the aux block, and the split of the
+  /// replies by the server's response log.
+  void exchange(int conn, ByteSpan packet, std::uint64_t deadline) {
+    // Exactly the prefix split_stream and the server's reassembler consider.
+    const ByteSpan stream =
+        packet.first(std::min(packet.size(), kMaxSessionStreamBytes));
+    std::size_t sent = 0;
+    std::size_t got = 0;
+    bool writing = true;
+    bool readable = false;  // drain replies until recv() would block
+    for (;;) {
+      if (writing) {
+        const ssize_t n = ::send(conn, stream.data() + sent,
+                                 stream.size() - sent, MSG_NOSIGNAL);
+        if (n >= 0) {
+          sent += static_cast<std::size_t>(n);
+        } else if (errno != EAGAIN && errno != EINTR) {
+          writing = false;  // the peer is gone; the read side says how
+        }
+        if (sent == stream.size()) {
+          ::shutdown(conn, SHUT_WR);
+          writing = false;
+        }
       }
-      if (i == residue_index) {
-        // The server can only complete the residue at EOF — half-close
-        // BEFORE waiting for its ack or the session deadlocks.
-        ::shutdown(conn, SHUT_WR);
-        wrote_shutdown = true;
+      int slice_ms = oop::kSyncWaitSliceMs;
+      if (deadline != 0) {
+        const std::uint64_t now = oop::monotonic_ms();
+        if (now >= deadline) return broken(deadline, "tcp session deadline");
+        slice_ms = static_cast<int>(
+            std::min<std::uint64_t>(slice_ms, deadline - now));
       }
-      if (!oop::sync_wait_counter(
-              wake, [&] { return sync_load_served(segment); },
-              base_served + i + 1, deadline, server_dead, spin)) {
-        return broken(deadline, "tcp session server stopped answering");
+      if (!readable) {
+        struct pollfd pfd {
+          conn, static_cast<short>(writing ? POLLIN | POLLOUT : POLLIN), 0
+        };
+        const int ready = ::poll(&pfd, 1, slice_ms);
+        if (ready < 0) {
+          if (errno == EINTR) continue;
+          return broken(deadline, "tcp session poll failed");
+        }
+        if (ready == 0) {
+          // A slice that brought nothing: only now ask whether the server
+          // is still there.
+          if (process_.try_reap()) {
+            return broken(deadline, "tcp session server died");
+          }
+          continue;
+        }
+        readable = (pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0;
+        if (!readable) continue;
       }
-      const std::uint32_t len = sync_load_response_len(segment);
-      Bytes& response = responses_[i];
-      response.resize(len);
-      if (len != 0 &&
-          oop::read_full_deadline(conn, response.data(), len,
-                                  remaining_ms(deadline)) !=
-              oop::ReadStatus::kOk) {
-        return broken(deadline, "tcp session response read failed");
+      if (got > kMaxReplyBytes) {
+        return broken(deadline, "tcp session replies past the reply cap");
+      }
+      if (received_.size() - got < kReadChunk) {
+        received_.resize(got + kReadChunk);
+      }
+      const ssize_t n =
+          ::recv(conn, received_.data() + got, received_.size() - got, 0);
+      if (n > 0) {
+        got += static_cast<std::size_t>(n);
+      } else if (n == 0 || (errno != EAGAIN && errno != EINTR)) {
+        break;  // EOF, or a reset: the reply stream has ended
+      } else if (errno == EAGAIN) {
+        readable = false;
       }
     }
-    if (!wrote_shutdown) ::shutdown(conn, SHUT_WR);
+
+    // The server publishes "session done" before it closes the connection,
+    // so this wait normally returns at once. A server that died
+    // mid-session closed without publishing; the wait then ends at the
+    // first quiet slice.
+    std::uint8_t* segment = process_.segment().data();
     if (!oop::sync_wait_counter(
-            wake, [&] { return sync_load_sessions_done(segment); },
-            sessions_seen_ + 1, deadline, server_dead, spin)) {
+            sync_wake_word(segment),
+            [&] { return sync_load_sessions_done(segment); },
+            sessions_seen_ + 1, deadline,
+            [&] { return process_.try_reap(); }, process_.spin_waits())) {
       return broken(deadline, "tcp session never completed");
     }
     ++sessions_seen_;
-    served_seen_ = base_served + ranges_.size();
     if (!oop::aux_load(segment + kAuxOffset, oop::kAuxBytes,
                        outcome_.aux)) {
       last_error_ = "tcp session server published no aux block";
       process_.stop();
       return;
     }
+    if (!split_replies(sync_response_log(segment), got)) {
+      return broken(deadline, "tcp session replies disagree with the log");
+    }
     process_.note_answered();
     outcome_.status = oop::ExecStatus::kOk;
+  }
+
+  /// Splits the `got` reply bytes into per-message responses by the
+  /// server's response log: entry i is message i's response, entries past
+  /// the last message fold into it, and missing entries are empty. False
+  /// unless the logged lengths sum to exactly the bytes read.
+  bool split_replies(std::span<const std::uint32_t> log, std::size_t got) {
+    std::uint64_t logged = 0;
+    for (const std::uint32_t len : log) logged += len;
+    if (logged != got) return false;
+    replies_.resize(ranges_.size());
+    std::size_t offset = 0;
+    for (std::size_t i = 0; i < replies_.size(); ++i) {
+      const std::size_t len = i + 1 == replies_.size() ? got - offset
+                              : i < log.size()         ? log[i]
+                                                       : 0;
+      replies_[i] = MessageRange{offset, len};
+      offset += len;
+    }
+    return true;
+  }
+
+  /// Message i's response inside the reply buffer.
+  [[nodiscard]] ByteSpan reply(std::size_t i) const {
+    return ByteSpan(received_.data() + replies_[i].offset,
+                    replies_[i].length);
   }
 
   /// A session that broke off. A server that died is classified by its
@@ -293,7 +352,8 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
   }
 
   int connect_deadline(std::uint64_t deadline) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    const int fd =
+        ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
     if (fd < 0) {
       last_error_ = std::string("socket: ") + std::strerror(errno);
       return -1;
@@ -302,8 +362,6 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     addr.sin_port = htons(static_cast<std::uint16_t>(port_));
-    const int flags = ::fcntl(fd, F_GETFL);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
     if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
       if (errno != EINPROGRESS) {
         last_error_ = std::string("connect: ") + std::strerror(errno);
@@ -325,7 +383,6 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
         return -1;
       }
     }
-    ::fcntl(fd, F_SETFL, flags);  // back to blocking for the send path
     const int nodelay = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof nodelay);
     return fd;
@@ -337,13 +394,16 @@ class TcpSessionBackend final : public fuzz::ExecBackend {
 
   oop::TargetProcess process_;
   std::uint32_t port_ = 0;
-  std::uint64_t served_seen_ = 0;
   std::uint64_t sessions_seen_ = 0;
   std::string last_error_;
   oop::OutOfProcessExecutor::Outcome outcome_;
 
   std::vector<MessageRange> ranges_;
-  std::vector<Bytes> responses_;
+  /// The reply stream of the last session (only its first bytes are
+  /// valid: the buffer keeps its high-water size across sessions) and the
+  /// per-message responses inside it.
+  Bytes received_;
+  std::vector<MessageRange> replies_;
   SessionTraffic traffic_;
 };
 

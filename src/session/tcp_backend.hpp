@@ -3,9 +3,12 @@
 //
 // Per execution: the session stream is split into its canonical message
 // list (framing.hpp — the same split the server's reassembler will
-// reproduce from the segmented TCP stream), one connection is opened
-// (one connection = one session), and each message is sent and its
-// response read back in lockstep through the session_wire.hpp sync block.
+// reproduce from the segmented TCP stream) and one connection is opened
+// (one connection = one session). The exchange is pipelined: one poll loop
+// sends the whole stream and half-closes while it reads the replies to
+// EOF, then waits for the session-done counter and splits the replies into
+// per-message responses by the response-length log the server keeps in the
+// session_wire.hpp sync block. There is no per-message round trip.
 // The server traces the whole session into the shared-memory map; the
 // client adopts it (CoverageMap::adopt_external), injects the
 // client-computed session-state cells, and runs the exact in-process
@@ -15,8 +18,9 @@
 // The server process is an oop::TargetProcess, so kTcp keeps the same
 // supervision contract as the fork-server backends: RetryPolicy respawns,
 // the resource jail, group kill by the watchdog, and telemetry booked
-// through fuzz::mirror_oop_telemetry. A server that dies mid-session is
-// classified by its wait status (docs/SESSIONS.md lists every outcome).
+// through fuzz::mirror_oop_telemetry. A server that dies mid-session shows
+// up as EOF or a reset on the socket and is classified by its wait status
+// (docs/SESSIONS.md lists every outcome).
 #pragma once
 
 #include <memory>

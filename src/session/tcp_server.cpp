@@ -37,13 +37,14 @@ bool send_full(int fd, const std::uint8_t* data, std::size_t size) {
 }
 
 /// One accepted connection = one session. Reassembles the request stream,
-/// serves each message into the caller's reused `response` scratch, and
-/// publishes progress; returns once the client half-closes (EOF) or the
-/// control pipe says shut down (`*shutdown`).
+/// serves each message into the caller's reused `response` scratch, logs
+/// its length and queues it in the reused `replies` buffer; returns once
+/// the client half-closes (EOF) or the control pipe says shut down
+/// (`*shutdown`).
 void serve_session(ProtocolTarget& target, Framing framing, int conn,
                    std::uint8_t* segment, cov::DirtyWordList& dirty,
-                   Bytes& response, std::uint64_t& served,
-                   std::uint64_t& sessions, bool* shutdown) {
+                   Bytes& response, Bytes& replies, std::uint64_t& sessions,
+                   bool* shutdown) {
   // Pristine per-session map state: sparse-clear the previous session's
   // dirty words, invalidate the aux magic so a torn-down session is never
   // mistaken for a completed one.
@@ -51,6 +52,7 @@ void serve_session(ProtocolTarget& target, Framing framing, int conn,
   for (std::uint32_t i = 0; i < dirty.count; ++i) words[dirty.indices[i]] = 0;
   dirty.count = 0;
   std::memset(segment + kAuxOffset, 0, 4);
+  sync_log_reset(segment);
 
   // Same arming order as every other backend (reset, fault sink, trace) —
   // the differential oracle depends on the symmetry.
@@ -64,36 +66,48 @@ void serve_session(ProtocolTarget& target, Framing framing, int conn,
     // fault: later messages of the session go unanswered. The in-process
     // session backend applies the identical guard.
     if (!san::FaultSink::tripped()) target.process_into(message, response);
-    if (!response.empty()) send_full(conn, response.data(), response.size());
-    sync_publish_served(segment, ++served,
-                        static_cast<std::uint32_t>(response.size()));
+    append(replies, ByteSpan(response));
+    sync_log_append(segment, static_cast<std::uint32_t>(response.size()));
+  };
+  // The queued replies go out in one write per read chunk: a session that
+  // arrives coalesced is answered with one write, and one that streams in
+  // is answered as it streams, so a client that reads as it writes never
+  // waits on replies the server is holding.
+  replies.clear();
+  const auto flush_replies = [&] {
+    if (!replies.empty()) send_full(conn, replies.data(), replies.size());
+    replies.clear();
   };
 
   StreamReassembler reassembler(framing, serve_message);
-  std::uint8_t chunk[4096];
+  std::uint8_t chunk[16384];
   for (;;) {
+    // Read whatever has arrived; wait only when nothing has. The client
+    // sends a session whole, so it is usually all there at accept.
+    const ssize_t got = ::recv(conn, chunk, sizeof chunk, MSG_DONTWAIT);
+    if (got > 0) {
+      reassembler.feed(ByteSpan(chunk, static_cast<std::size_t>(got)));
+      flush_replies();
+      continue;
+    }
+    if (got == 0) break;  // EOF: the orderly end of the session
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN) break;  // a reset or other error
     struct pollfd fds[2];
     fds[0] = {conn, POLLIN, 0};
     fds[1] = {oop::kCtlFd, POLLIN, 0};
-    if (::poll(fds, 2, -1) < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
+    if (::poll(fds, 2, -1) < 0 && errno != EINTR) break;
     if ((fds[1].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
       *shutdown = true;  // client closed the control pipe mid-session
       break;
     }
-    if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-    const ssize_t got = ::read(conn, chunk, sizeof chunk);
-    if (got < 0 && errno == EINTR) continue;
-    if (got <= 0) break;  // EOF (orderly end of session) or error
-    reassembler.feed(ByteSpan(chunk, static_cast<std::size_t>(got)));
   }
 
   // End of stream: the residue — an incomplete tail, a malformed-header
   // rest, or the post-cap raw tail — is the session's final message.
   const ByteSpan residue = reassembler.finish();
   if (!residue.empty()) serve_message(residue);
+  flush_replies();
 
   oop::AuxResult result;
   result.events = cov::tls_event_count;
@@ -143,7 +157,7 @@ int run_tcp_session_server(ProtocolTarget& target, Framing framing,
   static cov::DirtyWordList dirty;
   dirty.count = 0;
   Bytes response;
-  std::uint64_t served = 0;
+  Bytes replies;
   std::uint64_t sessions = 0;
   std::uint64_t accepted = 0;
 
@@ -173,7 +187,7 @@ int run_tcp_session_server(ProtocolTarget& target, Framing framing,
 
     bool shutdown = false;
     serve_session(target, framing, conn, segment.data(), dirty, response,
-                  served, sessions, &shutdown);
+                  replies, sessions, &shutdown);
     ::close(conn);
     if (shutdown) {
       ::close(listen_fd);

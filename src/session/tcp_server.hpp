@@ -6,9 +6,13 @@
 // serves one *session* per accepted connection — reassembling the request
 // stream with the per-protocol framing (reassembler.hpp), feeding each
 // complete message (and the final residue, if any) to the wrapped
-// ProtocolTarget, and answering with the raw response bytes. Coverage for
-// the whole session lands in the shared-memory map as ONE trace; progress
-// and completion are published through the session_wire.hpp sync block.
+// ProtocolTarget, and answering with the raw response bytes. The
+// reassembler makes the server indifferent to how the client's stream
+// arrives: the pipelined client sends the whole session at once, so
+// messages usually arrive coalesced. Coverage for the whole session lands
+// in the shared-memory map as ONE trace; every response's length goes into
+// the session_wire.hpp response log, and the session-done publish precedes
+// the close, so a client that reads EOF finds the session complete.
 //
 // Shutdown mirrors the fork server: EOF on the inherited control
 // descriptor (the client closing its pipe end) ends the accept loop with

@@ -15,6 +15,10 @@
 //     ICSFUZZ_SHIM_SEGV_AT knob exists precisely so its crash arm dies on
 //     the same signal 11 the demo's null write does.
 //
+// The tcp mode is pinned too: the demo's `--serve` loop under the kTcp
+// session backend, whose per-message responses must equal the demo's
+// fork-mode answers to the same frames.
+//
 // The demo binaries default to the paths the ExternalProject build wrote;
 // the CI injection lane re-points them at a standalone out-of-tree build
 // via ICSFUZZ_DEMO_SERVER / ICSFUZZ_DEMO_SERVER_PLAIN env vars.
@@ -32,6 +36,7 @@
 #include "fuzzer/executor.hpp"
 #include "inject/inject_protocol.hpp"
 #include "protocols/target_registry.hpp"
+#include "session/session_types.hpp"
 #include "tests/test_support.hpp"
 
 namespace icsfuzz {
@@ -318,6 +323,59 @@ TEST(InjectDifferential, OomClassificationMatchesShim) {
   }
   ASSERT_TRUE(demo.crashed());
   expect_same_classification(demo, shim);
+}
+
+// -- TCP mode: the demo's own socket server as a kTcp session target. -----
+
+TEST(InjectTcp, DemoServeSplitsRepliesPerMessage) {
+  // ICSFUZZ_INJECT_MODE=tcp: the runtime logs the length of every write
+  // the demo makes on the session connection, and the client splits the
+  // reply stream by that log. The demo answers each frame with one write,
+  // so message i's response must be exactly what the demo answers to that
+  // frame alone in fork mode.
+  fuzz::ExecutorConfig tcp_config;
+  tcp_config.backend.kind = fuzz::BackendKind::kTcp;
+  tcp_config.backend.target_cmd = demo_cmd();
+  tcp_config.backend.target_cmd.push_back("--serve");
+  tcp_config.backend.preload = preload_path();
+  tcp_config.backend.exec_timeout_ms = kGenerousTimeoutMs;
+  tcp_config.backend.session.framing = session::Framing::kMbap;
+  tcp_config.backend.session.record_traffic = true;
+  fuzz::Executor tcp(std::move(tcp_config));
+  fuzz::ExecutorConfig fork_config;
+  fork_config.backend = demo_backend(kGenerousTimeoutMs);
+  fuzz::Executor fork(std::move(fork_config));
+  const std::unique_ptr<ProtocolTarget> placeholder =
+      proto::target_factory("libmodbus")();
+
+  const Bytes torn_tail = {0x00, 0x07, 0x00, 0x00, 0x00};
+  const Bytes malformed_tail = {0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x11};
+  const std::vector<std::vector<Bytes>> sessions = {
+      {kBenign},
+      {kBenign, kBenignCoils},
+      {kBenignCoils, kBenign, kBenignCoils, kBenign, torn_tail},
+      {kBenign, kBenign, malformed_tail},
+  };
+  for (std::size_t s = 0; s < sessions.size(); ++s) {
+    Bytes stream;
+    for (const Bytes& message : sessions[s]) append(stream, ByteSpan(message));
+    const fuzz::ExecResult& result = tcp.run(*placeholder, ByteSpan(stream));
+    ASSERT_TRUE(result.faults.empty())
+        << "session " << s << ": " << result.faults.front().detail;
+    EXPECT_GT(result.events, 0u) << "session " << s;
+    const session::SessionTraffic* traffic = tcp.backend().traffic();
+    ASSERT_NE(traffic, nullptr);
+    ASSERT_EQ(traffic->requests, sessions[s]) << "session " << s;
+    ASSERT_EQ(traffic->responses.size(), sessions[s].size())
+        << "session " << s;
+    for (std::size_t m = 0; m < sessions[s].size(); ++m) {
+      const Bytes alone =
+          fork.run(*placeholder, ByteSpan(sessions[s][m])).response;
+      EXPECT_FALSE(alone.empty()) << "session " << s << " message " << m;
+      EXPECT_EQ(traffic->responses[m], alone)
+          << "session " << s << " message " << m;
+    }
+  }
 }
 
 }  // namespace

@@ -344,6 +344,52 @@ TEST(SessionDifferential, FixedSeedCampaignTrajectoryIdenticalOverTcp) {
   EXPECT_GT(in_proc.session_states.size(), 0u);
 }
 
+TEST(SessionDifferential, FullDuplexMaxSessionDoesNotDeadlock) {
+  // 256 Modbus max-register reads fill the message cap; the same read
+  // repeated past kMaxSessionStreamBytes is the raw tail. The 1 MiB
+  // request stream outgrows the loopback socket buffers, so the client's
+  // send loop must interleave with the server's reads, and the replies
+  // (~68 KiB of 259-byte responses, the most any in-tree target answers
+  // to one session) arrive while it is still sending. The session must
+  // complete inside the deadline and match the in-process arm exactly.
+  const Bytes read_max = {0x00, 0x01, 0x00, 0x00, 0x00, 0x06,
+                          0x11, 0x03, 0x00, 0x00, 0x00, 0x7D};
+  Bytes stream;
+  while (stream.size() <= session::kMaxSessionStreamBytes) {
+    append(stream, ByteSpan(read_max));
+  }
+  const ByteSpan packet(stream.data(), stream.size());
+
+  const std::string project = "libmodbus";
+  constexpr int kDeadlineMs = 10000;
+  fuzz::ExecutorConfig in_proc_config = session_executor_config(
+      project, fuzz::BackendKind::kInProcess, /*record_traffic=*/true);
+  fuzz::ExecutorConfig tcp_config = session_executor_config(
+      project, fuzz::BackendKind::kTcp, /*record_traffic=*/true);
+  tcp_config.backend.exec_timeout_ms = kDeadlineMs;
+  fuzz::Executor in_proc(in_proc_config);
+  fuzz::Executor tcp(tcp_config);
+  const auto factory = proto::target_factory(project);
+  std::unique_ptr<ProtocolTarget> in_proc_target = factory();
+  std::unique_ptr<ProtocolTarget> placeholder = factory();
+
+  const fuzz::ExecResult in_proc_result = in_proc.run(*in_proc_target, packet);
+  const auto start = std::chrono::steady_clock::now();
+  const fuzz::ExecResult& tcp_result = tcp.run(*placeholder, packet);
+  const std::int64_t waited =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_LT(waited, kDeadlineMs);
+  EXPECT_TRUE(tcp_result.faults.empty()) << "the session did not complete";
+  EXPECT_EQ(in_proc_result.session_messages,
+            session::kMaxSessionMessages + 1);
+  EXPECT_GT(in_proc_result.response.size(), std::size_t{256} * 259);
+  expect_results_equal(in_proc_result, tcp_result, 0);
+  expect_traffic_equal(in_proc.backend().traffic(), tcp.backend().traffic(),
+                       0);
+}
+
 #endif  // ICSFUZZ_SHIM_PATH
 
 // -- Stateful coverage: the post-STARTDT proof. ---------------------------
@@ -734,7 +780,9 @@ TEST(SessionSyncWait, PublishAfterDelayWakesTheBlockedWaiter) {
   const std::uint32_t seen = oop::load_wake(wake);
   SyncPeer peer(segment, [](std::uint8_t* seg) {
     sleep_ms(50);
-    session::sync_publish_served(seg, 1, 7);
+    session::sync_log_reset(seg);
+    session::sync_log_append(seg, 7);
+    session::sync_publish_session_done(seg, 1);
     return true;
   });
   ASSERT_GT(peer.pid(), 0);
@@ -748,18 +796,19 @@ TEST(SessionSyncWait, PublishAfterDelayWakesTheBlockedWaiter) {
   const std::int64_t waited = ms_since(start);
   EXPECT_GE(waited, 40);
   EXPECT_LT(waited, 5000) << "the publish did not wake the waiter";
-  EXPECT_EQ(session::sync_load_served(segment), 1u);
-  EXPECT_EQ(session::sync_load_response_len(segment), 7u);
+  EXPECT_EQ(session::sync_load_sessions_done(segment), 1u);
+  EXPECT_EQ(session::sync_response_log(segment).size(), 1u);
+  EXPECT_EQ(session::sync_response_log(segment)[0], 7u);
 
-  // The session-done publish wakes the same way, through the full wait.
+  // The next session's publish wakes the same way, through the full wait.
   SyncPeer finisher(segment, [](std::uint8_t* seg) {
     sleep_ms(50);
-    session::sync_publish_session_done(seg, 1);
+    session::sync_publish_session_done(seg, 2);
     return true;
   });
   ASSERT_GT(finisher.pid(), 0);
   EXPECT_TRUE(wait_counter(
-      segment, [&] { return session::sync_load_sessions_done(segment); }, 1,
+      segment, [&] { return session::sync_load_sessions_done(segment); }, 2,
       oop::monotonic_ms() + 10000, [&] { return finisher.dead(); }));
 }
 
@@ -770,7 +819,7 @@ TEST(SessionSyncWait, StaleSeenValueReturnsAtOnce) {
   std::uint32_t* wake = session::sync_wake_word(segment);
   const std::uint32_t seen = oop::load_wake(wake);
   SyncPeer peer(segment, [](std::uint8_t* seg) {
-    session::sync_publish_served(seg, 1, 0);
+    session::sync_publish_session_done(seg, 1);
     return false;  // publish, then exit
   });
   ASSERT_GT(peer.pid(), 0);
@@ -782,7 +831,7 @@ TEST(SessionSyncWait, StaleSeenValueReturnsAtOnce) {
   EXPECT_LT(ms_since(start), 100) << "a moved wake word must not block";
   // A counter that already arrived is never waited for, dead peer or not.
   EXPECT_TRUE(wait_counter(
-      segment, [&] { return session::sync_load_served(segment); }, 1,
+      segment, [&] { return session::sync_load_sessions_done(segment); }, 1,
       oop::monotonic_ms() + 10000, [] { return true; }));
 }
 
@@ -796,7 +845,7 @@ TEST(SessionSyncWait, SilentPeerCostsExactlyTheDeadline) {
   constexpr int kDeadlineMs = 200;
   const auto start = std::chrono::steady_clock::now();
   const bool arrived = wait_counter(
-      segment, [&] { return session::sync_load_served(segment); }, 1,
+      segment, [&] { return session::sync_load_sessions_done(segment); }, 1,
       oop::monotonic_ms() + kDeadlineMs, [&] { return peer.dead(); });
   const std::int64_t waited = ms_since(start);
   EXPECT_FALSE(arrived);
@@ -818,7 +867,7 @@ TEST(SessionSyncWait, PeerThatExitsIsNoticedWithinAFewSlices) {
 
   const auto start = std::chrono::steady_clock::now();
   const bool arrived = wait_counter(
-      segment, [&] { return session::sync_load_served(segment); }, 1,
+      segment, [&] { return session::sync_load_sessions_done(segment); }, 1,
       oop::monotonic_ms() + 30000, [&] { return peer.dead(); });
   const std::int64_t waited = ms_since(start);
   EXPECT_FALSE(arrived);
