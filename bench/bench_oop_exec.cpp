@@ -13,7 +13,8 @@
 //     second.
 //
 //   * persistent — the same backend in persistent mode (ICSFUZZ_LOOP-style
-//     children, packets through shm slots, pipelined run_batch dispatch):
+//     children, packets through shm slots, run_batch keeping all four
+//     slots in flight):
 //     the per-exec fork() disappears and `persistent_execs_per_sec` must
 //     clear both an absolute floor and a relative one
 //     (`persistent_speedup` over fork-per-exec — the order-of-magnitude
@@ -33,11 +34,23 @@
 //     iteration 1 and iteration K-1 of one persistent child must produce
 //     identical coverage and observables.
 //
+//   * adaptive loop — a whole Peach* fuzz::Fuzzer campaign on kPersistent,
+//     whose step loop keeps the same four slots busy with speculatively
+//     generated packets and discards them when feedback moves, against the
+//     same campaign in-process. `fuzzer_persistent_execs_per_sec` is its
+//     rate, `fuzzer_persistent_matches_in_process` requires the two
+//     campaigns' checkpoint images (rng, dedup tables, corpus, crashes,
+//     retained seeds, coverage, paths) to be identical, and
+//     `speculative_discard_pct` is the share of the persistent server's
+//     executions the window threw away — capped, because a discard is a
+//     wasted round trip.
+//
 // Budget knobs:
 //   ICSFUZZ_BENCH_OOP_EXECS              executions per fork-per-exec arm
 //                                        (default 12000)
 //   ICSFUZZ_BENCH_OOP_PERSISTENT_EXECS   executions for the persistent arm
-//                                        (default 60000)
+//                                        and steps of the adaptive-loop
+//                                        arm (default 60000)
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -49,10 +62,13 @@
 #include "coverage/coverage_map.hpp"
 #include "exec_oop/oop_executor.hpp"
 #include "fuzzer/executor.hpp"
+#include "fuzzer/fuzzer.hpp"
 #include "model/instantiation.hpp"
 #include "mutation/mutator.hpp"
 #include "pits/pits.hpp"
 #include "protocols/target_registry.hpp"
+#include "supervise/checkpoint.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -173,6 +189,48 @@ bool probe_state_bleed(const std::vector<Bytes>& packets) {
          std::memcmp(first_map.data(), exec.map_words(), cov::kMapSize) == 0;
 }
 
+/// One adaptive-loop campaign's outcome.
+struct CampaignResult {
+  double seconds = 0.0;
+  /// The campaign's checkpoint image, wall-clock stamps zeroed.
+  std::string image;
+  std::uint64_t executions = 0;
+  std::uint64_t discards = 0;
+};
+
+/// A fixed-seed Peach* campaign of `steps` steps over libmodbus on `kind`.
+CampaignResult run_campaign(fuzz::BackendKind kind, std::uint64_t steps) {
+  const auto factory = proto::target_factory("libmodbus");
+  const std::unique_ptr<ProtocolTarget> target = factory();
+  const model::DataModelSet models = pits::pit_for_project("libmodbus");
+  telem::Telemetry hub;
+  fuzz::FuzzerConfig config;
+  config.strategy = fuzz::Strategy::PeachStar;
+  config.rng_seed = 0xADA7;
+  config.telemetry = telem::Sink(&hub, 0);
+  if (kind != fuzz::BackendKind::kInProcess) {
+    config.executor = backend_config(kind);
+  }
+  fuzz::Fuzzer fuzzer(*target, models, config);
+  fuzzer.step_fast();  // spawns the fork server outside the timed region
+  const auto start = Clock::now();
+  for (std::uint64_t i = 1; i < steps; ++i) fuzzer.step_fast();
+  CampaignResult result;
+  result.seconds = std::chrono::duration<double>(Clock::now() - start).count();
+  fuzzer.finish();
+
+  par::WorkerState state;
+  state.fuzzer = fuzzer.capture_checkpoint();
+  for (fuzz::Checkpoint& point : state.fuzzer.stats_points) point.wall_ns = 0;
+  supervise::CampaignCheckpoint image;
+  image.workers.push_back(std::move(state));
+  result.image = supervise::serialize_checkpoint(image);
+  result.executions = fuzzer.executor().executions();
+  result.discards =
+      hub.snapshot().counter(telem::Counter::kOopSpeculativeDiscards);
+  return result;
+}
+
 }  // namespace
 
 int main() {
@@ -221,6 +279,22 @@ int main() {
   run_arm(inproc_replay, *replay_target, packets, 256);
   const ArmResult inproc_persistent_ref =
       run_arm(inproc_replay, *replay_target, packets, persistent_execs);
+
+  const CampaignResult loop =
+      run_campaign(fuzz::BackendKind::kPersistent, persistent_execs);
+  const CampaignResult loop_reference =
+      run_campaign(fuzz::BackendKind::kInProcess, persistent_execs);
+  const bool loop_matches = loop.image == loop_reference.image &&
+                            loop.executions == persistent_execs;
+  const double loop_rate =
+      loop.seconds > 0.0
+          ? static_cast<double>(persistent_execs - 1) / loop.seconds
+          : 0.0;
+  const double discard_pct =
+      loop.executions + loop.discards > 0
+          ? 100.0 * static_cast<double>(loop.discards) /
+                static_cast<double>(loop.executions + loop.discards)
+          : 0.0;
 
   const bool matches = oop.checksum == inproc.checksum;
   const bool persistent_matches =
@@ -276,10 +350,14 @@ int main() {
                   ? static_cast<double>(shim_switch_count) /
                         static_cast<double>(persistent_execs)
                   : 0.0);
+  std::printf("  \"fuzzer_persistent_execs_per_sec\": %.0f,\n", loop_rate);
+  std::printf("  \"fuzzer_persistent_matches_in_process\": %s,\n",
+              loop_matches ? "true" : "false");
+  std::printf("  \"speculative_discard_pct\": %.3f,\n", discard_pct);
   std::printf("  \"checksum\": %llu\n}\n",
               static_cast<unsigned long long>(oop.checksum & 0xFFFF));
   return matches && persistent_matches && state_bleed_free &&
-                 persistent_active && restarts == 0 &&
+                 persistent_active && loop_matches && restarts == 0 &&
                  persistent_restarts == 0
              ? 0
              : 1;

@@ -134,10 +134,20 @@ bool aux_load(const std::uint8_t* aux, std::size_t aux_size, AuxResult& out) {
 }
 
 void child_claim(HandoffBlock& block, std::uint32_t request) {
-  for (;;) {
-    const std::uint32_t posted = shared_load(block.request);
-    if (static_cast<std::int32_t>(posted - request) >= 0) break;
-    wait_wake(&block.request, posted, -1);
+  const auto posted_since = [&](std::uint32_t posted) {
+    return static_cast<std::int32_t>(posted - request) >= 0;
+  };
+  if (!posted_since(shared_load(block.request))) {
+    // Announce the sleep, then re-read the word (see bump_wake_waiter).
+    // The sleep is sliced like every other wait on a wake word, so a wake
+    // that goes missing costs a slice, never the execution's deadline.
+    for (;;) {
+      std::atomic_ref<std::uint32_t>(block.request_waiting).store(1);
+      const std::uint32_t posted =
+          std::atomic_ref<std::uint32_t>(block.request).load();
+      if (posted_since(posted)) break;
+      wait_wake(&block.request, posted, kSyncWaitSliceMs);
+    }
   }
   shared_store(block.claimed, request);
 }
@@ -148,7 +158,7 @@ void child_complete(HandoffBlock& block, std::uint32_t request,
   record.died = 0;
   record.iteration = iteration;
   shared_store(record.done, request);
-  bump_wake(&block.wake);
+  bump_wake_waiter(&block.wake, &block.wake_waiting);
 }
 
 namespace {

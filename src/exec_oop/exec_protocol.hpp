@@ -81,6 +81,14 @@
 //   * server death: the client notices it between wait slices (its
 //     liveness check reaps the server); the child dies with the server
 //     (PR_SET_PDEATHSIG).
+//   * wakes: the child announces a sleep on the request word in
+//     request_waiting and the client one on its wake word in wake_waiting,
+//     and the hot-path publishers (the client's post, the child's
+//     completion) issue FUTEX_WAKE only for an announced sleeper
+//     (bump_wake_waiter). With a full window on one core, that is one wake
+//     syscall per side per window instead of one per execution. Both
+//     sleeps are sliced (kSyncWaitSliceMs); the server's rare publishes
+//     always wake.
 #pragma once
 
 #include <sys/types.h>
@@ -184,6 +192,10 @@ struct HandoffBlock {
   std::uint32_t request;
   /// Futex: the client's wake word (child on completion, server on death).
   std::uint32_t wake;
+  /// Nonzero while the child may sleep on `request` / the client on
+  /// `wake` (bump_wake_waiter skips the FUTEX_WAKE otherwise).
+  std::uint32_t request_waiting;
+  std::uint32_t wake_waiting;
   /// The last request a child took (child; server after a death or kill).
   std::uint32_t claimed;
   /// Odd while a child lives (server).

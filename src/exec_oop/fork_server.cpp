@@ -104,7 +104,8 @@ bool ForkServer::post(ByteSpan packet, std::uint32_t slot) {
   if (!piped) {
     slot_store_packet(segment, slot, packet);
     // The request word counts posts, so the bump publishes exactly `request`.
-    bump_wake(&handoff_block(segment).request);
+    HandoffBlock& block = handoff_block(segment);
+    bump_wake_waiter(&block.request, &block.request_waiting);
     return true;
   }
   // Too large for a slot: the packet rides a budget-1 kFork, and the server
@@ -165,7 +166,7 @@ ForkServer::RunOutcome ForkServer::await() {
   bool timed_out = false;
   bool killed = false;
   if (!sync_wait_counter(&block.wake, done, 1, deadline, server_gone,
-                         process_.spin_waits())) {
+                         process_.spin_waits(), &block.wake_waiting)) {
     if (!process_.running()) {
       error_ = "fork server died mid-execution";
       classify_server_gone();

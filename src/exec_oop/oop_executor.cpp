@@ -110,73 +110,52 @@ void OutOfProcessExecutor::fail_outcome(Outcome& out) {
   map_offset_ = 0;
 }
 
-const OutOfProcessExecutor::Outcome& OutOfProcessExecutor::run(
-    ByteSpan packet) {
+void OutOfProcessExecutor::submit(ByteSpan packet) {
+  queue_[(head_ + queued_) % kNumSlots] = packet;
+  ++queued_;
+  // A server that is down is the next complete()'s to respawn: it owns the
+  // retry policy.
+  if (process_.running()) pump();
+}
+
+void OutOfProcessExecutor::pump() {
+  while (posted_ < queued_) {
+    const std::uint32_t slot = (head_ + posted_) % kNumSlots;
+    // Results come back strictly in order, so a slot is never reused before
+    // its result has been consumed.
+    if (!server_.post(queue_[slot], slot)) return;
+    ++posted_;
+  }
+}
+
+const OutOfProcessExecutor::Outcome& OutOfProcessExecutor::complete() {
   Outcome& outcome = outcome_;
+  outcome.packet = queue_[head_];
+  bool done = false;
   for (int attempt = 0; attempt <= config_.retry.max_retries; ++attempt) {
     if (attempt == 1) process_.note_retry();
     if (!ensure_started()) continue;  // next attempt retries the spawn
 
-    // Nothing is in flight, so the post always queues.
-    server_.post(packet, 0);
+    // The oldest packet always posts: nothing older is in flight.
+    pump();
     const ForkServer::RunOutcome raw = server_.await();
-
     if (raw.kind == ForkServer::RunOutcome::Kind::kServerExited ||
         raw.kind == ForkServer::RunOutcome::Kind::kServerLost) {
+      // Every in-flight result is gone with the server; the respawned one
+      // gets the whole queue again.
       note_server_gone(raw.kind);
-      continue;  // respawn + retry
+      posted_ = 0;
+      continue;
     }
     classify(raw, outcome);
-    return outcome;
+    done = true;
+    break;
   }
-  fail_outcome(outcome);
+  if (!done) fail_outcome(outcome);
+  head_ = (head_ + 1) % kNumSlots;
+  --queued_;
+  if (posted_ > 0) --posted_;
   return outcome;
-}
-
-std::size_t OutOfProcessExecutor::run_batch(
-    const std::vector<Bytes>& packets,
-    const std::function<void(std::size_t, const Outcome&)>& on_outcome) {
-  std::size_t next_submit = 0;   // next packet to put on the wire
-  std::size_t next_deliver = 0;  // next packet whose reply we owe
-
-  while (next_deliver < packets.size()) {
-    if (!ensure_started()) {
-      // The server is down: the sequential path owns the respawn/retry
-      // policy.
-      on_outcome(next_deliver, run(ByteSpan(packets[next_deliver])));
-      next_submit = ++next_deliver;
-      continue;
-    }
-
-    // Fill the window: one in-flight request per shm slot. Results come
-    // back strictly in order, so slot i%kNumSlots is never reused before
-    // its result has been consumed. post() refuses only to pipeline around
-    // a packet too large for a slot, which travels alone, so at least the
-    // head packet is in flight.
-    while (next_submit < packets.size() &&
-           next_submit - next_deliver < kNumSlots &&
-           server_.post(ByteSpan(packets[next_submit]),
-                        static_cast<std::uint32_t>(next_submit % kNumSlots))) {
-      ++next_submit;
-    }
-
-    const ForkServer::RunOutcome raw = server_.await();
-    if (raw.kind == ForkServer::RunOutcome::Kind::kServerExited ||
-        raw.kind == ForkServer::RunOutcome::Kind::kServerLost) {
-      // Every in-flight result is gone with the server. Re-run the whole
-      // window sequentially (run() respawns and retries).
-      note_server_gone(raw.kind);
-      for (; next_deliver < next_submit; ++next_deliver) {
-        on_outcome(next_deliver, run(ByteSpan(packets[next_deliver])));
-      }
-      next_submit = next_deliver;
-      continue;
-    }
-    classify(raw, outcome_);
-    on_outcome(next_deliver, outcome_);
-    ++next_deliver;
-  }
-  return packets.size();
 }
 
 }  // namespace icsfuzz::oop

@@ -10,29 +10,35 @@
 // to in-process execution — the differential oracle test_exec_oop.cpp
 // asserts exactly that.
 //
-// One execution path behind run(): the packet goes into a shm slot and a
+// One execution path: submit() writes the packet into a shm slot and a
 // child the server forked takes it through the handoff block's futex words
-// with the server asleep (exec_protocol.hpp). The child serves
-// `persistent_budget` executions (K) when the server advertises
-// kCapPersistent and K > 1 — persistent mode, an order of magnitude faster
-// than a fork per packet — and one otherwise: fork-per-exec, the
-// BackendKind::kForkPerExec default and what a stock injected binary
-// always gets. persistent_active() reports which. run_batch() keeps up to
-// kNumSlots requests in flight so the round-trip stall disappears from
-// replay-style workloads. A packet too large for a slot rides its fork
-// request on the control pipe and runs alone in a K = 1 child.
+// with the server asleep (exec_protocol.hpp); complete() waits for the
+// oldest submitted packet's result. Up to kNumSlots packets are in flight
+// at once, one per slot, so a caller that keeps the window full never
+// waits out a round trip per execution — fuzz::Fuzzer's step loop does,
+// speculating on generation and discarding on feedback, and
+// fuzz::Executor::run_batch does for replays. run() is one submit() and its
+// complete(). The child serves `persistent_budget` executions (K) when the
+// server advertises kCapPersistent and K > 1 — persistent mode, an order
+// of magnitude faster than a fork per packet — and one otherwise:
+// fork-per-exec, the BackendKind::kForkPerExec default and what a stock
+// injected binary always gets. persistent_active() reports which. A packet
+// too large for a slot rides its fork request on the control pipe and runs
+// alone in a K = 1 child, once everything before it has completed.
 //
 // Robustness: the server's lifecycle is a TargetProcess. A lost fork
 // server (crashed, killed, never handshaken) is respawned transparently
 // with a fresh shm segment and the packet retried under the RetryPolicy;
 // an *orderly* server exit (status 0 — e.g. periodic retirement) is
-// respawned the same way but never booked as a lost server; a target that
+// respawned the same way but never booked as a lost server. The packets
+// in flight behind the one awaited are resubmitted to the new server with
+// their own retry budgets. A target that
 // cannot be started at all degrades every run to kServerLost without
 // throwing, so campaigns report the failure instead of dying.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -101,6 +107,8 @@ class OutOfProcessExecutor {
     bool child_recycled = false;
     /// Aux-block observables; valid (and exact) only for kOk.
     AuxResult aux;
+    /// The packet this outcome answers, as submitted.
+    ByteSpan packet;
   };
 
   explicit OutOfProcessExecutor(OopExecutorConfig config);
@@ -112,27 +120,30 @@ class OutOfProcessExecutor {
   /// loss). False when the target cannot be started; error() explains.
   bool ensure_started();
 
-  /// Runs one packet, retrying across a server respawn. The returned
-  /// reference points at internal scratch refilled every run (vector
-  /// capacities reused), valid until the next call.
-  const Outcome& run(ByteSpan packet);
+  /// Puts `packet` in flight behind the packets already there (at most
+  /// kNumSlots at once). The bytes must stay valid until complete() has
+  /// returned the packet's outcome.
+  void submit(ByteSpan packet);
 
-  /// Pipelined batch dispatch (replay/bench/distill workloads — the
-  /// adaptive fuzzing loop stays per-exec because generation depends on
-  /// each result). Up to kNumSlots requests are in flight at once;
-  /// outcomes are delivered strictly in packet order, each valid only for
-  /// the duration of its callback (the scratch is reused). Returns the
-  /// number of packets executed (always packets.size(); failures surface
-  /// per-outcome, not as early exits).
-  std::size_t run_batch(
-      const std::vector<Bytes>& packets,
-      const std::function<void(std::size_t, const Outcome&)>& on_outcome);
+  /// Waits for the oldest in-flight packet's outcome, retrying it across a
+  /// server respawn (RetryPolicy). The returned reference points at
+  /// internal scratch refilled every call (vector capacities reused), valid
+  /// until the next submit() or complete().
+  const Outcome& complete();
+
+  /// Runs one packet with nothing else in flight: submit() + complete().
+  const Outcome& run(ByteSpan packet) {
+    submit(packet);
+    return complete();
+  }
+
+  /// Packets submitted and not yet completed.
+  [[nodiscard]] std::size_t in_flight() const { return queued_; }
 
   /// The shm coverage words the last outcome's execution produced
   /// (kMapWords uint64s), ready for CoverageMap::adopt_external — the map
   /// of the slot that served the execution. Null until the server
-  /// started. During run_batch this
-  /// advances with each callback.
+  /// started. The next submit() may reuse that slot.
   [[nodiscard]] const std::uint64_t* map_words() const {
     return segment().valid()
                ? reinterpret_cast<const std::uint64_t*>(segment().data() +
@@ -197,6 +208,11 @@ class OutOfProcessExecutor {
   /// Zeroed-scratch outcome for the both-attempts-failed path.
   void fail_outcome(Outcome& out);
 
+  /// Posts the queued packets the current server has not seen, oldest
+  /// first, as far as it accepts them (a packet too large for a slot waits
+  /// until it is the oldest).
+  void pump();
+
   OopExecutorConfig config_;
   TargetProcess process_;
   ForkServer server_{process_, config_.persistent_budget,
@@ -206,6 +222,14 @@ class OutOfProcessExecutor {
   std::size_t map_offset_ = 0;
   std::uint64_t child_recycles_ = 0;
   std::uint64_t oom_kills_ = 0;
+  /// The in-flight packets, oldest at head_; ring position i runs in shm
+  /// slot i, so no two in-flight packets share a slot.
+  std::array<ByteSpan, kNumSlots> queue_{};
+  std::uint32_t head_ = 0;
+  std::uint32_t queued_ = 0;
+  /// How many queued packets (from the oldest) the current server has been
+  /// given; complete() resets it whenever it finds the server gone.
+  std::uint32_t posted_ = 0;
 };
 
 /// The classification rule for a target that terminated, shared by every

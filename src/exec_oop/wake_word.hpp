@@ -57,6 +57,22 @@ inline void bump_wake(std::uint32_t* word) {
   ::syscall(SYS_futex, word, FUTEX_WAKE, INT_MAX, nullptr, nullptr, 0);
 }
 
+/// bump_wake for a word whose sleeper announces itself in `waiting`
+/// (sync_wait_counter's `waiting`, child_claim): the FUTEX_WAKE is issued
+/// only when the announcement is up, and takes it down, so a publisher
+/// whose peer is busy — or already woken and not yet running — skips the
+/// syscall. The announcement is a sequentially consistent store before the
+/// sleeper re-reads the word, and the bump a sequentially consistent RMW
+/// before this load, so either the sleeper sees the bump or this sees the
+/// announcement.
+inline void bump_wake_waiter(std::uint32_t* word, std::uint32_t* waiting) {
+  std::atomic_ref<std::uint32_t>(*word).fetch_add(1);
+  std::atomic_ref<std::uint32_t> announced(*waiting);
+  if (announced.load() != 0 && announced.exchange(0) != 0) {
+    ::syscall(SYS_futex, word, FUTEX_WAKE, INT_MAX, nullptr, nullptr, 0);
+  }
+}
+
 /// Blocks until the word moves off `seen`, a signal interrupts, or
 /// `timeout_ms` passes (negative: no timeout). Returns at once when the word
 /// has already moved.
@@ -85,12 +101,13 @@ inline bool affinity_allows_spin() {
 /// affinity_allows_spin) a short busy-spin comes first. Then the wait
 /// blocks on `wake` in kSyncWaitSliceMs slices. Whenever a slice ends
 /// without a publish it calls `peer_dead()` — a true result ends the wait —
-/// so a peer that keeps publishing costs no liveness check at all. Returns
-/// whether the counter arrived.
+/// so a peer that keeps publishing costs no liveness check at all. With
+/// `waiting` the wait announces itself there before it sleeps, for a
+/// publisher using bump_wake_waiter. Returns whether the counter arrived.
 template <typename Load, typename PeerDead>
 bool sync_wait_counter(std::uint32_t* wake, Load load, std::uint64_t expected,
                        std::uint64_t deadline_ms, PeerDead peer_dead,
-                       bool spin) {
+                       bool spin, std::uint32_t* waiting = nullptr) {
   if (spin) {
     for (int i = 0; i < 4096; ++i) {
       if (load() >= expected) return true;
@@ -98,8 +115,15 @@ bool sync_wait_counter(std::uint32_t* wake, Load load, std::uint64_t expected,
   }
   bool stalled = false;
   for (;;) {
-    const std::uint32_t seen = load_wake(wake);
+    std::uint32_t seen = load_wake(wake);
     if (load() >= expected) return true;
+    if (waiting != nullptr) {
+      // An announcement left up after the wait costs the next publisher
+      // one needless wake, which takes it down.
+      std::atomic_ref<std::uint32_t>(*waiting).store(1);
+      seen = std::atomic_ref<std::uint32_t>(*wake).load();
+      if (load() >= expected) return true;
+    }
     if (stalled && peer_dead()) return false;
     std::uint64_t slice_ms = kSyncWaitSliceMs;
     if (deadline_ms != 0) {

@@ -21,28 +21,17 @@ std::string_view to_string(BackendKind kind) {
   return "?";
 }
 
-void ExecBackend::execute_batch(
-    ProtocolTarget& target, const std::vector<Bytes>& packets,
-    cov::CoverageMap& map, ExecResult& scratch,
-    const std::function<void(std::size_t, const cov::TraceSummary&,
-                             ExecResult&)>& each) {
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    const cov::TraceSummary summary =
-        execute(target, ByteSpan(packets[i]), map, scratch);
-    each(i, summary, scratch);
-  }
-}
-
 namespace {
 
 /// kInProcess: the ProtocolTarget runs on this thread under the
 /// thread-local trace arming — reset, arm, trace, process, finalize.
-class InProcessBackend final : public ExecBackend {
+class InProcessBackend final : public SyncExecBackend {
  public:
   [[nodiscard]] BackendKind kind() const override {
     return BackendKind::kInProcess;
   }
 
+ protected:
   cov::TraceSummary execute(ProtocolTarget& target, ByteSpan packet,
                             cov::CoverageMap& map,
                             ExecResult& result) override {
@@ -70,9 +59,9 @@ class InProcessBackend final : public ExecBackend {
 };
 
 /// kForkPerExec / kPersistent: packets cross into the fork-server target
-/// through OutOfProcessExecutor; the shm trace is adopted into the owning
-/// map (reader-side dirty rebuild) so the analysis downstream of execute()
-/// is byte-for-byte the in-process one.
+/// through OutOfProcessExecutor, up to oop::kNumSlots in flight; the shm
+/// trace is adopted into the owning map (reader-side dirty rebuild) so the
+/// analysis downstream of complete() is byte-for-byte the in-process one.
 class OopBackend final : public ExecBackend {
  public:
   OopBackend(const ExecBackendConfig& config, telem::Sink telemetry)
@@ -94,6 +83,8 @@ class OopBackend final : public ExecBackend {
 
   [[nodiscard]] BackendKind kind() const override { return kind_; }
 
+  [[nodiscard]] std::size_t depth() const override { return oop::kNumSlots; }
+
   [[nodiscard]] const oop::OutOfProcessExecutor* oop() const override {
     return exec_.get();
   }
@@ -102,39 +93,29 @@ class OopBackend final : public ExecBackend {
     return &exec_->process();
   }
 
-  cov::TraceSummary execute(ProtocolTarget& /*target*/, ByteSpan packet,
-                            cov::CoverageMap& map,
-                            ExecResult& result) override {
-    const oop::TargetProcess::Tallies before = exec_->process().tallies();
-    const oop::OutOfProcessExecutor::Outcome& outcome = exec_->run(packet);
-    mirror(before, outcome, packet);
+  void submit(ProtocolTarget& /*target*/, ByteSpan packet) override {
+    exec_->submit(packet);
+  }
+
+  cov::TraceSummary complete(cov::CoverageMap& map,
+                             ExecResult& result) override {
+    const oop::OutOfProcessExecutor::Outcome& outcome = exec_->complete();
+    book(outcome, /*speculative=*/false);
     return adopt_and_fill(outcome, map, result);
   }
 
-  void execute_batch(
-      ProtocolTarget& /*target*/, const std::vector<Bytes>& packets,
-      cov::CoverageMap& map, ExecResult& scratch,
-      const std::function<void(std::size_t, const cov::TraceSummary&,
-                               ExecResult&)>& each) override {
-    oop::TargetProcess::Tallies before = exec_->process().tallies();
-    exec_->run_batch(
-        packets, [&](std::size_t index,
-                     const oop::OutOfProcessExecutor::Outcome& outcome) {
-          mirror(before, outcome, ByteSpan(packets[index]));
-          before = exec_->process().tallies();
-          const cov::TraceSummary summary =
-              adopt_and_fill(outcome, map, scratch);
-          each(index, summary, scratch);
-        });
-  }
+  void discard() override { book(exec_->complete(), /*speculative=*/true); }
 
  private:
-  void mirror(const oop::TargetProcess::Tallies& before,
-              const oop::OutOfProcessExecutor::Outcome& outcome,
-              ByteSpan packet) const {
-    mirror_oop_telemetry(telemetry_, before, exec_->process().tallies(),
-                         outcome, packet, exec_timeout_ms_,
-                         exec_->config().jail);
+  /// Books `outcome` with the lifecycle deltas since the last booking, so a
+  /// respawn that happened while a packet was submitted is counted once.
+  void book(const oop::OutOfProcessExecutor::Outcome& outcome,
+            bool speculative) {
+    const oop::TargetProcess::Tallies& now = exec_->process().tallies();
+    mirror_oop_telemetry(telemetry_, booked_, now, outcome, outcome.packet,
+                         exec_timeout_ms_, exec_->config().jail,
+                         speculative);
+    booked_ = now;
   }
 
   /// Adopts the child's shared-memory trace into `map` (reader-side dirty
@@ -194,6 +175,7 @@ class OopBackend final : public ExecBackend {
   int exec_timeout_ms_;
   telem::Sink telemetry_;
   std::unique_ptr<oop::OutOfProcessExecutor> exec_;
+  oop::TargetProcess::Tallies booked_;
 };
 
 }  // namespace
@@ -203,7 +185,8 @@ void mirror_oop_telemetry(const telem::Sink& sink,
                           const oop::TargetProcess::Tallies& after,
                           const oop::OutOfProcessExecutor::Outcome& outcome,
                           ByteSpan packet, int exec_timeout_ms,
-                          const supervise::ResourceJail& jail) {
+                          const supervise::ResourceJail& jail,
+                          bool speculative) {
   if (!sink.enabled()) return;
   // A deadline SIGKILL ("hang") is a target bug, a lost server is
   // infrastructure trouble, and an orderly retirement is neither — the
@@ -224,6 +207,12 @@ void mirror_oop_telemetry(const telem::Sink& sink,
   if (outcome.child_recycled) {
     sink.add(telem::Counter::kOopChildRecycles);
     sink.observe(telem::Histogram::kOopIterationsPerChild, outcome.iteration);
+  }
+  if (speculative) {
+    // Work the fuzzer threw away unseen: whatever became of it is no
+    // finding and no infrastructure failure of the campaign.
+    sink.add(telem::Counter::kOopSpeculativeDiscards);
+    return;
   }
   char detail[48];
   switch (outcome.status) {

@@ -23,17 +23,22 @@
 // and books telemetry through mirror_oop_telemetry: one supervision
 // contract and one set of counters, whichever transport is in use.
 //
-// Contract of execute(): fill the observable fields of `result` (events,
-// faults, response, truncation flags) and run the map's trace
-// begin/finalize cycle, returning the TraceSummary. The Executor that owns
-// the map layers the campaign-lifetime semantics on top (hang budget,
-// path recording, new_coverage/new_path flags) — identically across
-// backends, which is what the in-process/out-of-process differential
-// oracle (test_exec_oop.cpp) leans on.
+// Contract: packets go in through submit() and come out, in order, through
+// complete() — at most depth() in flight. complete() fills the observable
+// fields of `result` (events, faults, response, truncation flags) and runs
+// the map's trace begin/finalize cycle, returning the TraceSummary. The
+// Executor that owns the map layers the campaign-lifetime semantics on top
+// (hang budget, path recording, new_coverage/new_path flags) — identically
+// across backends, which is what the in-process/out-of-process
+// differential oracle (test_exec_oop.cpp) leans on. discard() retires the
+// oldest packet instead, touching neither map nor result: the fuzzer's
+// step loop submits generations speculatively and drops the ones that
+// feedback made stale. The fork-server kinds keep oop::kNumSlots packets in
+// flight; every other backend has depth 1 and runs a packet synchronously
+// inside complete() (SyncExecBackend), so discarding it costs nothing.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -138,25 +143,27 @@ class ExecBackend {
 
   [[nodiscard]] virtual BackendKind kind() const = 0;
 
-  /// Executes one packet: fills result.events/.faults/.response/
-  /// .response_truncated (reusing vector capacity) and runs one trace
-  /// cycle on `map`, returning its summary. Everything campaign-lifetime
-  /// (hang budget, path set, new_* flags) is the caller's job.
-  virtual cov::TraceSummary execute(ProtocolTarget& target, ByteSpan packet,
-                                    cov::CoverageMap& map,
-                                    ExecResult& result) = 0;
+  /// How many packets may be in flight at once.
+  [[nodiscard]] virtual std::size_t depth() const { return 1; }
 
-  /// Batch execution for replay-shaped workloads (bench, distill,
-  /// trajectory replay): delivers one (index, summary, result) triple per
-  /// packet, strictly in order, through `each`; `scratch` is reused for
-  /// every delivery. The default implementation loops execute(); the
-  /// fork-server backends override it to pipeline requests across the shm
-  /// slots.
-  virtual void execute_batch(
-      ProtocolTarget& target, const std::vector<Bytes>& packets,
-      cov::CoverageMap& map, ExecResult& scratch,
-      const std::function<void(std::size_t, const cov::TraceSummary&,
-                               ExecResult&)>& each);
+  /// Puts `packet` in flight behind those already there (at most depth()).
+  /// `target` and the packet bytes must stay valid until the packet's
+  /// complete() or discard().
+  virtual void submit(ProtocolTarget& target, ByteSpan packet) = 0;
+
+  /// Executes the oldest in-flight packet: fills result.events/.faults/
+  /// .response/.response_truncated (reusing vector capacity) and runs one
+  /// trace cycle on `map`, returning its summary. Everything
+  /// campaign-lifetime (hang budget, path set, new_* flags) is the
+  /// caller's job.
+  virtual cov::TraceSummary complete(cov::CoverageMap& map,
+                                     ExecResult& result) = 0;
+
+  /// Retires the oldest in-flight packet without an observable result:
+  /// neither a map nor a result is touched. A packet already running is
+  /// waited out, and its lifecycle (recycles, respawns) is booked as a
+  /// speculative discard, never as a verdict.
+  virtual void discard() = 0;
 
   /// The fork-server transport, when this backend has one (null
   /// in-process and for kTcp). Fault-injection tests and the OOP bench
@@ -181,6 +188,31 @@ class ExecBackend {
   }
 };
 
+/// A depth-1 backend: submit() only remembers the packet, complete() runs
+/// it synchronously through execute(), and discard() drops it unrun.
+class SyncExecBackend : public ExecBackend {
+ public:
+  void submit(ProtocolTarget& target, ByteSpan packet) final {
+    target_ = &target;
+    packet_ = packet;
+  }
+  cov::TraceSummary complete(cov::CoverageMap& map,
+                             ExecResult& result) final {
+    return execute(*target_, packet_, map, result);
+  }
+  void discard() final {}
+
+ protected:
+  /// Runs one packet (see complete()).
+  virtual cov::TraceSummary execute(ProtocolTarget& target, ByteSpan packet,
+                                    cov::CoverageMap& map,
+                                    ExecResult& result) = 0;
+
+ private:
+  ProtocolTarget* target_ = nullptr;
+  ByteSpan packet_;
+};
+
 /// Builds the backend `config` describes. `telemetry` receives the
 /// out-of-process restart / retry / hang / recycle observables (in-process
 /// backends never touch it).
@@ -191,14 +223,17 @@ std::unique_ptr<ExecBackend> make_exec_backend(const ExecBackendConfig& config,
 /// out-of-process backend: the lifecycle deltas between two TargetProcess
 /// tallies (restarts with a fork-server-respawn event and its reason,
 /// retries, orderly server exits), a persistent child's recycle, and the
-/// outcome's hang / OOM / server-lost verdict with its journal event.
-/// `packet` is hashed only for a journal event.
+/// outcome's hang / OOM / server-lost verdict with its journal event. A
+/// `speculative` execution (ExecBackend::discard) books the lifecycle and
+/// one oop_speculative_discards instead of any verdict. `packet` is hashed
+/// only for a journal event.
 void mirror_oop_telemetry(const telem::Sink& sink,
                           const oop::TargetProcess::Tallies& before,
                           const oop::TargetProcess::Tallies& after,
                           const oop::OutOfProcessExecutor::Outcome& outcome,
                           ByteSpan packet, int exec_timeout_ms,
-                          const supervise::ResourceJail& jail);
+                          const supervise::ResourceJail& jail,
+                          bool speculative = false);
 
 /// The synthetic fault of an execution whose target died (kCrash / kOom):
 /// oop-child-oom when the resource jail fired, oop-child-terminated with

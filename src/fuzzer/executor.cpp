@@ -23,23 +23,28 @@ const ExecResult& Executor::run(ProtocolTarget& target, ByteSpan packet) {
 
 void Executor::run_into(ProtocolTarget& target, ByteSpan packet,
                         ExecResult& result) {
+  submit(target, packet);
+  complete_into(result);
+}
+
+void Executor::complete_into(ExecResult& result) {
   ++executions_;
-  const cov::TraceSummary summary =
-      backend_->execute(target, packet, map_, result);
+  const cov::TraceSummary summary = backend_->complete(map_, result);
   finish_result(summary, result);
 }
 
 void Executor::run_batch(
     ProtocolTarget& target, const std::vector<Bytes>& packets,
     const std::function<void(std::size_t, const ExecResult&)>& on_result) {
-  backend_->execute_batch(
-      target, packets, map_, scratch_,
-      [&](std::size_t index, const cov::TraceSummary& summary,
-          ExecResult& result) {
-        ++executions_;
-        finish_result(summary, result);
-        on_result(index, result);
-      });
+  std::size_t submitted = 0;
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    for (; submitted < packets.size() && submitted - i < window_depth();
+         ++submitted) {
+      submit(target, ByteSpan(packets[submitted]));
+    }
+    complete_into(scratch_);
+    on_result(i, scratch_);
+  }
 }
 
 /// Shared tail of every backend: the deterministic hang budget and the

@@ -9,6 +9,14 @@
 // out-of-process — one seam, selected by ExecutorConfig::backend. The
 // Executor owns everything campaign-lifetime regardless of backend: the
 // accumulated coverage map, the path set, the deterministic hang budget.
+//
+// Executions go through one in-flight window: submit() puts packets in
+// flight (up to window_depth(): oop::kNumSlots on the fork-server kinds, 1
+// elsewhere), complete_into() turns the oldest into the campaign's next
+// execution, and discard() drops it without a trace in campaign state.
+// run()/run_into() are one submit and its completion; run_batch() keeps
+// the window full over a packet list. The adaptive loop (fuzz::Fuzzer)
+// drives the same window with speculatively generated packets.
 #pragma once
 
 #include <cstdint>
@@ -66,10 +74,11 @@ class Executor {
   Executor& operator=(Executor&&) noexcept;
 
   /// Resets the target, arms coverage + sanitizer, runs one packet and
-  /// classifies the outcome. Updates the campaign's accumulated coverage
-  /// and path set. The returned reference points at per-executor scratch
-  /// refilled every run (vector capacities reused — the steady state
-  /// allocates nothing), valid until the next run/run_into/run_batch call.
+  /// classifies the outcome, with nothing else in flight. Updates the
+  /// campaign's accumulated coverage and path set. The returned reference
+  /// points at per-executor scratch refilled every run (vector capacities
+  /// reused — the steady state allocates nothing), valid until the next
+  /// run/run_into/run_batch call.
   const ExecResult& run(ProtocolTarget& target, ByteSpan packet);
 
   /// Caller-owned-buffer variant of run(): overwrites `result` in place,
@@ -79,16 +88,33 @@ class Executor {
   /// ProtocolTarget::process_into).
   void run_into(ProtocolTarget& target, ByteSpan packet, ExecResult& result);
 
-  /// Runs a batch of packets, delivering each classified result in packet
-  /// order (the result reference is scratch, valid only inside the
-  /// callback). The persistent backend pipelines the batch across its shm
-  /// slots; other backends execute sequentially. Campaign state (paths,
-  /// accumulated coverage, execution count) advances exactly as if run()
-  /// had been called per packet — batch vs sequential trajectories are
+  /// Runs a batch of packets with the window kept full, delivering each
+  /// classified result in packet order (the result reference is scratch,
+  /// valid only inside the callback). Campaign state (paths, accumulated
+  /// coverage, execution count) advances exactly as if run() had been
+  /// called per packet — batch vs sequential trajectories are
   /// bit-identical (asserted by test_exec_oop.cpp).
   void run_batch(ProtocolTarget& target, const std::vector<Bytes>& packets,
                  const std::function<void(std::size_t, const ExecResult&)>&
                      on_result);
+
+  /// How many packets the backend keeps in flight at once.
+  [[nodiscard]] std::size_t window_depth() const { return backend_->depth(); }
+
+  /// Puts `packet` in flight behind the packets already there (at most
+  /// window_depth()). `target` and the packet bytes must stay valid until
+  /// the packet is completed or discarded.
+  void submit(ProtocolTarget& target, ByteSpan packet) {
+    backend_->submit(target, packet);
+  }
+
+  /// Completes the oldest in-flight packet as the campaign's next
+  /// execution into `result` (see run_into).
+  void complete_into(ExecResult& result);
+
+  /// Retires the oldest in-flight packet unseen: the execution count,
+  /// coverage and path set stay as they were.
+  void discard() { backend_->discard(); }
 
   [[nodiscard]] const cov::CoverageMap& coverage() const { return map_; }
   [[nodiscard]] const cov::PathTracker& paths() const { return paths_; }

@@ -54,81 +54,98 @@ Fuzzer::Fuzzer(ProtocolTarget& target, const model::DataModelSet& models,
       semantic_(config.semantic, config.mutators),
       corpus_(config.corpus),
       stats_(config.stats_interval) {
+  window_depth_ = std::min(executor_.window_depth(), window_.size());
   if (config_.session.enabled && !models.empty()) {
     sequencer_ = std::make_unique<session::SessionSequencer>(
         config_.session, models_, semantic_.instantiator());
   }
 }
 
-const model::DataModel& Fuzzer::choose_model() {
-  return models_.models()[rng_.index(models_.size())];
+const model::DataModel& Fuzzer::choose_model(Rng& rng) {
+  return models_.models()[rng.index(models_.size())];
 }
 
-bool Fuzzer::seen_before(const Bytes& packet) {
+bool Fuzzer::seen_before(Speculation& entry) {
   std::uint64_t hash = 1469598103934665603ULL;
-  for (std::uint8_t byte : packet) {
+  for (std::uint8_t byte : entry.packet) {
     hash ^= byte;
     hash *= 1099511628211ULL;
   }
   // Memory stays bounded via generational half-clears: at least the most
   // recent dedup_capacity/2 packets remain deduplicated at all times.
-  return !executed_.insert(hash);
+  if (executed_.contains(hash)) return true;
+  // The window's earlier generations commit first, so their fresh hashes
+  // count as executed.
+  for (std::size_t k = 0; k < window_size_; ++k) {
+    const Speculation& earlier = window_at(k);
+    if (earlier.fresh && earlier.fresh_hash == hash) return true;
+  }
+  entry.fresh = true;
+  entry.fresh_hash = hash;
+  return false;
 }
 
-void Fuzzer::next_packet_into(const model::DataModel*& used_model,
-                              Bytes& out) {
-  used_model = nullptr;
+void Fuzzer::generate(Speculation& entry) {
+  entry.model = nullptr;
+  entry.imported_taken = 0;
+  entry.batch_taken = 0;
+  entry.fresh = false;
+  Bytes& out = entry.packet;
+  Rng& rng = gen_rng_;
   // A few regeneration attempts skip packets already executed — the
   // "meaningless repetitions" the paper's design sets out to rule out.
   constexpr int kDedupAttempts = 4;
   // Peer seeds synced from the exchange run first (for every strategy):
   // executing them locally is what transfers the peer's coverage discovery
   // into this worker's map, corpus and pools.
-  while (!imported_.empty()) {
-    out = std::move(imported_.front());
-    imported_.pop_front();
-    if (!seen_before(out)) return;
+  while (gen_imported_ < imported_.size()) {
+    const Bytes& seed = imported_[gen_imported_++];
+    ++entry.imported_taken;
+    out.assign(seed.begin(), seed.end());
+    if (!seen_before(entry)) return;
   }
+  // Cracked-batch seeds run next under PeachStar, in session mode too.
+  const auto next_batch_seed = [&] {
+    while (config_.strategy == Strategy::PeachStar &&
+           gen_batch_ < pending_batch_.size()) {
+      const Bytes& seed = pending_batch_[gen_batch_++];
+      ++entry.batch_taken;
+      out.assign(seed.begin(), seed.end());
+      if (!seen_before(entry)) return true;
+    }
+    return false;
+  };
   if (sequencer_ != nullptr) {
     // Session mode replaces per-packet generation for every strategy: a
     // "packet" is a whole session stream from the sequencer, or a mutation
     // of a retained valuable session (the session-level analogue of the
     // seed-reuse loop). Cracked-batch seeds still run first under
     // PeachStar — they are session streams too, retained ones re-cracked.
-    while (config_.strategy == Strategy::PeachStar &&
-           !pending_batch_.empty()) {
-      out = std::move(pending_batch_.front());
-      pending_batch_.pop_front();
-      if (!seen_before(out)) return;
-    }
+    if (next_batch_seed()) return;
     for (int attempt = 0;; ++attempt) {
-      if (!retained_.empty() && rng_.chance(30, 100)) {
-        const RetainedSeed& seed = rng_.pick(retained_);
-        sequencer_->mutate_stream_into(ByteSpan(seed.bytes), rng_, out);
+      if (!retained_.empty() && rng.chance(30, 100)) {
+        const RetainedSeed& seed = rng.pick(retained_);
+        sequencer_->mutate_stream_into(ByteSpan(seed.bytes), rng, out);
       } else {
-        sequencer_->generate_into(rng_, out);
+        sequencer_->generate_into(rng, out);
       }
-      if (attempt >= kDedupAttempts || !seen_before(out)) return;
+      if (attempt >= kDedupAttempts || !seen_before(entry)) return;
     }
   }
   if (config_.strategy == Strategy::PeachStar) {
     // Drain the combinatorial batch scheduled by the last crack first.
-    while (!pending_batch_.empty()) {
-      out = std::move(pending_batch_.front());
-      pending_batch_.pop_front();
-      if (!seen_before(out)) return;
-    }
+    if (next_batch_seed()) return;
     for (int attempt = 0;; ++attempt) {
-      const model::DataModel& model = choose_model();
-      used_model = &model;
+      const model::DataModel& model = choose_model(rng);
+      entry.model = &model;
       const bool semantic =
-          !corpus_.empty() && rng_.chance(config_.steady_semantic_pct, 100);
+          !corpus_.empty() && rng.chance(config_.steady_semantic_pct, 100);
       if (semantic) {
-        semantic_.generate_into(model, corpus_, rng_, out);
+        semantic_.generate_into(model, corpus_, rng, out);
       } else {
-        semantic_.instantiator().generate_into(model, rng_, out);
+        semantic_.instantiator().generate_into(model, rng, out);
       }
-      if (attempt >= kDedupAttempts || !seen_before(out)) return;
+      if (attempt >= kDedupAttempts || !seen_before(entry)) return;
     }
   }
   if (config_.strategy == Strategy::ByteMutation) {
@@ -139,21 +156,75 @@ void Fuzzer::next_packet_into(const model::DataModel*& used_model,
       }
     }
     for (int attempt = 0;; ++attempt) {
-      const Bytes& seed = rng_.pick(mutation_pool_);
+      const Bytes& seed = rng.pick(mutation_pool_);
       out.assign(seed.begin(), seed.end());
-      const std::uint64_t stack = rng_.between(1, 8);
+      const std::uint64_t stack = rng.between(1, 8);
       for (std::uint64_t i = 0; i < stack; ++i) {
-        semantic_.instantiator().mutators().mutate_in_place(out, rng_);
+        semantic_.instantiator().mutators().mutate_in_place(out, rng);
       }
-      if (attempt >= kDedupAttempts || !seen_before(out)) return;
+      if (attempt >= kDedupAttempts || !seen_before(entry)) return;
     }
   }
   // Baseline Peach: inherent generation only.
   for (int attempt = 0;; ++attempt) {
-    const model::DataModel& model = choose_model();
-    used_model = &model;
-    semantic_.instantiator().generate_into(model, rng_, out);
-    if (attempt >= kDedupAttempts || !seen_before(out)) return;
+    const model::DataModel& model = choose_model(rng);
+    entry.model = &model;
+    semantic_.instantiator().generate_into(model, rng, out);
+    if (attempt >= kDedupAttempts || !seen_before(entry)) return;
+  }
+}
+
+void Fuzzer::fill_window() {
+  const telem::Sink& telemetry = config_.telemetry;
+  // Entry k is generated only while committing the k entries ahead of it
+  // cannot rotate the dedup generations: a rotation would drop hashes its
+  // dedup check still counted as executed.
+  const std::size_t rotation_at = executed_.capacity() / 2;
+  while (window_size_ < window_depth_ &&
+         (window_size_ == 0 ||
+          executed_.current_generation().size() + window_size_ <
+              rotation_at)) {
+    if (window_size_ == 0) {
+      gen_rng_.set_state(rng_.state());
+      gen_imported_ = 0;
+      gen_batch_ = 0;
+    }
+    Speculation& entry = window_at(window_size_);
+    generate(entry);
+    entry.rng_after = gen_rng_.state();
+    // Latency is sampled once per 64 executions, decided on the execution
+    // index this entry commits as — deterministic across repeats — so the
+    // ~40ns clock-read pair amortizes to well under a nanosecond of
+    // per-execution cost.
+    entry.submit_ns =
+        telemetry.enabled() &&
+                telem::latency_sampled(executor_.executions() + window_size_)
+            ? telemetry.now_ns()
+            : 0;
+    executor_.submit(target_, ByteSpan(entry.packet));
+    ++window_size_;
+  }
+}
+
+void Fuzzer::commit(const Speculation& head) {
+  rng_.set_state(head.rng_after);
+  for (std::uint32_t i = 0; i < head.imported_taken; ++i) {
+    imported_.pop_front();
+  }
+  for (std::uint32_t i = 0; i < head.batch_taken; ++i) {
+    pending_batch_.pop_front();
+  }
+  gen_imported_ -= head.imported_taken;
+  gen_batch_ -= head.batch_taken;
+  if (head.fresh) executed_.insert(head.fresh_hash);
+  window_head_ = (window_head_ + 1) % window_depth_;
+  --window_size_;
+}
+
+void Fuzzer::drain_window() {
+  for (; window_size_ > 0; --window_size_) {
+    executor_.discard();
+    window_head_ = (window_head_ + 1) % window_depth_;
   }
 }
 
@@ -161,22 +232,26 @@ ExecResult Fuzzer::step() { return step_fast(); }
 
 const ExecResult& Fuzzer::step_fast() {
   const telem::Sink& telemetry = config_.telemetry;
-  const model::DataModel* used_model = nullptr;
-  next_packet_into(used_model, packet_scratch_);
-  const Bytes& packet = packet_scratch_;
-  // Latency is sampled once per 64 executions, decided on the execution
-  // count — deterministic across repeats — so the ~40ns clock-read pair
-  // amortizes to well under a nanosecond of per-execution cost.
+  if (window_revision_ != revision_) {
+    drain_window();
+    window_revision_ = revision_;
+  }
+  fill_window();
+  // commit() retires the head from the ring; its entry stays intact until
+  // the next step refills it.
+  const Speculation& head = window_at(0);
+  commit(head);
+  const Bytes& packet = head.packet;
+  const model::DataModel* used_model = head.model;
   const bool sample_latency =
       telemetry.enabled() && telem::latency_sampled(executor_.executions());
-  const std::uint64_t latency_start = sample_latency ? telemetry.now_ns() : 0;
-  executor_.run_into(target_, packet, exec_scratch_);
+  executor_.complete_into(exec_scratch_);
   ExecResult& result = exec_scratch_;
 
   if (telemetry.enabled()) {
     if (sample_latency) {
       telemetry.observe(telem::Histogram::kExecLatencyNs,
-                        telemetry.now_ns() - latency_start);
+                        telemetry.now_ns() - head.submit_ns);
     }
     telemetry.add(telem::Counter::kExecutions);
     telemetry.observe(telem::Histogram::kPacketBytes, packet.size());
@@ -217,6 +292,7 @@ const ExecResult& Fuzzer::step_fast() {
 
   if (config_.strategy == Strategy::ByteMutation && result.new_coverage) {
     // AFL-style queue growth: interesting inputs become future seeds.
+    ++revision_;
     constexpr std::size_t kPoolCap = 2048;
     if (mutation_pool_.size() >= kPoolCap) {
       mutation_pool_[rng_.index(mutation_pool_.size())] = packet;
@@ -232,6 +308,7 @@ const ExecResult& Fuzzer::step_fast() {
     // Valuable seed: retain it, crack it into puzzles, and schedule the
     // combinatorial batch against the *other* data models so the donated
     // pieces transfer across packet types.
+    ++revision_;
     if (result.new_coverage) {
       if (retained_.size() >= config_.max_retained_seeds) {
         retained_.erase(retained_.begin());
@@ -249,7 +326,7 @@ const ExecResult& Fuzzer::step_fast() {
     // Schedule the combinatorial batch only when the crack contributed new
     // puzzles: a crack that changed nothing would replay known material.
     if (result.new_coverage && crack_stats.puzzles_added > 0) {
-      const model::DataModel& donor_target = choose_model();
+      const model::DataModel& donor_target = choose_model(rng_);
       std::vector<Bytes> batch =
           semantic_.generate_batch(donor_target, corpus_, rng_);
       if (telemetry.enabled()) {
@@ -301,6 +378,7 @@ void Fuzzer::auto_distill() {
   }
   if (result.kept.size() == retained_.size()) return;
 
+  ++revision_;  // session-mode generation reads the retained pool
   std::vector<RetainedSeed> kept;
   kept.reserve(result.kept.size());
   for (const std::size_t index : result.kept) {
@@ -328,6 +406,7 @@ void Fuzzer::run(std::uint64_t iterations,
 }
 
 void Fuzzer::finish() {
+  drain_window();
   stats_.finalize(executor_.executions(), executor_.path_count(),
                   executor_.edge_count(), crash_db_.unique_count(),
                   corpus_.size(), config_.telemetry.now_ns());
@@ -336,6 +415,7 @@ void Fuzzer::finish() {
 void Fuzzer::import_external_seed(Bytes packet) {
   config_.telemetry.add(telem::Counter::kImportedSeeds);
   imported_.push_back(std::move(packet));
+  ++revision_;
 }
 
 FuzzerCheckpoint Fuzzer::capture_checkpoint() const {
@@ -365,6 +445,7 @@ FuzzerCheckpoint Fuzzer::capture_checkpoint() const {
 }
 
 void Fuzzer::restore_checkpoint(const FuzzerCheckpoint& cp) {
+  ++revision_;
   rng_.set_state(cp.rng);
   executed_.restore_generations(cp.dedup_current, cp.dedup_previous);
   corpus_.restore(cp.corpus);

@@ -13,8 +13,22 @@
 //     porting the approach to mutation-based fuzzers): seeds are the
 //     models' default instances, new-coverage packets join the pool, and
 //     generation is stacked byte-level mutation with no format knowledge.
+//
+// The step loop runs on the executor's in-flight window (depth
+// oop::kNumSlots on the fork-server backends, 1 elsewhere). Packets are
+// generated ahead on a shadow of the generation inputs — a copy of the rng,
+// read cursors into the import and batch queues, the window's own fresh
+// dedup hashes — and submitted at once. Each step commits the oldest
+// generation's effects in order, then adopts its result and runs the
+// feedback code, so the dedup tables, the rng and the queues see exactly
+// the sequence of a one-at-a-time loop. Feedback that changes a generation
+// input (a crack, ByteMutation pool growth, auto-distill, an import, a
+// corpus merge, a restore) bumps a revision; the next step then discards
+// the rest of the window unseen and generates again from the committed
+// state. A trajectory is therefore bit-identical at every depth.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <functional>
 
@@ -28,6 +42,7 @@
 #include "fuzzer/stats.hpp"
 #include "model/data_model.hpp"
 #include "session/sequencer.hpp"
+#include "exec_oop/exec_protocol.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace icsfuzz::fuzz {
@@ -98,7 +113,8 @@ struct RetainedSeed {
 /// config and restored from this image continues the campaign bit-for-bit
 /// as if it had never stopped (gated by tests/test_checkpoint_resume.cpp).
 /// Captured only between step_fast() calls (scratch buffers hold no
-/// trajectory state at iteration boundaries).
+/// trajectory state at iteration boundaries, and generations still in the
+/// in-flight window are not part of it: they were never committed).
 struct FuzzerCheckpoint {
   Rng::State rng{};
   /// Both dedup generations, separately — which set is current decides
@@ -170,7 +186,8 @@ class Fuzzer {
     return distill_dropped_;
   }
 
-  /// Finalizes the stats series (records a last checkpoint).
+  /// Finalizes the stats series (records a last checkpoint) and drains the
+  /// in-flight window.
   void finish();
 
   // -- Parallel-campaign hooks (src/parallel/). --
@@ -196,8 +213,12 @@ class Fuzzer {
   std::vector<RetainedSeed> drain_new_retained();
 
   /// Mutable corpus access for in-place merges from the seed exchange
-  /// (pair with an import-side RNG, never the generation stream).
-  [[nodiscard]] PuzzleCorpus& mutable_corpus() { return corpus_; }
+  /// (pair with an import-side RNG, never the generation stream). A merge
+  /// changes what generation produces, so this stales the in-flight window.
+  [[nodiscard]] PuzzleCorpus& mutable_corpus() {
+    ++revision_;
+    return corpus_;
+  }
 
   // -- Crash-safe checkpoint/resume (src/supervise/). --
 
@@ -212,16 +233,48 @@ class Fuzzer {
   void restore_checkpoint(const FuzzerCheckpoint& checkpoint);
 
  private:
+  /// One generation in the in-flight window: the packet, and what
+  /// committing it does to the generation inputs.
+  struct Speculation {
+    Bytes packet;
+    const model::DataModel* model = nullptr;
+    /// The generation rng's state after this packet.
+    Rng::State rng_after{};
+    /// Queue entries this generation read (accepted or skipped as repeats).
+    std::uint32_t imported_taken = 0;
+    std::uint32_t batch_taken = 0;
+    /// The packet's hash joins the dedup tables on commit.
+    bool fresh = false;
+    std::uint64_t fresh_hash = 0;
+    /// Telemetry clock at submit when this execution's latency is sampled.
+    std::uint64_t submit_ns = 0;
+  };
+
   /// CHOOSE(SM): uniformly random model selection.
-  const model::DataModel& choose_model();
+  const model::DataModel& choose_model(Rng& rng);
 
-  /// Produces the next packet according to the active strategy into `out`
-  /// (caller-owned scratch; capacity reused across iterations).
-  void next_packet_into(const model::DataModel*& used_model, Bytes& out);
+  /// Produces the next packet according to the active strategy into
+  /// `entry`, drawing from the shadow inputs (gen_rng_ and the queue
+  /// cursors) and leaving committed state alone.
+  void generate(Speculation& entry);
 
-  /// Returns true when `packet` was executed before in this campaign
-  /// (and records it otherwise).
-  bool seen_before(const Bytes& packet);
+  /// Returns true when `entry`'s packet ran before in this campaign or is
+  /// already in flight; otherwise marks it as the entry's fresh hash.
+  bool seen_before(Speculation& entry);
+
+  /// Generates and submits until the window is full. Entry k is generated
+  /// only while no dedup rotation can fire before it commits.
+  void fill_window();
+
+  /// Applies the head generation's effects to the committed state.
+  void commit(const Speculation& head);
+
+  /// Discards every in-flight generation.
+  void drain_window();
+
+  [[nodiscard]] Speculation& window_at(std::size_t offset) {
+    return window_[(window_head_ + offset) % window_depth_];
+  }
 
   /// Minimizes the retained pool in place (FuzzerConfig::distill_interval).
   void auto_distill();
@@ -255,12 +308,23 @@ class Fuzzer {
 
   /// Peer seeds queued by import_external_seed (drained before generation).
   std::deque<Bytes> imported_;
-  /// Iteration scratch reused by step_fast(): the generated packet and the
-  /// execution result. Their capacities converge after warm-up, making the
-  /// steady-state loop allocation-free outside rare events (new coverage,
-  /// crashes).
-  Bytes packet_scratch_;
+  /// The in-flight window: a ring of window_depth_ generations, the oldest
+  /// at window_head_. Packet and result capacities converge after warm-up,
+  /// making the steady-state loop allocation-free outside rare events (new
+  /// coverage, crashes).
+  std::array<Speculation, oop::kNumSlots> window_;
+  std::size_t window_depth_ = 1;
+  std::size_t window_head_ = 0;
+  std::size_t window_size_ = 0;
   ExecResult exec_scratch_;
+  /// Shadow generation state, just past the window's newest entry.
+  Rng gen_rng_;
+  std::size_t gen_imported_ = 0;
+  std::size_t gen_batch_ = 0;
+  /// Bumped whenever feedback changes a generation input; the window was
+  /// generated at window_revision_.
+  std::uint64_t revision_ = 0;
+  std::uint64_t window_revision_ = 0;
   /// Lifetime count of retained seeds and how many have been exported —
   /// the eviction-safe cursor behind drain_new_retained().
   std::uint64_t total_retained_ = 0;

@@ -10,7 +10,7 @@ namespace icsfuzz::session {
 
 namespace {
 
-class InProcessSessionBackend final : public fuzz::ExecBackend {
+class InProcessSessionBackend final : public fuzz::SyncExecBackend {
  public:
   explicit InProcessSessionBackend(const SessionOptions& options)
       : options_(options) {}

@@ -39,7 +39,7 @@ void close_abortive(int fd) {
   ::close(fd);
 }
 
-class TcpSessionBackend final : public fuzz::ExecBackend {
+class TcpSessionBackend final : public fuzz::SyncExecBackend {
  public:
   TcpSessionBackend(const fuzz::ExecBackendConfig& config,
                     telem::Sink telemetry)

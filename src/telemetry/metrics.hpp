@@ -47,6 +47,8 @@ enum class Counter : std::uint8_t {
   kOopServerExits,      ///< orderly fork-server exits absorbed by respawn
   kOopChildRecycles,    ///< fork-server children recycled (budget/crash/hang)
   kOopOomKills,         ///< resource-jail allocation-failure kills
+  kOopSpeculativeDiscards,  ///< in-flight executions the fuzzer's window
+                            ///< drained unseen after feedback moved
   kCheckpointsSaved,    ///< supervisor checkpoints written to disk
   kWatchdogKicks,       ///< wedged workers remediated by the watchdog
   kSessionsExecuted,    ///< stateful session executions (session backends)

@@ -19,11 +19,18 @@
 //     batch == sequential execution,
 //   * fixed-seed campaign trajectories (Fuzzer with and without
 //     auto-distill, ParallelCampaign at W=2) bit-identical across all
-//     three ExecBackend kinds.
+//     three ExecBackend kinds,
+//   * the Fuzzer's speculative in-flight window: a kPersistent campaign
+//     (four generations in flight, discarded whenever feedback moves)
+//     ends in exactly the state of its in-process twin — per strategy,
+//     with cracks on every seed, auto-distill, imports between steps,
+//     dedup rotations inside windows, a checkpoint taken mid-window and
+//     crash sites hit while later requests are in flight.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,6 +47,8 @@
 #include "pits/pits.hpp"
 #include "protocols/modbus/modbus_server.hpp"
 #include "protocols/target_registry.hpp"
+#include "supervise/checkpoint.hpp"
+#include "telemetry/telemetry.hpp"
 #include "tests/test_support.hpp"
 #include "util/rng.hpp"
 
@@ -539,14 +548,22 @@ TEST(OopPersistent, OversizedPacketRunsAloneAndKeepsTheBudget) {
   packets.resize(8);
   packets.insert(packets.begin() + 2, oversized);
 
+  // The window stays full: the oversized packet is submitted while three
+  // packets are in flight ahead of it.
   std::vector<std::uint32_t> iterations;
   std::vector<bool> recycled;
-  exec.run_batch(packets, [&](std::size_t index,
-                              const oop::OutOfProcessExecutor::Outcome& out) {
+  std::size_t submitted = 0;
+  for (std::size_t index = 0; index < packets.size(); ++index) {
+    for (; submitted < packets.size() && exec.in_flight() < oop::kNumSlots;
+         ++submitted) {
+      exec.submit(packets[submitted]);
+    }
+    const oop::OutOfProcessExecutor::Outcome& out = exec.complete();
     EXPECT_EQ(out.status, oop::ExecStatus::kOk) << "packet " << index;
+    EXPECT_EQ(out.packet.size(), packets[index].size()) << "packet " << index;
     iterations.push_back(out.iteration);
     recycled.push_back(out.child_recycled);
-  });
+  }
   const std::vector<std::uint32_t> expect_iterations = {1, 2, 1, 1, 2,
                                                         3, 4, 1, 2};
   EXPECT_EQ(iterations, expect_iterations);
@@ -820,6 +837,278 @@ TEST(OopTrajectory, ParallelCampaignW2IdenticalAcrossAllBackends) {
     EXPECT_EQ(oop.global_edges, inproc.global_edges);
     EXPECT_EQ(oop.total_executions, inproc.total_executions);
   }
+}
+
+// -- The speculative in-flight window. ------------------------------------
+
+/// One fixed-seed campaign of the window suite.
+struct WindowCampaign {
+  std::string project = "libmodbus";
+  fuzz::Strategy strategy = fuzz::Strategy::PeachStar;
+  std::uint64_t rng_seed = 42;
+  bool crack_all_seeds = false;
+  std::uint64_t distill_interval = 0;
+  std::size_t dedup_capacity = fuzz::FuzzerConfig{}.dedup_capacity;
+  /// kPersistent's K (0: the config default).
+  std::uint32_t persistent_budget = 0;
+  std::uint64_t steps = 2000;
+  /// Runs before step `i` (imports between steps).
+  std::function<void(fuzz::Fuzzer&, std::uint64_t)> before_step;
+};
+
+/// A campaign in progress: the fuzzer plus everything it references.
+struct CampaignRun {
+  std::unique_ptr<ProtocolTarget> target;
+  model::DataModelSet models;
+  telem::Telemetry hub;
+  std::unique_ptr<fuzz::Fuzzer> fuzzer;
+
+  [[nodiscard]] std::uint64_t discards() const {
+    return hub.snapshot().counter(telem::Counter::kOopSpeculativeDiscards);
+  }
+};
+
+std::unique_ptr<CampaignRun> start_campaign(const WindowCampaign& campaign,
+                                            fuzz::BackendKind kind) {
+  auto run = std::make_unique<CampaignRun>();
+  run->target = proto::target_factory(campaign.project)();
+  run->models = pits::pit_for_project(campaign.project);
+  fuzz::FuzzerConfig config;
+  config.strategy = campaign.strategy;
+  config.rng_seed = campaign.rng_seed;
+  config.crack_all_seeds = campaign.crack_all_seeds;
+  config.distill_interval = campaign.distill_interval;
+  config.dedup_capacity = campaign.dedup_capacity;
+  config.telemetry = telem::Sink(&run->hub, 0);
+  if (kind != fuzz::BackendKind::kInProcess) {
+    config.executor = oop_executor_config(campaign.project, kind,
+                                          campaign.persistent_budget);
+  }
+  run->fuzzer =
+      std::make_unique<fuzz::Fuzzer>(*run->target, run->models, config);
+  return run;
+}
+
+/// Steps `run` from step `from` up to (not including) step `to`.
+void step_campaign(CampaignRun& run, const WindowCampaign& campaign,
+                   std::uint64_t from, std::uint64_t to) {
+  for (std::uint64_t i = from; i < to; ++i) {
+    if (campaign.before_step) campaign.before_step(*run.fuzzer, i);
+    run.fuzzer->step_fast();
+  }
+}
+
+/// Everything a campaign's future depends on as one canonical byte image:
+/// the checkpoint v3 serialisation of the fuzzer's state (rng, both dedup
+/// generations, corpus, crashes, retained seeds, queues, execution count,
+/// accumulated coverage and paths), with the stats series' wall-clock
+/// stamps zeroed.
+std::string campaign_image(const fuzz::Fuzzer& fuzzer) {
+  par::WorkerState worker;
+  worker.fuzzer = fuzzer.capture_checkpoint();
+  for (fuzz::Checkpoint& point : worker.fuzzer.stats_points) {
+    point.wall_ns = 0;
+  }
+  supervise::CampaignCheckpoint image;
+  image.workers.push_back(std::move(worker));
+  return supervise::serialize_checkpoint(image);
+}
+
+void expect_same_campaign(const fuzz::Fuzzer& actual,
+                          const fuzz::Fuzzer& expected) {
+  EXPECT_EQ(actual.executor().executions(), expected.executor().executions());
+  EXPECT_EQ(actual.path_count(), expected.path_count());
+  EXPECT_EQ(actual.executor().edge_count(), expected.executor().edge_count());
+  ASSERT_EQ(actual.retained_seeds().size(), expected.retained_seeds().size());
+  for (std::size_t i = 0; i < actual.retained_seeds().size(); ++i) {
+    EXPECT_EQ(actual.retained_seeds()[i].bytes,
+              expected.retained_seeds()[i].bytes)
+        << "retained seed " << i;
+  }
+  const std::vector<const fuzz::CrashRecord*> actual_crashes =
+      actual.crashes().records();
+  const std::vector<const fuzz::CrashRecord*> expected_crashes =
+      expected.crashes().records();
+  ASSERT_EQ(actual_crashes.size(), expected_crashes.size());
+  for (std::size_t i = 0; i < actual_crashes.size(); ++i) {
+    EXPECT_EQ(actual_crashes[i]->site, expected_crashes[i]->site);
+    EXPECT_EQ(actual_crashes[i]->hits, expected_crashes[i]->hits);
+    EXPECT_EQ(actual_crashes[i]->first_execution,
+              expected_crashes[i]->first_execution);
+    EXPECT_EQ(actual_crashes[i]->reproducer, expected_crashes[i]->reproducer);
+  }
+  const fuzz::FuzzerCheckpoint actual_state = actual.capture_checkpoint();
+  const fuzz::FuzzerCheckpoint expected_state = expected.capture_checkpoint();
+  EXPECT_TRUE(std::equal(std::begin(actual_state.rng.words),
+                         std::end(actual_state.rng.words),
+                         std::begin(expected_state.rng.words)));
+  EXPECT_EQ(actual.corpus().size(), expected.corpus().size());
+  EXPECT_EQ(actual_state.corpus.revision, expected_state.corpus.revision);
+  EXPECT_TRUE(campaign_image(actual) == campaign_image(expected))
+      << "the campaigns' checkpoint images differ";
+}
+
+/// Runs `campaign` in-process and on kPersistent (window depth
+/// kNumSlots) and requires the same end state. Returns the persistent
+/// run's speculative discards.
+std::uint64_t expect_window_matches_in_process(
+    const WindowCampaign& campaign) {
+  const std::unique_ptr<CampaignRun> inproc =
+      start_campaign(campaign, fuzz::BackendKind::kInProcess);
+  step_campaign(*inproc, campaign, 0, campaign.steps);
+  const std::unique_ptr<CampaignRun> windowed =
+      start_campaign(campaign, fuzz::BackendKind::kPersistent);
+  EXPECT_EQ(inproc->fuzzer->executor().window_depth(), 1u);
+  EXPECT_EQ(windowed->fuzzer->executor().window_depth(), oop::kNumSlots);
+  step_campaign(*windowed, campaign, 0, campaign.steps);
+  expect_same_campaign(*windowed->fuzzer, *inproc->fuzzer);
+  EXPECT_EQ(windowed->fuzzer->executor().executions(), campaign.steps);
+  return windowed->discards();
+}
+
+TEST(OopWindow, EveryStrategyMatchesInProcess) {
+  // Peach takes no feedback, so its window never discards; Peach* and
+  // ByteMutation discard after every crack or pool growth.
+  for (const fuzz::Strategy strategy :
+       {fuzz::Strategy::Peach, fuzz::Strategy::PeachStar,
+        fuzz::Strategy::ByteMutation}) {
+    SCOPED_TRACE(fuzz::to_string(strategy));
+    WindowCampaign campaign;
+    campaign.strategy = strategy;
+    const std::uint64_t discards = expect_window_matches_in_process(campaign);
+    if (strategy == fuzz::Strategy::Peach) {
+      EXPECT_EQ(discards, 0u);
+    } else {
+      EXPECT_GT(discards, 0u);
+    }
+  }
+}
+
+TEST(OopWindow, CrackingEverySeedMatchesInProcess) {
+  // Every step cracks, so every step drains the window it filled.
+  WindowCampaign campaign;
+  campaign.crack_all_seeds = true;
+  campaign.steps = 600;
+  EXPECT_GE(expect_window_matches_in_process(campaign),
+            (campaign.steps - 1) * (oop::kNumSlots - 1));
+}
+
+TEST(OopWindow, AutoDistillMatchesInProcess) {
+  WindowCampaign campaign;
+  campaign.distill_interval = 300;
+  campaign.steps = 1500;
+  expect_window_matches_in_process(campaign);
+}
+
+TEST(OopWindow, ImportsBetweenStepsMatchInProcess) {
+  // Peer seeds arrive mid-window: some fresh, some repeats of one another
+  // or of packets the campaign already ran, so the queue's dedup skips
+  // are exercised too.
+  const std::vector<Bytes> peers = packet_batch("libmodbus");
+  WindowCampaign campaign;
+  campaign.before_step = [&](fuzz::Fuzzer& fuzzer, std::uint64_t step) {
+    if (step % 97 != 13) return;
+    const std::size_t first = (step / 97) % peers.size();
+    for (std::size_t k = 0; k < 3; ++k) {
+      fuzzer.import_external_seed(peers[(first + k) % peers.size()]);
+    }
+  };
+  EXPECT_GT(expect_window_matches_in_process(campaign), 0u);
+}
+
+TEST(OopWindow, DedupRotationsInsideWindowsMatchInProcess) {
+  // Capacities 8 and 64 rotate every 4 and 32 fresh packets: windows
+  // constantly meet the rotation threshold, where generation must stop
+  // short of it. lib60870's models repeat packets often enough that a
+  // window spanning a rotation would dedup against a generation the
+  // one-at-a-time loop had already dropped.
+  for (const std::size_t capacity : {std::size_t{8}, std::size_t{64}}) {
+    for (const fuzz::Strategy strategy :
+         {fuzz::Strategy::Peach, fuzz::Strategy::PeachStar}) {
+      SCOPED_TRACE(fuzz::to_string(strategy) + " capacity " +
+                   std::to_string(capacity));
+      WindowCampaign campaign;
+      campaign.project = "lib60870";
+      campaign.strategy = strategy;
+      campaign.dedup_capacity = capacity;
+      expect_window_matches_in_process(campaign);
+    }
+  }
+}
+
+TEST(OopWindow, CheckpointTakenMidWindowResumesBitForBit) {
+  // A checkpoint holds only committed state: restored into a fresh
+  // fuzzer, it continues exactly like the uninterrupted campaign, and
+  // taking it disturbs nothing in flight.
+  WindowCampaign campaign;
+  constexpr std::uint64_t kCut = 700;
+  const std::unique_ptr<CampaignRun> uninterrupted =
+      start_campaign(campaign, fuzz::BackendKind::kPersistent);
+  step_campaign(*uninterrupted, campaign, 0, campaign.steps);
+
+  const std::unique_ptr<CampaignRun> interrupted =
+      start_campaign(campaign, fuzz::BackendKind::kPersistent);
+  step_campaign(*interrupted, campaign, 0, kCut);
+  const oop::OutOfProcessExecutor* transport =
+      interrupted->fuzzer->executor().oop_backend();
+  ASSERT_NE(transport, nullptr);
+  EXPECT_GT(transport->in_flight(), 0u) << "no window to cut through";
+  const fuzz::FuzzerCheckpoint checkpoint =
+      interrupted->fuzzer->capture_checkpoint();
+  EXPECT_EQ(checkpoint.executions, kCut);
+
+  const std::unique_ptr<CampaignRun> resumed =
+      start_campaign(campaign, fuzz::BackendKind::kPersistent);
+  resumed->fuzzer->restore_checkpoint(checkpoint);
+  step_campaign(*resumed, campaign, kCut, campaign.steps);
+  expect_same_campaign(*resumed->fuzzer, *uninterrupted->fuzzer);
+
+  step_campaign(*interrupted, campaign, kCut, campaign.steps);
+  expect_same_campaign(*interrupted->fuzzer, *uninterrupted->fuzzer);
+
+  const std::unique_ptr<CampaignRun> inproc =
+      start_campaign(campaign, fuzz::BackendKind::kInProcess);
+  step_campaign(*inproc, campaign, 0, campaign.steps);
+  expect_same_campaign(*uninterrupted->fuzzer, *inproc->fuzzer);
+}
+
+TEST(OopWindow, Lib60870CrashSitesHitMidWindowMatchInProcess) {
+  // lib60870's Table-I crash sites, queued as peer seeds so they land in
+  // the middle of a window with requests in flight behind them. K = 3
+  // retires children inside windows, so the requests after a crash are
+  // served by the next child.
+  const Bytes start_dt = {0x68, 0x04, 0x07, 0x00, 0x00, 0x00};
+  const auto i_frame = [&](std::initializer_list<std::uint8_t> asdu) {
+    Bytes out = start_dt;
+    out.push_back(0x68);
+    out.push_back(static_cast<std::uint8_t>(4 + asdu.size()));
+    out.insert(out.end(), {0x00, 0x00, 0x00, 0x00});
+    out.insert(out.end(), asdu);
+    return out;
+  };
+  const std::vector<Bytes> crashes = {
+      i_frame({100, 1}),                                 // getCOT OOB
+      i_frame({13, 0x85, 6, 0, 1, 0, 0x01, 0x00, 0x00}),  // sequence OOB
+  };
+  WindowCampaign campaign;
+  campaign.project = "lib60870";
+  campaign.persistent_budget = 3;
+  campaign.steps = 1500;
+  campaign.before_step = [&](fuzz::Fuzzer& fuzzer, std::uint64_t step) {
+    if (step % 211 != 50) return;
+    fuzzer.import_external_seed(start_dt);
+    fuzzer.import_external_seed(crashes[(step / 211) % crashes.size()]);
+    fuzzer.import_external_seed(i_frame({100, 1, 6, 0, 1, 0}));
+  };
+  expect_window_matches_in_process(campaign);
+
+  const std::unique_ptr<CampaignRun> windowed =
+      start_campaign(campaign, fuzz::BackendKind::kPersistent);
+  step_campaign(*windowed, campaign, 0, campaign.steps);
+  EXPECT_GE(windowed->fuzzer->crashes().unique_count(), 1u);
+  EXPECT_GT(windowed->hub.snapshot().counter(
+                telem::Counter::kOopChildRecycles),
+            campaign.steps / 3);
 }
 
 }  // namespace

@@ -419,7 +419,10 @@ TEST(ForkServerFaults, ShimRejectsMalformedShmSizeEnv) {
 TEST(ForkServerFaults, CampaignKeepsRunningThroughChildDeaths) {
   // A whole fuzzing campaign over a target whose children die
   // periodically: the fork server absorbs every death, the crash db
-  // records the synthetic site, and coverage still accumulates.
+  // records the synthetic site, and coverage still accumulates. The knob
+  // counts the server's executions, speculative ones included; Peach uses
+  // no feedback, so its window never discards and server execution 7 is
+  // campaign execution 7.
   for (const fuzz::BackendKind kind : kOopKinds) {
     SCOPED_TRACE(std::string("backend ") + std::string(fuzz::to_string(kind)));
     ScopedEnv knob("ICSFUZZ_SHIM_KILL_CHILD_AT", "7");
@@ -428,7 +431,7 @@ TEST(ForkServerFaults, CampaignKeepsRunningThroughChildDeaths) {
     const model::DataModelSet models = pits::pit_for_project("libmodbus");
 
     fuzz::FuzzerConfig config;
-    config.strategy = fuzz::Strategy::PeachStar;
+    config.strategy = fuzz::Strategy::Peach;
     config.rng_seed = 7;
     config.executor = oop_config(kind);
     fuzz::Fuzzer fuzzer(*placeholder, models, config);
@@ -443,6 +446,48 @@ TEST(ForkServerFaults, CampaignKeepsRunningThroughChildDeaths) {
       saw_child_death |= record->site == san::site_id("oop-child-terminated");
     }
     EXPECT_TRUE(saw_child_death);
+  }
+}
+
+TEST(ForkServerFaults, DeathOfADiscardedExecutionIsNoVerdict) {
+  // A window drained after feedback moved: the second of four in-flight
+  // executions kills its child. The discard waits every execution out,
+  // books the death's recycle and four speculative discards, and nothing
+  // of it reaches the campaign — no execution, crash, hang or lost server
+  // — while the next child serves the rest and the next run.
+  for (const fuzz::BackendKind kind : kOopKinds) {
+    SCOPED_TRACE(std::string("backend ") + std::string(fuzz::to_string(kind)));
+    ScopedEnv knob("ICSFUZZ_SHIM_KILL_CHILD_AT", "2");
+    const std::unique_ptr<ProtocolTarget> placeholder =
+        proto::target_factory("libmodbus")();
+    telem::Telemetry hub;
+    fuzz::ExecutorConfig config = oop_config(kind);
+    config.telemetry = telem::Sink(&hub, 0);
+    fuzz::Executor executor(config);
+    ASSERT_EQ(executor.window_depth(), oop::kNumSlots);
+
+    for (std::uint32_t i = 0; i < oop::kNumSlots; ++i) {
+      executor.submit(*placeholder, kPacket);
+    }
+    for (std::uint32_t i = 0; i < oop::kNumSlots; ++i) executor.discard();
+    EXPECT_EQ(executor.executions(), 0u);
+    EXPECT_EQ(executor.path_count(), 0u);
+    EXPECT_EQ(executor.edge_count(), 0u);
+
+    const telem::Snapshot snap = hub.snapshot();
+    EXPECT_EQ(snap.counter(telem::Counter::kOopSpeculativeDiscards),
+              oop::kNumSlots);
+    EXPECT_GE(snap.counter(telem::Counter::kOopChildRecycles), 1u);
+    EXPECT_EQ(snap.counter(telem::Counter::kOopHangs), 0u);
+    EXPECT_EQ(snap.counter(telem::Counter::kOopServerLost), 0u);
+    EXPECT_EQ(snap.counter(telem::Counter::kOopOomKills), 0u);
+    EXPECT_EQ(snap.counter(telem::Counter::kOopRestarts), 0u);
+
+    const fuzz::ExecResult& result = executor.run(*placeholder, kPacket);
+    EXPECT_FALSE(result.crashed());
+    EXPECT_EQ(executor.executions(), 1u);
+    EXPECT_EQ(hub.snapshot().counter(telem::Counter::kOopSpeculativeDiscards),
+              oop::kNumSlots);
   }
 }
 

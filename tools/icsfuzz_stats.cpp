@@ -128,6 +128,12 @@ void render(const telem::Snapshot& snap, const telem::RateWindows& rates,
                 static_cast<unsigned long long>(
                     snap.counter(Counter::kOopServerLost)));
   }
+  const std::uint64_t discards =
+      snap.counter(Counter::kOopSpeculativeDiscards);
+  if (discards != 0) {
+    std::printf("  %-18s %12llu  (in-flight executions drained unseen)\n",
+                "spec. discards", static_cast<unsigned long long>(discards));
+  }
   const telem::HistogramSnapshot& latency =
       snap.histogram(Histogram::kExecLatencyNs);
   if (latency.count != 0) {
