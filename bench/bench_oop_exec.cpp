@@ -7,8 +7,9 @@
 //
 //   * fork-per-exec — fuzz::Executor with an out-of-process backend
 //     pointing at the shim binary: every execution pays a fresh child
-//     (the shim's fork(), budget K = 1), the handoff round trip, the shm
-//     sweep (CoverageMap::adopt_external) and the fused analysis. `oop_execs_per_sec` is floored by the baseline;
+//     (the shim's fork(), budget K = 1), the handoff round trip, the
+//     adoption of the shm trace and the fused analysis.
+//     `oop_execs_per_sec` is floored by the baseline;
 //     the acceptance bar is fork-server execution in the thousands per
 //     second.
 //
@@ -22,7 +23,10 @@
 //     client and child, so the fork server sleeps between recycles:
 //     `persistent_shim_switches_per_exec`, its context switches over the
 //     arm per execution, is capped — a count, not a rate, so it holds on
-//     any hardware.
+//     any hardware. Each result is adopted from the dirty-word list the
+//     child publishes next to it; `persistent_full_scan_pct`, the share of
+//     the arm's executions whose trace the client had to find by scanning
+//     the whole map instead (the fallback), is capped too.
 //
 //   * in-process — the plain Executor on the same packets.
 //     `slowdown_vs_in_process` contextualizes the fork tax, and all arms'
@@ -246,8 +250,11 @@ int main() {
 
   fuzz::Executor oop_executor(
       backend_config(fuzz::BackendKind::kForkPerExec));
-  fuzz::Executor persistent_executor(
-      backend_config(fuzz::BackendKind::kPersistent));
+  telem::Telemetry persistent_hub;
+  fuzz::ExecutorConfig persistent_config =
+      backend_config(fuzz::BackendKind::kPersistent);
+  persistent_config.telemetry = telem::Sink(&persistent_hub, 0);
+  fuzz::Executor persistent_executor(persistent_config);
   fuzz::Executor inproc_executor;
 
   // Warm-up: spawn the fork servers, converge buffer capacities, saturate
@@ -265,11 +272,17 @@ int main() {
                ? persistent_backend->process().context_switches()
                : 0;
   };
+  const auto full_scans = [&] {
+    return persistent_hub.snapshot().counter(
+        telem::Counter::kOopAdoptFullScans);
+  };
   const std::uint64_t switches_before = shim_switches();
+  const std::uint64_t full_scans_before = full_scans();
   const ArmResult persistent =
       run_batch_arm(persistent_executor, *placeholder, packets,
                     persistent_execs);
   const std::uint64_t shim_switch_count = shim_switches() - switches_before;
+  const std::uint64_t full_scan_count = full_scans() - full_scans_before;
 
   // The persistent checksum covers a different execution count; compare it
   // against a fresh in-process replay of the same sequence, with the same
@@ -348,6 +361,11 @@ int main() {
   std::printf("  \"persistent_shim_switches_per_exec\": %.5f,\n",
               persistent_execs > 0
                   ? static_cast<double>(shim_switch_count) /
+                        static_cast<double>(persistent_execs)
+                  : 0.0);
+  std::printf("  \"persistent_full_scan_pct\": %.3f,\n",
+              persistent_execs > 0
+                  ? 100.0 * static_cast<double>(full_scan_count) /
                         static_cast<double>(persistent_execs)
                   : 0.0);
   std::printf("  \"fuzzer_persistent_execs_per_sec\": %.0f,\n", loop_rate);

@@ -96,6 +96,21 @@ void CoverageMap::adopt_external(const std::uint64_t* words) {
   if (words != nullptr) ops_->adopt_full(trace_.get(), words, dirty_.get());
 }
 
+void CoverageMap::adopt_sparse(const std::uint64_t* words,
+                               const std::uint16_t* indices,
+                               std::uint32_t count) {
+  clear_trace();
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const auto w = static_cast<std::uint16_t>(indices[i] & (kMapWords - 1));
+    const std::uint64_t word = words[w];
+    // After the clear, a nonzero trace word is one this loop already
+    // copied: a duplicate index.
+    if (word == 0 || trace_[w] != 0) continue;
+    trace_[w] = word;
+    dirty_->indices[dirty_->count++] = w;
+  }
+}
+
 void CoverageMap::bump_trace_cell(std::uint32_t cell) {
   cell &= kMapSize - 1;
   const std::uint16_t word = static_cast<std::uint16_t>(cell >> 3);

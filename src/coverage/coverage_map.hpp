@@ -18,6 +18,13 @@
 // ExecutorConfig::coverage_kernel). Pinning simd::Kernel::kDense turns the
 // map into the dense reference oracle: begin_execution and
 // finalize_execution then run the full-map passes instead.
+//
+// An out-of-process trace arrives as a raw map in shared memory, together
+// with the dirty-word list its producer kept (exec_oop/exec_protocol.hpp).
+// adopt_sparse copies just the listed words; adopt_external rebuilds the
+// list with a full-map scan and is the fallback whenever the list cannot
+// be trusted (an execution that did not complete, an unpublished list)
+// and the only adoption of the kDense oracle.
 #pragma once
 
 #include <array>
@@ -83,6 +90,17 @@ class CoverageMap {
   /// API apply unchanged. Does NOT arm thread-local tracing.
   /// `words == nullptr` adopts the empty trace (clear only, no sweep).
   void adopt_external(const std::uint64_t* words);
+
+  /// adopt_external reading only the words `indices[0 .. count)` names —
+  /// the dirty-word list the producing process kept while tracing. Each
+  /// index is masked to the map, zero words are skipped and a word is
+  /// listed once however often it is named, so a corrupt or duplicated
+  /// list can neither overflow the dirty list nor list a zero word. The
+  /// result equals adopt_external(words) exactly when the list names
+  /// every nonzero word (dirty order is the list's). Callers that cannot
+  /// vouch for the list, and the kDense oracle, use adopt_external.
+  void adopt_sparse(const std::uint64_t* words, const std::uint16_t* indices,
+                    std::uint32_t count);
 
   /// Saturating increment of one raw trace cell, maintaining the dirty-word
   /// invariant (the word is appended on its 0 -> nonzero transition). The

@@ -133,6 +133,38 @@ bool aux_load(const std::uint8_t* aux, std::size_t aux_size, AuxResult& out) {
   return true;
 }
 
+void dirty_list_store(std::uint8_t* dirty_list, const std::uint16_t* indices,
+                      std::uint32_t count) {
+  if (count > kDirtyListCap) {
+    store<std::uint32_t>(dirty_list, 0, 0);
+    return;
+  }
+  if (count != 0) {
+    std::memcpy(dirty_list + 4, indices, std::size_t{count} * 2);
+  }
+  store<std::uint32_t>(dirty_list, 0, count + 1);
+}
+
+bool dirty_list_load(const std::uint8_t* dirty_list,
+                     const std::uint16_t*& indices, std::uint32_t& count) {
+  const std::uint32_t stored = load<std::uint32_t>(dirty_list, 0);
+  if (stored == 0 || stored - 1 > kDirtyListCap) return false;
+  indices = reinterpret_cast<const std::uint16_t*>(dirty_list + 4);
+  count = stored - 1;
+  return true;
+}
+
+void result_invalidate(std::uint8_t* aux, std::uint8_t* dirty_list) {
+  store<std::uint32_t>(aux, kMagicOff, 0);
+  store<std::uint32_t>(dirty_list, 0, 0);
+}
+
+void slot_invalidate_result(std::uint8_t* segment, std::uint32_t slot) {
+  std::uint8_t* slot_base = segment + slot_offset(slot);
+  result_invalidate(slot_base + kSlotAuxOffset,
+                    slot_base + kSlotDirtyListOffset);
+}
+
 void child_claim(HandoffBlock& block, std::uint32_t request) {
   const auto posted_since = [&](std::uint32_t posted) {
     return static_cast<std::int32_t>(posted - request) >= 0;

@@ -5,9 +5,13 @@
 //
 // Segment layout (one ShmSegment of kSegmentBytesV2):
 //
-//   [0, kHandoffOffset)   kNumSlots execution slots, each a coverage map
-//                         (written by the child via cov::begin_trace), an
-//                         aux result block and a test-case buffer
+//   [0, kHandoffOffset)   kNumSlots execution slots (kSlotBytes each):
+//     +0                    the coverage map (written by the child via
+//                           cov::begin_trace)
+//     +kSlotAuxOffset       the aux result block
+//     +kSlotTestCaseOffset  the test-case buffer ([u32 len][bytes])
+//     +kSlotDirtyListOffset the dirty-word list ([u32 count + 1]
+//                           [u16 indices[kDirtyListCap]])
 //   [kHandoffOffset, ...) the handoff block (HandoffBlock)
 //
 // The aux block ships the observables a pipe could lose if the child died
@@ -17,6 +21,17 @@
 // it only after the record says the execution ended, so a set magic implies
 // a fully written block and a missing magic means the child never finished
 // (killed, crashed, hung).
+//
+// The dirty-word list names every map word the execution made nonzero, so
+// the client adopts the trace from those words alone instead of scanning
+// all cov::kMapWords (CoverageMap::adopt_sparse). Validity: the client
+// invalidates a slot's magic and list when it posts into it; the child
+// invalidates both again before it touches the map, and writes the list
+// before aux_store stores the magic. A list is therefore this execution's
+// exactly when the magic is set. A stored 0 means "not published": a list
+// past kDirtyListCap, or a runtime that publishes none. The client then
+// falls back to the full scan (CoverageMap::adopt_external), as it does
+// for every execution that did not complete.
 //
 // There is one way to execute: a child forked by the server with a budget
 // of K executions (K = 1 is fork-per-exec) takes each request straight from
@@ -127,15 +142,24 @@ inline constexpr std::uint32_t kTcpHelloMagic = 0x49435354;
 inline constexpr std::uint32_t kAuxCompleteMagic = 0x4F4F5021;
 inline constexpr std::size_t kAuxBytes = std::size_t{1} << 16;
 
+/// A dirty-word list region: [u32 count + 1][u16 indices[kDirtyListCap]],
+/// the indices of the map words the execution made nonzero. A stored 0
+/// means "not published" (see the protocol comment above).
+inline constexpr std::size_t kDirtyListBytes = 4096;
+inline constexpr std::uint32_t kDirtyListCap =
+    (kDirtyListBytes - sizeof(std::uint32_t)) / sizeof(std::uint16_t);
+
 /// kNumSlots independent execution slots, each with its own coverage map,
-/// aux block and test-case buffer, so up to kNumSlots requests can be in
-/// flight with no shared mutable state between them.
+/// aux block, test-case buffer and dirty-word list, so up to kNumSlots
+/// requests can be in flight with no shared mutable state between them.
 inline constexpr std::uint32_t kNumSlots = 4;
 inline constexpr std::size_t kSlotAuxOffset = cov::kMapSize;
 inline constexpr std::size_t kSlotTestCaseOffset = kSlotAuxOffset + kAuxBytes;
 inline constexpr std::size_t kSlotTestCaseBytes = std::size_t{1} << 16;
-inline constexpr std::size_t kSlotBytes =
+inline constexpr std::size_t kSlotDirtyListOffset =
     kSlotTestCaseOffset + kSlotTestCaseBytes;
+inline constexpr std::size_t kSlotBytes =
+    kSlotDirtyListOffset + kDirtyListBytes;
 /// The largest packet a slot holds ([u32 len][bytes]); larger ones ride
 /// their kFork on the control pipe.
 inline constexpr std::size_t kSlotPacketBytes = kSlotTestCaseBytes - 4;
@@ -341,6 +365,26 @@ void aux_store(std::uint8_t* aux, std::size_t aux_size,
 /// Reads the aux block (client side, once the execution ended). Returns false when the
 /// completion magic is absent — the child never finished its execution.
 bool aux_load(const std::uint8_t* aux, std::size_t aux_size, AuxResult& out);
+
+/// Publishes the execution's dirty-word list into the region at
+/// `dirty_list` (child side, before aux_store: its release fence covers
+/// the list). A list longer than kDirtyListCap is stored as "not
+/// published".
+void dirty_list_store(std::uint8_t* dirty_list, const std::uint16_t* indices,
+                      std::uint32_t count);
+
+/// Reads a published dirty-word list (client side, after aux_load found
+/// the completion magic). False when nothing was published.
+bool dirty_list_load(const std::uint8_t* dirty_list,
+                     const std::uint16_t*& indices, std::uint32_t& count);
+
+/// Invalidates a result: the aux block's completion magic and the
+/// dirty-word list. The client calls it on a slot when it posts into it,
+/// every server before it touches the map of the execution it starts.
+void result_invalidate(std::uint8_t* aux, std::uint8_t* dirty_list);
+
+/// result_invalidate on slot `slot`'s aux block and dirty-word list.
+void slot_invalidate_result(std::uint8_t* segment, std::uint32_t slot);
 
 // -- Pipe plumbing (EINTR-safe, deadline-aware). ---------------------------
 

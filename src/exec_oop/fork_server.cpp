@@ -96,6 +96,10 @@ bool ForkServer::post(ByteSpan packet, std::uint32_t slot) {
     return false;  // a piped packet travels alone
   }
   std::uint8_t* segment = process_.segment().data();
+  // The slot still holds the result of the last request it served: an
+  // execution that dies before its child reaches the slot must not read
+  // as that one.
+  slot_invalidate_result(segment, slot);
   const std::uint32_t request = posted_ + 1;
   HandoffRecord& record = handoff_record(handoff_block(segment), request);
   record.slot = slot;

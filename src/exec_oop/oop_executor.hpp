@@ -4,11 +4,12 @@
 // ExecResult: the shared-memory coverage words, the aux block (events,
 // soft-sanitizer faults, response bytes), and the transport status.
 //
-// The ROADMAP's "real binaries under fork-server execution" unlock: the
-// same sparse dirty-word + SIMD analysis of PRs 3-4 consumes the shm map
-// via CoverageMap::adopt_external, so feedback semantics are bit-identical
-// to in-process execution — the differential oracle test_exec_oop.cpp
-// asserts exactly that.
+// The same sparse dirty-word + SIMD analysis as in-process execution
+// consumes the shm map — adopted from the dirty-word list the child
+// publishes next to its result, or by the full-map scan when there is none
+// (fuzz::adopt_oop_trace) — so feedback semantics are bit-identical to
+// in-process execution; the differential oracle test_exec_oop.cpp asserts
+// exactly that.
 //
 // One execution path: submit() writes the packet into a shm slot and a
 // child the server forked takes it through the handoff block's futex words
@@ -148,6 +149,15 @@ class OutOfProcessExecutor {
     return segment().valid()
                ? reinterpret_cast<const std::uint64_t*>(segment().data() +
                                                         map_offset_)
+               : nullptr;
+  }
+
+  /// The dirty-word list region of the slot that served the last outcome
+  /// (oop::dirty_list_load reads it; meaningful only for kOk). Null until
+  /// the server started.
+  [[nodiscard]] const std::uint8_t* dirty_list() const {
+    return segment().valid()
+               ? segment().data() + map_offset_ + kSlotDirtyListOffset
                : nullptr;
   }
 

@@ -62,11 +62,11 @@ constexpr int kChildServerRetire = 95;  ///< server_retire_after: exits 0
 /// claims the next request, restores its slot's map invariant with a
 /// sparse clear (its own per-slot dirty list — nobody else writes a slot's
 /// map while this child serves it), runs the target, publishes the slot's
-/// aux block and completes the request. The first iteration runs `piped`
-/// instead of the slot's packet when the request's packet rode the control
-/// pipe, and slot `clean` (kNumSlots: none) starts with its map zeroed
-/// (ExecChild::clear_next_map). After the final iteration it _exit(0)s —
-/// the budget recycle. Never returns.
+/// dirty-word list and aux block and completes the request. The first
+/// iteration runs `piped` instead of the slot's packet when the request's
+/// packet rode the control pipe, and slot `clean` (kNumSlots: none) starts
+/// with its map zeroed (ExecChild::clear_next_map). After the final
+/// iteration it _exit(0)s — the budget recycle. Never returns.
 [[noreturn]] void run_child(ProtocolTarget& target, std::uint8_t* segment,
                             std::uint32_t budget, const ShimFaultPlan& plan,
                             const Bytes& piped, std::uint32_t clean) {
@@ -97,14 +97,15 @@ constexpr int kChildServerRetire = 95;  ///< server_retire_after: exits 0
     if (plan.server_exit_at != 0 && index == plan.server_exit_at) {
       ::_exit(kChildServerExit);
     }
-    trip_execution_faults(plan, index);
 
-    // Pristine slot state: the map fully zeroed on this child's first use
-    // of the slot, sparse-cleared of the previous iteration's dirty words
-    // after that (the in-process begin_execution analogue), and the aux
-    // magic invalidated, so a crash mid-iteration can never be mistaken
-    // for a completed one. Only the magic: aux_store bounds every later
-    // read, and each page of the shared slot costs a fresh child a fault.
+    // Pristine slot state: the aux magic and the dirty-word list
+    // invalidated first, so a crash mid-iteration can never be mistaken
+    // for a completed one; then the map fully zeroed on this child's first
+    // use of the slot, sparse-cleared of the previous iteration's dirty
+    // words after that (the in-process begin_execution analogue). Only the
+    // magic of the aux block: aux_store bounds every later read, and each
+    // page of the shared slot costs a fresh child a fault.
+    slot_invalidate_result(segment, slot);
     cov::DirtyWordList& slot_dirty = dirty[slot];
     if (!slot_used[slot]) {
       std::memset(slot_base, 0, cov::kMapSize);
@@ -116,7 +117,9 @@ constexpr int kChildServerRetire = 95;  ///< server_retire_after: exits 0
       }
     }
     slot_dirty.count = 0;
-    std::memset(slot_base + kSlotAuxOffset, 0, 4);
+    // The execution faults trip on the prepared slot, like a target that
+    // dies inside its execution.
+    trip_execution_faults(plan, index);
 
     // Same arming order as the in-process Executor::run_into — reset,
     // fault sink, then tracing — so an instrumented reset() contributes to
@@ -136,6 +139,8 @@ constexpr int kChildServerRetire = 95;  ///< server_retire_after: exits 0
     cov::end_trace();
     san::FaultSink::disarm_into(result.faults);
 
+    dirty_list_store(slot_base + kSlotDirtyListOffset, slot_dirty.indices,
+                     slot_dirty.count);
     aux_store(slot_base + kSlotAuxOffset, kAuxBytes, result);
     child_complete(block, request, iteration);
 

@@ -60,8 +60,9 @@ class InProcessBackend final : public SyncExecBackend {
 
 /// kForkPerExec / kPersistent: packets cross into the fork-server target
 /// through OutOfProcessExecutor, up to oop::kNumSlots in flight; the shm
-/// trace is adopted into the owning map (reader-side dirty rebuild) so the
-/// analysis downstream of complete() is byte-for-byte the in-process one.
+/// trace is adopted into the owning map (from the child's dirty-word list,
+/// or by the full-map scan) so the analysis downstream of complete() is
+/// byte-for-byte the in-process one.
 class OopBackend final : public ExecBackend {
  public:
   OopBackend(const ExecBackendConfig& config, telem::Sink telemetry)
@@ -118,8 +119,8 @@ class OopBackend final : public ExecBackend {
     booked_ = now;
   }
 
-  /// Adopts the child's shared-memory trace into `map` (reader-side dirty
-  /// list rebuild), reuses the exact in-process analysis unchanged, and
+  /// Adopts the child's shared-memory trace into `map` (adopt_oop_trace),
+  /// reuses the exact in-process analysis unchanged, and
   /// maps the outcome onto the ExecResult observables. Transport-level
   /// failures become synthetic fault reports so crash accounting sees
   /// them; on the healthy path the aux block shipped the exact in-process
@@ -129,7 +130,8 @@ class OopBackend final : public ExecBackend {
   cov::TraceSummary adopt_and_fill(
       const oop::OutOfProcessExecutor::Outcome& outcome, cov::CoverageMap& map,
       ExecResult& result) {
-    map.adopt_external(exec_->map_words());
+    adopt_oop_trace(telemetry_, map, exec_->map_words(), exec_->dirty_list(),
+                    outcome.status == oop::ExecStatus::kOk);
     const cov::TraceSummary summary = map.finalize_execution();
 
     result.events = outcome.aux.events;
@@ -237,6 +239,21 @@ void mirror_oop_telemetry(const telem::Sink& sink,
     case oop::ExecStatus::kCrash:
       break;
   }
+}
+
+void adopt_oop_trace(const telem::Sink& sink, cov::CoverageMap& map,
+                     const std::uint64_t* words,
+                     const std::uint8_t* dirty_list, bool completed) {
+  const std::uint16_t* indices = nullptr;
+  std::uint32_t count = 0;
+  if (completed && dirty_list != nullptr &&
+      map.kernel() != cov::simd::Kernel::kDense &&
+      oop::dirty_list_load(dirty_list, indices, count)) {
+    map.adopt_sparse(words, indices, count);
+    return;
+  }
+  map.adopt_external(words);
+  if (words != nullptr) sink.add(telem::Counter::kOopAdoptFullScans);
 }
 
 san::FaultReport target_death_fault(

@@ -235,6 +235,18 @@ void mirror_oop_telemetry(const telem::Sink& sink,
                           const supervise::ResourceJail& jail,
                           bool speculative = false);
 
+/// Adopts an out-of-process execution's trace into `map`, identically for
+/// every out-of-process backend. It reads only the listed words
+/// (CoverageMap::adopt_sparse) when `completed` says the result is this
+/// execution's own (its outcome is kOk), the target published the
+/// dirty-word list at `dirty_list` within the cap, and the map is not the
+/// kDense oracle. Every other case scans the whole map at `words`
+/// (adopt_external) and books one oop_adopt_full_scans; null `words`
+/// adopts the empty trace.
+void adopt_oop_trace(const telem::Sink& sink, cov::CoverageMap& map,
+                     const std::uint64_t* words,
+                     const std::uint8_t* dirty_list, bool completed);
+
 /// The synthetic fault of an execution whose target died (kCrash / kOom):
 /// oop-child-oom when the resource jail fired, oop-child-terminated with
 /// the signal or exit code otherwise — one rule, so a target death buckets

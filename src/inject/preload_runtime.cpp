@@ -126,6 +126,16 @@ void publish_inject_info() {
   std::memcpy(info, &inject::kInjectInfoMagic, sizeof(std::uint32_t));
 }
 
+/// Publishes the closing trace window's dirty-word list into the region at
+/// `dirty_list` (call before trace_disarm). The list is per thread, so it
+/// is the window's only on the thread that armed it; from any other thread
+/// the region stays unpublished and the client scans the whole map.
+void publish_dirty_list(std::uint8_t* dirty_list) {
+  if (!trace_armed()) return;
+  oop::dirty_list_store(dirty_list, trace_dirty_indices(),
+                        trace_dirty_count());
+}
+
 // -- Execution-child state (inside a fork child, post-fork only). ----------
 
 /// Response bytes a cooperating target published via __icsfuzz_set_response
@@ -152,6 +162,7 @@ void publish_stock_aux() {
   if (g_response_len != 0) {
     result.response.assign(g_response, g_response + g_response_len);
   }
+  publish_dirty_list(g_stock_child.region + oop::kSlotDirtyListOffset);
   trace_disarm();
   oop::aux_store(g_stock_child.region + oop::kSlotAuxOffset, kAuxBytes,
                  result);
@@ -177,13 +188,14 @@ struct PersistentChildState {
 };
 PersistentChildState g_pchild;
 
-/// Restores a slot's map invariant before an iteration: full memset of
-/// the map on this child's first use (whatever an earlier child left),
-/// sparse clear of this child's previous dirty words after that. Either
-/// way the aux magic ends up invalid, so a crash mid-iteration cannot read
-/// as done.
+/// Restores a slot's map invariant before an iteration: the aux magic and
+/// the dirty-word list invalidated first, so a crash mid-iteration cannot
+/// read as done; then a full memset of the map on this child's first use
+/// (whatever an earlier child left), a sparse clear of this child's
+/// previous dirty words after that.
 void prepare_slot(std::uint32_t slot) {
   std::uint8_t* slot_base = g_segment + oop::slot_offset(slot);
+  oop::slot_invalidate_result(g_segment, slot);
   if (!g_pchild.slot_used[slot]) {
     std::memset(slot_base, 0, cov::kMapSize);
     g_pchild.slot_used[slot] = true;
@@ -195,11 +207,11 @@ void prepare_slot(std::uint32_t slot) {
     }
   }
   g_pchild.dirty_count[slot] = 0;
-  std::memset(slot_base + oop::kSlotAuxOffset, 0, 4);
 }
 
-/// Publishes the finished iteration's aux block into its slot and saves
-/// the trace's dirty words for the next sparse clear of that slot.
+/// Publishes the finished iteration's dirty-word list and aux block into
+/// its slot and saves the trace's dirty words for the next sparse clear of
+/// that slot.
 void publish_iteration_aux() {
   const std::uint32_t slot = g_pchild.slot;
   std::uint8_t* slot_base = g_segment + oop::slot_offset(slot);
@@ -212,6 +224,7 @@ void publish_iteration_aux() {
   if (g_response_len != 0) {
     result.response.assign(g_response, g_response + g_response_len);
   }
+  publish_dirty_list(slot_base + oop::kSlotDirtyListOffset);
   trace_disarm();
   oop::aux_store(slot_base + oop::kSlotAuxOffset, kAuxBytes, result);
 }
@@ -423,8 +436,9 @@ void* tcp_watch_ctl(void*) {
 
 void tcp_session_begin(int fd) {
   g_tcp.conn_fd = fd;
+  oop::result_invalidate(g_segment + kAuxOffset,
+                         g_segment + session::kDirtyListOffset);
   std::memset(g_segment, 0, cov::kMapSize);
-  std::memset(g_segment + kAuxOffset, 0, 4);  // invalidate aux magic
   session::sync_log_reset(g_segment);
   g_response_len = 0;
   trace_arm(g_segment);
@@ -433,6 +447,7 @@ void tcp_session_begin(int fd) {
 void tcp_session_end() {
   oop::AuxResult result;
   result.events = trace_events();
+  publish_dirty_list(g_segment + session::kDirtyListOffset);
   trace_disarm();
   oop::aux_store(g_segment + kAuxOffset, kAuxBytes, result);
   ++g_tcp.sessions;

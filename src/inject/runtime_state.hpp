@@ -37,12 +37,16 @@ void trace_arm(std::uint8_t* map);
 /// Disarms tracing; subsequent sancov hits are dropped (not counted).
 void trace_disarm();
 
+/// True while this thread has a trace window armed.
+[[nodiscard]] bool trace_armed();
+
 /// Instrumentation events recorded since the last trace_arm.
 [[nodiscard]] std::uint64_t trace_events();
 
 /// The armed window's dirty-word list (indices of map words that went
 /// nonzero): `trace_dirty_indices()[0 .. trace_dirty_count())`. Valid
 /// between trace_arm and the next trace_arm on this thread; the runtime
+/// publishes it with each result (the client adopts the trace from it) and
 /// copies it into per-slot storage for the sparse clears between
 /// persistent iterations.
 [[nodiscard]] std::uint32_t trace_dirty_count();

@@ -77,6 +77,8 @@ void trace_arm(std::uint8_t* map) {
 
 void trace_disarm() { g_trace.map = nullptr; }
 
+bool trace_armed() { return g_trace.map != nullptr; }
+
 std::uint64_t trace_events() { return g_trace.events; }
 
 std::uint32_t trace_dirty_count() { return g_trace.dirty_count; }

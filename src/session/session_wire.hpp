@@ -9,6 +9,14 @@
 //   [kAuxOffset, ...)    oop::AuxResult block, published at session end
 //                        (events + faults; the response bytes travel over
 //                        the socket, so the aux response stays empty)
+//   [kDirtyListOffset, ...)  the session's dirty-word list, in the shape
+//                        and with the validity rule of a fork-server
+//                        slot's (exec_oop/exec_protocol.hpp): invalidated
+//                        with the aux magic before the server touches the
+//                        map, written before the magic at session end. The
+//                        client adopts the trace sparsely from it and
+//                        falls back to the full map scan when it is not
+//                        published
 //   [kSyncOffset, ...)   the sync block below
 //
 // The sync block solves the one thing a raw protocol socket cannot: the
@@ -56,7 +64,9 @@ inline constexpr std::size_t kResponseLogEntries = kMaxSessionMessages + 1;
 
 /// The aux block follows the map: the server publishes one per session.
 inline constexpr std::size_t kAuxOffset = cov::kMapSize;
-inline constexpr std::size_t kSyncOffset = kAuxOffset + oop::kAuxBytes;
+inline constexpr std::size_t kDirtyListOffset = kAuxOffset + oop::kAuxBytes;
+inline constexpr std::size_t kSyncOffset =
+    kDirtyListOffset + oop::kDirtyListBytes;
 inline constexpr std::size_t kSyncBytes = 16 + 4 * kResponseLogEntries;
 inline constexpr std::size_t kTcpSegmentBytes = kSyncOffset + kSyncBytes;
 
@@ -104,8 +114,8 @@ inline std::span<const std::uint32_t> sync_response_log(
   return {wire_detail::log_entries(segment), count};
 }
 
-/// Server side: publishes "session done" (map, aux block and response log
-/// fully written), then wakes the client.
+/// Server side: publishes "session done" (map, dirty-word list, aux block
+/// and response log fully written), then wakes the client.
 inline void sync_publish_session_done(std::uint8_t* segment,
                                       std::uint64_t sessions) {
   std::atomic_ref<std::uint64_t>(

@@ -80,10 +80,13 @@ class TcpSessionBackend final : public fuzz::SyncExecBackend {
                                process_.config().jail);
     if (outcome_.status != oop::ExecStatus::kOk) return fail(map, result);
 
-    // Adopt the server's trace, inject the client-computed session-state
-    // cells, then run the exact in-process analysis.
-    map.adopt_external(
-        reinterpret_cast<const std::uint64_t*>(process_.segment().data()));
+    // Adopt the server's trace (from its dirty-word list when published),
+    // inject the client-computed session-state cells, then run the exact
+    // in-process analysis.
+    std::uint8_t* segment = process_.segment().data();
+    fuzz::adopt_oop_trace(telemetry_, map,
+                          reinterpret_cast<const std::uint64_t*>(segment),
+                          segment + kDirtyListOffset, /*completed=*/true);
     const std::size_t reply_bytes =
         replies_.empty() ? 0 : replies_.back().offset + replies_.back().length;
     result.response.assign(received_.begin(),

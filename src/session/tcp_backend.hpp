@@ -9,11 +9,12 @@
 // EOF, then waits for the session-done counter and splits the replies into
 // per-message responses by the response-length log the server keeps in the
 // session_wire.hpp sync block. There is no per-message round trip.
-// The server traces the whole session into the shared-memory map; the
-// client adopts it (CoverageMap::adopt_external), injects the
-// client-computed session-state cells, and runs the exact in-process
-// analysis — which is what makes in-process vs over-TCP execution a
-// differential oracle (tests/test_session.cpp).
+// The server traces the whole session into the shared-memory map and
+// publishes its dirty-word list; the client adopts the trace from that
+// list (fuzz::adopt_oop_trace, the full-map scan when none is published),
+// injects the client-computed session-state cells, and runs the exact
+// in-process analysis — which is what makes in-process vs over-TCP
+// execution a differential oracle (tests/test_session.cpp).
 //
 // The server process is an oop::TargetProcess, so kTcp keeps the same
 // supervision contract as the fork-server backends: RetryPolicy respawns,

@@ -45,13 +45,13 @@ void serve_session(ProtocolTarget& target, Framing framing, int conn,
                    std::uint8_t* segment, cov::DirtyWordList& dirty,
                    Bytes& response, Bytes& replies, std::uint64_t& sessions,
                    bool* shutdown) {
-  // Pristine per-session map state: sparse-clear the previous session's
-  // dirty words, invalidate the aux magic so a torn-down session is never
-  // mistaken for a completed one.
+  // Pristine per-session map state: invalidate the aux magic and the
+  // dirty-word list so a torn-down session is never mistaken for a
+  // completed one, then sparse-clear the previous session's dirty words.
+  oop::result_invalidate(segment + kAuxOffset, segment + kDirtyListOffset);
   auto* words = reinterpret_cast<std::uint64_t*>(segment);
   for (std::uint32_t i = 0; i < dirty.count; ++i) words[dirty.indices[i]] = 0;
   dirty.count = 0;
-  std::memset(segment + kAuxOffset, 0, 4);
   sync_log_reset(segment);
 
   // Same arming order as every other backend (reset, fault sink, trace) —
@@ -113,6 +113,8 @@ void serve_session(ProtocolTarget& target, Framing framing, int conn,
   result.events = cov::tls_event_count;
   cov::end_trace();
   san::FaultSink::disarm_into(result.faults);
+  oop::dirty_list_store(segment + kDirtyListOffset, dirty.indices,
+                        dirty.count);
   oop::aux_store(segment + kAuxOffset, oop::kAuxBytes, result);
   sync_publish_session_done(segment, ++sessions);
 }

@@ -23,6 +23,7 @@ std::string_view to_string(Counter counter) {
     case Counter::kOopChildRecycles: return "oop_child_recycles";
     case Counter::kOopOomKills: return "oop_oom_kills";
     case Counter::kOopSpeculativeDiscards: return "oop_speculative_discards";
+    case Counter::kOopAdoptFullScans: return "oop_adopt_full_scans";
     case Counter::kCheckpointsSaved: return "checkpoints_saved";
     case Counter::kWatchdogKicks: return "watchdog_kicks";
     case Counter::kSessionsExecuted: return "sessions_executed";

@@ -49,6 +49,8 @@ enum class Counter : std::uint8_t {
   kOopOomKills,         ///< resource-jail allocation-failure kills
   kOopSpeculativeDiscards,  ///< in-flight executions the fuzzer's window
                             ///< drained unseen after feedback moved
+  kOopAdoptFullScans,   ///< out-of-process traces adopted by the full-map
+                        ///< scan (no usable dirty-word list)
   kCheckpointsSaved,    ///< supervisor checkpoints written to disk
   kWatchdogKicks,       ///< wedged workers remediated by the watchdog
   kSessionsExecuted,    ///< stateful session executions (session backends)

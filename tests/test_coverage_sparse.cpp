@@ -13,9 +13,16 @@
 // equivalent on both sides of the dirty-superset/full-sweep hybrid, and then
 // proves trajectory preservation at campaign scale: a fixed-seed Fuzzer run,
 // a ParallelCampaign at W=2, and a distill_interval auto-distill campaign
-// each produce identical path/edge series under every mode.
+// each produce identical path/edge series under every mode. The
+// out-of-process adoption paths are held to the same standard: sparse
+// adoption from a dirty-word list (CoverageMap::adopt_sparse) must equal
+// the full-map scan (adopt_external) for any list that names every
+// nonzero word, however noisy, and fuzz::adopt_oop_trace must read a list
+// only when it is published, within the cap, from a completed execution
+// and on a map that is not the kDense oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -25,9 +32,12 @@
 #include "coverage/dense_ref.hpp"
 #include "coverage/instrument.hpp"
 #include "coverage/simd.hpp"
+#include "exec_oop/exec_protocol.hpp"
+#include "fuzzer/exec_backend.hpp"
 #include "parallel/parallel_campaign.hpp"
 #include "pits/pits.hpp"
 #include "protocols/modbus/modbus_server.hpp"
+#include "telemetry/telemetry.hpp"
 #include "tests/test_support.hpp"
 #include "util/rng.hpp"
 
@@ -185,6 +195,243 @@ TEST(SparseEquivalence, DirtyListIsCompleteAndDuplicateFree) {
     const bool nonzero = dense::load_word(map.trace(), w) != 0;
     ASSERT_EQ(nonzero, listed[w]) << "word " << w;
   }
+}
+
+// -- Sparse adoption vs full-scan adoption. -------------------------------
+
+/// A random raw map as an out-of-process target leaves it: `nonzero`
+/// distinct words (the boundary words 0 and kMapWords - 1 among them
+/// whenever there is room) set to random nonzero counts.
+std::vector<std::uint64_t> random_external_map(Rng& rng,
+                                               std::uint32_t nonzero) {
+  std::vector<std::uint64_t> words(kMapWords, 0);
+  std::uint32_t placed = 0;
+  const auto place = [&](std::size_t w) {
+    if (words[w] != 0) return;
+    std::uint64_t word = 0;
+    while (word == 0) word = rng.next_u64() & rng.next_u64();
+    words[w] = word;
+    ++placed;
+  };
+  if (nonzero >= 2) {
+    place(0);
+    place(kMapWords - 1);
+  }
+  while (placed < nonzero) place(rng.below(kMapWords));
+  return words;
+}
+
+/// The nonzero words of `words`, in random order.
+std::vector<std::uint16_t> complete_list(
+    Rng& rng, const std::vector<std::uint64_t>& words) {
+  std::vector<std::uint16_t> list;
+  for (std::size_t w = 0; w < kMapWords; ++w) {
+    if (words[w] != 0) list.push_back(static_cast<std::uint16_t>(w));
+  }
+  rng.shuffle(list);
+  return list;
+}
+
+/// The trace words of `map` as a vector (the full raw trace).
+std::vector<std::uint64_t> trace_words(const CoverageMap& map) {
+  std::vector<std::uint64_t> words(kMapWords);
+  std::memcpy(words.data(), map.trace(), kMapSize);
+  return words;
+}
+
+/// Both maps must hold the same trace, a complete duplicate-free dirty
+/// list, and analyse to the same summary and accumulated map.
+void expect_same_adoption(CoverageMap& sparse, CoverageMap& full) {
+  ASSERT_EQ(icsfuzz::test::dirty_list_defect(sparse), "");
+  ASSERT_EQ(trace_words(sparse), trace_words(full));
+  ASSERT_EQ(sparse.dirty_word_count(), full.dirty_word_count());
+  const TraceSummary s = sparse.finalize_execution();
+  const TraceSummary f = full.finalize_execution();
+  ASSERT_EQ(s.trace_hash, f.trace_hash);
+  ASSERT_EQ(s.trace_edges, f.trace_edges);
+  ASSERT_EQ(s.new_coverage, f.new_coverage);
+  ASSERT_EQ(sparse.edges_covered(), full.edges_covered());
+  ASSERT_EQ(sparse.snapshot_accumulated(), full.snapshot_accumulated());
+}
+
+TEST(SparseAdoption, MatchesFullScanOnRandomMapsWithNoisyLists) {
+  // A complete list, salted with what a list may carry that is not a
+  // trace word: zero words, duplicates, and indices past the map (masked
+  // back into it). Each adoption follows the previous one on the same
+  // maps, so the sparse clear of the last trace is exercised too.
+  for (const simd::Kernel kind : runnable_kernels()) {
+    SCOPED_TRACE(std::string("kernel ") +
+                 std::string(simd::kernel_name(kind)));
+    Rng rng(0x5A4E + static_cast<std::uint64_t>(kind));
+    CoverageMap sparse;
+    sparse.use_kernel(kind);
+    CoverageMap full;
+    full.use_kernel(kind);
+    for (int round = 0; round < 200; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      const std::uint32_t nonzero =
+          static_cast<std::uint32_t>(rng.below(round % 25 == 0 ? 3000 : 120));
+      const std::vector<std::uint64_t> words =
+          random_external_map(rng, nonzero);
+      std::vector<std::uint16_t> list = complete_list(rng, words);
+      const std::size_t noise = rng.below(40);
+      for (std::size_t i = 0; i < noise; ++i) {
+        switch (rng.below(3)) {
+          case 0:  // a zero word (or, by chance, a duplicate)
+            list.push_back(static_cast<std::uint16_t>(rng.below(kMapWords)));
+            break;
+          case 1:  // a duplicate
+            if (list.empty()) continue;
+            list.push_back(rng.pick(list));
+            break;
+          default:  // past the map
+            list.push_back(static_cast<std::uint16_t>(
+                rng.between(kMapWords, 0xFFFF)));
+            break;
+        }
+        std::swap(list.back(), rng.pick(list));
+      }
+      sparse.adopt_sparse(words.data(), list.data(),
+                          static_cast<std::uint32_t>(list.size()));
+      full.adopt_external(words.data());
+      expect_same_adoption(sparse, full);
+    }
+  }
+}
+
+TEST(SparseAdoption, CorruptListCannotOverflowOrListAZeroWord) {
+  // Every index named many times over, most of them past the map: the
+  // adopted list still names each nonzero word once and nothing else.
+  Rng rng(0xC0FF);
+  const std::vector<std::uint64_t> words = random_external_map(rng, 4000);
+  std::vector<std::uint16_t> list;
+  for (int copy = 0; copy < 7; ++copy) {
+    for (std::uint32_t w = 0; w < 0x10000; w += 1 + copy) {
+      list.push_back(static_cast<std::uint16_t>(w));
+    }
+  }
+  CoverageMap sparse;
+  sparse.adopt_sparse(words.data(), list.data(),
+                      static_cast<std::uint32_t>(list.size()));
+  CoverageMap full;
+  full.adopt_external(words.data());
+  expect_same_adoption(sparse, full);
+
+  // An incomplete list adopts exactly what it names.
+  const std::vector<std::uint16_t> partial = {0, 1, 2, 3, 0, 8191};
+  sparse.adopt_sparse(words.data(), partial.data(),
+                      static_cast<std::uint32_t>(partial.size()));
+  ASSERT_EQ(icsfuzz::test::dirty_list_defect(sparse), "");
+  for (std::size_t w = 0; w < kMapWords; ++w) {
+    const bool named = w <= 3 || w == 8191;
+    EXPECT_EQ(dense::load_word(sparse.trace(), w), named ? words[w] : 0)
+        << "word " << w;
+  }
+}
+
+/// Which path adopt_oop_trace took for one published region, and whether
+/// its result matches the full scan.
+struct Routed {
+  bool full_scan = false;
+  bool matches_full_scan = false;
+};
+
+/// Publishes `list` (dirty_list_store's rules; `publish` false leaves the
+/// region unpublished) next to `words`, adopts through adopt_oop_trace on
+/// a map pinned to `kind`, and compares with adopt_external.
+Routed route(simd::Kernel kind, const std::vector<std::uint64_t>& words,
+             const std::vector<std::uint16_t>& list, bool publish,
+             bool completed) {
+  std::vector<std::uint8_t> region(oop::kDirtyListBytes, 0);
+  if (publish) {
+    oop::dirty_list_store(region.data(), list.data(),
+                          static_cast<std::uint32_t>(list.size()));
+  }
+  telem::Telemetry hub;
+  CoverageMap adopted;
+  adopted.use_kernel(kind);
+  fuzz::adopt_oop_trace(telem::Sink(&hub, 0), adopted, words.data(),
+                        region.data(), completed);
+  CoverageMap full;
+  full.use_kernel(kind);
+  full.adopt_external(words.data());
+  Routed routed;
+  routed.full_scan =
+      hub.snapshot().counter(telem::Counter::kOopAdoptFullScans) == 1;
+  routed.matches_full_scan = trace_words(adopted) == trace_words(full) &&
+                             icsfuzz::test::dirty_list_defect(adopted).empty();
+  return routed;
+}
+
+TEST(SparseAdoption, OnlyACompletePublishedListWithinTheCapIsReadSparsely) {
+  // Each map carries one nonzero word its list leaves out, so a sparse
+  // adoption is told apart from the full scan by its result as well as
+  // by the oop_adopt_full_scans counter.
+  Rng rng(0xAD09);
+  const auto with_unlisted_word = [&](std::uint32_t listed) {
+    std::vector<std::uint64_t> words = random_external_map(rng, listed + 1);
+    std::vector<std::uint16_t> list = complete_list(rng, words);
+    list.pop_back();
+    return std::make_pair(words, list);
+  };
+  std::vector<simd::Kernel> kinds = runnable_kernels();
+  kinds.push_back(simd::Kernel::kDense);
+  for (const simd::Kernel kind : kinds) {
+    SCOPED_TRACE(std::string("kernel ") +
+                 std::string(simd::kernel_name(kind)));
+    const bool dense_oracle = kind == simd::Kernel::kDense;
+    for (const std::uint32_t count : {0u, 1u, 57u, oop::kDirtyListCap}) {
+      SCOPED_TRACE("count " + std::to_string(count));
+      const auto [words, list] = with_unlisted_word(count);
+      ASSERT_EQ(list.size(), count);
+      const Routed published = route(kind, words, list, true, true);
+      EXPECT_EQ(published.full_scan, dense_oracle);
+      EXPECT_EQ(published.matches_full_scan, dense_oracle);
+      // The same list from an execution that did not complete, or left
+      // unpublished: the full scan, whatever the kernel.
+      const Routed incomplete = route(kind, words, list, true, false);
+      EXPECT_TRUE(incomplete.full_scan);
+      EXPECT_TRUE(incomplete.matches_full_scan);
+      const Routed unpublished = route(kind, words, list, false, true);
+      EXPECT_TRUE(unpublished.full_scan);
+      EXPECT_TRUE(unpublished.matches_full_scan);
+    }
+    // One index past the cap: stored as unpublished, so the full scan.
+    const auto [words, list] = with_unlisted_word(oop::kDirtyListCap + 1);
+    const Routed over = route(kind, words, list, true, true);
+    EXPECT_TRUE(over.full_scan);
+    EXPECT_TRUE(over.matches_full_scan);
+  }
+}
+
+TEST(SparseAdoption, DirtyListRegionRoundTripsAndInvalidates) {
+  std::vector<std::uint8_t> aux(oop::kAuxBytes, 0xFF);
+  std::vector<std::uint8_t> region(oop::kDirtyListBytes, 0);
+  const std::uint16_t* indices = nullptr;
+  std::uint32_t count = 0;
+  EXPECT_FALSE(oop::dirty_list_load(region.data(), indices, count))
+      << "a zeroed region is unpublished";
+
+  const std::vector<std::uint16_t> list = {7, 8191, 0, 7};
+  oop::dirty_list_store(region.data(), list.data(), 4);
+  ASSERT_TRUE(oop::dirty_list_load(region.data(), indices, count));
+  ASSERT_EQ(count, 4u);
+  EXPECT_TRUE(std::equal(list.begin(), list.end(), indices));
+
+  oop::dirty_list_store(region.data(), list.data(), 0);
+  ASSERT_TRUE(oop::dirty_list_load(region.data(), indices, count))
+      << "an empty trace is a published list";
+  EXPECT_EQ(count, 0u);
+
+  oop::result_invalidate(aux.data(), region.data());
+  EXPECT_FALSE(oop::dirty_list_load(region.data(), indices, count));
+  oop::AuxResult result;
+  EXPECT_FALSE(oop::aux_load(aux.data(), aux.size(), result));
+
+  // A corrupt count past the cap reads as unpublished.
+  const std::uint32_t corrupt = oop::kDirtyListCap + 2;
+  std::memcpy(region.data(), &corrupt, sizeof corrupt);
+  EXPECT_FALSE(oop::dirty_list_load(region.data(), indices, count));
 }
 
 // -- SIMD kernel dispatch. ------------------------------------------------

@@ -373,6 +373,41 @@ TEST(OopDifferential, DenseReferenceModeAlsoMatches) {
   }
 }
 
+TEST(OopDifferential, CompletedExecutionsAdoptFromThePublishedDirtyList) {
+  // The shim publishes each execution's dirty-word list, so no completed
+  // execution needs the full-map scan; the kDense oracle takes it every
+  // time. Both arms match in-process execution.
+  const std::string project = "libmodbus";
+  const auto factory = proto::target_factory(project);
+  for (const fuzz::BackendKind kind : kOopKinds) {
+    for (const cov::simd::Kernel kernel :
+         {cov::simd::Kernel::kAuto, cov::simd::Kernel::kDense}) {
+      SCOPED_TRACE(std::string(fuzz::to_string(kind)) + " kernel " +
+                   std::string(cov::simd::kernel_name(kernel)));
+      const std::unique_ptr<ProtocolTarget> inproc_target = factory();
+      const std::unique_ptr<ProtocolTarget> placeholder = factory();
+      fuzz::Executor inproc;
+      telem::Telemetry hub;
+      fuzz::ExecutorConfig config = oop_executor_config(project, kind);
+      config.coverage_kernel = kernel;
+      config.telemetry = telem::Sink(&hub, 0);
+      fuzz::Executor oop(config);
+
+      std::uint64_t runs = 0;
+      for (const Bytes& packet : packet_batch(project)) {
+        const fuzz::ExecResult a = inproc.run(*inproc_target, packet);
+        const fuzz::ExecResult& b = oop.run(*placeholder, packet);
+        ASSERT_EQ(a.trace_hash, b.trace_hash);
+        ASSERT_EQ(a.trace_edges, b.trace_edges);
+        ASSERT_EQ(a.new_coverage, b.new_coverage);
+        ++runs;
+      }
+      EXPECT_EQ(hub.snapshot().counter(telem::Counter::kOopAdoptFullScans),
+                kernel == cov::simd::Kernel::kDense ? runs : 0u);
+    }
+  }
+}
+
 // -- Persistent-mode hygiene. ---------------------------------------------
 
 /// Raw backend config for `project` with a persistent budget.

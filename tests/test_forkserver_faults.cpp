@@ -108,6 +108,40 @@ TEST(ForkServerFaults, ChildKilledMidExecutionReportsCrashAndRecovers) {
   }
 }
 
+TEST(ForkServerFaults, ExecutionKilledBeforeItStartsCarriesNoStaleResult) {
+  // Execution 5 runs in the slot execution 1 used (four slots, rotated in
+  // order) and dies before its child touches the slot. Nothing of
+  // execution 1's result may surface as execution 5's: the client
+  // invalidates a slot's result when it posts into it.
+  for (const fuzz::BackendKind kind : kOopKinds) {
+    SCOPED_TRACE(std::string("backend ") + std::string(fuzz::to_string(kind)));
+    ScopedEnv knob("ICSFUZZ_SHIM_KILL_CHILD_AT", "5");
+    const std::unique_ptr<ProtocolTarget> placeholder =
+        proto::target_factory("libmodbus")();
+    fuzz::Executor executor(oop_config(kind));
+    // Addressed to the server's unit id, so every execution answers.
+    const Bytes answered = {0x00, 0x01, 0x00, 0x00, 0x00, 0x06,
+                            0x11, 0x03, 0x00, 0x00, 0x00, 0x0A};
+
+    for (int i = 1; i <= 4; ++i) {
+      const fuzz::ExecResult& result = executor.run(*placeholder, answered);
+      ASSERT_FALSE(result.crashed()) << "execution " << i;
+      ASSERT_GT(result.events, 0u) << "execution " << i;
+      ASSERT_FALSE(result.response.empty()) << "execution " << i;
+    }
+    const fuzz::ExecResult& killed = executor.run(*placeholder, answered);
+    EXPECT_TRUE(killed.crashed());
+    EXPECT_EQ(killed.events, 0u);
+    ASSERT_FALSE(killed.faults.empty());
+    for (const san::FaultReport& fault : killed.faults) {
+      EXPECT_EQ(fault.site, san::site_id("oop-child-terminated"))
+          << fault.detail;
+    }
+    EXPECT_TRUE(killed.response.empty());
+    EXPECT_EQ(killed.trace_edges, 0u);
+  }
+}
+
 TEST(ForkServerFaults, TargetThatNeverHandshakesReportsServerLost) {
   ScopedEnv knob("ICSFUZZ_SHIM_NO_HANDSHAKE", "1");
   const std::unique_ptr<ProtocolTarget> placeholder =

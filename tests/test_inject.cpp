@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,6 +38,7 @@
 #include "inject/inject_protocol.hpp"
 #include "protocols/target_registry.hpp"
 #include "session/session_types.hpp"
+#include "telemetry/telemetry.hpp"
 #include "tests/test_support.hpp"
 
 namespace icsfuzz {
@@ -137,6 +139,35 @@ TEST(Inject, SancovEdgesAccumulateInCoverageMap) {
   EXPECT_TRUE(b.new_coverage)
       << "a different function code must reach edges FC 0x03 never did";
   EXPECT_NE(a.trace_hash, b.trace_hash);
+}
+
+TEST(Inject, RuntimePublishesTheDirtyListOfEveryCompletedExecution) {
+  // Stock children (a fresh main() per execution) and persistent loop
+  // children both publish their trace's dirty-word list, and adopting
+  // from it equals the full-map scan.
+  for (const std::uint32_t budget : {0u, 8u}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    oop::OutOfProcessExecutor executor(injected_config(demo_cmd(), budget));
+    ASSERT_TRUE(executor.ensure_started()) << executor.last_error();
+    for (int i = 0; i < 6; ++i) {
+      const oop::OutOfProcessExecutor::Outcome& outcome =
+          executor.run(i % 2 == 0 ? kBenign : kBenignCoils);
+      ASSERT_EQ(outcome.status, oop::ExecStatus::kOk) << executor.last_error();
+      const std::uint16_t* indices = nullptr;
+      std::uint32_t count = 0;
+      ASSERT_TRUE(oop::dirty_list_load(executor.dirty_list(), indices, count))
+          << "execution " << i;
+      cov::CoverageMap sparse;
+      sparse.adopt_sparse(executor.map_words(), indices, count);
+      cov::CoverageMap full;
+      full.adopt_external(executor.map_words());
+      EXPECT_GT(full.dirty_word_count(), 0u) << "execution " << i;
+      EXPECT_EQ(0, std::memcmp(sparse.trace(), full.trace(), cov::kMapSize))
+          << "execution " << i;
+      EXPECT_EQ(sparse.dirty_word_count(), full.dirty_word_count())
+          << "execution " << i;
+    }
+  }
 }
 
 TEST(Inject, InjectInfoBlockAdvertisesSancov) {
@@ -341,6 +372,8 @@ TEST(InjectTcp, DemoServeSplitsRepliesPerMessage) {
   tcp_config.backend.exec_timeout_ms = kGenerousTimeoutMs;
   tcp_config.backend.session.framing = session::Framing::kMbap;
   tcp_config.backend.session.record_traffic = true;
+  telem::Telemetry hub;
+  tcp_config.telemetry = telem::Sink(&hub, 0);
   fuzz::Executor tcp(std::move(tcp_config));
   fuzz::ExecutorConfig fork_config;
   fork_config.backend = demo_backend(kGenerousTimeoutMs);
@@ -376,6 +409,8 @@ TEST(InjectTcp, DemoServeSplitsRepliesPerMessage) {
           << "session " << s << " message " << m;
     }
   }
+  // The runtime published every session's dirty-word list.
+  EXPECT_EQ(hub.snapshot().counter(telem::Counter::kOopAdoptFullScans), 0u);
 }
 
 }  // namespace

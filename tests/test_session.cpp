@@ -56,6 +56,7 @@
 #include "session/session_types.hpp"
 #include "session/session_wire.hpp"
 #include "supervise/checkpoint.hpp"
+#include "telemetry/telemetry.hpp"
 #include "tests/test_support.hpp"
 #include "util/rng.hpp"
 
@@ -293,6 +294,29 @@ TEST(SessionDifferential, DenseReferenceModeAlsoMatches) {
   // Both session backends route their trace through the dense full-map
   // reference passes; the in-process vs over-TCP square still commutes.
   run_differential_oracle("IEC104", cov::simd::Kernel::kDense);
+}
+
+TEST(SessionDifferential, CompletedSessionsAdoptFromThePublishedDirtyList) {
+  // The --tcp server publishes each session's dirty-word list: no
+  // completed session needs the full-map scan, except on the kDense
+  // oracle, which takes it every time.
+  const std::vector<Bytes> streams = differential_streams("IEC104", 12);
+  const std::unique_ptr<ProtocolTarget> placeholder =
+      proto::target_factory("IEC104")();
+  for (const cov::simd::Kernel kernel :
+       {cov::simd::Kernel::kAuto, cov::simd::Kernel::kDense}) {
+    SCOPED_TRACE(cov::simd::kernel_name(kernel));
+    telem::Telemetry hub;
+    fuzz::ExecutorConfig config =
+        session_executor_config("IEC104", fuzz::BackendKind::kTcp,
+                                /*record_traffic=*/false);
+    config.coverage_kernel = kernel;
+    config.telemetry = telem::Sink(&hub, 0);
+    fuzz::Executor tcp(config);
+    for (const Bytes& stream : streams) tcp.run(*placeholder, stream);
+    EXPECT_EQ(hub.snapshot().counter(telem::Counter::kOopAdoptFullScans),
+              kernel == cov::simd::Kernel::kDense ? streams.size() : 0u);
+  }
 }
 
 TEST(SessionDifferential, FixedSeedCampaignTrajectoryIdenticalOverTcp) {

@@ -134,6 +134,11 @@ void render(const telem::Snapshot& snap, const telem::RateWindows& rates,
     std::printf("  %-18s %12llu  (in-flight executions drained unseen)\n",
                 "spec. discards", static_cast<unsigned long long>(discards));
   }
+  const std::uint64_t full_scans = snap.counter(Counter::kOopAdoptFullScans);
+  if (full_scans != 0) {
+    std::printf("  %-18s %12llu  (traces adopted by the full-map scan)\n",
+                "full-map adopts", static_cast<unsigned long long>(full_scans));
+  }
   const telem::HistogramSnapshot& latency =
       snap.histogram(Histogram::kExecLatencyNs);
   if (latency.count != 0) {
