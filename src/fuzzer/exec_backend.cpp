@@ -246,8 +246,7 @@ void adopt_oop_trace(const telem::Sink& sink, cov::CoverageMap& map,
                      const std::uint8_t* dirty_list, bool completed) {
   const std::uint16_t* indices = nullptr;
   std::uint32_t count = 0;
-  if (completed && dirty_list != nullptr &&
-      map.kernel() != cov::simd::Kernel::kDense &&
+  if (completed && map.kernel() != cov::simd::Kernel::kDense &&
       oop::dirty_list_load(dirty_list, indices, count)) {
     map.adopt_sparse(words, indices, count);
     return;
