@@ -1,18 +1,12 @@
 #include "exec_oop/exec_protocol.hpp"
 
 #include <poll.h>
-#include <signal.h>
-#include <sys/prctl.h>
-#include <sys/syscall.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-
-#include "exec_oop/wake_word.hpp"
 
 namespace icsfuzz::oop {
 
@@ -157,195 +151,6 @@ bool dirty_list_load(const std::uint8_t* dirty_list,
 void result_invalidate(std::uint8_t* aux, std::uint8_t* dirty_list) {
   store<std::uint32_t>(aux, kMagicOff, 0);
   store<std::uint32_t>(dirty_list, 0, 0);
-}
-
-void slot_invalidate_result(std::uint8_t* segment, std::uint32_t slot) {
-  std::uint8_t* slot_base = segment + slot_offset(slot);
-  result_invalidate(slot_base + kSlotAuxOffset,
-                    slot_base + kSlotDirtyListOffset);
-}
-
-void child_claim(HandoffBlock& block, std::uint32_t request) {
-  const auto posted_since = [&](std::uint32_t posted) {
-    return static_cast<std::int32_t>(posted - request) >= 0;
-  };
-  if (!posted_since(shared_load(block.request))) {
-    // Announce the sleep, then re-read the word (see bump_wake_waiter).
-    // The sleep is sliced like every other wait on a wake word, so a wake
-    // that goes missing costs a slice, never the execution's deadline.
-    for (;;) {
-      std::atomic_ref<std::uint32_t>(block.request_waiting).store(1);
-      const std::uint32_t posted =
-          std::atomic_ref<std::uint32_t>(block.request).load();
-      if (posted_since(posted)) break;
-      wait_wake(&block.request, posted, kSyncWaitSliceMs);
-    }
-  }
-  shared_store(block.claimed, request);
-}
-
-void child_complete(HandoffBlock& block, std::uint32_t request,
-                    std::uint32_t iteration) {
-  HandoffRecord& record = handoff_record(block, request);
-  record.died = 0;
-  record.iteration = iteration;
-  shared_store(record.done, request);
-  bump_wake_waiter(&block.wake, &block.wake_waiting);
-}
-
-namespace {
-
-/// Publishes a server-observed death of the child serving `request`.
-void publish_result(HandoffBlock& block, std::uint32_t request, int wstatus,
-                   std::uint32_t iteration) {
-  HandoffRecord& record = handoff_record(block, request);
-  record.died = 1;
-  record.wstatus = wstatus;
-  record.iteration = iteration;
-  shared_store(record.done, request);
-}
-
-bool request_done(HandoffBlock& block, std::uint32_t request) {
-  return shared_load(handoff_record(block, request).done) == request;
-}
-
-int reap_pid(pid_t pid, int pidfd) {
-  int wstatus = 0;
-  while (::waitpid(pid, &wstatus, 0) < 0 && errno == EINTR) {
-  }
-  ::close(pidfd);
-  return wstatus;
-}
-
-}  // namespace
-
-int ExecChild::fork(HandoffBlock& block) {
-  if (alive()) return 1;
-  const pid_t server = ::getpid();
-  claimed_at_fork_ = shared_load(block.claimed);
-  const pid_t pid = ::fork();
-  if (pid < 0) return -1;
-  if (pid == 0) {
-    // Die with the server: a server that exits without reaping must not
-    // leave a child blocked on the request word forever.
-    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-    if (::getppid() != server) ::_exit(0);
-    return 0;
-  }
-  const int fd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
-  if (fd < 0) {
-    ::kill(pid, SIGKILL);
-    while (::waitpid(pid, nullptr, 0) < 0 && errno == EINTR) {
-    }
-    return -1;
-  }
-  pid_ = pid;
-  pidfd_ = fd;
-  std::atomic_ref<std::uint32_t>(block.generation).fetch_add(1);
-  return 1;
-}
-
-bool ExecChild::requests_pending(HandoffBlock& block) {
-  // Sequentially consistent, after the generation bump: pairs with the
-  // client's request bump and generation read (see the protocol comment).
-  const std::uint32_t posted =
-      std::atomic_ref<std::uint32_t>(block.request).load();
-  return static_cast<std::int32_t>(posted - shared_load(block.claimed)) > 0;
-}
-
-std::uint32_t ExecChild::clear_next_map(HandoffBlock& block,
-                                        std::uint8_t* segment) {
-  if (!requests_pending(block)) return kNumSlots;
-  const std::uint32_t slot =
-      request_slot(block, shared_load(block.claimed) + 1);
-  std::memset(segment + slot_offset(slot), 0, cov::kMapSize);
-  return slot;
-}
-
-bool ExecChild::claimed_any(HandoffBlock& block) const {
-  return shared_load(block.claimed) != claimed_at_fork_;
-}
-
-int ExecChild::reap() {
-  const int wstatus = reap_pid(pid_, pidfd_);
-  pid_ = -1;
-  pidfd_ = -1;
-  return wstatus;
-}
-
-void ExecChild::publish_death(HandoffBlock& block, int wstatus) {
-  const std::uint32_t claimed = shared_load(block.claimed);
-  bool published = false;
-  if (claimed != claimed_at_fork_) {
-    // Died on (or after) the last request it took.
-    if (!request_done(block, claimed)) {
-      publish_result(block, claimed, wstatus, claimed - claimed_at_fork_);
-      published = true;
-    }
-  } else if (static_cast<std::int32_t>(shared_load(block.request) - claimed) >
-             0) {
-    // Died before taking its first request (a preloaded target that
-    // crashed on its way to the loop): that request is the casualty.
-    shared_store(block.claimed, claimed + 1);
-    publish_result(block, claimed + 1, wstatus, 1);
-    published = true;
-  }
-  std::atomic_ref<std::uint32_t>(block.generation).fetch_add(1);
-  // A budget recycle published nothing, and no client waits on it: the
-  // next request's fork is settled through the request and generation
-  // words alone.
-  if (published) bump_wake(&block.wake);
-}
-
-int ExecChild::kill_for_deadline(HandoffBlock& block,
-                                 std::uint32_t request) {
-  if (request_done(block, request)) return 0;  // finished at the boundary
-  const int wstatus = kill_and_reap(block);
-  const std::uint32_t claimed = shared_load(block.claimed);
-  const std::int32_t ahead = static_cast<std::int32_t>(claimed - request);
-  if (ahead >= 0 && request_done(block, claimed)) {
-    // Everything through `claimed` finished before the kill landed.
-  } else if (ahead > 0) {
-    // The kill caught a later request the client has not timed out: it
-    // did not finish, so the next child serves it again from scratch.
-    shared_store(block.claimed, claimed - 1);
-  } else {
-    publish_result(block, request, wstatus, request - claimed_at_fork_);
-    shared_store(block.claimed, request);
-  }
-  bump_wake(&block.wake);
-  return wstatus;
-}
-
-int ExecChild::retire_and_post(HandoffBlock& block) {
-  const int wstatus = kill_and_reap(block);
-  bump_wake(&block.request);
-  return wstatus;
-}
-
-int ExecChild::kill_and_reap(HandoffBlock& block) {
-  if (!alive()) return 0;
-  ::kill(pid_, SIGKILL);
-  const int wstatus = reap();
-  std::atomic_ref<std::uint32_t>(block.generation).fetch_add(1);
-  return wstatus;
-}
-
-void ExecChild::kill() {
-  if (!alive()) return;
-  ::kill(pid_, SIGKILL);
-  reap();
-}
-
-bool read_request(Request& request, Bytes& packet) {
-  if (!read_full(kCtlFd, &request, sizeof request)) return false;
-  packet.clear();
-  if (request.packet_len == 0) return true;
-  if (request.op != Op::kFork || request.packet_len > kMaxPacketBytes) {
-    return false;
-  }
-  packet.resize(request.packet_len);
-  return read_full(kCtlFd, packet.data(), packet.size());
 }
 
 bool slot_store_packet(std::uint8_t* segment, std::uint32_t slot,

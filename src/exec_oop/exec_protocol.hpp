@@ -1,7 +1,7 @@
 // Wire + segment protocol shared by the fuzzer-side fork-server client
-// (fork_server.hpp / oop_executor.hpp) and the two target-side servers: the
-// shim loop (shim_runner.hpp, linked into tools/icsfuzz_shim_target.cpp)
-// and the preload runtime (inject/preload_runtime.cpp).
+// (fork_server.hpp / oop_executor.hpp) and the target side, whose one
+// implementation — request loop, execution child, slot lifecycle — is
+// target_runtime.hpp, run by both the shim and the preload runtime.
 //
 // Segment layout (one ShmSegment of kSegmentBytesV2):
 //
@@ -252,83 +252,6 @@ void shared_store(T& word, T value) {
   std::atomic_ref<T>(word).store(value, std::memory_order_release);
 }
 
-/// Child side: blocks (no timeout — the child dies with its server) until
-/// request `request` is posted, then claims it.
-void child_claim(HandoffBlock& block, std::uint32_t request);
-
-/// Child side: publishes that request `request` completed as iteration
-/// `iteration` (its aux block is already stored), then wakes the client.
-void child_complete(HandoffBlock& block, std::uint32_t request,
-                    std::uint32_t iteration);
-
-/// Server side: the execution child — fork, pidfd, reap, kill — and the
-/// handoff bookkeeping of its deaths. Shared by the shim and the preload
-/// runtime, which differ only in what the forked child runs. No destructor
-/// kills the child: every execution child a server forks inherits a copy
-/// of this object, and a preloaded one unwinds it on its way to main().
-class ExecChild {
- public:
-  /// Forks a child unless one lives. Returns 0 in the child (which dies
-  /// with this process), 1 in the parent, -1 when fork/pidfd_open failed.
-  int fork(HandoffBlock& block);
-
-  /// Posted requests wait unclaimed: after a death, a child is due.
-  [[nodiscard]] static bool requests_pending(HandoffBlock& block);
-
-  /// Before a fork: when the request the next child serves first is
-  /// already posted, zeroes its slot's map here, where the pages are
-  /// mapped — a fresh child would fault in every one of them. Its result
-  /// slot is the client's to reuse once posted. Returns that slot (the
-  /// child starts with it clean), kNumSlots when nothing was posted yet.
-  static std::uint32_t clear_next_map(HandoffBlock& block,
-                                      std::uint8_t* segment);
-
-  [[nodiscard]] bool alive() const { return pid_ > 0; }
-  /// Readable once the child has died (poll it with the control pipe).
-  [[nodiscard]] int pidfd() const { return pidfd_; }
-  /// The child claimed a request (call before publish_death).
-  [[nodiscard]] bool claimed_any(HandoffBlock& block) const;
-
-  /// Reaps the child once its pidfd is readable; returns its wait status.
-  int reap();
-
-  /// Publishes the reaped child's death: the request it died on gets the
-  /// wait status and the client wakes (see the protocol comment above),
-  /// and the generation turns even.
-  void publish_death(HandoffBlock& block, int wstatus);
-
-  /// kKill: SIGKILLs the child unless it has moved past `request`, reaps
-  /// it, and makes sure no later child serves `request`. Returns the wait
-  /// status of a killed child, 0 otherwise.
-  int kill_for_deadline(HandoffBlock& block, std::uint32_t request);
-
-  /// kFork with a packet: SIGKILLs and reaps the idle child, publishing
-  /// nothing (it has claimed nothing), then posts the request the client
-  /// numbered but could not post. Returns the retired child's wait status,
-  /// 0 when none lived.
-  int retire_and_post(HandoffBlock& block);
-
-  /// Shutdown: SIGKILLs and reaps the child without publishing anything.
-  void kill();
-
- private:
-  /// SIGKILLs and reaps a living child and turns the generation even.
-  /// Returns its wait status, 0 when none lived.
-  int kill_and_reap(HandoffBlock& block);
-
-  pid_t pid_ = -1;
-  int pidfd_ = -1;
-  /// `claimed` when the child was forked: unchanged at death means the
-  /// child died before claiming any request.
-  std::uint32_t claimed_at_fork_ = 0;
-};
-
-/// Server side: reads the next request from kCtlFd and, for a kFork that
-/// carries a packet, its bytes into `packet` (emptied otherwise). False
-/// when the client is gone (EOF, read error) or sent a packet_len above
-/// kMaxPacketBytes.
-bool read_request(Request& request, Bytes& packet);
-
 /// Writes `packet` into slot `slot`'s test-case buffer as [u32 len][bytes]
 /// (client side). False when the packet exceeds kSlotPacketBytes.
 bool slot_store_packet(std::uint8_t* segment, std::uint32_t slot,
@@ -382,9 +305,6 @@ bool dirty_list_load(const std::uint8_t* dirty_list,
 /// dirty-word list. The client calls it on a slot when it posts into it,
 /// every server before it touches the map of the execution it starts.
 void result_invalidate(std::uint8_t* aux, std::uint8_t* dirty_list);
-
-/// result_invalidate on slot `slot`'s aux block and dirty-word list.
-void slot_invalidate_result(std::uint8_t* segment, std::uint32_t slot);
 
 // -- Pipe plumbing (EINTR-safe, deadline-aware). ---------------------------
 

@@ -99,7 +99,9 @@ bool ForkServer::post(ByteSpan packet, std::uint32_t slot) {
   // The slot still holds the result of the last request it served: an
   // execution that dies before its child reaches the slot must not read
   // as that one.
-  slot_invalidate_result(segment, slot);
+  std::uint8_t* slot_base = segment + slot_offset(slot);
+  result_invalidate(slot_base + kSlotAuxOffset,
+                    slot_base + kSlotDirtyListOffset);
   const std::uint32_t request = posted_ + 1;
   HandoffRecord& record = handoff_record(handoff_block(segment), request);
   record.slot = slot;

@@ -58,13 +58,13 @@ inline void bump_wake(std::uint32_t* word) {
 }
 
 /// bump_wake for a word whose sleeper announces itself in `waiting`
-/// (sync_wait_counter's `waiting`, child_claim): the FUTEX_WAKE is issued
-/// only when the announcement is up, and takes it down, so a publisher
-/// whose peer is busy — or already woken and not yet running — skips the
-/// syscall. The announcement is a sequentially consistent store before the
-/// sleeper re-reads the word, and the bump a sequentially consistent RMW
-/// before this load, so either the sleeper sees the bump or this sees the
-/// announcement.
+/// (sync_wait_counter's `waiting`, SlotLifecycle::begin): the FUTEX_WAKE
+/// is issued only when the announcement is up, and takes it down, so a
+/// publisher whose peer is busy — or already woken and not yet running —
+/// skips the syscall. The announcement is a sequentially consistent store
+/// before the sleeper re-reads the word, and the bump a sequentially
+/// consistent RMW before this load, so either the sleeper sees the bump or
+/// this sees the announcement.
 inline void bump_wake_waiter(std::uint32_t* word, std::uint32_t* waiting) {
   std::atomic_ref<std::uint32_t>(*word).fetch_add(1);
   std::atomic_ref<std::uint32_t> announced(*waiting);

@@ -7,11 +7,10 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
+#include <span>
 
 #include "coverage/instrument.hpp"
 #include "exec_oop/exec_protocol.hpp"
-#include "exec_oop/shm_segment.hpp"
 #include "sanitizer/fault.hpp"
 #include "session/reassembler.hpp"
 #include "session/session_wire.hpp"
@@ -36,29 +35,23 @@ bool send_full(int fd, const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
-/// One accepted connection = one session. Reassembles the request stream,
-/// serves each message into the caller's reused `response` scratch, logs
-/// its length and queues it in the reused `replies` buffer; returns once
-/// the client half-closes (EOF) or the control pipe says shut down
-/// (`*shutdown`).
+/// One accepted connection = one session, through the shared session
+/// lifecycle. Reassembles the request stream, serves each message into the
+/// caller's reused `response` scratch, logs its length and queues it in the
+/// reused `replies` buffer; returns once the client half-closes (EOF) or
+/// the control pipe says shut down (`*shutdown`).
 void serve_session(ProtocolTarget& target, Framing framing, int conn,
-                   std::uint8_t* segment, cov::DirtyWordList& dirty,
-                   Bytes& response, Bytes& replies, std::uint64_t& sessions,
-                   bool* shutdown) {
-  // Pristine per-session map state: invalidate the aux magic and the
-  // dirty-word list so a torn-down session is never mistaken for a
-  // completed one, then sparse-clear the previous session's dirty words.
-  oop::result_invalidate(segment + kAuxOffset, segment + kDirtyListOffset);
-  auto* words = reinterpret_cast<std::uint64_t*>(segment);
-  for (std::uint32_t i = 0; i < dirty.count; ++i) words[dirty.indices[i]] = 0;
-  dirty.count = 0;
-  sync_log_reset(segment);
+                   std::uint8_t* segment, oop::SessionMap& session,
+                   const oop::FaultPlan& plan, Bytes& response,
+                   Bytes& replies, bool* shutdown) {
+  std::uint8_t* map = session.begin(segment, plan);
 
   // Same arming order as every other backend (reset, fault sink, trace) —
   // the differential oracle depends on the symmetry.
   target.reset();
   san::FaultSink::arm();
-  cov::begin_trace(segment, &dirty);
+  cov::begin_trace(map);
+  const cov::DirtyWordList& dirty = *cov::tls_dirty_words;
 
   const auto serve_message = [&](ByteSpan message) {
     response.clear();
@@ -113,18 +106,16 @@ void serve_session(ProtocolTarget& target, Framing framing, int conn,
   result.events = cov::tls_event_count;
   cov::end_trace();
   san::FaultSink::disarm_into(result.faults);
-  oop::dirty_list_store(segment + kDirtyListOffset, dirty.indices,
-                        dirty.count);
-  oop::aux_store(segment + kAuxOffset, oop::kAuxBytes, result);
-  sync_publish_session_done(segment, ++sessions);
+  session.end(segment, dirty.indices, dirty.count, result);
 }
 
 }  // namespace
 
 int run_tcp_session_server(ProtocolTarget& target, Framing framing,
-                           const oop::ShimFaultPlan& plan) {
-  oop::ShmSegment segment = oop::attach_announced_segment(kTcpSegmentBytes);
-  if (!segment.valid()) return 3;
+                           const oop::FaultPlan& plan) {
+  const std::span<std::uint8_t> segment =
+      oop::attach_announced_segment(kTcpSegmentBytes);
+  if (segment.empty()) return 3;
   // This process runs every session itself, so the resource jail applies
   // to it: an allocation past the cap ends the server with kOomExitCode,
   // which the client classifies from the wait status.
@@ -153,15 +144,9 @@ int run_tcp_session_server(ProtocolTarget& target, Framing framing,
     return 4;
   }
 
-  // The whole-map memset runs once; later sessions sparse-clear through
-  // the dirty list (the begin_execution analogue).
-  std::memset(segment.data(), 0, cov::kMapSize);
-  static cov::DirtyWordList dirty;
-  dirty.count = 0;
+  static oop::SessionMap session;
   Bytes response;
   Bytes replies;
-  std::uint64_t sessions = 0;
-  std::uint64_t accepted = 0;
 
   for (;;) {
     struct pollfd fds[2];
@@ -181,15 +166,9 @@ int run_tcp_session_server(ProtocolTarget& target, Framing framing,
     if (conn < 0) continue;
     const int nodelay = 1;
     ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof nodelay);
-    // Fault-plan hooks, keyed on the session index: the server dies (or
-    // hangs) with the client already connected, i.e. mid-session.
-    ++accepted;
-    if (plan.server_exit_at != 0 && accepted == plan.server_exit_at) return 9;
-    oop::trip_execution_faults(plan, accepted);
-
     bool shutdown = false;
-    serve_session(target, framing, conn, segment.data(), dirty, response,
-                  replies, sessions, &shutdown);
+    serve_session(target, framing, conn, segment.data(), session, plan,
+                  response, replies, &shutdown);
     ::close(conn);
     if (shutdown) {
       ::close(listen_fd);

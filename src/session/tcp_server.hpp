@@ -14,15 +14,21 @@
 // the session_wire.hpp response log, and the session-done publish precedes
 // the close, so a client that reads EOF finds the session complete.
 //
+// The session's map lifecycle — fault plan, map clear, response log,
+// dirty-word list, aux block, session-done counter — is the shared target
+// runtime's oop::SessionMap (exec_oop/target_runtime.hpp), which the
+// preload runtime's tcp mode runs around a stock server too; this adapter
+// owns only the socket loop and the traced ProtocolTarget.
+//
 // Shutdown mirrors the fork server: EOF on the inherited control
 // descriptor (the client closing its pipe end) ends the accept loop with
 // exit status 0. The server runs every session in its own process, so the
-// resource jail and the shim fault plan (shim_runner.hpp, keyed on the
-// session index) apply to the server itself; the client classifies a
-// server that dies mid-session by its wait status.
+// resource jail and the fault plan (keyed on the session index) apply to
+// the server itself; the client classifies a server that dies mid-session
+// by its wait status.
 #pragma once
 
-#include "exec_oop/shim_runner.hpp"
+#include "exec_oop/target_runtime.hpp"
 #include "protocols/protocol_target.hpp"
 #include "session/session_types.hpp"
 
@@ -33,6 +39,6 @@ namespace icsfuzz::session {
 /// attach failure, 4 hello write failure, 8 socket setup failure, 9 the
 /// plan's server_exit_at.
 int run_tcp_session_server(ProtocolTarget& target, Framing framing,
-                           const oop::ShimFaultPlan& plan);
+                           const oop::FaultPlan& plan);
 
 }  // namespace icsfuzz::session

@@ -1,8 +1,8 @@
 #include "supervise/triage_store.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
@@ -39,6 +39,17 @@ std::string render_record(const TriageRecord& record) {
   return std::string(head) + tail + json_escape(record.detail) + "\"}\n";
 }
 
+/// Strict hex: the whole string, digits only, no overflow.
+template <typename T>
+bool parse_hex(const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const std::from_chars_result parsed =
+      std::from_chars(text.data(), end, out, 16);
+  return !text.empty() && parsed.ec == std::errc() && parsed.ptr == end;
+}
+
+/// One journal line; nullopt drops it: torn, malformed, or naming a bucket
+/// its fields do not derive (a bucket becomes a file name under repro/).
 std::optional<TriageRecord> parse_record(std::string_view line) {
   const std::optional<JsonValue> doc = json_parse(line);
   if (!doc || !doc->is_object()) return std::nullopt;
@@ -61,10 +72,12 @@ std::optional<TriageRecord> parse_record(std::string_view line) {
   TriageRecord record;
   record.bucket = bucket->string;
   record.kind = *parsed_kind;
-  record.site = static_cast<std::uint32_t>(
-      std::strtoul(site->string.c_str(), nullptr, 16));
-  if (trace != nullptr && trace->is_string()) {
-    record.trace_hash = std::strtoull(trace->string.c_str(), nullptr, 16);
+  if (!parse_hex(site->string, record.site) ||
+      (trace != nullptr &&
+       (!trace->is_string() || !parse_hex(trace->string, record.trace_hash))) ||
+      record.bucket !=
+          triage_bucket_id(record.kind, record.site, record.trace_hash)) {
+    return std::nullopt;
   }
   record.hits = hits->u64;
   record.first_execution = first->u64;
@@ -166,6 +179,8 @@ const TriageRecord* TriageStore::find(std::string_view bucket) const {
 
 std::optional<Bytes> TriageStore::load_reproducer(
     std::string_view bucket) const {
+  // Only an indexed bucket names a side file: its id is validated.
+  if (find(bucket) == nullptr) return std::nullopt;
   std::ifstream in(
       fs::path(directory_) / "repro" / (std::string(bucket) + ".bin"),
       std::ios::binary);

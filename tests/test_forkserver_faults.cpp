@@ -1,15 +1,17 @@
 // Fault-injection coverage for the fork-server execution path.
 //
-// The shim binary honours ICSFUZZ_SHIM_* environment knobs that inject
-// deterministic failures (exec_oop/shim_runner.hpp): a child SIGKILLed
-// mid-execution, a target that never handshakes, a child hanging into the
-// wall-clock deadline (also inside a pipelined persistent window), the
-// fork-server process itself dying, and an orderly server retirement.
+// Every target-side server honours ICSFUZZ_SHIM_* environment knobs that
+// inject deterministic failures (exec_oop/target_runtime.hpp): a child
+// SIGKILLed mid-execution, a target that never handshakes, a child hanging
+// into the wall-clock deadline (also inside a pipelined persistent window),
+// the fork-server process itself dying, and an orderly server retirement.
 // This suite drives each of them — plus an shm unlink race and a missing
 // binary — across BOTH out-of-process backends (fork-per-exec and
 // persistent) where the fault applies, and asserts the executor reports
 // the right status while the campaign keeps running (a dying target must
-// never take the fuzzer with it).
+// never take the fuzzer with it). The fault-plan cases run against the
+// shim and, when it is built, the demo server under the preload runtime:
+// a stock child per execution at K = 1, the cooperating loop at K > 1.
 #include <gtest/gtest.h>
 
 #include <sys/mman.h>
@@ -40,14 +42,82 @@ namespace {
 using test::ScopedEnv;
 using test::shim_cmd;
 
-/// ExecutorConfig for the shim under the given out-of-process backend.
+/// A fork-server target the fault-plan cases run against.
+struct FaultTarget {
+  const char* name;
+  std::vector<std::string> cmd;
+  /// libicsfuzz-preload.so for a stock binary, empty for the shim.
+  std::string preload;
+};
+
+/// The shim and, when built, the instrumented demo server under the
+/// preload runtime — both serve through the shared target runtime.
+std::vector<FaultTarget> fault_targets() {
+  std::vector<FaultTarget> targets = {{"shim", shim_cmd(), ""}};
+#ifdef ICSFUZZ_DEMO_SERVER_PATH
+  const char* demo = std::getenv("ICSFUZZ_DEMO_SERVER");
+  const char* preload = std::getenv("ICSFUZZ_PRELOAD");
+  targets.push_back({"preloaded demo",
+                     {demo != nullptr ? demo : ICSFUZZ_DEMO_SERVER_PATH},
+                     preload != nullptr ? preload : ICSFUZZ_PRELOAD_PATH});
+#endif
+  return targets;
+}
+
+/// ExecutorConfig for `target` under the given out-of-process backend.
 fuzz::ExecutorConfig oop_config(
+    const FaultTarget& target,
     fuzz::BackendKind kind = fuzz::BackendKind::kForkPerExec) {
   fuzz::ExecutorConfig config;
   config.backend.kind = kind;
-  config.backend.target_cmd = shim_cmd();
+  config.backend.target_cmd = target.cmd;
+  config.backend.preload = target.preload;
   return config;
 }
+
+/// ExecutorConfig for the shim under the given out-of-process backend.
+fuzz::ExecutorConfig oop_config(
+    fuzz::BackendKind kind = fuzz::BackendKind::kForkPerExec) {
+  return oop_config(fault_targets().front(), kind);
+}
+
+/// What a fault-free execution of a target must produce. The shim's twin
+/// is the in-process stack, bit for bit: trace, events and response. The
+/// demo has no in-process twin, and a loop child's trace depends on its
+/// iteration, so its oracle is the response of a knob-free stock run —
+/// construct the reference before setting a knob: its server is spawned
+/// here and keeps the plan it read at spawn.
+class Reference {
+ public:
+  explicit Reference(const FaultTarget& target)
+      : target_(proto::target_factory("libmodbus")()),
+        executor_(target.preload.empty() ? fuzz::ExecutorConfig{}
+                                         : oop_config(target)),
+        bit_identical_(target.preload.empty()) {
+    if (!bit_identical_) (void)executor_.run(*target_, kWarmUp);
+  }
+
+  /// Checks execution `i`'s clean `result` of `packet` against the
+  /// reference's run of the same packet.
+  void expect_match(const fuzz::ExecResult& result, const Bytes& packet,
+                    int i) {
+    const fuzz::ExecResult& expected = executor_.run(*target_, packet);
+    EXPECT_FALSE(result.crashed()) << "execution " << i;
+    EXPECT_FALSE(expected.crashed()) << "execution " << i;
+    EXPECT_EQ(result.response, expected.response) << "execution " << i;
+    if (bit_identical_) {
+      EXPECT_EQ(result.trace_hash, expected.trace_hash) << "execution " << i;
+      EXPECT_EQ(result.events, expected.events) << "execution " << i;
+    }
+  }
+
+ private:
+  static inline const Bytes kWarmUp = {0x00, 0x01, 0x00, 0x00, 0x00, 0x06,
+                                       0x01, 0x03, 0x00, 0x00, 0x00, 0x01};
+  std::unique_ptr<ProtocolTarget> target_;
+  fuzz::Executor executor_;
+  bool bit_identical_;
+};
 
 /// Both out-of-process backend kinds (the faults below must be survivable
 /// whichever transport serves the execution).
@@ -65,45 +135,40 @@ const Bytes kPacket = {0x00, 0x01, 0x00, 0x00, 0x00, 0x06,
                        0x01, 0x03, 0x00, 0x00, 0x00, 0x0A};
 
 TEST(ForkServerFaults, ChildKilledMidExecutionReportsCrashAndRecovers) {
-  for (const fuzz::BackendKind kind : kOopKinds) {
-    SCOPED_TRACE(std::string("backend ") + std::string(fuzz::to_string(kind)));
-    ScopedEnv knob("ICSFUZZ_SHIM_KILL_CHILD_AT", "3");
-    const std::unique_ptr<ProtocolTarget> placeholder =
-        proto::target_factory("libmodbus")();
-    const std::unique_ptr<ProtocolTarget> reference_target =
-        proto::target_factory("libmodbus")();
+  for (const FaultTarget& target : fault_targets()) {
+    for (const fuzz::BackendKind kind : kOopKinds) {
+      SCOPED_TRACE(std::string(target.name) + ", backend " +
+                   std::string(fuzz::to_string(kind)));
+      Reference reference(target);
+      ScopedEnv knob("ICSFUZZ_SHIM_KILL_CHILD_AT", "3");
+      const std::unique_ptr<ProtocolTarget> placeholder =
+          proto::target_factory("libmodbus")();
 
-    fuzz::Executor executor(oop_config(kind));
-    fuzz::Executor reference;
+      fuzz::Executor executor(oop_config(target, kind));
 
-    for (int i = 1; i <= 5; ++i) {
-      const fuzz::ExecResult result = executor.run(*placeholder, kPacket);
-      const fuzz::ExecResult expected =
-          reference.run(*reference_target, kPacket);
-      if (i == 3) {
-        // The SIGKILLed child is a crash, attributed to the synthetic
-        // child-terminated site, with whatever partial trace it left.
-        EXPECT_TRUE(result.crashed()) << "execution " << i;
-        EXPECT_TRUE(
-            has_fault_site(result, san::site_id("oop-child-terminated")))
-            << "execution " << i;
-      } else {
-        // Every surrounding execution is bit-identical to in-process: the
-        // fork server survives its children.
-        EXPECT_FALSE(result.crashed()) << "execution " << i;
-        EXPECT_EQ(result.trace_hash, expected.trace_hash)
-            << "execution " << i;
-        EXPECT_EQ(result.events, expected.events) << "execution " << i;
-        EXPECT_EQ(result.response, expected.response) << "execution " << i;
+      for (int i = 1; i <= 5; ++i) {
+        const fuzz::ExecResult result = executor.run(*placeholder, kPacket);
+        if (i == 3) {
+          // The SIGKILLed child is a crash, attributed to the synthetic
+          // child-terminated site, with whatever partial trace it left.
+          EXPECT_TRUE(result.crashed()) << "execution " << i;
+          EXPECT_TRUE(
+              has_fault_site(result, san::site_id("oop-child-terminated")))
+              << "execution " << i;
+        } else {
+          // Every surrounding execution matches the reference: the fork
+          // server survives its children.
+          reference.expect_match(result, kPacket, i);
+        }
       }
-    }
-    ASSERT_NE(executor.oop_backend(), nullptr);
-    EXPECT_EQ(executor.oop_backend()->server_restarts(), 0u)
-        << "a child death must not force a server respawn";
-    if (kind == fuzz::BackendKind::kPersistent) {
-      // The crashed persistent child was recycled; a fresh one served the
-      // following executions.
-      EXPECT_GE(executor.oop_backend()->child_recycles(), 1u);
+      ASSERT_NE(executor.oop_backend(), nullptr);
+      EXPECT_EQ(executor.oop_backend()->server_restarts(), 0u)
+          << "a child death must not force a server respawn";
+      if (kind == fuzz::BackendKind::kPersistent) {
+        // The crashed persistent child was recycled; a fresh one served the
+        // following executions.
+        EXPECT_GE(executor.oop_backend()->child_recycles(), 1u);
+      }
     }
   }
 }
@@ -113,56 +178,62 @@ TEST(ForkServerFaults, ExecutionKilledBeforeItStartsCarriesNoStaleResult) {
   // order) and dies before its child touches the slot. Nothing of
   // execution 1's result may surface as execution 5's: the client
   // invalidates a slot's result when it posts into it.
-  for (const fuzz::BackendKind kind : kOopKinds) {
-    SCOPED_TRACE(std::string("backend ") + std::string(fuzz::to_string(kind)));
-    ScopedEnv knob("ICSFUZZ_SHIM_KILL_CHILD_AT", "5");
-    const std::unique_ptr<ProtocolTarget> placeholder =
-        proto::target_factory("libmodbus")();
-    fuzz::Executor executor(oop_config(kind));
-    // Addressed to the server's unit id, so every execution answers.
-    const Bytes answered = {0x00, 0x01, 0x00, 0x00, 0x00, 0x06,
-                            0x11, 0x03, 0x00, 0x00, 0x00, 0x0A};
+  for (const FaultTarget& target : fault_targets()) {
+    for (const fuzz::BackendKind kind : kOopKinds) {
+      SCOPED_TRACE(std::string(target.name) + ", backend " +
+                   std::string(fuzz::to_string(kind)));
+      ScopedEnv knob("ICSFUZZ_SHIM_KILL_CHILD_AT", "5");
+      const std::unique_ptr<ProtocolTarget> placeholder =
+          proto::target_factory("libmodbus")();
+      fuzz::Executor executor(oop_config(target, kind));
+      // Addressed to the server's unit id, so every execution answers.
+      const Bytes answered = {0x00, 0x01, 0x00, 0x00, 0x00, 0x06,
+                              0x11, 0x03, 0x00, 0x00, 0x00, 0x0A};
 
-    for (int i = 1; i <= 4; ++i) {
-      const fuzz::ExecResult& result = executor.run(*placeholder, answered);
-      ASSERT_FALSE(result.crashed()) << "execution " << i;
-      ASSERT_GT(result.events, 0u) << "execution " << i;
-      ASSERT_FALSE(result.response.empty()) << "execution " << i;
+      for (int i = 1; i <= 4; ++i) {
+        const fuzz::ExecResult& result = executor.run(*placeholder, answered);
+        ASSERT_FALSE(result.crashed()) << "execution " << i;
+        ASSERT_GT(result.events, 0u) << "execution " << i;
+        ASSERT_FALSE(result.response.empty()) << "execution " << i;
+      }
+      const fuzz::ExecResult& killed = executor.run(*placeholder, answered);
+      EXPECT_TRUE(killed.crashed());
+      EXPECT_EQ(killed.events, 0u);
+      ASSERT_FALSE(killed.faults.empty());
+      for (const san::FaultReport& fault : killed.faults) {
+        EXPECT_EQ(fault.site, san::site_id("oop-child-terminated"))
+            << fault.detail;
+      }
+      EXPECT_TRUE(killed.response.empty());
+      EXPECT_EQ(killed.trace_edges, 0u);
     }
-    const fuzz::ExecResult& killed = executor.run(*placeholder, answered);
-    EXPECT_TRUE(killed.crashed());
-    EXPECT_EQ(killed.events, 0u);
-    ASSERT_FALSE(killed.faults.empty());
-    for (const san::FaultReport& fault : killed.faults) {
-      EXPECT_EQ(fault.site, san::site_id("oop-child-terminated"))
-          << fault.detail;
-    }
-    EXPECT_TRUE(killed.response.empty());
-    EXPECT_EQ(killed.trace_edges, 0u);
   }
 }
 
 TEST(ForkServerFaults, TargetThatNeverHandshakesReportsServerLost) {
-  ScopedEnv knob("ICSFUZZ_SHIM_NO_HANDSHAKE", "1");
-  const std::unique_ptr<ProtocolTarget> placeholder =
-      proto::target_factory("libmodbus")();
+  for (const FaultTarget& target : fault_targets()) {
+    SCOPED_TRACE(target.name);
+    ScopedEnv knob("ICSFUZZ_SHIM_NO_HANDSHAKE", "1");
+    const std::unique_ptr<ProtocolTarget> placeholder =
+        proto::target_factory("libmodbus")();
 
-  fuzz::Executor executor(oop_config());
+    fuzz::Executor executor(oop_config(target));
 
-  // Every run fails fast (the shim exits instead of handshaking — no
-  // timeout wait), reports the server-lost site, and leaves the executor
-  // usable for the next attempt.
-  for (int i = 0; i < 3; ++i) {
-    const fuzz::ExecResult result = executor.run(*placeholder, kPacket);
-    EXPECT_TRUE(result.crashed()) << "execution " << i;
-    EXPECT_TRUE(has_fault_site(result, san::site_id("oop-server-lost")))
-        << "execution " << i;
-    EXPECT_EQ(result.trace_edges, 0u) << "execution " << i;
-    EXPECT_EQ(result.events, 0u) << "execution " << i;
+    // Every run fails fast (the server exits instead of handshaking — no
+    // timeout wait), reports the server-lost site, and leaves the executor
+    // usable for the next attempt.
+    for (int i = 0; i < 3; ++i) {
+      const fuzz::ExecResult result = executor.run(*placeholder, kPacket);
+      EXPECT_TRUE(result.crashed()) << "execution " << i;
+      EXPECT_TRUE(has_fault_site(result, san::site_id("oop-server-lost")))
+          << "execution " << i;
+      EXPECT_EQ(result.trace_edges, 0u) << "execution " << i;
+      EXPECT_EQ(result.events, 0u) << "execution " << i;
+    }
+    ASSERT_NE(executor.oop_backend(), nullptr);
+    EXPECT_FALSE(executor.oop_backend()->last_error().empty());
+    EXPECT_FALSE(executor.oop_backend()->server_running());
   }
-  ASSERT_NE(executor.oop_backend(), nullptr);
-  EXPECT_FALSE(executor.oop_backend()->last_error().empty());
-  EXPECT_FALSE(executor.oop_backend()->server_running());
 }
 
 TEST(ForkServerFaults, MissingBinaryReportsServerLost) {
@@ -183,43 +254,41 @@ TEST(ForkServerFaults, MissingBinaryReportsServerLost) {
 }
 
 TEST(ForkServerFaults, HangHitsTheDeadlineAndTheServerSurvives) {
-  for (const fuzz::BackendKind kind : kOopKinds) {
-    SCOPED_TRACE(std::string("backend ") + std::string(fuzz::to_string(kind)));
-    ScopedEnv knob("ICSFUZZ_SHIM_HANG_AT", "2");
-    const std::unique_ptr<ProtocolTarget> placeholder =
-        proto::target_factory("libmodbus")();
-    const std::unique_ptr<ProtocolTarget> reference_target =
-        proto::target_factory("libmodbus")();
+  for (const FaultTarget& target : fault_targets()) {
+    for (const fuzz::BackendKind kind : kOopKinds) {
+      SCOPED_TRACE(std::string(target.name) + ", backend " +
+                   std::string(fuzz::to_string(kind)));
+      Reference reference(target);
+      ScopedEnv knob("ICSFUZZ_SHIM_HANG_AT", "2");
+      const std::unique_ptr<ProtocolTarget> placeholder =
+          proto::target_factory("libmodbus")();
 
-    fuzz::ExecutorConfig config = oop_config(kind);
-    config.backend.exec_timeout_ms = 200;
-    fuzz::Executor executor(config);
-    fuzz::Executor reference;
+      fuzz::ExecutorConfig config = oop_config(target, kind);
+      config.backend.exec_timeout_ms = 200;
+      fuzz::Executor executor(config);
 
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 1; i <= 4; ++i) {
-      const fuzz::ExecResult result = executor.run(*placeholder, kPacket);
-      const fuzz::ExecResult expected =
-          reference.run(*reference_target, kPacket);
-      if (i == 2) {
-        ASSERT_TRUE(result.crashed()) << "execution " << i;
-        EXPECT_EQ(result.faults[0].kind, san::FaultKind::Hang)
-            << "execution " << i;
-        EXPECT_TRUE(has_fault_site(result, san::site_id("oop-exec-deadline")))
-            << "execution " << i;
-      } else {
-        // The hung child was SIGKILLed at the deadline; the server keeps
-        // serving bit-identical executions.
-        EXPECT_FALSE(result.crashed()) << "execution " << i;
-        EXPECT_EQ(result.trace_hash, expected.trace_hash)
-            << "execution " << i;
+      const auto start = std::chrono::steady_clock::now();
+      for (int i = 1; i <= 4; ++i) {
+        const fuzz::ExecResult result = executor.run(*placeholder, kPacket);
+        if (i == 2) {
+          ASSERT_TRUE(result.crashed()) << "execution " << i;
+          EXPECT_EQ(result.faults[0].kind, san::FaultKind::Hang)
+              << "execution " << i;
+          EXPECT_TRUE(
+              has_fault_site(result, san::site_id("oop-exec-deadline")))
+              << "execution " << i;
+        } else {
+          // The hung child was SIGKILLed at the deadline; the server keeps
+          // serving executions that match the reference.
+          reference.expect_match(result, kPacket, i);
+        }
       }
+      const auto elapsed = std::chrono::duration_cast<std::chrono::seconds>(
+          std::chrono::steady_clock::now() - start);
+      EXPECT_LT(elapsed.count(), 30) << "the deadline must reap hangs promptly";
+      ASSERT_NE(executor.oop_backend(), nullptr);
+      EXPECT_EQ(executor.oop_backend()->server_restarts(), 0u);
     }
-    const auto elapsed = std::chrono::duration_cast<std::chrono::seconds>(
-        std::chrono::steady_clock::now() - start);
-    EXPECT_LT(elapsed.count(), 30) << "the deadline must reap hangs promptly";
-    ASSERT_NE(executor.oop_backend(), nullptr);
-    EXPECT_EQ(executor.oop_backend()->server_restarts(), 0u);
   }
 }
 
@@ -337,71 +406,64 @@ TEST(ForkServerFaults, ServerCrashTriggersRespawnAndTheRunRetries) {
   // so the caller sees an unbroken stream of clean results. The respawned
   // server re-reads the knob, so it dies again at ITS 3rd execution: 5
   // packets = 2 respawns, every result clean.
-  for (const fuzz::BackendKind kind : kOopKinds) {
-    SCOPED_TRACE(std::string("backend ") + std::string(fuzz::to_string(kind)));
-    ScopedEnv knob("ICSFUZZ_SHIM_SERVER_EXIT_AT", "3");
-    const std::unique_ptr<ProtocolTarget> placeholder =
-        proto::target_factory("libmodbus")();
-    const std::unique_ptr<ProtocolTarget> reference_target =
-        proto::target_factory("libmodbus")();
+  for (const FaultTarget& target : fault_targets()) {
+    for (const fuzz::BackendKind kind : kOopKinds) {
+      SCOPED_TRACE(std::string(target.name) + ", backend " +
+                   std::string(fuzz::to_string(kind)));
+      Reference reference(target);
+      ScopedEnv knob("ICSFUZZ_SHIM_SERVER_EXIT_AT", "3");
+      const std::unique_ptr<ProtocolTarget> placeholder =
+          proto::target_factory("libmodbus")();
 
-    fuzz::Executor executor(oop_config(kind));
-    fuzz::Executor reference;
+      fuzz::Executor executor(oop_config(target, kind));
 
-    for (int i = 1; i <= 5; ++i) {
-      const fuzz::ExecResult result = executor.run(*placeholder, kPacket);
-      const fuzz::ExecResult expected =
-          reference.run(*reference_target, kPacket);
-      EXPECT_FALSE(result.crashed()) << "execution " << i;
-      EXPECT_EQ(result.trace_hash, expected.trace_hash) << "execution " << i;
-      EXPECT_EQ(result.events, expected.events) << "execution " << i;
-      EXPECT_EQ(result.response, expected.response) << "execution " << i;
+      for (int i = 1; i <= 5; ++i) {
+        reference.expect_match(executor.run(*placeholder, kPacket), kPacket,
+                               i);
+      }
+      ASSERT_NE(executor.oop_backend(), nullptr);
+      EXPECT_EQ(executor.oop_backend()->server_restarts(), 2u);
+      // A nonzero-exit server is a LOST server, never an orderly one.
+      EXPECT_EQ(executor.oop_backend()->orderly_server_exits(), 0u);
     }
-    ASSERT_NE(executor.oop_backend(), nullptr);
-    EXPECT_EQ(executor.oop_backend()->server_restarts(), 2u);
-    // A nonzero-exit server is a LOST server, never an orderly one.
-    EXPECT_EQ(executor.oop_backend()->orderly_server_exits(), 0u);
   }
 }
 
 TEST(ForkServerFaults, OrderlyServerRetirementIsNotALostServer) {
-  // The shim retires (exit 0) after every 3 served executions. The client
+  // The server retires (exit 0) after every 3 served executions. The client
   // must classify the EOF + clean exit as kServerExited: respawn and retry
   // exactly as for a crash, but book it under oop_server_exits — the
   // oop_server_lost counter stays at zero (it used to overcount this).
-  for (const fuzz::BackendKind kind : kOopKinds) {
-    SCOPED_TRACE(std::string("backend ") + std::string(fuzz::to_string(kind)));
-    ScopedEnv knob("ICSFUZZ_SHIM_SERVER_RETIRE_AFTER", "3");
-    const std::unique_ptr<ProtocolTarget> placeholder =
-        proto::target_factory("libmodbus")();
-    const std::unique_ptr<ProtocolTarget> reference_target =
-        proto::target_factory("libmodbus")();
+  for (const FaultTarget& target : fault_targets()) {
+    for (const fuzz::BackendKind kind : kOopKinds) {
+      SCOPED_TRACE(std::string(target.name) + ", backend " +
+                   std::string(fuzz::to_string(kind)));
+      Reference reference(target);
+      ScopedEnv knob("ICSFUZZ_SHIM_SERVER_RETIRE_AFTER", "3");
+      const std::unique_ptr<ProtocolTarget> placeholder =
+          proto::target_factory("libmodbus")();
 
-    telem::Telemetry hub;
-    fuzz::ExecutorConfig config = oop_config(kind);
-    config.telemetry = telem::Sink(&hub, 0);
-    fuzz::Executor executor(config);
-    fuzz::Executor reference;
+      telem::Telemetry hub;
+      fuzz::ExecutorConfig config = oop_config(target, kind);
+      config.telemetry = telem::Sink(&hub, 0);
+      fuzz::Executor executor(config);
 
-    // 8 packets across servers that retire every 3: two retirements hit
-    // mid-stream, every result still clean and bit-identical.
-    for (int i = 1; i <= 8; ++i) {
-      const fuzz::ExecResult result = executor.run(*placeholder, kPacket);
-      const fuzz::ExecResult expected =
-          reference.run(*reference_target, kPacket);
-      EXPECT_FALSE(result.crashed()) << "execution " << i;
-      EXPECT_EQ(result.trace_hash, expected.trace_hash) << "execution " << i;
-      EXPECT_EQ(result.response, expected.response) << "execution " << i;
+      // 8 packets across servers that retire every 3: two retirements hit
+      // mid-stream, every result still clean and matching the reference.
+      for (int i = 1; i <= 8; ++i) {
+        reference.expect_match(executor.run(*placeholder, kPacket), kPacket,
+                               i);
+      }
+      ASSERT_NE(executor.oop_backend(), nullptr);
+      EXPECT_EQ(executor.oop_backend()->orderly_server_exits(), 2u);
+      EXPECT_EQ(executor.oop_backend()->server_restarts(), 2u);
+
+      const telem::Snapshot snap = hub.snapshot();
+      EXPECT_EQ(snap.counter(telem::Counter::kOopServerLost), 0u)
+          << "orderly retirement must not count as a lost server";
+      EXPECT_EQ(snap.counter(telem::Counter::kOopServerExits), 2u);
+      EXPECT_EQ(snap.counter(telem::Counter::kOopRestarts), 2u);
     }
-    ASSERT_NE(executor.oop_backend(), nullptr);
-    EXPECT_EQ(executor.oop_backend()->orderly_server_exits(), 2u);
-    EXPECT_EQ(executor.oop_backend()->server_restarts(), 2u);
-
-    const telem::Snapshot snap = hub.snapshot();
-    EXPECT_EQ(snap.counter(telem::Counter::kOopServerLost), 0u)
-        << "orderly retirement must not count as a lost server";
-    EXPECT_EQ(snap.counter(telem::Counter::kOopServerExits), 2u);
-    EXPECT_EQ(snap.counter(telem::Counter::kOopRestarts), 2u);
   }
 }
 

@@ -28,6 +28,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -411,6 +412,47 @@ TEST(InjectTcp, DemoServeSplitsRepliesPerMessage) {
   }
   // The runtime published every session's dirty-word list.
   EXPECT_EQ(hub.snapshot().counter(telem::Counter::kOopAdoptFullScans), 0u);
+}
+
+TEST(InjectTcp, ServerExitMidSessionIsALostServerAsOnTheShim) {
+  // ICSFUZZ_SHIM_SERVER_EXIT_AT=2: both session servers run their sessions
+  // through the shared runtime's oop::SessionMap, so each exits 9 on
+  // accepting its 2nd session, with the client connected. The client
+  // classifies the death by its wait status, and the next session runs on
+  // a respawned server.
+  fuzz::ExecutorConfig demo_config;
+  demo_config.backend.kind = fuzz::BackendKind::kTcp;
+  demo_config.backend.target_cmd = demo_cmd();
+  demo_config.backend.target_cmd.push_back("--serve");
+  demo_config.backend.preload = preload_path();
+  demo_config.backend.exec_timeout_ms = kGenerousTimeoutMs;
+  demo_config.backend.session.framing = session::Framing::kMbap;
+  fuzz::ExecutorConfig shim_config = demo_config;
+  shim_config.backend.target_cmd = test::shim_tcp_cmd("libmodbus");
+  shim_config.backend.preload.clear();
+
+  ScopedEnv knob("ICSFUZZ_SHIM_SERVER_EXIT_AT", "2");
+  const std::unique_ptr<ProtocolTarget> placeholder =
+      proto::target_factory("libmodbus")();
+  for (fuzz::ExecutorConfig& config : {std::ref(shim_config),
+                                       std::ref(demo_config)}) {
+    SCOPED_TRACE(config.backend.target_cmd.front());
+    fuzz::Executor executor(config);
+    for (int i = 1; i <= 3; ++i) {
+      const fuzz::ExecResult& result = executor.run(*placeholder, kBenign);
+      if (i != 2) {
+        EXPECT_FALSE(result.crashed()) << "session " << i;
+        continue;
+      }
+      ASSERT_TRUE(result.crashed()) << "session " << i;
+      EXPECT_EQ(result.faults[0].site, san::site_id("oop-child-terminated"));
+      EXPECT_NE(result.faults[0].detail.find("code 9"), std::string::npos)
+          << result.faults[0].detail;
+    }
+    const oop::TargetProcess* process = executor.backend().target_process();
+    ASSERT_NE(process, nullptr);
+    EXPECT_EQ(process->tallies().restarts, 1u);
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -301,6 +302,71 @@ TEST(TriageStore, TornTrailingJournalLineIsDropped) {
   supervise::TriageStore third(dir.str());
   ASSERT_TRUE(third.open());
   EXPECT_EQ(third.records().size(), 2u);
+}
+
+TEST(TriageStore, IndexLineWhoseBucketItsFieldsDoNotDeriveIsDropped) {
+  // A bucket id becomes the file name repro/<bucket>.bin, so an index line
+  // naming a bucket its kind, site and trace hash do not derive is dropped
+  // like a torn one — "../../outside" must not let open, load_reproducer
+  // or reverify touch a file outside the store — and so is a line whose
+  // hex fields are garbage, which must not read as 0.
+  const ScopedTempDir root("icsfuzz-triage-traversal");
+  const fs::path store_dir = root.path() / "a" / "store";
+  const fs::path outside = root.path() / "a" / "outside.bin";
+  supervise::TriageStore store(store_dir.string());
+  ASSERT_TRUE(store.open());
+  fuzz::CrashRecord crash;
+  crash.kind = san::FaultKind::Segv;
+  crash.site = 0x1234;
+  crash.detail = "synthetic";
+  crash.reproducer = Bytes{1, 2, 3};
+  crash.hits = 1;
+  crash.first_execution = 10;
+  crash.trace_hash = 0x55;
+  store.ingest(crash, nullptr);
+  { std::ofstream(outside, std::ios::binary) << "outside"; }
+
+  const std::string kind = san::to_slug(san::FaultKind::Segv);
+  const std::string zero_bucket =
+      supervise::triage_bucket_id(san::FaultKind::Segv, 0, 0);
+  {
+    std::ofstream journal(store_dir / "index.jsonl",
+                          std::ios::binary | std::ios::app);
+    journal << "{\"bucket\":\"../../outside\",\"kind\":\"" << kind
+            << "\",\"site\":\"00001234\",\"trace_hash\":"
+               "\"0000000000000055\",\"hits\":1,\"first_execution\":1}\n";
+    journal << "{\"bucket\":\"" << zero_bucket << "\",\"kind\":\"" << kind
+            << "\",\"site\":\"zz\",\"trace_hash\":\"0\",\"hits\":1,"
+               "\"first_execution\":1}\n";
+    journal << "{\"bucket\":\"" << zero_bucket << "\",\"kind\":\"" << kind
+            << "\",\"site\":\"0\",\"trace_hash\":\"-0\",\"hits\":1,"
+               "\"first_execution\":1}\n";
+  }
+
+  supervise::TriageStore reopened(store_dir.string());
+  ASSERT_TRUE(reopened.open());
+  ASSERT_EQ(reopened.records().size(), 1u);
+  EXPECT_EQ(reopened.records()[0].bucket,
+            supervise::triage_bucket_id(crash.kind, crash.site,
+                                        crash.trace_hash));
+  EXPECT_EQ(reopened.find("../../outside"), nullptr);
+  EXPECT_EQ(reopened.find(zero_bucket), nullptr);
+  EXPECT_FALSE(reopened.load_reproducer("../../outside").has_value());
+  proto::Cs101Server target;
+  EXPECT_FALSE(reopened.reverify("../../outside", target).has_value());
+
+  // Nothing outside the store was read into a record or written.
+  std::ifstream in(outside, std::ios::binary);
+  const std::string content((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(content, "outside");
+  std::vector<std::string> entries;
+  for (const fs::directory_entry& entry :
+       fs::directory_iterator(root.path() / "a")) {
+    entries.push_back(entry.path().filename().string());
+  }
+  std::sort(entries.begin(), entries.end());
+  EXPECT_EQ(entries, (std::vector<std::string>{"outside.bin", "store"}));
 }
 
 TEST(TriageStore, MissingStoreIsEmptyAndReverifyOfUnknownBucketIsNullopt) {

@@ -20,7 +20,7 @@
 //
 // ICSFUZZ_SHIM_* environment knobs inject deterministic faults (child
 // kill / hang / OOM / server crash / no handshake) for the fault-injection
-// suites, in both modes; see exec_oop/shim_runner.hpp.
+// suites, in both modes; see exec_oop/target_runtime.hpp.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::unique_ptr<ProtocolTarget> target = factory();
-  const oop::ShimFaultPlan plan = oop::shim_fault_plan_from_env();
+  const oop::FaultPlan plan = oop::fault_plan_from_env();
   if (tcp) {
     return session::run_tcp_session_server(
         *target, session::framing_for_project(project), plan);
