@@ -26,10 +26,11 @@
 //     allocation-free stub target (must be 0), and per stacked
 //     mutate_bytes_into ping-pong iteration (must be 0).
 //
-//   * Generation allocations — per packet of ModelInstantiator::
-//     generate_into and SemanticGenerator::generate_into on all six pits
-//     (the semantic arm with the puzzle corpus of a short Peach* campaign),
-//     after warm-up (must be 0).
+//   * Generation — per packet of ModelInstantiator::generate_into and
+//     SemanticGenerator::generate_into on all six pits (the semantic arm
+//     with the puzzle corpus of a short Peach* campaign), after warm-up:
+//     heap allocations (must be 0) and the rate over the same packets
+//     (`generate_packets_per_sec`).
 //
 //   * Checkpoint image — save_checkpoint/load_checkpoint of a synthetic
 //     supervised-campaign image (2 workers x 150k executed-packet hashes
@@ -144,14 +145,20 @@ double time_analysis(cov::CoverageMap& map, const std::vector<Trace>& traces,
   return total;
 }
 
-/// Steady-state heap allocations per generated packet, both generators, all
-/// six pits: each generator first warms its per-model trees up on
-/// kGenerateWarmup packets, then kGenerateMeasured packets are counted.
-double generate_allocs_per_packet() {
+/// Steady-state generation, both generators, all six pits: each generator
+/// first warms its per-model trees up on kGenerateWarmup packets, then
+/// kGenerateMeasured packets are counted (heap allocations) and timed.
+struct GenerationCost {
+  double allocs_per_packet = 0.0;
+  double packets_per_sec = 0.0;
+};
+
+GenerationCost measure_generation() {
   constexpr int kGenerateWarmup = 100000;
   constexpr int kGenerateMeasured = 5000;
   std::uint64_t allocs = 0;
   std::uint64_t packets = 0;
+  double seconds = 0.0;
   for (const std::string& project : pits::all_project_names()) {
     const model::DataModelSet models = pits::pit_for_project(project);
     fuzz::FuzzerConfig config;
@@ -177,12 +184,15 @@ double generate_allocs_per_packet() {
       for (int i = 0; i < kGenerateWarmup; ++i) generate();
       const std::uint64_t before =
           g_allocations.load(std::memory_order_relaxed);
+      const auto start = Clock::now();
       for (int i = 0; i < kGenerateMeasured; ++i) generate();
+      seconds += std::chrono::duration<double>(Clock::now() - start).count();
       allocs += g_allocations.load(std::memory_order_relaxed) - before;
       packets += kGenerateMeasured;
     }
   }
-  return static_cast<double>(allocs) / static_cast<double>(packets);
+  return {static_cast<double>(allocs) / static_cast<double>(packets),
+          static_cast<double>(packets) / seconds};
 }
 
 /// Allocation-free stub target for the executor-pipeline measurement.
@@ -475,8 +485,8 @@ int main() {
                           mut_before) /
       static_cast<double>(mut_iters);
 
-  // -- Generation allocations. --------------------------------------------
-  const double gen_allocs = generate_allocs_per_packet();
+  // -- Generation allocations and rate. ------------------------------------
+  const GenerationCost generation = measure_generation();
 
   // -- Checkpoint image cost. ---------------------------------------------
   const CheckpointCost checkpoint = measure_checkpoint();
@@ -528,15 +538,18 @@ int main() {
                                  : 0.0);
   std::printf("  \"steady_state_allocs_per_exec\": %.4f,\n", allocs_per_exec);
   std::printf("  \"mutate_into_allocs_per_iter\": %.4f,\n", mut_allocs);
-  std::printf("  \"generate_allocs_per_packet\": %.4f,\n", gen_allocs);
+  std::printf("  \"generate_allocs_per_packet\": %.4f,\n",
+              generation.allocs_per_packet);
+  std::printf("  \"generate_packets_per_sec\": %.0f,\n",
+              generation.packets_per_sec);
   std::printf("  \"checkpoint_save_ms\": %.2f,\n", checkpoint.save_ms);
   std::printf("  \"checkpoint_load_ms\": %.2f,\n", checkpoint.load_ms);
   std::printf("  \"checkpoint_bytes_per_dedup_hash\": %.2f,\n",
               checkpoint.bytes_per_dedup_hash);
   std::printf("  \"checksum\": %llu\n}\n",
               static_cast<unsigned long long>(sink & 0xFFFF));
-  return allocs_per_exec == 0.0 && mut_allocs == 0.0 && gen_allocs == 0.0 &&
-                 simd_matches_scalar
+  return allocs_per_exec == 0.0 && mut_allocs == 0.0 &&
+                 generation.allocs_per_packet == 0.0 && simd_matches_scalar
              ? 0
              : 1;
 }

@@ -162,26 +162,6 @@ ShmSegment ShmSegment::create(std::size_t size, bool force_anonymous) {
   return segment;
 }
 
-ShmSegment ShmSegment::attach(const std::string& name, std::size_t size) {
-  ShmSegment segment;
-  const int fd = ::shm_open(name.c_str(), O_RDWR, 0600);
-  if (fd < 0) {
-    segment.error_ = errno_string("shm_open(attach)");
-    return segment;
-  }
-  void* mapped =
-      ::mmap(nullptr, size, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  ::close(fd);
-  if (mapped == MAP_FAILED) {
-    segment.error_ = errno_string("mmap(attach)");
-    return segment;
-  }
-  segment.data_ = static_cast<std::uint8_t*>(mapped);
-  segment.size_ = size;
-  segment.name_ = name;
-  return segment;
-}
-
 void ShmSegment::unlink_name() {
   if (owns_name_ && !name_.empty()) {
     ::shm_unlink(name_.c_str());

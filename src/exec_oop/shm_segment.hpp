@@ -5,12 +5,12 @@
 // side. The primary backing is shm_open + mmap with a per-segment unique
 // name: the name travels to the exec'd target through an environment
 // variable (exec_protocol.hpp) and the child attaches with
-// ShmSegment::attach. When the POSIX shm namespace is unavailable (no
-// /dev/shm, sandboxed CI), creation falls back to an anonymous MAP_SHARED
-// mapping, which survives fork() — enough for same-binary harnesses and
-// the fallback's unit tests — but cannot be re-attached across exec(), so
-// the fork server requires the named backing and reports a descriptive
-// error otherwise.
+// oop::attach_announced_segment (target_runtime.hpp). When the POSIX shm
+// namespace is unavailable (no /dev/shm, sandboxed CI), creation falls
+// back to an anonymous MAP_SHARED mapping, which survives fork() — enough
+// for same-binary harnesses and the fallback's unit tests — but cannot be
+// re-attached across exec(), so the fork server requires the named backing
+// and reports a descriptive error otherwise.
 //
 // Lifetime: the name stays linked while the segment lives (a restarted
 // fork server re-attaches by name) and is unlinked in the destructor.
@@ -40,9 +40,6 @@ class ShmSegment {
   /// failing shm namespace falls back to an anonymous shared mapping.
   static ShmSegment create(std::size_t size, bool force_anonymous = false);
 
-  /// Maps an existing named segment (the target-side attach).
-  static ShmSegment attach(const std::string& name, std::size_t size);
-
   [[nodiscard]] bool valid() const { return data_ != nullptr; }
   [[nodiscard]] std::uint8_t* data() { return data_; }
   [[nodiscard]] const std::uint8_t* data() const { return data_; }
@@ -55,7 +52,7 @@ class ShmSegment {
   /// exec); false for the anonymous fork-only fallback.
   [[nodiscard]] bool named() const { return !name_.empty(); }
 
-  /// Why create()/attach() produced an invalid segment.
+  /// Why create() produced an invalid segment.
   [[nodiscard]] const std::string& error() const { return error_; }
 
   /// Removes the name from the shm namespace early (the mapping — ours and
@@ -69,8 +66,8 @@ class ShmSegment {
   std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
   std::string name_;
-  /// We unlink only names we created (an attach must not tear down the
-  /// creator's segment on destruction).
+  /// True while the name is still linked and ours to unlink (false after
+  /// unlink_name()).
   bool owns_name_ = false;
   std::string error_;
 };

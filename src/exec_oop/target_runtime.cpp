@@ -1,10 +1,13 @@
 #include "exec_oop/target_runtime.hpp"
 
 #include <fcntl.h>
+#include <linux/sockios.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/mman.h>
+#include <sys/ioctl.h>
 #include <sys/prctl.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
@@ -490,6 +493,13 @@ void SlotLifecycle::retire_if_due() const {
     std::fflush(nullptr);
     ::_exit(kChildServerRetire);
   }
+}
+
+void abort_on_close(int conn) {
+  int unsent = 0;
+  if (::ioctl(conn, SIOCOUTQNSD, &unsent) != 0 || unsent != 0) return;
+  const struct linger abortive {1, 0};
+  ::setsockopt(conn, SOL_SOCKET, SO_LINGER, &abortive, sizeof abortive);
 }
 
 std::uint8_t* SessionMap::begin(std::uint8_t* segment, const FaultPlan& plan) {

@@ -172,6 +172,15 @@ class SlotLifecycle {
   MapDirtyTable tables_[kNumSlots] = {};
 };
 
+/// Makes the coming close() of a session connection abortive (SO_LINGER
+/// 0, a reset), for a session server to call once the session is
+/// published. The client half-closes first, so an orderly close from the
+/// server would park the client's end in TIME_WAIT, one entry per session.
+/// Left orderly while replies wait unsent in the send queue (a peer that
+/// stopped reading): a reset would drop them, and the client's byte-count
+/// check would see the session as broken.
+void abort_on_close(int conn);
+
 /// A session server's lifecycle over a session_wire.hpp segment: one
 /// trace per accepted connection. The shim's `--tcp` server and the
 /// preload's tcp mode both run their sessions through it.

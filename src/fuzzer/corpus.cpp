@@ -17,6 +17,7 @@ bool PuzzleCorpus::add_to(std::unordered_map<std::uint64_t, Bucket>& tier,
   ++revision_;
   if (bucket.entries.size() < config_.per_rule_cap) {
     bucket.entries.push_back(puzzle);
+    if (&tier == &exact_) ++exact_size_;
     return true;
   }
   // Random replacement keeps the bucket fresh without unbounded growth.
@@ -62,15 +63,10 @@ const std::vector<Bytes>* PuzzleCorpus::similar_candidates(
   return &it->second.entries;
 }
 
-std::size_t PuzzleCorpus::size() const {
-  std::size_t total = 0;
-  for (const auto& [key, bucket] : exact_) total += bucket.entries.size();
-  return total;
-}
-
 void PuzzleCorpus::clear() {
   exact_.clear();
   shape_.clear();
+  exact_size_ = 0;
   ++revision_;
 }
 
@@ -115,6 +111,8 @@ CorpusSnapshot PuzzleCorpus::snapshot() const {
 void PuzzleCorpus::restore(const CorpusSnapshot& image) {
   restore_tier(exact_, image.exact);
   restore_tier(shape_, image.shape);
+  exact_size_ = 0;
+  for (const auto& [key, bucket] : exact_) exact_size_ += bucket.entries.size();
   revision_ = image.revision;
 }
 

@@ -67,8 +67,8 @@ class PuzzleCorpus {
 
   [[nodiscard]] bool empty() const { return exact_.empty(); }
 
-  /// Total stored puzzles across all exact-tier rules.
-  [[nodiscard]] std::size_t size() const;
+  /// Total stored puzzles across all exact-tier rules (a running count).
+  [[nodiscard]] std::size_t size() const { return exact_size_; }
 
   /// Number of distinct exact rules with at least one puzzle.
   [[nodiscard]] std::size_t rule_count() const { return exact_.size(); }
@@ -99,6 +99,7 @@ class PuzzleCorpus {
   CorpusConfig config_;
   std::unordered_map<std::uint64_t, Bucket> exact_;
   std::unordered_map<std::uint64_t, Bucket> shape_;
+  std::size_t exact_size_ = 0;  // entries across exact_'s buckets
   std::uint64_t revision_ = 0;
 };
 

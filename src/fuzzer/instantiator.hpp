@@ -6,9 +6,10 @@
 //
 // Generation is allocation-free once warm: each model gets a TreeBuilder
 // that rebuilds its tree in place, leaves are written straight into the
-// reused nodes, and File Fixup follows the model's precomputed plan. The
-// instantiator therefore carries mutable per-model scratch and is not
-// thread-safe; each Fuzzer (and so each parallel worker) owns its own.
+// reused nodes, and File Fixup and serialization run over the leaf order
+// the builder recorded. The instantiator therefore carries mutable
+// per-model scratch and is not thread-safe; each Fuzzer (and so each
+// parallel worker) owns its own.
 #pragma once
 
 #include <unordered_map>
@@ -25,12 +26,19 @@ class ModelInstantiator {
   explicit ModelInstantiator(mutation::MutatorConfig config = {})
       : config_(config), mutators_(config) {}
 
-  /// Generates one instantiation tree from `model` (constraints applied)
-  /// into the model's reused tree. Per MutatorConfig::sequential_mode_pct,
-  /// either Peach's sequential profile (defaults + 1-2 aggressively mutated
-  /// fields) or independent regeneration of every field. The reference is
+  /// Rebuilds `model`'s reused tree as one generated instance, constraints
+  /// not applied. Per MutatorConfig::sequential_mode_pct, either Peach's
+  /// sequential profile (defaults + 1-2 aggressively mutated fields) or
+  /// independent regeneration of every field. Returns the model's builder,
   /// valid until the next generation from `model`.
-  const model::InsTree& build(const model::DataModel& model, Rng& rng) const;
+  model::TreeBuilder& rebuild(const model::DataModel& model, Rng& rng) const;
+
+  /// rebuild() plus File Fixup: one generated packet in the builder.
+  model::TreeBuilder& build(const model::DataModel& model, Rng& rng) const {
+    model::TreeBuilder& builder = rebuild(model, rng);
+    builder.apply_constraints();
+    return builder;
+  }
 
   /// Rebuilds `model`'s reused tree with every field at its default and
   /// random Choice alternatives, constraints not applied: the base of both
@@ -46,7 +54,7 @@ class ModelInstantiator {
 
   /// Value-returning forms of build() and generate_into() (tests, benches).
   model::InsTree instantiate(const model::DataModel& model, Rng& rng) const {
-    return build(model, rng);
+    return build(model, rng).tree();
   }
   Bytes generate(const model::DataModel& model, Rng& rng) const {
     Bytes out;
@@ -71,27 +79,12 @@ class ModelInstantiator {
     }
   };
 
-  /// A *free* leaf: not a token and no relation/fixup — a field sequential
-  /// mutation may perturb and a donor may replace.
-  static bool is_free_leaf(const model::Chunk& chunk);
-
-  /// Collects the free leaves of an instantiation tree into `out` (cleared
-  /// first), in wire order.
-  static void free_leaves_into(model::InsNode& root,
-                               std::vector<model::InsNode*>& out);
-  static std::vector<model::InsNode*> free_leaves(model::InsNode& root) {
-    std::vector<model::InsNode*> out;
-    free_leaves_into(root, out);
-    return out;
-  }
-
  private:
   mutation::MutatorConfig config_;
   mutation::MutatorSuite mutators_;
   /// Per-model scratch, keyed by DataModel::instance_id(): one entry per
   /// model this instantiator has generated from.
   mutable std::unordered_map<std::uint64_t, model::TreeBuilder> trees_;
-  mutable std::vector<model::InsNode*> leaves_;
 };
 
 }  // namespace icsfuzz::fuzz

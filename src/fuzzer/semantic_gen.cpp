@@ -8,7 +8,7 @@ namespace icsfuzz::fuzz {
 namespace {
 
 // Donation happens at *leaf* granularity, on free leaves only
-// (ModelInstantiator::is_free_leaf): the paper's linear model ML (Figure 2a)
+// (model::is_free_leaf): the paper's linear model ML (Figure 2a)
 // is the flat sequence of chunk construction rules, and a donated leaf
 // splices into freshly generated siblings. Composite puzzles stay in the
 // corpus (Definition 2) but are not replayed wholesale — replaying whole
@@ -72,7 +72,7 @@ model::TreeBuilder& SemanticGenerator::rebuild_with_donors(
         return;
       }
     }
-    if (ModelInstantiator::is_free_leaf(leaf) && rng.chance(donor_pct, 100)) {
+    if (model::is_free_leaf(leaf) && rng.chance(donor_pct, 100)) {
       if (const std::vector<Bytes>* pool = donor_pool(leaf, corpus, rng)) {
         content = rng.pick(*pool);
         // "Mutation on existing chunks": occasionally perturb the donated
@@ -101,18 +101,18 @@ void SemanticGenerator::generate_into(const model::DataModel& model,
     // multi-field non-default combinations — each learned separately from
     // different valuable seeds — that single-field mutation cannot.
     builder = &instantiator_.build_defaults(model, rng);
-    ModelInstantiator::free_leaves_into(builder->tree().root, leaves_);
+    const std::vector<model::InsNode*>& leaves = builder->free_leaves();
     const unsigned donor_pct = roll_donor_intensity(rng);
-    for (model::InsNode* leaf : leaves_) {
+    for (model::InsNode* leaf : leaves) {
       if (!rng.chance(donor_pct, 100)) continue;
       const std::vector<Bytes>* pool = donor_pool(*leaf->rule, corpus, rng);
       if (pool != nullptr) leaf->content = rng.pick(*pool);
     }
-    if (!leaves_.empty() && rng.chance(2, 3)) {
+    if (!leaves.empty() && rng.chance(2, 3)) {
       const std::size_t perturbations =
-          rng.chance(1, 3) && leaves_.size() > 1 ? 2 : 1;
+          rng.chance(1, 3) && leaves.size() > 1 ? 2 : 1;
       for (std::size_t i = 0; i < perturbations; ++i) {
-        model::InsNode* leaf = rng.pick(leaves_);
+        model::InsNode* leaf = rng.pick(leaves);
         if (rng.chance(config_.mutate_donor_pct, 100) &&
             !leaf->content.empty()) {
           mutate_leaf(*leaf->rule, rng, leaf->content);
@@ -129,7 +129,7 @@ void SemanticGenerator::generate_into(const model::DataModel& model,
   if (config_.apply_file_fixup) {
     builder->apply_constraints();  // File Fixup
   }
-  builder->tree().serialize_into(out);
+  builder->serialize_into(out);
 }
 
 std::vector<Bytes> SemanticGenerator::generate_batch(
@@ -146,7 +146,7 @@ std::vector<Bytes> SemanticGenerator::generate_batch(
   };
   std::vector<Position> positions;
   for (const model::Chunk* leaf : model.leaves()) {
-    if (!ModelInstantiator::is_free_leaf(*leaf)) continue;
+    if (!model::is_free_leaf(*leaf)) continue;
     if (const std::vector<Bytes>* candidates = corpus.exact_candidates(*leaf)) {
       positions.push_back({leaf, candidates});
     }
@@ -182,7 +182,7 @@ std::vector<Bytes> SemanticGenerator::generate_batch(
       if (config_.apply_file_fixup) {
         builder.apply_constraints();  // File Fixup
       }
-      out.push_back(builder.tree().serialize());
+      out.push_back(builder.serialize());
       return;
     }
     for (const Bytes* candidate : choices[pos]) {

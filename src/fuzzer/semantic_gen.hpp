@@ -12,8 +12,8 @@
 //     right after a crack: enumerate donor candidates position by position
 //     (the p x q product of Algorithm 3), bounded by `max_batch`.
 //
-// Both modes finish with model::apply_constraints — the File Fixup module —
-// so spliced seeds regain their size-of/count-of/CRC integrity.
+// Both modes finish with TreeBuilder::apply_constraints — the File Fixup
+// module — so spliced seeds regain their size-of/count-of/CRC integrity.
 //
 // Both build into the instantiator's reused per-model trees, so `generate`
 // is allocation-free once warm; like the instantiator, a generator is not
@@ -113,7 +113,6 @@ class SemanticGenerator {
 
   SemanticGenConfig config_;
   ModelInstantiator instantiator_;
-  mutable std::vector<model::InsNode*> leaves_;
 };
 
 }  // namespace icsfuzz::fuzz

@@ -93,8 +93,6 @@ inline constexpr std::uint32_t kInjectRuntimeVersion = 1;
 inline constexpr std::uint32_t kInjectFlagSancov = 1u << 0;
 /// Info flag: the runtime advertised persistent mode.
 inline constexpr std::uint32_t kInjectFlagPersistent = 1u << 1;
-/// Info flag: the runtime is running in tcp interposition mode.
-inline constexpr std::uint32_t kInjectFlagTcp = 1u << 2;
 
 struct InjectInfo {
   bool present = false;

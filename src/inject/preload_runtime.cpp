@@ -495,7 +495,10 @@ int close(int fd) {
   using namespace icsfuzz::inject_rt;
   static auto real =
       reinterpret_cast<int (*)(int)>(::dlsym(RTLD_NEXT, "close"));
-  if (g_tcp.active && fd >= 0 && fd == g_tcp.conn_fd) tcp_session_end();
+  if (g_tcp.active && fd >= 0 && fd == g_tcp.conn_fd) {
+    tcp_session_end();
+    icsfuzz::oop::abort_on_close(fd);
+  }
   return real(fd);
 }
 

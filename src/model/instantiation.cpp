@@ -1,6 +1,7 @@
 #include "model/instantiation.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
 #include <unordered_map>
 #include <utility>
@@ -245,6 +246,19 @@ void index_nodes(InsNode& node, std::vector<InsNode*>& by_ordinal) {
   for (InsNode& child : node.children) index_nodes(child, by_ordinal);
 }
 
+/// Copies the contents of leaves [first, end) into `out`, which must hold
+/// exactly their total size.
+void copy_leaves(const std::vector<InsNode*>& leaves, std::size_t first,
+                 std::size_t end, Bytes& out) {
+  std::uint8_t* dst = out.data();
+  for (std::size_t i = first; i < end; ++i) {
+    const Bytes& content = leaves[i]->content;
+    if (content.empty()) continue;
+    std::memcpy(dst, content.data(), content.size());
+    dst += content.size();
+  }
+}
+
 /// Encodes `value` into a Number node in place; true when its bytes changed.
 bool store_number(InsNode& node, std::uint64_t value) {
   const NumberSpec& spec = node.rule->number_spec();
@@ -332,16 +346,15 @@ std::optional<InsTree> parse_packet(const DataModel& model, ByteSpan packet,
   return parser.run();
 }
 
-std::size_t apply_constraints(InsTree& tree, ConstraintScratch& scratch) {
+std::size_t apply_constraints(InsTree& tree) {
   if (tree.model == nullptr) return 0;
   const DataModel& model = *tree.model;
-  std::vector<InsNode*>& nodes = scratch.by_ordinal;
-  nodes.assign(model.node_count(), nullptr);
+  std::vector<InsNode*> nodes(model.node_count(), nullptr);
   index_nodes(tree.root, nodes);
   std::size_t rewritten = 0;
 
-  // Pass 1: relations. Relation fields are fixed-width numbers, so writing
-  // them never changes any measured size.
+  // Pass 1: relations, in pre-order, each measured as the tree stands
+  // (a relation field stored at another width changes later measures).
   for (const ConstraintSite& site : model.relation_sites()) {
     InsNode* field = nodes[site.field];
     const InsNode* target = nodes[site.target];
@@ -357,17 +370,10 @@ std::size_t apply_constraints(InsTree& tree, ConstraintScratch& scratch) {
     InsNode* field = nodes[site.field];
     const InsNode* ref = nodes[site.target];
     if (field == nullptr || ref == nullptr) continue;
-    scratch.ref_bytes.clear();
-    ref->serialize_append(scratch.ref_bytes);
     rewritten += store_number(
-        *field, fixup_value(field->rule->fixup().kind, scratch.ref_bytes));
+        *field, fixup_value(field->rule->fixup().kind, ref->serialize()));
   }
   return rewritten;
-}
-
-std::size_t apply_constraints(InsTree& tree) {
-  ConstraintScratch scratch;
-  return apply_constraints(tree, scratch);
 }
 
 void write_default(const Chunk& leaf, Bytes& out) {
@@ -408,6 +414,71 @@ void TreeBuilder::select(InsNode& node, const Chunk& chunk, std::size_t pick) {
   }
   std::swap(node.children.front(), parked_[chunk.children()[pick].ordinal()]);
   node.choice_index = pick;
+}
+
+void TreeBuilder::sum_leaf_sizes() {
+  offsets_.resize(leaves_.size() + 1);
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < leaves_.size(); ++i) {
+    offsets_[i] = total;
+    total += leaves_[i]->content.size();
+  }
+  offsets_[leaves_.size()] = total;
+}
+
+std::size_t TreeBuilder::apply_constraints() {
+  if (tree_.model == nullptr) return 0;
+  const DataModel& model = *tree_.model;
+  std::size_t rewritten = 0;
+
+  // Pass 1: relations. A target's size is the difference of two prefix
+  // sums; the sums are redone only after a field's width changed.
+  bool summed = false;
+  for (const ConstraintSite& site : model.relation_sites()) {
+    const Built* field = built(site.field);
+    const Built* target = built(site.target);
+    if (field == nullptr || target == nullptr) continue;
+    if (!summed) {
+      sum_leaf_sizes();
+      summed = true;
+    }
+    InsNode& node = *field->node;
+    const std::size_t width = node.content.size();
+    rewritten += store_number(
+        node, relation_value(node.rule->relation(),
+                             offsets_[target->end_leaf] -
+                                 offsets_[target->first_leaf]));
+    if (node.content.size() != width) summed = false;
+  }
+
+  // Pass 2: fixups, innermost reference first; a checksum's input is its
+  // ref's run of leaves.
+  for (const ConstraintSite& site : model.fixup_sites()) {
+    const Built* field = built(site.field);
+    const Built* ref = built(site.target);
+    if (field == nullptr || ref == nullptr) continue;
+    std::size_t size = 0;
+    for (std::uint32_t i = ref->first_leaf; i < ref->end_leaf; ++i) {
+      size += leaves_[i]->content.size();
+    }
+    ref_bytes_.resize(size);
+    copy_leaves(leaves_, ref->first_leaf, ref->end_leaf, ref_bytes_);
+    InsNode& node = *field->node;
+    rewritten +=
+        store_number(node, fixup_value(node.rule->fixup().kind, ref_bytes_));
+  }
+  return rewritten;
+}
+
+void TreeBuilder::serialize_into(Bytes& out) const {
+  std::size_t size = 0;
+  for (const InsNode* leaf : leaves_) size += leaf->content.size();
+  if (size > out.capacity()) {
+    out.clear();
+    out.reserve(std::max(size, 2 * out.capacity()));
+  }
+  out.resize(size);
+  copy_leaves(leaves_, 0, leaves_.size(), out);
 }
 
 InsTree default_instance(const DataModel& model) {

@@ -4,23 +4,25 @@
 //
 // Two producers build InsTrees:
 //   * the generators (baseline mutator-driven and Peach*'s semantic-aware
-//     strategy) build them top-down, then serialize;
+//     strategy) build them top-down through a `TreeBuilder`;
 //   * the parser (`parse_packet`) builds them bottom-up from wire bytes —
 //     this is PARSE(M, Iv) in the paper's Algorithm 2, the entry point of
 //     the File Cracker.
 //
-// `apply_constraints` implements the File Fixup module (§IV-D): it rewrites
-// relation-carrying numbers (size-of / count-of) from measured child sizes
-// and then recomputes checksum fixups, innermost first. It follows the plan
-// the DataModel resolved once (chunk ordinals, not names).
-//
-// `TreeBuilder` is how the generators build packet after packet without
-// touching the heap: it rebuilds one model's tree in place, so node vectors
-// and content buffers keep their capacity.
+// File Fixup (§IV-D) rewrites relation-carrying numbers (size-of /
+// count-of) from measured sizes and then recomputes checksum fixups,
+// innermost first, following the plan the DataModel resolved once (chunk
+// ordinals, not names). It has two implementations that must agree byte
+// for byte:
+//   * `TreeBuilder::apply_constraints` — the generators' path. The builder
+//     records the instance's linearisation while it builds (leaves in wire
+//     order, each built node's leaf range by ordinal), so sizes are prefix
+//     sums and a checksum's input is a run of leaves; no tree walk.
+//   * `apply_constraints(InsTree&)` — the tree-walking reference oracle,
+//     for parsed trees and tests.
 #pragma once
 
-#include <algorithm>
-#include <memory>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -71,19 +73,6 @@ struct InsTree {
   InsNode root;
 
   [[nodiscard]] Bytes serialize() const { return root.serialize(); }
-
-  /// Serializes into a caller-owned buffer (cleared first, capacity
-  /// retained) — the packet pipeline's zero-allocation serialization path.
-  /// A fresh buffer is sized exactly; a reused one grows geometrically, so
-  /// it settles at the longest packet.
-  void serialize_into(Bytes& out) const {
-    out.clear();
-    const std::size_t size = root.serialized_size();
-    if (size > out.capacity()) {
-      out.reserve(std::max(size, 2 * out.capacity()));
-    }
-    root.serialize_append(out);
-  }
 };
 
 /// Options controlling `parse_packet`.
@@ -102,21 +91,21 @@ struct ParseOptions {
 std::optional<InsTree> parse_packet(const DataModel& model, ByteSpan packet,
                                     const ParseOptions& options = {});
 
-/// Buffers apply_constraints reuses: the tree's nodes by chunk ordinal and
-/// the bytes a checksum is computed over.
-struct ConstraintScratch {
-  std::vector<InsNode*> by_ordinal;
-  Bytes ref_bytes;
-};
-
-/// File Fixup: recomputes relation fields and checksum fixups in `tree` so
-/// the serialized packet satisfies its integrity constraints. Returns the
-/// number of fields rewritten. Allocation-free once `scratch` has grown to
-/// the model.
-std::size_t apply_constraints(InsTree& tree, ConstraintScratch& scratch);
-
-/// apply_constraints with throwaway scratch.
+/// File Fixup by tree walk — the reference oracle of
+/// TreeBuilder::apply_constraints: recomputes relation fields and checksum
+/// fixups in `tree` so the serialized packet satisfies its integrity
+/// constraints. Returns the number of fields rewritten.
 std::size_t apply_constraints(InsTree& tree);
+
+/// A *free* leaf: not a token and no relation/fixup — a field sequential
+/// mutation may perturb and a donor may replace.
+inline bool is_free_leaf(const Chunk& chunk) {
+  if (!chunk.is_leaf()) return false;
+  const bool derived = chunk.kind() == ChunkKind::Number &&
+                       (chunk.number_spec().is_token ||
+                        chunk.relation().active() || chunk.fixup().active());
+  return !derived;
+}
 
 /// Writes a leaf chunk's default content into `out` (cleared first): the
 /// default value, padded to a fixed length, plus a string's terminator.
@@ -130,13 +119,18 @@ InsTree default_instance(const DataModel& model);
 /// Renders a one-line-per-node dump of the tree (tests, crash triage).
 std::string dump_tree(const InsTree& tree);
 
-/// Rebuilds one model's instantiation tree in place, packet after packet.
+/// Rebuilds one model's instantiation tree in place, packet after packet,
+/// and records its linearisation as it goes.
 ///
 /// A Choice node holds only its selected alternative. When the selection
 /// changes, the old alternative's subtree is parked (indexed by its chunk
 /// ordinal) with all its buffers, and the new one is taken out of the park,
 /// so every subtree is allocated once and then reused. Not thread-safe;
 /// bind one builder to one model for its whole life.
+///
+/// Callers may rewrite leaf contents (any length) between rebuild() and
+/// apply_constraints()/serialize_into(), through leaves(), free_leaves() or
+/// tree(); they must not change the tree's shape.
 class TreeBuilder {
  public:
   /// Rebuilds the tree as an instance of `model`, visiting chunks in
@@ -148,48 +142,104 @@ class TreeBuilder {
   void rebuild(const DataModel& model, Choose&& choose, Fill&& fill) {
     tree_.model = &model;
     parked_.resize(model.node_count());
+    built_.resize(model.node_count());
+    leaves_.clear();
+    free_leaves_.clear();
+    ++epoch_;
     build(tree_.root, model.root(), choose, fill);
   }
 
   /// The last rebuilt tree.
   [[nodiscard]] InsTree& tree() { return tree_; }
 
-  /// File Fixup on the last rebuilt tree.
-  std::size_t apply_constraints() {
-    return model::apply_constraints(tree_, constraints_);
+  /// The last rebuilt tree's leaves in wire order.
+  [[nodiscard]] const std::vector<InsNode*>& leaves() const { return leaves_; }
+
+  /// The subset of leaves() that is_free_leaf, in wire order.
+  [[nodiscard]] const std::vector<InsNode*>& free_leaves() const {
+    return free_leaves_;
+  }
+
+  /// File Fixup on the last rebuilt tree; the same rewrites, in the same
+  /// order, as apply_constraints(tree()). Returns the fields rewritten.
+  std::size_t apply_constraints();
+
+  /// The packet: the leaves' bytes, concatenated into `out` (cleared first,
+  /// capacity retained). A fresh buffer is sized exactly; a reused one
+  /// grows geometrically, so it settles at the longest packet.
+  void serialize_into(Bytes& out) const;
+
+  /// Value-returning serialize_into, sized exactly.
+  [[nodiscard]] Bytes serialize() const {
+    Bytes out;
+    serialize_into(out);
+    return out;
   }
 
  private:
+  /// A node of the last rebuilt tree, by chunk ordinal: the node and its
+  /// leaves() range, which is contiguous because its ordinals are. Valid
+  /// only when `epoch` is the builder's current one (an unselected Choice
+  /// alternative keeps a stale entry).
+  struct Built {
+    std::uint64_t epoch = 0;
+    InsNode* node = nullptr;
+    std::uint32_t first_leaf = 0;
+    std::uint32_t end_leaf = 0;
+  };
+
   template <typename Choose, typename Fill>
   void build(InsNode& node, const Chunk& chunk, Choose& choose, Fill& fill) {
     node.rule = &chunk;
+    Built& entry = built_[chunk.ordinal()];
+    entry.epoch = epoch_;
+    entry.node = &node;
+    entry.first_leaf = static_cast<std::uint32_t>(leaves_.size());
     switch (chunk.kind()) {
       case ChunkKind::Number:
       case ChunkKind::String:
       case ChunkKind::Blob:
         fill(chunk, node.content);
-        return;
+        leaves_.push_back(&node);
+        if (is_free_leaf(chunk)) free_leaves_.push_back(&node);
+        break;
       case ChunkKind::Block:
         node.children.resize(chunk.children().size());
         for (std::size_t i = 0; i < chunk.children().size(); ++i) {
           build(node.children[i], chunk.children()[i], choose, fill);
         }
-        return;
+        break;
       case ChunkKind::Choice: {
         const std::size_t pick = choose(chunk);
         select(node, chunk, pick);
         build(node.children.front(), chunk.children()[pick], choose, fill);
-        return;
+        break;
       }
     }
+    entry.end_leaf = static_cast<std::uint32_t>(leaves_.size());
   }
 
   /// Makes alternative `pick` the Choice node's only child.
   void select(InsNode& node, const Chunk& chunk, std::size_t pick);
 
+  /// The built node of chunk `ordinal`, or nullptr when the last rebuild
+  /// did not build it.
+  [[nodiscard]] const Built* built(std::uint32_t ordinal) const {
+    const Built& entry = built_[ordinal];
+    return entry.epoch == epoch_ ? &entry : nullptr;
+  }
+
+  /// Recomputes offsets_ from the leaves' current sizes.
+  void sum_leaf_sizes();
+
   InsTree tree_;
-  std::vector<InsNode> parked_;  // by chunk ordinal
-  ConstraintScratch constraints_;
+  std::vector<InsNode> parked_;   // by chunk ordinal
+  std::vector<Built> built_;      // by chunk ordinal
+  std::uint64_t epoch_ = 0;       // bumped by every rebuild
+  std::vector<InsNode*> leaves_;  // wire order
+  std::vector<InsNode*> free_leaves_;
+  std::vector<std::size_t> offsets_;  // offsets_[i] = bytes before leaf i
+  Bytes ref_bytes_;                   // a checksum's input
 };
 
 }  // namespace icsfuzz::model

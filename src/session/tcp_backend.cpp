@@ -31,8 +31,11 @@ constexpr std::size_t kReadChunk = std::size_t{64} << 10;
 /// without end from growing the reply buffer until the deadline.
 constexpr std::size_t kMaxReplyBytes = std::size_t{64} << 20;
 
-/// RST close (SO_LINGER 0): one connection per session must not pile up
-/// TIME_WAIT entries at campaign execution rates.
+/// RST close (SO_LINGER 0). A completed session's server resets the
+/// connection itself (oop::abort_on_close), which leaves no TIME_WAIT
+/// entry on either end; this covers the sessions the client abandons
+/// first (deadline, dead server), whose orderly close would leave one on
+/// the client's end.
 void close_abortive(int fd) {
   struct linger lg {1, 0};
   ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof lg);

@@ -169,6 +169,7 @@ int run_tcp_session_server(ProtocolTarget& target, Framing framing,
     bool shutdown = false;
     serve_session(target, framing, conn, segment.data(), session, plan,
                   response, replies, &shutdown);
+    oop::abort_on_close(conn);
     ::close(conn);
     if (shutdown) {
       ::close(listen_fd);

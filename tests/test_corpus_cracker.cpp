@@ -96,6 +96,61 @@ TEST(PuzzleCorpus, SizeAndClear) {
   EXPECT_EQ(corpus.size(), 0u);
 }
 
+/// The exact tier's entries summed bucket by bucket (what size() counts).
+std::size_t exact_bucket_sum(const PuzzleCorpus& corpus) {
+  std::size_t total = 0;
+  for (const auto& bucket : corpus.snapshot().exact) {
+    total += bucket.entries.size();
+  }
+  return total;
+}
+
+TEST(PuzzleCorpus, RunningSizeMatchesTheBucketSum) {
+  CorpusConfig config;
+  config.per_rule_cap = 3;
+  Rng rng(7);
+  Chunk a = Chunk::number("a", u16());
+  Chunk b = Chunk::number("b", u16());
+  b.with_tag("tag-b");  // same shape as `a`: one shape bucket, two exact
+  PuzzleCorpus corpus(config);
+
+  // Adds, duplicates, and replacements once a bucket is at its cap.
+  for (std::uint8_t i = 0; i < 8; ++i) {
+    corpus.add(a, {i, 0}, rng);
+    corpus.add(b, {0, i}, rng);
+    corpus.add(a, {i, 0}, rng);  // duplicate
+    ASSERT_EQ(corpus.size(), exact_bucket_sum(corpus)) << "add " << int{i};
+  }
+  EXPECT_EQ(corpus.size(), 6u);
+
+  // merge_from: into an empty corpus, into a partial one, into itself.
+  PuzzleCorpus peer(config);
+  Chunk c = Chunk::blob("c", {});
+  peer.add(c, {9}, rng);
+  peer.merge_from(corpus, rng);
+  EXPECT_EQ(peer.size(), exact_bucket_sum(peer));
+  EXPECT_EQ(peer.size(), 7u);
+  corpus.merge_from(peer, rng);
+  corpus.merge_from(corpus, rng);
+  EXPECT_EQ(corpus.size(), exact_bucket_sum(corpus));
+  EXPECT_EQ(corpus.size(), 7u);
+
+  // restore: over a populated corpus and over a cleared one.
+  const CorpusSnapshot image = corpus.snapshot();
+  peer.restore(image);
+  EXPECT_EQ(peer.size(), exact_bucket_sum(peer));
+  EXPECT_EQ(peer.size(), corpus.size());
+  corpus.clear();
+  EXPECT_EQ(corpus.size(), 0u);
+  EXPECT_EQ(exact_bucket_sum(corpus), 0u);
+  corpus.restore(image);
+  EXPECT_EQ(corpus.size(), exact_bucket_sum(corpus));
+  EXPECT_EQ(corpus.size(), 7u);
+  corpus.add(c, {10}, rng);
+  EXPECT_EQ(corpus.size(), exact_bucket_sum(corpus));
+  EXPECT_EQ(corpus.size(), 8u);
+}
+
 // ------------------------------------------------------------------- Cracker
 
 DataModel simple_model() {

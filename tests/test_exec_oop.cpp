@@ -6,8 +6,9 @@
 // built-in differential oracle this suite enforces, mirroring the
 // three-way matrix style of test_coverage_sparse.cpp:
 //
-//   * ShmSegment unit behaviour (named create/attach round trip, early
-//     unlink keeping mappings valid, the anonymous fallback),
+//   * ShmSegment unit behaviour (named create and target-side attach
+//     round trip, early unlink keeping mappings valid, the anonymous
+//     fallback),
 //   * CoverageMap::adopt_external vs in-process tracing of identical
 //     patterns (trace bytes, dirty list, fused summary, accumulation),
 //   * single executions of every project's server: trace hash, edge
@@ -28,10 +29,14 @@
 //     crash sites hit while later requests are in flight.
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,6 +45,7 @@
 #include "exec_oop/exec_protocol.hpp"
 #include "exec_oop/oop_executor.hpp"
 #include "exec_oop/shm_segment.hpp"
+#include "exec_oop/target_runtime.hpp"
 #include "fuzzer/fuzzer.hpp"
 #include "model/instantiation.hpp"
 #include "mutation/mutator.hpp"
@@ -87,6 +93,26 @@ const fuzz::BackendKind kOopKinds[] = {fuzz::BackendKind::kForkPerExec,
 
 // -- ShmSegment. ----------------------------------------------------------
 
+/// The target-side attach of a segment, announced the way a spawning
+/// client announces it (the ICSFUZZ_OOP_SHM pair); empty when refused.
+std::span<std::uint8_t> attach_as_target(const std::string& name,
+                                         std::size_t size) {
+  ::setenv(oop::kShmNameEnv, name.c_str(), 1);
+  ::setenv(oop::kShmSizeEnv, std::to_string(size).c_str(), 1);
+  const std::span<std::uint8_t> mapped = oop::attach_announced_segment(size);
+  ::unsetenv(oop::kShmNameEnv);
+  ::unsetenv(oop::kShmSizeEnv);
+  return mapped;
+}
+
+/// Unmaps a target-side attach when the test ends.
+struct TargetMapping {
+  std::span<std::uint8_t> bytes;
+  ~TargetMapping() {
+    if (!bytes.empty()) ::munmap(bytes.data(), bytes.size());
+  }
+};
+
 TEST(ShmSegment, NamedCreateAttachRoundTrip) {
   oop::ShmSegment created = oop::ShmSegment::create(1 << 16);
   ASSERT_TRUE(created.valid()) << created.error();
@@ -94,13 +120,13 @@ TEST(ShmSegment, NamedCreateAttachRoundTrip) {
   created.data()[0] = 0xAB;
   created.data()[65535] = 0xCD;
 
-  oop::ShmSegment attached = oop::ShmSegment::attach(created.name(), 1 << 16);
-  ASSERT_TRUE(attached.valid()) << attached.error();
-  EXPECT_EQ(attached.data()[0], 0xAB);
-  EXPECT_EQ(attached.data()[65535], 0xCD);
+  const TargetMapping attached{attach_as_target(created.name(), 1 << 16)};
+  ASSERT_EQ(attached.bytes.size(), std::size_t{1} << 16);
+  EXPECT_EQ(attached.bytes[0], 0xAB);
+  EXPECT_EQ(attached.bytes[65535], 0xCD);
 
   // Writes propagate both ways through the shared pages.
-  attached.data()[100] = 0x55;
+  attached.bytes[100] = 0x55;
   EXPECT_EQ(created.data()[100], 0x55);
 }
 
@@ -108,16 +134,25 @@ TEST(ShmSegment, EarlyUnlinkKeepsMappingsValid) {
   oop::ShmSegment created = oop::ShmSegment::create(4096);
   ASSERT_TRUE(created.valid()) << created.error();
   ASSERT_TRUE(created.named());
-  oop::ShmSegment attached = oop::ShmSegment::attach(created.name(), 4096);
-  ASSERT_TRUE(attached.valid()) << attached.error();
+  const TargetMapping attached{attach_as_target(created.name(), 4096)};
+  ASSERT_FALSE(attached.bytes.empty());
 
   const std::string name = created.name();
   created.unlink_name();
   // The name is gone from the namespace...
-  EXPECT_FALSE(oop::ShmSegment::attach(name, 4096).valid());
+  EXPECT_TRUE(attach_as_target(name, 4096).empty());
   // ...but both existing mappings still share pages.
   created.data()[7] = 0x77;
-  EXPECT_EQ(attached.data()[7], 0x77);
+  EXPECT_EQ(attached.bytes[7], 0x77);
+}
+
+TEST(ShmSegment, TargetRefusesASizePastTheSegment) {
+  // The announced size must fit the shm object: a larger one would turn
+  // the first touch past the object's end into a SIGBUS.
+  oop::ShmSegment created = oop::ShmSegment::create(4096);
+  ASSERT_TRUE(created.valid()) << created.error();
+  ASSERT_TRUE(created.named());
+  EXPECT_TRUE(attach_as_target(created.name(), 8192).empty());
 }
 
 TEST(ShmSegment, AnonymousFallback) {

@@ -80,8 +80,7 @@ TEST(FreeLeaves, ExcludesTokensRelationsAndFixups) {
   ASSERT_NE(model, nullptr);
   ModelInstantiator instantiator;
   Rng rng(3);
-  model::InsTree tree = instantiator.instantiate(*model, rng);
-  const auto leaves = ModelInstantiator::free_leaves(tree.root);
+  const auto& leaves = instantiator.build(*model, rng).free_leaves();
   for (const model::InsNode* leaf : leaves) {
     EXPECT_FALSE(leaf->rule->number_spec().is_token &&
                  leaf->rule->kind() == model::ChunkKind::Number);

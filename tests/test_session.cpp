@@ -35,8 +35,10 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <optional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -44,6 +46,7 @@
 
 #include "exec_oop/exec_protocol.hpp"
 #include "exec_oop/shm_segment.hpp"
+#include "exec_oop/target_process.hpp"
 #include "exec_oop/wake_word.hpp"
 
 #include "fuzzer/fuzzer.hpp"
@@ -317,6 +320,47 @@ TEST(SessionDifferential, CompletedSessionsAdoptFromThePublishedDirtyList) {
     EXPECT_EQ(hub.snapshot().counter(telem::Counter::kOopAdoptFullScans),
               kernel == cov::simd::Kernel::kDense ? streams.size() : 0u);
   }
+}
+
+/// TCP connections in TIME_WAIT (state 06 in /proc/net/tcp) with `port`
+/// at either end.
+std::size_t time_wait_rows(std::uint32_t port) {
+  std::ifstream table("/proc/net/tcp");
+  std::string line;
+  std::getline(table, line);  // header
+  const auto port_of = [](const std::string& address) {
+    return std::stoul(address.substr(address.find(':') + 1), nullptr, 16);
+  };
+  std::size_t rows = 0;
+  while (std::getline(table, line)) {
+    std::istringstream fields(line);
+    std::string slot, local, remote, state;
+    fields >> slot >> local >> remote >> state;
+    if (state == "06" && (port_of(local) == port || port_of(remote) == port)) {
+      ++rows;
+    }
+  }
+  return rows;
+}
+
+TEST(SessionTeardown, CompletedSessionsLeaveNoTimeWait) {
+  // The client half-closes first, so an orderly close by the server would
+  // move the client's end of every session into TIME_WAIT; the server
+  // resets the connection once the session is published instead.
+  constexpr int kSessions = 20;
+  const std::unique_ptr<ProtocolTarget> placeholder =
+      proto::target_factory("IEC104")();
+  fuzz::Executor tcp(session_executor_config(
+      "IEC104", fuzz::BackendKind::kTcp, /*record_traffic=*/false));
+  for (int i = 0; i < kSessions; ++i) {
+    const fuzz::ExecResult& result = tcp.run(*placeholder, kStartDtAct);
+    ASSERT_TRUE(result.faults.empty()) << "session " << i;
+    ASSERT_FALSE(result.response.empty()) << "session " << i;
+  }
+  const oop::TargetProcess* process = tcp.backend().target_process();
+  ASSERT_NE(process, nullptr);
+  ASSERT_NE(process->hello_word(), 0u);
+  EXPECT_EQ(time_wait_rows(process->hello_word()), 0u);
 }
 
 TEST(SessionDifferential, FixedSeedCampaignTrajectoryIdenticalOverTcp) {

@@ -138,8 +138,7 @@ int main(int argc, char** argv) {
       "\"probe_status\": \"%s\", \"term_signal\": %d, \"exit_code\": %d, "
       "\"events\": %llu, \"map_cells_nonzero\": %zu, "
       "\"inject_info\": {\"present\": %s, \"version\": %u, "
-      "\"guard_count\": %u, \"sancov\": %s, \"persistent\": %s, "
-      "\"tcp\": %s}}\n",
+      "\"guard_count\": %u, \"sancov\": %s, \"persistent\": %s}}\n",
       json_bool(executor.server().persistent_capable()),
       json_bool(executor.persistent_active()),
       oop::to_string(outcome.status).c_str(), outcome.term_signal,
@@ -147,7 +146,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(outcome.aux.events), cells,
       json_bool(info.present), info.version, info.guard_count,
       json_bool(info.sancov()),
-      json_bool((info.flags & inject::kInjectFlagPersistent) != 0),
-      json_bool((info.flags & inject::kInjectFlagTcp) != 0));
+      json_bool((info.flags & inject::kInjectFlagPersistent) != 0));
   return 0;
 }
