@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
-#include "util/hexdump.hpp"
-#include "util/json.hpp"
+#include "supervise/triage_store.hpp"
 
 namespace icsfuzz::fuzz {
 namespace {
@@ -68,26 +66,17 @@ std::optional<std::string> save_session(const Fuzzer& fuzzer,
                                         const std::string& directory) {
   std::error_code error;
   const fs::path root(directory);
-  fs::create_directories(root / "crashes", error);
-  fs::create_directories(root / "seeds", error);
+  // A re-save replaces the crash store: ingesting into the previous one
+  // would add this campaign's hits to the ones it already holds.
+  fs::remove_all(root / "crashes", error);
+  if (!error) fs::create_directories(root / "crashes", error);
+  if (!error) fs::create_directories(root / "seeds", error);
   if (error) return "cannot create session directory: " + error.message();
 
+  supervise::TriageStore crashes((root / "crashes").string());
   for (const CrashRecord* crash : fuzzer.crashes().records()) {
-    const std::string stem =
-        san::to_slug(crash->kind) + "-" + site_hex(crash->site);
-    if (!write_file(root / "crashes" / (stem + ".bin"), crash->reproducer)) {
-      return "cannot write crash reproducer " + stem;
-    }
-    std::string meta;
-    meta += "kind  : " + san::to_string(crash->kind) + "\n";
-    meta += "site  : " + site_hex(crash->site) + "\n";
-    meta += "detail: " + crash->detail + "\n";
-    meta += "first : execution " + std::to_string(crash->first_execution) + "\n";
-    meta += "hits  : " + std::to_string(crash->hits) + "\n";
-    meta += "bytes : " + std::to_string(crash->reproducer.size()) + "\n\n";
-    meta += hexdump(crash->reproducer);
-    if (!write_text(root / "crashes" / (stem + ".txt"), meta)) {
-      return "cannot write crash metadata " + stem;
+    if (!crashes.ingest(*crash, /*target=*/nullptr).persisted) {
+      return "cannot write crash store: " + crashes.error();
     }
   }
 
@@ -98,11 +87,6 @@ std::optional<std::string> save_session(const Fuzzer& fuzzer,
     if (!write_file(root / "seeds" / name, seed.bytes)) {
       return std::string("cannot write ") + name;
     }
-  }
-
-  if (!write_text(root / "crashes.jsonl",
-                  crash_db_to_jsonl(fuzzer.crashes()))) {
-    return "cannot write crashes.jsonl";
   }
 
   if (!write_text(root / "stats.csv", fuzzer.stats().to_csv())) {
@@ -231,107 +215,6 @@ LoadedCorpus load_distilled_corpus(const std::string& directory) {
     }
   }
   return corpus;
-}
-
-std::vector<LoadedCrash> load_crashes(const std::string& directory) {
-  std::vector<LoadedCrash> out;
-  std::error_code error;
-  const fs::path dir = fs::path(directory) / "crashes";
-  if (!fs::is_directory(dir, error)) return out;
-  for (const auto& entry : fs::directory_iterator(dir, error)) {
-    if (entry.path().extension() != ".bin") continue;
-    if (auto data = read_file(entry.path())) {
-      out.push_back({entry.path().stem().string(), std::move(*data)});
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const LoadedCrash& a, const LoadedCrash& b) {
-              return a.file_stem < b.file_stem;
-            });
-  return out;
-}
-
-std::string crash_db_to_jsonl(const CrashDb& db) {
-  std::string out;
-  for (const CrashRecord* record : db.records()) {
-    char head[128];
-    std::snprintf(head, sizeof head,
-                  "{\"kind\":\"%s\",\"site\":\"%08x\","
-                  "\"trace_hash\":\"%016llx\",\"hits\":%llu,"
-                  "\"first_execution\":%llu,",
-                  san::to_slug(record->kind).c_str(), record->site,
-                  static_cast<unsigned long long>(record->trace_hash),
-                  static_cast<unsigned long long>(record->hits),
-                  static_cast<unsigned long long>(record->first_execution));
-    out += head;
-    out += "\"detail\":\"" + json_escape(record->detail) +
-           "\",\"reproducer\":\"" + to_hex(record->reproducer) + "\"}\n";
-  }
-  return out;
-}
-
-std::size_t crash_db_from_jsonl(std::string_view text, CrashDb& db) {
-  std::size_t restored = 0;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
-    const std::string_view line = text.substr(start, end - start);
-    start = end + 1;
-    if (line.empty()) continue;
-    const std::optional<JsonValue> doc = json_parse(line);
-    if (!doc || !doc->is_object()) continue;
-    const JsonValue* kind = doc->find("kind");
-    const JsonValue* site = doc->find("site");
-    const JsonValue* trace = doc->find("trace_hash");
-    const JsonValue* hits = doc->find("hits");
-    const JsonValue* first = doc->find("first_execution");
-    const JsonValue* detail = doc->find("detail");
-    const JsonValue* reproducer = doc->find("reproducer");
-    if (kind == nullptr || !kind->is_string() || site == nullptr ||
-        !site->is_string() || hits == nullptr || !hits->is_u64 ||
-        first == nullptr || !first->is_u64) {
-      continue;
-    }
-    const std::optional<san::FaultKind> parsed_kind =
-        san::kind_from_slug(kind->string);
-    if (!parsed_kind) continue;
-    CrashRecord record;
-    record.kind = *parsed_kind;
-    record.site = static_cast<std::uint32_t>(
-        std::strtoul(site->string.c_str(), nullptr, 16));
-    if (trace != nullptr && trace->is_string()) {
-      record.trace_hash = std::strtoull(trace->string.c_str(), nullptr, 16);
-    }
-    record.hits = hits->u64;
-    record.first_execution = first->u64;
-    if (detail != nullptr && detail->is_string()) {
-      record.detail = detail->string;
-    }
-    if (reproducer != nullptr && reproducer->is_string()) {
-      record.reproducer = from_hex(reproducer->string);
-    }
-    db.restore(record);
-    ++restored;
-  }
-  return restored;
-}
-
-std::optional<std::string> save_crash_db(const CrashDb& db,
-                                         const std::string& path) {
-  if (!write_text(path, crash_db_to_jsonl(db))) {
-    return "cannot write " + path;
-  }
-  return std::nullopt;
-}
-
-std::size_t load_crash_db(const std::string& path, CrashDb& db) {
-  const auto data = read_file(path);
-  if (!data) return 0;
-  return crash_db_from_jsonl(
-      std::string_view(reinterpret_cast<const char*>(data->data()),
-                       data->size()),
-      db);
 }
 
 std::vector<Bytes> load_seeds(const std::string& directory) {

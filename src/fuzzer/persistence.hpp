@@ -1,12 +1,16 @@
 // Persistence — writes a fuzzing session's artefacts to a directory the
-// way released fuzzers do: one reproducer file per unique crash, one file
-// per retained valuable seed, and machine-readable CSV summaries. A saved
-// session can be reloaded to replay crashes (triage) or to warm-start a
-// future campaign's corpus via the cracker.
+// way released fuzzers do: the unique crashes with their reproducers, one
+// file per retained valuable seed, and machine-readable CSV summaries. A
+// saved session can be reloaded to replay crashes (triage) or to
+// warm-start a future campaign's corpus via the cracker.
 //
 // Layout under the session root:
-//   crashes/<kind>-<site>.bin     raw reproducer packet
-//   crashes/<kind>-<site>.txt     fault detail + metadata
+//   crashes/                      the campaign's crashes as a
+//                                 supervise::TriageStore: index.jsonl (one
+//                                 record per CrashDb record, discovery
+//                                 order) + repro/<bucket>.bin reproducers;
+//                                 read it back with TriageStore::open,
+//                                 records() and load_reproducer
 //   seeds/seed-<index>.bin        retained valuable seeds
 //   stats.csv                     the campaign's checkpoint series
 //   summary.txt                   human-readable wrap-up
@@ -21,7 +25,6 @@
 
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "distill/replay.hpp"
@@ -31,38 +34,11 @@
 namespace icsfuzz::fuzz {
 
 /// Writes all artefacts of `fuzzer` under `directory` (created if absent).
-/// Returns an error message on I/O failure, nullopt on success.
+/// A re-save replaces the previous crash store, so every bucket's hits are
+/// the campaign's own. Returns an error message on I/O failure, nullopt on
+/// success.
 std::optional<std::string> save_session(const Fuzzer& fuzzer,
                                         const std::string& directory);
-
-/// A reloaded crash artefact.
-struct LoadedCrash {
-  std::string file_stem;  // "<kind>-<site>"
-  Bytes reproducer;
-};
-
-/// Loads every crash reproducer saved under `directory`.
-std::vector<LoadedCrash> load_crashes(const std::string& directory);
-
-/// Serializes a crash db as JSONL, one record per line in discovery order:
-///   {"kind":"segv","site":"0012abcd","trace_hash":"0123456789abcdef",
-///    "hits":3,"first_execution":42,"detail":"...","reproducer":"<hex>"}
-/// The full record round-trips — unlike the crashes/<stem>.bin artefacts,
-/// hits / first_execution / trace_hash survive.
-std::string crash_db_to_jsonl(const CrashDb& db);
-
-/// Parses a crash-db JSONL document into `db` with CrashDb::restore
-/// semantics: hits, first_execution and trace_hash are reinstated verbatim
-/// (so dedup continues across a resume instead of double-counting), and
-/// discovery order is preserved. Blank and malformed lines are skipped.
-/// Returns the number of records restored.
-std::size_t crash_db_from_jsonl(std::string_view text, CrashDb& db);
-
-/// File round-trip of the JSONL form. save_session writes the same
-/// document as crashes.jsonl under the session root.
-std::optional<std::string> save_crash_db(const CrashDb& db,
-                                         const std::string& path);
-std::size_t load_crash_db(const std::string& path, CrashDb& db);
 
 /// Loads every retained seed saved under `directory`.
 std::vector<Bytes> load_seeds(const std::string& directory);

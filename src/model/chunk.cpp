@@ -34,6 +34,7 @@ Chunk Chunk::number(std::string name, NumberSpec spec) {
   if (spec.width > 8) spec.width = 8;
   chunk.number_ = std::move(spec);
   chunk.tag_ = chunk.name_;
+  chunk.compute_keys();
   return chunk;
 }
 
@@ -52,6 +53,7 @@ Chunk Chunk::string(std::string name, StringSpec spec) {
   Chunk chunk(std::move(name), ChunkKind::String);
   chunk.string_ = std::move(spec);
   chunk.tag_ = chunk.name_;
+  chunk.compute_keys();
   return chunk;
 }
 
@@ -60,6 +62,7 @@ Chunk Chunk::blob(std::string name, BlobSpec spec) {
   if (spec.unit == 0) spec.unit = 1;
   chunk.blob_ = std::move(spec);
   chunk.tag_ = chunk.name_;
+  chunk.compute_keys();
   return chunk;
 }
 
@@ -67,6 +70,7 @@ Chunk Chunk::block(std::string name, std::vector<Chunk> children) {
   Chunk chunk(std::move(name), ChunkKind::Block);
   chunk.children_ = std::move(children);
   chunk.tag_ = chunk.name_;
+  chunk.compute_keys();
   return chunk;
 }
 
@@ -74,25 +78,29 @@ Chunk Chunk::choice(std::string name, std::vector<Chunk> children) {
   Chunk chunk(std::move(name), ChunkKind::Choice);
   chunk.children_ = std::move(children);
   chunk.tag_ = chunk.name_;
+  chunk.compute_keys();
   return chunk;
 }
 
 Chunk& Chunk::with_tag(std::string tag) {
   tag_ = std::move(tag);
+  compute_keys();
   return *this;
 }
 
 Chunk& Chunk::with_relation(Relation relation) {
   relation_ = std::move(relation);
+  compute_keys();
   return *this;
 }
 
 Chunk& Chunk::with_fixup(Fixup fixup) {
   fixup_ = std::move(fixup);
+  compute_keys();
   return *this;
 }
 
-std::uint64_t Chunk::shape_key() const {
+void Chunk::compute_keys() {
   std::uint64_t hash = 0xC0FFEE ^ static_cast<std::uint64_t>(kind_);
   switch (kind_) {
     case ChunkKind::Number:
@@ -111,21 +119,18 @@ std::uint64_t Chunk::shape_key() const {
     case ChunkKind::Choice:
       // A composite's shape is the ordered shape of its children.
       for (const Chunk& child : children_) {
-        hash = hash_mix(hash, child.shape_key());
+        hash = hash_mix(hash, child.shape_key_);
       }
       break;
   }
-  return hash;
-}
+  shape_key_ = hash;
 
-std::uint64_t Chunk::rule_key() const {
-  std::uint64_t hash = shape_key();
   hash = hash_string(hash, tag_);
   // A relation- or fixup-carrying field is derived data, not free data; its
   // rule identity must not collide with a free field of the same shape.
   hash = hash_mix(hash, static_cast<std::uint64_t>(relation_.kind));
   hash = hash_mix(hash, static_cast<std::uint64_t>(fixup_.kind));
-  return hash;
+  rule_key_ = hash;
 }
 
 std::optional<std::size_t> Chunk::fixed_width() const {

@@ -13,6 +13,9 @@
 //     cross-packet-type similarity Peach* exploits.
 //   * shape_key — weaker tier: kind + shape only, used as a fallback donor
 //     match ("similar construction rules" in the paper's wording).
+// Both are computed once, when the chunk is built (a composite's shape
+// from its children's stored keys), and rule_key is refreshed by the
+// setters: a chunk's children never change after construction.
 #pragma once
 
 #include <cstdint>
@@ -96,13 +99,12 @@ class Chunk {
   [[nodiscard]] const Fixup& fixup() const { return fixup_; }
 
   [[nodiscard]] const std::vector<Chunk>& children() const { return children_; }
-  [[nodiscard]] std::vector<Chunk>& children() { return children_; }
 
   /// Exact construction-rule identity (see file comment).
-  [[nodiscard]] std::uint64_t rule_key() const;
+  [[nodiscard]] std::uint64_t rule_key() const { return rule_key_; }
 
   /// Weaker "similar rule" identity.
-  [[nodiscard]] std::uint64_t shape_key() const;
+  [[nodiscard]] std::uint64_t shape_key() const { return shape_key_; }
 
   /// Fixed serialized width when statically known (Number always; String /
   /// Blob with fixed length; Block when all children are fixed).
@@ -124,6 +126,10 @@ class Chunk {
 
   Chunk(std::string name, ChunkKind kind) : name_(std::move(name)), kind_(kind) {}
 
+  /// Sets shape_key_ from the spec or the children's stored keys, then
+  /// rule_key_ from it and the tag, relation and fixup.
+  void compute_keys();
+
   std::string name_;
   std::string tag_;  // semantic tag; defaults to name
   ChunkKind kind_;
@@ -133,6 +139,8 @@ class Chunk {
   Relation relation_;
   Fixup fixup_;
   std::vector<Chunk> children_;
+  std::uint64_t shape_key_ = 0;
+  std::uint64_t rule_key_ = 0;
   std::uint32_t ordinal_ = 0;
 };
 

@@ -93,7 +93,7 @@ void DataModel::number_chunks(Chunk& chunk, std::uint32_t depth,
   chunk.ordinal_ = static_cast<std::uint32_t>(chunks.size());
   chunks.push_back(&chunk);
   depths.push_back(depth);
-  for (Chunk& child : chunk.children()) {
+  for (Chunk& child : chunk.children_) {
     number_chunks(child, depth + 1, chunks, depths);
   }
 }

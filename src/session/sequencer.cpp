@@ -6,6 +6,7 @@
 
 #include "model/xml.hpp"
 #include "session/framing.hpp"
+#include "util/strings.hpp"
 
 namespace icsfuzz::session {
 
@@ -147,14 +148,22 @@ bool parse_session_templates(std::string_view xml_text,
         SessionStep step;
         step.kind = SessionStep::Kind::kModel;
         step.model = child.attr("name").value_or("");
-        try {
-          step.min_repeat = static_cast<std::uint32_t>(
-              std::stoul(child.attr("min").value_or("1")));
-          step.max_repeat = static_cast<std::uint32_t>(
-              std::stoul(child.attr("max").value_or("1")));
-        } catch (...) {
-          error = "<Model> in session '" + tpl.name +
-                  "' has a non-numeric min/max attribute";
+        // Strict decimal counts that fit 32 bits.
+        const auto repeat = [&](const char* attr, std::uint32_t& out) {
+          std::string detail;
+          const std::optional<std::uint64_t> value =
+              parse_u64(child.attr(attr).value_or("1"), attr, &detail);
+          if (value && *value > UINT32_MAX) {
+            detail = std::string(attr) + ": value does not fit in 32 bits";
+          } else if (value) {
+            out = static_cast<std::uint32_t>(*value);
+            return true;
+          }
+          error = "<Model> in session '" + tpl.name + "': " + detail;
+          return false;
+        };
+        if (!repeat("min", step.min_repeat) ||
+            !repeat("max", step.max_repeat)) {
           return false;
         }
         if (step.min_repeat == 0 || step.max_repeat < step.min_repeat) {

@@ -8,7 +8,7 @@
 
 #include "distill/distill.hpp"
 #include "distill/replay.hpp"
-#include "util/hexdump.hpp"
+#include "telemetry/export.hpp"
 #include "util/json.hpp"
 
 namespace icsfuzz::supervise {
@@ -16,28 +16,6 @@ namespace icsfuzz::supervise {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string render_record(const TriageRecord& record) {
-  char head[192];
-  std::snprintf(head, sizeof head,
-                "{\"bucket\":\"%s\",\"kind\":\"%s\",\"site\":\"%08x\","
-                "\"trace_hash\":\"%016llx\",\"hits\":%llu,"
-                "\"first_execution\":%llu,\"ingests\":%llu,",
-                record.bucket.c_str(), san::to_slug(record.kind).c_str(),
-                record.site,
-                static_cast<unsigned long long>(record.trace_hash),
-                static_cast<unsigned long long>(record.hits),
-                static_cast<unsigned long long>(record.first_execution),
-                static_cast<unsigned long long>(record.ingests));
-  char tail[128];
-  std::snprintf(tail, sizeof tail,
-                "\"verified\":%s,\"minimized\":%s,\"bytes\":%zu,"
-                "\"original_bytes\":%zu,\"detail\":\"",
-                record.verified ? "true" : "false",
-                record.minimized ? "true" : "false", record.reproducer_bytes,
-                record.original_bytes);
-  return std::string(head) + tail + json_escape(record.detail) + "\"}\n";
-}
 
 /// Strict hex: the whole string, digits only, no overflow.
 template <typename T>
@@ -127,6 +105,28 @@ std::string triage_bucket_id(san::FaultKind kind, std::uint32_t site,
   return buffer;
 }
 
+std::string render_record(const TriageRecord& record) {
+  char head[192];
+  std::snprintf(head, sizeof head,
+                "{\"bucket\":\"%s\",\"kind\":\"%s\",\"site\":\"%08x\","
+                "\"trace_hash\":\"%016llx\",\"hits\":%llu,"
+                "\"first_execution\":%llu,\"ingests\":%llu,",
+                record.bucket.c_str(), san::to_slug(record.kind).c_str(),
+                record.site,
+                static_cast<unsigned long long>(record.trace_hash),
+                static_cast<unsigned long long>(record.hits),
+                static_cast<unsigned long long>(record.first_execution),
+                static_cast<unsigned long long>(record.ingests));
+  char tail[128];
+  std::snprintf(tail, sizeof tail,
+                "\"verified\":%s,\"minimized\":%s,\"bytes\":%zu,"
+                "\"original_bytes\":%zu,\"detail\":\"",
+                record.verified ? "true" : "false",
+                record.minimized ? "true" : "false", record.reproducer_bytes,
+                record.original_bytes);
+  return std::string(head) + tail + json_escape(record.detail) + "\"}";
+}
+
 TriageStore::TriageStore(std::string directory)
     : directory_(std::move(directory)) {}
 
@@ -213,23 +213,22 @@ bool TriageStore::persist(const TriageRecord& record,
     return false;
   }
   if (reproducer != nullptr) {
-    std::ofstream out(
-        fs::path(directory_) / "repro" / (record.bucket + ".bin"),
-        std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(reproducer->data()),
-              static_cast<std::streamsize>(reproducer->size()));
-    if (!out) {
-      error_ = "cannot write reproducer for " + record.bucket;
+    if (auto error = telem::write_text_atomic(
+            (fs::path(directory_) / "repro" / (record.bucket + ".bin"))
+                .string(),
+            std::string(reproducer->begin(), reproducer->end()))) {
+      error_ = *error;
       return false;
     }
   }
   std::ofstream journal(fs::path(directory_) / "index.jsonl",
                         std::ios::binary | std::ios::app);
-  journal << render_record(record);
+  journal << render_record(record) << '\n';
   if (!journal) {
     error_ = "cannot append to index.jsonl";
     return false;
   }
+  upsert(record);
   return true;
 }
 
@@ -295,8 +294,8 @@ TriageStore::IngestOutcome TriageStore::ingest(
   }
   record.reproducer_bytes = reproducer.size();
 
-  upsert(record);
-  persist(record, write_reproducer ? &reproducer : nullptr);
+  outcome.persisted =
+      persist(record, write_reproducer ? &reproducer : nullptr);
   return outcome;
 }
 
@@ -332,8 +331,8 @@ std::optional<TriageStore::IngestOutcome> TriageStore::reverify(
   }
   record.reproducer_bytes = reproducer->size();
 
-  upsert(record);
-  persist(record, write_reproducer ? &*reproducer : nullptr);
+  outcome.persisted =
+      persist(record, write_reproducer ? &*reproducer : nullptr);
   return outcome;
 }
 

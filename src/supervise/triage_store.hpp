@@ -18,9 +18,12 @@
 //
 // Bucket id: "<kind-slug>-<site:%08x>-<trace:%016llx>".
 //
-// The icsfuzz-triage CLI (tools/icsfuzz_triage.cpp) fronts this store:
-// ingest from a session's crashes.jsonl, list/show buckets, re-replay and
-// minimize reproducers.
+// It is also the one on-disk crash format: fuzz::save_session writes a
+// campaign's crashes as a store under <session>/crashes/, and every crash
+// reader (icsfuzz-distill --replay-crashes, icsfuzz-triage ingest) opens
+// one. The icsfuzz-triage CLI (tools/icsfuzz_triage.cpp) fronts this
+// store: fold a session's store into another, list/show buckets, re-replay
+// and minimize reproducers.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +64,10 @@ struct TriageRecord {
                                            std::uint32_t site,
                                            std::uint64_t trace_hash);
 
+/// A record as one JSON object, the shape index.jsonl journals (one per
+/// line) and icsfuzz-triage prints.
+[[nodiscard]] std::string render_record(const TriageRecord& record);
+
 class TriageStore {
  public:
   explicit TriageStore(std::string directory);
@@ -78,13 +85,17 @@ class TriageStore {
     /// Replay ran and did NOT reproduce — recorded, but flagged.
     bool verify_failed = false;
     bool minimized = false;
+    /// The record reached the disk (reproducer side file and journal
+    /// line); when false the live index is unchanged and error() explains.
+    bool persisted = false;
   };
 
   /// Ingests one crash record: buckets it, re-verifies the reproducer when
   /// `target` is non-null (and tmin-shrinks it when `minimize`, trace-hash
   /// invariant so the minimized packet provably executes the same path),
-  /// writes the reproducer side file and appends the bucket's updated
-  /// record to the journal. Repeated ingests into one bucket accumulate
+  /// writes the reproducer side file (tmp + rename, so a killed writer
+  /// never leaves a torn one) and appends the bucket's updated record to
+  /// the journal. Repeated ingests into one bucket accumulate
   /// hits and keep the earliest first_execution and the smallest verified
   /// reproducer.
   IngestOutcome ingest(const fuzz::CrashRecord& record, ProtocolTarget* target,
@@ -114,8 +125,9 @@ class TriageStore {
 
  private:
   TriageRecord& upsert(const TriageRecord& record);
-  /// Appends `record` to index.jsonl and writes `reproducer` (when given)
-  /// to the bucket's side file.
+  /// Writes `reproducer` (when given) to the bucket's side file and
+  /// appends `record` to index.jsonl, then upserts it into the live index.
+  /// False (error() explains, index unchanged) when a write failed.
   bool persist(const TriageRecord& record, const Bytes* reproducer);
 
   std::string directory_;

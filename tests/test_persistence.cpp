@@ -1,5 +1,5 @@
-// Tests for session persistence: save/load round-trips of crash
-// reproducers and retained seeds, plus replayability of reloaded crashes.
+// Tests for session persistence: save/load round-trips of the crash store
+// and retained seeds, plus replayability of reloaded crashes.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -11,6 +11,7 @@
 #include "pits/pits.hpp"
 #include "protocols/lib60870/cs101_server.hpp"
 #include "protocols/modbus/modbus_server.hpp"
+#include "supervise/triage_store.hpp"
 
 namespace icsfuzz::fuzz {
 namespace {
@@ -74,13 +75,17 @@ TEST(Persistence, CrashesRoundTripAndReplay) {
   ASSERT_GT(fuzzer.crashes().unique_count(), 0u);
   ASSERT_FALSE(save_session(fuzzer, dir.str()).has_value());
 
-  const std::vector<LoadedCrash> crashes = load_crashes(dir.str());
-  ASSERT_EQ(crashes.size(), fuzzer.crashes().unique_count());
-  for (const LoadedCrash& crash : crashes) {
+  supervise::TriageStore crashes(dir.str() + "/crashes");
+  ASSERT_TRUE(crashes.open()) << crashes.error();
+  ASSERT_EQ(crashes.records().size(), fuzzer.crashes().unique_count());
+  for (const supervise::TriageRecord& crash : crashes.records()) {
+    const std::optional<Bytes> reproducer =
+        crashes.load_reproducer(crash.bucket);
+    ASSERT_TRUE(reproducer.has_value()) << crash.bucket;
     proto::Cs101Server replay_server;
     Executor executor;
-    const ExecResult result = executor.run(replay_server, crash.reproducer);
-    EXPECT_TRUE(result.crashed()) << crash.file_stem;
+    const ExecResult result = executor.run(replay_server, *reproducer);
+    EXPECT_TRUE(result.crashed()) << crash.bucket;
   }
 }
 
@@ -94,7 +99,6 @@ TEST(Persistence, SummaryMentionsKeyNumbers) {
 }
 
 TEST(Persistence, LoadFromMissingDirectoryIsEmpty) {
-  EXPECT_TRUE(load_crashes("/nonexistent/session").empty());
   EXPECT_TRUE(load_seeds("/nonexistent/session").empty());
   const LoadedCorpus corpus = load_distilled_corpus("/nonexistent/corpus");
   EXPECT_TRUE(corpus.seeds.empty());

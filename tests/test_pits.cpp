@@ -83,6 +83,66 @@ TEST_P(PitSuite, SharedTagsSpanModels) {
   EXPECT_GE(shared, 1u) << "no cross-model tags in " << GetParam().project;
 }
 
+// Chunk keys are computed once, when a chunk is built; they must equal the
+// recursive definition for every chunk of every model.
+std::uint64_t mix(std::uint64_t hash, std::uint64_t value) {
+  return hash ^ (value + 0x9E3779B97F4A7C15ULL + (hash << 6) + (hash >> 2));
+}
+
+std::uint64_t recursive_shape_key(const model::Chunk& chunk) {
+  std::uint64_t hash = 0xC0FFEE ^ static_cast<std::uint64_t>(chunk.kind());
+  switch (chunk.kind()) {
+    case model::ChunkKind::Number:
+      hash = mix(hash, chunk.number_spec().width);
+      hash = mix(hash, static_cast<std::uint64_t>(chunk.number_spec().endian));
+      break;
+    case model::ChunkKind::String:
+      hash = mix(hash, chunk.string_spec().length.value_or(0));
+      hash = mix(hash, chunk.string_spec().null_terminated ? 1 : 0);
+      break;
+    case model::ChunkKind::Blob:
+      hash = mix(hash, chunk.blob_spec().length.value_or(0));
+      hash = mix(hash, chunk.blob_spec().unit);
+      break;
+    case model::ChunkKind::Block:
+    case model::ChunkKind::Choice:
+      for (const model::Chunk& child : chunk.children()) {
+        hash = mix(hash, recursive_shape_key(child));
+      }
+      break;
+  }
+  return hash;
+}
+
+std::uint64_t recursive_rule_key(const model::Chunk& chunk) {
+  std::uint64_t hash = recursive_shape_key(chunk);
+  for (char c : chunk.tag()) hash = mix(hash, static_cast<std::uint8_t>(c));
+  hash = mix(hash, static_cast<std::uint64_t>(chunk.relation().kind));
+  return mix(hash, static_cast<std::uint64_t>(chunk.fixup().kind));
+}
+
+/// Checks every chunk of `chunk`'s subtree; returns how many it checked.
+std::size_t expect_stored_keys(const model::Chunk& chunk,
+                               const std::string& model) {
+  EXPECT_EQ(chunk.shape_key(), recursive_shape_key(chunk))
+      << model << "/" << chunk.name();
+  EXPECT_EQ(chunk.rule_key(), recursive_rule_key(chunk))
+      << model << "/" << chunk.name();
+  std::size_t checked = 1;
+  for (const model::Chunk& child : chunk.children()) {
+    checked += expect_stored_keys(child, model);
+  }
+  return checked;
+}
+
+TEST_P(PitSuite, StoredKeysMatchARecursiveRecomputation) {
+  const model::DataModelSet set = GetParam().pit();
+  for (const model::DataModel& model : set.models()) {
+    EXPECT_EQ(expect_stored_keys(model.root(), model.name()),
+              model.node_count());
+  }
+}
+
 TEST_P(PitSuite, RegistryResolvesProjectName) {
   const model::DataModelSet set = pit_for_project(GetParam().project);
   EXPECT_EQ(set.size(), GetParam().pit().size());
@@ -135,6 +195,16 @@ TEST_P(XmlPitSuite, ShippedXmlDefaultsNeverFaultTheTarget) {
   }
   // At least one default per XML pit must be a valid, answered request.
   EXPECT_GE(responded, 1u) << GetParam().file;
+}
+
+TEST_P(XmlPitSuite, StoredKeysMatchARecursiveRecomputation) {
+  const model::PitParseResult result = model::parse_pit_file(
+      std::string(ICSFUZZ_PITS_DIR) + "/" + GetParam().file);
+  ASSERT_TRUE(result.ok()) << result.error;
+  for (const model::DataModel& model : result.models.models()) {
+    EXPECT_EQ(expect_stored_keys(model.root(), model.name()),
+              model.node_count());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,11 +1,11 @@
-// Self-fuzzing harness for util/json and the four readers built on it.
+// Self-fuzzing harness for util/json and the three readers built on it.
 //
 // Every JSON document the repo writes is also read back, sometimes after a
 // crash, a torn write or a hand edit: the telemetry snapshot
 // (telem::snapshot_from_json, read by icsfuzz-stats), the event journal
-// (EventJournal::parse_line / from_jsonl), the triage store's index.jsonl
-// (TriageStore::open) and a session's crashes.jsonl
-// (fuzz::crash_db_from_jsonl). This harness drives all of them with the
+// (EventJournal::parse_line / from_jsonl) and the triage store's
+// index.jsonl (TriageStore::open, which also reads a saved session's
+// crashes). This harness drives all of them with the
 // fuzzer's own byte mutators (the operators Strategy::ByteMutation
 // stacks), in the shape of test_selffuzz_checkpoint.cpp: the pool starts
 // with one document of each kind as the repo writes it, and each round
@@ -15,14 +15,14 @@
 // json_parse accepts as new seeds.
 //
 // For every input:
-//   * json_parse and the four readers return (ASan in the CI fault-stress
+//   * json_parse and the three readers return (ASan in the CI fault-stress
 //     lane catches what a crash would be);
 //   * json_escape round-trips: the input, escaped and quoted, parses back
 //     into exactly the input's bytes;
 //   * every number json_parse accepted as an exact integer (is_u64) below
 //     2^53 carries the same value in its double;
-//   * an accepted snapshot, journal or crash list re-serialises to a fixed
-//     point: written, read and written again, it is the same bytes.
+//   * an accepted snapshot or journal re-serialises to a fixed point:
+//     written, read and written again, it is the same bytes.
 //
 // The budget is fixed; the seed is fixed too unless ICSFUZZ_STRESS_SEED is
 // set, which the CI fault-stress lane does with a fresh value per round.
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "fuzzer/crash_db.hpp"
-#include "fuzzer/persistence.hpp"
 #include "mutation/mutator.hpp"
 #include "supervise/triage_store.hpp"
 #include "telemetry/export.hpp"
@@ -112,7 +111,7 @@ std::string journal_document() {
   return journal.to_jsonl();
 }
 
-/// The two crash records every document below describes.
+/// The two crash records the triage document below describes.
 std::vector<fuzz::CrashRecord> crash_records() {
   std::vector<fuzz::CrashRecord> records(2);
   records[0].kind = san::FaultKind::Segv;
@@ -129,13 +128,6 @@ std::vector<fuzz::CrashRecord> crash_records() {
   records[1].hits = 1;
   records[1].first_execution = (std::uint64_t{1} << 53) + 1;
   return records;
-}
-
-/// A session's crashes.jsonl.
-std::string crashes_document() {
-  fuzz::CrashDb db;
-  for (const fuzz::CrashRecord& record : crash_records()) db.restore(record);
-  return fuzz::crash_db_to_jsonl(db);
 }
 
 /// A triage store's index.jsonl, as ingest writes it.
@@ -278,10 +270,9 @@ TEST(SelfFuzzJson, MutatedDocumentsNeverCrashTheReadersAndRoundTrip) {
 
   std::vector<Bytes> pool = {
       to_bytes(snapshot_document()), to_bytes(journal_document()),
-      to_bytes(triage_document(scratch / "seed")),
-      to_bytes(crashes_document())};
+      to_bytes(triage_document(scratch / "seed"))};
   // The seeds are what the writers produce: the snapshot parses whole,
-  // every line of the three JSONL documents parses on its own.
+  // every line of the two JSONL documents parses on its own.
   ASSERT_TRUE(json_parse(to_text(pool[0])).has_value());
   for (std::size_t i = 1; i < pool.size(); ++i) {
     const std::string text = to_text(pool[i]);
@@ -290,8 +281,6 @@ TEST(SelfFuzzJson, MutatedDocumentsNeverCrashTheReadersAndRoundTrip) {
   ASSERT_TRUE(telem::snapshot_from_json(to_text(pool[0])).has_value());
   ASSERT_EQ(telem::EventJournal::from_jsonl(to_text(pool[1])).size(),
             2 * std::size(kDetails));
-  fuzz::CrashDb seeded;
-  ASSERT_EQ(fuzz::crash_db_from_jsonl(to_text(pool[3]), seeded), 2u);
 
   std::size_t accepted = 0;
   std::size_t snapshots = 0;
@@ -337,16 +326,6 @@ TEST(SelfFuzzJson, MutatedDocumentsNeverCrashTheReadersAndRoundTrip) {
       ASSERT_TRUE(journal_jsonl(telem::EventJournal::from_jsonl(first)) ==
                   first)
           << label << ": journal is not a fixed point";
-    }
-
-    // The crashes.jsonl reader: likewise.
-    fuzz::CrashDb db;
-    if (fuzz::crash_db_from_jsonl(text, db) != 0) {
-      const std::string first = fuzz::crash_db_to_jsonl(db);
-      fuzz::CrashDb again;
-      fuzz::crash_db_from_jsonl(first, again);
-      ASSERT_TRUE(fuzz::crash_db_to_jsonl(again) == first)
-          << label << ": crash list is not a fixed point";
     }
 
     // The triage store's journal replay, from the file it reads.

@@ -623,6 +623,16 @@ TEST(SessionPits, MalformedDocumentsAreRejectedWithDiagnostics) {
       "</Sessions>",
       // Non-numeric repeat bound.
       "<Sessions><Session name='x'><Model min='lots'/></Session></Sessions>",
+      // Trailing garbage, not 2.
+      "<Sessions><Session name='x'><Model min='2x' max='3'/></Session>"
+      "</Sessions>",
+      // 2^32 + 1 does not wrap to 1.
+      "<Sessions><Session name='x'><Model max='4294967297'/></Session>"
+      "</Sessions>",
+      // A negative bound does not wrap to 4294967295.
+      "<Sessions><Session name='x'><Model max='-1'/></Session></Sessions>",
+      // An empty bound.
+      "<Sessions><Session name='x'><Model min=''/></Session></Sessions>",
       // Unknown step element.
       "<Sessions><Session name='x'><Blob/></Session></Sessions>",
       // Session with no steps.

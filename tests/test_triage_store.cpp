@@ -1,8 +1,9 @@
-// Crash persistence + triage-store coverage: the CrashDb JSONL round-trip
-// (fuzzer/persistence.hpp), save_session's crashes.jsonl artefact, and the
-// on-disk TriageStore (supervise/triage_store.hpp) — bucketing, reproducer
-// re-verification, tmin minimization on ingest, journal-replay reopen,
-// re-ingest accumulation, and torn-journal tolerance.
+// Crash persistence + triage-store coverage: save_session's crash store
+// (fuzzer/persistence.hpp writes a session's crashes as a TriageStore) and
+// the on-disk TriageStore (supervise/triage_store.hpp) — bucketing,
+// reproducer re-verification, tmin minimization on ingest, journal-replay
+// reopen, re-ingest accumulation, torn-journal tolerance, atomic
+// reproducer side files and reported write failures.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -69,21 +70,12 @@ CrashCampaign& campaign() {
   return instance;
 }
 
-void expect_same_record(const fuzz::CrashRecord& actual,
-                        const fuzz::CrashRecord& expected) {
-  EXPECT_EQ(actual.kind, expected.kind);
-  EXPECT_EQ(actual.site, expected.site);
-  EXPECT_EQ(actual.detail, expected.detail);
-  EXPECT_EQ(actual.reproducer, expected.reproducer);
-  EXPECT_EQ(actual.hits, expected.hits);
-  EXPECT_EQ(actual.first_execution, expected.first_execution);
-  EXPECT_EQ(actual.trace_hash, expected.trace_hash);
-}
+// ------------------------------------------------- A session's crash store
 
-// ------------------------------------------------------- CrashDb JSONL form
-
-fuzz::CrashDb synthetic_db() {
-  fuzz::CrashDb db;
+/// Two records that exercise the format's edges: escapes in the detail, a
+/// NUL in the reproducer, the all-ones site; an empty detail and an empty
+/// reproducer.
+std::vector<fuzz::CrashRecord> synthetic_crashes() {
   fuzz::CrashRecord segv;
   segv.kind = san::FaultKind::Segv;
   segv.site = 0x0012abcd;
@@ -92,72 +84,77 @@ fuzz::CrashDb synthetic_db() {
   segv.hits = 3;
   segv.first_execution = 42;
   segv.trace_hash = 0x0123456789abcdefULL;
-  db.restore(segv);
 
   fuzz::CrashRecord hang;
   hang.kind = san::FaultKind::Hang;
   hang.site = 0xffffffff;
-  hang.detail = "";            // empty detail round-trips
-  hang.reproducer = Bytes{};   // empty reproducer round-trips
+  hang.detail = "";
+  hang.reproducer = Bytes{};
   hang.hits = 1;
   hang.first_execution = 7;
   hang.trace_hash = 0;
-  db.restore(hang);
-  return db;
+  return {segv, hang};
 }
 
-TEST(CrashDbJsonl, RoundTripPreservesEveryField) {
-  const fuzz::CrashDb db = synthetic_db();
-  const std::string text = fuzz::crash_db_to_jsonl(db);
-
-  fuzz::CrashDb loaded;
-  EXPECT_EQ(fuzz::crash_db_from_jsonl(text, loaded), 2u);
-  const std::vector<const fuzz::CrashRecord*> expected = db.records();
-  const std::vector<const fuzz::CrashRecord*> actual = loaded.records();
-  ASSERT_EQ(actual.size(), expected.size());
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    expect_same_record(*actual[i], *expected[i]);
+/// Every file under `directory`, relative to it, sorted.
+std::vector<std::string> files_under(const fs::path& directory) {
+  std::vector<std::string> files;
+  for (const fs::directory_entry& entry :
+       fs::recursive_directory_iterator(directory)) {
+    if (entry.is_regular_file()) {
+      files.push_back(fs::relative(entry.path(), directory).string());
+    }
   }
-  // restore() semantics: hits were reinstated, not re-counted from 1.
-  EXPECT_EQ(actual[1]->hits, 3u);  // records() orders by first_execution
+  std::sort(files.begin(), files.end());
+  return files;
 }
 
-TEST(CrashDbJsonl, SkipsMalformedAndTornLines) {
-  const std::string text = fuzz::crash_db_to_jsonl(synthetic_db());
-  const std::string dirty = "this is not json\n" + text +
-                            "{\"kind\":\"segv\",\"site\":\"00000001\"";
-  // One garbage line and one torn (field-incomplete, unterminated)
-  // trailing record around two good ones.
-  fuzz::CrashDb loaded;
-  EXPECT_EQ(fuzz::crash_db_from_jsonl(dirty, loaded), 2u);
-}
+TEST(SessionCrashStore, SaveSessionRoundTripsEveryField) {
+  // A campaign whose CrashDb holds exactly the synthetic records.
+  const model::DataModelSet models = pits::cs101_pit();
+  proto::Cs101Server server;
+  fuzz::Fuzzer fuzzer(server, models, CrashCampaign::config());
+  fuzz::FuzzerCheckpoint image = fuzzer.capture_checkpoint();
+  image.crashes = synthetic_crashes();
+  fuzzer.restore_checkpoint(image);
+  const std::vector<const fuzz::CrashRecord*> expected =
+      fuzzer.crashes().records();
+  ASSERT_EQ(expected.size(), 2u);
 
-TEST(CrashDbJsonl, FileRoundTrip) {
-  const ScopedTempDir dir("icsfuzz-crashdb");
-  const std::string path = (dir.path() / "crashes.jsonl").string();
-  const fuzz::CrashDb db = synthetic_db();
+  const ScopedTempDir dir("icsfuzz-session-crashes");
+  for (int save = 0; save < 2; ++save) {
+    SCOPED_TRACE("save " + std::to_string(save));
+    ASSERT_FALSE(fuzz::save_session(fuzzer, dir.str()).has_value());
 
-  ASSERT_FALSE(fuzz::save_crash_db(db, path).has_value());
-  fuzz::CrashDb loaded;
-  EXPECT_EQ(fuzz::load_crash_db(path, loaded), 2u);
-  EXPECT_EQ(fuzz::crash_db_to_jsonl(loaded), fuzz::crash_db_to_jsonl(db));
-  // Missing file: zero records, db untouched.
-  fuzz::CrashDb empty;
-  EXPECT_EQ(fuzz::load_crash_db((dir.path() / "absent").string(), empty), 0u);
-  EXPECT_EQ(empty.unique_count(), 0u);
-}
+    // One format: the store, nothing beside it.
+    EXPECT_FALSE(fs::exists(dir.path() / "crashes.jsonl"));
+    std::vector<std::string> want = {"index.jsonl"};
+    for (const fuzz::CrashRecord* crash : expected) {
+      want.push_back("repro/" +
+                     supervise::triage_bucket_id(crash->kind, crash->site,
+                                                 crash->trace_hash) +
+                     ".bin");
+    }
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(files_under(dir.path() / "crashes"), want);
 
-TEST(CrashDbJsonl, SaveSessionWritesReloadableCrashesJsonl) {
-  const ScopedTempDir dir("icsfuzz-session");
-  ASSERT_FALSE(fuzz::save_session(campaign().fuzzer, dir.str()).has_value());
-
-  const std::string path = (dir.path() / "crashes.jsonl").string();
-  ASSERT_TRUE(fs::exists(path));
-  fuzz::CrashDb loaded;
-  EXPECT_EQ(fuzz::load_crash_db(path, loaded),
-            campaign().fuzzer.crashes().unique_count());
-  EXPECT_EQ(fuzz::crash_db_to_jsonl(loaded),
-            fuzz::crash_db_to_jsonl(campaign().fuzzer.crashes()));
+    // Discovery order, every field; a re-save replaces the store, so hits
+    // are the campaign's own, not doubled.
+    supervise::TriageStore store((dir.path() / "crashes").string());
+    ASSERT_TRUE(store.open()) << store.error();
+    ASSERT_EQ(store.records().size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      const supervise::TriageRecord& record = store.records()[i];
+      EXPECT_EQ(record.kind, expected[i]->kind);
+      EXPECT_EQ(record.site, expected[i]->site);
+      EXPECT_EQ(record.trace_hash, expected[i]->trace_hash);
+      EXPECT_EQ(record.hits, expected[i]->hits);
+      EXPECT_EQ(record.first_execution, expected[i]->first_execution);
+      EXPECT_EQ(record.detail, expected[i]->detail);
+      EXPECT_EQ(record.ingests, 1u);
+      EXPECT_EQ(store.load_reproducer(record.bucket), expected[i]->reproducer);
+    }
+  }
 }
 
 // --------------------------------------------------------------- TriageStore
@@ -378,6 +375,66 @@ TEST(TriageStore, MissingStoreIsEmptyAndReverifyOfUnknownBucketIsNullopt) {
   proto::Cs101Server target;
   EXPECT_FALSE(store.reverify("no-such-bucket", target).has_value());
   EXPECT_FALSE(store.load_reproducer("no-such-bucket").has_value());
+}
+
+TEST(TriageStore, FailedWriteIsReportedAndLeavesTheIndexUnchanged) {
+  // A store rooted under a regular file cannot be created (tests run as
+  // root, so mode bits would not make a directory unwritable).
+  const ScopedTempDir dir("icsfuzz-triage-unwritable");
+  { std::ofstream(dir.path() / "file") << "not a directory"; }
+  supervise::TriageStore store((dir.path() / "file" / "store").string());
+  ASSERT_TRUE(store.open());
+
+  const fuzz::CrashRecord crash = synthetic_crashes().front();
+  const supervise::TriageStore::IngestOutcome outcome =
+      store.ingest(crash, nullptr);
+  EXPECT_FALSE(outcome.persisted);
+  EXPECT_FALSE(store.error().empty());
+  EXPECT_TRUE(store.records().empty());
+
+  // A writable store reports success.
+  supervise::TriageStore writable((dir.path() / "store").string());
+  EXPECT_TRUE(writable.ingest(crash, nullptr).persisted);
+  EXPECT_EQ(writable.records().size(), 1u);
+}
+
+TEST(TriageStore, ReproducerSideFilesAreWholeAfterIngestAndMinimize) {
+  // Side files are written to a tmp file and renamed over the bucket's
+  // file: after ingest and minimize, repro/ holds exactly one whole
+  // <bucket>.bin per bucket, each of the size its record names.
+  const std::vector<const fuzz::CrashRecord*> crashes =
+      campaign().fuzzer.crashes().records();
+  ASSERT_GT(crashes.size(), 0u);
+  const ScopedTempDir dir("icsfuzz-triage-atomic");
+  supervise::TriageStore store(dir.str());
+  ASSERT_TRUE(store.open());
+  for (const fuzz::CrashRecord* crash : crashes) {
+    // Trailing padding the target ignores, so minimize has bytes to drop.
+    fuzz::CrashRecord padded = *crash;
+    padded.reproducer.insert(padded.reproducer.end(), 16, 0x00);
+    ASSERT_TRUE(store.ingest(padded, nullptr).persisted) << store.error();
+  }
+  bool shrunk = false;
+  for (const supervise::TriageRecord& record : store.records()) {
+    proto::Cs101Server target;
+    const auto outcome = store.reverify(record.bucket, target, true);
+    ASSERT_TRUE(outcome.has_value());
+    EXPECT_TRUE(outcome->persisted);
+    shrunk |= outcome->minimized;
+  }
+  EXPECT_TRUE(shrunk) << "minimize must rewrite the side files";
+
+  supervise::TriageStore reopened(dir.str());
+  ASSERT_TRUE(reopened.open());
+  std::vector<std::string> want;
+  for (const supervise::TriageRecord& record : reopened.records()) {
+    want.push_back(record.bucket + ".bin");
+    EXPECT_EQ(fs::file_size(dir.path() / "repro" / (record.bucket + ".bin")),
+              record.reproducer_bytes)
+        << record.bucket;
+  }
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(files_under(dir.path() / "repro"), want);
 }
 
 }  // namespace

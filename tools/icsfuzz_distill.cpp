@@ -13,6 +13,7 @@
 // verification failure, so the tool slots directly into CI gates.
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "distill/replay.hpp"
 #include "fuzzer/persistence.hpp"
 #include "protocols/target_registry.hpp"
+#include "supervise/triage_store.hpp"
 #include "telemetry/clock.hpp"
 #include "util/strings.hpp"
 
@@ -36,7 +38,8 @@ int usage(const char* argv0) {
       " opendnp3\n"
       "  modes (default: distill --session seeds into --out):\n"
       "    --verify          replay --corpus and check its MANIFEST.txt\n"
-      "    --replay-crashes  replay --session crash reproducers\n"
+      "    --replay-crashes  replay the reproducers of --session's crash\n"
+      "                      store (DIR/crashes)\n"
       "  options:\n"
       "    --out DIR         write the distilled corpus here\n"
       "    --workers N       replay shards (default 1)\n"
@@ -157,20 +160,29 @@ int main(int argc, char** argv) {
 
   if (replay_crashes) {
     if (session.empty()) return usage(argv[0]);
-    const std::vector<fuzz::LoadedCrash> crashes =
-        fuzz::load_crashes(session);
+    const std::string crashes_dir = session + "/crashes";
+    supervise::TriageStore store(crashes_dir);
+    std::error_code error;
+    if (!std::filesystem::is_directory(crashes_dir, error) || !store.open()) {
+      std::fprintf(stderr, "no crash store under %s\n", session.c_str());
+      return 1;
+    }
+    const std::vector<supervise::TriageRecord>& crashes = store.records();
     std::size_t reproduced = 0;
     std::printf("{\n  \"tool\": \"icsfuzz-distill\", \"mode\": "
                 "\"replay-crashes\", \"project\": \"%s\",\n  \"crashes\": [\n",
                 project.c_str());
     for (std::size_t i = 0; i < crashes.size(); ++i) {
+      const std::optional<Bytes> reproducer =
+          store.load_reproducer(crashes[i].bucket);
       const auto target = factory();
-      const distill::CrashReplay replay = distill::replay_crash(
-          *target, crashes[i].reproducer, executor_config);
-      reproduced += replay.reproduced;
+      const bool replayed =
+          reproducer &&
+          distill::replay_crash(*target, *reproducer, executor_config)
+              .reproduced;
+      reproduced += replayed;
       std::printf("    {\"id\": \"%s\", \"reproduced\": %s}%s\n",
-                  crashes[i].file_stem.c_str(),
-                  replay.reproduced ? "true" : "false",
+                  crashes[i].bucket.c_str(), replayed ? "true" : "false",
                   i + 1 < crashes.size() ? "," : "");
     }
     std::printf("  ],\n  \"total\": %zu, \"reproduced\": %zu\n}\n",

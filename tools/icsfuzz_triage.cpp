@@ -1,8 +1,8 @@
 // icsfuzz-triage — CLI front end of the on-disk crash-triage store.
 //
-//   # fold a session's crash db into a store, re-verifying every reproducer
-//   icsfuzz-triage ingest STORE --crashes SESSION/crashes.jsonl \
-//       --project libmodbus [--minimize] [--no-verify]
+//   # fold a saved session's crash store (DIR/crashes) into a store,
+//   # re-verifying every reproducer (--no-verify skips, --minimize shrinks)
+//   icsfuzz-triage ingest STORE --session DIR --project libmodbus
 //
 //   # inspect the store
 //   icsfuzz-triage list STORE
@@ -13,13 +13,16 @@
 //   icsfuzz-triage minimize STORE BUCKET --project libmodbus
 //
 // Every mode prints one JSON document to stdout; repro/ingest exit nonzero
-// when a reproducer fails to reproduce, so the tool slots into CI gates.
+// when a reproducer fails to reproduce or a record does not reach the
+// disk, and ingest when the session has no crash store, so the tool slots
+// into CI gates.
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
-#include "fuzzer/persistence.hpp"
+#include "fuzzer/campaign.hpp"
 #include "protocols/target_registry.hpp"
 #include "supervise/triage_store.hpp"
 #include "util/json.hpp"
@@ -34,9 +37,10 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s <command> <store-dir> [args] [options]\n"
       "  commands:\n"
-      "    ingest STORE --crashes FILE --project P  fold a crashes.jsonl\n"
-      "        into the store (re-verifies each reproducer; --no-verify\n"
-      "        skips, --minimize tmin-shrinks verified reproducers)\n"
+      "    ingest STORE --session DIR --project P  fold the session's\n"
+      "        crash store (DIR/crashes) into STORE (re-verifies each\n"
+      "        reproducer; --no-verify skips, --minimize tmin-shrinks\n"
+      "        verified reproducers)\n"
       "    list STORE                 all buckets, first-seen order\n"
       "    show STORE BUCKET          one bucket's full record\n"
       "    repro STORE BUCKET --project P     replay the reproducer\n"
@@ -49,24 +53,6 @@ int usage(const char* argv0) {
   return 2;
 }
 
-void print_record(const supervise::TriageRecord& record,
-                  const char* indent, const char* trailing) {
-  std::printf(
-      "%s{\"bucket\": \"%s\", \"kind\": \"%s\", \"site\": \"%08x\", "
-      "\"trace_hash\": \"%016llx\", \"hits\": %llu, "
-      "\"first_execution\": %llu, \"ingests\": %llu, \"verified\": %s, "
-      "\"minimized\": %s, \"bytes\": %zu, \"original_bytes\": %zu, "
-      "\"detail\": \"%s\"}%s\n",
-      indent, record.bucket.c_str(), san::to_slug(record.kind).c_str(),
-      record.site, static_cast<unsigned long long>(record.trace_hash),
-      static_cast<unsigned long long>(record.hits),
-      static_cast<unsigned long long>(record.first_execution),
-      static_cast<unsigned long long>(record.ingests),
-      record.verified ? "true" : "false",
-      record.minimized ? "true" : "false", record.reproducer_bytes,
-      record.original_bytes, json_escape(record.detail).c_str(), trailing);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -75,7 +61,7 @@ int main(int argc, char** argv) {
   const std::string store_dir = argv[2];
 
   std::string bucket;
-  std::string crashes_path;
+  std::string session;
   std::string project;
   std::size_t limit = SIZE_MAX;
   bool minimize = false;
@@ -85,8 +71,8 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (arg == "--crashes") {
-      if (const char* v = next()) crashes_path = v;
+    if (arg == "--session") {
+      if (const char* v = next()) session = v;
     } else if (arg == "--project") {
       if (const char* v = next()) project = v;
     } else if (arg == "--limit") {
@@ -125,7 +111,8 @@ int main(int argc, char** argv) {
     const std::vector<supervise::TriageRecord>& records = store.records();
     const std::size_t shown = records.size() < limit ? records.size() : limit;
     for (std::size_t i = 0; i < shown; ++i) {
-      print_record(records[i], "    ", i + 1 < shown ? "," : "");
+      std::printf("    %s%s\n", supervise::render_record(records[i]).c_str(),
+                  i + 1 < shown ? "," : "");
     }
     std::printf("  ],\n  \"shown\": %zu, \"total\": %zu\n}\n", shown,
                 records.size());
@@ -139,12 +126,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "no bucket '%s'\n", bucket.c_str());
       return 1;
     }
-    print_record(*record, "", "");
+    std::printf("%s\n", supervise::render_record(*record).c_str());
     return 0;
   }
 
   if (command == "ingest") {
-    if (crashes_path.empty()) return usage(argv[0]);
+    if (session.empty()) return usage(argv[0]);
     fuzz::TargetFactory factory;
     if (verify || minimize) {
       factory = proto::target_factory(project);
@@ -153,32 +140,59 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     }
-    fuzz::CrashDb db;
-    const std::size_t loaded = fuzz::load_crash_db(crashes_path, db);
+    const std::string crashes_dir = session + "/crashes";
+    supervise::TriageStore source(crashes_dir);
+    std::error_code error;
+    if (!std::filesystem::is_directory(crashes_dir, error) || !source.open()) {
+      std::fprintf(stderr, "no crash store under %s\n", session.c_str());
+      return 1;
+    }
     std::size_t fresh = 0;
     std::size_t failed = 0;
+    std::size_t unsaved = 0;
     std::printf("{\n  \"tool\": \"icsfuzz-triage\", \"mode\": \"ingest\", "
                 "\"store\": \"%s\",\n  \"ingested\": [\n",
                 json_escape(store_dir).c_str());
-    const std::vector<const fuzz::CrashRecord*> records = db.records();
+    const std::vector<supervise::TriageRecord>& records = source.records();
     const std::size_t taken = records.size() < limit ? records.size() : limit;
     for (std::size_t i = 0; i < taken; ++i) {
-      const auto target = factory ? factory() : nullptr;
-      const supervise::TriageStore::IngestOutcome outcome =
-          store.ingest(*records[i], target.get(), minimize);
+      const supervise::TriageRecord& record = records[i];
+      fuzz::CrashRecord crash;
+      crash.kind = record.kind;
+      crash.site = record.site;
+      crash.trace_hash = record.trace_hash;
+      crash.detail = record.detail;
+      crash.hits = record.hits;
+      crash.first_execution = record.first_execution;
+      const std::optional<Bytes> reproducer =
+          source.load_reproducer(record.bucket);
+      supervise::TriageStore::IngestOutcome outcome;
+      outcome.bucket = record.bucket;
+      if (reproducer) {
+        crash.reproducer = *reproducer;
+        const auto target = factory ? factory() : nullptr;
+        outcome = store.ingest(crash, target.get(), minimize);
+      }
       fresh += outcome.is_new;
       failed += outcome.verify_failed;
+      unsaved += !outcome.persisted;
       std::printf("    {\"bucket\": \"%s\", \"new\": %s, \"reproduced\": "
-                  "%s, \"minimized\": %s}%s\n",
+                  "%s, \"minimized\": %s, \"persisted\": %s}%s\n",
                   outcome.bucket.c_str(), outcome.is_new ? "true" : "false",
                   outcome.reproduced ? "true" : "false",
                   outcome.minimized ? "true" : "false",
+                  outcome.persisted ? "true" : "false",
                   i + 1 < taken ? "," : "");
     }
     std::printf("  ],\n  \"loaded\": %zu, \"new_buckets\": %zu, "
-                "\"verify_failed\": %zu\n}\n",
-                loaded, fresh, failed);
-    return failed == 0 ? 0 : 1;
+                "\"verify_failed\": %zu, \"not_persisted\": %zu\n}\n",
+                records.size(), fresh, failed, unsaved);
+    if (unsaved != 0) {
+      std::fprintf(stderr, "%s\n",
+                   store.error().empty() ? "a crash has no reproducer"
+                                         : store.error().c_str());
+    }
+    return failed == 0 && unsaved == 0 ? 0 : 1;
   }
 
   if (command == "repro" || command == "minimize") {
@@ -196,14 +210,19 @@ int main(int argc, char** argv) {
                    bucket.c_str());
       return 1;
     }
-    const supervise::TriageRecord* record = store.find(bucket);
-    std::printf("{\n  \"tool\": \"icsfuzz-triage\", \"mode\": \"%s\",\n  ",
-                command.c_str());
-    print_record(*record, "", ",");
-    std::printf("  \"reproduced\": %s, \"minimized\": %s\n}\n",
+    std::printf("{\n  \"tool\": \"icsfuzz-triage\", \"mode\": \"%s\",\n"
+                "  \"record\": %s,\n",
+                command.c_str(),
+                supervise::render_record(*store.find(bucket)).c_str());
+    std::printf("  \"reproduced\": %s, \"minimized\": %s, \"persisted\": "
+                "%s\n}\n",
                 outcome->reproduced ? "true" : "false",
-                outcome->minimized ? "true" : "false");
-    return outcome->reproduced ? 0 : 1;
+                outcome->minimized ? "true" : "false",
+                outcome->persisted ? "true" : "false");
+    if (!outcome->persisted) {
+      std::fprintf(stderr, "%s\n", store.error().c_str());
+    }
+    return outcome->reproduced && outcome->persisted ? 0 : 1;
   }
 
   return usage(argv[0]);
