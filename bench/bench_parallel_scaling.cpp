@@ -1,6 +1,7 @@
-// Parallel-campaign scaling bench: executions/sec of the ParallelCampaign
-// orchestrator at W ∈ {1, 2, 4} workers on the Modbus target, emitted as
-// one JSON document for the bench trajectory.
+// Parallel-campaign scaling bench: executions/sec of a W-worker campaign
+// (run by supervise::CampaignSupervisor as one chunk with no checkpoint) at
+// W ∈ {1, 2, 4} workers on the Modbus target, emitted as one JSON document
+// for the bench trajectory.
 //
 // Each configuration runs the same per-worker budget, so total work scales
 // with W and the speedup column is the throughput ratio vs W=1. On a
@@ -16,7 +17,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "parallel/parallel_campaign.hpp"
+#include "supervise/supervisor.hpp"
 
 int main() {
   using namespace icsfuzz;
@@ -42,13 +43,14 @@ int main() {
   const std::size_t worker_counts[] = {1, 2, 4};
   for (std::size_t i = 0; i < 3; ++i) {
     const std::size_t workers = worker_counts[i];
-    par::ParallelCampaignConfig config;
-    config.workers = workers;
-    config.iterations_per_worker = iterations;
-    config.base_seed = 1000;
-    config.sync_interval = sync_interval;
-    par::ParallelCampaign campaign(factory, models, config);
-    const par::ParallelCampaignResult result = campaign.run();
+    supervise::SupervisorConfig config;
+    config.campaign.workers = workers;
+    config.campaign.iterations_per_worker = iterations;
+    config.campaign.base_seed = 1000;
+    config.campaign.sync_interval = sync_interval;
+    config.checkpoint_interval = 0;  // one chunk; no checkpoint_path, no image
+    supervise::CampaignSupervisor campaign(factory, models, config);
+    const par::ParallelCampaignResult result = campaign.run().campaign;
 
     const double rate = result.execs_per_second();
     if (workers == 1) {

@@ -2,10 +2,10 @@
 
 namespace icsfuzz::cov {
 
-thread_local std::uint8_t* tls_shared_mem = nullptr;
-thread_local std::uint32_t tls_prev_location = 0;
-thread_local std::uint64_t tls_event_count = 0;
-thread_local DirtyWordList* tls_dirty_words = nullptr;
+constinit thread_local std::uint8_t* tls_shared_mem = nullptr;
+constinit thread_local std::uint32_t tls_prev_location = 0;
+constinit thread_local std::uint64_t tls_event_count = 0;
+constinit thread_local DirtyWordList* tls_dirty_words = nullptr;
 
 namespace {
 

@@ -40,23 +40,27 @@ struct DirtyWordList {
   std::uint16_t indices[kMapWords];
 };
 
+// The four trace variables below are constinit here and at their
+// definitions: with no dynamic initialiser possible, the compiler reads them
+// as plain TLS loads instead of calling its TLS init wrapper on every access.
+
 /// The "shared memory" edge-hit array for the currently executing target.
 /// Owned by the active CoverageMap (coverage_map.hpp); null when no
 /// execution is being traced, in which case hits are dropped.
-extern thread_local std::uint8_t* tls_shared_mem;
+extern constinit thread_local std::uint8_t* tls_shared_mem;
 
 /// prev_location from the paper's instrumentation snippet.
-extern thread_local std::uint32_t tls_prev_location;
+extern constinit thread_local std::uint32_t tls_prev_location;
 
 /// Total instrumentation events in the current execution; the executor uses
 /// this as a deterministic "time" budget for hang detection.
-extern thread_local std::uint64_t tls_event_count;
+extern constinit thread_local std::uint64_t tls_event_count;
 
 /// Dirty-word list of the currently armed trace. Invariant: non-null
 /// whenever tls_shared_mem is non-null (begin_trace installs a per-thread
 /// fallback when the caller does not supply one), so hit() never branches
 /// on it.
-extern thread_local DirtyWordList* tls_dirty_words;
+extern constinit thread_local DirtyWordList* tls_dirty_words;
 
 /// Records a transition into the basic block identified by `block_id`.
 inline void hit(std::uint32_t block_id) {

@@ -17,8 +17,9 @@
 // oldest submitted packet's result. Up to kNumSlots packets are in flight
 // at once, one per slot, so a caller that keeps the window full never
 // waits out a round trip per execution — fuzz::Fuzzer's step loop does,
-// speculating on generation and discarding on feedback, and
-// fuzz::Executor::run_batch does for replays. run() is one submit() and its
+// speculating on generation and discarding on feedback (distill replays
+// go through Executor::run_into, one execution at a time; only benches and
+// tests pipeline through Executor::run_batch). run() is one submit() and its
 // complete(). The child serves `persistent_budget` executions (K) when the
 // server advertises kCapPersistent and K > 1 — persistent mode, an order
 // of magnitude faster than a fork per packet — and one otherwise:

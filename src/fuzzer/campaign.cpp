@@ -1,9 +1,6 @@
 #include "fuzzer/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
-#include <thread>
 
 namespace icsfuzz::fuzz {
 namespace {
@@ -42,9 +39,7 @@ RepetitionOutcome run_repetition(Strategy strategy, std::size_t rep,
   return outcome;
 }
 
-/// Folds repetition outcomes (in repetition order) into an ArmResult —
-/// shared by the sequential and the thread-pooled schedulers so both
-/// produce identical aggregates.
+/// Folds repetition outcomes (in repetition order) into an ArmResult.
 ArmResult assemble_arm(Strategy strategy,
                        std::vector<RepetitionOutcome> outcomes) {
   ArmResult arm;
@@ -96,64 +91,6 @@ CampaignResult run_campaign(
   result.peach = run_arm(Strategy::Peach, make_target, models, config);
   if (on_progress) on_progress(Strategy::PeachStar, 0);
   result.peach_star = run_arm(Strategy::PeachStar, make_target, models, config);
-  return result;
-}
-
-CampaignResult run_campaign_parallel(
-    const std::string& project, const TargetFactory& make_target,
-    const model::DataModelSet& models, const CampaignConfig& config,
-    std::size_t workers,
-    const std::function<void(Strategy, std::size_t)>& on_progress) {
-  const Strategy arms[] = {Strategy::Peach, Strategy::PeachStar};
-  const std::size_t job_count = 2 * config.repetitions;
-  if (workers <= 1 || job_count <= 1) {
-    return run_campaign(project, make_target, models, config, on_progress);
-  }
-
-  // Every (arm, repetition) pair is one job; outcome slots are indexed by
-  // job id so the assembly below sees repetition order regardless of which
-  // thread finished when.
-  std::vector<RepetitionOutcome> outcomes(job_count);
-  std::atomic<std::size_t> next_job{0};
-  std::mutex progress_mutex;
-
-  auto pool_body = [&] {
-    for (;;) {
-      const std::size_t job = next_job.fetch_add(1);
-      if (job >= job_count) return;
-      const Strategy strategy = arms[job / config.repetitions];
-      const std::size_t rep = job % config.repetitions;
-      if (on_progress) {
-        std::lock_guard<std::mutex> lock(progress_mutex);
-        on_progress(strategy, rep);
-      }
-      outcomes[job] =
-          run_repetition(strategy, rep, make_target, models, config);
-    }
-  };
-
-  {
-    std::vector<std::thread> threads;
-    const std::size_t pool = std::min(workers, job_count);
-    threads.reserve(pool - 1);
-    for (std::size_t t = 1; t < pool; ++t) threads.emplace_back(pool_body);
-    pool_body();
-    for (std::thread& thread : threads) thread.join();
-  }
-
-  CampaignResult result;
-  result.project = project;
-  auto begin = outcomes.begin();
-  result.peach = assemble_arm(
-      Strategy::Peach,
-      std::vector<RepetitionOutcome>(
-          std::make_move_iterator(begin),
-          std::make_move_iterator(begin + config.repetitions)));
-  result.peach_star = assemble_arm(
-      Strategy::PeachStar,
-      std::vector<RepetitionOutcome>(
-          std::make_move_iterator(begin + config.repetitions),
-          std::make_move_iterator(outcomes.end())));
   return result;
 }
 

@@ -64,22 +64,6 @@ ArmResult run_arm(Strategy strategy, const TargetFactory& make_target,
                   const model::DataModelSet& models,
                   const CampaignConfig& config);
 
-/// Parallel repetition scheduler: farms every (arm, repetition) job of the
-/// §V A/B experiment across a pool of `workers` threads. Each repetition is
-/// an independent deterministic Fuzzer run (own target instance, seed
-/// base_seed + rep), so the assembled result is identical to
-/// run_campaign()'s for any worker count — only the wall clock changes.
-/// `workers` == 0 or 1 degenerates to the sequential path. Note the
-/// callback cadence differs between the two paths: the pooled scheduler
-/// reports every (arm, repetition) job as it starts (in nondeterministic
-/// order), while the sequential path keeps run_campaign()'s once-per-arm
-/// reporting.
-CampaignResult run_campaign_parallel(
-    const std::string& project, const TargetFactory& make_target,
-    const model::DataModelSet& models, const CampaignConfig& config,
-    std::size_t workers,
-    const std::function<void(Strategy, std::size_t)>& on_progress = {});
-
 /// Renders the mean series of both arms as aligned CSV
 /// ("executions,peach_paths,peachstar_paths").
 std::string series_csv(const CampaignResult& result);

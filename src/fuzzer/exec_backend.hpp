@@ -1,7 +1,7 @@
 // ExecBackend — the single seam between the fuzzing engine and *how* a
 // packet gets executed.
 //
-// The engine (Executor, Fuzzer, ParallelCampaign, icsfuzz-distill) is
+// The engine (Executor, Fuzzer, CampaignSupervisor, icsfuzz-distill) is
 // written against this interface only; which process runs the target is a
 // configuration choice, not a code path:
 //

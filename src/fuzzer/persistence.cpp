@@ -34,6 +34,51 @@ std::optional<Bytes> read_file(const fs::path& path) {
   return data;
 }
 
+const Bytes& seed_bytes(const Bytes& seed) { return seed; }
+const Bytes& seed_bytes(const RetainedSeed& seed) { return seed.bytes; }
+
+/// Writes `seeds` as seed-<index>.bin under `dir`, after deleting every
+/// .bin file already there: a re-save must replace the seed set, or
+/// read_seed_dir would glob the stale files back in.
+template <typename Seed>
+std::optional<std::string> write_seed_dir(const fs::path& dir,
+                                          const std::vector<Seed>& seeds) {
+  std::error_code error;
+  fs::create_directories(dir, error);
+  if (error) return "cannot create " + dir.string() + ": " + error.message();
+  for (const auto& entry : fs::directory_iterator(dir, error)) {
+    if (entry.path().extension() == ".bin") {
+      std::error_code ignored;
+      fs::remove(entry.path(), ignored);
+    }
+  }
+  std::size_t index = 0;
+  for (const Seed& seed : seeds) {
+    char name[32];
+    std::snprintf(name, sizeof name, "seed-%05zu.bin", index++);
+    if (!write_file(dir / name, seed_bytes(seed))) {
+      return std::string("cannot write ") + name;
+    }
+  }
+  return std::nullopt;
+}
+
+/// Reads every .bin file under `dir` in name order (empty when missing).
+std::vector<Bytes> read_seed_dir(const fs::path& dir) {
+  std::vector<Bytes> seeds;
+  std::error_code error;
+  if (!fs::is_directory(dir, error)) return seeds;
+  std::vector<fs::path> paths;
+  for (const auto& entry : fs::directory_iterator(dir, error)) {
+    if (entry.path().extension() == ".bin") paths.push_back(entry.path());
+  }
+  std::sort(paths.begin(), paths.end());
+  for (const fs::path& path : paths) {
+    if (auto data = read_file(path)) seeds.push_back(std::move(*data));
+  }
+  return seeds;
+}
+
 std::string site_hex(std::uint32_t site) {
   char buffer[16];
   std::snprintf(buffer, sizeof buffer, "%08x", site);
@@ -70,7 +115,6 @@ std::optional<std::string> save_session(const Fuzzer& fuzzer,
   // would add this campaign's hits to the ones it already holds.
   fs::remove_all(root / "crashes", error);
   if (!error) fs::create_directories(root / "crashes", error);
-  if (!error) fs::create_directories(root / "seeds", error);
   if (error) return "cannot create session directory: " + error.message();
 
   supervise::TriageStore crashes((root / "crashes").string());
@@ -80,13 +124,9 @@ std::optional<std::string> save_session(const Fuzzer& fuzzer,
     }
   }
 
-  std::size_t index = 0;
-  for (const RetainedSeed& seed : fuzzer.retained_seeds()) {
-    char name[32];
-    std::snprintf(name, sizeof name, "seed-%05zu.bin", index++);
-    if (!write_file(root / "seeds" / name, seed.bytes)) {
-      return std::string("cannot write ") + name;
-    }
+  if (std::optional<std::string> failed =
+          write_seed_dir(root / "seeds", fuzzer.retained_seeds())) {
+    return failed;
   }
 
   if (!write_text(root / "stats.csv", fuzzer.stats().to_csv())) {
@@ -130,28 +170,11 @@ std::optional<telem::Snapshot> load_telemetry_snapshot(
 std::optional<std::string> save_distilled_corpus(
     const std::string& directory, const std::vector<Bytes>& seeds,
     const distill::ReplayReport& report) {
-  std::error_code error;
   const fs::path root(directory);
-  fs::create_directories(root, error);
-  if (error) return "cannot create corpus directory: " + error.message();
-
-  // A re-save into the same directory must fully replace the corpus:
-  // stale seed files would be globbed back in by load_distilled_corpus
-  // and falsify the fresh manifest.
-  for (const auto& entry : fs::directory_iterator(root, error)) {
-    if (entry.path().extension() == ".bin") {
-      std::error_code ignored;
-      fs::remove(entry.path(), ignored);
-    }
-  }
-
-  std::size_t index = 0;
-  for (const Bytes& seed : seeds) {
-    char name[32];
-    std::snprintf(name, sizeof name, "seed-%05zu.bin", index++);
-    if (!write_file(root / name, seed)) {
-      return std::string("cannot write ") + name;
-    }
+  // The writer replaces the whole seed set: stale seed files would be
+  // globbed back in by load_distilled_corpus and falsify the fresh manifest.
+  if (std::optional<std::string> failed = write_seed_dir(root, seeds)) {
+    return failed;
   }
 
   char manifest[512];
@@ -177,18 +200,8 @@ std::optional<std::string> save_distilled_corpus(
 
 LoadedCorpus load_distilled_corpus(const std::string& directory) {
   LoadedCorpus corpus;
-  std::error_code error;
   const fs::path root(directory);
-  if (!fs::is_directory(root, error)) return corpus;
-
-  std::vector<fs::path> paths;
-  for (const auto& entry : fs::directory_iterator(root, error)) {
-    if (entry.path().extension() == ".bin") paths.push_back(entry.path());
-  }
-  std::sort(paths.begin(), paths.end());
-  for (const fs::path& path : paths) {
-    if (auto data = read_file(path)) corpus.seeds.push_back(std::move(*data));
-  }
+  corpus.seeds = read_seed_dir(root);
 
   std::ifstream manifest(root / "MANIFEST.txt");
   if (manifest) {
@@ -218,19 +231,7 @@ LoadedCorpus load_distilled_corpus(const std::string& directory) {
 }
 
 std::vector<Bytes> load_seeds(const std::string& directory) {
-  std::vector<Bytes> out;
-  std::error_code error;
-  const fs::path dir = fs::path(directory) / "seeds";
-  if (!fs::is_directory(dir, error)) return out;
-  std::vector<fs::path> paths;
-  for (const auto& entry : fs::directory_iterator(dir, error)) {
-    if (entry.path().extension() == ".bin") paths.push_back(entry.path());
-  }
-  std::sort(paths.begin(), paths.end());
-  for (const fs::path& path : paths) {
-    if (auto data = read_file(path)) out.push_back(std::move(*data));
-  }
-  return out;
+  return read_seed_dir(fs::path(directory) / "seeds");
 }
 
 }  // namespace icsfuzz::fuzz

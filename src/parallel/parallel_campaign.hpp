@@ -1,8 +1,9 @@
-// ParallelCampaign — runs one fuzzing campaign sharded across W worker
-// threads with periodic corpus/coverage synchronization through a
+// The configuration and result of one fuzzing campaign sharded across W
+// worker threads with periodic corpus/coverage synchronization through a
 // SeedExchange (the campaign-parallel architecture AFL-derived fuzzers use
 // to occupy every core; the sequential engine of fuzzer.hpp is the W=1
-// special case and is reproduced bit-for-bit).
+// special case and is reproduced bit-for-bit). supervise::CampaignSupervisor
+// (supervise/supervisor.hpp) is the one runner of such a campaign.
 //
 // Topology:
 //
@@ -23,7 +24,6 @@
 
 #include "distill/distill.hpp"
 #include "fuzzer/campaign.hpp"
-#include "parallel/worker.hpp"
 
 namespace icsfuzz::par {
 
@@ -49,7 +49,7 @@ struct ParallelCampaignConfig {
   /// campaign). Set fuzzer.distill_interval to auto-distill each worker's
   /// retained pool mid-campaign as well.
   fuzz::FuzzerConfig fuzzer;
-  /// Live telemetry export: when non-empty, a background thread rewrites
+  /// Live telemetry export: when non-empty, the supervisor rewrites
   /// metrics.json / metrics.prom / journal.jsonl under this directory
   /// every telemetry_export_ms while the workers run (atomic tmp+rename
   /// writes — `icsfuzz-stats <dir> --follow` tails it), plus one final
@@ -96,50 +96,6 @@ struct ParallelCampaignResult {
                ? static_cast<double>(total_executions) / wall_seconds
                : 0.0;
   }
-};
-
-class ParallelCampaign {
- public:
-  /// `models` must outlive the campaign; `make_target` is invoked once per
-  /// worker (each worker owns a private target instance).
-  ParallelCampaign(fuzz::TargetFactory make_target,
-                   const model::DataModelSet& models,
-                   ParallelCampaignConfig config);
-
-  /// Runs all workers to completion and aggregates the result. Blocking;
-  /// spawns workers-1 threads (worker 0 runs on the calling thread).
-  ParallelCampaignResult run();
-
-  // -- Composable pieces (what run() is made of). The CampaignSupervisor
-  // reuses them to drive the same workers in checkpointable chunks.
-
-  /// The exchange configuration this campaign derives from its own
-  /// (shard count, exchange RNG seed).
-  [[nodiscard]] SeedExchangeConfig exchange_config() const;
-
-  /// Constructs the W workers against `exchange`: one private target
-  /// instance each, the deterministic per-worker RNG seed, and the
-  /// telemetry sink rebound to worker w's registry shard.
-  [[nodiscard]] std::vector<std::unique_ptr<Worker>> build_workers(
-      SeedExchange& exchange) const;
-
-  /// Aggregates finished workers into the campaign result: per-worker
-  /// reports, pooled crash db, summed throughput series, global coverage
-  /// from the exchange, and (when configured) the final distillation.
-  /// Workers must be quiescent; for the stats/distill tallies to be final
-  /// they must have completed their full iteration budget.
-  [[nodiscard]] ParallelCampaignResult aggregate(
-      const std::vector<std::unique_ptr<Worker>>& workers,
-      SeedExchange& exchange, double wall_seconds) const;
-
-  [[nodiscard]] const ParallelCampaignConfig& config() const {
-    return config_;
-  }
-
- private:
-  fuzz::TargetFactory make_target_;
-  const model::DataModelSet& models_;
-  ParallelCampaignConfig config_;
 };
 
 }  // namespace icsfuzz::par

@@ -14,10 +14,6 @@ Worker::Worker(WorkerConfig config, std::unique_ptr<ProtocolTarget> target,
       fuzzer_(*target_, models, config.fuzzer),
       sync_rng_(config.fuzzer.rng_seed ^ 0x5EEDE8C4A06EULL) {}
 
-void Worker::run(std::uint64_t iterations) {
-  run_range(0, iterations, iterations);
-}
-
 void Worker::run_range(std::uint64_t begin, std::uint64_t end,
                        std::uint64_t total) {
   const telem::Sink& telemetry = config_.fuzzer.telemetry;

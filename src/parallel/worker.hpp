@@ -70,24 +70,21 @@ class Worker {
   Worker(WorkerConfig config, std::unique_ptr<ProtocolTarget> target,
          const model::DataModelSet& models, SeedExchange& exchange);
 
-  /// Runs `iterations` executions with periodic sync, then a final sync.
-  /// Call on the worker's own thread (coverage tracing is thread-local).
-  void run(std::uint64_t iterations);
-
-  /// Runs iterations [begin, end) of a `total`-iteration campaign, with
-  /// the sync schedule keyed on the absolute iteration index — executing a
-  /// campaign in consecutive chunks is bit-identical to one run(total)
-  /// call. The finishing chunk (end == total) performs the final
-  /// publish-only sync and the fuzzer's finish() pass; earlier chunks
-  /// leave the worker quiescent between iterations, which is exactly when
-  /// capture_state() is legal.
+  /// Runs iterations [begin, end) of a `total`-iteration campaign with
+  /// periodic sync, the schedule keyed on the absolute iteration index —
+  /// executing a campaign in consecutive chunks is bit-identical to one
+  /// run_range(0, total, total) call. The finishing chunk (end == total)
+  /// performs the final publish-only sync and the fuzzer's finish() pass;
+  /// earlier chunks leave the worker quiescent between iterations, which is
+  /// exactly when capture_state() is legal. Call on the worker's own thread
+  /// (coverage tracing is thread-local).
   void run_range(std::uint64_t begin, std::uint64_t end, std::uint64_t total);
 
   /// Checkpoint/resume (between run_range chunks only).
   [[nodiscard]] WorkerState capture_state() const;
   void restore_state(const WorkerState& state);
 
-  /// Iterations completed across all run/run_range calls — the watchdog's
+  /// Iterations completed across all run_range calls — the watchdog's
   /// heartbeat. Readable from any thread while the worker runs.
   [[nodiscard]] std::uint64_t progress() const {
     return progress_.load(std::memory_order_relaxed);

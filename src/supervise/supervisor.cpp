@@ -6,13 +6,14 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <csignal>
 #include <cstdio>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
+#include "distill/distill.hpp"
 #include "exec_oop/shm_segment.hpp"
 #include "supervise/checkpoint.hpp"
 #include "telemetry/export.hpp"
@@ -21,9 +22,11 @@ namespace icsfuzz::supervise {
 
 namespace {
 
-/// Process-wide stop flag: written by signal handlers and request_stop(),
-/// polled by every supervisor between chunks.
-volatile std::sig_atomic_t g_stop_requested = 0;
+/// Process-wide stop flag: written by signal handlers and request_stop()
+/// (from any thread), polled by every supervisor between chunks. Lock-free,
+/// so it is safe both from a signal handler and between threads.
+std::atomic<int> g_stop_requested{0};
+static_assert(std::atomic<int>::is_always_lock_free);
 
 void stop_signal_handler(int /*signo*/) { g_stop_requested = 1; }
 
@@ -56,6 +59,111 @@ void append_note(std::string& notes, const std::string& note) {
   notes += note;
 }
 
+/// Constructs the W workers against `exchange`: one private target
+/// instance each, the deterministic per-worker RNG seed, and the telemetry
+/// sink rebound to worker w's registry shard.
+std::vector<std::unique_ptr<par::Worker>> build_workers(
+    const fuzz::TargetFactory& make_target, const model::DataModelSet& models,
+    const par::ParallelCampaignConfig& config, par::SeedExchange& exchange) {
+  const telem::Sink campaign_sink = config.fuzzer.telemetry;
+  std::vector<std::unique_ptr<par::Worker>> workers;
+  workers.reserve(config.workers);
+  for (std::size_t w = 0; w < config.workers; ++w) {
+    par::WorkerConfig worker_config;
+    worker_config.id = w;
+    worker_config.worker_count = config.workers;
+    worker_config.sync_interval = config.sync_interval;
+    worker_config.fuzzer = config.fuzzer;
+    worker_config.fuzzer.rng_seed = par::worker_seed(config.base_seed, w);
+    // Rebind the sink to worker w's shard of the same hub: shards are
+    // single-writer by contract, and the configured sink (worker 0's by
+    // default) must not be shared across threads.
+    worker_config.fuzzer.telemetry =
+        campaign_sink.enabled()
+            ? telem::Sink(campaign_sink.hub(), static_cast<std::uint32_t>(w))
+            : telem::Sink();
+    workers.push_back(std::make_unique<par::Worker>(
+        worker_config, make_target(), models, exchange));
+  }
+  return workers;
+}
+
+/// Folds quiescent workers into the campaign result: per-worker reports,
+/// pooled crash db, summed throughput series, global coverage from the
+/// exchange and, when `distill`, the final distillation of the pooled
+/// retained seeds.
+par::ParallelCampaignResult aggregate(
+    const std::vector<std::unique_ptr<par::Worker>>& workers,
+    par::SeedExchange& exchange, const par::ParallelCampaignConfig& config,
+    const fuzz::TargetFactory& make_target, bool distill,
+    double wall_seconds) {
+  par::ParallelCampaignResult result;
+  result.wall_seconds = wall_seconds;
+  std::vector<std::vector<fuzz::Checkpoint>> all_series;
+  for (const std::unique_ptr<par::Worker>& worker : workers) {
+    const fuzz::Fuzzer& fuzzer = worker->fuzzer();
+    par::WorkerReport report;
+    report.id = worker->id();
+    report.executions = fuzzer.executor().executions();
+    report.paths = fuzzer.path_count();
+    report.edges = fuzzer.executor().edge_count();
+    report.unique_crashes = fuzzer.crashes().unique_count();
+    report.corpus_size = fuzzer.corpus().size();
+    report.retained_seeds = fuzzer.retained_seeds().size();
+    report.seeds_published = worker->seeds_published();
+    report.seeds_imported = worker->seeds_imported();
+    report.puzzles_imported = worker->puzzles_imported();
+    report.series = fuzzer.stats().checkpoints();
+    all_series.push_back(report.series);
+
+    result.total_executions += report.executions;
+    for (const fuzz::CrashRecord* record : fuzzer.crashes().records()) {
+      result.pooled_crashes.record(
+          san::FaultReport{record->kind, record->site, record->detail},
+          record->reproducer, record->first_execution, record->trace_hash);
+    }
+    result.workers.push_back(std::move(report));
+  }
+  result.throughput_series = fuzz::sum_series(all_series);
+
+  if (config.sync_interval == 0) {
+    // Workers never visited the exchange; fold their final maps here so the
+    // global numbers are meaningful in the no-sync configuration too.
+    for (const std::unique_ptr<par::Worker>& worker : workers) {
+      exchange.merge_coverage(worker->fuzzer().executor().coverage(),
+                              worker->fuzzer().executor().paths());
+    }
+  }
+  result.global_paths = exchange.global_paths();
+  result.global_edges = exchange.global_edges();
+  result.seeds_published = exchange.published_count();
+
+  if (distill) {
+    // Pool every worker's retained seeds (content-deduplicated, worker
+    // order — deterministic because workers are visited in id order) and
+    // keep the coverage-preserving minimum. Replays shard across the same
+    // worker count the campaign ran with.
+    std::vector<Bytes> pooled;
+    std::unordered_set<std::uint64_t> seen;
+    for (const std::unique_ptr<par::Worker>& worker : workers) {
+      for (const fuzz::RetainedSeed& seed :
+           worker->fuzzer().retained_seeds()) {
+        if (seen.insert(content_hash(seed.bytes)).second) {
+          pooled.push_back(seed.bytes);
+        }
+      }
+    }
+    distill::CminConfig distill_config;
+    distill_config.workers = config.workers;
+    distill_config.executor = config.fuzzer.executor;
+    distill::CminResult distilled =
+        distill::cmin(make_target, pooled, distill_config);
+    result.distilled_corpus = std::move(distilled.seeds);
+    result.distill_stats = distilled.stats;
+  }
+  return result;
+}
+
 }  // namespace
 
 void CampaignSupervisor::request_stop() { g_stop_requested = 1; }
@@ -66,15 +174,19 @@ CampaignSupervisor::CampaignSupervisor(fuzz::TargetFactory make_target,
                                        SupervisorConfig config)
     : make_target_(std::move(make_target)),
       models_(models),
-      config_(std::move(config)) {}
+      config_(std::move(config)) {
+  if (config_.campaign.workers == 0) config_.campaign.workers = 1;
+}
 
 SupervisorResult CampaignSupervisor::run() {
   SupervisorResult result;
-  par::ParallelCampaign campaign(make_target_, models_, config_.campaign);
-  const par::ParallelCampaignConfig& cc = campaign.config();  // normalized
-  par::SeedExchange exchange(campaign.exchange_config());
+  const par::ParallelCampaignConfig& cc = config_.campaign;
+  par::SeedExchangeConfig exchange_config;
+  exchange_config.shards = cc.exchange_shards;
+  exchange_config.rng_seed = cc.base_seed ^ 0xC0FFEEULL;
+  par::SeedExchange exchange(exchange_config);
   std::vector<std::unique_ptr<par::Worker>> workers =
-      campaign.build_workers(exchange);
+      build_workers(make_target_, models_, cc, exchange);
 
   // The supervisor's own sink: shard W — distinct from every worker's
   // shard for any campaign under the registry's 64-slot modulo, so the
@@ -157,10 +269,23 @@ SupervisorResult CampaignSupervisor::run() {
     }
   };
 
+  // Live export: the watchdog's wait also wakes for each export deadline
+  // and atomically rewrites metrics.json / metrics.prom / journal.jsonl
+  // under telemetry_dir, so the campaign can be tailed while it runs. Its
+  // snapshot reads race only against relaxed atomic counters.
+  const bool live_export = sink.enabled() && !cc.telemetry_dir.empty();
+  const std::chrono::milliseconds export_period(
+      cc.telemetry_export_ms > 0 ? cc.telemetry_export_ms : 1000);
+  telem::RateWindows rates;
+
   // -- Chunk loop. ---------------------------------------------------------
   const std::uint64_t chunk_size =
       config_.checkpoint_interval != 0 ? config_.checkpoint_interval : total;
+  const std::chrono::milliseconds poll(
+      config_.watchdog_poll_ms > 0 ? config_.watchdog_poll_ms : 200);
   const auto start = std::chrono::steady_clock::now();
+  auto next_export = live_export ? start + export_period
+                                 : std::chrono::steady_clock::time_point::max();
   while (completed < total && g_stop_requested == 0) {
     const std::uint64_t chunk_end = std::min(total, completed + chunk_size);
 
@@ -190,20 +315,23 @@ SupervisorResult CampaignSupervisor::run() {
     for (std::size_t w = 0; w < n; ++w) {
       last_progress[w] = workers[w]->progress();
     }
-    const int poll_ms = config_.watchdog_poll_ms > 0 ? config_.watchdog_poll_ms
-                                                     : 200;
     auto last_poll = std::chrono::steady_clock::now();
     for (;;) {
+      const auto wake = std::min(last_poll + poll, next_export);
       {
         std::unique_lock<std::mutex> lock(running_mutex);
-        if (all_done.wait_for(lock, std::chrono::milliseconds(poll_ms),
-                              [&] { return running == 0; })) {
+        if (all_done.wait_until(lock, wake, [&] { return running == 0; })) {
           break;
         }
       }
+      const auto now = std::chrono::steady_clock::now();
+      if (now >= next_export) {
+        telem::export_live(*sink.hub(), rates, cc.telemetry_dir);
+        next_export = now + export_period;
+      }
+      if (now < last_poll + poll) continue;  // woken to export only
       // A stall is charged the time that actually passed, so a late or
       // early poll can neither hide a wedge nor fake one.
-      const auto now = std::chrono::steady_clock::now();
       const int elapsed_ms = static_cast<int>(
           std::chrono::duration_cast<std::chrono::milliseconds>(now -
                                                                 last_poll)
@@ -247,26 +375,17 @@ SupervisorResult CampaignSupervisor::run() {
 
   result.interrupted = completed < total;
   result.completed_iterations = completed;
-  if (result.interrupted) {
-    // Stop requested mid-budget: the checkpoint above already landed after
-    // the last finished chunk; flush telemetry and report partial tallies
-    // (no final distillation — the campaign is not over).
-    par::ParallelCampaignConfig partial = cc;
-    partial.distill_final = false;
-    par::ParallelCampaign partial_campaign(make_target_, models_, partial);
-    result.campaign =
-        partial_campaign.aggregate(workers, exchange, wall_seconds);
-  } else {
-    result.campaign = campaign.aggregate(workers, exchange, wall_seconds);
-  }
+  // A stop requested mid-budget reports partial tallies without the final
+  // distillation: the campaign is not over, and the checkpoint above
+  // already landed after the last finished chunk.
+  result.campaign =
+      aggregate(workers, exchange, cc, make_target_,
+                cc.distill_final && !result.interrupted, wall_seconds);
 
   if (sink.enabled()) {
     sink.event(telem::EventType::kCampaignStop, 0,
                result.interrupted ? "stop-requested" : "workers-joined");
-    if (!cc.telemetry_dir.empty()) {
-      telem::RateWindows rates;
-      telem::export_live(*sink.hub(), rates, cc.telemetry_dir);
-    }
+    if (live_export) telem::export_live(*sink.hub(), rates, cc.telemetry_dir);
   }
   if (result.interrupted) {
     // Belt-and-braces shm hygiene on the shutdown path: unlinking a name

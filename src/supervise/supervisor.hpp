@@ -1,14 +1,17 @@
-// CampaignSupervisor — fault-tolerant driver for a parallel campaign.
+// CampaignSupervisor — the one runner of a parallel campaign
+// (parallel/parallel_campaign.hpp).
 //
-// ParallelCampaign::run() executes the whole iteration budget in one
-// blocking call; the supervisor executes the *same* campaign as a sequence
-// of lockstep chunks with a control loop wrapped around the workers:
+// It executes the campaign's iteration budget as a sequence of lockstep
+// chunks with a control loop wrapped around the workers. A plain campaign
+// is the degenerate case: an empty checkpoint_path and
+// checkpoint_interval = 0 give one chunk, no barrier and no image.
 //
 //     ┌───────────────────────── supervisor thread ─────────────────────┐
 //     │  resume? ── load_checkpoint ── restore workers                  │
 //     │  repeat until budget done or signalled:                         │
 //     │    spawn worker threads      run_range(chunk)                   │
-//     │    watchdog poll ── progress() heartbeats ── kill wedged server │
+//     │    watchdog wait ── progress() heartbeats ── kill wedged server │
+//     │                  └─ live telemetry export every export period   │
 //     │    join ── save_checkpoint (atomic tmp+rename)                  │
 //     │  final: aggregate + telemetry flush                             │
 //     └─────────────────────────────────────────────────────────────────┘

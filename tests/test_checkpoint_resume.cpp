@@ -33,6 +33,7 @@
 #include "protocols/modbus/modbus_server.hpp"
 #include "supervise/checkpoint.hpp"
 #include "supervise/supervisor.hpp"
+#include "tests/test_support.hpp"
 
 namespace icsfuzz {
 namespace {
@@ -139,7 +140,7 @@ TEST(CheckpointResume, WorkerStateHandoffContinuesBitForBit) {
   par::SeedExchange reference_exchange;
   std::unique_ptr<par::Worker> reference =
       make_solo_worker(models, reference_exchange, kSeed, 256);
-  reference->run(kTotal);
+  reference->run_range(0, kTotal, kTotal);
 
   // First half on worker A, state captured between iterations.
   par::SeedExchange first_exchange;
@@ -169,7 +170,7 @@ TEST(CheckpointResume, ManySmallChunksEqualOneRun) {
   par::SeedExchange reference_exchange;
   std::unique_ptr<par::Worker> reference =
       make_solo_worker(models, reference_exchange, kSeed, 300);
-  reference->run(kTotal);
+  reference->run_range(0, kTotal, kTotal);
 
   // Re-execute the campaign as a chain of chunks, round-tripping the state
   // through a fresh worker at every boundary.
@@ -237,7 +238,7 @@ TEST(CheckpointFormat, RestoredWorkerFromParsedTextContinuesBitForBit) {
   par::SeedExchange reference_exchange;
   std::unique_ptr<par::Worker> reference =
       make_solo_worker(models, reference_exchange, 7, 128);
-  reference->run(1800);
+  reference->run_range(0, 1800, 1800);
 
   par::SeedExchange exchange;
   std::unique_ptr<par::Worker> resumed =
@@ -430,9 +431,8 @@ TEST(CheckpointResume, SupervisorResumesAfterKillNineBitForBit) {
   EXPECT_EQ(resumed.completed_iterations, 12000u);
 
   // Uninterrupted reference (plain campaign, same parameters).
-  par::ParallelCampaign reference_campaign(
+  const par::ParallelCampaignResult reference = test::run_parallel_campaign(
       factory, models, oracle_config(checkpoint_path).campaign);
-  const par::ParallelCampaignResult reference = reference_campaign.run();
 
   ASSERT_EQ(resumed.campaign.workers.size(), 1u);
   const par::WorkerReport& actual = resumed.campaign.workers[0];

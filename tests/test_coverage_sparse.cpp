@@ -12,7 +12,7 @@
 // dense, and the boundary words 0 and 8191), proves the merge kernels
 // equivalent on both sides of the dirty-superset/full-sweep hybrid, and then
 // proves trajectory preservation at campaign scale: a fixed-seed Fuzzer run,
-// a ParallelCampaign at W=2, and a distill_interval auto-distill campaign
+// a supervised W=2 parallel campaign, and a distill_interval auto-distill campaign
 // each produce identical path/edge series under every mode. The
 // out-of-process adoption paths are held to the same standard: sparse
 // adoption from a dirty-word list (CoverageMap::adopt_sparse) must equal
@@ -694,8 +694,8 @@ TEST(TrajectoryPreservation, ParallelCampaignW2IdenticalAcrossAllModes) {
     config.sync_interval = 0;
     config.fuzzer.strategy = fuzz::Strategy::PeachStar;
     config.fuzzer.executor.coverage_kernel = kernel;
-    par::ParallelCampaign campaign(modbus_factory(), modbus_models(), config);
-    return campaign.run();
+    return test::run_parallel_campaign(modbus_factory(), modbus_models(),
+                                       config);
   };
   // Three-way fixed-seed matrix at W=2: sparse-SIMD, sparse-scalar, dense.
   const par::ParallelCampaignResult simd = run_parallel(simd::Kernel::kAuto);

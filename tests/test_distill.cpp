@@ -14,6 +14,7 @@
 #include "pits/pits.hpp"
 #include "protocols/lib60870/cs101_server.hpp"
 #include "protocols/modbus/modbus_server.hpp"
+#include "tests/test_support.hpp"
 
 namespace icsfuzz::distill {
 namespace {
@@ -234,8 +235,8 @@ TEST(ParallelDistill, FinalDistilledCorpusReplaysGlobalEdgeMap) {
   config.iterations_per_worker = 3000;
   config.base_seed = 1000;
   config.distill_final = true;
-  par::ParallelCampaign campaign(modbus_factory(), modbus_models(), config);
-  const par::ParallelCampaignResult result = campaign.run();
+  const par::ParallelCampaignResult result =
+      test::run_parallel_campaign(modbus_factory(), modbus_models(), config);
 
   ASSERT_FALSE(result.distilled_corpus.empty());
   EXPECT_GT(result.distill_stats.seeds_before,

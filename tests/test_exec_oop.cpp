@@ -19,7 +19,7 @@
 //     accounting, a shim that stays asleep between recycles, pipelined
 //     batch == sequential execution,
 //   * fixed-seed campaign trajectories (Fuzzer with and without
-//     auto-distill, ParallelCampaign at W=2) bit-identical across all
+//     auto-distill, a W=2 parallel campaign) bit-identical across all
 //     three ExecBackend kinds,
 //   * the Fuzzer's speculative in-flight window: a kPersistent campaign
 //     (four generations in flight, discarded whenever feedback moves)
@@ -879,9 +879,8 @@ TEST(OopTrajectory, ParallelCampaignW2IdenticalAcrossAllBackends) {
       // backend with a private shm segment.
       config.fuzzer.executor = oop_executor_config("libmodbus", kind);
     }
-    par::ParallelCampaign campaign(proto::target_factory("libmodbus"),
-                                   models, config);
-    return campaign.run();
+    return test::run_parallel_campaign(proto::target_factory("libmodbus"),
+                                       models, config);
   };
   const par::ParallelCampaignResult inproc =
       run_parallel(fuzz::BackendKind::kInProcess);

@@ -18,6 +18,7 @@
 #include "parallel/worker.hpp"
 #include "pits/pits.hpp"
 #include "protocols/modbus/modbus_server.hpp"
+#include "tests/test_support.hpp"
 
 namespace icsfuzz {
 namespace {
@@ -307,7 +308,7 @@ TEST(ParallelDeterminism, SoloWorkerReproducesSequentialFuzzerBitForBit) {
   worker_config.fuzzer = small_config(par::worker_seed(kSeed, 0));
   par::Worker worker(worker_config, std::make_unique<proto::ModbusServer>(),
                      models, exchange);
-  worker.run(kIterations);
+  worker.run_range(0, kIterations, kIterations);
   const Fuzzer& parallel = worker.fuzzer();
 
   // worker_seed(s, 0) == s by construction.
@@ -347,9 +348,8 @@ TEST(ParallelDeterminism, ParallelCampaignW1MatchesSequential) {
   config.base_seed = 77;
   config.sync_interval = 500;
   config.fuzzer = small_config(0);  // rng_seed overridden per worker
-  par::ParallelCampaign campaign(
+  const par::ParallelCampaignResult result = test::run_parallel_campaign(
       [] { return std::make_unique<proto::ModbusServer>(); }, models, config);
-  const par::ParallelCampaignResult result = campaign.run();
 
   ASSERT_EQ(result.workers.size(), 1u);
   EXPECT_EQ(result.workers[0].paths, sequential.path_count());
@@ -371,9 +371,8 @@ TEST(ParallelCampaign, MultiWorkerRunsAndSyncs) {
   config.base_seed = 9;
   config.sync_interval = 200;
   config.fuzzer = small_config(0);
-  par::ParallelCampaign campaign(
+  const par::ParallelCampaignResult result = test::run_parallel_campaign(
       [] { return std::make_unique<proto::ModbusServer>(); }, models, config);
-  const par::ParallelCampaignResult result = campaign.run();
 
   ASSERT_EQ(result.workers.size(), 3u);
   EXPECT_EQ(result.total_executions, 3u * 800u);
@@ -401,41 +400,6 @@ TEST(ParallelCampaign, DistinctWorkersUseDistinctSeeds) {
   EXPECT_NE(par::worker_seed(1, 0), par::worker_seed(1, 1));
   EXPECT_NE(par::worker_seed(1, 1), par::worker_seed(1, 2));
   EXPECT_EQ(par::worker_seed(42, 0), 42u);
-}
-
-// ------------------------------------------- parallel repetition scheduler
-
-TEST(ParallelScheduler, RunCampaignParallelMatchesSequential) {
-  const model::DataModelSet models = pits::modbus_pit();
-  const fuzz::TargetFactory factory = [] {
-    return std::make_unique<proto::ModbusServer>();
-  };
-  fuzz::CampaignConfig config;
-  config.iterations = 400;
-  config.repetitions = 3;
-  config.base_seed = 500;
-  config.stats_interval = 100;
-
-  const fuzz::CampaignResult sequential =
-      fuzz::run_campaign("libmodbus", factory, models, config);
-  const fuzz::CampaignResult parallel =
-      fuzz::run_campaign_parallel("libmodbus", factory, models, config, 4);
-
-  EXPECT_DOUBLE_EQ(parallel.peach.mean_final_paths,
-                   sequential.peach.mean_final_paths);
-  EXPECT_DOUBLE_EQ(parallel.peach_star.mean_final_paths,
-                   sequential.peach_star.mean_final_paths);
-  EXPECT_DOUBLE_EQ(parallel.peach_star.mean_final_edges,
-                   sequential.peach_star.mean_final_edges);
-  EXPECT_EQ(parallel.peach_star.pooled_crashes.unique_count(),
-            sequential.peach_star.pooled_crashes.unique_count());
-  ASSERT_EQ(parallel.peach_star.mean_series.size(),
-            sequential.peach_star.mean_series.size());
-  for (std::size_t i = 0; i < parallel.peach_star.mean_series.size(); ++i) {
-    EXPECT_EQ(parallel.peach_star.mean_series[i].paths,
-              sequential.peach_star.mean_series[i].paths);
-  }
-  EXPECT_EQ(fuzz::series_csv(parallel), fuzz::series_csv(sequential));
 }
 
 // ------------------------------------------------------------- fuzzer hooks

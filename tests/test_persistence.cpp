@@ -58,6 +58,21 @@ TEST(Persistence, SaveCreatesLayout) {
   EXPECT_TRUE(fs::is_directory(fs::path(dir.str()) / "seeds"));
 }
 
+TEST(Persistence, ResaveOfASmallerCampaignReplacesTheSeeds) {
+  SessionDir dir;
+  const Fuzzer larger = fuzz_cs101(8000);
+  ASSERT_FALSE(save_session(larger, dir.str()).has_value());
+  const Fuzzer smaller = fuzz_cs101(300);
+  ASSERT_LT(smaller.retained_seeds().size(), larger.retained_seeds().size());
+  ASSERT_FALSE(save_session(smaller, dir.str()).has_value());
+
+  const std::vector<Bytes> loaded = load_seeds(dir.str());
+  ASSERT_EQ(loaded.size(), smaller.retained_seeds().size());
+  for (std::size_t i = 0; i < loaded.size(); ++i) {
+    EXPECT_EQ(loaded[i], smaller.retained_seeds()[i].bytes) << "seed " << i;
+  }
+}
+
 TEST(Persistence, SeedsRoundTrip) {
   SessionDir dir;
   Fuzzer fuzzer = fuzz_cs101(5000);

@@ -11,6 +11,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -434,6 +435,79 @@ TEST(Supervisor, ChunkEndsWhenItsWorkDoesNotAtTheNextPoll) {
       << "chunks still wait out the watchdog poll";
 }
 
+/// Modbus target that stalls at its `block_at`-th execution until
+/// `dir`/metrics.json exists (5 s cap) and records whether it appeared.
+class WaitForExportTarget final : public ProtocolTarget {
+ public:
+  WaitForExportTarget(fs::path metrics, std::uint64_t block_at,
+                      std::atomic<int>* appeared)
+      : metrics_(std::move(metrics)), block_at_(block_at),
+        appeared_(appeared) {}
+  [[nodiscard]] std::string_view name() const override {
+    return inner_.name();
+  }
+  void reset() override { inner_.reset(); }
+  Bytes process(ByteSpan packet) override {
+    Bytes response;
+    process_into(packet, response);
+    return response;
+  }
+  void process_into(ByteSpan packet, Bytes& response) override {
+    if (++executions_ == block_at_) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!fs::exists(metrics_) &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+      appeared_->store(fs::exists(metrics_) ? 1 : 0);
+    }
+    inner_.process_into(packet, response);
+  }
+
+ private:
+  proto::ModbusServer inner_;
+  fs::path metrics_;
+  std::uint64_t block_at_;
+  std::atomic<int>* appeared_;
+  std::uint64_t executions_ = 0;
+};
+
+TEST(Supervisor, LiveExportWhileWorkersRun) {
+  // The watchdog's wait exports telemetry_dir every telemetry_export_ms
+  // while the workers run, not only once they have joined: a worker
+  // blocked mid-campaign sees metrics.json appear.
+  const model::DataModelSet models = pits::modbus_pit();
+  const ScopedTempDir dir("icsfuzz-supervisor-live");
+  const fs::path telemetry_dir = dir.path() / "live";
+  telem::Telemetry hub;
+  std::atomic<int> appeared{-1};
+
+  supervise::SupervisorConfig config;
+  config.campaign.workers = 1;
+  config.campaign.iterations_per_worker = 400;
+  config.campaign.base_seed = 3;
+  config.campaign.sync_interval = 0;
+  config.campaign.fuzzer = small_config(0);
+  config.campaign.fuzzer.telemetry = telem::Sink(&hub, 0);
+  config.campaign.telemetry_dir = telemetry_dir.string();
+  config.campaign.telemetry_export_ms = 50;
+  config.checkpoint_interval = 0;
+
+  supervise::CampaignSupervisor supervisor(
+      [&] {
+        return std::make_unique<WaitForExportTarget>(
+            telemetry_dir / "metrics.json", 200, &appeared);
+      },
+      models, config);
+  const supervise::SupervisorResult result = supervisor.run();
+
+  EXPECT_FALSE(result.interrupted);
+  EXPECT_EQ(result.completed_iterations, 400u);
+  EXPECT_EQ(appeared.load(), 1) << "no live export while the worker ran";
+  EXPECT_TRUE(fs::exists(telemetry_dir / "metrics.json"));
+}
+
 // ------------------------------------------------------- supervised campaigns
 
 TEST(Supervisor, MultiWorkerCampaignCompletesWithPeriodicCheckpoints) {
@@ -524,9 +598,8 @@ TEST(Supervisor, GracefulStopCheckpointsAndResumeFinishesBitForBit) {
   EXPECT_FALSE(resumed.interrupted);
   EXPECT_EQ(resumed.completed_iterations, 20000u);
 
-  par::ParallelCampaign reference_campaign(modbus_factory(), models,
-                                           config.campaign);
-  const par::ParallelCampaignResult reference = reference_campaign.run();
+  const par::ParallelCampaignResult reference =
+      test::run_parallel_campaign(modbus_factory(), models, config.campaign);
   const par::WorkerReport& actual = resumed.campaign.workers[0];
   const par::WorkerReport& expected = reference.workers[0];
   EXPECT_EQ(actual.executions, expected.executions);

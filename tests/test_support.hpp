@@ -19,6 +19,7 @@
 #include "coverage/instrument.hpp"
 #include "protocols/protocol_target.hpp"
 #include "sanitizer/fault.hpp"
+#include "supervise/supervisor.hpp"
 
 namespace icsfuzz::test {
 
@@ -52,6 +53,19 @@ class ScopedEnv {
  private:
   const char* name_;
 };
+
+/// Runs a W-worker campaign to completion the plain way: a supervisor with
+/// no checkpoint image and the whole budget as one chunk.
+inline par::ParallelCampaignResult run_parallel_campaign(
+    fuzz::TargetFactory make_target, const model::DataModelSet& models,
+    const par::ParallelCampaignConfig& campaign) {
+  supervise::SupervisorConfig config;
+  config.campaign = campaign;
+  config.checkpoint_interval = 0;
+  supervise::CampaignSupervisor supervisor(std::move(make_target), models,
+                                           config);
+  return supervisor.run().campaign;
+}
 
 // -- Socket helpers shared by the session/TCP suites. ---------------------
 

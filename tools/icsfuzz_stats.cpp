@@ -3,11 +3,12 @@
 //   # one-shot view of a saved session or a live campaign directory
 //   icsfuzz-stats DIR
 //
-//   # tail a live campaign (ParallelCampaignConfig::telemetry_dir)
+//   # tail a live campaign (ParallelCampaignConfig::telemetry_dir of a
+//   # supervise::CampaignSupervisor run)
 //   icsfuzz-stats DIR --follow [--interval-ms 1000]
 //
 // The directory may be either a live export directory (metrics.json,
-// written atomically by the campaign's exporter thread) or a saved session
+// written atomically by the supervisor's watchdog wait) or a saved session
 // (telemetry.json from save_session) — whichever snapshot file exists is
 // used, plus journal.jsonl for the recent-event tail. In --follow mode the
 // tool polls the snapshot file and derives its own execs/sec,
