@@ -32,11 +32,14 @@
 //     heap allocations (must be 0) and the rate over the same packets
 //     (`generate_packets_per_sec`).
 //
-//   * Checkpoint image — save_checkpoint/load_checkpoint of a synthetic
+//   * Checkpoint log — save_checkpoint/load_checkpoint of a synthetic
 //     supervised-campaign image (2 workers x 150k executed-packet hashes
-//     plus coverage maps), median of 7. `checkpoint_save_ms` has a generous
-//     ceiling; `checkpoint_bytes_per_dedup_hash` is deterministic (16 hex
-//     digits per hash in the v3 format) and gated at <= 17.
+//     plus coverage maps) as a durable base, and CheckpointWriter appends
+//     of one checkpoint chunk's segment on it (15k fresh hashes per
+//     worker), medians of 7 and 15. `checkpoint_save_ms` and
+//     `checkpoint_append_ms` have ceilings;
+//     `checkpoint_bytes_per_dedup_hash` is deterministic (8 raw bytes per
+//     hash in the v4 format) and gated at <= 9.
 //
 //   * Path-tracker probe A/B — the campaign-shaped record() stream (a few
 //     percent fresh hashes, the rest repeats of the resident set) through
@@ -215,22 +218,38 @@ class StubTarget final : public ProtocolTarget {
 
 /// Checkpoint cost of a supervised campaign's image: two workers with
 /// 150k executed-packet hashes each (the dedup size `modbus-supervised-2w`
-/// reaches) beside a full coverage map.
+/// reaches) beside a full coverage map, and the segment one more checkpoint
+/// chunk of that workload appends (15k fresh hashes per worker).
 struct CheckpointCost {
-  double save_ms = 0.0;  // median save_checkpoint (serialize + write)
-  double load_ms = 0.0;  // median load_checkpoint (read + parse)
+  double save_ms = 0.0;    // median save_checkpoint (a durable base)
+  double load_ms = 0.0;    // median load_checkpoint of that base
+  double append_ms = 0.0;  // median CheckpointWriter segment append
   double bytes_per_dedup_hash = 0.0;
   bool round_trips = false;
 };
 
+double median_ms(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
+double ms_between(Clock::time_point start, Clock::time_point end) {
+  return std::chrono::duration<double, std::milli>(end - start).count();
+}
+
 CheckpointCost measure_checkpoint() {
   constexpr std::size_t kWorkers = 2;
   constexpr std::size_t kHashes = 150000;
+  constexpr std::size_t kSegmentHashes = 15000;
   constexpr int kReps = 7;
+  // Appends are short and fsync-bound, so one slow flush weighs more:
+  // their median takes twice the samples.
+  constexpr int kAppendReps = 15;
   supervise::CampaignCheckpoint image;
   image.iterations_per_worker = 150000;
   image.sync_interval = 1000;
   Rng rng(0xC4EC);
+  std::vector<FlatU64Set> dedup(kWorkers);
   for (std::size_t w = 0; w < kWorkers; ++w) {
     par::WorkerState worker;
     worker.cursor_next.assign(kWorkers, 0);
@@ -238,9 +257,8 @@ CheckpointCost measure_checkpoint() {
     for (std::uint8_t& cell : worker.fuzzer.coverage) {
       if (rng.chance(1, 16)) cell = static_cast<std::uint8_t>(rng.next_u64());
     }
-    FlatU64Set dedup;
-    while (dedup.size() < kHashes) dedup.insert(rng.next_u64());
-    worker.fuzzer.dedup_current = dedup.snapshot();
+    while (dedup[w].size() < kHashes) dedup[w].insert(rng.next_u64());
+    worker.fuzzer.dedup_current = dedup[w].snapshot();
     image.workers.push_back(std::move(worker));
   }
 
@@ -269,20 +287,48 @@ CheckpointCost measure_checkpoint() {
     const std::optional<supervise::CampaignCheckpoint> loaded =
         supervise::load_checkpoint(path);
     const auto load_end = Clock::now();
-    save_ms.push_back(
-        std::chrono::duration<double, std::milli>(load_start - save_start)
-            .count());
-    load_ms.push_back(
-        std::chrono::duration<double, std::milli>(load_end - load_start)
-            .count());
+    save_ms.push_back(ms_between(save_start, load_start));
+    load_ms.push_back(ms_between(load_start, load_end));
     cost.round_trips = cost.round_trips && saved && loaded.has_value() &&
                        supervise::serialize_checkpoint(*loaded) == text;
   }
+
+  // Segments on the same image, each timed alone; the log must then load
+  // as the image with every segment's hashes inserted in order.
+  supervise::CheckpointWriter writer(path);
+  cost.round_trips = cost.round_trips && !writer.save(image).has_value();
+  supervise::CampaignCheckpoint delta = bare;
+  for (par::WorkerState& worker : delta.workers) {
+    worker.fuzzer.dedup_delta = true;
+  }
+  std::vector<double> append_ms;
+  for (int rep = 0; rep < kAppendReps; ++rep) {
+    for (std::size_t w = 0; w < kWorkers; ++w) {
+      std::vector<std::uint64_t>& journal =
+          delta.workers[w].fuzzer.dedup_journal;
+      journal.clear();
+      while (journal.size() < kSegmentHashes) {
+        const std::uint64_t hash = rng.next_u64();
+        if (dedup[w].insert(hash)) journal.push_back(hash);
+      }
+    }
+    cost.round_trips = cost.round_trips && writer.accepts_segment();
+    const auto start = Clock::now();
+    cost.round_trips = cost.round_trips && !writer.save(delta).has_value();
+    append_ms.push_back(ms_between(start, Clock::now()));
+  }
+  for (std::size_t w = 0; w < kWorkers; ++w) {
+    image.workers[w].fuzzer.dedup_current = dedup[w].snapshot();
+  }
+  const std::optional<supervise::CampaignCheckpoint> log =
+      supervise::load_checkpoint(path);
+  cost.round_trips = cost.round_trips && log.has_value() &&
+                     supervise::serialize_checkpoint(*log) ==
+                         supervise::serialize_checkpoint(image);
   std::filesystem::remove(path);
-  std::sort(save_ms.begin(), save_ms.end());
-  std::sort(load_ms.begin(), load_ms.end());
-  cost.save_ms = save_ms[kReps / 2];
-  cost.load_ms = load_ms[kReps / 2];
+  cost.save_ms = median_ms(save_ms);
+  cost.load_ms = median_ms(load_ms);
+  cost.append_ms = median_ms(append_ms);
   return cost;
 }
 
@@ -488,10 +534,10 @@ int main() {
   // -- Generation allocations and rate. ------------------------------------
   const GenerationCost generation = measure_generation();
 
-  // -- Checkpoint image cost. ---------------------------------------------
+  // -- Checkpoint log cost. -----------------------------------------------
   const CheckpointCost checkpoint = measure_checkpoint();
   if (!checkpoint.round_trips) {
-    std::fprintf(stderr, "checkpoint image did not round-trip\n");
+    std::fprintf(stderr, "checkpoint log did not round-trip\n");
     return 1;
   }
 
@@ -544,6 +590,7 @@ int main() {
               generation.packets_per_sec);
   std::printf("  \"checkpoint_save_ms\": %.2f,\n", checkpoint.save_ms);
   std::printf("  \"checkpoint_load_ms\": %.2f,\n", checkpoint.load_ms);
+  std::printf("  \"checkpoint_append_ms\": %.2f,\n", checkpoint.append_ms);
   std::printf("  \"checkpoint_bytes_per_dedup_hash\": %.2f,\n",
               checkpoint.bytes_per_dedup_hash);
   std::printf("  \"checksum\": %llu\n}\n",

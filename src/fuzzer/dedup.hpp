@@ -14,12 +14,21 @@
 //
 // Each generation is a FlatU64Set (util/flat_u64_set.hpp) holding the raw
 // FNV-1a packet hashes: an insert allocates only when its table doubles,
-// and a checkpoint copies each table in slot order, unsorted.
+// and a full checkpoint copies each table in slot order, unsorted.
+//
+// Incremental checkpoints (supervise/checkpoint.hpp) read the journal
+// instead: once armed, every successful insert is appended to a buffer
+// reserved at arm time, so replaying the journal's hashes in order into
+// tables restored from the last full snapshot rebuilds both tables slot
+// for slot. A rotation, an overflow or a restore invalidates the journal
+// until it is re-armed; an unarmed dedup pays one predictable branch.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "util/flat_u64_set.hpp"
 
@@ -35,10 +44,18 @@ class GenerationalDedup {
   /// generations (i.e. the packet should execute).
   bool insert(std::uint64_t hash) {
     if (previous_.contains(hash) || !current_.insert(hash)) return false;
+    if (journal_valid_) {
+      if (journal_.size() < journal_limit_) {
+        journal_.push_back(hash);
+      } else {
+        journal_valid_ = false;
+      }
+    }
     if (current_.size() >= capacity_ / 2) {
       // Rotate: the oldest generation's memory is released, the newest
       // half of the history is retained verbatim.
       previous_ = std::move(current_);
+      journal_valid_ = false;
     }
     return true;
   }
@@ -68,12 +85,35 @@ class GenerationalDedup {
                            std::span<const std::uint64_t> previous) {
     current_.restore(current);
     previous_.restore(previous);
+    journal_valid_ = false;
+  }
+
+  /// Empties the journal and records from here on, up to `capacity`
+  /// inserts (capped at the capacity()/2 inserts a rotation allows). The
+  /// buffer is reserved on the first call; re-arming at the same capacity
+  /// never allocates.
+  void arm_journal(std::size_t capacity) {
+    journal_limit_ = std::min(capacity, capacity_ / 2);
+    journal_.clear();
+    journal_.reserve(journal_limit_);
+    journal_valid_ = true;
+  }
+
+  /// True while journal() holds every insert since the last arm_journal().
+  [[nodiscard]] bool journal_valid() const { return journal_valid_; }
+
+  /// The hashes inserted since the last arm_journal(), in insert order.
+  [[nodiscard]] std::span<const std::uint64_t> journal() const {
+    return journal_;
   }
 
  private:
   std::size_t capacity_;
   FlatU64Set current_;
   FlatU64Set previous_;
+  std::vector<std::uint64_t> journal_;
+  std::size_t journal_limit_ = 0;
+  bool journal_valid_ = false;
 };
 
 }  // namespace icsfuzz::fuzz

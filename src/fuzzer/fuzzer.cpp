@@ -418,11 +418,17 @@ void Fuzzer::import_external_seed(Bytes packet) {
   ++revision_;
 }
 
-FuzzerCheckpoint Fuzzer::capture_checkpoint() const {
+FuzzerCheckpoint Fuzzer::capture_checkpoint(bool delta) const {
   FuzzerCheckpoint cp;
   cp.rng = rng_.state();
-  cp.dedup_current = executed_.current_generation().snapshot();
-  cp.dedup_previous = executed_.previous_generation().snapshot();
+  cp.dedup_delta = delta;
+  if (delta) {
+    cp.dedup_journal.assign(executed_.journal().begin(),
+                            executed_.journal().end());
+  } else {
+    cp.dedup_current = executed_.current_generation().snapshot();
+    cp.dedup_previous = executed_.previous_generation().snapshot();
+  }
   cp.corpus = corpus_.snapshot();
   for (const CrashRecord* record : crash_db_.records()) {
     cp.crashes.push_back(*record);

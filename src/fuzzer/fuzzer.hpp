@@ -123,6 +123,12 @@ struct FuzzerCheckpoint {
   /// re-capture reproduces the same lists.
   std::vector<std::uint64_t> dedup_current;
   std::vector<std::uint64_t> dedup_previous;
+  /// A delta capture (capture_checkpoint(/*delta=*/true), the form a
+  /// checkpoint segment stores) leaves both lists empty and copies the
+  /// dedup journal instead: the hashes inserted since it was last armed,
+  /// in insert order. Restoring takes full captures only.
+  bool dedup_delta = false;
+  std::vector<std::uint64_t> dedup_journal;
   CorpusSnapshot corpus;
   std::vector<CrashRecord> crashes;  // full records, hits preserved
   std::vector<Checkpoint> stats_points;
@@ -222,9 +228,19 @@ class Fuzzer {
 
   // -- Crash-safe checkpoint/resume (src/supervise/). --
 
-  /// Captures the complete trajectory-relevant state. Call only between
-  /// iterations (never from inside an on_exec observer).
-  [[nodiscard]] FuzzerCheckpoint capture_checkpoint() const;
+  /// Captures the complete trajectory-relevant state — or, when `delta`,
+  /// everything but the dedup tables, whose journal it copies instead (the
+  /// journal must be valid). Call only between iterations (never from
+  /// inside an on_exec observer).
+  [[nodiscard]] FuzzerCheckpoint capture_checkpoint(bool delta = false) const;
+
+  /// Starts the dedup journal delta captures read, sized for `capacity`
+  /// inserts (one checkpoint chunk); re-arm after every capture. A campaign
+  /// that never arms it pays one predictable branch per insert.
+  void arm_dedup_journal(std::size_t capacity) {
+    executed_.arm_journal(capacity);
+  }
+  [[nodiscard]] const GenerationalDedup& dedup() const { return executed_; }
 
   /// Reinstates state captured by capture_checkpoint() on a fuzzer built
   /// with the same target, models and config. Subsequent iterations

@@ -59,9 +59,9 @@ void Worker::run_range(std::uint64_t begin, std::uint64_t end,
   }
 }
 
-WorkerState Worker::capture_state() const {
+WorkerState Worker::capture_state(bool delta) const {
   WorkerState state;
-  state.fuzzer = fuzzer_.capture_checkpoint();
+  state.fuzzer = fuzzer_.capture_checkpoint(delta);
   state.cursor_next = cursor_.next;
   state.sync_rng = sync_rng_.state();
   state.published = published_;

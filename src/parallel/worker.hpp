@@ -80,9 +80,15 @@ class Worker {
   /// (coverage tracing is thread-local).
   void run_range(std::uint64_t begin, std::uint64_t end, std::uint64_t total);
 
-  /// Checkpoint/resume (between run_range chunks only).
-  [[nodiscard]] WorkerState capture_state() const;
+  /// Checkpoint/resume (between run_range chunks only). A `delta` capture
+  /// copies the fuzzer's dedup journal instead of its dedup tables
+  /// (Fuzzer::capture_checkpoint).
+  [[nodiscard]] WorkerState capture_state(bool delta = false) const;
   void restore_state(const WorkerState& state);
+  /// Re-arms the fuzzer's dedup journal for the next `capacity` inserts.
+  void arm_dedup_journal(std::size_t capacity) {
+    fuzzer_.arm_dedup_journal(capacity);
+  }
 
   /// Iterations completed across all run_range calls — the watchdog's
   /// heartbeat. Readable from any thread while the worker runs.

@@ -242,8 +242,31 @@ SupervisorResult CampaignSupervisor::run() {
     sink.event(telem::EventType::kCampaignStart, 0, detail);
   }
 
-  auto save = [&](std::uint64_t done) {
-    if (config_.checkpoint_path.empty()) return;
+  // -- Checkpoint log. ------------------------------------------------------
+  // A save captures the workers between chunks, while they are quiescent,
+  // and is written while the next chunk runs, so the workers stop only for
+  // the capture. It is a segment holding every worker's dedup journal when
+  // the writer accepts one and no journal rotated or overflowed, a fresh
+  // base otherwise. The journals are sized for one chunk's inserts; a
+  // single-chunk campaign saves once, as a base, and never arms them.
+  const std::uint64_t chunk_size =
+      config_.checkpoint_interval != 0 ? config_.checkpoint_interval : total;
+  CheckpointWriter writer(config_.checkpoint_path);
+  const bool journaled =
+      !config_.checkpoint_path.empty() && chunk_size < total - completed;
+  const auto arm_journals = [&] {
+    if (!journaled) return;
+    for (const std::unique_ptr<par::Worker>& worker : workers) {
+      worker->arm_dedup_journal(chunk_size);
+    }
+  };
+  arm_journals();
+
+  const auto capture = [&](std::uint64_t done) {
+    bool delta = writer.accepts_segment();
+    for (const std::unique_ptr<par::Worker>& worker : workers) {
+      delta = delta && worker->fuzzer().dedup().journal_valid();
+    }
     CampaignCheckpoint cp;
     cp.completed_iterations = done;
     cp.base_seed = cc.base_seed;
@@ -251,10 +274,13 @@ SupervisorResult CampaignSupervisor::run() {
     cp.sync_interval = cc.sync_interval;
     cp.workers.reserve(workers.size());
     for (const std::unique_ptr<par::Worker>& worker : workers) {
-      cp.workers.push_back(worker->capture_state());
+      cp.workers.push_back(worker->capture_state(delta));
     }
-    if (std::optional<std::string> error =
-            save_checkpoint(cp, config_.checkpoint_path)) {
+    arm_journals();
+    return cp;
+  };
+  const auto write = [&](const CampaignCheckpoint& cp) {
+    if (std::optional<std::string> error = writer.save(cp)) {
       append_note(result.notes, "checkpoint save failed: " + *error);
       return;
     }
@@ -262,12 +288,13 @@ SupervisorResult CampaignSupervisor::run() {
     if (sink.enabled()) {
       char detail[64];
       std::snprintf(detail, sizeof detail, "saved at=%llu of=%llu",
-                    static_cast<unsigned long long>(done),
+                    static_cast<unsigned long long>(cp.completed_iterations),
                     static_cast<unsigned long long>(total));
       sink.add(telem::Counter::kCheckpointsSaved);
       sink.event(telem::EventType::kCheckpoint, 0, detail);
     }
   };
+  std::optional<CampaignCheckpoint> pending;  // captured, not yet written
 
   // Live export: the watchdog's wait also wakes for each export deadline
   // and atomically rewrites metrics.json / metrics.prom / journal.jsonl
@@ -279,8 +306,6 @@ SupervisorResult CampaignSupervisor::run() {
   telem::RateWindows rates;
 
   // -- Chunk loop. ---------------------------------------------------------
-  const std::uint64_t chunk_size =
-      config_.checkpoint_interval != 0 ? config_.checkpoint_interval : total;
   const std::chrono::milliseconds poll(
       config_.watchdog_poll_ms > 0 ? config_.watchdog_poll_ms : 200);
   const auto start = std::chrono::steady_clock::now();
@@ -307,6 +332,10 @@ SupervisorResult CampaignSupervisor::run() {
         const std::lock_guard<std::mutex> lock(running_mutex);
         if (--running == 0) all_done.notify_one();
       });
+    }
+    if (pending) {
+      write(*pending);
+      pending.reset();
     }
 
     std::vector<std::uint64_t> last_progress(n, 0);
@@ -364,11 +393,11 @@ SupervisorResult CampaignSupervisor::run() {
     for (std::thread& thread : threads) thread.join();
 
     completed = chunk_end;
-    // Checkpoint between chunks (workers quiescent). The final chunk's
-    // image marks the campaign complete, so a rerun with resume=true is a
-    // no-op instead of a replay.
-    save(completed);
+    if (!config_.checkpoint_path.empty()) pending = capture(completed);
   }
+  // The last capture — after the final chunk it marks the campaign
+  // complete, so a rerun with resume=true is a no-op instead of a replay.
+  if (pending) write(*pending);
   const auto stop = std::chrono::steady_clock::now();
   const double wall_seconds =
       std::chrono::duration<double>(stop - start).count();

@@ -10,10 +10,11 @@
 //     │  resume? ── load_checkpoint ── restore workers                  │
 //     │  repeat until budget done or signalled:                         │
 //     │    spawn worker threads      run_range(chunk)                   │
+//     │    write the last capture (CheckpointWriter: base or segment)   │
 //     │    watchdog wait ── progress() heartbeats ── kill wedged server │
 //     │                  └─ live telemetry export every export period   │
-//     │    join ── save_checkpoint (atomic tmp+rename)                  │
-//     │  final: aggregate + telemetry flush                             │
+//     │    join ── capture a checkpoint (workers quiescent)             │
+//     │  final: write the last capture, aggregate + telemetry flush     │
 //     └─────────────────────────────────────────────────────────────────┘
 //
 // Because Worker::run_range() keys the sync schedule on absolute iteration
@@ -43,7 +44,7 @@ namespace icsfuzz::supervise {
 struct SupervisorConfig {
   /// The campaign to supervise (worker count, budget, fuzzer config...).
   par::ParallelCampaignConfig campaign;
-  /// Checkpoint image path; empty disables checkpoint/resume entirely.
+  /// Checkpoint log path; empty disables checkpoint/resume entirely.
   std::string checkpoint_path;
   /// Iterations per lockstep chunk — a checkpoint lands after every chunk.
   /// 0 means one chunk covering the whole budget (final checkpoint only).

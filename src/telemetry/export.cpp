@@ -214,13 +214,19 @@ std::string to_prometheus(const Snapshot& snapshot) {
 std::optional<std::string> write_text_atomic(const std::string& path,
                                              const std::string& text) {
   const std::string tmp = path + ".tmp";
+  std::error_code error;
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return "cannot open " + tmp;
     out.write(text.data(), static_cast<std::streamsize>(text.size()));
-    if (!out) return "cannot write " + tmp;
+    // A short text sits in the stream's buffer until close() flushes it,
+    // so only the close reports its failed write.
+    out.close();
+    if (!out) {
+      std::filesystem::remove(tmp, error);
+      return "cannot write " + tmp;
+    }
   }
-  std::error_code error;
   std::filesystem::rename(tmp, path, error);
   if (error) return "cannot rename " + tmp + ": " + error.message();
   return std::nullopt;

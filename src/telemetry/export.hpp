@@ -41,7 +41,8 @@ std::optional<Snapshot> snapshot_from_json(std::string_view text);
 std::string to_prometheus(const Snapshot& snapshot);
 
 /// Writes `text` to `path` atomically (tmp file + rename). Returns an
-/// error message on failure, nullopt on success.
+/// error message on failure — a write the final flush loses included, in
+/// which case `path` keeps its previous contents — nullopt on success.
 std::optional<std::string> write_text_atomic(const std::string& path,
                                              const std::string& text);
 

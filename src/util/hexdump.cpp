@@ -9,9 +9,7 @@ namespace {
 
 constexpr char kHexDigits[] = "0123456789abcdef";
 
-/// Digit value per character, -1 for non-hex. A table, not comparisons:
-/// on random digits the branches mispredict, and checkpoint loads decode
-/// megabytes of them.
+/// Digit value per character, -1 for non-hex.
 constexpr std::array<std::int8_t, 256> kHexValues = [] {
   std::array<std::int8_t, 256> values{};
   values.fill(-1);
@@ -28,27 +26,13 @@ int hex_value(char c) { return kHexValues[static_cast<unsigned char>(c)]; }
 }  // namespace
 
 std::string to_hex(ByteSpan data) {
-  std::string out(data.size() * 2, '\0');
-  write_hex(data, out.data());
-  return out;
-}
-
-void write_hex(ByteSpan data, char* dest) {
+  std::string out;
+  out.reserve(data.size() * 2);
   for (const std::uint8_t byte : data) {
-    *dest++ = kHexDigits[byte >> 4];
-    *dest++ = kHexDigits[byte & 0xF];
+    out += kHexDigits[byte >> 4];
+    out += kHexDigits[byte & 0xF];
   }
-}
-
-bool read_hex(std::string_view hex, std::uint8_t* dest) {
-  if (hex.size() % 2 != 0) return false;
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    const int high = hex_value(hex[i]);
-    const int low = hex_value(hex[i + 1]);
-    if (high < 0 || low < 0) return false;
-    *dest++ = static_cast<std::uint8_t>((high << 4) | low);
-  }
-  return true;
+  return out;
 }
 
 Bytes from_hex(std::string_view hex) {

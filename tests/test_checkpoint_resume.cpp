@@ -4,11 +4,11 @@
 // The load-bearing property is the differential oracle: a campaign that is
 // checkpointed, killed, and resumed must finish bit-for-bit identical to
 // one that was never interrupted. The suite builds up to it in layers —
-// worker state hand-off across fresh Worker objects, the checkpoint text
-// format round-trip, malformed-input rejection, the atomic file cycle —
-// and then runs the real thing: a forked CampaignSupervisor SIGKILLed
-// mid-campaign and resumed in the parent against an uninterrupted
-// reference. A W=1 campaign is exactly reproducible (worker.hpp), so the
+// worker state hand-off across fresh Worker objects, the checkpoint format
+// round-trip, malformed-input rejection, the durable file cycle, the log of
+// a base plus appended segments and its torn-tail rule — and then runs the
+// real thing: a forked CampaignSupervisor SIGKILLed mid-campaign and
+// resumed in the parent against an uninterrupted reference. A W=1 campaign is exactly reproducible (worker.hpp), so the
 // oracle gates on one worker; multi-worker supervision is covered by
 // test_supervisor.cpp with interleaving-tolerant assertions.
 #include <gtest/gtest.h>
@@ -19,7 +19,11 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -34,6 +38,7 @@
 #include "supervise/checkpoint.hpp"
 #include "supervise/supervisor.hpp"
 #include "tests/test_support.hpp"
+#include "util/checksum.hpp"
 
 namespace icsfuzz {
 namespace {
@@ -125,6 +130,33 @@ class ScopedTempDir {
  private:
   fs::path path_;
 };
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void write_file(const std::string& path, std::string_view bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+using test::kCheckpointFrame;
+using test::loaded_image;
+
+/// Offsets at which the whole records of a v4 log end.
+std::vector<std::size_t> record_ends(std::string_view log) {
+  std::vector<std::size_t> ends;
+  for (const test::LogRecord& record : test::intact_records(log)) {
+    ends.push_back(record.end);
+  }
+  return ends;
+}
+
+/// Kind byte of the record starting at `start`.
+char record_kind(std::string_view log, std::size_t start) {
+  return log[start + kCheckpointFrame];
+}
 
 // ------------------------------------------------------ worker state hand-off
 
@@ -250,48 +282,70 @@ TEST(CheckpointFormat, RestoredWorkerFromParsedTextContinuesBitForBit) {
 }
 
 TEST(CheckpointFormat, DedupTablesRoundTripByteIdenticalPastRotation) {
-  // capture -> serialize -> parse -> restore -> capture reproduces the
-  // image byte for byte: each dedup generation is written in table order
-  // and restored into the same slot layout. A small dedup_capacity rotates
-  // the generations every 64 fresh packets, so both are populated and the
-  // current one has been rebuilt from empty many times.
+  // capture -> log -> load -> restore -> capture reproduces the image byte
+  // for byte across a base and its segments: the base lists each dedup
+  // generation in table order, and each segment's journal replays the
+  // inserts since the save before it, so the loaded current table grows
+  // through the live one's doublings slot for slot. dedup_capacity = 4096
+  // rotates the generations every 2048 fresh packets: the base is taken
+  // after a rotation, with both generations populated and the current one
+  // rebuilt from empty at 300 hashes, and two segments carry it past its
+  // first doubling (at 513 hashes).
   const model::DataModelSet models = pits::modbus_pit();
   fuzz::FuzzerConfig config = small_config(7);
-  config.dedup_capacity = 128;
+  config.dedup_capacity = 4096;
   proto::ModbusServer original_target;
   fuzz::Fuzzer original(original_target, models, config);
-  original.run(1500);
+  while (original.dedup().previous_generation().size() == 0 ||
+         original.dedup().current_generation().size() < 300) {
+    original.step_fast();
+  }
+  const auto image_of = [](fuzz::FuzzerCheckpoint fuzzer) {
+    supervise::CampaignCheckpoint image;
+    image.base_seed = 7;
+    image.iterations_per_worker = 9000;
+    image.sync_interval = 128;
+    image.workers.emplace_back();
+    image.workers[0].fuzzer = std::move(fuzzer);
+    return image;
+  };
 
-  supervise::CampaignCheckpoint image;
-  image.completed_iterations = 1500;
-  image.base_seed = 7;
-  image.iterations_per_worker = 3000;
-  image.sync_interval = 128;
-  image.workers.emplace_back();
-  fuzz::FuzzerCheckpoint& captured = image.workers[0].fuzzer;
-  captured = original.capture_checkpoint();
-  ASSERT_FALSE(captured.dedup_previous.empty());
-  ASSERT_FALSE(captured.dedup_current.empty());
-  // The zero hash is a legal FNV-1a value and lives outside the slot
-  // array; a snapshot lists it first.
-  captured.dedup_current.insert(captured.dedup_current.begin(), 0);
-  const std::string text = supervise::serialize_checkpoint(image);
+  const ScopedTempDir dir("icsfuzz-ckpt-dedup");
+  const std::string path = (dir.path() / "campaign.ckpt").string();
+  supervise::CheckpointWriter writer(path);
+  ASSERT_FALSE(writer.save(image_of(original.capture_checkpoint())));
+  original.arm_dedup_journal(256);
+  for (int segment = 0; segment < 2; ++segment) {
+    for (int i = 0; i < 150; ++i) original.step_fast();
+    ASSERT_TRUE(original.dedup().journal_valid());
+    ASSERT_TRUE(writer.accepts_segment());
+    fuzz::FuzzerCheckpoint delta = original.capture_checkpoint(true);
+    ASSERT_FALSE(delta.dedup_journal.empty());
+    // The zero hash is a legal FNV-1a value and lives outside the slot
+    // array; a snapshot lists it first.
+    if (segment == 0) delta.dedup_journal.push_back(0);
+    original.arm_dedup_journal(256);
+    ASSERT_FALSE(writer.save(image_of(std::move(delta))));
+  }
+  ASSERT_EQ(record_ends(read_file(path)).size(), 3u);
+  ASSERT_GT(original.dedup().current_generation().size(), 512u);
 
-  const std::optional<supervise::CampaignCheckpoint> parsed =
-      supervise::parse_checkpoint(text);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->workers[0].fuzzer.dedup_current, captured.dedup_current);
-  EXPECT_EQ(parsed->workers[0].fuzzer.dedup_previous,
-            captured.dedup_previous);
+  fuzz::FuzzerCheckpoint live = original.capture_checkpoint();
+  live.dedup_current.insert(live.dedup_current.begin(), 0);
+  const std::optional<supervise::CampaignCheckpoint> loaded =
+      supervise::load_checkpoint(path);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->workers[0].fuzzer.dedup_current, live.dedup_current);
+  EXPECT_EQ(loaded->workers[0].fuzzer.dedup_previous, live.dedup_previous);
+  const std::string image = supervise::serialize_checkpoint(image_of(live));
+  EXPECT_EQ(supervise::serialize_checkpoint(*loaded), image);
+
   proto::ModbusServer resumed_target;
   fuzz::Fuzzer resumed(resumed_target, models, config);
-  resumed.restore_checkpoint(parsed->workers[0].fuzzer);
-
-  supervise::CampaignCheckpoint recaptured = image;
-  recaptured.workers[0].fuzzer = resumed.capture_checkpoint();
-  EXPECT_EQ(recaptured.workers[0].fuzzer.dedup_current,
-            captured.dedup_current);
-  EXPECT_EQ(supervise::serialize_checkpoint(recaptured), text);
+  resumed.restore_checkpoint(loaded->workers[0].fuzzer);
+  EXPECT_EQ(supervise::serialize_checkpoint(
+                image_of(resumed.capture_checkpoint())),
+            image);
 }
 
 TEST(CheckpointFormat, RejectsMalformedInput) {
@@ -319,25 +373,57 @@ TEST(CheckpointFormat, RejectsMalformedInput) {
   EXPECT_FALSE(supervise::parse_checkpoint(corrupt).has_value());
 }
 
-TEST(CheckpointFormat, RejectsMalformedDedupBlob) {
+TEST(CheckpointFormat, RejectsAMalformedBaseEvenWithAValidChecksum) {
   const model::DataModelSet models = pits::modbus_pit();
-  const std::string text =
-      supervise::serialize_checkpoint(mid_campaign_checkpoint(models));
-  const std::size_t blob = text.find("dcur ");
-  ASSERT_NE(blob, std::string::npos);
-  const std::size_t start = blob + 5;
-  ASSERT_NE(text[start], '-') << "the fixture should carry dedup hashes";
+  const supervise::CampaignCheckpoint cp = mid_campaign_checkpoint(models);
+  const std::string log = supervise::serialize_checkpoint(cp);
+  const std::size_t header = log.find('\n') + 1;
+  ASSERT_EQ(record_ends(log), std::vector<std::size_t>{log.size()});
+  ASSERT_EQ(record_kind(log, header), 'B');
 
-  std::string non_hex = text;
-  non_hex[start + 3] = 'g';
-  EXPECT_FALSE(supervise::parse_checkpoint(non_hex).has_value());
-  // A blob that is not a whole number of 16-digit words is torn.
-  std::string short_word = text;
-  short_word.erase(start, 1);
-  EXPECT_FALSE(supervise::parse_checkpoint(short_word).has_value());
-  std::string odd = text;
-  odd.erase(start, 2);
-  EXPECT_FALSE(supervise::parse_checkpoint(odd).has_value());
+  // Rewrites the base payload and seals it with a fresh length and CRC, so
+  // only the field checks stand between the edit and a resume.
+  const auto resealed = [&](const std::function<void(std::string&)>& edit) {
+    std::string payload = log.substr(header + kCheckpointFrame);
+    edit(payload);
+    const std::uint64_t length = payload.size();
+    const std::uint32_t crc = crc32(ByteSpan(
+        reinterpret_cast<const std::uint8_t*>(payload.data()), length));
+    std::string out = log.substr(0, header);
+    out.append(reinterpret_cast<const char*>(&length), sizeof length);
+    out.append(reinterpret_cast<const char*>(&crc), sizeof crc);
+    return out + payload;
+  };
+  ASSERT_FALSE(loaded_image(resealed([](std::string&) {})).empty());
+  // A payload that is not a base, or runs on past its last field.
+  EXPECT_TRUE(loaded_image(resealed([](std::string& p) { p[0] = 'S'; }))
+                  .empty());
+  EXPECT_TRUE(
+      loaded_image(resealed([](std::string& p) { p += '\0'; })).empty());
+  EXPECT_TRUE(
+      loaded_image(resealed([](std::string& p) { p.pop_back(); })).empty());
+  // The payload ends with worker 0's dprev list: [u64 count][count x u64].
+  // A count past the payload, or one word short of it, is rejected.
+  const std::size_t previous = cp.workers[0].fuzzer.dedup_previous.size();
+  for (const std::uint64_t count : {previous + 1, std::uint64_t{1} << 60}) {
+    EXPECT_TRUE(loaded_image(resealed([&](std::string& p) {
+                  std::memcpy(p.data() + p.size() - 8 * previous - 8, &count,
+                              8);
+                })).empty())
+        << count;
+  }
+  // The checksum is checked before any field.
+  std::string flipped = log;
+  flipped[header + kCheckpointFrame + 20] ^= 0x01;
+  EXPECT_TRUE(loaded_image(flipped).empty());
+
+  // A coverage map that is not cov::kMapSize bytes is rejected: restoring
+  // it would read past its end.
+  supervise::CampaignCheckpoint short_map = cp;
+  short_map.workers[0].fuzzer.coverage.resize(10);
+  EXPECT_FALSE(supervise::parse_checkpoint(
+                   supervise::serialize_checkpoint(short_map))
+                   .has_value());
 }
 
 TEST(CheckpointFormat, SaveLoadFileRoundTrip) {
@@ -353,13 +439,168 @@ TEST(CheckpointFormat, SaveLoadFileRoundTrip) {
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(supervise::serialize_checkpoint(*loaded),
             supervise::serialize_checkpoint(cp));
-  // No stale temp file left behind by the atomic write cycle.
+  // No stale temp file left behind by the durable write cycle.
   std::size_t entries = 0;
   for (const auto& entry : fs::directory_iterator(dir.path())) {
     (void)entry;
     ++entries;
   }
   EXPECT_EQ(entries, 1u);
+}
+
+// ------------------------------------------------- base + segment log
+
+supervise::CampaignCheckpoint solo_image(std::uint64_t completed,
+                                         par::WorkerState state) {
+  supervise::CampaignCheckpoint image;
+  image.completed_iterations = completed;
+  image.base_seed = 7;
+  image.iterations_per_worker = 4000;
+  image.sync_interval = 128;
+  image.workers.push_back(std::move(state));
+  return image;
+}
+
+TEST(CheckpointLog, SegmentsAppendAndEveryWholeRecordPrefixLoadsItsSave) {
+  // The writer's policy on a live worker: the first save is a base, later
+  // saves append a segment of the journal, and a dedup rotation (every 768
+  // fresh packets here) or small state the segments superseded outgrowing
+  // the base starts a fresh base. Each whole-record prefix of the log must
+  // load as the full capture taken at the save that record ends.
+  const model::DataModelSet models = pits::modbus_pit();
+  const ScopedTempDir dir("icsfuzz-ckpt-log");
+  const std::string path = (dir.path() / "campaign.ckpt").string();
+  par::SeedExchange exchange;
+  par::WorkerConfig config = solo_worker_config(7, 128);
+  config.fuzzer.dedup_capacity = 1536;
+  const auto worker = std::make_unique<par::Worker>(
+      config, std::make_unique<proto::ModbusServer>(), models, exchange);
+  constexpr std::uint64_t kChunk = 200;
+  supervise::CheckpointWriter writer(path);
+  worker->arm_dedup_journal(kChunk);
+  std::vector<std::string> saves;  // full image of each record in the log
+  std::string previous_log;
+  int bases = 0;
+  int segments = 0;
+  int rotations = 0;
+  for (std::uint64_t done = kChunk; done < 4000; done += kChunk) {
+    worker->run_range(done - kChunk, done, 4000);
+    const bool journal_valid = worker->fuzzer().dedup().journal_valid();
+    rotations += writer.accepts_segment() && !journal_valid ? 1 : 0;
+    const bool delta = writer.accepts_segment() && journal_valid;
+    const supervise::CampaignCheckpoint saved =
+        solo_image(done, worker->capture_state(delta));
+    const std::string full = supervise::serialize_checkpoint(
+        solo_image(done, worker->capture_state()));
+    worker->arm_dedup_journal(kChunk);
+    ASSERT_FALSE(writer.save(saved).has_value()) << done;
+
+    const std::string log = read_file(path);
+    const std::vector<std::size_t> ends = record_ends(log);
+    ASSERT_EQ(ends.back(), log.size());
+    if (delta) {
+      ++segments;
+      // Appended: the log before this save is a prefix of the new one.
+      ASSERT_EQ(log.compare(0, previous_log.size(), previous_log), 0);
+      EXPECT_EQ(record_kind(log, previous_log.size()), 'S');
+    } else {
+      ++bases;
+      saves.clear();
+    }
+    saves.push_back(full);
+    ASSERT_EQ(ends.size(), saves.size()) << done;
+    for (std::size_t k = 0; k < ends.size(); ++k) {
+      ASSERT_EQ(loaded_image(std::string_view(log).substr(0, ends[k])),
+                saves[k])
+          << "save at " << done << ", record " << k;
+    }
+    previous_log = log;
+  }
+  EXPECT_GE(bases, 2);
+  EXPECT_GE(segments, 6);
+  EXPECT_GE(rotations, 1);
+}
+
+TEST(CheckpointLog, ADamagedRecordDropsItselfAndEverythingAfterIt) {
+  const model::DataModelSet models = pits::modbus_pit();
+  const ScopedTempDir dir("icsfuzz-ckpt-torn");
+  const std::string path = (dir.path() / "campaign.ckpt").string();
+  par::SeedExchange exchange;
+  std::unique_ptr<par::Worker> worker =
+      make_solo_worker(models, exchange, 7, 128);
+  supervise::CheckpointWriter writer(path);
+  // A base deep enough into the campaign that its dedup tables outweigh
+  // the small state of three segments.
+  worker->run_range(0, 7700, 9000);
+  worker->arm_dedup_journal(100);
+  for (std::uint64_t done = 7800; done <= 8100; done += 100) {
+    worker->run_range(done - 100, done, 9000);
+    ASSERT_TRUE(done == 7800 || writer.accepts_segment());
+    const supervise::CampaignCheckpoint saved =
+        solo_image(done, worker->capture_state(done != 7800));
+    worker->arm_dedup_journal(100);
+    ASSERT_FALSE(writer.save(saved).has_value());
+  }
+  const std::string log = read_file(path);
+  const std::vector<std::size_t> ends = record_ends(log);
+  ASSERT_EQ(ends.size(), 4u);
+  const std::string through_first_segment =
+      loaded_image(std::string_view(log).substr(0, ends[1]));
+
+  // A flipped payload byte in the second segment, with the third intact
+  // behind it, loads as the base plus the first segment.
+  std::string corrupt = log;
+  corrupt[ends[1] + kCheckpointFrame + 40] ^= 0x20;
+  EXPECT_EQ(loaded_image(corrupt), through_first_segment);
+  // So does a length field that runs past the end of the file.
+  std::string overlong = log;
+  const std::uint64_t huge = ~std::uint64_t{0} - 4;
+  std::memcpy(overlong.data() + ends[1], &huge, sizeof huge);
+  EXPECT_EQ(loaded_image(overlong), through_first_segment);
+  // A base record is never read as a segment of another base.
+  const std::string base = log.substr(log.find('\n') + 1,
+                                      ends[0] - log.find('\n') - 1);
+  EXPECT_EQ(loaded_image(log.substr(0, ends[1]) + base),
+            through_first_segment);
+  // A damaged base rejects the whole log.
+  std::string bad_base = log;
+  bad_base[ends[0] - 1] ^= 0x01;
+  EXPECT_EQ(loaded_image(bad_base), "");
+}
+
+TEST(CheckpointLog, AFailedSaveMakesTheNextSaveABase) {
+  const model::DataModelSet models = pits::modbus_pit();
+  const ScopedTempDir dir("icsfuzz-ckpt-fail");
+  const std::string path = (dir.path() / "campaign.ckpt").string();
+  par::SeedExchange exchange;
+  std::unique_ptr<par::Worker> worker =
+      make_solo_worker(models, exchange, 7, 128);
+  supervise::CheckpointWriter writer(path);
+  worker->arm_dedup_journal(100);
+  worker->run_range(0, 100, 4000);
+  ASSERT_FALSE(writer.save(solo_image(100, worker->capture_state())));
+  worker->arm_dedup_journal(100);
+  worker->run_range(100, 200, 4000);
+  ASSERT_TRUE(writer.accepts_segment());
+
+  // The log vanished under the writer: the append fails, says so, and the
+  // writer no longer takes a segment.
+  fs::remove(path);
+  EXPECT_TRUE(writer.save(solo_image(200, worker->capture_state(true)))
+                  .has_value());
+  EXPECT_FALSE(writer.accepts_segment());
+  // A segment offered anyway is refused without touching the disk.
+  EXPECT_TRUE(writer.save(solo_image(200, worker->capture_state(true)))
+                  .has_value());
+  EXPECT_FALSE(fs::exists(path));
+
+  const supervise::CampaignCheckpoint full =
+      solo_image(200, worker->capture_state());
+  ASSERT_FALSE(writer.save(full).has_value());
+  EXPECT_EQ(record_ends(read_file(path)).size(), 1u);
+  EXPECT_EQ(loaded_image(read_file(path)),
+            supervise::serialize_checkpoint(full));
+  EXPECT_TRUE(writer.accepts_segment());
 }
 
 // ------------------------------------------------------------ kill -9 oracle
@@ -476,6 +717,66 @@ TEST(CheckpointResume, SupervisorResumesAfterKillNineBitForBit) {
   EXPECT_TRUE(replay.resumed);
   EXPECT_EQ(replay.completed_iterations, 12000u);
   EXPECT_EQ(replay.campaign.total_executions, reference.total_executions);
+}
+
+TEST(CheckpointResume, TruncatedLastSegmentResumesFromLastWholeRecord) {
+  // A kill during an append leaves the last segment cut at any byte. Every
+  // such cut must load as the log without that segment, and resuming from
+  // it must finish bit-for-bit where the uninterrupted run finished: the
+  // final images, wall-clock stamps aside, are byte-identical.
+  const model::DataModelSet models = pits::modbus_pit();
+  const ScopedTempDir dir("icsfuzz-ckpt-cut");
+  const std::string checkpoint_path = (dir.path() / "campaign.ckpt").string();
+  const fuzz::TargetFactory factory = [] {
+    return std::make_unique<proto::ModbusServer>();
+  };
+  supervise::SupervisorConfig config = oracle_config(checkpoint_path);
+  config.campaign.iterations_per_worker = 1200;
+  config.checkpoint_interval = 150;
+  config.resume = false;
+  {
+    supervise::CampaignSupervisor uninterrupted(factory, models, config);
+    ASSERT_EQ(uninterrupted.run().checkpoints_saved, 8u);
+  }
+  const auto final_image = [](std::string_view log) {
+    std::optional<supervise::CampaignCheckpoint> cp =
+        supervise::parse_checkpoint(log);
+    if (!cp) return std::string();
+    for (par::WorkerState& worker : cp->workers) {
+      for (fuzz::Checkpoint& point : worker.fuzzer.stats_points) {
+        point.wall_ns = 0;
+      }
+    }
+    return supervise::serialize_checkpoint(*cp);
+  };
+  const std::string log = read_file(checkpoint_path);
+  const std::string expected = final_image(log);
+  const std::vector<std::size_t> ends = record_ends(log);
+  ASSERT_GE(ends.size(), 2u);
+  ASSERT_EQ(ends.back(), log.size());
+  const std::size_t last = ends[ends.size() - 2];
+  ASSERT_EQ(record_kind(log, last), 'S');
+
+  const std::string intact = loaded_image(std::string_view(log).substr(0, last));
+  ASSERT_EQ(supervise::parse_checkpoint(intact)->completed_iterations, 1050u);
+  for (std::size_t cut = last; cut < log.size(); ++cut) {
+    ASSERT_EQ(loaded_image(std::string_view(log).substr(0, cut)), intact)
+        << "cut at byte " << cut - last << " of the last segment";
+  }
+  // Every cut loads the same image, so a resume from a few of them covers
+  // the resume from any.
+  config.resume = true;
+  for (const std::size_t cut : {last, last + 9, (last + log.size()) / 2,
+                                log.size() - 1}) {
+    write_file(checkpoint_path, std::string_view(log).substr(0, cut));
+    supervise::CampaignSupervisor resumer(factory, models, config);
+    const supervise::SupervisorResult resumed = resumer.run();
+    EXPECT_TRUE(resumed.resumed);
+    EXPECT_EQ(resumed.completed_iterations, 1200u);
+    EXPECT_EQ(resumed.checkpoints_saved, 1u);
+    EXPECT_EQ(final_image(read_file(checkpoint_path)), expected)
+        << "resumed from a cut at byte " << cut - last;
+  }
 }
 
 TEST(CheckpointResume, SupervisorIgnoresCheckpointOfDifferentCampaign) {

@@ -26,6 +26,7 @@
 #include "coverage/instrument.hpp"
 #include "fuzzer/dedup.hpp"
 #include "tests/test_support.hpp"
+#include "util/flat_u64_set.hpp"
 #include "util/rng.hpp"
 
 namespace icsfuzz {
@@ -132,6 +133,54 @@ TEST(GenerationalDedupStress, EvictedHashesBecomeInsertableAgain) {
   for (std::uint64_t h = 1; h <= 32; ++h) {
     ASSERT_TRUE(dedup.insert(h)) << "hash " << h << " still resident";
   }
+}
+
+TEST(GenerationalDedupStress, JournalReplayRebuildsTheTablesSlotForSlot) {
+  // What a checkpoint segment relies on: after a full snapshot, the
+  // journal lists exactly the fresh inserts in order, and replaying it into
+  // tables restored from that snapshot reproduces the live tables' slot
+  // layout. A rotation or an overflow must invalidate the journal instead.
+  Rng rng(0x10A7);
+  const std::size_t capacity = 4096;
+  fuzz::GenerationalDedup dedup(capacity);
+  std::vector<std::uint64_t> recent;
+  for (int round = 0; round < 200; ++round) {
+    FlatU64Set current;
+    FlatU64Set previous;
+    current.restore(dedup.current_generation().snapshot());
+    previous.restore(dedup.previous_generation().snapshot());
+    const std::size_t room = 1 + rng.index(600);
+    dedup.arm_journal(room);
+    std::vector<std::uint64_t> fresh;
+    bool rotated = false;
+    const std::size_t inserts = rng.index(700);
+    for (std::size_t i = 0; i < inserts; ++i) {
+      // Repeats of recent hashes (never journaled), a rare zero hash and
+      // fresh random ones.
+      std::uint64_t hash = rng.next_u64();
+      if (!recent.empty() && rng.chance(1, 4)) hash = rng.pick(recent);
+      if (rng.chance(1, 500)) hash = 0;
+      const std::size_t before = dedup.current_generation().size();
+      if (!dedup.insert(hash)) continue;
+      fresh.push_back(hash);
+      recent.push_back(hash);
+      rotated = rotated || dedup.current_generation().size() <= before;
+    }
+    const bool expect_valid = !rotated && fresh.size() <= room;
+    ASSERT_EQ(dedup.journal_valid(), expect_valid) << "round " << round;
+    if (!expect_valid) continue;
+    ASSERT_EQ(std::vector<std::uint64_t>(dedup.journal().begin(),
+                                         dedup.journal().end()),
+              fresh);
+    for (const std::uint64_t hash : dedup.journal()) current.insert(hash);
+    ASSERT_EQ(current.snapshot(), dedup.current_generation().snapshot())
+        << "round " << round;
+    ASSERT_EQ(previous.snapshot(), dedup.previous_generation().snapshot());
+  }
+  // A restore invalidates whatever the journal held.
+  dedup.arm_journal(16);
+  dedup.restore_generations({}, {});
+  EXPECT_FALSE(dedup.journal_valid());
 }
 
 // -- Reader-side dirty-list rebuild stress. -------------------------------

@@ -433,6 +433,30 @@ TEST(ZeroAllocation, DedupInsertAllocatesOnlyWhenATableGrows) {
   EXPECT_EQ(dedup.current_generation().slot_count(), 2 * slots);
 }
 
+TEST(ZeroAllocation, ArmedDedupJournalRecordsWithoutAllocating) {
+  // A checkpointed campaign arms the journal once per chunk: the buffer is
+  // reserved on the first arm, so inserts and every later re-arm at the
+  // same capacity allocate nothing.
+  GenerationalDedup dedup;
+  std::uint64_t hash = 0;
+  for (int i = 0; i < 5000; ++i) ASSERT_TRUE(dedup.insert(mix64(++hash)));
+  dedup.arm_journal(1000);
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_TRUE(dedup.insert(mix64(++hash)));
+      ASSERT_FALSE(dedup.insert(mix64(hash)));
+    }
+    ASSERT_TRUE(dedup.journal_valid());
+    ASSERT_EQ(dedup.journal().size(), 1000u);
+    EXPECT_EQ(dedup.journal().back(), mix64(hash));
+    dedup.arm_journal(1000);
+  }
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u);
+}
+
 TEST(GenerationalDedup, DedupSurvivesTheRotationThreshold) {
   // Capacity 64 -> generations rotate every 32 inserts. The regression the
   // old wipe-everything scheme had: immediately after the threshold, ALL

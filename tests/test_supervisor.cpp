@@ -224,6 +224,11 @@ TEST(ResourceJail, TcpServerOomClassifiedAsOomNotCrash) {
   // sanitizer runtime's own later mappings fail while serving session 1.
   GTEST_SKIP() << "RLIMIT_AS on a whole AddressSanitizer process";
 #endif
+#if defined(__SANITIZE_THREAD__)
+  // ThreadSanitizer maps its shadow memory the same way, and those
+  // mappings hit the same whole-process cap.
+  GTEST_SKIP() << "RLIMIT_AS on a whole ThreadSanitizer process";
+#endif
   ScopedEnv knob("ICSFUZZ_SHIM_OOM_AT", "2");
   telem::Telemetry hub;
   fuzz::ExecutorConfig config = tcp_config();

@@ -8,8 +8,11 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -19,7 +22,9 @@
 #include "coverage/instrument.hpp"
 #include "protocols/protocol_target.hpp"
 #include "sanitizer/fault.hpp"
+#include "supervise/checkpoint.hpp"
 #include "supervise/supervisor.hpp"
+#include "util/checksum.hpp"
 
 namespace icsfuzz::test {
 
@@ -53,6 +58,49 @@ class ScopedEnv {
  private:
   const char* name_;
 };
+
+// -- Checkpoint log helpers (supervise/checkpoint.hpp, format v4). --------
+
+/// After the header line, each record is [u64 payload length][u32 CRC-32 of
+/// the payload][payload], and a payload opens with its kind: 'B' for a
+/// base, 'S' for a segment.
+inline constexpr std::string_view kCheckpointHeader = "icsfuzz-checkpoint v4\n";
+inline constexpr std::size_t kCheckpointFrame = 12;
+
+struct LogRecord {
+  std::size_t begin = 0;  // frame start
+  std::size_t end = 0;    // one past the payload
+};
+
+/// The log's whole records with a matching CRC, up to the first one that is
+/// torn or mis-checksummed; none when the header is not a v4 one.
+inline std::vector<LogRecord> intact_records(std::string_view log) {
+  std::vector<LogRecord> records;
+  if (!log.starts_with(kCheckpointHeader)) return records;
+  std::size_t pos = kCheckpointHeader.size();
+  while (log.size() - pos >= kCheckpointFrame) {
+    std::uint64_t length = 0;
+    std::uint32_t crc = 0;
+    std::memcpy(&length, log.data() + pos, sizeof length);
+    std::memcpy(&crc, log.data() + pos + sizeof length, sizeof crc);
+    if (log.size() - pos - kCheckpointFrame < length ||
+        crc32(ByteSpan(reinterpret_cast<const std::uint8_t*>(log.data()) +
+                           pos + kCheckpointFrame,
+                       length)) != crc) {
+      break;
+    }
+    records.push_back({pos, pos + kCheckpointFrame + length});
+    pos += kCheckpointFrame + length;
+  }
+  return records;
+}
+
+/// The canonical bytes of whatever `log` loads as ("" when rejected).
+inline std::string loaded_image(std::string_view log) {
+  const std::optional<supervise::CampaignCheckpoint> cp =
+      supervise::parse_checkpoint(log);
+  return cp ? supervise::serialize_checkpoint(*cp) : std::string();
+}
 
 /// Runs a W-worker campaign to completion the plain way: a supervisor with
 /// no checkpoint image and the whole budget as one chunk.

@@ -5,6 +5,11 @@
 // a fixed-seed campaign's trajectory is identical telemetry-on vs off.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -358,6 +363,36 @@ TEST(TelemetryExport, LiveExportWritesAllThreeFiles) {
   EXPECT_EQ(parsed->counter(Counter::kExecutions), 1000u);
   EXPECT_NE(json.find("\"rates\""), std::string::npos);
   EXPECT_NE(json.find("\"execs_per_sec\":900"), std::string::npos);
+}
+
+TEST(TelemetryExport, WriteTextAtomicReportsAWriteLostAtClose) {
+  // A text shorter than the stream's buffer reaches the file only when the
+  // stream closes. A forked child caps its own file size at 500 bytes,
+  // with SIGXFSZ ignored so the write fails with EFBIG instead of killing
+  // it, and writes 900: the call must fail, leaving the previous file in
+  // place and no tmp file behind.
+  SessionDir dir;
+  fs::create_directories(dir.str());
+  const std::string path = dir.str() + "/out.txt";
+  ASSERT_FALSE(write_text_atomic(path, "previous").has_value());
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::signal(SIGXFSZ, SIG_IGN);
+    const struct rlimit limit {500, 500};
+    if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(2);
+    ::_exit(write_text_atomic(path, std::string(900, 'x')).has_value() ? 0
+                                                                       : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "the lost write returned success";
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(text, "previous");
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
 }
 
 fuzz::Fuzzer fuzz_modbus(Sink sink, std::uint64_t iterations) {

@@ -148,6 +148,31 @@ TEST(Checksum, Crc32KnownVector) {
   EXPECT_EQ(crc32(data), 0xCBF43926u);
 }
 
+TEST(Checksum, Crc32SlicedMatchesTheBytewiseDefinition) {
+  // crc32 folds eight bytes per step; every length and start alignment
+  // must agree with the one-byte-per-step definition (reflected, poly
+  // 0xEDB88320).
+  Bytes data(300);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; offset + length <= data.size(); ++length) {
+      std::uint32_t reference = 0xFFFFFFFFU;
+      for (std::size_t i = offset; i < offset + length; ++i) {
+        reference ^= data[i];
+        for (int bit = 0; bit < 8; ++bit) {
+          reference = (reference & 1U) ? 0xEDB88320U ^ (reference >> 1)
+                                       : reference >> 1;
+        }
+      }
+      ASSERT_EQ(crc32(ByteSpan(data.data() + offset, length)),
+                reference ^ 0xFFFFFFFFU)
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
 TEST(Checksum, Crc16ModbusKnownVector) {
   // CRC-16/MODBUS of "123456789".
   const Bytes data = to_bytes("123456789");
