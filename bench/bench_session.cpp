@@ -10,9 +10,14 @@
 //     external `icsfuzz-shim-target --tcp` server over a real loopback
 //     socket: per execution one connection and one pipelined exchange
 //     (the whole stream sent while the replies are read to EOF, then split
-//     per message by the response-length log in the shm sync block),
-//     coverage adopted from the shared map. `session_execs_per_sec` is
-//     floored by the baseline.
+//     per message by the response-length log in the session's segment
+//     slot), coverage adopted from the slot's map through its dirty-word
+//     list. `session_execs_per_sec` is floored by the baseline.
+//     `session_full_scan_pct` (the share of measured TCP executions booked
+//     as oop_adopt_full_scans) and `session_server_restarts` (the arm's
+//     server respawns) are gated at ~0: a slot or list mix-up in the
+//     transport would keep the oracle green and only fall back to full
+//     scans, or lose the server.
 //
 //   * in-process — the in-process session backend on the same streams:
 //     the same canonical split, the same per-message state chain, no
@@ -34,12 +39,14 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "exec_oop/target_process.hpp"
 #include "fuzzer/executor.hpp"
 #include "fuzzer/instantiator.hpp"
 #include "pits/pits.hpp"
 #include "protocols/target_registry.hpp"
 #include "session/framing.hpp"
 #include "session/sequencer.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -127,7 +134,10 @@ int main() {
   const std::unique_ptr<ProtocolTarget> placeholder = factory();
   const std::unique_ptr<ProtocolTarget> inproc_target = factory();
 
-  fuzz::Executor tcp_executor(session_config(fuzz::BackendKind::kTcp));
+  telem::Telemetry tcp_hub;
+  fuzz::ExecutorConfig tcp_config = session_config(fuzz::BackendKind::kTcp);
+  tcp_config.telemetry = telem::Sink(&tcp_hub, 0);
+  fuzz::Executor tcp_executor(tcp_config);
   fuzz::Executor inproc_executor(
       session_config(fuzz::BackendKind::kInProcess));
 
@@ -136,7 +146,14 @@ int main() {
   run_arm(tcp_executor, *placeholder, streams, 128);
   run_arm(inproc_executor, *inproc_target, streams, 128);
 
+  const auto full_scans = [&] {
+    return tcp_hub.snapshot().counter(telem::Counter::kOopAdoptFullScans);
+  };
+  const std::uint64_t full_scans_before = full_scans();
   const ArmResult tcp = run_arm(tcp_executor, *placeholder, streams, execs);
+  const std::uint64_t full_scan_count = full_scans() - full_scans_before;
+  const std::uint64_t restarts =
+      tcp_executor.backend().target_process()->tallies().restarts;
   const ArmResult inproc =
       run_arm(inproc_executor, *inproc_target, streams, execs);
 
@@ -164,6 +181,12 @@ int main() {
   std::printf("  \"session_states_reached\": %zu,\n", states_tcp);
   std::printf("  \"session_states_match\": %s,\n",
               states_tcp == states_inproc ? "true" : "false");
+  std::printf("  \"session_full_scan_pct\": %.3f,\n",
+              execs > 0 ? 100.0 * static_cast<double>(full_scan_count) /
+                              static_cast<double>(execs)
+                        : 0.0);
+  std::printf("  \"session_server_restarts\": %llu,\n",
+              static_cast<unsigned long long>(restarts));
   std::printf("  \"messages_per_session\": %.2f,\n",
               execs > 0 ? static_cast<double>(tcp.messages) /
                               static_cast<double>(execs)

@@ -133,9 +133,11 @@ inline constexpr std::uint32_t kCapPersistent = 1u << 0;
 /// TCP session-server hello magic ("ICST"), written by a shim started in
 /// `--tcp` mode (session/tcp_server.hpp) instead of the fork-server hello
 /// above, followed by [u32 port]: the loopback port the session server
-/// accepts connections on. The segment then has the TCP layout of
-/// session/session_wire.hpp; executions travel over the socket, not the
-/// control pipe — the pipe's only remaining job is EOF-triggered shutdown.
+/// accepts connections on. The segment is this one: each session is a
+/// request posted into a slot and completed through its handoff record
+/// (session/session_wire.hpp), but its bytes travel over the socket and the
+/// server serves it itself, so the control pipe's only job is
+/// EOF-triggered shutdown.
 inline constexpr std::uint32_t kTcpHelloMagic = 0x49435354;
 
 /// Aux-block completion magic ("OOP!"), stored last by the child.

@@ -23,7 +23,6 @@ std::string to_string(ExecStatus status) {
 OutOfProcessExecutor::OutOfProcessExecutor(OopExecutorConfig config)
     : config_(std::move(config)),
       process_({.argv = config_.target_cmd,
-                .segment_bytes = kSegmentBytesV2,
                 .hello_magic = kHelloMagicV2,
                 .inject_mode = inject::kInjectModeFork,
                 .preload = config_.preload,

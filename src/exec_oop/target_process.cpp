@@ -143,7 +143,7 @@ bool TargetProcess::spawn() {
   // A fresh (zero-filled) segment per spawn: a respawn never races a peer's
   // shm_unlink of the previous name, and a dead server leaves no stale
   // bytes or sync counters behind.
-  segment_ = ShmSegment::create(config_.segment_bytes);
+  segment_ = ShmSegment::create(kSegmentBytesV2);
   if (!segment_.valid()) {
     error_ = "shm segment creation failed: " + segment_.error();
     return false;

@@ -9,9 +9,9 @@
 //     setpgid, fcntl/dup2 of the protocol pipes onto kCtlFd/kStFd, execve).
 //     The server leads its own process group, so a group kill also reaps
 //     any execution child it forked.
-//   * environment — a fresh named shm segment per spawn (ICSFUZZ_OOP_SHM +
-//     size), the resource jail and the preload runtime, each overriding an
-//     inherited entry of the same name.
+//   * environment — a fresh named kSegmentBytesV2 shm segment per spawn
+//     (ICSFUZZ_OOP_SHM + size), the resource jail and the preload runtime,
+//     each overriding an inherited entry of the same name.
 //   * hello — one 8-byte [u32 magic][u32 word] read under the handshake
 //     deadline: [kHelloMagicV2][caps] from a fork server,
 //     [kTcpHelloMagic][port] from a TCP session server.
@@ -62,8 +62,6 @@ class TargetProcess {
   struct Config {
     /// argv of the target; argv[0] resolved through PATH.
     std::vector<std::string> argv;
-    /// Size of the shm segment created for every spawn.
-    std::size_t segment_bytes = 0;
     /// First word of the hello the server must send.
     std::uint32_t hello_magic = 0;
     /// ICSFUZZ_INJECT_MODE for the preload runtime (inject_protocol.hpp).

@@ -22,7 +22,6 @@
 #include <new>
 
 #include "exec_oop/wake_word.hpp"
-#include "session/session_wire.hpp"
 #include "supervise/resource_jail.hpp"
 
 namespace icsfuzz::oop {
@@ -417,6 +416,7 @@ void SlotLifecycle::start(std::uint8_t* segment, const FaultPlan& plan,
   segment_ = segment;
   plan_ = &plan;
   budget_ = forked.budget;
+  server_exit_code_ = kChildServerExit;
   request_ = shared_load(handoff_block(segment).claimed);
   // A slot is fully zeroed the first time THIS child serves it (its table
   // is unknown until then), except the one the server already cleared.
@@ -428,6 +428,14 @@ void SlotLifecycle::start(std::uint8_t* segment, const FaultPlan& plan,
   if (forked.clean < kNumSlots) tables_[forked.clean].known = true;
 }
 
+void SlotLifecycle::start_sessions(std::uint8_t* segment,
+                                   const FaultPlan& plan) {
+  segment_ = segment;
+  plan_ = &plan;
+  server_exit_code_ = 9;
+  request_ = shared_load(handoff_block(segment).claimed);
+}
+
 std::uint8_t* SlotLifecycle::begin() {
   // Block (no timeout — the child dies with its server) until the next
   // request is posted, then claim it. The sleep is announced, then the word
@@ -435,7 +443,7 @@ std::uint8_t* SlotLifecycle::begin() {
   // wake word, so a wake that goes missing costs a slice, never the
   // execution's deadline.
   HandoffBlock& block = handoff_block(segment_);
-  const std::uint32_t request = ++request_;
+  const std::uint32_t request = request_ + 1;
   const auto posted_since = [&](std::uint32_t posted) {
     return static_cast<std::int32_t>(posted - request) >= 0;
   };
@@ -448,13 +456,26 @@ std::uint8_t* SlotLifecycle::begin() {
       wait_wake(&block.request, posted, kSyncWaitSliceMs);
     }
   }
-  shared_store(block.claimed, request);
+  return claim();
+}
+
+std::uint8_t* SlotLifecycle::try_begin() {
+  // The client posts a session before it connects, so a session accepted
+  // without one is not a client's.
+  const std::uint32_t posted = shared_load(handoff_block(segment_).request);
+  if (static_cast<std::int32_t>(posted - request_) <= 0) return nullptr;
+  return claim();
+}
+
+std::uint8_t* SlotLifecycle::claim() {
+  HandoffBlock& block = handoff_block(segment_);
+  shared_store(block.claimed, ++request_);
   ++iteration_;
   slot_ = request_slot(block, request_);
   // Fault-plan hooks key off the client's per-server execution index.
   index_ = handoff_record(block, request_).exec_index;
   if (plan_->server_exit_at != 0 && index_ == plan_->server_exit_at) {
-    ::_exit(kChildServerExit);
+    ::_exit(server_exit_code_);
   }
   std::uint8_t* map = segment_ + slot_offset(slot_);
   tables_[slot_].prepare(map, map + kSlotAuxOffset, map + kSlotDirtyListOffset);
@@ -474,7 +495,7 @@ void SlotLifecycle::publish(const std::uint16_t* dirty, std::uint32_t count,
                          dirty, count, result);
 }
 
-void SlotLifecycle::complete() {
+void SlotLifecycle::finish() {
   // The aux block is already stored: the record's done goes last, then the
   // client wakes.
   HandoffBlock& block = handoff_block(segment_);
@@ -483,6 +504,10 @@ void SlotLifecycle::complete() {
   record.iteration = iteration_;
   shared_store(record.done, request_);
   bump_wake_waiter(&block.wake, &block.wake_waiting);
+}
+
+void SlotLifecycle::complete() {
+  finish();
   retire_if_due();
   if (iteration_ >= budget_) ::_exit(0);  // budget exhausted: recycle me
 }
@@ -500,25 +525,6 @@ void abort_on_close(int conn) {
   if (::ioctl(conn, SIOCOUTQNSD, &unsent) != 0 || unsent != 0) return;
   const struct linger abortive {1, 0};
   ::setsockopt(conn, SOL_SOCKET, SO_LINGER, &abortive, sizeof abortive);
-}
-
-std::uint8_t* SessionMap::begin(std::uint8_t* segment, const FaultPlan& plan) {
-  ++accepted_;
-  if (plan.server_exit_at != 0 && accepted_ == plan.server_exit_at) {
-    ::_exit(9);
-  }
-  trip_execution_faults(plan, accepted_);
-  table_.prepare(segment, segment + session::kAuxOffset,
-                 segment + session::kDirtyListOffset);
-  session::sync_log_reset(segment);
-  return segment;
-}
-
-void SessionMap::end(std::uint8_t* segment, const std::uint16_t* dirty,
-                     std::uint32_t count, const AuxResult& result) {
-  table_.publish(segment + session::kAuxOffset,
-                 segment + session::kDirtyListOffset, dirty, count, result);
-  session::sync_publish_session_done(segment, ++completed_);
 }
 
 }  // namespace icsfuzz::oop

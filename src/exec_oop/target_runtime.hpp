@@ -5,8 +5,9 @@
 // and libicsfuzz-preload.so compile it. The servers differ only in what
 // runs an execution — a ProtocolTarget traced by cov::hit, or a stock
 // binary traced by the sancov bridge — and are thin adapters over the one
-// segment attach, fault plan, fork-server loop, slot lifecycle and session
-// lifecycle below.
+// segment attach, fault plan, fork-server loop and slot lifecycle below. A
+// session server is the slot lifecycle without the fork: it claims the
+// request its client posted at accept and completes it itself.
 //
 // INVARIANT — constant initialization only (inject/runtime_state.hpp): the
 // preload runtime keeps these types in constinit statics, so each is
@@ -35,10 +36,9 @@ std::span<std::uint8_t> attach_announced_segment(std::size_t min_bytes);
 /// Deterministic fault-injection knobs, read from the ICSFUZZ_SHIM_*
 /// environment variables by every target-side server (tests drive the
 /// out-of-process failure surface with these; all default to "off").
-/// Indices are 1-based: the client's per-server execution index on a fork
-/// server, the accepted-session index on a session server, which honours
-/// kill_child_at, segv_at, hang_at, oom_at and server_exit_at and applies
-/// them to itself — it is the process serving the session.
+/// Indices are 1-based: the handoff record's exec_index. A session server
+/// honours kill_child_at, segv_at, hang_at, oom_at and server_exit_at and
+/// applies them to itself — it is the process serving the session.
 struct FaultPlan {
   /// Exit (code 7) before writing the hello — a target that never
   /// handshakes.
@@ -61,7 +61,7 @@ struct FaultPlan {
   std::uint64_t oom_at = 0;
   /// Before serving execution #N the server process itself exits (code 9)
   /// — a crashed fork server the executor must respawn. A session server
-  /// exits on accepting session #N, so the client sees it die mid-session.
+  /// exits on claiming session #N, so the client sees it die mid-session.
   std::uint64_t server_exit_at = 0;
   /// After serving N executions the fork server exits 0 — an ORDERLY
   /// retirement (periodic server recycling) the client must distinguish
@@ -125,21 +125,31 @@ struct MapDirtyTable {
                const AuxResult& result);
 };
 
-/// One execution child's slot lifecycle: claim a request, ready its slot,
-/// publish the result, complete. The shim's child loop, the preload's
-/// persistent loop and its stock child all run executions through it.
+/// One request's slot lifecycle: claim a request, ready its slot, publish
+/// the result, complete. The shim's child loop, the preload's persistent
+/// loop and its stock child run executions through it, and both session
+/// servers (the shim's `--tcp` and the preload's tcp mode) run sessions.
 class SlotLifecycle {
  public:
   /// Call once in the child serve_fork_requests returned in.
   void start(std::uint8_t* segment, const FaultPlan& plan,
              const ForkedChild& forked);
 
-  /// Claims the next request and readies its slot: exits 94 when the
-  /// plan's server_exit_at names this execution (the server then exits
-  /// 9), prepares the slot (a full clear on this child's first use of it,
-  /// whatever an earlier child left) and trips the plan's execution faults
-  /// on it, like a target that dies inside its execution. Returns the map.
+  /// Call once in a session server, which serves each request itself: it
+  /// has no budget, and the plan's server_exit_at exits it with 9.
+  void start_sessions(std::uint8_t* segment, const FaultPlan& plan);
+
+  /// Blocks until the next request is posted, then claims it and readies
+  /// its slot: exits 94 when the plan's server_exit_at names this
+  /// execution (the server then exits 9), prepares the slot (a full clear
+  /// on this child's first use of it, whatever an earlier child left) and
+  /// trips the plan's execution faults on it, like a target that dies
+  /// inside its execution. Returns the map.
   std::uint8_t* begin();
+
+  /// A session server's begin at accept: begin() without the wait. Null
+  /// when no request is posted (the connection is served untraced).
+  std::uint8_t* try_begin();
 
   /// The execution's packet: the piped one for the first execution of a
   /// child whose request rode the control pipe, the slot's otherwise.
@@ -149,9 +159,11 @@ class SlotLifecycle {
   void publish(const std::uint16_t* dirty, std::uint32_t count,
                const AuxResult& result);
 
-  /// Completes the request (the record's done, then the client's wake),
-  /// then exits 95 when the plan retires the server after this execution
-  /// (the server then exits 0) and 0 when the budget is spent.
+  /// The record's done, then the client's wake: a session's completion.
+  void finish();
+
+  /// finish(), then exits 95 when the plan retires the server after this
+  /// execution (the server then exits 0) and 0 when the budget is spent.
   void complete();
 
   /// Exits 95 (stdio flushed) when the plan retires the server after this
@@ -162,9 +174,12 @@ class SlotLifecycle {
   [[nodiscard]] std::uint32_t slot() const { return slot_; }
 
  private:
+  std::uint8_t* claim();
+
   std::uint8_t* segment_ = nullptr;
   const FaultPlan* plan_ = nullptr;
   std::uint32_t budget_ = 0;
+  int server_exit_code_ = 0;  ///< of the plan's server_exit_at
   std::uint32_t request_ = 0;
   std::uint32_t iteration_ = 0;
   std::uint32_t slot_ = 0;
@@ -180,26 +195,5 @@ class SlotLifecycle {
 /// stopped reading): a reset would drop them, and the client's byte-count
 /// check would see the session as broken.
 void abort_on_close(int conn);
-
-/// A session server's lifecycle over a session_wire.hpp segment: one
-/// trace per accepted connection. The shim's `--tcp` server and the
-/// preload's tcp mode both run their sessions through it.
-class SessionMap {
- public:
-  /// On accepting a session: the plan's server_exit_at (exit 9) and
-  /// execution faults, keyed on the session index, fire first — the
-  /// server dies with the client connected. Then prepares the map and
-  /// empties the response-length log. Returns the map.
-  std::uint8_t* begin(std::uint8_t* segment, const FaultPlan& plan);
-
-  /// Publishes the session (MapDirtyTable), then the session-done counter.
-  void end(std::uint8_t* segment, const std::uint16_t* dirty,
-           std::uint32_t count, const AuxResult& result);
-
- private:
-  MapDirtyTable table_ = {};
-  std::uint64_t accepted_ = 0;
-  std::uint64_t completed_ = 0;
-};
 
 }  // namespace icsfuzz::oop

@@ -1,7 +1,7 @@
 // Process-shared futex wake words: the one blocking wait of every
 // out-of-process transport that hands work across shared memory — the
-// fork-server handoff (exec_protocol.hpp) and the TCP session
-// sync block (session/session_wire.hpp).
+// fork-server handoff (exec_protocol.hpp), which TCP sessions use too
+// (session/session_wire.hpp).
 //
 // A wake word is a u32 in a shared mapping. Every publisher stores its
 // payload first (release), then bumps the word and issues FUTEX_WAKE on
@@ -101,13 +101,13 @@ inline bool affinity_allows_spin() {
 /// affinity_allows_spin) a short busy-spin comes first. Then the wait
 /// blocks on `wake` in kSyncWaitSliceMs slices. Whenever a slice ends
 /// without a publish it calls `peer_dead()` — a true result ends the wait —
-/// so a peer that keeps publishing costs no liveness check at all. With
-/// `waiting` the wait announces itself there before it sleeps, for a
-/// publisher using bump_wake_waiter. Returns whether the counter arrived.
+/// so a peer that keeps publishing costs no liveness check at all. Before
+/// each sleep the wait announces itself in `waiting`, for a publisher
+/// using bump_wake_waiter. Returns whether the counter arrived.
 template <typename Load, typename PeerDead>
 bool sync_wait_counter(std::uint32_t* wake, Load load, std::uint64_t expected,
                        std::uint64_t deadline_ms, PeerDead peer_dead,
-                       bool spin, std::uint32_t* waiting = nullptr) {
+                       bool spin, std::uint32_t* waiting) {
   if (spin) {
     for (int i = 0; i < 4096; ++i) {
       if (load() >= expected) return true;
@@ -115,15 +115,12 @@ bool sync_wait_counter(std::uint32_t* wake, Load load, std::uint64_t expected,
   }
   bool stalled = false;
   for (;;) {
-    std::uint32_t seen = load_wake(wake);
     if (load() >= expected) return true;
-    if (waiting != nullptr) {
-      // An announcement left up after the wait costs the next publisher
-      // one needless wake, which takes it down.
-      std::atomic_ref<std::uint32_t>(*waiting).store(1);
-      seen = std::atomic_ref<std::uint32_t>(*wake).load();
-      if (load() >= expected) return true;
-    }
+    // An announcement left up after the wait costs the next publisher one
+    // needless wake, which takes it down.
+    std::atomic_ref<std::uint32_t>(*waiting).store(1);
+    const std::uint32_t seen = std::atomic_ref<std::uint32_t>(*wake).load();
+    if (load() >= expected) return true;
     if (stalled && peer_dead()) return false;
     std::uint64_t slice_ms = kSyncWaitSliceMs;
     if (deadline_ms != 0) {

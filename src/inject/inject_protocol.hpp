@@ -82,8 +82,8 @@ inline constexpr const char* kPersistentLoopSymbol =
 /// module initializers have
 /// registered their sancov guard ranges, so guard_count reports what the
 /// target actually instruments; icsfuzz-inject-check reads it back after a
-/// probe execution. A TCP-sized segment has no handoff block and carries
-/// no info block.
+/// probe execution. In tcp mode the runtime publishes it when the target
+/// first listens.
 inline constexpr std::size_t kInjectInfoOffset =
     oop::kHandoffOffset + sizeof(oop::HandoffBlock);
 static_assert(kInjectInfoOffset + 16 <= oop::kSegmentBytesV2);
@@ -107,8 +107,7 @@ struct InjectInfo {
 
 /// Reads the info block out of a fork-server segment (fuzzer side, after
 /// at least one execution). `present` is false when no preload runtime
-/// wrote it — e.g. the target is a native shim, or the segment is
-/// TCP-sized.
+/// wrote it — e.g. the target is a native shim.
 InjectInfo read_inject_info(const std::uint8_t* segment,
                             std::size_t segment_size);
 

@@ -4,8 +4,8 @@
 // shared-memory segment named by ICSFUZZ_OOP_SHM and turns the process
 // into an out-of-process target — without the binary linking a single
 // icsfuzz object. The protocol machinery — the segment attach, the
-// fork-server loop, the slot and session lifecycles and the ICSFUZZ_SHIM_*
-// fault plan — is the shared target runtime's (exec_oop/target_runtime.hpp),
+// fork-server loop, the slot lifecycle and the ICSFUZZ_SHIM_* fault plan —
+// is the shared target runtime's (exec_oop/target_runtime.hpp),
 // the same code the in-tree shim runs; this file adds only what a stock
 // binary needs around it: stdin/stdout plumbing, the cooperation hooks, the
 // libc interposers and the sancov trace window. Two modes
@@ -27,11 +27,13 @@
 //                   server runs; the runtime interposes listen/accept/
 //                   write/send/close to speak the TCP session wire
 //                   (session/session_wire.hpp): hello with the real bound
-//                   port, a session per accepted connection, one
-//                   response-length log entry per write or send on it. A
-//                   watcher thread turns control-pipe EOF into orderly
-//                   shutdown. The resource jail and the fault plan apply
-//                   to the serving process itself.
+//                   port, and per accepted connection the session its
+//                   client posted, claimed and completed through the slot
+//                   lifecycle, with one response-length log entry per
+//                   write or send on it. A watcher thread turns
+//                   control-pipe EOF into orderly shutdown. The resource
+//                   jail and the fault plan apply to the serving process
+//                   itself.
 //
 // Without ICSFUZZ_OOP_SHM in the environment the runtime is fully dormant
 // — every interposer forwards — so a binary can keep the preload in its
@@ -70,7 +72,6 @@ using oop::kStFd;
 // -- Attached-segment state (set once, in the constructor). ----------------
 
 constinit std::uint8_t* g_segment = nullptr;
-constinit std::size_t g_segment_size = 0;
 constinit bool g_advertised_persistent = false;
 constinit oop::FaultPlan g_plan;
 
@@ -79,7 +80,6 @@ constinit oop::FaultPlan g_plan;
 /// guard tables register during each child's loader init, after the
 /// constructor already ran.
 void publish_inject_info() {
-  if (g_segment_size < oop::kSegmentBytesV2) return;
   std::uint8_t* info = g_segment + inject::kInjectInfoOffset;
   std::uint32_t flags = 0;
   if (sancov_seen()) flags |= inject::kInjectFlagSancov;
@@ -106,7 +106,8 @@ const std::uint16_t* close_trace_window(oop::AuxResult& result) {
 
 // -- Fork mode. ------------------------------------------------------------
 
-/// The execution child's slot lifecycle (inside a fork child only).
+/// The slot lifecycle: a fork child's executions, or in tcp mode the
+/// sessions the target's own process serves.
 constinit oop::SlotLifecycle g_slots;
 
 /// Response bytes a cooperating target published via __icsfuzz_set_response
@@ -262,13 +263,13 @@ struct TcpState {
   bool active = false;
   bool hello_sent = false;
   int conn_fd = -1;  ///< the tracked (first concurrent) session connection
+  std::uint8_t* slot = nullptr;  ///< its session's slot
   /// A session closed on another thread than the one that accepted it:
   /// that thread's window stays armed, so no later session's dirty words
   /// are known either.
   bool stray_window = false;
 };
 constinit TcpState g_tcp;
-constinit oop::SessionMap g_session;
 
 /// Control-pipe watcher: the client closing its end is the shutdown
 /// signal, same as the fork server's request-read EOF.
@@ -293,11 +294,15 @@ void* tcp_watch_ctl(void*) {
   }
 }
 
-/// An accepted connection begins the session unless one is tracked.
+/// An accepted connection begins the session its client posted unless one
+/// is tracked; without a posted request it is served untraced.
 int tcp_on_accept(int fd) {
   if (fd >= 0 && g_tcp.active && g_tcp.conn_fd < 0) {
-    g_tcp.conn_fd = fd;
-    trace_arm(g_session.begin(g_segment, g_plan));
+    if (std::uint8_t* slot = g_slots.try_begin()) {
+      g_tcp.conn_fd = fd;
+      g_tcp.slot = slot;
+      trace_arm(slot);
+    }
   }
   return fd;
 }
@@ -305,7 +310,7 @@ int tcp_on_accept(int fd) {
 /// A write or send on the session connection logs its length.
 ssize_t tcp_on_write(int fd, ssize_t rc) {
   if (rc > 0 && g_tcp.active && fd == g_tcp.conn_fd) {
-    session::sync_log_append(g_segment, static_cast<std::uint32_t>(rc));
+    session::response_log_append(g_tcp.slot, static_cast<std::uint32_t>(rc));
   }
   return rc;
 }
@@ -314,8 +319,9 @@ void tcp_session_end() {
   oop::AuxResult result;
   const std::uint16_t* dirty = close_trace_window(result);
   g_tcp.stray_window |= dirty == nullptr;
-  g_session.end(g_segment, g_tcp.stray_window ? nullptr : dirty,
-                trace_dirty_count(), result);
+  g_slots.publish(g_tcp.stray_window ? nullptr : dirty, trace_dirty_count(),
+                  result);
+  g_slots.finish();
   g_tcp.conn_fd = -1;
 }
 
@@ -346,6 +352,7 @@ void tcp_on_listen(int fd) {
 
 void tcp_init() {
   g_tcp.active = true;
+  g_slots.start_sessions(g_segment, g_plan);
   // The target's own process serves every session, so the resource jail
   // applies to it (the fork mode applies it per execution child instead).
   supervise::apply_in_child(supervise::jail_from_env());
@@ -364,8 +371,8 @@ __attribute__((constructor)) void icsfuzz_inject_init() {
   const char* mode = std::getenv(inject::kInjectModeEnv);
   const bool tcp = mode != nullptr &&
                    std::strcmp(mode, inject::kInjectModeTcp) == 0;
-  const std::span<std::uint8_t> segment = oop::attach_announced_segment(
-      tcp ? session::kTcpSegmentBytes : oop::kSegmentBytesV2);
+  const std::span<std::uint8_t> segment =
+      oop::attach_announced_segment(oop::kSegmentBytesV2);
   if (segment.empty()) {
     std::fprintf(stderr,
                  "[icsfuzz-preload] unusable ICSFUZZ_OOP_SHM segment; "
@@ -373,7 +380,6 @@ __attribute__((constructor)) void icsfuzz_inject_init() {
     return;
   }
   g_segment = segment.data();
-  g_segment_size = segment.size();
   g_plan = oop::fault_plan_from_env();
 
   // Processes the *target* spawns must not re-enter the protocol: scrub

@@ -19,8 +19,13 @@ using LengthEnv = std::unordered_map<std::string, std::size_t>;
 /// does the target occupy?
 std::optional<std::size_t> target_bytes_from_value(const Relation& relation,
                                                    std::uint64_t value) {
-  const std::int64_t unbiased = static_cast<std::int64_t>(value) - relation.bias;
-  if (unbiased < 0) return std::nullopt;
+  std::int64_t unbiased = 0;
+  // A difference past the int64 range names no target a packet could hold.
+  if (__builtin_sub_overflow(static_cast<std::int64_t>(value), relation.bias,
+                             &unbiased) ||
+      unbiased < 0) {
+    return std::nullopt;
+  }
   switch (relation.kind) {
     case RelationKind::None:
       return std::nullopt;

@@ -1,6 +1,8 @@
 #include "model/pit_parser.hpp"
 
+#include <cstdint>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "model/xml.hpp"
@@ -17,6 +19,21 @@ struct ChunkBuildResult {
 
 ChunkBuildResult build_error(std::string message) {
   return ChunkBuildResult{std::nullopt, std::move(message)};
+}
+
+/// A byte count (String/Blob `length`, `maxGenerated`) of at most
+/// kMaxPitFieldBytes.
+std::optional<std::size_t> parse_field_bytes(std::string_view text) {
+  const std::optional<std::uint64_t> parsed = parse_uint(text);
+  if (!parsed || *parsed > kMaxPitFieldBytes) return std::nullopt;
+  return static_cast<std::size_t>(*parsed);
+}
+
+/// A nonzero `unit` that fits its u32.
+std::optional<std::uint32_t> parse_unit(std::string_view text) {
+  const std::optional<std::uint64_t> parsed = parse_uint(text);
+  if (!parsed || *parsed == 0 || *parsed > UINT32_MAX) return std::nullopt;
+  return static_cast<std::uint32_t>(*parsed);
 }
 
 Endian parse_endian(const XmlElement& element) {
@@ -37,22 +54,14 @@ std::string apply_common(Chunk& chunk, const XmlElement& element) {
     if (!of || of->empty()) return "Relation without 'of' on " + chunk.name();
     relation.target = *of;
     if (auto unit = rel->attr("unit")) {
-      auto parsed = parse_uint(*unit);
-      if (!parsed || *parsed == 0) return "bad Relation unit on " + chunk.name();
-      relation.unit = static_cast<std::uint32_t>(*parsed);
+      auto parsed = parse_unit(*unit);
+      if (!parsed) return "bad Relation unit on " + chunk.name();
+      relation.unit = *parsed;
     }
     if (auto bias = rel->attr("bias")) {
-      // bias may be negative; parse sign manually.
-      std::string_view text = *bias;
-      bool negative = false;
-      if (!text.empty() && (text[0] == '-' || text[0] == '+')) {
-        negative = text[0] == '-';
-        text.remove_prefix(1);
-      }
-      auto parsed = parse_uint(text);
+      auto parsed = parse_int(*bias);
       if (!parsed) return "bad Relation bias on " + chunk.name();
-      relation.bias = negative ? -static_cast<std::int64_t>(*parsed)
-                               : static_cast<std::int64_t>(*parsed);
+      relation.bias = *parsed;
     }
     chunk.with_relation(relation);
   }
@@ -123,9 +132,9 @@ ChunkBuildResult build_string(const XmlElement& element,
                               const std::string& name) {
   StringSpec spec;
   if (auto length = element.attr("length")) {
-    auto parsed = parse_uint(*length);
+    auto parsed = parse_field_bytes(*length);
     if (!parsed) return build_error("bad String length on " + name);
-    spec.length = static_cast<std::size_t>(*parsed);
+    spec.length = *parsed;
   }
   spec.default_value = element.attr("value").value_or("");
   if (auto terminated = element.attr("nullTerminated")) {
@@ -134,9 +143,9 @@ ChunkBuildResult build_string(const XmlElement& element,
     spec.null_terminated = *parsed;
   }
   if (auto max_generated = element.attr("maxGenerated")) {
-    auto parsed = parse_uint(*max_generated);
+    auto parsed = parse_field_bytes(*max_generated);
     if (!parsed || *parsed == 0) return build_error("bad maxGenerated on " + name);
-    spec.max_generated = static_cast<std::size_t>(*parsed);
+    spec.max_generated = *parsed;
   }
   Chunk chunk = Chunk::string(name, std::move(spec));
   if (std::string error = apply_common(chunk, element); !error.empty()) {
@@ -148,9 +157,9 @@ ChunkBuildResult build_string(const XmlElement& element,
 ChunkBuildResult build_blob(const XmlElement& element, const std::string& name) {
   BlobSpec spec;
   if (auto length = element.attr("length")) {
-    auto parsed = parse_uint(*length);
+    auto parsed = parse_field_bytes(*length);
     if (!parsed) return build_error("bad Blob length on " + name);
-    spec.length = static_cast<std::size_t>(*parsed);
+    spec.length = *parsed;
   }
   if (auto value = element.attr("valueHex")) {
     spec.default_value = from_hex(*value);
@@ -161,14 +170,14 @@ ChunkBuildResult build_blob(const XmlElement& element, const std::string& name) 
     spec.default_value = to_bytes(*text_value);
   }
   if (auto unit = element.attr("unit")) {
-    auto parsed = parse_uint(*unit);
-    if (!parsed || *parsed == 0) return build_error("bad Blob unit on " + name);
-    spec.unit = static_cast<std::uint32_t>(*parsed);
+    auto parsed = parse_unit(*unit);
+    if (!parsed) return build_error("bad Blob unit on " + name);
+    spec.unit = *parsed;
   }
   if (auto max_generated = element.attr("maxGenerated")) {
-    auto parsed = parse_uint(*max_generated);
+    auto parsed = parse_field_bytes(*max_generated);
     if (!parsed) return build_error("bad maxGenerated on " + name);
-    spec.max_generated = static_cast<std::size_t>(*parsed);
+    spec.max_generated = *parsed;
   }
   Chunk chunk = Chunk::blob(name, std::move(spec));
   if (std::string error = apply_common(chunk, element); !error.empty()) {

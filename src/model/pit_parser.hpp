@@ -24,14 +24,20 @@
 // Notes vs real Peach: `size` on Number is in *bits* (8/16/24/32/64) as in
 // Peach; String/Blob `length` is in bytes. `values` gives a comma-separated
 // legal-value list. <Choice> wraps alternatives. `tag` sets the semantic
-// rule tag that the puzzle corpus keys on.
+// rule tag that the puzzle corpus keys on. Out-of-range sizes, units and
+// biases are rejected, never clamped.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "model/data_model.hpp"
 
 namespace icsfuzz::model {
+
+/// The largest String/Blob `length` or `maxGenerated` a pit may declare
+/// (a whole session stream's 1 MiB, far above any shipped pit).
+inline constexpr std::size_t kMaxPitFieldBytes = std::size_t{1} << 20;
 
 struct PitParseResult {
   DataModelSet models;

@@ -1,5 +1,7 @@
 #include "model/relation.hpp"
 
+#include <cstdint>
+
 #include "util/strings.hpp"
 
 namespace icsfuzz::model {
@@ -18,7 +20,9 @@ std::uint64_t relation_value(const Relation& relation, std::size_t target_bytes)
       break;
     }
   }
-  value += relation.bias;
+  // Saturating: the value is never negative, so only a bias near INT64_MAX
+  // can overflow the sum.
+  if (__builtin_add_overflow(value, relation.bias, &value)) value = INT64_MAX;
   return value < 0 ? 0 : static_cast<std::uint64_t>(value);
 }
 

@@ -11,7 +11,7 @@ class XmlParser {
 
   XmlParseResult run() {
     skip_prolog();
-    auto element = parse_element();
+    auto element = parse_element(1);
     if (!element) return fail();
     skip_misc();
     if (pos_ != text_.size()) return fail("trailing content after document element");
@@ -113,8 +113,15 @@ class XmlParser {
     return value;
   }
 
-  std::optional<XmlElement> parse_element() {
+  /// Parses the element at nesting level `depth` (the document element is
+  /// level 1).
+  std::optional<XmlElement> parse_element(std::size_t depth) {
     skip_misc();
+    if (depth > kMaxXmlDepth) {
+      set_error("element nesting deeper than " + std::to_string(kMaxXmlDepth) +
+                " levels");
+      return std::nullopt;
+    }
     if (peek() != '<' || !consume("<")) {
       set_error("expected element");
       return std::nullopt;
@@ -167,7 +174,7 @@ class XmlParser {
         return element;
       }
       if (peek() == '<') {
-        auto child = parse_element();
+        auto child = parse_element(depth + 1);
         if (!child) return std::nullopt;
         element.children.push_back(std::move(*child));
         continue;

@@ -4,6 +4,7 @@
 // CDATA).
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <string>
@@ -27,6 +28,11 @@ struct XmlElement {
   /// First direct child with the given name, or nullptr.
   [[nodiscard]] const XmlElement* first_child(const std::string& name) const;
 };
+
+/// The deepest element nesting parse_xml accepts; the document element is
+/// level 1. Far above any shipped pit, it bounds the parser's recursion
+/// (and the tree's) on user files.
+inline constexpr std::size_t kMaxXmlDepth = 256;
 
 /// Parse result: the document element, or an error with offset context.
 struct XmlParseResult {

@@ -14,6 +14,7 @@
 
 #include "exec_oop/exec_protocol.hpp"
 #include "exec_oop/target_process.hpp"
+#include "exec_oop/wake_word.hpp"
 #include "inject/inject_protocol.hpp"
 #include "session/framing.hpp"
 #include "session/session_state.hpp"
@@ -50,7 +51,6 @@ class TcpSessionBackend final : public fuzz::SyncExecBackend {
         exec_timeout_ms_(config.exec_timeout_ms),
         telemetry_(telemetry),
         process_({.argv = config.target_cmd,
-                  .segment_bytes = kTcpSegmentBytes,
                   .hello_magic = oop::kTcpHelloMagic,
                   .inject_mode = inject::kInjectModeTcp,
                   .preload = config.preload,
@@ -86,10 +86,10 @@ class TcpSessionBackend final : public fuzz::SyncExecBackend {
     // Adopt the server's trace (from its dirty-word list when published),
     // inject the client-computed session-state cells, then run the exact
     // in-process analysis.
-    std::uint8_t* segment = process_.segment().data();
     fuzz::adopt_oop_trace(telemetry_, map,
-                          reinterpret_cast<const std::uint64_t*>(segment),
-                          segment + kDirtyListOffset, /*completed=*/true);
+                          reinterpret_cast<const std::uint64_t*>(slot()),
+                          slot() + oop::kSlotDirtyListOffset,
+                          /*completed=*/true);
     const std::size_t reply_bytes =
         replies_.empty() ? 0 : replies_.back().offset + replies_.back().length;
     result.response.assign(received_.begin(),
@@ -142,6 +142,7 @@ class TcpSessionBackend final : public fuzz::SyncExecBackend {
          ++attempt) {
       if (attempt == 1) process_.note_retry();
       if (!start_server()) continue;
+      post_session();
       // One wall-clock deadline spans the whole session (the session is
       // one execution, for the hang accounting too).
       const std::uint64_t deadline =
@@ -162,9 +163,8 @@ class TcpSessionBackend final : public fuzz::SyncExecBackend {
 
   bool start_server() {
     if (process_.running()) return true;
-    // Fresh server, fresh wire state: the session counter restarts at zero
-    // with the new process, so the client's expectation must too.
-    sessions_seen_ = 0;
+    // Fresh server, fresh segment: request numbering restarts.
+    posted_ = 0;
     if (!process_.ensure_started()) {
       last_error_ = process_.error();
       return false;
@@ -178,12 +178,25 @@ class TcpSessionBackend final : public fuzz::SyncExecBackend {
     return true;
   }
 
+  /// Posts the session as the next request in its slot, before the
+  /// connection the server claims it at.
+  void post_session() {
+    oop::result_invalidate(slot() + oop::kSlotAuxOffset,
+                           slot() + oop::kSlotDirtyListOffset);
+    response_log_reset(slot());
+    oop::HandoffBlock& block = oop::handoff_block(process_.segment().data());
+    oop::HandoffRecord& record = oop::handoff_record(block, ++posted_);
+    record.slot = kSessionSlot;
+    record.exec_index = posted_;
+    oop::bump_wake_waiter(&block.request, &block.request_waiting);
+  }
+
   /// The pipelined exchange of one connected session. One poll loop sends
   /// the stream and half-closes once it is all sent, while it drains the
   /// reply stream until EOF; reading as it writes is what keeps a large
   /// session from deadlocking on full socket buffers in both directions.
-  /// Then the session-done wait, the aux block, and the split of the
-  /// replies by the server's response log.
+  /// Then the wait for the session's handoff record, the aux block, and the
+  /// split of the replies by the server's response log.
   void exchange(int conn, ByteSpan packet, std::uint64_t deadline) {
     // Exactly the prefix split_stream and the server's reassembler consider.
     const ByteSpan stream =
@@ -250,30 +263,35 @@ class TcpSessionBackend final : public fuzz::SyncExecBackend {
       }
     }
 
-    // The server publishes "session done" before it closes the connection,
-    // so this wait normally returns at once. A server that died
-    // mid-session closed without publishing; the wait then ends at the
+    // The server completes the session's request before it closes the
+    // connection, so this wait normally returns at once. A server that died
+    // mid-session closed without completing it; the wait then ends at the
     // first quiet slice.
-    std::uint8_t* segment = process_.segment().data();
+    oop::HandoffBlock& block = oop::handoff_block(process_.segment().data());
+    oop::HandoffRecord& record = oop::handoff_record(block, posted_);
     if (!oop::sync_wait_counter(
-            sync_wake_word(segment),
-            [&] { return sync_load_sessions_done(segment); },
-            sessions_seen_ + 1, deadline,
-            [&] { return process_.try_reap(); }, process_.spin_waits())) {
+            &block.wake,
+            [&] { return oop::shared_load(record.done) == posted_ ? 1u : 0u; },
+            1, deadline, [&] { return process_.try_reap(); },
+            process_.spin_waits(), &block.wake_waiting)) {
       return broken(deadline, "tcp session never completed");
     }
-    ++sessions_seen_;
-    if (!oop::aux_load(segment + kAuxOffset, oop::kAuxBytes,
+    if (!oop::aux_load(slot() + oop::kSlotAuxOffset, oop::kAuxBytes,
                        outcome_.aux)) {
       last_error_ = "tcp session server published no aux block";
       process_.stop();
       return;
     }
-    if (!split_replies(sync_response_log(segment), got)) {
+    if (!split_replies(response_log(slot()), got)) {
       return broken(deadline, "tcp session replies disagree with the log");
     }
     process_.note_answered();
     outcome_.status = oop::ExecStatus::kOk;
+  }
+
+  /// The session's slot in the server's segment.
+  [[nodiscard]] std::uint8_t* slot() {
+    return process_.segment().data() + oop::slot_offset(kSessionSlot);
   }
 
   /// Splits the `got` reply bytes into per-message responses by the
@@ -400,7 +418,8 @@ class TcpSessionBackend final : public fuzz::SyncExecBackend {
 
   oop::TargetProcess process_;
   std::uint32_t port_ = 0;
-  std::uint64_t sessions_seen_ = 0;
+  /// Sessions posted on this server: the last one's request number.
+  std::uint32_t posted_ = 0;
   std::string last_error_;
   oop::OutOfProcessExecutor::Outcome outcome_;
 

@@ -3,15 +3,17 @@
 //
 // Per execution: the session stream is split into its canonical message
 // list (framing.hpp — the same split the server's reassembler will
-// reproduce from the segmented TCP stream) and one connection is opened
-// (one connection = one session). The exchange is pipelined: one poll loop
-// sends the whole stream and half-closes while it reads the replies to
-// EOF, then waits for the session-done counter and splits the replies into
-// per-message responses by the response-length log the server keeps in the
-// session_wire.hpp sync block. There is no per-message round trip.
-// The server traces the whole session into the shared-memory map and
-// publishes its dirty-word list; the client adopts the trace from that
-// list (fuzz::adopt_oop_trace, the full-map scan when none is published),
+// reproduce from the segmented TCP stream), the session is posted as the
+// next fork-server request in slot session::kSessionSlot of the standard
+// segment (session_wire.hpp), and one connection is opened (one connection
+// = one session). The exchange is pipelined: one poll loop sends the whole
+// stream and half-closes while it reads the replies to EOF, then waits for
+// the request's handoff record to say done and splits the replies into
+// per-message responses by the response-length log the server keeps in
+// the slot. There is no per-message round trip.
+// The server traces the whole session into the slot's map and publishes
+// its dirty-word list; the client adopts the trace from that list
+// (fuzz::adopt_oop_trace, the full-map scan when none is published),
 // injects the client-computed session-state cells, and runs the exact
 // in-process analysis — which is what makes in-process vs over-TCP
 // execution a differential oracle (tests/test_session.cpp).

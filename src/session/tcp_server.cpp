@@ -35,23 +35,22 @@ bool send_full(int fd, const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
-/// One accepted connection = one session, through the shared session
-/// lifecycle. Reassembles the request stream, serves each message into the
-/// caller's reused `response` scratch, logs its length and queues it in the
-/// reused `replies` buffer; returns once the client half-closes (EOF) or
-/// the control pipe says shut down (`*shutdown`).
+/// One accepted connection = one session, in the slot of the request the
+/// client posted for it (untraced when none is posted). Reassembles the
+/// request stream, serves each message into the caller's reused `response`
+/// scratch, logs its length and queues it in the reused `replies` buffer;
+/// returns once the client half-closes (EOF) or the control pipe says shut
+/// down (`*shutdown`).
 void serve_session(ProtocolTarget& target, Framing framing, int conn,
-                   std::uint8_t* segment, oop::SessionMap& session,
-                   const oop::FaultPlan& plan, Bytes& response,
-                   Bytes& replies, bool* shutdown) {
-  std::uint8_t* map = session.begin(segment, plan);
+                   oop::SlotLifecycle& slots, Bytes& response, Bytes& replies,
+                   bool* shutdown) {
+  std::uint8_t* map = slots.try_begin();
 
   // Same arming order as every other backend (reset, fault sink, trace) —
   // the differential oracle depends on the symmetry.
   target.reset();
   san::FaultSink::arm();
-  cov::begin_trace(map);
-  const cov::DirtyWordList& dirty = *cov::tls_dirty_words;
+  if (map != nullptr) cov::begin_trace(map);
 
   const auto serve_message = [&](ByteSpan message) {
     response.clear();
@@ -60,7 +59,9 @@ void serve_session(ProtocolTarget& target, Framing framing, int conn,
     // session backend applies the identical guard.
     if (!san::FaultSink::tripped()) target.process_into(message, response);
     append(replies, ByteSpan(response));
-    sync_log_append(segment, static_cast<std::uint32_t>(response.size()));
+    if (map != nullptr) {
+      response_log_append(map, static_cast<std::uint32_t>(response.size()));
+    }
   };
   // The queued replies go out in one write per read chunk: a session that
   // arrives coalesced is answered with one write, and one that streams in
@@ -103,10 +104,13 @@ void serve_session(ProtocolTarget& target, Framing framing, int conn,
   flush_replies();
 
   oop::AuxResult result;
-  result.events = cov::tls_event_count;
-  cov::end_trace();
   san::FaultSink::disarm_into(result.faults);
-  session.end(segment, dirty.indices, dirty.count, result);
+  if (map == nullptr) return;
+  result.events = cov::tls_event_count;
+  const cov::DirtyWordList& dirty = *cov::tls_dirty_words;
+  cov::end_trace();
+  slots.publish(dirty.indices, dirty.count, result);
+  slots.finish();
 }
 
 }  // namespace
@@ -114,7 +118,7 @@ void serve_session(ProtocolTarget& target, Framing framing, int conn,
 int run_tcp_session_server(ProtocolTarget& target, Framing framing,
                            const oop::FaultPlan& plan) {
   const std::span<std::uint8_t> segment =
-      oop::attach_announced_segment(kTcpSegmentBytes);
+      oop::attach_announced_segment(oop::kSegmentBytesV2);
   if (segment.empty()) return 3;
   // This process runs every session itself, so the resource jail applies
   // to it: an allocation past the cap ends the server with kOomExitCode,
@@ -144,7 +148,8 @@ int run_tcp_session_server(ProtocolTarget& target, Framing framing,
     return 4;
   }
 
-  static oop::SessionMap session;
+  static oop::SlotLifecycle slots;
+  slots.start_sessions(segment.data(), plan);
   Bytes response;
   Bytes replies;
 
@@ -167,8 +172,7 @@ int run_tcp_session_server(ProtocolTarget& target, Framing framing,
     const int nodelay = 1;
     ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof nodelay);
     bool shutdown = false;
-    serve_session(target, framing, conn, segment.data(), session, plan,
-                  response, replies, &shutdown);
+    serve_session(target, framing, conn, slots, response, replies, &shutdown);
     oop::abort_on_close(conn);
     ::close(conn);
     if (shutdown) {

@@ -9,22 +9,26 @@
 // ProtocolTarget, and answering with the raw response bytes. The
 // reassembler makes the server indifferent to how the client's stream
 // arrives: the pipelined client sends the whole session at once, so
-// messages usually arrive coalesced. Coverage for the whole session lands
-// in the shared-memory map as ONE trace; every response's length goes into
-// the session_wire.hpp response log, and the session-done publish precedes
-// the close, so a client that reads EOF finds the session complete.
+// messages usually arrive coalesced.
 //
-// The session's map lifecycle — fault plan, map clear, response log,
-// dirty-word list, aux block, session-done counter — is the shared target
-// runtime's oop::SessionMap (exec_oop/target_runtime.hpp), which the
-// preload runtime's tcp mode runs around a stock server too; this adapter
-// owns only the socket loop and the traced ProtocolTarget.
+// A session is an ordinary fork-server request (session/session_wire.hpp)
+// that this server serves itself: at accept it claims the request the
+// client posted for the connection and readies its slot, traces the whole
+// session into the slot's map as ONE trace, logs every response's length
+// in the slot's response-length log, publishes the slot, and completes the
+// request — the handoff record's done, then the client's wake — before it
+// closes the connection, so a client that reads EOF finds the session
+// complete. A connection accepted with no request posted is served
+// untraced. The lifecycle is the shared target runtime's oop::SlotLifecycle
+// (exec_oop/target_runtime.hpp), which the preload runtime's tcp mode runs
+// around a stock server too; this adapter owns only the socket loop and
+// the traced ProtocolTarget.
 //
 // Shutdown mirrors the fork server: EOF on the inherited control
 // descriptor (the client closing its pipe end) ends the accept loop with
 // exit status 0. The server runs every session in its own process, so the
-// resource jail and the fault plan (keyed on the session index) apply to
-// the server itself; the client classifies a server that dies mid-session
+// resource jail and the fault plan (keyed on the session's exec_index)
+// apply to the server itself; the client classifies a server that dies mid-session
 // by its wait status.
 #pragma once
 

@@ -64,8 +64,10 @@ std::optional<std::uint64_t> parse_uint(std::string_view text) {
     } else {
       return std::nullopt;
     }
-    if (digit >= base) return std::nullopt;
-    value = value * base + digit;
+    if (digit >= base || __builtin_mul_overflow(value, base, &value) ||
+        __builtin_add_overflow(value, digit, &value)) {
+      return std::nullopt;
+    }
   }
   return value;
 }

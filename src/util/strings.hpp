@@ -22,7 +22,8 @@ bool ends_with(std::string_view text, std::string_view suffix);
 /// Lowercases ASCII.
 std::string to_lower(std::string_view text);
 
-/// Parses a decimal or 0x-prefixed hex unsigned integer.
+/// Parses a decimal or 0x-prefixed hex unsigned integer; a value that does
+/// not fit in 64 bits is rejected.
 std::optional<std::uint64_t> parse_uint(std::string_view text);
 
 /// Strict checked parse of a decimal unsigned integer for CLI/env input:

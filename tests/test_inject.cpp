@@ -415,9 +415,9 @@ TEST(InjectTcp, DemoServeSplitsRepliesPerMessage) {
 }
 
 TEST(InjectTcp, ServerExitMidSessionIsALostServerAsOnTheShim) {
-  // ICSFUZZ_SHIM_SERVER_EXIT_AT=2: both session servers run their sessions
-  // through the shared runtime's oop::SessionMap, so each exits 9 on
-  // accepting its 2nd session, with the client connected. The client
+  // ICSFUZZ_SHIM_SERVER_EXIT_AT=2: both session servers claim their
+  // sessions through the shared runtime's oop::SlotLifecycle, so each exits
+  // 9 on claiming its 2nd session, with the client connected. The client
   // classifies the death by its wait status, and the next session runs on
   // a respawned server.
   fuzz::ExecutorConfig demo_config;

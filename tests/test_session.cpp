@@ -32,6 +32,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -781,7 +782,7 @@ TEST(SessionTcpServer, RejectsMalformedShmSizeEnv) {
 
 // ---------------------------------------------------------------- sync wait
 
-/// A peer process sharing a TCP-session shm segment: forked, it runs
+/// A peer process sharing a session's shm segment: forked, it runs
 /// `body` on the segment, then blocks until killed or `_exit`s if `body`
 /// returns false. Killed and reaped on destruction if still running.
 class SyncPeer {
@@ -822,7 +823,7 @@ class SyncPeer {
 };
 
 oop::ShmSegment sync_segment() {
-  return oop::ShmSegment::create(session::kTcpSegmentBytes);
+  return oop::ShmSegment::create(oop::kSegmentBytesV2);
 }
 
 std::int64_t ms_since(std::chrono::steady_clock::time_point start) {
@@ -835,26 +836,59 @@ void sleep_ms(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-/// The TCP client's wait on the sync block, as tcp_backend.cpp calls it.
+/// The session slot of `segment`.
+std::uint8_t* session_slot(std::uint8_t* segment) {
+  return segment + oop::slot_offset(session::kSessionSlot);
+}
+
+/// The handoff record of session request `request`.
+oop::HandoffRecord& session_record(std::uint8_t* segment,
+                                   std::uint32_t request) {
+  return oop::handoff_record(oop::handoff_block(segment), request);
+}
+
+/// A session server's completion of request `request`, as
+/// oop::SlotLifecycle::finish publishes it: the record's done, then the
+/// client's wake word.
+void complete_session(std::uint8_t* segment, std::uint32_t request) {
+  oop::HandoffBlock& block = oop::handoff_block(segment);
+  oop::shared_store(session_record(segment, request).done, request);
+  oop::bump_wake_waiter(&block.wake, &block.wake_waiting);
+}
+
+/// Whether request `request`'s record says done (1) or not (0).
+std::uint64_t session_done(std::uint8_t* segment, std::uint32_t request) {
+  return oop::shared_load(session_record(segment, request).done) == request
+             ? 1u
+             : 0u;
+}
+
+/// The TCP client's wait on a session's handoff record, as tcp_backend.cpp
+/// calls it.
 template <typename Load, typename PeerDead>
 bool wait_counter(std::uint8_t* segment, Load load, std::uint64_t expected,
                   std::uint64_t deadline_ms, PeerDead peer_dead) {
-  return oop::sync_wait_counter(session::sync_wake_word(segment), load,
-                                expected, deadline_ms, peer_dead,
-                                oop::affinity_allows_spin());
+  oop::HandoffBlock& block = oop::handoff_block(segment);
+  return oop::sync_wait_counter(&block.wake, load, expected, deadline_ms,
+                                peer_dead, oop::affinity_allows_spin(),
+                                &block.wake_waiting);
 }
 
 TEST(SessionSyncWait, PublishAfterDelayWakesTheBlockedWaiter) {
   oop::ShmSegment shm = sync_segment();
   ASSERT_TRUE(shm.valid()) << shm.error();
   std::uint8_t* segment = shm.data();
-  std::uint32_t* wake = session::sync_wake_word(segment);
+  std::uint32_t* wake = &oop::handoff_block(segment).wake;
+  std::uint32_t* waiting = &oop::handoff_block(segment).wake_waiting;
   const std::uint32_t seen = oop::load_wake(wake);
+  // The waiter below sleeps on the wake word itself: announced, as
+  // sync_wait_counter announces its sleeps.
+  std::atomic_ref<std::uint32_t>(*waiting).store(1);
   SyncPeer peer(segment, [](std::uint8_t* seg) {
     sleep_ms(50);
-    session::sync_log_reset(seg);
-    session::sync_log_append(seg, 7);
-    session::sync_publish_session_done(seg, 1);
+    session::response_log_reset(session_slot(seg));
+    session::response_log_append(session_slot(seg), 7);
+    complete_session(seg, 1);
     return true;
   });
   ASSERT_GT(peer.pid(), 0);
@@ -868,19 +902,19 @@ TEST(SessionSyncWait, PublishAfterDelayWakesTheBlockedWaiter) {
   const std::int64_t waited = ms_since(start);
   EXPECT_GE(waited, 40);
   EXPECT_LT(waited, 5000) << "the publish did not wake the waiter";
-  EXPECT_EQ(session::sync_load_sessions_done(segment), 1u);
-  EXPECT_EQ(session::sync_response_log(segment).size(), 1u);
-  EXPECT_EQ(session::sync_response_log(segment)[0], 7u);
+  EXPECT_EQ(session_done(segment, 1), 1u);
+  EXPECT_EQ(session::response_log(session_slot(segment)).size(), 1u);
+  EXPECT_EQ(session::response_log(session_slot(segment))[0], 7u);
 
   // The next session's publish wakes the same way, through the full wait.
   SyncPeer finisher(segment, [](std::uint8_t* seg) {
     sleep_ms(50);
-    session::sync_publish_session_done(seg, 2);
+    complete_session(seg, 2);
     return true;
   });
   ASSERT_GT(finisher.pid(), 0);
   EXPECT_TRUE(wait_counter(
-      segment, [&] { return session::sync_load_sessions_done(segment); }, 2,
+      segment, [&] { return session_done(segment, 2); }, 1,
       oop::monotonic_ms() + 10000, [&] { return finisher.dead(); }));
 }
 
@@ -888,10 +922,10 @@ TEST(SessionSyncWait, StaleSeenValueReturnsAtOnce) {
   oop::ShmSegment shm = sync_segment();
   ASSERT_TRUE(shm.valid()) << shm.error();
   std::uint8_t* segment = shm.data();
-  std::uint32_t* wake = session::sync_wake_word(segment);
+  std::uint32_t* wake = &oop::handoff_block(segment).wake;
   const std::uint32_t seen = oop::load_wake(wake);
   SyncPeer peer(segment, [](std::uint8_t* seg) {
-    session::sync_publish_session_done(seg, 1);
+    complete_session(seg, 1);
     return false;  // publish, then exit
   });
   ASSERT_GT(peer.pid(), 0);
@@ -903,7 +937,7 @@ TEST(SessionSyncWait, StaleSeenValueReturnsAtOnce) {
   EXPECT_LT(ms_since(start), 100) << "a moved wake word must not block";
   // A counter that already arrived is never waited for, dead peer or not.
   EXPECT_TRUE(wait_counter(
-      segment, [&] { return session::sync_load_sessions_done(segment); }, 1,
+      segment, [&] { return session_done(segment, 1); }, 1,
       oop::monotonic_ms() + 10000, [] { return true; }));
 }
 
@@ -917,7 +951,7 @@ TEST(SessionSyncWait, SilentPeerCostsExactlyTheDeadline) {
   constexpr int kDeadlineMs = 200;
   const auto start = std::chrono::steady_clock::now();
   const bool arrived = wait_counter(
-      segment, [&] { return session::sync_load_sessions_done(segment); }, 1,
+      segment, [&] { return session_done(segment, 1); }, 1,
       oop::monotonic_ms() + kDeadlineMs, [&] { return peer.dead(); });
   const std::int64_t waited = ms_since(start);
   EXPECT_FALSE(arrived);
@@ -939,7 +973,7 @@ TEST(SessionSyncWait, PeerThatExitsIsNoticedWithinAFewSlices) {
 
   const auto start = std::chrono::steady_clock::now();
   const bool arrived = wait_counter(
-      segment, [&] { return session::sync_load_sessions_done(segment); }, 1,
+      segment, [&] { return session_done(segment, 1); }, 1,
       oop::monotonic_ms() + 30000, [&] { return peer.dead(); });
   const std::int64_t waited = ms_since(start);
   EXPECT_FALSE(arrived);

@@ -2,6 +2,10 @@
 // XML format specifications into DataModel sets.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "model/instantiation.hpp"
 #include "model/pit_parser.hpp"
 #include "model/xml.hpp"
@@ -66,6 +70,36 @@ TEST(Xml, ErrorsIncludeOffset) {
   EXPECT_NE(result.error.find("offset"), std::string::npos);
 }
 
+/// `depth` nested elements: <Peach> around depth - 1 levels of <a>.
+std::string nested_document(std::size_t depth) {
+  std::string text = "<Peach>";
+  for (std::size_t i = 1; i < depth; ++i) text += "<a>";
+  for (std::size_t i = 1; i < depth; ++i) text += "</a>";
+  return text + "</Peach>";
+}
+
+TEST(Xml, NestingIsBoundedAtTheDepthLimit) {
+  const auto at_limit = parse_xml(nested_document(kMaxXmlDepth));
+  EXPECT_TRUE(at_limit.ok()) << at_limit.error;
+
+  const std::string deeper = nested_document(kMaxXmlDepth + 1);
+  const auto above = parse_xml(deeper);
+  ASSERT_FALSE(above.ok());
+  EXPECT_NE(above.error.find("nesting deeper than"), std::string::npos)
+      << above.error;
+  // The offset is the too-deep element's '<'.
+  const std::size_t offset = 7 + 3 * (kMaxXmlDepth - 1);
+  EXPECT_NE(above.error.find("offset " + std::to_string(offset)),
+            std::string::npos)
+      << above.error;
+  // A pit goes through the same parser: a nesting deep enough to overflow
+  // an unbounded recursive parser's stack is an XML error.
+  const auto pit = parse_pit(nested_document(100000));
+  ASSERT_FALSE(pit.ok());
+  EXPECT_NE(pit.error.find("nesting deeper than"), std::string::npos)
+      << pit.error;
+}
+
 // ---------------------------------------------------------------------- Pit
 
 constexpr const char* kMiniPit = R"(
@@ -119,6 +153,67 @@ TEST(Pit, RejectsNonByteSizes) {
   const auto result = parse_pit(
       R"(<Peach><DataModel name="m"><Number name="n" size="12"/></DataModel></Peach>)");
   EXPECT_FALSE(result.ok());
+}
+
+TEST(Pit, RejectsLengthsAboveTheFieldCap) {
+  const auto pit_with = [](const std::string& field) {
+    return parse_pit("<Peach><DataModel name='m'>" + field +
+                     "</DataModel></Peach>");
+  };
+  const std::string over = std::to_string(kMaxPitFieldBytes + 1);
+  const std::vector<std::string> fields = {
+      "<Blob name='b' length='18446744073709551615'/>",
+      "<Blob name='b' length='" + over + "'/>",
+      "<String name='s' length='18446744073709551615'/>",
+      "<Blob name='b' maxGenerated='18446744073709551615'/>",
+      "<String name='s' maxGenerated='" + over + "'/>",
+      "<Blob name='b' length='18446744073709551616'/>",
+  };
+  for (const std::string& field : fields) {
+    EXPECT_FALSE(pit_with(field).ok()) << field;
+  }
+  // At the cap is still a pit.
+  EXPECT_TRUE(pit_with("<Blob name='b' length='" +
+                       std::to_string(kMaxPitFieldBytes) + "'/>")
+                  .ok());
+}
+
+TEST(Pit, RejectsBiasOutsideSigned64Bits) {
+  const auto pit_with_bias = [](const std::string& bias) {
+    return parse_pit(
+        "<Peach><DataModel name='m'><Number name='len' size='8'>"
+        "<Relation type='sizeof' of='b' bias='" + bias +
+        "'/></Number><Blob name='b'/></DataModel></Peach>");
+  };
+  EXPECT_FALSE(pit_with_bias("9223372036854775808").ok());
+  EXPECT_FALSE(pit_with_bias("-9223372036854775809").ok());
+  EXPECT_FALSE(pit_with_bias("18446744073709551616").ok());
+  // INT64_MIN itself is in range, and parses without a signed overflow.
+  const auto lowest = pit_with_bias("-9223372036854775808");
+  ASSERT_TRUE(lowest.ok()) << lowest.error;
+  EXPECT_EQ(lowest.models.at(0).find("len")->relation().bias, INT64_MIN);
+  // Both extremes drive the relation arithmetic, forwards and inverted,
+  // without a signed overflow (UBSan builds check this).
+  for (const char* bias : {"-9223372036854775808", "9223372036854775807"}) {
+    const auto pit = pit_with_bias(bias);
+    ASSERT_TRUE(pit.ok()) << pit.error;
+    const DataModel& model = pit.models.at(0);
+    const Bytes wire = default_instance(model).serialize();
+    ASSERT_EQ(wire.size(), 1u) << bias;
+    EXPECT_EQ(wire[0], bias[0] == '-' ? 0x00 : 0xFF) << bias;
+    EXPECT_FALSE(parse_packet(model, wire).has_value()) << bias;
+  }
+}
+
+TEST(Pit, RejectsUnitsAboveU32) {
+  EXPECT_FALSE(parse_pit("<Peach><DataModel name='m'><Blob name='b' "
+                         "unit='4294967296'/></DataModel></Peach>")
+                   .ok());
+  EXPECT_FALSE(
+      parse_pit("<Peach><DataModel name='m'><Number name='len' size='8'>"
+                "<Relation type='countof' of='b' unit='4294967296'/></Number>"
+                "<Blob name='b'/></DataModel></Peach>")
+          .ok());
 }
 
 TEST(Pit, RejectsUnknownElement) {
