@@ -58,6 +58,32 @@ class InProcessBackend final : public SyncExecBackend {
   }
 };
 
+constexpr TransportFaults kForkServerFaults{
+    "oop-exec-deadline", "execution", "fork-server", "oop-server-lost",
+    "fork server"};
+
+/// The synthetic fault of an execution whose target died (kCrash / kOom):
+/// oop-child-oom when the resource jail fired, oop-child-terminated with
+/// the signal or exit code otherwise.
+san::FaultReport target_death_fault(
+    const oop::OutOfProcessExecutor::Outcome& outcome) {
+  if (outcome.status == oop::ExecStatus::kOom) {
+    // The jail's distinct exit code keeps allocation-failure deaths out of
+    // the memory-safety crash buckets.
+    return san::FaultReport{
+        san::FaultKind::Segv, san::site_id("oop-child-oom"),
+        "resource jail killed the child (allocation failure under "
+        "RLIMIT_AS)"};
+  }
+  return san::FaultReport{
+      san::FaultKind::Segv, san::site_id("oop-child-terminated"),
+      outcome.term_signal != 0
+          ? "target child died on signal " +
+                std::to_string(outcome.term_signal)
+          : "target child exited abnormally (code " +
+                std::to_string(outcome.exit_code) + ")"};
+}
+
 /// kForkPerExec / kPersistent: packets cross into the fork-server target
 /// through OutOfProcessExecutor, up to oop::kNumSlots in flight; the shm
 /// trace is adopted into the owning map (from the child's dirty-word list,
@@ -120,13 +146,11 @@ class OopBackend final : public ExecBackend {
   }
 
   /// Adopts the child's shared-memory trace into `map` (adopt_oop_trace),
-  /// reuses the exact in-process analysis unchanged, and
-  /// maps the outcome onto the ExecResult observables. Transport-level
-  /// failures become synthetic fault reports so crash accounting sees
-  /// them; on the healthy path the aux block shipped the exact in-process
-  /// observables and the reports below never fire — which is what keeps
-  /// out-of-process trajectories bit-identical to in-process ones
-  /// (test_exec_oop.cpp).
+  /// reuses the exact in-process analysis unchanged, and maps the outcome
+  /// onto the ExecResult observables (fill_outcome_faults). On the healthy
+  /// path the aux block shipped the exact in-process observables and no
+  /// synthetic fault fires — which is what keeps out-of-process
+  /// trajectories bit-identical to in-process ones (test_exec_oop.cpp).
   cov::TraceSummary adopt_and_fill(
       const oop::OutOfProcessExecutor::Outcome& outcome, cov::CoverageMap& map,
       ExecResult& result) {
@@ -134,42 +158,13 @@ class OopBackend final : public ExecBackend {
                     outcome.status == oop::ExecStatus::kOk);
     const cov::TraceSummary summary = map.finalize_execution();
 
-    result.events = outcome.aux.events;
-    result.faults.assign(outcome.aux.faults.begin(),
-                         outcome.aux.faults.end());
     result.response.assign(outcome.aux.response.begin(),
                            outcome.aux.response.end());
     result.response_truncated = outcome.aux.response_truncated;
     result.session_states.clear();  // fork-server exchanges are sessionless
     result.session_messages = 0;
-    if (outcome.aux.faults_truncated) {
-      // The child's fault stream overflowed the aux block: the list above
-      // is incomplete, which crash accounting must see rather than
-      // silently under-report.
-      result.faults.push_back(san::FaultReport{
-          san::FaultKind::Segv, san::site_id("oop-aux-faults-truncated"),
-          "fault reports overflowed the shared-memory aux block"});
-    }
-
-    switch (outcome.status) {
-      case oop::ExecStatus::kOk:
-        break;
-      case oop::ExecStatus::kCrash:
-      case oop::ExecStatus::kOom:
-        result.faults.push_back(target_death_fault(outcome));
-        break;
-      case oop::ExecStatus::kHang:
-        result.faults.push_back(san::FaultReport{
-            san::FaultKind::Hang, san::site_id("oop-exec-deadline"),
-            "execution exceeded the " + std::to_string(exec_timeout_ms_) +
-                " ms fork-server deadline"});
-        break;
-      case oop::ExecStatus::kServerLost:
-        result.faults.push_back(san::FaultReport{
-            san::FaultKind::Segv, san::site_id("oop-server-lost"),
-            "fork server unreachable: " + exec_->last_error()});
-        break;
-    }
+    fill_outcome_faults(outcome, kForkServerFaults, exec_timeout_ms_,
+                        exec_->last_error(), result);
     return summary;
   }
 
@@ -255,23 +250,41 @@ void adopt_oop_trace(const telem::Sink& sink, cov::CoverageMap& map,
   if (words != nullptr) sink.add(telem::Counter::kOopAdoptFullScans);
 }
 
-san::FaultReport target_death_fault(
-    const oop::OutOfProcessExecutor::Outcome& outcome) {
-  if (outcome.status == oop::ExecStatus::kOom) {
-    // The jail's distinct exit code keeps allocation-failure deaths out of
-    // the memory-safety crash buckets.
-    return san::FaultReport{
-        san::FaultKind::Segv, san::site_id("oop-child-oom"),
-        "resource jail killed the child (allocation failure under "
-        "RLIMIT_AS)"};
+void fill_outcome_faults(const oop::OutOfProcessExecutor::Outcome& outcome,
+                         const TransportFaults& transport,
+                         int exec_timeout_ms, std::string_view last_error,
+                         ExecResult& result) {
+  result.events = outcome.aux.events;
+  result.faults.assign(outcome.aux.faults.begin(), outcome.aux.faults.end());
+  if (outcome.aux.faults_truncated) {
+    // The target's fault stream overflowed the aux block: the list above
+    // is incomplete, which crash accounting must see rather than silently
+    // under-report.
+    result.faults.push_back(san::FaultReport{
+        san::FaultKind::Segv, san::site_id("oop-aux-faults-truncated"),
+        "fault reports overflowed the shared-memory aux block"});
   }
-  return san::FaultReport{
-      san::FaultKind::Segv, san::site_id("oop-child-terminated"),
-      outcome.term_signal != 0
-          ? "target child died on signal " +
-                std::to_string(outcome.term_signal)
-          : "target child exited abnormally (code " +
-                std::to_string(outcome.exit_code) + ")"};
+  switch (outcome.status) {
+    case oop::ExecStatus::kOk:
+      break;
+    case oop::ExecStatus::kCrash:
+    case oop::ExecStatus::kOom:
+      result.faults.push_back(target_death_fault(outcome));
+      break;
+    case oop::ExecStatus::kHang:
+      result.faults.push_back(san::FaultReport{
+          san::FaultKind::Hang, san::site_id(transport.deadline_site),
+          std::string(transport.execution) + " exceeded the " +
+              std::to_string(exec_timeout_ms) + " ms " + transport.deadline +
+              " deadline"});
+      break;
+    case oop::ExecStatus::kServerLost:
+      result.faults.push_back(san::FaultReport{
+          san::FaultKind::Segv, san::site_id(transport.lost_site),
+          std::string(transport.server) + " unreachable: " +
+              std::string(last_error)});
+      break;
+  }
 }
 
 std::unique_ptr<ExecBackend> make_exec_backend(const ExecBackendConfig& config,

@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "coverage/coverage_map.hpp"
@@ -247,11 +248,30 @@ void adopt_oop_trace(const telem::Sink& sink, cov::CoverageMap& map,
                      const std::uint64_t* words,
                      const std::uint8_t* dirty_list, bool completed);
 
-/// The synthetic fault of an execution whose target died (kCrash / kOom):
-/// oop-child-oom when the resource jail fired, oop-child-terminated with
-/// the signal or exit code otherwise — one rule, so a target death buckets
-/// identically whichever transport ran it.
-san::FaultReport target_death_fault(
-    const oop::OutOfProcessExecutor::Outcome& outcome);
+/// The synthetic-fault sites and wording of one out-of-process transport:
+/// a deadline kill (kHang) is `deadline_site` with "<execution> exceeded
+/// the N ms <deadline> deadline", an unreachable server (kServerLost) is
+/// `lost_site` with "<server> unreachable: <why>".
+struct TransportFaults {
+  const char* deadline_site;
+  const char* execution;
+  const char* deadline;
+  const char* lost_site;
+  const char* server;
+};
+
+/// Fills `result`'s events and faults from an out-of-process outcome,
+/// identically for every out-of-process backend: the aux block's events
+/// and fault reports, an oop-aux-faults-truncated report when they
+/// overflowed the block, then the synthetic fault of a failed execution —
+/// for kCrash / kOom the target's death (oop-child-oom when the resource
+/// jail fired, oop-child-terminated with the signal or exit code
+/// otherwise, so a target death buckets identically whichever transport
+/// ran it), for kHang / kServerLost the transport's own faults, with
+/// `last_error` saying why the server was lost.
+void fill_outcome_faults(const oop::OutOfProcessExecutor::Outcome& outcome,
+                         const TransportFaults& transport,
+                         int exec_timeout_ms, std::string_view last_error,
+                         ExecResult& result);
 
 }  // namespace icsfuzz::fuzz

@@ -1,13 +1,13 @@
 // Per-protocol message framing: the single source of truth for where one
 // session message ends and the next begins.
 //
-// Both ends of the session layer derive from these rules — the client-side
-// splitter (split_stream, used by the in-process session backend and the
-// sequencer) and the shim-side StreamReassembler (reassembler.hpp) — and
-// they mirror each target server's own process_into() drain loop exactly.
-// That three-way agreement is what the in-process vs over-TCP differential
-// oracle rests on: the same session byte stream must decompose into the
-// same message list everywhere.
+// split_stream is the one split of a session stream into messages: the
+// kTcp client, the in-process session backend, the sequencer and the
+// shim's TCP server (which reads a session to EOF before it splits it)
+// all run it, and its rules mirror each target server's own
+// process_into() drain loop exactly. The in-process vs over-TCP
+// differential oracle therefore splits the same stream with the same code
+// on both arms.
 #pragma once
 
 #include <cstdint>
@@ -51,9 +51,10 @@ struct MessageRange {
   std::size_t length = 0;
 };
 
-/// Total session-stream bytes either side will ever consider; bytes past
-/// this are deterministically ignored by split_stream and the reassembler
-/// alike (bounds adversarial streams without desynchronizing the arms).
+/// Total session-stream bytes either side will ever consider: split_stream
+/// ignores bytes past this, the client never sends them and the TCP
+/// server drains them unread (bounds adversarial streams without
+/// desynchronizing the arms).
 inline constexpr std::size_t kMaxSessionStreamBytes = std::size_t{1} << 20;
 
 /// Splits `stream` into its canonical message list: complete frames first

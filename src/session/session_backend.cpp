@@ -3,10 +3,52 @@
 #include <cassert>
 
 #include "coverage/instrument.hpp"
-#include "session/framing.hpp"
 #include "session/session_state.hpp"
 
 namespace icsfuzz::session {
+
+void serve_messages(ProtocolTarget& target, ByteSpan stream,
+                    std::span<const MessageRange> messages, Bytes& scratch,
+                    Bytes& replies, std::vector<MessageRange>& responses) {
+  replies.clear();
+  responses.clear();
+  for (const MessageRange& message : messages) {
+    scratch.clear();
+    if (!san::FaultSink::tripped()) {
+      target.process_into(stream.subspan(message.offset, message.length),
+                          scratch);
+    }
+    responses.push_back(MessageRange{replies.size(), scratch.size()});
+    append(replies, ByteSpan(scratch));
+  }
+}
+
+void fold_session(const SessionOptions& options, ByteSpan stream,
+                  std::span<const MessageRange> messages, ByteSpan replies,
+                  std::span<const MessageRange> responses,
+                  cov::CoverageMap& map, fuzz::ExecResult& result,
+                  SessionTraffic& traffic) {
+  result.session_states.clear();
+  if (options.record_traffic) traffic.clear();
+  std::uint32_t state = kInitialSessionState;
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    const ByteSpan request =
+        stream.subspan(messages[i].offset, messages[i].length);
+    const ByteSpan response =
+        replies.subspan(responses[i].offset, responses[i].length);
+    state = next_session_state(
+        state, classify_response(options.framing, response), i);
+    result.session_states.push_back(state);
+    if (options.state_coverage) {
+      map.bump_trace_cell(session_state_cell(state));
+    }
+    if (options.record_traffic) {
+      traffic.requests.emplace_back(request.begin(), request.end());
+      traffic.responses.emplace_back(response.begin(), response.end());
+    }
+  }
+  result.session_messages = static_cast<std::uint32_t>(messages.size());
+}
 
 namespace {
 
@@ -27,7 +69,7 @@ class InProcessSessionBackend final : public fuzz::SyncExecBackend {
                             cov::CoverageMap& map,
                             fuzz::ExecResult& result) override {
     assert(!cov::trace_armed());
-    split_stream(options_.framing, packet, ranges_);
+    split_stream(options_.framing, packet, messages_);
 
     // One reset + one trace for the WHOLE session: server state carries
     // across messages, which is the entire point of the session layer.
@@ -35,36 +77,10 @@ class InProcessSessionBackend final : public fuzz::SyncExecBackend {
     san::FaultSink::arm();
     map.begin_execution();
 
-    result.response.clear();
-    result.session_states.clear();
-    if (options_.record_traffic) traffic_.clear();
-    std::uint32_t state = kInitialSessionState;
-    for (std::size_t i = 0; i < ranges_.size(); ++i) {
-      const ByteSpan message =
-          packet.subspan(ranges_[i].offset, ranges_[i].length);
-      response_scratch_.clear();
-      // Tripped = the server process died on its first fault; remaining
-      // messages of the session go unanswered (the TCP server applies the
-      // identical guard).
-      if (!san::FaultSink::tripped()) {
-        target.process_into(message, response_scratch_);
-      }
-      append(result.response, ByteSpan(response_scratch_));
-      state = next_session_state(
-          state, classify_response(options_.framing,
-                                   ByteSpan(response_scratch_)), i);
-      result.session_states.push_back(state);
-      if (options_.record_traffic) {
-        traffic_.requests.emplace_back(message.begin(), message.end());
-        traffic_.responses.push_back(response_scratch_);
-      }
-    }
-    if (options_.state_coverage) {
-      for (const std::uint32_t s : result.session_states) {
-        map.bump_trace_cell(session_state_cell(s));
-      }
-    }
-    result.session_messages = static_cast<std::uint32_t>(ranges_.size());
+    serve_messages(target, packet, messages_, scratch_, result.response,
+                   responses_);
+    fold_session(options_, packet, messages_, ByteSpan(result.response),
+                 responses_, map, result, traffic_);
     result.response_truncated = false;
 
     const cov::TraceSummary summary = map.finalize_execution();
@@ -75,8 +91,9 @@ class InProcessSessionBackend final : public fuzz::SyncExecBackend {
 
  private:
   SessionOptions options_;
-  std::vector<MessageRange> ranges_;
-  Bytes response_scratch_;
+  std::vector<MessageRange> messages_;
+  std::vector<MessageRange> responses_;
+  Bytes scratch_;
   SessionTraffic traffic_;
 };
 

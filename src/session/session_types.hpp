@@ -18,9 +18,9 @@ namespace icsfuzz::session {
 
 /// Per-protocol message framing of the six registry stacks. Mirrors each
 /// server's own stream-drain rules exactly (framing.cpp documents the
-/// per-variant byte layout) — the client-side splitter and the shim-side
-/// reassembler MUST agree with the target or the per-message differential
-/// oracle breaks.
+/// per-variant byte layout) — split_stream, which both session arms run,
+/// MUST agree with the target or the per-message differential oracle
+/// breaks.
 enum class Framing : std::uint8_t {
   kNone = 0,   ///< not a session target; whole stream = one message
   kApci,       ///< IEC 60870-5-104 APCI: 0x68 + 1-byte length (IEC104, lib60870)
@@ -31,9 +31,9 @@ enum class Framing : std::uint8_t {
 
 std::string_view to_string(Framing framing);
 
-/// Complete messages a session may carry before the splitter/reassembler
-/// collapses the rest of the stream into one raw tail — bounds both sides'
-/// work and memory on adversarial many-tiny-frame streams.
+/// Complete messages a session may carry before split_stream collapses
+/// the rest of the stream into one raw tail — bounds both arms' work and
+/// memory on adversarial many-tiny-frame streams.
 inline constexpr std::size_t kMaxSessionMessages = 256;
 
 /// How a session backend executes streams.

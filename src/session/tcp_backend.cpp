@@ -17,12 +17,16 @@
 #include "exec_oop/wake_word.hpp"
 #include "inject/inject_protocol.hpp"
 #include "session/framing.hpp"
-#include "session/session_state.hpp"
+#include "session/session_backend.hpp"
 #include "session/session_wire.hpp"
 
 namespace icsfuzz::session {
 
 namespace {
+
+constexpr fuzz::TransportFaults kTcpFaults{
+    "tcp-session-deadline", "session", "tcp", "tcp-server-lost",
+    "tcp session server"};
 
 /// Reply-buffer growth step: the receive loop always offers recv() at
 /// least this much room.
@@ -73,59 +77,31 @@ class TcpSessionBackend final : public fuzz::SyncExecBackend {
   cov::TraceSummary execute(ProtocolTarget& /*target*/, ByteSpan packet,
                             cov::CoverageMap& map,
                             fuzz::ExecResult& result) override {
-    split_stream(options_.framing, packet, ranges_);
-    if (options_.record_traffic) traffic_.clear();
+    split_stream(options_.framing, packet, messages_);
 
     const oop::TargetProcess::Tallies before = process_.tallies();
     run_session(packet);
     fuzz::mirror_oop_telemetry(telemetry_, before, process_.tallies(),
                                outcome_, packet, exec_timeout_ms_,
                                process_.config().jail);
-    if (outcome_.status != oop::ExecStatus::kOk) return fail(map, result);
 
-    // Adopt the server's trace (from its dirty-word list when published),
-    // inject the client-computed session-state cells, then run the exact
-    // in-process analysis.
-    fuzz::adopt_oop_trace(telemetry_, map,
-                          reinterpret_cast<const std::uint64_t*>(slot()),
-                          slot() + oop::kSlotDirtyListOffset,
-                          /*completed=*/true);
-    const std::size_t reply_bytes =
-        replies_.empty() ? 0 : replies_.back().offset + replies_.back().length;
-    result.response.assign(received_.begin(),
-                           received_.begin() + static_cast<std::ptrdiff_t>(
-                                                   reply_bytes));
-    result.session_states.clear();
-    std::uint32_t state = kInitialSessionState;
-    for (std::size_t i = 0; i < replies_.size(); ++i) {
-      state = next_session_state(
-          state, classify_response(options_.framing, reply(i)), i);
-      result.session_states.push_back(state);
-    }
-    if (options_.state_coverage) {
-      for (const std::uint32_t s : result.session_states) {
-        map.bump_trace_cell(session_state_cell(s));
-      }
-    }
-    if (options_.record_traffic) {
-      for (std::size_t i = 0; i < ranges_.size(); ++i) {
-        const std::uint8_t* data = packet.data() + ranges_[i].offset;
-        traffic_.requests.emplace_back(data, data + ranges_[i].length);
-        traffic_.responses.emplace_back(reply(i).begin(), reply(i).end());
-      }
-    }
-    result.session_messages = static_cast<std::uint32_t>(ranges_.size());
-
-    const cov::TraceSummary summary = map.finalize_execution();
-    const oop::AuxResult& aux = outcome_.aux;
-    result.events = aux.events;
-    result.faults.assign(aux.faults.begin(), aux.faults.end());
+    // Adopt the server's trace (from its dirty-word list when published) —
+    // the empty trace when the session failed — fold the session's
+    // responses in, then run the exact in-process analysis.
+    const bool ok = outcome_.status == oop::ExecStatus::kOk;
+    const std::uint8_t* slot_map = ok ? slot() : nullptr;
+    fuzz::adopt_oop_trace(
+        telemetry_, map, reinterpret_cast<const std::uint64_t*>(slot_map),
+        ok ? slot_map + oop::kSlotDirtyListOffset : nullptr, ok);
+    if (!ok) messages_.clear();  // folds as a session that never ran
+    const ByteSpan replies(received_.data(), reply_bytes_);
+    result.response.assign(replies.begin(), replies.end());
     result.response_truncated = false;
-    if (aux.faults_truncated) {
-      result.faults.push_back(san::FaultReport{
-          san::FaultKind::Segv, san::site_id("oop-aux-faults-truncated"),
-          "fault reports overflowed the shared-memory aux block"});
-    }
+    fold_session(options_, packet, messages_, replies, responses_, map,
+                 result, traffic_);
+    const cov::TraceSummary summary = map.finalize_execution();
+    fuzz::fill_outcome_faults(outcome_, kTcpFaults, exec_timeout_ms_,
+                              last_error_, result);
     return summary;
   }
 
@@ -138,6 +114,10 @@ class TcpSessionBackend final : public fuzz::SyncExecBackend {
     outcome_.status = oop::ExecStatus::kServerLost;
     outcome_.term_signal = 0;
     outcome_.exit_code = 0;
+    outcome_.aux.events = 0;
+    outcome_.aux.faults.clear();
+    outcome_.aux.faults_truncated = false;
+    reply_bytes_ = 0;
     for (int attempt = 0; attempt <= process_.config().retry.max_retries;
          ++attempt) {
       if (attempt == 1) process_.note_retry();
@@ -198,7 +178,7 @@ class TcpSessionBackend final : public fuzz::SyncExecBackend {
   /// Then the wait for the session's handoff record, the aux block, and the
   /// split of the replies by the server's response log.
   void exchange(int conn, ByteSpan packet, std::uint64_t deadline) {
-    // Exactly the prefix split_stream and the server's reassembler consider.
+    // Exactly the prefix split_stream considers on both ends.
     const ByteSpan stream =
         packet.first(std::min(packet.size(), kMaxSessionStreamBytes));
     std::size_t sent = 0;
@@ -302,22 +282,17 @@ class TcpSessionBackend final : public fuzz::SyncExecBackend {
     std::uint64_t logged = 0;
     for (const std::uint32_t len : log) logged += len;
     if (logged != got) return false;
-    replies_.resize(ranges_.size());
+    responses_.resize(messages_.size());
     std::size_t offset = 0;
-    for (std::size_t i = 0; i < replies_.size(); ++i) {
-      const std::size_t len = i + 1 == replies_.size() ? got - offset
-                              : i < log.size()         ? log[i]
-                                                       : 0;
-      replies_[i] = MessageRange{offset, len};
+    for (std::size_t i = 0; i < responses_.size(); ++i) {
+      const std::size_t len = i + 1 == responses_.size() ? got - offset
+                              : i < log.size()           ? log[i]
+                                                         : 0;
+      responses_[i] = MessageRange{offset, len};
       offset += len;
     }
+    reply_bytes_ = got;
     return true;
-  }
-
-  /// Message i's response inside the reply buffer.
-  [[nodiscard]] ByteSpan reply(std::size_t i) const {
-    return ByteSpan(received_.data() + replies_[i].offset,
-                    replies_[i].length);
   }
 
   /// A session that broke off. A server that died is classified by its
@@ -336,37 +311,6 @@ class TcpSessionBackend final : public fuzz::SyncExecBackend {
       last_error_ = what;
     }
     process_.stop();
-  }
-
-  /// Transport failure: the map still runs one (empty) trace cycle so the
-  /// campaign-lifetime analysis stays uniform, and the failure surfaces as
-  /// a synthetic fault exactly like the fork-server transport's.
-  cov::TraceSummary fail(cov::CoverageMap& map, fuzz::ExecResult& result) {
-    map.adopt_external(nullptr);
-    const cov::TraceSummary summary = map.finalize_execution();
-    result.events = 0;
-    result.faults.clear();
-    switch (outcome_.status) {
-      case oop::ExecStatus::kHang:
-        result.faults.push_back(san::FaultReport{
-            san::FaultKind::Hang, san::site_id("tcp-session-deadline"),
-            "session exceeded the " + std::to_string(exec_timeout_ms_) +
-                " ms tcp deadline"});
-        break;
-      case oop::ExecStatus::kServerLost:
-        result.faults.push_back(san::FaultReport{
-            san::FaultKind::Segv, san::site_id("tcp-server-lost"),
-            "tcp session server unreachable: " + last_error_});
-        break;
-      default:
-        result.faults.push_back(fuzz::target_death_fault(outcome_));
-        break;
-    }
-    result.response.clear();
-    result.response_truncated = false;
-    result.session_states.clear();
-    result.session_messages = 0;
-    return summary;
   }
 
   [[nodiscard]] int remaining_ms(std::uint64_t deadline) const {
@@ -423,12 +367,13 @@ class TcpSessionBackend final : public fuzz::SyncExecBackend {
   std::string last_error_;
   oop::OutOfProcessExecutor::Outcome outcome_;
 
-  std::vector<MessageRange> ranges_;
-  /// The reply stream of the last session (only its first bytes are
-  /// valid: the buffer keeps its high-water size across sessions) and the
-  /// per-message responses inside it.
+  std::vector<MessageRange> messages_;
+  /// The reply stream of the last session (only its first reply_bytes_
+  /// are valid: the buffer keeps its high-water size across sessions) and
+  /// the per-message responses inside it.
   Bytes received_;
-  std::vector<MessageRange> replies_;
+  std::size_t reply_bytes_ = 0;
+  std::vector<MessageRange> responses_;
   SessionTraffic traffic_;
 };
 

@@ -6,13 +6,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <span>
+#include <vector>
 
 #include "coverage/instrument.hpp"
 #include "exec_oop/exec_protocol.hpp"
 #include "sanitizer/fault.hpp"
-#include "session/reassembler.hpp"
+#include "session/session_backend.hpp"
 #include "session/session_wire.hpp"
 #include "supervise/resource_jail.hpp"
 
@@ -35,15 +37,52 @@ bool send_full(int fd, const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
+/// The reused buffers of the session loop.
+struct SessionBuffers {
+  Bytes stream;
+  std::vector<MessageRange> messages;
+  Bytes scratch;
+  Bytes replies;
+  std::vector<MessageRange> responses;
+};
+
+/// Reads the session stream to EOF into `stream`: the considered prefix of
+/// at most kMaxSessionStreamBytes, with any bytes past it read and
+/// dropped. Returns false when the control pipe closed first (the client
+/// is shutting the server down).
+bool read_session(int conn, Bytes& stream) {
+  stream.clear();
+  std::uint8_t chunk[16384];
+  for (;;) {
+    // Read whatever has arrived; wait only when nothing has. The client
+    // sends a session whole, so it is usually all there at accept.
+    const ssize_t got = ::recv(conn, chunk, sizeof chunk, MSG_DONTWAIT);
+    if (got > 0) {
+      const std::size_t keep = std::min(
+          static_cast<std::size_t>(got),
+          kMaxSessionStreamBytes - stream.size());
+      stream.insert(stream.end(), chunk, chunk + keep);
+      continue;
+    }
+    if (got == 0) return true;  // EOF: the orderly end of the session
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN) return true;  // a reset or other error
+    struct pollfd fds[2];
+    fds[0] = {conn, POLLIN, 0};
+    fds[1] = {oop::kCtlFd, POLLIN, 0};
+    if (::poll(fds, 2, -1) < 0 && errno != EINTR) return true;
+    if ((fds[1].revents & (POLLIN | POLLHUP | POLLERR)) != 0) return false;
+  }
+}
+
 /// One accepted connection = one session, in the slot of the request the
-/// client posted for it (untraced when none is posted). Reassembles the
-/// request stream, serves each message into the caller's reused `response`
-/// scratch, logs its length and queues it in the reused `replies` buffer;
-/// returns once the client half-closes (EOF) or the control pipe says shut
-/// down (`*shutdown`).
-void serve_session(ProtocolTarget& target, Framing framing, int conn,
-                   oop::SlotLifecycle& slots, Bytes& response, Bytes& replies,
-                   bool* shutdown) {
+/// client posted for it (untraced when none is posted). Reads the request
+/// stream to EOF, splits it with split_stream, serves the messages through
+/// the in-process backend's loop, logs each response's length and answers
+/// with all the replies in one write. Returns false when the control pipe
+/// says shut down.
+bool serve_session(ProtocolTarget& target, Framing framing, int conn,
+                   oop::SlotLifecycle& slots, SessionBuffers& buffers) {
   std::uint8_t* map = slots.try_begin();
 
   // Same arming order as every other backend (reset, fault sink, trace) —
@@ -52,65 +91,29 @@ void serve_session(ProtocolTarget& target, Framing framing, int conn,
   san::FaultSink::arm();
   if (map != nullptr) cov::begin_trace(map);
 
-  const auto serve_message = [&](ByteSpan message) {
-    response.clear();
-    // A tripped sink models the server process having died on its first
-    // fault: later messages of the session go unanswered. The in-process
-    // session backend applies the identical guard.
-    if (!san::FaultSink::tripped()) target.process_into(message, response);
-    append(replies, ByteSpan(response));
-    if (map != nullptr) {
-      response_log_append(map, static_cast<std::uint32_t>(response.size()));
-    }
-  };
-  // The queued replies go out in one write per read chunk: a session that
-  // arrives coalesced is answered with one write, and one that streams in
-  // is answered as it streams, so a client that reads as it writes never
-  // waits on replies the server is holding.
-  replies.clear();
-  const auto flush_replies = [&] {
-    if (!replies.empty()) send_full(conn, replies.data(), replies.size());
-    replies.clear();
-  };
-
-  StreamReassembler reassembler(framing, serve_message);
-  std::uint8_t chunk[16384];
-  for (;;) {
-    // Read whatever has arrived; wait only when nothing has. The client
-    // sends a session whole, so it is usually all there at accept.
-    const ssize_t got = ::recv(conn, chunk, sizeof chunk, MSG_DONTWAIT);
-    if (got > 0) {
-      reassembler.feed(ByteSpan(chunk, static_cast<std::size_t>(got)));
-      flush_replies();
-      continue;
-    }
-    if (got == 0) break;  // EOF: the orderly end of the session
-    if (errno == EINTR) continue;
-    if (errno != EAGAIN) break;  // a reset or other error
-    struct pollfd fds[2];
-    fds[0] = {conn, POLLIN, 0};
-    fds[1] = {oop::kCtlFd, POLLIN, 0};
-    if (::poll(fds, 2, -1) < 0 && errno != EINTR) break;
-    if ((fds[1].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-      *shutdown = true;  // client closed the control pipe mid-session
-      break;
+  const bool open = read_session(conn, buffers.stream);
+  const ByteSpan stream(buffers.stream);
+  split_stream(framing, stream, buffers.messages);
+  serve_messages(target, stream, buffers.messages, buffers.scratch,
+                 buffers.replies, buffers.responses);
+  if (map != nullptr) {
+    for (const MessageRange& response : buffers.responses) {
+      response_log_append(map, static_cast<std::uint32_t>(response.length));
     }
   }
-
-  // End of stream: the residue — an incomplete tail, a malformed-header
-  // rest, or the post-cap raw tail — is the session's final message.
-  const ByteSpan residue = reassembler.finish();
-  if (!residue.empty()) serve_message(residue);
-  flush_replies();
+  if (!buffers.replies.empty()) {
+    send_full(conn, buffers.replies.data(), buffers.replies.size());
+  }
 
   oop::AuxResult result;
   san::FaultSink::disarm_into(result.faults);
-  if (map == nullptr) return;
+  if (map == nullptr) return open;
   result.events = cov::tls_event_count;
   const cov::DirtyWordList& dirty = *cov::tls_dirty_words;
   cov::end_trace();
   slots.publish(dirty.indices, dirty.count, result);
   slots.finish();
+  return open;
 }
 
 }  // namespace
@@ -150,8 +153,7 @@ int run_tcp_session_server(ProtocolTarget& target, Framing framing,
 
   static oop::SlotLifecycle slots;
   slots.start_sessions(segment.data(), plan);
-  Bytes response;
-  Bytes replies;
+  SessionBuffers buffers;
 
   for (;;) {
     struct pollfd fds[2];
@@ -171,11 +173,10 @@ int run_tcp_session_server(ProtocolTarget& target, Framing framing,
     if (conn < 0) continue;
     const int nodelay = 1;
     ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof nodelay);
-    bool shutdown = false;
-    serve_session(target, framing, conn, slots, response, replies, &shutdown);
+    const bool open = serve_session(target, framing, conn, slots, buffers);
     oop::abort_on_close(conn);
     ::close(conn);
-    if (shutdown) {
+    if (!open) {
       ::close(listen_fd);
       return 0;
     }

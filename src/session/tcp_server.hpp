@@ -3,13 +3,13 @@
 // The in-tree hermetic stand-in for a real networked ICS server: binds an
 // ephemeral 127.0.0.1 port, announces it through the session hello on the
 // inherited status descriptor (exec_protocol.hpp::kTcpHelloMagic), and
-// serves one *session* per accepted connection — reassembling the request
-// stream with the per-protocol framing (reassembler.hpp), feeding each
-// complete message (and the final residue, if any) to the wrapped
-// ProtocolTarget, and answering with the raw response bytes. The
-// reassembler makes the server indifferent to how the client's stream
-// arrives: the pipelined client sends the whole session at once, so
-// messages usually arrive coalesced.
+// serves one *session* per accepted connection. It reads the request
+// stream to EOF (the client sends the whole session and half-closes),
+// keeping the considered prefix of at most kMaxSessionStreamBytes, splits
+// it with split_stream (framing.hpp), serves the messages through the same
+// per-message loop as the in-process session backend (serve_messages,
+// session_backend.hpp), and answers with the raw response bytes of every
+// message in one write.
 //
 // A session is an ordinary fork-server request (session/session_wire.hpp)
 // that this server serves itself: at accept it claims the request the

@@ -122,7 +122,12 @@ std::optional<std::int64_t> parse_int(std::string_view text,
     negative = text.front() == '-';
     text.remove_prefix(1);
   }
-  const std::optional<std::uint64_t> magnitude = parse_u64(text, what, error);
+  // The digits must follow the sign directly: parse_u64 would trim the
+  // whitespace of "- 5" away.
+  const std::optional<std::uint64_t> magnitude =
+      !text.empty() && text.front() >= '0' && text.front() <= '9'
+          ? parse_u64(text, what, error)
+          : std::nullopt;
   if (!magnitude.has_value()) {
     // parse_u64 reported against the stripped text; rewrite with the raw
     // input so the message shows what the user actually typed.

@@ -17,7 +17,9 @@
 //
 // The tcp mode is pinned too: the demo's `--serve` loop under the kTcp
 // session backend, whose per-message responses must equal the demo's
-// fork-mode answers to the same frames.
+// fork-mode answers to the same frames. The demo answers each frame as it
+// reads it, so it is also the server that drives the kTcp client's
+// read-while-writing loop.
 //
 // The demo binaries default to the paths the ExternalProject build wrote;
 // the CI injection lane re-points them at a standalone out-of-tree build
@@ -25,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -38,6 +41,7 @@
 #include "fuzzer/executor.hpp"
 #include "inject/inject_protocol.hpp"
 #include "protocols/target_registry.hpp"
+#include "session/framing.hpp"
 #include "session/session_types.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tests/test_support.hpp"
@@ -412,6 +416,72 @@ TEST(InjectTcp, DemoServeSplitsRepliesPerMessage) {
   }
   // The runtime published every session's dirty-word list.
   EXPECT_EQ(hub.snapshot().counter(telem::Counter::kOopAdoptFullScans), 0u);
+}
+
+TEST(InjectTcp, RepliesThatArriveWhileTheClientStillSendsDoNotDeadlock) {
+  // The demo answers each frame as soon as it has read it, so this is the
+  // server that exercises the kTcp client's read-while-writing loop (the
+  // shim answers only after EOF). 256 max-register reads fill the message
+  // cap at the front of the stream, and the same read repeated past
+  // kMaxSessionStreamBytes is the raw tail: the demo writes its 256
+  // answers while the client still has ~1 MiB of requests (past the
+  // loopback socket buffers) to send, so the replies arrive inside the
+  // client's send loop, which must take them and finish the session. The
+  // ~66 KiB of answers are the most the demo gives one session and still
+  // fit in the loopback buffers, so this runs the interleaving rather
+  // than proving it is needed.
+  const Bytes read_max = {0x00, 0x01, 0x00, 0x00, 0x00, 0x06,
+                          0x11, 0x03, 0x00, 0x00, 0x00, 0x7D};
+  Bytes stream;
+  while (stream.size() <= session::kMaxSessionStreamBytes) {
+    append(stream, ByteSpan(read_max));
+  }
+
+  fuzz::ExecutorConfig tcp_config;
+  tcp_config.backend.kind = fuzz::BackendKind::kTcp;
+  tcp_config.backend.target_cmd = demo_cmd();
+  tcp_config.backend.target_cmd.push_back("--serve");
+  tcp_config.backend.preload = preload_path();
+  tcp_config.backend.exec_timeout_ms = kGenerousTimeoutMs;
+  tcp_config.backend.session.framing = session::Framing::kMbap;
+  tcp_config.backend.session.record_traffic = true;
+  // 256 instrumented 125-register reads count past the default event
+  // budget; the wall-clock deadline is what this test is about.
+  tcp_config.hang_event_budget = std::uint64_t{1} << 40;
+  fuzz::Executor tcp(std::move(tcp_config));
+  fuzz::ExecutorConfig fork_config;
+  fork_config.backend = demo_backend(kGenerousTimeoutMs);
+  fuzz::Executor fork(std::move(fork_config));
+  const std::unique_ptr<ProtocolTarget> placeholder =
+      proto::target_factory("libmodbus")();
+  const Bytes alone = fork.run(*placeholder, ByteSpan(read_max)).response;
+  ASSERT_EQ(alone.size(), 259u);
+
+  const auto start = std::chrono::steady_clock::now();
+  const fuzz::ExecResult& result = tcp.run(*placeholder, ByteSpan(stream));
+  const std::int64_t waited =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_LT(waited, kGenerousTimeoutMs);
+  ASSERT_TRUE(result.faults.empty()) << result.faults.front().detail;
+  EXPECT_EQ(result.session_messages, session::kMaxSessionMessages + 1);
+  const session::SessionTraffic* traffic = tcp.backend().traffic();
+  ASSERT_NE(traffic, nullptr);
+  ASSERT_EQ(traffic->responses.size(), session::kMaxSessionMessages + 1);
+  // The client split the reply bytes by the logged lengths, which must
+  // account for every byte it read: each frame's answer is the demo's
+  // fork-mode answer, and the raw tail got the rest.
+  std::size_t logged = 0;
+  for (std::size_t m = 0; m < traffic->responses.size(); ++m) {
+    if (m < session::kMaxSessionMessages) {
+      EXPECT_EQ(traffic->responses[m], alone) << "message " << m;
+    }
+    logged += traffic->responses[m].size();
+  }
+  EXPECT_FALSE(traffic->responses.back().empty());
+  EXPECT_EQ(result.response.size(), logged);
+  EXPECT_GT(logged, session::kMaxSessionMessages * alone.size());
 }
 
 TEST(InjectTcp, ServerExitMidSessionIsALostServerAsOnTheShim) {

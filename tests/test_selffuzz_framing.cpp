@@ -1,19 +1,23 @@
-// Self-fuzzing harness for the session framing layer: split_stream() (the
-// client's canonical split, framing.hpp) against StreamReassembler (the
-// server's incremental split, reassembler.hpp).
+// Self-fuzzing harness for the session framing layer: split_stream()
+// (framing.hpp), the one split of a session stream into messages that the
+// client, the in-process session backend and the shim's TCP server all run.
 //
-// The pipelined TCP session client sends a whole session at once, so the
-// server's reassembler sees coalesced segments of arbitrary shape. The
-// in-process vs over-TCP differential oracle holds only if, for every
-// stream, every segmentation reassembles to the canonical split. The
-// hand-written cases in test_reassembler.cpp pin the known shapes; this
-// harness drives the same property with the fuzzer's own byte mutators
-// (the operators Strategy::ByteMutation stacks), AFL-style: a pool seeded
-// with valid multi-frame streams per framing, each round stacking 1-8
-// mutations on a pool entry and keeping some results as new seeds. Each
-// stream is fed whole and in random chunkings, and every feeding must
-// yield the canonical frames and residue, with the residue index split_stream
-// reports.
+// The in-process vs over-TCP differential oracle runs this split on both
+// arms, so its correctness is the oracle's premise: every stream must
+// decompose into well-formed frames and at most one residue. The
+// hand-written cases in test_framing.cpp pin the known shapes; this
+// harness drives the split's invariants with the fuzzer's own byte
+// mutators (the operators Strategy::ByteMutation stacks), AFL-style: a
+// pool seeded with valid multi-frame streams per framing, each round
+// stacking 1-8 mutations on a pool entry and keeping some results as new
+// seeds. For every stream:
+//   * the ranges tile the considered prefix (the first
+//     kMaxSessionStreamBytes bytes) in order, with no empty range;
+//   * there are at most kMaxSessionMessages complete frames, and
+//     peek_frame accepts each one at exactly its size;
+//   * the residue index is the number of complete frames, and a residue
+//     below the message cap starts where peek_frame finds no complete
+//     frame — the split never stops early.
 //
 // The budget is fixed; the seed is fixed too unless ICSFUZZ_STRESS_SEED is
 // set, which the CI fault-stress lane does with a fresh value per round.
@@ -26,7 +30,6 @@
 
 #include "mutation/mutator.hpp"
 #include "session/framing.hpp"
-#include "session/reassembler.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -35,7 +38,7 @@ namespace {
 
 using session::Framing;
 using session::MessageRange;
-using session::StreamReassembler;
+using session::Peek;
 
 const Framing kFramings[] = {Framing::kApci, Framing::kMbap, Framing::kTpkt,
                              Framing::kDnp3Link};
@@ -108,95 +111,67 @@ Bytes seed_stream(Framing framing, Rng& rng) {
   return stream;
 }
 
-struct Split {
-  std::vector<Bytes> frames;
-  Bytes residue;
-  std::size_t residue_index = 0;
-};
-
-/// The canonical split, checked for its own shape: contiguous ranges from
-/// offset 0 covering exactly the considered prefix, at most
-/// kMaxSessionMessages complete frames, and the residue (if any) last.
-Split canonical(Framing framing, const Bytes& stream) {
-  std::vector<MessageRange> ranges;
-  Split out;
-  out.residue_index = session::split_stream(framing, ByteSpan(stream), ranges);
+/// Splits `stream` and checks the split's invariants; returns false (after
+/// reporting) when one fails. `residue` and `frames` receive the residue's
+/// length (0 when none) and the complete-frame count.
+bool split_holds(Framing framing, const Bytes& stream,
+                 std::vector<MessageRange>& ranges, std::size_t& frames,
+                 std::size_t& residue, const std::string& label) {
+  const std::size_t residue_index =
+      session::split_stream(framing, ByteSpan(stream), ranges);
+  const std::size_t limit =
+      std::min(stream.size(), session::kMaxSessionStreamBytes);
+  frames = std::min(residue_index, ranges.size());
+  residue = residue_index < ranges.size() ? ranges.back().length : 0;
+  bool ok = residue_index == ranges.size() ||
+            residue_index + 1 == ranges.size();
+  EXPECT_TRUE(ok) << label << ": residue index " << residue_index << " of "
+                  << ranges.size() << " ranges";
   std::size_t offset = 0;
-  for (std::size_t i = 0; i < ranges.size(); ++i) {
-    EXPECT_EQ(ranges[i].offset, offset);
-    EXPECT_GT(ranges[i].length, 0u);
-    const std::uint8_t* data = stream.data() + ranges[i].offset;
-    if (i == out.residue_index) {
-      out.residue.assign(data, data + ranges[i].length);
-    } else {
-      out.frames.emplace_back(data, data + ranges[i].length);
+  for (std::size_t i = 0; ok && i < ranges.size(); ++i) {
+    ok = ranges[i].offset == offset && ranges[i].length > 0;
+    EXPECT_TRUE(ok) << label << ": range " << i << " at "
+                    << ranges[i].offset << "+" << ranges[i].length
+                    << " does not follow offset " << offset;
+    if (ok && i < residue_index) {
+      std::size_t frame_size = 0;
+      ok = session::peek_frame(framing, stream.data() + offset,
+                               limit - offset, frame_size) == Peek::kFrame &&
+           frame_size == ranges[i].length;
+      EXPECT_TRUE(ok) << label << ": frame " << i << " of "
+                      << ranges[i].length << " bytes is not one peek_frame "
+                      << "accepts";
     }
     offset += ranges[i].length;
   }
-  EXPECT_EQ(offset, std::min(stream.size(), session::kMaxSessionStreamBytes));
-  EXPECT_LE(out.frames.size(), session::kMaxSessionMessages);
-  EXPECT_EQ(out.residue_index, out.frames.size());
-  EXPECT_GE(out.residue_index + 1, ranges.size());
-  return out;
-}
-
-/// Random chunk sizes covering `size` bytes: mostly small pieces, with
-/// runs of single bytes and the odd large piece.
-std::vector<std::size_t> random_chunking(std::size_t size, Rng& rng) {
-  std::vector<std::size_t> chunks;
-  std::size_t remaining = size;
-  while (remaining > 0) {
-    std::size_t take = 1;
-    switch (rng.below(4)) {
-      case 0: take = 1; break;
-      case 1: take = rng.between(1, 8); break;
-      case 2: take = rng.between(1, 64); break;
-      default: take = rng.between(1, remaining); break;
-    }
-    take = std::min(take, remaining);
-    chunks.push_back(take);
-    remaining -= take;
+  if (!ok) return false;
+  ok = offset == limit && frames <= session::kMaxSessionMessages;
+  EXPECT_TRUE(ok) << label << ": ranges end at " << offset << " of " << limit
+                  << " with " << frames << " frames";
+  if (ok && residue != 0 && frames < session::kMaxSessionMessages) {
+    // Below the message cap, the residue is there only because no
+    // complete frame starts where it does.
+    const MessageRange& tail = ranges.back();
+    std::size_t frame_size = 0;
+    ok = session::peek_frame(framing, stream.data() + tail.offset,
+                             tail.length, frame_size) != Peek::kFrame;
+    EXPECT_TRUE(ok) << label << ": the residue at " << tail.offset
+                    << " starts with a complete frame";
   }
-  return chunks;
+  return ok;
 }
 
-/// Feeds `stream` in `chunks` to a reset reassembler and compares the
-/// result with `expected`. Returns false (after reporting) on a mismatch.
-bool feed_matches(StreamReassembler& reassembler, std::vector<Bytes>& frames,
-                  const Bytes& stream, const std::vector<std::size_t>& chunks,
-                  const Split& expected, const std::string& label) {
-  reassembler.reset();
-  frames.clear();
-  std::size_t offset = 0;
-  for (const std::size_t chunk : chunks) {
-    reassembler.feed(ByteSpan(stream.data() + offset, chunk));
-    offset += chunk;
-  }
-  const ByteSpan residue = reassembler.finish();
-  const bool same = frames == expected.frames &&
-                    Bytes(residue.begin(), residue.end()) == expected.residue &&
-                    reassembler.frames() == expected.residue_index;
-  EXPECT_TRUE(same) << label << ": " << frames.size() << " frames + "
-                    << residue.size() << " residue bytes, expected "
-                    << expected.frames.size() << " + "
-                    << expected.residue.size();
-  return same;
-}
-
-TEST(SelfFuzzFraming, ByteMutationStreamsReassembleToTheCanonicalSplit) {
+TEST(SelfFuzzFraming, ByteMutationStreamsSplitIntoFramesAndOneResidue) {
   const std::uint64_t seed = harness_seed();
   const mutation::MutatorSuite mutators;
   std::size_t streams_checked = 0;
   std::size_t with_residue = 0;
   std::size_t capped = 0;
+  std::vector<MessageRange> ranges;
   for (const Framing framing : kFramings) {
     Rng rng(seed ^ static_cast<std::uint64_t>(framing));
     std::vector<Bytes> pool;
     for (int i = 0; i < 16; ++i) pool.push_back(seed_stream(framing, rng));
-    std::vector<Bytes> frames;
-    StreamReassembler reassembler(framing, [&](ByteSpan frame) {
-      frames.emplace_back(frame.begin(), frame.end());
-    });
     Bytes stream;
     for (int round = 0; round < kRoundsPerFraming; ++round) {
       stream = rng.pick(pool);
@@ -209,19 +184,15 @@ TEST(SelfFuzzFraming, ByteMutationStreamsReassembleToTheCanonicalSplit) {
       }
       if (rng.chance(1, 4) && pool.size() < kPoolCap) pool.push_back(stream);
 
-      const Split expected = canonical(framing, stream);
-      if (!expected.residue.empty()) ++with_residue;
-      if (expected.frames.size() == session::kMaxSessionMessages) ++capped;
-      const std::string label =
+      std::size_t frames = 0;
+      std::size_t residue = 0;
+      ASSERT_TRUE(split_holds(
+          framing, stream, ranges, frames, residue,
           "framing=" + std::string(session::to_string(framing)) +
-          " seed=" + std::to_string(seed) + " round=" + std::to_string(round);
-      ASSERT_TRUE(feed_matches(reassembler, frames, stream, {stream.size()},
-                               expected, label + " whole"));
-      for (int c = 0; c < kChunkingsPerStream; ++c) {
-        ASSERT_TRUE(feed_matches(reassembler, frames, stream,
-                                 random_chunking(stream.size(), rng), expected,
-                                 label + " chunking=" + std::to_string(c)));
-      }
+              " seed=" + std::to_string(seed) +
+              " round=" + std::to_string(round)));
+      if (residue != 0) ++with_residue;
+      if (frames == session::kMaxSessionMessages) ++capped;
       ++streams_checked;
     }
   }
@@ -232,19 +203,15 @@ TEST(SelfFuzzFraming, ByteMutationStreamsReassembleToTheCanonicalSplit) {
   EXPECT_GT(capped, 0u);
 }
 
-TEST(SelfFuzzFraming, StreamsStraddlingTheByteCapClipIdentically) {
+TEST(SelfFuzzFraming, StreamsStraddlingTheByteCapClipAtTheCap) {
   // Mutated streams within 2 KiB of kMaxSessionStreamBytes, on either side
   // of it: the message cap turns all but the first frames into the raw
   // tail, and that tail must end at the stream's end below the byte cap
-  // and at the cap above it, identically on both sides, whatever the
-  // chunking.
+  // and at the cap above it.
   const mutation::MutatorSuite mutators;
   Rng rng(harness_seed() ^ 0xCA9);
-  std::vector<Bytes> frames;
+  std::vector<MessageRange> ranges;
   for (const Framing framing : kFramings) {
-    StreamReassembler reassembler(framing, [&](ByteSpan frame) {
-      frames.emplace_back(frame.begin(), frame.end());
-    });
     for (int round = 0; round < 4; ++round) {
       Bytes unit;
       while (unit.size() < 4096) {
@@ -256,22 +223,14 @@ TEST(SelfFuzzFraming, StreamsStraddlingTheByteCapClipIdentically) {
       while (stream.size() < target) append(stream, ByteSpan(unit));
       stream.resize(target);
       for (int i = 0; i < 4; ++i) mutators.mutate_in_place(stream, rng);
-      const Split expected = canonical(framing, stream);
-      const std::string label =
+      std::size_t frames = 0;
+      std::size_t residue = 0;
+      ASSERT_TRUE(split_holds(
+          framing, stream, ranges, frames, residue,
           "framing=" + std::string(session::to_string(framing)) +
-          " round=" + std::to_string(round) +
-          " size=" + std::to_string(stream.size());
-      ASSERT_TRUE(feed_matches(reassembler, frames, stream, {stream.size()},
-                               expected, label + " whole"));
-      std::vector<std::size_t> chunks;
-      for (std::size_t left = stream.size(); left > 0;) {
-        const std::size_t take = std::min<std::size_t>(
-            left, rng.between(1, 64 << 10));
-        chunks.push_back(take);
-        left -= take;
-      }
-      ASSERT_TRUE(feed_matches(reassembler, frames, stream, chunks, expected,
-                               label + " chunked"));
+              " round=" + std::to_string(round) +
+              " size=" + std::to_string(stream.size())));
+      EXPECT_NE(residue, 0u);
     }
   }
 }

@@ -417,10 +417,13 @@ TEST(SessionDifferential, FullDuplexMaxSessionDoesNotDeadlock) {
   // 256 Modbus max-register reads fill the message cap; the same read
   // repeated past kMaxSessionStreamBytes is the raw tail. The 1 MiB
   // request stream outgrows the loopback socket buffers, so the client's
-  // send loop must interleave with the server's reads, and the replies
-  // (~68 KiB of 259-byte responses, the most any in-tree target answers
-  // to one session) arrive while it is still sending. The session must
-  // complete inside the deadline and match the in-process arm exactly.
+  // send loop must interleave with the server's reads; the server keeps
+  // the capped prefix, drains the bytes past it, and answers after EOF
+  // with ~66 KiB of 259-byte responses (the most any in-tree target
+  // answers to one session). The session must complete inside the
+  // deadline and match the in-process arm exactly. Replies that arrive
+  // while the client is still sending come from a server that answers as
+  // it reads: InjectTcp.RepliesThatArriveWhileTheClientStillSendsDoNotDeadlock.
   const Bytes read_max = {0x00, 0x01, 0x00, 0x00, 0x00, 0x06,
                           0x11, 0x03, 0x00, 0x00, 0x00, 0x7D};
   Bytes stream;

@@ -383,6 +383,23 @@ TEST(Strings, ParseIntSignedRange) {
   EXPECT_FALSE(parse_int("1.5").has_value());
 }
 
+TEST(Strings, ParseIntRejectsWhitespaceAfterTheSign) {
+  // The whole trimmed string must be the numeral: the digits follow the
+  // sign directly.
+  EXPECT_FALSE(parse_int("- 5").has_value());
+  EXPECT_FALSE(parse_int("+ 4").has_value());
+  EXPECT_FALSE(parse_int("-\t5").has_value());
+  EXPECT_FALSE(parse_int(" + 4 ").has_value());
+  EXPECT_FALSE(parse_int("+").has_value());
+  EXPECT_FALSE(parse_int("+-5").has_value());
+  EXPECT_EQ(parse_int(" -5 "), -5);
+  EXPECT_EQ(parse_int("\t+4\n"), 4);
+  std::string error;
+  EXPECT_FALSE(parse_int("- 5", "--interval-ms", &error).has_value());
+  EXPECT_NE(error.find("--interval-ms"), std::string::npos);
+  EXPECT_NE(error.find("- 5"), std::string::npos);
+}
+
 // ------------------------------------------------ JSON \uXXXX + surrogates
 
 TEST(Json, DecodesBasicPlaneEscapes) {

@@ -15,8 +15,8 @@
 // With --tcp the harness becomes a loopback *session* server instead
 // (session/tcp_server.hpp): it binds an ephemeral 127.0.0.1 port,
 // announces it over the status descriptor, and serves whole stateful
-// sessions — one TCP connection each, reassembled with the project's
-// message framing — for the kTcp session backend.
+// sessions — one TCP connection each, read to EOF and split with the
+// project's message framing — for the kTcp session backend.
 //
 // ICSFUZZ_SHIM_* environment knobs inject deterministic faults (child
 // kill / hang / OOM / server crash / no handshake) for the fault-injection
