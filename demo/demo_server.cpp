@@ -23,6 +23,11 @@
 //               splits the reply stream by that log, one write per
 //               message.
 //
+// Bulk read, function code 0x41 (in Modbus's user-defined range): the
+// 2-byte body is a count of 1..kMaxBulkBytes, and the answer carries that
+// many payload bytes, byte i being i mod 256. It lets a session's replies
+// outgrow the socket buffers (the TCP client's full-duplex test).
+//
 // Fault-trigger function codes (for crash/hang/OOM classification tests):
 //   0x66  null-pointer write (SIGSEGV)
 //   0x67  hang forever (pause loop)
@@ -66,6 +71,9 @@ namespace {
 constexpr std::size_t kFrameHeader = 7;
 constexpr std::size_t kMaxStreamMessages = 256;
 constexpr std::size_t kMaxStreamBytes = std::size_t{1} << 20;
+
+constexpr std::uint8_t kBulkRead = 0x41;
+constexpr std::uint16_t kMaxBulkBytes = 0xFF00;
 
 constexpr std::uint8_t kFaultCrash = 0x66;
 constexpr std::uint8_t kFaultHang = 0x67;
@@ -250,6 +258,23 @@ void process_frame(const std::uint8_t* frame, std::size_t size,
       const char* name = category < 3 ? "icsfuzz-demo" : "demo-extended";
       payload.push_back(static_cast<std::uint8_t>(std::strlen(name)));
       payload.insert(payload.end(), name, name + std::strlen(name));
+      respond(out, tid, pid, unit, fc, payload);
+      return;
+    }
+    case kBulkRead: {
+      if (body_len < 2) {
+        respond_exception(out, tid, pid, unit, fc, 0x03);
+        return;
+      }
+      const std::uint16_t count = be16(body);
+      if (count < 1 || count > kMaxBulkBytes) {
+        respond_exception(out, tid, pid, unit, fc, 0x03);
+        return;
+      }
+      payload.resize(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        payload[i] = static_cast<std::uint8_t>(i);
+      }
       respond(out, tid, pid, unit, fc, payload);
       return;
     }

@@ -13,8 +13,16 @@
 // still deduplicated — the half-clear costs one move, no rehash, no copy.
 //
 // Each generation is a FlatU64Set (util/flat_u64_set.hpp) holding the raw
-// FNV-1a packet hashes: an insert allocates only when its table doubles,
-// and a full checkpoint copies each table in slot order, unsorted.
+// FNV-1a packet hashes (fnv1a64): an insert allocates only when its table
+// doubles, and a full checkpoint copies each table in slot order, unsorted.
+//
+// The fuzzer probes a packet's hash once, when it generates the packet
+// (contains with a Probe), and inserts it when the packet commits. The
+// Probe remembers where the current generation's probe stopped, the table's
+// slot count and a rotation count; insert(hash, probe) stores straight into
+// that slot when nothing has moved, skipping both generations' re-probes,
+// and otherwise falls back to insert(). Either way the tables, and so the
+// snapshots and the journal, are exactly those of plain inserts.
 //
 // Incremental checkpoints (supervise/checkpoint.hpp) read the journal
 // instead: once armed, every successful insert is appended to a buffer
@@ -40,28 +48,44 @@ class GenerationalDedup {
   explicit GenerationalDedup(std::size_t capacity = 1ULL << 21)
       : capacity_(capacity < 2 ? 2 : capacity) {}
 
+  /// Where contains(hash, probe) stopped in the current generation, and
+  /// the table state it saw.
+  struct Probe {
+    std::size_t slot = 0;
+    std::size_t slot_count = 0;
+    std::uint64_t rotations = 0;
+  };
+
   /// Records `hash`; returns true when it was NOT seen in the two retained
   /// generations (i.e. the packet should execute).
   bool insert(std::uint64_t hash) {
     if (previous_.contains(hash) || !current_.insert(hash)) return false;
-    if (journal_valid_) {
-      if (journal_.size() < journal_limit_) {
-        journal_.push_back(hash);
-      } else {
-        journal_valid_ = false;
-      }
-    }
-    if (current_.size() >= capacity_ / 2) {
-      // Rotate: the oldest generation's memory is released, the newest
-      // half of the history is retained verbatim.
-      previous_ = std::move(current_);
-      journal_valid_ = false;
-    }
+    record(hash);
+    return true;
+  }
+
+  /// insert() of a `hash` that contains(hash, probe) found absent. With no
+  /// rotation or restore since the probe, `previous_` is unchanged and is
+  /// not probed again, and the current generation stores the hash straight
+  /// into the probed slot when it can (FlatU64Set::insert_at). Tables and
+  /// journal end up exactly as after insert().
+  bool insert(std::uint64_t hash, const Probe& probe) {
+    if (probe.rotations != rotations_) return insert(hash);
+    if (!current_.insert_at(hash, probe.slot, probe.slot_count)) return false;
+    record(hash);
     return true;
   }
 
   [[nodiscard]] bool contains(std::uint64_t hash) const {
     return current_.contains(hash) || previous_.contains(hash);
+  }
+
+  /// contains(), remembering in `probe` where the current generation's
+  /// probe stopped, for a later insert(hash, probe).
+  [[nodiscard]] bool contains(std::uint64_t hash, Probe& probe) const {
+    probe.slot_count = current_.slot_count();
+    probe.rotations = rotations_;
+    return current_.contains(hash, probe.slot) || previous_.contains(hash);
   }
 
   /// Hashes currently retained (both generations).
@@ -85,6 +109,7 @@ class GenerationalDedup {
                            std::span<const std::uint64_t> previous) {
     current_.restore(current);
     previous_.restore(previous);
+    ++rotations_;
     journal_valid_ = false;
   }
 
@@ -108,12 +133,33 @@ class GenerationalDedup {
   }
 
  private:
+  /// The bookkeeping after `hash` joined the current generation.
+  void record(std::uint64_t hash) {
+    if (journal_valid_) {
+      if (journal_.size() < journal_limit_) {
+        journal_.push_back(hash);
+      } else {
+        journal_valid_ = false;
+      }
+    }
+    if (current_.size() >= capacity_ / 2) {
+      // Rotate: the oldest generation's memory is released, the newest
+      // half of the history is retained verbatim.
+      previous_ = std::move(current_);
+      ++rotations_;
+      journal_valid_ = false;
+    }
+  }
+
   std::size_t capacity_;
   FlatU64Set current_;
   FlatU64Set previous_;
   std::vector<std::uint64_t> journal_;
   std::size_t journal_limit_ = 0;
   bool journal_valid_ = false;
+  /// Bumped by every rotation and restore: a Probe taken before either is
+  /// stale.
+  std::uint64_t rotations_ = 0;
 };
 
 }  // namespace icsfuzz::fuzz

@@ -66,14 +66,11 @@ const model::DataModel& Fuzzer::choose_model(Rng& rng) {
 }
 
 bool Fuzzer::seen_before(Speculation& entry) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (std::uint8_t byte : entry.packet) {
-    hash ^= byte;
-    hash *= 1099511628211ULL;
-  }
+  const std::uint64_t hash = fnv1a64(entry.packet);
   // Memory stays bounded via generational half-clears: at least the most
-  // recent dedup_capacity/2 packets remain deduplicated at all times.
-  if (executed_.contains(hash)) return true;
+  // recent dedup_capacity/2 packets remain deduplicated at all times. The
+  // probe's stopping slot is kept so commit() can store there directly.
+  if (executed_.contains(hash, entry.probe)) return true;
   // The window's earlier generations commit first, so their fresh hashes
   // count as executed.
   for (std::size_t k = 0; k < window_size_; ++k) {
@@ -216,7 +213,7 @@ void Fuzzer::commit(const Speculation& head) {
   }
   gen_imported_ -= head.imported_taken;
   gen_batch_ -= head.batch_taken;
-  if (head.fresh) executed_.insert(head.fresh_hash);
+  if (head.fresh) executed_.insert(head.fresh_hash, head.probe);
   window_head_ = (window_head_ + 1) % window_depth_;
   --window_size_;
 }

@@ -259,9 +259,12 @@ class Fuzzer {
     /// Queue entries this generation read (accepted or skipped as repeats).
     std::uint32_t imported_taken = 0;
     std::uint32_t batch_taken = 0;
-    /// The packet's hash joins the dedup tables on commit.
+    /// The packet's hash joins the dedup tables on commit, through the
+    /// probe seen_before() took (the fallback covers tables the window's
+    /// earlier commits filled or grew meanwhile).
     bool fresh = false;
     std::uint64_t fresh_hash = 0;
+    GenerationalDedup::Probe probe;
     /// Telemetry clock at submit when this execution's latency is sampled.
     std::uint64_t submit_ns = 0;
   };

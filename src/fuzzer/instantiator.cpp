@@ -5,7 +5,7 @@ namespace icsfuzz::fuzz {
 model::TreeBuilder& ModelInstantiator::build_defaults(
     const model::DataModel& model, Rng& rng) const {
   model::TreeBuilder& builder = tree_for(model);
-  builder.rebuild(model, RandomChoice{rng}, model::write_default);
+  builder.rebuild_defaults(model, RandomChoice{rng});
   return builder;
 }
 
@@ -15,7 +15,7 @@ model::TreeBuilder& ModelInstantiator::rebuild(const model::DataModel& model,
   if (rng.chance(config_.sequential_mode_pct, 100)) {
     // Peach's sequential profile: every field at its default, then 1-2
     // randomly chosen free fields take aggressive values.
-    builder.rebuild(model, RandomChoice{rng}, model::write_default);
+    builder.rebuild_defaults(model, RandomChoice{rng});
     const std::vector<model::InsNode*>& leaves = builder.free_leaves();
     if (!leaves.empty()) {
       const std::size_t perturbations =

@@ -7,9 +7,12 @@
 // Generation is allocation-free once warm: each model gets a TreeBuilder
 // that rebuilds its tree in place, leaves are written straight into the
 // reused nodes, and File Fixup and serialization run over the leaf order
-// the builder recorded. The instantiator therefore carries mutable
-// per-model scratch and is not thread-safe; each Fuzzer (and so each
-// parallel worker) owns its own.
+// the builder recorded. The default rebuilds behind Peach's sequential
+// profile and the semantic generator's donor-recombination profile
+// (build_defaults) restore the model's recorded default bytes instead of
+// walking it, unless the model has a Choice. The instantiator therefore
+// carries mutable per-model scratch and is not thread-safe; each Fuzzer
+// (and so each parallel worker) owns its own.
 #pragma once
 
 #include <unordered_map>
@@ -42,7 +45,9 @@ class ModelInstantiator {
 
   /// Rebuilds `model`'s reused tree with every field at its default and
   /// random Choice alternatives, constraints not applied: the base of both
-  /// sequential profiles. Returns the model's builder.
+  /// sequential profiles (TreeBuilder::rebuild_defaults, so a Choice-free
+  /// model is restored from its recorded defaults). Returns the model's
+  /// builder.
   model::TreeBuilder& build_defaults(const model::DataModel& model,
                                      Rng& rng) const;
 

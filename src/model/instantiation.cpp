@@ -251,6 +251,32 @@ void index_nodes(InsNode& node, std::vector<InsNode*>& by_ordinal) {
   for (InsNode& child : node.children) index_nodes(child, by_ordinal);
 }
 
+/// memcpy for the few bytes a leaf usually holds: fixed-size moves of
+/// overlapping halves rather than a library call per leaf.
+void copy_bytes(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
+  if (n >= 16) {
+    std::memcpy(dst, src, n);
+  } else if (n >= 8) {
+    std::uint64_t head = 0;
+    std::uint64_t tail = 0;
+    std::memcpy(&head, src, 8);
+    std::memcpy(&tail, src + n - 8, 8);
+    std::memcpy(dst, &head, 8);
+    std::memcpy(dst + n - 8, &tail, 8);
+  } else if (n >= 4) {
+    std::uint32_t head = 0;
+    std::uint32_t tail = 0;
+    std::memcpy(&head, src, 4);
+    std::memcpy(&tail, src + n - 4, 4);
+    std::memcpy(dst, &head, 4);
+    std::memcpy(dst + n - 4, &tail, 4);
+  } else if (n > 0) {
+    dst[0] = src[0];
+    dst[n / 2] = src[n / 2];
+    dst[n - 1] = src[n - 1];
+  }
+}
+
 /// Copies the contents of leaves [first, end) into `out`, which must hold
 /// exactly their total size.
 void copy_leaves(const std::vector<InsNode*>& leaves, std::size_t first,
@@ -258,8 +284,7 @@ void copy_leaves(const std::vector<InsNode*>& leaves, std::size_t first,
   std::uint8_t* dst = out.data();
   for (std::size_t i = first; i < end; ++i) {
     const Bytes& content = leaves[i]->content;
-    if (content.empty()) continue;
-    std::memcpy(dst, content.data(), content.size());
+    copy_bytes(dst, content.data(), content.size());
     dst += content.size();
   }
 }
@@ -429,6 +454,25 @@ void TreeBuilder::sum_leaf_sizes() {
     total += leaves_[i]->content.size();
   }
   offsets_[leaves_.size()] = total;
+}
+
+void TreeBuilder::record_defaults() {
+  defaults_model_ = tree_.model;
+  defaults_.clear();
+  default_offsets_.assign(1, 0);
+  for (const InsNode* leaf : leaves_) {
+    append(defaults_, leaf->content);
+    default_offsets_.push_back(defaults_.size());
+  }
+}
+
+void TreeBuilder::restore_defaults() {
+  for (std::size_t i = 0; i < leaves_.size(); ++i) {
+    Bytes& content = leaves_[i]->content;
+    content.resize(default_offsets_[i + 1] - default_offsets_[i]);
+    copy_bytes(content.data(), defaults_.data() + default_offsets_[i],
+               content.size());
+  }
 }
 
 std::size_t TreeBuilder::apply_constraints() {

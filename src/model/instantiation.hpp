@@ -20,6 +20,13 @@
 //     sums and a checksum's input is a run of leaves; no tree walk.
 //   * `apply_constraints(InsTree&)` — the tree-walking reference oracle,
 //     for parsed trees and tests.
+//
+// Both sequential generation profiles start a packet from every field at
+// its default. `TreeBuilder::rebuild_defaults` records a model's default
+// leaf bytes on its first default build and, as long as the model's walk
+// meets no Choice (so its shape is fixed), restores them by copy on every
+// later one instead of walking the model again; a model with a Choice is
+// walked every time, drawing its alternatives in the same order.
 #pragma once
 
 #include <cstdint>
@@ -146,8 +153,32 @@ class TreeBuilder {
     leaves_.clear();
     free_leaves_.clear();
     ++epoch_;
+    met_choice_ = false;
     build(tree_.root, model.root(), choose, fill);
   }
+
+  /// rebuild() with every leaf at its write_default content. The first
+  /// default rebuild of a model whose walk meets no Choice records every
+  /// leaf's default bytes in wire order, in one flat buffer plus offsets.
+  /// Such a model has one shape, so while the tree holds it, every later
+  /// default rebuild copies each leaf back from the buffer instead of
+  /// walking the model: leaves(), free_leaves() and the built leaf ranges
+  /// are already right. A model whose rebuild meets a Choice is walked as
+  /// by rebuild(), calling `choose` in the same pre-order.
+  template <typename Choose>
+  void rebuild_defaults(const DataModel& model, Choose&& choose) {
+    if (defaults_model_ == &model && tree_.model == &model) {
+      restore_defaults();
+      return;
+    }
+    rebuild(model, choose, write_default);
+    ++default_walks_;
+    if (!met_choice_) record_defaults();
+  }
+
+  /// rebuild_defaults() calls that walked the model rather than restoring
+  /// the recorded defaults.
+  [[nodiscard]] std::uint64_t default_walks() const { return default_walks_; }
 
   /// The last rebuilt tree.
   [[nodiscard]] InsTree& tree() { return tree_; }
@@ -210,6 +241,7 @@ class TreeBuilder {
         }
         break;
       case ChunkKind::Choice: {
+        met_choice_ = true;
         const std::size_t pick = choose(chunk);
         select(node, chunk, pick);
         build(node.children.front(), chunk.children()[pick], choose, fill);
@@ -232,6 +264,11 @@ class TreeBuilder {
   /// Recomputes offsets_ from the leaves' current sizes.
   void sum_leaf_sizes();
 
+  /// Records the leaves' current contents as the model's defaults.
+  void record_defaults();
+  /// Copies the recorded defaults back into the leaves.
+  void restore_defaults();
+
   InsTree tree_;
   std::vector<InsNode> parked_;   // by chunk ordinal
   std::vector<Built> built_;      // by chunk ordinal
@@ -240,6 +277,13 @@ class TreeBuilder {
   std::vector<InsNode*> free_leaves_;
   std::vector<std::size_t> offsets_;  // offsets_[i] = bytes before leaf i
   Bytes ref_bytes_;                   // a checksum's input
+  bool met_choice_ = false;           // the last rebuild built a Choice
+  /// The recorded defaults: leaf i's bytes are
+  /// defaults_[default_offsets_[i], default_offsets_[i + 1]).
+  const DataModel* defaults_model_ = nullptr;
+  Bytes defaults_;
+  std::vector<std::size_t> default_offsets_;
+  std::uint64_t default_walks_ = 0;
 };
 
 }  // namespace icsfuzz::model

@@ -16,13 +16,17 @@ void append(Bytes& head, ByteSpan tail) {
   head.insert(head.end(), tail.begin(), tail.end());
 }
 
-std::uint64_t content_hash(ByteSpan data) {
+std::uint64_t fnv1a64(ByteSpan data) {
   std::uint64_t hash = 1469598103934665603ULL;
   for (std::uint8_t byte : data) {
     hash ^= byte;
     hash *= 1099511628211ULL;
   }
-  return hash ^ data.size();
+  return hash;
+}
+
+std::uint64_t content_hash(ByteSpan data) {
+  return fnv1a64(data) ^ data.size();
 }
 
 std::uint64_t mix64(std::uint64_t value) {
@@ -156,35 +160,6 @@ Bytes encode_uint(std::uint64_t value, std::size_t width, Endian endian) {
   Bytes out;
   encode_uint_into(value, width, endian, out);
   return out;
-}
-
-void encode_uint_into(std::uint64_t value, std::size_t width, Endian endian,
-                      Bytes& out) {
-  out.clear();
-  if (width == 0 || width > 8) return;
-  out.resize(width);
-  if (endian == Endian::Big) {
-    for (std::size_t i = 0; i < width; ++i) {
-      out[width - 1 - i] = static_cast<std::uint8_t>(value >> (8 * i));
-    }
-  } else {
-    for (std::size_t i = 0; i < width; ++i) {
-      out[i] = static_cast<std::uint8_t>(value >> (8 * i));
-    }
-  }
-}
-
-std::uint64_t decode_uint(ByteSpan span, Endian endian) {
-  if (span.empty() || span.size() > 8) return 0;
-  std::uint64_t value = 0;
-  if (endian == Endian::Big) {
-    for (std::uint8_t byte : span) value = (value << 8) | byte;
-  } else {
-    for (std::size_t i = span.size(); i > 0; --i) {
-      value = (value << 8) | span[i - 1];
-    }
-  }
-  return value;
 }
 
 }  // namespace icsfuzz

@@ -36,6 +36,12 @@ void append(Bytes& head, ByteSpan tail);
 /// must agree on this function or cross-component dedup drifts.
 std::uint64_t content_hash(ByteSpan data);
 
+/// content_hash before the length is folded in: 64-bit FNV-1a, the
+/// executed-packet dedup key. Its offset basis, 1469598103934665603, is not
+/// the published one (14695981039346656037); checkpointed dedup tables hold
+/// these values, so it stays.
+std::uint64_t fnv1a64(ByteSpan data);
+
 /// Stateless splitmix64 finalizer: the shared 64-bit scrambler behind the
 /// order-insensitive set fingerprints (coverage trace hash, replay path
 /// fingerprint).
@@ -135,11 +141,38 @@ class ByteWriter {
 Bytes encode_uint(std::uint64_t value, std::size_t width, Endian endian);
 
 /// Buffer-reusing encode_uint: writes the bytes into `out` (cleared first,
-/// capacity retained).
-void encode_uint_into(std::uint64_t value, std::size_t width, Endian endian,
-                      Bytes& out);
+/// capacity retained). Inline, as is decode_uint: File Fixup and leaf
+/// generation call them dozens of times per packet.
+inline void encode_uint_into(std::uint64_t value, std::size_t width,
+                             Endian endian, Bytes& out) {
+  if (width == 0 || width > 8) {
+    out.clear();
+    return;
+  }
+  out.resize(width);  // every byte is written below
+  if (endian == Endian::Big) {
+    for (std::size_t i = 0; i < width; ++i) {
+      out[width - 1 - i] = static_cast<std::uint8_t>(value >> (8 * i));
+    }
+  } else {
+    for (std::size_t i = 0; i < width; ++i) {
+      out[i] = static_cast<std::uint8_t>(value >> (8 * i));
+    }
+  }
+}
 
 /// Decodes `span` (1..8 bytes) as an unsigned integer; returns 0 for empty.
-std::uint64_t decode_uint(ByteSpan span, Endian endian);
+inline std::uint64_t decode_uint(ByteSpan span, Endian endian) {
+  if (span.empty() || span.size() > 8) return 0;
+  std::uint64_t value = 0;
+  if (endian == Endian::Big) {
+    for (std::uint8_t byte : span) value = (value << 8) | byte;
+  } else {
+    for (std::size_t i = span.size(); i > 0; --i) {
+      value = (value << 8) | span[i - 1];
+    }
+  }
+  return value;
+}
 
 }  // namespace icsfuzz

@@ -112,9 +112,27 @@ bool FlatU64Set::insert(std::uint64_t key) {
 }
 
 bool FlatU64Set::contains(std::uint64_t key) const {
+  std::size_t slot = 0;
+  return contains(key, slot);
+}
+
+bool FlatU64Set::contains(std::uint64_t key, std::size_t& slot) const {
+  slot = 0;
   if (key == 0) return has_zero_;
   if (slots_ == nullptr) return false;
-  return slots_[probe(key)] == key;
+  slot = probe(key);
+  return slots_[slot] == key;
+}
+
+bool FlatU64Set::insert_at(std::uint64_t key, std::size_t slot,
+                           std::size_t slot_count) {
+  if (key == 0 || slot_count != slot_count_ || slots_ == nullptr ||
+      slots_[slot] != 0 || (filled_ + 1) * 2 > slot_count_) {
+    return insert(key);
+  }
+  slots_[slot] = key;
+  ++filled_;
+  return true;
 }
 
 void FlatU64Set::grow() {

@@ -10,6 +10,13 @@
 // multiply spreads it only inside the slot index, so keys with weak low
 // bits (FNV-1a packet hashes) index as well as splitmix-finalized ones.
 //
+// A caller that probes a key long before it inserts it (the fuzzer's
+// executed-packet dedup: probe at generation, insert at commit) keeps the
+// probe's stopping slot from contains(key, slot) and hands it back to
+// insert_at(), which stores there without probing again when the slot is
+// still empty and the table has not grown. Linear probing never deletes,
+// so that slot is still the one insert() would pick.
+//
 // Checkpoint form: snapshot() lists the keys in table order and restore()
 // rebuilds the identical slot layout from that list, so capture -> restore
 // -> capture is byte-identical and the table's memory is copied, not
@@ -39,6 +46,19 @@ class FlatU64Set {
   bool insert(std::uint64_t key);
 
   [[nodiscard]] bool contains(std::uint64_t key) const;
+
+  /// contains(), also setting `slot` to where the probe stopped: the key's
+  /// slot, or the empty slot insert() would put it in.
+  [[nodiscard]] bool contains(std::uint64_t key, std::size_t& slot) const;
+
+  /// insert() of a `key` that contains(key, slot) found absent while the
+  /// table had `slot_count` slots. Stores it straight into `slot` when that
+  /// slot is still empty, the table has not grown and the insert stays
+  /// within the load cap; otherwise falls back to insert(). Linear probing
+  /// never deletes, so an empty remembered slot is still the first empty
+  /// one on the key's probe run: the layout is exactly insert()'s. The
+  /// caller must not have restored or cleared the set since the probe.
+  bool insert_at(std::uint64_t key, std::size_t slot, std::size_t slot_count);
 
   [[nodiscard]] std::size_t size() const {
     return filled_ + (has_zero_ ? 1 : 0);

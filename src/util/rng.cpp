@@ -12,10 +12,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -24,40 +20,6 @@ Rng::Rng(std::uint64_t seed) {
   // xoshiro must not start from the all-zero state.
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
 }
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::below(std::uint64_t bound) {
-  if (bound == 0) return 0;
-  // Rejection sampling to remove modulo bias.
-  const std::uint64_t threshold = (0ULL - bound) % bound;
-  for (;;) {
-    const std::uint64_t draw = next_u64();
-    if (draw >= threshold) return draw % bound;
-  }
-}
-
-std::uint64_t Rng::between(std::uint64_t lo, std::uint64_t hi) {
-  if (hi <= lo) return lo;
-  return lo + below(hi - lo + 1);
-}
-
-bool Rng::chance(std::uint64_t numerator, std::uint64_t denominator) {
-  if (denominator == 0) return false;
-  return below(denominator) < numerator;
-}
-
-std::uint8_t Rng::byte() { return static_cast<std::uint8_t>(next_u64() & 0xFF); }
 
 double Rng::unit() {
   return static_cast<double>(next_u64() >> 11) * (1.0 / 9007199254740992.0);

@@ -3,7 +3,9 @@
 // xoshiro256** — fast, high-quality, and (critically for reproducible
 // experiments) fully determined by its 64-bit seed. Every stochastic choice
 // in the fuzzers flows through an Rng instance so campaigns can be repeated
-// bit-for-bit.
+// bit-for-bit. The draws are defined inline: generation makes ~100 of them
+// per packet, mostly with constant bounds, whose divisions then fold into
+// multiplies at the call site.
 #pragma once
 
 #include <cstdint>
@@ -71,5 +73,44 @@ class Rng {
  private:
   std::uint64_t state_[4];
 };
+
+inline std::uint64_t Rng::next_u64() {
+  const auto rotl = [](std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  };
+  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+  const std::uint64_t t = state_[1] << 17;
+  state_[2] ^= state_[0];
+  state_[3] ^= state_[1];
+  state_[1] ^= state_[2];
+  state_[0] ^= state_[3];
+  state_[2] ^= t;
+  state_[3] = rotl(state_[3], 45);
+  return result;
+}
+
+inline std::uint64_t Rng::below(std::uint64_t bound) {
+  if (bound == 0) return 0;
+  // Rejection sampling to remove modulo bias.
+  const std::uint64_t threshold = (0ULL - bound) % bound;
+  for (;;) {
+    const std::uint64_t draw = next_u64();
+    if (draw >= threshold) return draw % bound;
+  }
+}
+
+inline std::uint64_t Rng::between(std::uint64_t lo, std::uint64_t hi) {
+  if (hi <= lo) return lo;
+  return lo + below(hi - lo + 1);
+}
+
+inline bool Rng::chance(std::uint64_t numerator, std::uint64_t denominator) {
+  if (denominator == 0) return false;
+  return below(denominator) < numerator;
+}
+
+inline std::uint8_t Rng::byte() {
+  return static_cast<std::uint8_t>(next_u64() & 0xFF);
+}
 
 }  // namespace icsfuzz

@@ -6,7 +6,9 @@
 //     randomized insert streams against an exact two-generation oracle
 //     model plus the properties the fuzzer actually relies on (the most
 //     recent capacity/2 distinct packets always stay deduplicated, memory
-//     stays bounded, evicted hashes become insertable again).
+//     stays bounded, evicted hashes become insertable again), and the
+//     fuzzer's probe-at-generation, insert-at-commit path checked against
+//     a plain-insert twin through growth, rotation and restore.
 //
 //   * The reader-side dirty-list rebuild (CoverageMap::adopt_external),
 //     hammered with adversarial external word patterns — boundary words 0
@@ -16,7 +18,9 @@
 //     analysis-equivalent to in-process tracing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -181,6 +185,124 @@ TEST(GenerationalDedupStress, JournalReplayRebuildsTheTablesSlotForSlot) {
   dedup.arm_journal(16);
   dedup.restore_generations({}, {});
   EXPECT_FALSE(dedup.journal_valid());
+}
+
+TEST(GenerationalDedupStress, ProbedInsertsMatchThePlainInsertTwin) {
+  // The fuzzer probes a packet's hash when it generates it and inserts it
+  // when it commits, storing into the probed slot. Between the two, other
+  // commits insert (sometimes the same hash), tables grow, generations
+  // rotate and checkpoints restore. Whatever happened, the tables and the
+  // journal must stay exactly those of a twin that only calls insert().
+  Rng rng(0x5107);
+  const std::size_t capacity = 6000;  // rotates every 3000 fresh hashes
+  fuzz::GenerationalDedup probed(capacity);
+  fuzz::GenerationalDedup plain(capacity);
+  struct Pending {
+    std::uint64_t hash;
+    fuzz::GenerationalDedup::Probe probe;
+  };
+  std::deque<Pending> window;
+  std::vector<std::uint64_t> recent;
+  std::size_t stale_duplicates = 0;
+  std::size_t same_table = 0;  // commits that may store into the probed slot
+  std::size_t rotations = 0;
+  const auto next_hash = [&] {
+    if (!recent.empty() && rng.chance(1, 5)) return rng.pick(recent);
+    if (!window.empty() && rng.chance(1, 10)) return rng.pick(window).hash;
+    if (rng.chance(1, 2000)) return std::uint64_t{0};
+    return rng.next_u64();
+  };
+  const auto insert_both = [&](std::uint64_t hash, const auto& insert) {
+    const std::size_t before = plain.current_generation().size();
+    const bool fresh = plain.insert(hash);
+    ASSERT_EQ(insert(), fresh);
+    if (fresh) recent.push_back(hash);
+    if (fresh && plain.current_generation().size() <= before) ++rotations;
+  };
+  for (int step = 0; step < 40000; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const std::uint64_t action = rng.below(100);
+    if (action < 45) {
+      // Generate: probe, and keep the probe while the packet is in flight.
+      Pending pending{next_hash(), {}};
+      ASSERT_EQ(probed.contains(pending.hash, pending.probe),
+                plain.contains(pending.hash));
+      if (!plain.contains(pending.hash) && window.size() < 8) {
+        window.push_back(pending);
+      }
+    } else if (action < 90) {
+      // Commit the oldest in-flight packet through its probe.
+      if (window.empty()) continue;
+      const Pending head = window.front();
+      window.pop_front();
+      if (plain.contains(head.hash)) ++stale_duplicates;
+      if (probed.current_generation().slot_count() == head.probe.slot_count) {
+        ++same_table;
+      }
+      insert_both(head.hash,
+                  [&] { return probed.insert(head.hash, head.probe); });
+    } else if (action < 99) {
+      // Some other insert between a probe and its commit.
+      const std::uint64_t hash = next_hash();
+      insert_both(hash, [&] { return probed.insert(hash); });
+    } else if (rng.chance(1, 4)) {
+      // A checkpoint restore under the in-flight probes.
+      const std::vector<std::uint64_t> current =
+          plain.current_generation().snapshot();
+      const std::vector<std::uint64_t> previous =
+          plain.previous_generation().snapshot();
+      probed.restore_generations(current, previous);
+      plain.restore_generations(current, previous);
+    } else {
+      const std::size_t room = 1 + rng.index(2000);
+      probed.arm_journal(room);
+      plain.arm_journal(room);
+    }
+    ASSERT_EQ(probed.size(), plain.size());
+    ASSERT_EQ(probed.current_generation().slot_count(),
+              plain.current_generation().slot_count());
+    ASSERT_EQ(probed.journal_valid(), plain.journal_valid());
+    if (step % 97 == 0 || step == 39999) {
+      ASSERT_EQ(probed.current_generation().snapshot(),
+                plain.current_generation().snapshot());
+      ASSERT_EQ(probed.previous_generation().snapshot(),
+                plain.previous_generation().snapshot());
+      ASSERT_TRUE(std::equal(probed.journal().begin(), probed.journal().end(),
+                             plain.journal().begin(), plain.journal().end()));
+    }
+  }
+  // The interleavings the test exists for all happened.
+  EXPECT_GT(stale_duplicates, 100u);
+  EXPECT_GT(same_table, 10000u);
+  EXPECT_GE(rotations, 3u);
+  EXPECT_GT(probed.current_generation().slot_count(), 1024u);
+}
+
+TEST(GenerationalDedupStress, StaleProbeNeverStoresADuplicate) {
+  // A probe whose slot another insert of the same hash has taken, or that
+  // a growth or a restore made stale, must fall back and find the hash.
+  fuzz::GenerationalDedup dedup;
+  fuzz::GenerationalDedup::Probe probe;
+  ASSERT_TRUE(dedup.insert(1));
+  ASSERT_FALSE(dedup.contains(42, probe));
+  ASSERT_TRUE(dedup.insert(42));
+  EXPECT_FALSE(dedup.insert(42, probe));
+  EXPECT_EQ(dedup.size(), 2u);
+
+  // The probe predates a growth: its slot index means nothing now.
+  ASSERT_FALSE(dedup.contains(7, probe));
+  ASSERT_TRUE(dedup.insert(7));
+  for (std::uint64_t h = 1000; h < 1600; ++h) ASSERT_TRUE(dedup.insert(h));
+  ASSERT_GT(dedup.current_generation().slot_count(), probe.slot_count);
+  EXPECT_FALSE(dedup.insert(7, probe));
+
+  // The probe predates a restore that brought the hash back.
+  ASSERT_FALSE(dedup.contains(9, probe));
+  const std::vector<std::uint64_t> with_nine = {9};
+  dedup.restore_generations(with_nine, {});
+  EXPECT_FALSE(dedup.insert(9, probe));
+  EXPECT_EQ(dedup.size(), 1u);
+  EXPECT_EQ(dedup.current_generation().snapshot(), with_nine);
 }
 
 // -- Reader-side dirty-list rebuild stress. -------------------------------

@@ -11,8 +11,14 @@
 //     every built-in pit and every shipped pits/*.xml, over many RNG
 //     seeds: a generator with File Fixup is compared against the reference
 //     applied to the tree its fixup-less twin built from the same seed;
+//   * the cached default rebuild (TreeBuilder::rebuild_defaults) on every
+//     model of every pit: each packet restores the recorded defaults over
+//     leaves the previous packet perturbed to other sizes, and must equal
+//     a fresh write_default walk perturbed the same way, before and after
+//     File Fixup, and the reference;
 //   * hand-built models for the edge cases: nested relations, a Choice
-//     whose unselected alternative holds a relation target, a checksum
+//     whose unselected alternative holds a relation target (also rebuilt
+//     through rebuild_defaults, which must keep walking it), a checksum
 //     whose ref holds another checksum, and a relation field stored at a
 //     width other than its spec (its rewrite moves every later measure).
 #include <gtest/gtest.h>
@@ -219,6 +225,59 @@ TEST(FixupDifferential, SemanticGeneratorMatchesReferenceOnEveryPit) {
   }
 }
 
+/// True when both generators are at the same point of the same stream.
+bool same_stream(const Rng& a, const Rng& b) {
+  const Rng::State x = a.state();
+  const Rng::State y = b.state();
+  return std::equal(std::begin(x.words), std::end(x.words),
+                    std::begin(y.words));
+}
+
+/// Rewrites 1-3 random leaves (any leaf, derived ones too) with random
+/// bytes of a size other than their current one.
+void perturb_leaves(TreeBuilder& builder, Rng& rng) {
+  const std::size_t count = 1 + rng.index(3);
+  for (std::size_t i = 0; i < count && !builder.leaves().empty(); ++i) {
+    InsNode* leaf = rng.pick(builder.leaves());
+    std::size_t size = rng.index(2 * leaf->content.size() + 4);
+    if (size == leaf->content.size()) ++size;
+    leaf->content = rng.bytes(size);
+  }
+}
+
+TEST(FixupDifferential, CachedDefaultsMatchAFreshWalkOnEveryPit) {
+  for (const auto& [name, models] : all_pits()) {
+    for (const DataModel& model : models.models()) {
+      TreeBuilder cached;
+      TreeBuilder walked;
+      for (std::uint64_t seed = 0; seed < 40; ++seed) {
+        const std::string what =
+            name + "/" + model.name() + " seed " + std::to_string(seed);
+        Rng rng(seed);
+        Rng twin_rng(seed);
+        cached.rebuild_defaults(model,
+                                fuzz::ModelInstantiator::RandomChoice{rng});
+        walked.rebuild(model, fuzz::ModelInstantiator::RandomChoice{twin_rng},
+                       model::write_default);
+        ASSERT_TRUE(same_stream(rng, twin_rng)) << what;
+        ASSERT_EQ(cached.free_leaves().size(), walked.free_leaves().size())
+            << what;
+        // The same perturbation on both; the next seed's restore must undo
+        // it on the cached builder.
+        perturb_leaves(cached, rng);
+        perturb_leaves(walked, twin_rng);
+        ASSERT_EQ(cached.serialize(), walked.serialize()) << what;
+        const Reference walk_reference(walked.tree());
+        expect_fixup_matches_reference(cached, what);
+        walked.apply_constraints();
+        expect_builder_matches(walked, walk_reference, what);
+        ASSERT_EQ(cached.serialize(), walk_reference.packet) << what;
+      }
+      EXPECT_EQ(cached.default_walks(), 1u) << name << "/" << model.name();
+    }
+  }
+}
+
 // -- Hand-built edge cases. -----------------------------------------------
 
 /// OuterLen(sizeof Body) + Body{InnerLen(sizeof Data), Count(countof Items,
@@ -348,6 +407,34 @@ TEST(FixupDifferential, ChoiceWithAnUnselectedRelationTarget) {
   }
   EXPECT_GT(hidden, 500u);
   EXPECT_GT(shown, 500u);
+}
+
+TEST(FixupDifferential, ChoiceModelDefaultsKeepTheWalk) {
+  // A model with a Choice never restores from a cache: every default
+  // rebuild walks it and draws its alternative in the same pre-order as
+  // rebuild() with write_default.
+  const DataModel model = hidden_target_model();
+  constexpr std::uint64_t kRebuilds = 500;
+  TreeBuilder cached;
+  TreeBuilder walked;
+  for (std::uint64_t seed = 0; seed < kRebuilds; ++seed) {
+    const std::string what = "seed " + std::to_string(seed);
+    Rng rng(seed);
+    Rng twin_rng(seed);
+    cached.rebuild_defaults(model, fuzz::ModelInstantiator::RandomChoice{rng});
+    walked.rebuild(model, fuzz::ModelInstantiator::RandomChoice{twin_rng},
+                   model::write_default);
+    ASSERT_TRUE(same_stream(rng, twin_rng)) << what;
+    ASSERT_EQ(*cached.tree().root.children[1].choice_index,
+              *walked.tree().root.children[1].choice_index)
+        << what;
+    perturb_leaves(cached, rng);
+    perturb_leaves(walked, twin_rng);
+    walked.apply_constraints();
+    expect_fixup_matches_reference(cached, what);
+    ASSERT_EQ(cached.serialize(), walked.serialize()) << what;
+  }
+  EXPECT_EQ(cached.default_walks(), kRebuilds);
 }
 
 TEST(FixupDifferential, ChecksumOverAnotherChecksum) {

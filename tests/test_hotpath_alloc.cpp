@@ -410,6 +410,33 @@ TEST(ZeroAllocation, SemanticGenerationIsAllocationFree) {
   }
 }
 
+TEST(ZeroAllocation, RepeatDefaultBuildsRestoreWithoutWalking) {
+  // Both sequential profiles start from every field at its default. After
+  // a model's first default build, the later ones copy the recorded
+  // defaults back instead of walking the model (no write_default call),
+  // and allocate nothing.
+  for (const std::string& project : pits::all_project_names()) {
+    const model::DataModelSet models = pits::pit_for_project(project);
+    const ModelInstantiator instantiator;
+    Rng rng(0xDEF);
+    for (const model::DataModel& model : models.models()) {
+      instantiator.build_defaults(model, rng);
+    }
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    for (int round = 0; round < 100; ++round) {
+      for (const model::DataModel& model : models.models()) {
+        instantiator.build_defaults(model, rng);
+      }
+    }
+    const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u) << project;
+    for (const model::DataModel& model : models.models()) {
+      EXPECT_EQ(instantiator.tree_for(model).default_walks(), 1u)
+          << project << "/" << model.name();
+    }
+  }
+}
+
 TEST(ZeroAllocation, DedupInsertAllocatesOnlyWhenATableGrows) {
   // Each generation is a flat table that doubles at 50% load: 5000 hashes
   // fill a 16384-slot table, which then takes 8192 before it grows. Every

@@ -484,6 +484,69 @@ TEST(InjectTcp, RepliesThatArriveWhileTheClientStillSendsDoNotDeadlock) {
   EXPECT_GT(logged, session::kMaxSessionMessages * alone.size());
 }
 
+TEST(InjectTcp, RepliesLargerThanTheSocketBuffersDoNotDeadlock) {
+  // The kTcp client must drain replies before the server finishes the
+  // session. The demo answers each bulk read (function 0x41) as soon as it
+  // has read it, here with 48 KiB: 256 of them at the front of the stream
+  // are 12 MiB of answers, more than the client's receive buffer and the
+  // demo's send buffer hold together. The demo therefore blocks in write
+  // until the client reads, with the ~1 MiB of requests after the frames
+  // (the same read repeated past kMaxSessionStreamBytes, the raw tail)
+  // still unread, and cannot complete the session. A client that waited
+  // for the completion before reading would sit out the session deadline.
+  // (On Linux loopback the client's send buffer holds the whole 1 MiB
+  // stream, so its sends complete whether or not it reads meanwhile.)
+  constexpr std::size_t kAnswerBytes = 48 * 1024;
+  const Bytes bulk_read = {0x00, 0x01, 0x00, 0x00, 0x00, 0x04, 0x11, 0x41,
+                           static_cast<std::uint8_t>(kAnswerBytes >> 8),
+                           static_cast<std::uint8_t>(kAnswerBytes & 0xFF)};
+  Bytes stream;
+  while (stream.size() <= session::kMaxSessionStreamBytes) {
+    append(stream, ByteSpan(bulk_read));
+  }
+  // The demo's answer: the request's ids and unit, its length, function
+  // 0x41, then byte i = i mod 256.
+  Bytes answer = {0x00, 0x01, 0x00, 0x00,
+                  static_cast<std::uint8_t>((kAnswerBytes + 2) >> 8),
+                  static_cast<std::uint8_t>((kAnswerBytes + 2) & 0xFF),
+                  0x11, 0x41};
+  for (std::size_t i = 0; i < kAnswerBytes; ++i) {
+    answer.push_back(static_cast<std::uint8_t>(i));
+  }
+
+  fuzz::ExecutorConfig tcp_config;
+  tcp_config.backend.kind = fuzz::BackendKind::kTcp;
+  tcp_config.backend.target_cmd = demo_cmd();
+  tcp_config.backend.target_cmd.push_back("--serve");
+  tcp_config.backend.preload = preload_path();
+  tcp_config.backend.exec_timeout_ms = kGenerousTimeoutMs;
+  tcp_config.backend.session.framing = session::Framing::kMbap;
+  tcp_config.backend.session.record_traffic = true;
+  tcp_config.hang_event_budget = std::uint64_t{1} << 40;
+  fuzz::Executor tcp(std::move(tcp_config));
+  const std::unique_ptr<ProtocolTarget> placeholder =
+      proto::target_factory("libmodbus")();
+
+  const auto start = std::chrono::steady_clock::now();
+  const fuzz::ExecResult& result = tcp.run(*placeholder, ByteSpan(stream));
+  const std::int64_t waited =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_LT(waited, kGenerousTimeoutMs);
+  ASSERT_TRUE(result.faults.empty()) << result.faults.front().detail;
+  EXPECT_EQ(result.session_messages, session::kMaxSessionMessages + 1);
+  const session::SessionTraffic* traffic = tcp.backend().traffic();
+  ASSERT_NE(traffic, nullptr);
+  ASSERT_EQ(traffic->responses.size(), session::kMaxSessionMessages + 1);
+  for (std::size_t m = 0; m < session::kMaxSessionMessages; ++m) {
+    ASSERT_EQ(traffic->responses[m], answer) << "message " << m;
+  }
+  EXPECT_FALSE(traffic->responses.back().empty());
+  EXPECT_GT(result.response.size(),
+            session::kMaxSessionMessages * answer.size());
+}
+
 TEST(InjectTcp, ServerExitMidSessionIsALostServerAsOnTheShim) {
   // ICSFUZZ_SHIM_SERVER_EXIT_AT=2: both session servers claim their
   // sessions through the shared runtime's oop::SlotLifecycle, so each exits

@@ -142,6 +142,19 @@ TEST(EncodeDecode, EmptySpanDecodesToZero) {
 
 // ----------------------------------------------------------------- Checksums
 
+TEST(ContentHash, PinnedValuesAndTheLengthFinalizer) {
+  // The executed-packet dedup key (fnv1a64) is what checkpointed dedup
+  // tables hold, so its values are pinned; content_hash folds the length
+  // in.
+  EXPECT_EQ(fnv1a64({}), 1469598103934665603ULL);
+  const Bytes a = to_bytes("a");
+  EXPECT_EQ(fnv1a64(a), 4953267810257967366ULL);
+  const Bytes foobar = to_bytes("foobar");
+  EXPECT_EQ(fnv1a64(foobar), 9870438755804841970ULL);
+  EXPECT_EQ(content_hash(foobar), fnv1a64(foobar) ^ foobar.size());
+  EXPECT_EQ(content_hash({}), fnv1a64({}));
+}
+
 TEST(Checksum, Crc32KnownVector) {
   // IEEE CRC-32 of "123456789".
   const Bytes data = to_bytes("123456789");
