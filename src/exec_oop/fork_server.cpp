@@ -152,20 +152,23 @@ ForkServer::RunOutcome ForkServer::await() {
   // piped request brought its own). The load is sequentially consistent
   // and follows post()'s request bump, so it pairs with the server's own
   // check after a death.
+  const auto done = [&] {
+    return shared_load(record.done) == request ? 1u : 0u;
+  };
   const std::uint32_t generation =
       std::atomic_ref<std::uint32_t>(block.generation).load();
-  if (!piped && (generation & 1) == 0 && generation != fork_sent_for_) {
+  if (!piped && (generation & 1) == 0 && generation != fork_sent_for_ &&
+      done() == 0) {
+    // A server that exited after its last child published this result
+    // refuses the fork, and the result still stands.
     if (!write_request({.op = Op::kFork, .arg = child_budget()}, {},
-                       io_deadline_ms)) {
+                       io_deadline_ms) &&
+        done() == 0) {
       outcome.kind = last_failure_;
       return outcome;
     }
     fork_sent_for_ = generation;
   }
-
-  const auto done = [&] {
-    return shared_load(record.done) == request ? 1u : 0u;
-  };
   // Child deaths are published (and wake us); only a server that died
   // without publishing needs this check, made when a slice passes quietly.
   const auto server_gone = [&] { return process_.try_reap(); };

@@ -133,6 +133,10 @@ const OutOfProcessExecutor::Outcome& OutOfProcessExecutor::complete() {
   bool done = false;
   for (int attempt = 0; attempt <= config_.retry.max_retries; ++attempt) {
     if (attempt == 1) process_.note_retry();
+    // Every posted request is gone with a server that is gone, whether
+    // await() or a piped packet's write found it so: the respawned one gets
+    // the whole queue again.
+    if (!process_.running()) posted_ = 0;
     if (!ensure_started()) continue;  // next attempt retries the spawn
 
     // The oldest packet always posts: nothing older is in flight.
@@ -140,10 +144,7 @@ const OutOfProcessExecutor::Outcome& OutOfProcessExecutor::complete() {
     const ForkServer::RunOutcome raw = server_.await();
     if (raw.kind == ForkServer::RunOutcome::Kind::kServerExited ||
         raw.kind == ForkServer::RunOutcome::Kind::kServerLost) {
-      // Every in-flight result is gone with the server; the respawned one
-      // gets the whole queue again.
       note_server_gone(raw.kind);
-      posted_ = 0;
       continue;
     }
     classify(raw, outcome);

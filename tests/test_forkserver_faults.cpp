@@ -31,6 +31,7 @@
 #include "exec_oop/shm_segment.hpp"
 #include "fuzzer/fuzzer.hpp"
 #include "pits/pits.hpp"
+#include "protocols/modbus/modbus_server.hpp"
 #include "protocols/target_registry.hpp"
 #include "sanitizer/fault.hpp"
 #include "telemetry/telemetry.hpp"
@@ -463,6 +464,70 @@ TEST(ForkServerFaults, OrderlyServerRetirementIsNotALostServer) {
           << "orderly retirement must not count as a lost server";
       EXPECT_EQ(snap.counter(telem::Counter::kOopServerExits), 2u);
       EXPECT_EQ(snap.counter(telem::Counter::kOopRestarts), 2u);
+    }
+  }
+}
+
+TEST(ForkServerFaults, ServerLossMidWindowResubmitsEveryQueuedPacket) {
+  // A server that dies or retires with a full window in flight takes every
+  // posted request with it. The executor must resubmit the whole window to
+  // the respawned server, oldest first and numbered afresh, including a
+  // packet too large for a slot that waits in the middle of the queue. The
+  // knobs key on the server's execution index, so the counts are exact:
+  // with 12 packets (the piped one 7th), a server that dies at its 3rd
+  // execution serves two each (6 servers, the piped packet the one that
+  // kills the 3rd), and one that retires after its 3rd serves three each
+  // (4 servers; the last retirement comes after the final result).
+  struct Fault {
+    const char* knob;
+    std::uint64_t restarts;
+    std::uint64_t orderly_exits;
+  };
+  const Fault faults[] = {{"ICSFUZZ_SHIM_SERVER_EXIT_AT", 5, 0},
+                          {"ICSFUZZ_SHIM_SERVER_RETIRE_AFTER", 3, 3}};
+  std::vector<Bytes> packets;
+  for (std::uint8_t quantity = 1; quantity <= 3 * oop::kNumSlots;
+       ++quantity) {
+    // Addressed to the server's unit, with a register count of its own, so
+    // distinct responses pin the mapping.
+    packets.push_back({0x00, 0x01, 0x00, 0x00, 0x00, 0x06,
+                       proto::ModbusServer::kUnitId, 0x03, 0x00, 0x00, 0x00,
+                       quantity});
+  }
+  // Too large for a slot, so it rides its kFork: one zero-filled frame whose
+  // MBAP length covers it, then a read.
+  Bytes& piped = packets[6];
+  Bytes frame(oop::kSlotPacketBytes + 1 - piped.size(), 0x00);
+  const std::size_t declared = frame.size() - 6;
+  frame[4] = static_cast<std::uint8_t>(declared >> 8);
+  frame[5] = static_cast<std::uint8_t>(declared & 0xFF);
+  piped.insert(piped.begin(), frame.begin(), frame.end());
+
+  const FaultTarget shim = fault_targets().front();
+  for (const Fault& fault : faults) {
+    for (const fuzz::BackendKind kind : kOopKinds) {
+      SCOPED_TRACE(std::string(fault.knob) + ", backend " +
+                   std::string(fuzz::to_string(kind)));
+      Reference reference(shim);
+      ScopedEnv knob(fault.knob, "3");
+      const std::unique_ptr<ProtocolTarget> placeholder =
+          proto::target_factory("libmodbus")();
+      fuzz::Executor executor(oop_config(shim, kind));
+      ASSERT_EQ(executor.window_depth(), oop::kNumSlots);
+
+      std::size_t delivered = 0;
+      executor.run_batch(
+          *placeholder, packets,
+          [&](std::size_t index, const fuzz::ExecResult& result) {
+            ASSERT_EQ(index, delivered++);
+            reference.expect_match(result, packets[index],
+                                   static_cast<int>(index));
+          });
+      EXPECT_EQ(delivered, packets.size());
+      ASSERT_NE(executor.oop_backend(), nullptr);
+      EXPECT_EQ(executor.oop_backend()->server_restarts(), fault.restarts);
+      EXPECT_EQ(executor.oop_backend()->orderly_server_exits(),
+                fault.orderly_exits);
     }
   }
 }
