@@ -1,5 +1,5 @@
 // Wire + segment protocol shared by the fuzzer-side fork-server client
-// (fork_server.hpp / oop_executor.hpp) and the target side, whose one
+// (OutOfProcessExecutor, oop_executor.hpp) and the target side, whose one
 // implementation — request loop, execution child, slot lifecycle — is
 // target_runtime.hpp, run by both the shim and the preload runtime.
 //

@@ -1,8 +1,9 @@
-// OutOfProcessExecutor — runs packets against an external fork-server
-// target (the shim binary, or any program speaking exec_protocol.hpp) and
-// exposes the raw observables the in-process Executor turns into an
-// ExecResult: the shared-memory coverage words, the aux block (events,
-// soft-sanitizer faults, response bytes), and the transport status.
+// OutOfProcessExecutor — the fuzzer-side client of the fork-server
+// protocol (exec_protocol.hpp): runs packets against an external target
+// (the shim binary, or any program speaking the protocol) and exposes the
+// raw observables the in-process Executor turns into an ExecResult: the
+// shared-memory coverage words, the aux block (events, soft-sanitizer
+// faults, response bytes), and the transport status.
 //
 // The same sparse dirty-word + SIMD analysis as in-process execution
 // consumes the shm map — adopted from the dirty-word list the child
@@ -11,32 +12,42 @@
 // in-process execution; the differential oracle test_exec_oop.cpp asserts
 // exactly that.
 //
-// One execution path: submit() writes the packet into a shm slot and a
-// child the server forked takes it through the handoff block's futex words
-// with the server asleep (exec_protocol.hpp); complete() waits for the
-// oldest submitted packet's result. Up to kNumSlots packets are in flight
-// at once, one per slot, so a caller that keeps the window full never
-// waits out a round trip per execution — fuzz::Fuzzer's step loop does,
-// speculating on generation and discarding on feedback (distill replays
-// go through Executor::run_into, one execution at a time; only benches and
-// tests pipeline through Executor::run_batch). run() is one submit() and its
-// complete(). The child serves `persistent_budget` executions (K) when the
-// server advertises kCapPersistent and K > 1 — persistent mode, an order
-// of magnitude faster than a fork per packet — and one otherwise:
+// One spawn pays the exec + dynamic-link cost once. After that an
+// execution is one futex round trip between this client and a child the
+// server forked, with the server process asleep: submit() writes the packet
+// into a shm slot and posts it through the handoff block; complete() waits
+// for the oldest submitted packet's record. Up to kNumSlots packets are in
+// flight at once, ring position i in slot i, numbered 1, 2, ... per server,
+// so a caller that keeps the window full never waits out a round trip per
+// execution — fuzz::Fuzzer's step loop does, speculating on generation and
+// discarding on feedback (distill replays go through Executor::run_into,
+// one execution at a time; only benches and tests pipeline through
+// Executor::run_batch). run() is one submit() and its complete(). The
+// child serves `persistent_budget` executions (K) when the server
+// advertises kCapPersistent in its hello and K > 1 — persistent mode, an
+// order of magnitude faster than a fork per packet — and one otherwise:
 // fork-per-exec, the BackendKind::kForkPerExec default and what a stock
 // injected binary always gets. persistent_active() reports which. A packet
 // too large for a slot rides its fork request on the control pipe and runs
 // alone in a K = 1 child, once everything before it has completed.
 //
-// Robustness: the server's lifecycle is a TargetProcess. A lost fork
-// server (crashed, killed, never handshaken) is respawned transparently
-// with a fresh shm segment and the packet retried under the RetryPolicy;
-// an *orderly* server exit (status 0 — e.g. periodic retirement) is
-// respawned the same way but never booked as a lost server. The packets
-// in flight behind the one awaited are resubmitted to the new server with
-// their own retry budgets. A target that
-// cannot be started at all degrades every run to kServerLost without
-// throwing, so campaigns report the failure instead of dying.
+// The server process itself — spawn, hello, kill, reap, respawn under the
+// RetryPolicy — is a TargetProcess. Failure surface (all reported, never
+// thrown — the campaign must outlive a dying target):
+//   * per-exec wall-clock hang -> the wait hits the deadline and asks the
+//                                 server to kill the child (it owns the
+//                                 pid: no recycled-pid hazard); kHang
+//   * orderly server exit      -> EOF plus exit status 0 (e.g. periodic
+//                                 retirement): respawned, never booked as
+//                                 a lost server
+//   * server death (EOF/EPIPE, -> respawned with a fresh shm segment and
+//     a wedged pipe, or reaped    the packet retried under the RetryPolicy
+//     mid-wait)
+// Either way every request posted to the gone server is resubmitted to the
+// new one, oldest first, each with its own retry budget; a result the server
+// published before it went stays valid. A target that cannot be started at
+// all degrades every run to kServerLost, so campaigns report the failure
+// instead of dying.
 #pragma once
 
 #include <array>
@@ -46,7 +57,6 @@
 #include <vector>
 
 #include "exec_oop/exec_protocol.hpp"
-#include "exec_oop/fork_server.hpp"
 #include "exec_oop/shm_segment.hpp"
 #include "exec_oop/target_process.hpp"
 #include "supervise/resource_jail.hpp"
@@ -162,10 +172,15 @@ class OutOfProcessExecutor {
                : nullptr;
   }
 
+  /// The server advertised in its hello that it honours K > 1.
+  [[nodiscard]] bool persistent_capable() const {
+    return (process_.hello_word() & kCapPersistent) != 0;
+  }
+
   /// Persistent mode in effect: requested by the config (budget > 1) AND
   /// advertised by the serving target. False before the first spawn.
   [[nodiscard]] bool persistent_active() const {
-    return config_.persistent_budget > 1 && server_.persistent_capable();
+    return config_.persistent_budget > 1 && persistent_capable();
   }
 
   /// Successful respawns of a server that had previously come up (a
@@ -175,12 +190,6 @@ class OutOfProcessExecutor {
   /// accounting.
   [[nodiscard]] std::uint64_t server_restarts() const {
     return process_.tallies().restarts;
-  }
-
-  /// Packets that needed a second attempt after the first one lost the
-  /// server (counted whether or not the retry then succeeded).
-  [[nodiscard]] std::uint64_t run_retries() const {
-    return process_.tallies().retries;
   }
 
   /// Orderly server exits (EOF + exit status 0) absorbed by a respawn —
@@ -205,29 +214,40 @@ class OutOfProcessExecutor {
     return process_.segment();
   }
   [[nodiscard]] const OopExecutorConfig& config() const { return config_; }
-  [[nodiscard]] const ForkServer& server() const { return server_; }
   [[nodiscard]] const TargetProcess& process() const { return process_; }
 
  private:
-  /// Maps a transport outcome + the aux block of the slot that served it
-  /// onto the semantic Outcome, and points map_words() at that slot's map.
-  void classify(const ForkServer::RunOutcome& raw, Outcome& out);
+  /// Posts the queued packets the current server has not been given,
+  /// oldest first, as far as it accepts them; a packet too large for a
+  /// slot waits until it is the oldest. Restarts the numbering first when
+  /// the server was respawned: its segment is fresh.
+  void pump();
 
-  /// Handles a gone server (orderly vs lost) before a respawn attempt.
-  void note_server_gone(ForkServer::RunOutcome::Kind kind);
+  /// Waits for the oldest posted request's result, its deadline counted
+  /// from this call, and classifies it into `out`. Asks the server for a
+  /// child when none lives, and for a kill when the deadline passes. False
+  /// when the server is gone without the result (server_gone()).
+  bool await(Outcome& out);
 
-  /// Zeroed-scratch outcome for the both-attempts-failed path.
+  /// Writes one request (and its packet) on the control pipe under the
+  /// I/O deadline. Null on success, else why it failed.
+  const char* write_request(const Request& request, ByteSpan packet);
+
+  /// The server is gone (or wedged): one verdict, orderly when it is
+  /// reaped with exit status 0, lost otherwise (error_ says `why`). Stops
+  /// it; every request posted to it is gone with it.
+  void server_gone(const char* why);
+
+  /// Zeroed-scratch outcome for the every-attempt-failed path.
   void fail_outcome(Outcome& out);
 
-  /// Posts the queued packets the current server has not seen, oldest
-  /// first, as far as it accepts them (a packet too large for a slot waits
-  /// until it is the oldest).
-  void pump();
+  /// The budget the server's children run with.
+  [[nodiscard]] std::uint32_t child_budget() const {
+    return persistent_active() ? config_.persistent_budget : 1;
+  }
 
   OopExecutorConfig config_;
   TargetProcess process_;
-  ForkServer server_{process_, config_.persistent_budget,
-                     config_.exec_timeout_ms};
   Outcome outcome_;
   std::string error_;
   std::size_t map_offset_ = 0;
@@ -238,9 +258,18 @@ class OutOfProcessExecutor {
   std::array<ByteSpan, kNumSlots> queue_{};
   std::uint32_t head_ = 0;
   std::uint32_t queued_ = 0;
-  /// How many queued packets (from the oldest) the current server has been
-  /// given; complete() resets it whenever it finds the server gone.
+  /// Per-server request numbering, restarted by pump() on every spawn:
+  /// requests posted and results consumed, so the oldest posted_ -
+  /// awaited_ queued packets are the server's.
+  std::uint64_t spawn_seen_ = 0;
   std::uint32_t posted_ = 0;
+  std::uint32_t awaited_ = 0;
+  /// The (even) child generation a kFork was last sent for; odd = none.
+  std::uint32_t fork_sent_for_ = 1;
+  /// The request whose packet rode its kFork (0: none yet), and why that
+  /// kFork did not reach the server (null: it did).
+  std::uint32_t piped_request_ = 0;
+  const char* piped_error_ = nullptr;
 };
 
 /// The classification rule for a target that terminated, shared by every

@@ -1,6 +1,6 @@
 // TargetProcess — the one lifecycle of an out-of-process target server,
 // shared by every transport that drives one: the fork-server client
-// (fork_server.hpp, under OutOfProcessExecutor) and the TCP session backend
+// (OutOfProcessExecutor, oop_executor.hpp) and the TCP session backend
 // (session/tcp_backend.cpp). Each transport keeps only its own wire
 // protocol; everything about the process lives here:
 //

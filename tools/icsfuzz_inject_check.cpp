@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
       "\"events\": %llu, \"map_cells_nonzero\": %zu, "
       "\"inject_info\": {\"present\": %s, \"version\": %u, "
       "\"guard_count\": %u, \"sancov\": %s, \"persistent\": %s}}\n",
-      json_bool(executor.server().persistent_capable()),
+      json_bool(executor.persistent_capable()),
       json_bool(executor.persistent_active()),
       oop::to_string(outcome.status).c_str(), outcome.term_signal,
       outcome.exit_code,
