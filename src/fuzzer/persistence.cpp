@@ -179,7 +179,7 @@ std::optional<std::string> save_distilled_corpus(
 
   char manifest[512];
   std::snprintf(manifest, sizeof manifest,
-                "icsfuzz-distilled-corpus v1\n"
+                "icsfuzz-distilled-corpus v2\n"
                 "seeds %zu\n"
                 "executions %llu\n"
                 "edges %zu\n"
@@ -207,7 +207,9 @@ LoadedCorpus load_distilled_corpus(const std::string& directory) {
   if (manifest) {
     std::string header;
     std::getline(manifest, header);
-    if (header.rfind("icsfuzz-distilled-corpus", 0) == 0) {
+    // Exact: a v1 manifest's fingerprints came from the old hash basis, so
+    // it counts as no manifest rather than as a coverage mismatch.
+    if (header == "icsfuzz-distilled-corpus v2") {
       corpus.has_manifest = true;
       std::string key;
       while (manifest >> key) {

@@ -23,7 +23,8 @@ namespace {
 // v3: each dedup generation is one hex blob of little-endian u64s in table
 // order, replacing a sorted decimal list.
 // v4: binary records — a base, then append-only segments.
-constexpr std::string_view kHeader = "icsfuzz-checkpoint v4\n";
+// v5: v4's layout; dedup hashes use the published FNV-1a offset basis.
+constexpr std::string_view kHeader = "icsfuzz-checkpoint v5\n";
 constexpr std::uint8_t kBaseRecord = 'B';
 constexpr std::uint8_t kSegmentRecord = 'S';
 /// [u64 payload length][u32 CRC-32 of the payload] before each payload.

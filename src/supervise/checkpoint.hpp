@@ -9,7 +9,7 @@
 // reproduces the uninterrupted run's trajectory bit-for-bit (gated by
 // tests/test_checkpoint_resume.cpp).
 //
-// Format v4: one file, the line "icsfuzz-checkpoint v4\n", then binary
+// Format v5: one file, the line "icsfuzz-checkpoint v5\n", then binary
 // records, each framed as [u64 payload length][u32 CRC-32 of the payload]
 // [payload] (integers little-endian):
 //

@@ -17,7 +17,7 @@ void append(Bytes& head, ByteSpan tail) {
 }
 
 std::uint64_t fnv1a64(ByteSpan data) {
-  std::uint64_t hash = 1469598103934665603ULL;
+  std::uint64_t hash = 14695981039346656037ULL;
   for (std::uint8_t byte : data) {
     hash ^= byte;
     hash *= 1099511628211ULL;

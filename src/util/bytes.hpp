@@ -36,10 +36,9 @@ void append(Bytes& head, ByteSpan tail);
 /// must agree on this function or cross-component dedup drifts.
 std::uint64_t content_hash(ByteSpan data);
 
-/// content_hash before the length is folded in: 64-bit FNV-1a, the
-/// executed-packet dedup key. Its offset basis, 1469598103934665603, is not
-/// the published one (14695981039346656037); checkpointed dedup tables hold
-/// these values, so it stays.
+/// content_hash before the length is folded in: 64-bit FNV-1a with the
+/// published offset basis and prime, the executed-packet dedup key.
+/// Checkpointed dedup tables hold these values (checkpoint format v5).
 std::uint64_t fnv1a64(ByteSpan data);
 
 /// Stateless splitmix64 finalizer: the shared 64-bit scrambler behind the

@@ -144,7 +144,7 @@ void write_file(const std::string& path, std::string_view bytes) {
 using test::kCheckpointFrame;
 using test::loaded_image;
 
-/// Offsets at which the whole records of a v4 log end.
+/// Offsets at which the whole records of a v5 log end.
 std::vector<std::size_t> record_ends(std::string_view log) {
   std::vector<std::size_t> ends;
   for (const test::LogRecord& record : test::intact_records(log)) {

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "distill/distill.hpp"
 #include "distill/replay.hpp"
@@ -167,6 +171,33 @@ TEST(Persistence, DistilledCorpusRoundTripReplaysIdenticalCoverage) {
   const LoadedCorpus reloaded = load_distilled_corpus(dir.str());
   EXPECT_EQ(reloaded.seeds.size(), 1u);
   EXPECT_EQ(reloaded.expected.edges, smaller_report.edges);
+}
+
+TEST(Persistence, VersionOneManifestCountsAsNoManifest) {
+  // v1 manifests hold fingerprints of the old FNV-1a offset basis: a reader
+  // comparing them would report a false coverage mismatch, so a v1 header
+  // loads as no manifest at all. The seeds still load.
+  SessionDir dir;
+  const std::vector<Bytes> seeds = {{0x01, 0x02}, {0x03}};
+  distill::ReplayReport report;
+  report.edges = 7;
+  ASSERT_FALSE(save_distilled_corpus(dir.str(), seeds, report).has_value());
+  ASSERT_TRUE(load_distilled_corpus(dir.str()).has_manifest);
+
+  const fs::path manifest = fs::path(dir.str()) / "MANIFEST.txt";
+  std::string text;
+  {
+    std::ifstream in(manifest);
+    text.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::string v2 = "icsfuzz-distilled-corpus v2\n";
+  ASSERT_EQ(text.rfind(v2, 0), 0u);
+  std::ofstream(manifest) << "icsfuzz-distilled-corpus v1\n"
+                          << text.substr(v2.size());
+  const LoadedCorpus loaded = load_distilled_corpus(dir.str());
+  EXPECT_FALSE(loaded.has_manifest);
+  EXPECT_EQ(loaded.expected.edges, 0u);
+  EXPECT_EQ(loaded.seeds, seeds);
 }
 
 TEST(Persistence, SaveToUnwritablePathFails) {

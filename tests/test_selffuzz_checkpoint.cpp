@@ -1,4 +1,4 @@
-// Self-fuzzing harness for the checkpoint v4 log reader
+// Self-fuzzing harness for the checkpoint v5 log reader
 // (supervise/checkpoint).
 //
 // A checkpoint log is the supervisor's resume point, read back after a

@@ -59,12 +59,12 @@ class ScopedEnv {
   const char* name_;
 };
 
-// -- Checkpoint log helpers (supervise/checkpoint.hpp, format v4). --------
+// -- Checkpoint log helpers (supervise/checkpoint.hpp, format v5). --------
 
 /// After the header line, each record is [u64 payload length][u32 CRC-32 of
 /// the payload][payload], and a payload opens with its kind: 'B' for a
 /// base, 'S' for a segment.
-inline constexpr std::string_view kCheckpointHeader = "icsfuzz-checkpoint v4\n";
+inline constexpr std::string_view kCheckpointHeader = "icsfuzz-checkpoint v5\n";
 inline constexpr std::size_t kCheckpointFrame = 12;
 
 struct LogRecord {
@@ -73,7 +73,7 @@ struct LogRecord {
 };
 
 /// The log's whole records with a matching CRC, up to the first one that is
-/// torn or mis-checksummed; none when the header is not a v4 one.
+/// torn or mis-checksummed; none when the header is not a v5 one.
 inline std::vector<LogRecord> intact_records(std::string_view log) {
   std::vector<LogRecord> records;
   if (!log.starts_with(kCheckpointHeader)) return records;
