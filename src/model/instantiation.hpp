@@ -52,10 +52,6 @@ struct InsNode {
   /// matched, for a parsed tree).
   std::optional<std::size_t> choice_index;
 
-  [[nodiscard]] bool is_composite() const {
-    return rule != nullptr && !rule->is_leaf();
-  }
-
   /// Serialized wire bytes of this subtree (a "puzzle" per Definition 2).
   [[nodiscard]] Bytes serialize() const;
 

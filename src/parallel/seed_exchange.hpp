@@ -96,8 +96,6 @@ class SeedExchange {
   /// this revision can skip the next import wholesale.
   [[nodiscard]] std::uint64_t puzzle_revision() const;
 
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-
  private:
   struct Shard {
     mutable std::mutex mutex;

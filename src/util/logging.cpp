@@ -1,12 +1,9 @@
 #include "util/logging.hpp"
 
-#include <atomic>
 #include <cstdio>
 
 namespace icsfuzz {
 namespace {
-
-std::atomic<int> g_level{static_cast<int>(LogLevel::Warn)};
 
 const char* level_tag(LogLevel level) {
   switch (level) {
@@ -20,10 +17,6 @@ const char* level_tag(LogLevel level) {
 }
 
 }  // namespace
-
-void set_log_level(LogLevel level) { g_level.store(static_cast<int>(level)); }
-
-LogLevel log_level() { return static_cast<LogLevel>(g_level.load()); }
 
 void log_line(LogLevel level, const std::string& message) {
   std::string line = "[icsfuzz ";

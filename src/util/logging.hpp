@@ -1,5 +1,5 @@
-// Minimal leveled logger. Campaigns run millions of executions, so the
-// default level is Warn; benches and examples raise it explicitly.
+// Minimal leveled logger. Campaigns run millions of executions, so only
+// Warn and above are emitted.
 #pragma once
 
 #include <sstream>
@@ -9,9 +9,8 @@ namespace icsfuzz {
 
 enum class LogLevel : int { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
 
-/// Global minimum level; messages below it are discarded.
-void set_log_level(LogLevel level);
-LogLevel log_level();
+/// The minimum level; messages below it are discarded.
+inline constexpr LogLevel kLogLevel = LogLevel::Warn;
 
 /// Emits one line to stderr with a level tag. Thread-compatible (single
 /// writer per line via local buffering).
@@ -23,7 +22,7 @@ class LogStream {
  public:
   explicit LogStream(LogLevel level) : level_(level) {}
   ~LogStream() {
-    if (level_ >= log_level()) log_line(level_, stream_.str());
+    if (level_ >= kLogLevel) log_line(level_, stream_.str());
   }
   LogStream(const LogStream&) = delete;
   LogStream& operator=(const LogStream&) = delete;
