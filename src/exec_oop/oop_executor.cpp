@@ -222,9 +222,8 @@ bool OutOfProcessExecutor::await(Outcome& out) {
   bool killed = false;
   if (!sync_wait_counter(&block.wake, done, 1, deadline, server_dead,
                          process_.spin_waits(), &block.wake_waiting)) {
-    const char* error = "fork server died mid-execution";
     if (!process_.running()) {
-      server_gone(error);
+      server_gone("fork server died mid-execution");
       return false;
     }
     // The deadline passed: the server kills the child (it owns the pid),
@@ -232,13 +231,11 @@ bool OutOfProcessExecutor::await(Outcome& out) {
     // reply that does not come means the server itself wedged or died,
     // never a hang verdict.
     std::int32_t wstatus = 0;
-    if (const char* write_error =
-            write_request({.op = Op::kKill, .arg = request}, {})) {
-      error = write_error;
-    } else if (read_full_deadline(process_.st_fd(), &wstatus, sizeof wstatus,
-                                  io_deadline_for(timeout_ms)) ==
-               ReadStatus::kOk) {
-      error = nullptr;
+    const char* error = write_request({.op = Op::kKill, .arg = request}, {});
+    if (error == nullptr &&
+        read_full_deadline(process_.st_fd(), &wstatus, sizeof wstatus,
+                           io_deadline_for(timeout_ms)) != ReadStatus::kOk) {
+      error = "fork server died mid-execution";
     }
     if (error != nullptr) {
       server_gone(error);
