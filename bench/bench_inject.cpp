@@ -17,9 +17,11 @@
 //     an absolute floor plus a relative one (`persistent_speedup`).
 //
 //   * plain fork-per-exec — the uninstrumented demo under the same
-//     preload: the fault-driven degrade row. Reported as
-//     `plain_execs_per_sec` for context (no gate — it tracks the
-//     instrumented arm minus the sancov sweep).
+//     preload: the fault-driven degrade row, `plain_execs_per_sec` (no
+//     gate of its own — it tracks the instrumented arm minus the sancov
+//     sweep). `injected_vs_plain` is injected_execs_per_sec over it: both
+//     arms run in this process, one after the other, so the ratio cancels
+//     the host's fork cost and is gated with a `min`.
 //
 // Boolean gates folded in:
 //
@@ -199,7 +201,7 @@ std::size_t nonzero_cells(const std::uint64_t* words) {
 /// Sancov-bridge gate: one benign exec against the instrumented demo must
 /// surface events, nonzero map cells, and an info block advertising sancov.
 bool probe_sancov_edges() {
-  oop::OopExecutorConfig config;
+  oop::TargetConfig config;
   config.target_cmd = {demo_path()};
   config.preload = preload_path();
   config.exec_timeout_ms = kBenchTimeoutMs;
@@ -341,6 +343,8 @@ int main() {
   std::printf("  \"execs_per_arm\": %zu,\n", execs);
   std::printf("  \"injected_execs_per_sec\": %.0f,\n", injected_rate);
   std::printf("  \"plain_execs_per_sec\": %.0f,\n", plain_rate);
+  std::printf("  \"injected_vs_plain\": %.3f,\n",
+              plain_rate > 0.0 ? injected_rate / plain_rate : 0.0);
   std::printf("  \"persistent_execs\": %zu,\n", persistent_execs);
   std::printf("  \"injected_persistent_execs_per_sec\": %.0f,\n",
               persistent_rate);

@@ -166,7 +166,7 @@ ArmResult run_batch_arm(fuzz::Executor& executor, ProtocolTarget& target,
 /// response) — any leak across the ICSFUZZ_LOOP iterations breaks it.
 bool probe_state_bleed(const std::vector<Bytes>& packets) {
   constexpr std::uint32_t kBudget = 8;
-  oop::OopExecutorConfig config;
+  oop::TargetConfig config;
   config.target_cmd = {ICSFUZZ_SHIM_PATH, "--project", "libmodbus"};
   config.exec_timeout_ms = kBenchTimeoutMs;
   config.persistent_budget = kBudget;

@@ -36,7 +36,6 @@ CminResult cmin_from_traces(const std::vector<SeedTrace>& traces,
   std::unordered_set<std::uint64_t> paths;
   std::size_t edge_elements = 0;
   for (std::size_t i = 0; i < traces.size(); ++i) {
-    if (config.drop_crashing && traces[i].crashed) continue;
     elements[i] = seed_elements(traces[i], config.preserve_paths);
     paths.insert(traces[i].trace_hash);
     for (const std::uint64_t element : elements[i]) {
@@ -113,13 +112,13 @@ CminResult cmin(ProtocolTarget& target, const std::vector<Bytes>& seeds,
 }
 
 TminResult tmin(ProtocolTarget& target, const Bytes& seed,
-                const TminConfig& config) {
+                const fuzz::ExecutorConfig& executor_config) {
   TminResult result;
   result.seed = seed;
   result.bytes_before = seed.size();
   if (seed.empty()) return result;
 
-  fuzz::Executor executor(config.executor);
+  fuzz::Executor executor(executor_config);
   const std::uint64_t baseline = executor.run(target, seed).trace_hash;
   ++result.executions;
 
@@ -130,7 +129,7 @@ TminResult tmin(ProtocolTarget& target, const Bytes& seed,
   for (; block >= 1; block /= 2) {
     std::size_t pos = 0;
     while (pos < result.seed.size()) {
-      if (result.executions >= config.max_executions) return result;
+      if (result.executions >= kTminMaxExecutions) return result;
       const std::size_t len = std::min(block, result.seed.size() - pos);
       if (len == result.seed.size()) {  // never try the empty seed
         pos += block;

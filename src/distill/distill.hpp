@@ -27,10 +27,6 @@ struct CminConfig {
   /// Cover distinct trace hashes as well as edge elements, preserving the
   /// path count exactly (a few extra representatives per unique path).
   bool preserve_paths = true;
-  /// Drop seeds whose replay faults: reproducers belong in the crash_db,
-  /// not in a generation corpus. Off by default (corpora are normally
-  /// fault-free and dropping changes coverage accounting).
-  bool drop_crashing = false;
   fuzz::ExecutorConfig executor;
 };
 
@@ -76,11 +72,8 @@ CminResult cmin(const fuzz::TargetFactory& make_target,
 CminResult cmin(ProtocolTarget& target, const std::vector<Bytes>& seeds,
                 const CminConfig& config = {});
 
-struct TminConfig {
-  /// Replay budget; trimming stops when it is exhausted.
-  std::uint64_t max_executions = 4096;
-  fuzz::ExecutorConfig executor;
-};
+/// tmin's replay budget; trimming stops when it is exhausted.
+inline constexpr std::uint64_t kTminMaxExecutions = 4096;
 
 struct TminResult {
   /// The trimmed seed (== the input when nothing could be removed).
@@ -98,8 +91,9 @@ struct TminResult {
   }
 };
 
-/// Shrinks `seed` while its whole-trace hash stays invariant.
+/// Shrinks `seed` while its whole-trace hash stays invariant, replaying it
+/// through an executor built from `executor`.
 TminResult tmin(ProtocolTarget& target, const Bytes& seed,
-                const TminConfig& config = {});
+                const fuzz::ExecutorConfig& executor = {});
 
 }  // namespace icsfuzz::distill

@@ -37,15 +37,8 @@ std::string to_string(ExecStatus status) {
   return "?";
 }
 
-OutOfProcessExecutor::OutOfProcessExecutor(OopExecutorConfig config)
-    : config_(std::move(config)),
-      process_({.argv = config_.target_cmd,
-                .hello_magic = kHelloMagicV2,
-                .inject_mode = inject::kInjectModeFork,
-                .preload = config_.preload,
-                .jail = config_.jail,
-                .retry = config_.retry,
-                .handshake_timeout_ms = config_.handshake_timeout_ms}) {}
+OutOfProcessExecutor::OutOfProcessExecutor(TargetConfig config)
+    : process_(std::move(config), kHelloMagicV2, inject::kInjectModeFork) {}
 
 bool OutOfProcessExecutor::ensure_started() {
   if (process_.ensure_started()) return true;
@@ -156,7 +149,7 @@ void OutOfProcessExecutor::pump() {
 const char* OutOfProcessExecutor::write_request(const Request& request,
                                                 ByteSpan packet) {
   const int fd = process_.ctl_fd();
-  const int io_deadline_ms = io_deadline_for(config_.exec_timeout_ms);
+  const int io_deadline_ms = io_deadline_for(config().exec_timeout_ms);
   ReadStatus status =
       write_full_deadline(fd, &request, sizeof request, io_deadline_ms);
   if (status == ReadStatus::kOk && !packet.empty()) {
@@ -192,7 +185,7 @@ bool OutOfProcessExecutor::await(Outcome& out) {
   const auto done = [&] {
     return shared_load(record.done) == request ? 1u : 0u;
   };
-  const int timeout_ms = config_.exec_timeout_ms;
+  const int timeout_ms = config().exec_timeout_ms;
   const std::uint64_t deadline =
       timeout_ms > 0 ? monotonic_ms() + static_cast<std::uint64_t>(timeout_ms)
                      : 0;
@@ -254,8 +247,6 @@ bool OutOfProcessExecutor::await(Outcome& out) {
       !completed || killed || piped || out.iteration >= child_budget();
   if (out.child_recycled) ++child_recycles_;
   map_offset_ = slot_offset(record.slot);
-  // The server answered: the crash loop, if there was one, is over.
-  process_.note_answered();
   const bool aux_complete = aux_load(
       process_.segment().data() + map_offset_ + kSlotAuxOffset, kAuxBytes,
       out.aux);
@@ -274,8 +265,7 @@ const OutOfProcessExecutor::Outcome& OutOfProcessExecutor::complete() {
   Outcome& outcome = outcome_;
   outcome.packet = queue_[head_];
   bool served = false;
-  for (int attempt = 0; attempt <= config_.retry.max_retries && !served;
-       ++attempt) {
+  for (int attempt = 0; attempt <= kMaxRetries && !served; ++attempt) {
     if (attempt == 1) process_.note_retry();
     if (!ensure_started()) continue;  // next attempt retries the spawn
     pump();  // the oldest packet always posts: nothing older is in flight

@@ -32,8 +32,9 @@
 // alone in a K = 1 child, once everything before it has completed.
 //
 // The server process itself — spawn, hello, kill, reap, respawn under the
-// RetryPolicy — is a TargetProcess. Failure surface (all reported, never
-// thrown — the campaign must outlive a dying target):
+// RetryPolicy's crash-loop breaker — is a TargetProcess, and every setting
+// is its TargetConfig. Failure surface (all reported, never thrown — the
+// campaign must outlive a dying target):
 //   * per-exec wall-clock hang -> the wait hits the deadline and asks the
 //                                 server to kill the child (it owns the
 //                                 pid: no recycled-pid hazard); kHang
@@ -41,10 +42,10 @@
 //                                 retirement): respawned, never booked as
 //                                 a lost server
 //   * server death (EOF/EPIPE, -> respawned with a fresh shm segment and
-//     a wedged pipe, or reaped    the packet retried under the RetryPolicy
+//     a wedged pipe, or reaped    the packet retried (kMaxRetries)
 //     mid-wait)
 // Either way every request posted to the gone server is resubmitted to the
-// new one, oldest first, each with its own retry budget; a result the server
+// new one, oldest first, each with its own retry; a result the server
 // published before it went stays valid. A target that cannot be started at
 // all degrades every run to kServerLost, so campaigns report the failure
 // instead of dying.
@@ -75,32 +76,6 @@ enum class ExecStatus : std::uint8_t {
 
 std::string to_string(ExecStatus status);
 
-struct OopExecutorConfig {
-  /// argv of the fork-server target; argv[0] resolved through PATH.
-  std::vector<std::string> target_cmd;
-  /// Wall-clock deadline per execution (the safety net behind the
-  /// deterministic event budget, which ships in the aux block).
-  int exec_timeout_ms = 1000;
-  /// Deadline for the spawn handshake.
-  int handshake_timeout_ms = 5000;
-  /// Executions per child (the ICSFUZZ_LOOP budget K). <= 1 is
-  /// fork-per-exec; larger values request persistent mode, which engages
-  /// when the server also advertises the capability.
-  std::uint32_t persistent_budget = 0;
-  /// Lost-server respawn/retry policy (defaults preserve the historical
-  /// respawn-once behavior).
-  RetryPolicy retry;
-  /// Resource jail applied inside every forked execution child (exported
-  /// to the shim via environment). Disabled by default.
-  supervise::ResourceJail jail;
-  /// Path to libicsfuzz-preload.so. Non-empty: the target is spawned under
-  /// the instrumentation-injection runtime (LD_PRELOAD + fork mode env), so
-  /// a stock binary that never linked icsfuzz serves the fork-server
-  /// protocol — src/inject/inject_protocol.hpp documents the contract.
-  /// Empty (default): the target must speak the protocol natively (shim).
-  std::string preload;
-};
-
 class OutOfProcessExecutor {
  public:
   struct Outcome {
@@ -123,7 +98,8 @@ class OutOfProcessExecutor {
     ByteSpan packet;
   };
 
-  explicit OutOfProcessExecutor(OopExecutorConfig config);
+  /// `config.persistent_budget` left at 0 runs fork-per-exec.
+  explicit OutOfProcessExecutor(TargetConfig config);
 
   OutOfProcessExecutor(const OutOfProcessExecutor&) = delete;
   OutOfProcessExecutor& operator=(const OutOfProcessExecutor&) = delete;
@@ -138,7 +114,7 @@ class OutOfProcessExecutor {
   void submit(ByteSpan packet);
 
   /// Waits for the oldest in-flight packet's outcome, retrying it across a
-  /// server respawn (RetryPolicy). The returned reference points at
+  /// server respawn (kMaxRetries). The returned reference points at
   /// internal scratch refilled every call (vector capacities reused), valid
   /// until the next submit() or complete().
   const Outcome& complete();
@@ -180,7 +156,7 @@ class OutOfProcessExecutor {
   /// Persistent mode in effect: requested by the config (budget > 1) AND
   /// advertised by the serving target. False before the first spawn.
   [[nodiscard]] bool persistent_active() const {
-    return config_.persistent_budget > 1 && persistent_capable();
+    return config().persistent_budget > 1 && persistent_capable();
   }
 
   /// Successful respawns of a server that had previously come up (a
@@ -213,7 +189,9 @@ class OutOfProcessExecutor {
   [[nodiscard]] const ShmSegment& segment() const {
     return process_.segment();
   }
-  [[nodiscard]] const OopExecutorConfig& config() const { return config_; }
+  [[nodiscard]] const TargetConfig& config() const {
+    return process_.config();
+  }
   [[nodiscard]] const TargetProcess& process() const { return process_; }
 
  private:
@@ -243,10 +221,9 @@ class OutOfProcessExecutor {
 
   /// The budget the server's children run with.
   [[nodiscard]] std::uint32_t child_budget() const {
-    return persistent_active() ? config_.persistent_budget : 1;
+    return persistent_active() ? config().persistent_budget : 1;
   }
 
-  OopExecutorConfig config_;
   TargetProcess process_;
   Outcome outcome_;
   std::string error_;

@@ -5,7 +5,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -66,75 +65,41 @@ bool same_env_name(const char* entry, const std::string& other) {
   return std::strncmp(entry, other.c_str(), eq + 1) == 0;
 }
 
-/// splitmix64 finalizer — the deterministic jitter hash (no RNG stream).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-/// Backoff delay before the `consecutive`-th consecutive respawn
-/// (1-based): initial * 2^(consecutive-1), capped, plus jitter.
-std::uint32_t backoff_delay_ms(const RetryPolicy& policy,
-                               std::uint32_t consecutive,
-                               std::uint64_t jitter_key) {
-  if (policy.backoff_initial_ms == 0 || consecutive == 0) return 0;
-  std::uint64_t delay = policy.backoff_initial_ms;
-  for (std::uint32_t i = 1; i < consecutive && delay < policy.backoff_max_ms;
-       ++i) {
-    delay *= 2;
-  }
-  delay = std::min<std::uint64_t>(delay, policy.backoff_max_ms);
-  if (policy.jitter_pct != 0) {
-    const std::uint64_t span = delay * policy.jitter_pct / 100;
-    if (span != 0) delay += mix64(jitter_key) % (span + 1);
-  }
-  return static_cast<std::uint32_t>(delay);
-}
-
 }  // namespace
 
-TargetProcess::TargetProcess(Config config) : config_(std::move(config)) {}
+TargetProcess::TargetProcess(TargetConfig config, std::uint32_t hello_magic,
+                             const char* inject_mode)
+    : config_(std::move(config)),
+      hello_magic_(hello_magic),
+      inject_mode_(inject_mode) {}
 
 TargetProcess::~TargetProcess() { stop(); }
 
 bool TargetProcess::ensure_started() {
   if (running()) return true;
-  const RetryPolicy& policy = config_.retry;
-  if (ever_started_) {
-    // Crash-loop breaker: a server that keeps dying stops being respawned
-    // once the lifetime budget is spent — campaigns then report a lost
-    // server per execution instead of forking a doomed target forever.
-    if (policy.max_respawns >= 0 &&
-        tallies_.restarts >= static_cast<std::uint64_t>(policy.max_respawns)) {
-      error_ = "crash-loop budget exhausted (" +
-               std::to_string(policy.max_respawns) + " respawns)";
-      return false;
-    }
-    // Exponential backoff (with deterministic jitter) before consecutive
-    // respawns, so a crash-looping target does not busy-spin fork+exec.
-    const std::uint32_t delay = backoff_delay_ms(
-        policy, consecutive_respawns_ + 1, tallies_.restarts + 1);
-    if (delay != 0) ::usleep(delay * 1000u);
+  // Crash-loop breaker: a server that keeps dying stops being respawned
+  // once the lifetime budget is spent — campaigns then report a lost
+  // server per execution instead of forking a doomed target forever.
+  const int max_respawns = config_.retry.max_respawns;
+  if (ever_started_ && max_respawns >= 0 &&
+      tallies_.restarts >= static_cast<std::uint64_t>(max_respawns)) {
+    error_ = "crash-loop budget exhausted (" + std::to_string(max_respawns) +
+             " respawns)";
+    return false;
   }
   if (!spawn()) return false;
   // Count only successful respawns of a server that had previously come
   // up: a target that can never start keeps the counter at zero (that is
   // "server never started", not "server keeps dying").
-  if (ever_started_) {
-    ++tallies_.restarts;
-    ++consecutive_respawns_;
-  } else {
-    ever_started_ = true;
-  }
+  if (ever_started_) ++tallies_.restarts;
+  ever_started_ = true;
   return true;
 }
 
 bool TargetProcess::spawn() {
   stop();
   error_.clear();
-  if (config_.argv.empty()) {
+  if (config_.target_cmd.empty()) {
     error_ = "empty target command";
     return false;
   }
@@ -160,16 +125,16 @@ bool TargetProcess::spawn() {
       std::string(kShmSizeEnv) + "=" + std::to_string(segment_.size()),
   };
   supervise::append_jail_env(config_.jail, extra_env);
-  inject::append_preload_env(config_.preload, config_.inject_mode, extra_env);
+  inject::append_preload_env(config_.preload, inject_mode_, extra_env);
 
   // Everything execve() needs is materialized BEFORE fork(): a worker
   // thread of a parallel campaign may fork while siblings hold allocator
   // locks, so the child must restrict itself to async-signal-safe calls
   // (setpgid/fcntl/dup2/execve/_exit). That includes the PATH walk.
-  const std::string executable = resolve_executable(config_.argv[0]);
+  const std::string executable = resolve_executable(config_.target_cmd[0]);
   std::vector<char*> child_argv;
-  child_argv.reserve(config_.argv.size() + 1);
-  for (const std::string& arg : config_.argv) {
+  child_argv.reserve(config_.target_cmd.size() + 1);
+  for (const std::string& arg : config_.target_cmd) {
     child_argv.push_back(const_cast<char*>(arg.c_str()));
   }
   child_argv.push_back(nullptr);
@@ -244,9 +209,9 @@ bool TargetProcess::spawn() {
   pid_.store(pid, std::memory_order_relaxed);
 
   std::uint32_t hello[2] = {0, 0};
-  const ReadStatus status = read_full_deadline(st_fd_, hello, sizeof hello,
-                                               config_.handshake_timeout_ms);
-  if (status != ReadStatus::kOk || hello[0] != config_.hello_magic) {
+  const ReadStatus status =
+      read_full_deadline(st_fd_, hello, sizeof hello, kHandshakeTimeoutMs);
+  if (status != ReadStatus::kOk || hello[0] != hello_magic_) {
     error_ = status == ReadStatus::kTimeout
                  ? "target server handshake timed out"
                  : (status == ReadStatus::kClosed

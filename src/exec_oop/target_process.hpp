@@ -18,9 +18,11 @@
 //   * death — a group SIGKILL plus reap, or a reap of a server that died on
 //     its own whose wait status stays readable so the transport can
 //     classify it.
-//   * respawn under RetryPolicy — the crash-loop breaker, exponential
-//     backoff with deterministic jitter — and the restart / retry /
-//     orderly-exit tallies the telemetry layer mirrors.
+//   * respawn under the RetryPolicy's crash-loop breaker, and the
+//     restart / retry / orderly-exit tallies the telemetry layer mirrors.
+//
+// The settings of all of it, and of the transports on top, are one
+// TargetConfig.
 #pragma once
 
 #include <sys/types.h>
@@ -35,46 +37,54 @@
 
 namespace icsfuzz::oop {
 
-/// Respawn/retry policy for a lost target server. The defaults reproduce the
-/// historical hard-coded behavior exactly: one retry per packet, unlimited
-/// respawns, no backoff — so existing campaigns and the differential
-/// oracles are bit-identical unless a supervisor opts in.
+/// Extra attempts a packet gets after its first one loses the server.
+inline constexpr int kMaxRetries = 1;
+/// Deadline for a spawned server's hello.
+inline constexpr int kHandshakeTimeoutMs = 5000;
+
+/// Respawn policy for a lost target server: one retry per packet
+/// (kMaxRetries), respawned at once.
 struct RetryPolicy {
-  /// Extra attempts per packet after the first one loses the server.
-  int max_retries = 1;
   /// Lifetime respawn budget — the crash-loop breaker. Once a server that
   /// had come up has been respawned this many times, further losses fail
   /// fast as kServerLost instead of forking a doomed target forever.
   /// Negative = unlimited.
   int max_respawns = -1;
-  /// Backoff before the Nth consecutive respawn (doubling, capped at
-  /// backoff_max_ms). 0 disables sleeping entirely.
-  std::uint32_t backoff_initial_ms = 0;
-  std::uint32_t backoff_max_ms = 2000;
-  /// Deterministic jitter: up to this percentage is added on top of the
-  /// backoff delay, derived by hashing the respawn count (no RNG stream —
-  /// the fuzzing trajectory never depends on it).
-  std::uint32_t jitter_pct = 0;
+};
+
+/// Every setting of an out-of-process target, declared once. The
+/// fork-server client (OutOfProcessExecutor) and the kTcp session backend
+/// take it and hand it to the TargetProcess they drive;
+/// fuzz::ExecBackendConfig extends it.
+struct TargetConfig {
+  /// argv of the target; argv[0] resolved through PATH (typically
+  /// {"icsfuzz-shim-target", "--project", <name>}).
+  std::vector<std::string> target_cmd;
+  /// Wall-clock deadline per execution (a SIGKILLed hang; the
+  /// deterministic event budget, shipped in the aux block, applies on
+  /// top). <= 0 disables it: executions may then block indefinitely.
+  int exec_timeout_ms = 1000;
+  /// Executions per fork-server child (the ICSFUZZ_LOOP budget K). <= 1 is
+  /// fork-per-exec; larger values request persistent mode, which engages
+  /// when the server also advertises the capability.
+  std::uint32_t persistent_budget = 0;
+  RetryPolicy retry;
+  /// Resource jail, exported to the server through the environment:
+  /// applied inside every forked execution child of a fork server, and to
+  /// the whole serving process of a kTcp session server. Disabled by
+  /// default.
+  supervise::ResourceJail jail;
+  /// Path to libicsfuzz-preload.so. Non-empty: the target is spawned under
+  /// the instrumentation-injection runtime (LD_PRELOAD + inject mode env),
+  /// so a stock binary that never linked icsfuzz serves the protocol —
+  /// src/inject/inject_protocol.hpp documents the contract. Empty
+  /// (default): the target must speak the protocol natively (the shim
+  /// does).
+  std::string preload;
 };
 
 class TargetProcess {
  public:
-  struct Config {
-    /// argv of the target; argv[0] resolved through PATH.
-    std::vector<std::string> argv;
-    /// First word of the hello the server must send.
-    std::uint32_t hello_magic = 0;
-    /// ICSFUZZ_INJECT_MODE for the preload runtime (inject_protocol.hpp).
-    const char* inject_mode = "fork";
-    /// Path to libicsfuzz-preload.so; empty spawns the target as is.
-    std::string preload;
-    /// Resource jail, exported to the server through the environment.
-    supervise::ResourceJail jail;
-    RetryPolicy retry;
-    /// Deadline for the hello.
-    int handshake_timeout_ms = 5000;
-  };
-
   /// Lifetime tallies; telemetry mirrors their per-execution deltas.
   struct Tallies {
     std::uint64_t restarts = 0;  ///< respawns of a server that had come up
@@ -82,7 +92,11 @@ class TargetProcess {
     std::uint64_t orderly_exits = 0;  ///< servers that exited 0 on their own
   };
 
-  explicit TargetProcess(Config config);
+  /// A server spawned from `config` must open its hello with
+  /// `hello_magic`; `inject_mode` is its ICSFUZZ_INJECT_MODE under the
+  /// preload runtime (inject_protocol.hpp).
+  TargetProcess(TargetConfig config, std::uint32_t hello_magic,
+                const char* inject_mode);
   ~TargetProcess();
 
   TargetProcess(const TargetProcess&) = delete;
@@ -108,8 +122,6 @@ class TargetProcess {
   /// reaps: the owner notices the death through its normal path.
   void kill() const;
 
-  /// The server answered: a crash loop, if any, is over (resets backoff).
-  void note_answered() { consecutive_respawns_ = 0; }
   void note_retry() { ++tallies_.retries; }
 
   [[nodiscard]] bool running() const { return pid() > 0; }
@@ -137,13 +149,15 @@ class TargetProcess {
   [[nodiscard]] const ShmSegment& segment() const { return segment_; }
   [[nodiscard]] const Tallies& tallies() const { return tallies_; }
   [[nodiscard]] const std::string& error() const { return error_; }
-  [[nodiscard]] const Config& config() const { return config_; }
+  [[nodiscard]] const TargetConfig& config() const { return config_; }
 
  private:
   bool spawn();
   void close_pipes();
 
-  Config config_;
+  TargetConfig config_;
+  std::uint32_t hello_magic_;
+  const char* inject_mode_;
   ShmSegment segment_;
   /// Atomic for kill(): a watchdog thread reads it while the owner respawns.
   std::atomic<pid_t> pid_{-1};
@@ -155,8 +169,6 @@ class TargetProcess {
   bool spin_waits_ = false;
   bool exited_ = false;
   Tallies tallies_;
-  /// Respawns since the server last answered — drives the backoff.
-  std::uint32_t consecutive_respawns_ = 0;
   /// A spawn has succeeded at least once (gates restart counting).
   bool ever_started_ = false;
   std::string error_;

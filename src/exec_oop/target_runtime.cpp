@@ -106,6 +106,14 @@ bool request_done(HandoffBlock& block, std::uint32_t request) {
   return shared_load(handoff_record(block, request).done) == request;
 }
 
+/// The plan retires the server after the execution its child completed
+/// last: that child is on its way out with kChildServerRetire.
+bool retirement_due(const FaultPlan& plan, HandoffBlock& block) {
+  const std::uint32_t claimed = shared_load(block.claimed);
+  return plan.server_retire_after != 0 && request_done(block, claimed) &&
+         handoff_record(block, claimed).exec_index >= plan.server_retire_after;
+}
+
 /// Posted requests wait unclaimed: after a death, a child is due.
 bool requests_pending(HandoffBlock& block) {
   // Sequentially consistent, after the generation bump: pairs with the
@@ -358,6 +366,13 @@ ForkedChild serve_fork_requests(std::uint8_t* segment, std::uint32_t caps,
         budget = std::max(request.arg, 1u);
         fork_budget = budget;
       } else if (request.op == Op::kFork) {
+        // The plan before the kill: a retiring child killed here would end
+        // on a signal, not on its exit code, and the server would serve
+        // past its retirement.
+        if (retirement_due(plan, block)) {
+          child.kill_and_reap(block);
+          ::_exit(0);
+        }
         const int code = fault_plan_exit(plan, child.retire_and_post(block));
         if (code >= 0) ::_exit(code);
         fork_budget = 1;

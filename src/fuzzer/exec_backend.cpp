@@ -93,54 +93,42 @@ class OopBackend final : public ExecBackend {
  public:
   OopBackend(const ExecBackendConfig& config, telem::Sink telemetry)
       : kind_(config.kind),
-        exec_timeout_ms_(config.exec_timeout_ms),
-        telemetry_(telemetry) {
-    oop::OopExecutorConfig oop_config;
-    oop_config.target_cmd = config.target_cmd;
-    oop_config.exec_timeout_ms = config.exec_timeout_ms;
-    oop_config.handshake_timeout_ms = config.handshake_timeout_ms;
-    oop_config.persistent_budget = config.kind == BackendKind::kPersistent
-                                       ? config.persistent_budget
-                                       : 0;
-    oop_config.retry = config.retry;
-    oop_config.jail = config.jail;
-    oop_config.preload = config.preload;
-    exec_ = std::make_unique<oop::OutOfProcessExecutor>(std::move(oop_config));
-  }
+        telemetry_(telemetry),
+        exec_(fork_server_config(config)) {}
 
   [[nodiscard]] BackendKind kind() const override { return kind_; }
 
   [[nodiscard]] std::size_t depth() const override { return oop::kNumSlots; }
 
   [[nodiscard]] const oop::OutOfProcessExecutor* oop() const override {
-    return exec_.get();
+    return &exec_;
   }
 
   [[nodiscard]] const oop::TargetProcess* target_process() const override {
-    return &exec_->process();
+    return &exec_.process();
   }
 
   void submit(ProtocolTarget& /*target*/, ByteSpan packet) override {
-    exec_->submit(packet);
+    exec_.submit(packet);
   }
 
   cov::TraceSummary complete(cov::CoverageMap& map,
                              ExecResult& result) override {
-    const oop::OutOfProcessExecutor::Outcome& outcome = exec_->complete();
+    const oop::OutOfProcessExecutor::Outcome& outcome = exec_.complete();
     book(outcome, /*speculative=*/false);
     return adopt_and_fill(outcome, map, result);
   }
 
-  void discard() override { book(exec_->complete(), /*speculative=*/true); }
+  void discard() override { book(exec_.complete(), /*speculative=*/true); }
 
  private:
   /// Books `outcome` with the lifecycle deltas since the last booking, so a
   /// respawn that happened while a packet was submitted is counted once.
   void book(const oop::OutOfProcessExecutor::Outcome& outcome,
             bool speculative) {
-    const oop::TargetProcess::Tallies& now = exec_->process().tallies();
+    const oop::TargetProcess::Tallies& now = exec_.process().tallies();
     mirror_oop_telemetry(telemetry_, booked_, now, outcome, outcome.packet,
-                         exec_timeout_ms_, exec_->config().jail,
+                         exec_.config().exec_timeout_ms, exec_.config().jail,
                          speculative);
     booked_ = now;
   }
@@ -154,7 +142,7 @@ class OopBackend final : public ExecBackend {
   cov::TraceSummary adopt_and_fill(
       const oop::OutOfProcessExecutor::Outcome& outcome, cov::CoverageMap& map,
       ExecResult& result) {
-    adopt_oop_trace(telemetry_, map, exec_->map_words(), exec_->dirty_list(),
+    adopt_oop_trace(telemetry_, map, exec_.map_words(), exec_.dirty_list(),
                     outcome.status == oop::ExecStatus::kOk);
     const cov::TraceSummary summary = map.finalize_execution();
 
@@ -163,15 +151,24 @@ class OopBackend final : public ExecBackend {
     result.response_truncated = outcome.aux.response_truncated;
     result.session_states.clear();  // fork-server exchanges are sessionless
     result.session_messages = 0;
-    fill_outcome_faults(outcome, kForkServerFaults, exec_timeout_ms_,
-                        exec_->last_error(), result);
+    fill_outcome_faults(outcome, kForkServerFaults,
+                        exec_.config().exec_timeout_ms, exec_.last_error(),
+                        result);
     return summary;
   }
 
+  /// The fork-server settings of `config`: the persistent budget holds
+  /// under kPersistent only, every other kind forks per execution.
+  static oop::TargetConfig fork_server_config(
+      const ExecBackendConfig& config) {
+    oop::TargetConfig target = config;
+    if (config.kind != BackendKind::kPersistent) target.persistent_budget = 0;
+    return target;
+  }
+
   BackendKind kind_;
-  int exec_timeout_ms_;
   telem::Sink telemetry_;
-  std::unique_ptr<oop::OutOfProcessExecutor> exec_;
+  oop::OutOfProcessExecutor exec_;
   oop::TargetProcess::Tallies booked_;
 };
 

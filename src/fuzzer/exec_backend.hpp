@@ -99,37 +99,16 @@ enum class BackendKind : std::uint8_t {
 
 std::string_view to_string(BackendKind kind);
 
-struct ExecBackendConfig {
+/// The out-of-process settings (target command, deadline, persistent
+/// budget, retry policy, jail, preload) are oop::TargetConfig's, read by
+/// the out-of-process kinds only; the persistent budget applies under
+/// kPersistent alone.
+struct ExecBackendConfig : oop::TargetConfig {
+  /// kPersistent children serve 1024 executions before they retire and the
+  /// next request pays a fresh fork (kForkPerExec is K = 1).
+  ExecBackendConfig() { persistent_budget = 1024; }
+
   BackendKind kind = BackendKind::kInProcess;
-  /// Fork-server target command (argv; argv[0] resolved through PATH;
-  /// typically {"icsfuzz-shim-target", "--project", <name>}). Required for
-  /// the out-of-process kinds, ignored in-process.
-  std::vector<std::string> target_cmd;
-  /// Wall-clock deadline per out-of-process execution (a SIGKILLed hang;
-  /// the deterministic hang_event_budget still applies on top, from the
-  /// event count the child ships back). <= 0 disables the wall-clock
-  /// deadline entirely — executions may then block indefinitely.
-  int exec_timeout_ms = 1000;
-  /// Deadline for the fork-server spawn handshake.
-  int handshake_timeout_ms = 5000;
-  /// kPersistent: executions per child before it retires and the next
-  /// request pays a fresh fork (the ICSFUZZ_LOOP budget K; kForkPerExec
-  /// is K = 1).
-  std::uint32_t persistent_budget = 1024;
-  /// Lost-server respawn/retry policy (out-of-process kinds only; the
-  /// defaults reproduce the historical respawn-once behavior).
-  oop::RetryPolicy retry;
-  /// Resource jail (out-of-process kinds only; disabled by default):
-  /// applied inside every forked execution child of a fork server, and to
-  /// the whole serving process of a kTcp session server.
-  supervise::ResourceJail jail;
-  /// Path to libicsfuzz-preload.so (out-of-process kinds and kTcp).
-  /// Non-empty: the target is spawned under the instrumentation-injection
-  /// runtime, so a stock binary that never linked icsfuzz becomes the
-  /// fork-server (or TCP session) target — src/inject/inject_protocol.hpp
-  /// documents the contract. Empty (default): the target must speak the
-  /// protocol natively (the shim does).
-  std::string preload;
   /// Session-layer options. framing != kNone turns kInProcess into the
   /// in-process *session* backend (split the packet into framed messages,
   /// execute them as one stateful session) and is mandatory for kTcp; the

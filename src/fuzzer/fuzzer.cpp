@@ -8,6 +8,17 @@
 namespace icsfuzz::fuzz {
 namespace {
 
+/// Retained valuable seeds cap (oldest evicted first).
+constexpr std::size_t kMaxRetainedSeeds = 512;
+
+/// Percentage of steady-state Peach* generations that use the
+/// semantic-aware strategy once the corpus is non-empty. The paper employs
+/// the semantic strategy "in the following iteration" after a valuable
+/// seed (the batch) and keeps the inherent strategy otherwise; a small
+/// steady-state share re-applies learned chunks between discoveries
+/// without throttling value exploration.
+constexpr unsigned kSteadySemanticPct = 25;
+
 /// The executor inherits the fuzzer's telemetry sink so executor-level
 /// observables (OOP restarts, kill reasons) land in the same shard. The
 /// copy stays out of config_.executor, which is what auto_distill and the
@@ -136,7 +147,7 @@ void Fuzzer::generate(Speculation& entry) {
       const model::DataModel& model = choose_model(rng);
       entry.model = &model;
       const bool semantic =
-          !corpus_.empty() && rng.chance(config_.steady_semantic_pct, 100);
+          !corpus_.empty() && rng.chance(kSteadySemanticPct, 100);
       if (semantic) {
         semantic_.generate_into(model, corpus_, rng, out);
       } else {
@@ -307,7 +318,7 @@ const ExecResult& Fuzzer::step_fast() {
     // pieces transfer across packet types.
     ++revision_;
     if (result.new_coverage) {
-      if (retained_.size() >= config_.max_retained_seeds) {
+      if (retained_.size() >= kMaxRetainedSeeds) {
         retained_.erase(retained_.begin());
       }
       retained_.push_back(RetainedSeed{

@@ -60,19 +60,10 @@ struct FuzzerConfig {
   SemanticGenConfig semantic;
   CorpusConfig corpus;
   ExecutorConfig executor;
-  /// Retained valuable seeds cap (oldest evicted first).
-  std::size_t max_retained_seeds = 512;
   /// Ablation knob: crack every generated seed instead of only valuable
   /// ones (pollutes the corpus and pays the crack cost per execution; the
   /// default is the paper's coverage-gated design).
   bool crack_all_seeds = false;
-  /// Percentage of steady-state generations that use the semantic-aware
-  /// strategy once the corpus is non-empty. The paper employs the semantic
-  /// strategy "in the following iteration" after a valuable seed (the
-  /// batch) and keeps the inherent strategy otherwise; a small steady-state
-  /// share re-applies learned chunks between discoveries without throttling
-  /// value exploration.
-  unsigned steady_semantic_pct = 25;
   /// Auto-distillation: every `distill_interval` executions the retained
   /// valuable-seed pool is minimized in place with the greedy set-cover
   /// cmin of src/distill/ (replays run through a private executor and draw

@@ -36,8 +36,6 @@ struct ParallelCampaignConfig {
   std::uint64_t base_seed = 1;
   /// Executions between exchange visits (0 = never sync).
   std::uint64_t sync_interval = 1024;
-  /// Seed-store shards in the exchange.
-  std::size_t exchange_shards = 8;
   /// Distill the campaign's pooled retained seeds after the workers
   /// finish: replays are sharded across `workers` threads and the greedy
   /// set-cover minimum lands in ParallelCampaignResult::distilled_corpus.

@@ -2,19 +2,12 @@
 
 namespace icsfuzz::par {
 
-SeedExchange::SeedExchange(SeedExchangeConfig config)
-    : corpus_rng_(config.rng_seed) {
-  const std::size_t count = config.shards == 0 ? 1 : config.shards;
-  shards_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
+SeedExchange::SeedExchange(std::uint64_t rng_seed) : corpus_rng_(rng_seed) {}
 
 bool SeedExchange::publish(std::size_t worker, Bytes bytes,
                            std::string model_name, std::uint64_t execution) {
   const std::uint64_t hash = content_hash(bytes);
-  Shard& shard = *shards_[hash % shards_.size()];
+  Shard& shard = shards_[hash % kShards];
   std::lock_guard<std::mutex> lock(shard.mutex);
   if (!shard.hashes.insert(hash).second) return false;  // already published
   shard.seeds.push_back(
@@ -28,7 +21,7 @@ std::size_t SeedExchange::pull(std::size_t worker, Cursor& cursor,
   cursor.next.resize(shards_.size(), 0);
   std::size_t pulled = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = *shards_[s];
+    const Shard& shard = shards_[s];
     std::lock_guard<std::mutex> lock(shard.mutex);
     for (std::size_t i = cursor.next[s]; i < shard.seeds.size(); ++i) {
       if (shard.seeds[i].origin_worker == worker) continue;

@@ -16,9 +16,9 @@
 // campaign bit-for-bit identical to the sequential engine.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_set>
@@ -40,17 +40,10 @@ struct ExchangeSeed {
   std::uint64_t origin_execution = 0;
 };
 
-struct SeedExchangeConfig {
-  /// Number of independent seed shards (locks); more shards, less
-  /// contention. Content hash picks the shard, so dedup stays global.
-  std::size_t shards = 8;
-  /// Seed for the global corpus' replacement decisions.
-  std::uint64_t rng_seed = 0xC0FFEE;
-};
-
 class SeedExchange {
  public:
-  explicit SeedExchange(SeedExchangeConfig config = {});
+  /// `rng_seed` seeds the global corpus' replacement decisions.
+  explicit SeedExchange(std::uint64_t rng_seed = 0xC0FFEE);
 
   /// A reader's per-shard positions. Value-initialized cursors start at the
   /// beginning (the first pull sees everything published so far).
@@ -103,8 +96,10 @@ class SeedExchange {
     std::unordered_set<std::uint64_t> hashes;  // content dedup
   };
 
-  // unique_ptr because std::mutex is immovable and shard count is dynamic.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Independent seed shards (locks): more shards, less contention. The
+  /// content hash picks the shard, so dedup stays global.
+  static constexpr std::size_t kShards = 8;
+  std::array<Shard, kShards> shards_;
   std::atomic<std::size_t> published_{0};
 
   mutable std::mutex coverage_mutex_;

@@ -65,6 +65,17 @@ bool parse_hex_attr(const std::string& text, Bytes& out) {
 /// stream over the canonical-split cap.
 constexpr std::size_t kMaxGeneratedMessages = 64;
 
+/// Chance (percent) that a model-generated message is byte-mutated.
+constexpr unsigned kMutateMessagePct = 40;
+/// Chance (percent) that the generated sequence is itself mutated
+/// (drop/duplicate/reorder/truncate-mid-message).
+constexpr unsigned kSequenceMutationPct = 35;
+/// Chance (percent) that IEC 104 I-frame send sequence numbers are
+/// rewritten to the consecutive values the server's window check expects
+/// (the session analogue of File Fixup: without it almost every mutated
+/// sequence dies at the first sequence-number mismatch).
+constexpr unsigned kFixupPct = 75;
+
 }  // namespace
 
 std::vector<SessionTemplate> builtin_session_templates(
@@ -210,9 +221,7 @@ SessionSequencer::SessionSequencer(SequencerConfig config,
     : config_(std::move(config)),
       models_(models),
       instantiator_(instantiator),
-      templates_(config_.templates.empty()
-                     ? builtin_session_templates(config_.project)
-                     : config_.templates) {}
+      templates_(builtin_session_templates(config_.project)) {}
 
 void SessionSequencer::instantiate_step(const SessionStep& step, Rng& rng) {
   if (step.kind == SessionStep::Kind::kLiteral) {
@@ -233,7 +242,7 @@ void SessionSequencer::instantiate_step(const SessionStep& step, Rng& rng) {
     }
     Bytes message;
     instantiator_.generate_into(*model, rng, message);
-    if (rng.chance(config_.mutate_message_pct, 100)) {
+    if (rng.chance(kMutateMessagePct, 100)) {
       instantiator_.mutators().mutate_in_place(message, rng);
     }
     messages_.push_back(std::move(message));
@@ -313,8 +322,8 @@ void SessionSequencer::generate_into(Rng& rng, Bytes& out) {
   messages_.clear();
   const SessionTemplate& tpl = templates_[rng.index(templates_.size())];
   for (const SessionStep& step : tpl.steps) instantiate_step(step, rng);
-  if (rng.chance(config_.sequence_mutation_pct, 100)) mutate_sequence(rng);
-  if (rng.chance(config_.fixup_pct, 100)) apply_iec104_fixup();
+  if (rng.chance(kSequenceMutationPct, 100)) mutate_sequence(rng);
+  if (rng.chance(kFixupPct, 100)) apply_iec104_fixup();
   serialize_into(out);
 }
 
@@ -328,12 +337,12 @@ void SessionSequencer::mutate_stream_into(ByteSpan stream, Rng& rng,
     const std::uint8_t* data = stream.data() + range.offset;
     messages_.emplace_back(data, data + range.length);
   }
-  if (!messages_.empty() && rng.chance(config_.mutate_message_pct, 100)) {
+  if (!messages_.empty() && rng.chance(kMutateMessagePct, 100)) {
     Bytes& victim = messages_[rng.index(messages_.size())];
     instantiator_.mutators().mutate_in_place(victim, rng);
   }
   mutate_sequence(rng);
-  if (rng.chance(config_.fixup_pct, 100)) apply_iec104_fixup();
+  if (rng.chance(kFixupPct, 100)) apply_iec104_fixup();
   serialize_into(out);
 }
 

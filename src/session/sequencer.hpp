@@ -1,6 +1,6 @@
 // Session sequencer — generates and mutates *sequences* of protocol
-// messages from pit-defined session templates, the session layer's
-// counterpart to the per-packet ModelInstantiator.
+// messages from session templates, the session layer's counterpart to the
+// per-packet ModelInstantiator.
 //
 // A template is an ordered list of steps: literal byte strings (protocol
 // choreography like IEC 104 STARTDT_act that must arrive verbatim for the
@@ -12,8 +12,11 @@
 // session stream is one ordinary packet to everything downstream
 // (dedup, corpus, retained seeds, checkpointing, distillation).
 //
-// Templates can come from session pit files (pits/iec104_session.xml —
-// see parse_session_templates) or from the built-in per-project defaults.
+// The sequencer draws from the built-in per-project templates
+// (builtin_session_templates). The session pit files
+// (pits/iec104_session.xml, pits/mms_session.xml) hold the same
+// choreographies, read by parse_session_templates; tests/test_session.cpp
+// keeps the two equal.
 #pragma once
 
 #include <string>
@@ -53,18 +56,6 @@ struct SequencerConfig {
   Framing framing = Framing::kNone;
   /// Registry project the built-in templates are chosen for.
   std::string project;
-  /// Chance (percent) that a model-generated message is byte-mutated.
-  unsigned mutate_message_pct = 40;
-  /// Chance (percent) that the generated sequence is itself mutated
-  /// (drop/duplicate/reorder/truncate-mid-message).
-  unsigned sequence_mutation_pct = 35;
-  /// Chance (percent) that IEC 104 I-frame send sequence numbers are
-  /// rewritten to the consecutive values the server's window check expects
-  /// (the session analogue of File Fixup: without it almost every mutated
-  /// sequence dies at the first sequence-number mismatch).
-  unsigned fixup_pct = 75;
-  /// Templates to draw from; empty selects builtin_session_templates().
-  std::vector<SessionTemplate> templates;
 };
 
 /// Built-in session choreographies for a registry project: the IEC 104
@@ -108,10 +99,6 @@ class SessionSequencer {
   /// re-splits it into its canonical message list, applies one or two
   /// sequence mutations plus per-message byte mutation, and reserializes.
   void mutate_stream_into(ByteSpan stream, Rng& rng, Bytes& out);
-
-  [[nodiscard]] const std::vector<SessionTemplate>& templates() const {
-    return templates_;
-  }
 
  private:
   void instantiate_step(const SessionStep& step, Rng& rng);

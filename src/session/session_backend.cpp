@@ -39,9 +39,7 @@ void fold_session(const SessionOptions& options, ByteSpan stream,
     state = next_session_state(
         state, classify_response(options.framing, response), i);
     result.session_states.push_back(state);
-    if (options.state_coverage) {
-      map.bump_trace_cell(session_state_cell(state));
-    }
+    map.bump_trace_cell(session_state_cell(state));
     if (options.record_traffic) {
       traffic.requests.emplace_back(request.begin(), request.end());
       traffic.responses.emplace_back(response.begin(), response.end());

@@ -41,10 +41,10 @@ void serve_messages(ProtocolTarget& target, ByteSpan stream,
 
 /// Folds a served session into `result`: the chain of session states, one
 /// per message from its response class (session_state.hpp), their
-/// state-coverage cells in `map` when options.state_coverage is set, and
-/// session_messages. With options.record_traffic, `traffic` receives each
-/// message and its response. `responses[i]` is message i's response inside
-/// `replies`; an empty `messages` folds a session that never ran.
+/// state-coverage cells in `map`, and session_messages. With
+/// options.record_traffic, `traffic` receives each message and its
+/// response. `responses[i]` is message i's response inside `replies`; an
+/// empty `messages` folds a session that never ran.
 void fold_session(const SessionOptions& options, ByteSpan stream,
                   std::span<const MessageRange> messages, ByteSpan replies,
                   std::span<const MessageRange> responses,

@@ -40,9 +40,6 @@ inline constexpr std::size_t kMaxSessionMessages = 256;
 struct SessionOptions {
   /// kNone disables the session layer (plain single-exchange backends).
   Framing framing = Framing::kNone;
-  /// Inject the response-class × position state machine's hashed states
-  /// into the coverage map as their own cells (session-state coverage).
-  bool state_coverage = true;
   /// Record per-message request/response byte streams (SessionTraffic) —
   /// differential-oracle tests only; off on fuzzing hot paths.
   bool record_traffic = false;

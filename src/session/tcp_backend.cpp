@@ -52,15 +52,8 @@ class TcpSessionBackend final : public fuzz::SyncExecBackend {
   TcpSessionBackend(const fuzz::ExecBackendConfig& config,
                     telem::Sink telemetry)
       : options_(config.session),
-        exec_timeout_ms_(config.exec_timeout_ms),
         telemetry_(telemetry),
-        process_({.argv = config.target_cmd,
-                  .hello_magic = oop::kTcpHelloMagic,
-                  .inject_mode = inject::kInjectModeTcp,
-                  .preload = config.preload,
-                  .jail = config.jail,
-                  .retry = config.retry,
-                  .handshake_timeout_ms = config.handshake_timeout_ms}) {}
+        process_(config, oop::kTcpHelloMagic, inject::kInjectModeTcp) {}
 
   [[nodiscard]] fuzz::BackendKind kind() const override {
     return fuzz::BackendKind::kTcp;
@@ -82,7 +75,7 @@ class TcpSessionBackend final : public fuzz::SyncExecBackend {
     const oop::TargetProcess::Tallies before = process_.tallies();
     run_session(packet);
     fuzz::mirror_oop_telemetry(telemetry_, before, process_.tallies(),
-                               outcome_, packet, exec_timeout_ms_,
+                               outcome_, packet, timeout_ms(),
                                process_.config().jail);
 
     // Adopt the server's trace (from its dirty-word list when published) —
@@ -100,8 +93,8 @@ class TcpSessionBackend final : public fuzz::SyncExecBackend {
     fold_session(options_, packet, messages_, replies, responses_, map,
                  result, traffic_);
     const cov::TraceSummary summary = map.finalize_execution();
-    fuzz::fill_outcome_faults(outcome_, kTcpFaults, exec_timeout_ms_,
-                              last_error_, result);
+    fuzz::fill_outcome_faults(outcome_, kTcpFaults, timeout_ms(), last_error_,
+                              result);
     return summary;
   }
 
@@ -109,7 +102,7 @@ class TcpSessionBackend final : public fuzz::SyncExecBackend {
   /// Runs one session and classifies it into outcome_. A server that is
   /// down before the session starts (never came up, died between sessions,
   /// refuses the connection) is respawned and the session retried under
-  /// the RetryPolicy; once connected, the session's fate is the target's.
+  /// oop::kMaxRetries; once connected, the session's fate is the target's.
   void run_session(ByteSpan packet) {
     outcome_.status = oop::ExecStatus::kServerLost;
     outcome_.term_signal = 0;
@@ -118,18 +111,16 @@ class TcpSessionBackend final : public fuzz::SyncExecBackend {
     outcome_.aux.faults.clear();
     outcome_.aux.faults_truncated = false;
     reply_bytes_ = 0;
-    for (int attempt = 0; attempt <= process_.config().retry.max_retries;
-         ++attempt) {
+    for (int attempt = 0; attempt <= oop::kMaxRetries; ++attempt) {
       if (attempt == 1) process_.note_retry();
       if (!start_server()) continue;
       post_session();
       // One wall-clock deadline spans the whole session (the session is
       // one execution, for the hang accounting too).
       const std::uint64_t deadline =
-          exec_timeout_ms_ > 0
-              ? oop::monotonic_ms() +
-                    static_cast<std::uint64_t>(exec_timeout_ms_)
-              : 0;
+          timeout_ms() > 0 ? oop::monotonic_ms() +
+                                 static_cast<std::uint64_t>(timeout_ms())
+                           : 0;
       const int conn = connect_deadline(deadline);
       if (conn < 0) {
         process_.stop();
@@ -265,7 +256,6 @@ class TcpSessionBackend final : public fuzz::SyncExecBackend {
     if (!split_replies(response_log(slot()), got)) {
       return broken(deadline, "tcp session replies disagree with the log");
     }
-    process_.note_answered();
     outcome_.status = oop::ExecStatus::kOk;
   }
 
@@ -356,8 +346,12 @@ class TcpSessionBackend final : public fuzz::SyncExecBackend {
     return fd;
   }
 
+  /// The wall-clock deadline of one session (TargetConfig::exec_timeout_ms).
+  [[nodiscard]] int timeout_ms() const {
+    return process_.config().exec_timeout_ms;
+  }
+
   SessionOptions options_;
-  int exec_timeout_ms_;
   telem::Sink telemetry_;
 
   oop::TargetProcess process_;

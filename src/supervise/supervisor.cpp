@@ -1,7 +1,5 @@
 #include "supervise/supervisor.hpp"
 
-#include <signal.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -22,37 +20,11 @@ namespace icsfuzz::supervise {
 
 namespace {
 
-/// Process-wide stop flag: written by signal handlers and request_stop()
-/// (from any thread), polled by every supervisor between chunks. Lock-free,
-/// so it is safe both from a signal handler and between threads.
+/// Process-wide stop flag: written by request_stop() (from any thread,
+/// or from a signal handler the embedding program installs), polled by
+/// every supervisor between chunks. Lock-free, so it is safe from both.
 std::atomic<int> g_stop_requested{0};
 static_assert(std::atomic<int>::is_always_lock_free);
-
-void stop_signal_handler(int /*signo*/) { g_stop_requested = 1; }
-
-/// Scoped SIGINT/SIGTERM installation restoring the previous handlers.
-class ScopedStopSignals {
- public:
-  explicit ScopedStopSignals(bool install) : installed_(install) {
-    if (!installed_) return;
-    struct sigaction action {};
-    action.sa_handler = stop_signal_handler;
-    sigemptyset(&action.sa_mask);
-    action.sa_flags = 0;  // no SA_RESTART: interrupt blocking reads promptly
-    ::sigaction(SIGINT, &action, &previous_int_);
-    ::sigaction(SIGTERM, &action, &previous_term_);
-  }
-  ~ScopedStopSignals() {
-    if (!installed_) return;
-    ::sigaction(SIGINT, &previous_int_, nullptr);
-    ::sigaction(SIGTERM, &previous_term_, nullptr);
-  }
-
- private:
-  bool installed_;
-  struct sigaction previous_int_ {};
-  struct sigaction previous_term_ {};
-};
 
 void append_note(std::string& notes, const std::string& note) {
   if (!notes.empty()) notes += "; ";
@@ -181,10 +153,7 @@ CampaignSupervisor::CampaignSupervisor(fuzz::TargetFactory make_target,
 SupervisorResult CampaignSupervisor::run() {
   SupervisorResult result;
   const par::ParallelCampaignConfig& cc = config_.campaign;
-  par::SeedExchangeConfig exchange_config;
-  exchange_config.shards = cc.exchange_shards;
-  exchange_config.rng_seed = cc.base_seed ^ 0xC0FFEEULL;
-  par::SeedExchange exchange(exchange_config);
+  par::SeedExchange exchange(cc.base_seed ^ 0xC0FFEEULL);
   std::vector<std::unique_ptr<par::Worker>> workers =
       build_workers(make_target_, models_, cc, exchange);
 
@@ -232,8 +201,6 @@ SupervisorResult CampaignSupervisor::run() {
       }
     }
   }
-
-  ScopedStopSignals signals(config_.install_signal_handlers);
 
   if (sink.enabled()) {
     char detail[64];

@@ -8,7 +8,7 @@
 //
 //     ┌───────────────────────── supervisor thread ─────────────────────┐
 //     │  resume? ── load_checkpoint ── restore workers                  │
-//     │  repeat until budget done or signalled:                         │
+//     │  repeat until budget done or stopped:                           │
 //     │    spawn worker threads      run_range(chunk)                   │
 //     │    write the last capture (CheckpointWriter: base or segment)   │
 //     │    watchdog wait ── progress() heartbeats ── kill wedged server │
@@ -28,10 +28,12 @@
 // process backends cannot be unwedged this way; after `max_watchdog_kicks`
 // the supervisor stops intervening and simply waits.
 //
-// SIGINT/SIGTERM (when install_signal_handlers) request a graceful stop:
-// the current chunk completes, a final checkpoint and telemetry export are
-// flushed, registered shm segments are unlinked, and run() returns with
-// interrupted=true — rerunning with resume=true continues the campaign.
+// request_stop() (from another thread, or from a SIGINT/SIGTERM handler the
+// embedding program installs; run() installs none) asks for a graceful
+// stop: the current chunk completes, a final checkpoint and telemetry
+// export are flushed, registered shm segments are unlinked, and run()
+// returns with interrupted=true — rerunning with resume=true continues the
+// campaign.
 #pragma once
 
 #include <cstdint>
@@ -59,9 +61,6 @@ struct SupervisorConfig {
   /// stops kicking and waits (a kick cycle that does not unwedge the
   /// worker will not be improved by more kicks).
   int max_watchdog_kicks = 4;
-  /// Install SIGINT/SIGTERM handlers for the duration of run(). Off by
-  /// default so embedding tests control shutdown via request_stop().
-  bool install_signal_handlers = false;
 };
 
 struct SupervisorResult {
@@ -89,8 +88,9 @@ class CampaignSupervisor {
   /// Drives the campaign to completion (or until stopped). Blocking.
   SupervisorResult run();
 
-  /// Requests a graceful stop of every running supervisor in the process —
-  /// what the signal handlers call; async-signal-safe.
+  /// Requests a graceful stop of every running supervisor in the process.
+  /// Async-signal-safe: an embedding program's SIGINT/SIGTERM handler may
+  /// call it.
   static void request_stop();
   /// Clears a pending stop request (call before run() when reusing the
   /// process after a stop).

@@ -280,10 +280,8 @@ TriageStore::IngestOutcome TriageStore::ingest(
     outcome.verify_failed = !outcome.reproduced;
     record.verified = outcome.reproduced;
     if (outcome.reproduced && minimize) {
-      distill::TminConfig tmin_config;
-      tmin_config.executor = executor;
       distill::TminResult trimmed =
-          distill::tmin(*target, reproducer, tmin_config);
+          distill::tmin(*target, reproducer, executor);
       if (trimmed.shrunk()) {
         reproducer = std::move(trimmed.seed);
         record.minimized = true;
@@ -318,10 +316,7 @@ std::optional<TriageStore::IngestOutcome> TriageStore::reverify(
   record.verified = outcome.reproduced;
   bool write_reproducer = false;
   if (outcome.reproduced && minimize) {
-    distill::TminConfig tmin_config;
-    tmin_config.executor = executor;
-    distill::TminResult trimmed =
-        distill::tmin(target, *reproducer, tmin_config);
+    distill::TminResult trimmed = distill::tmin(target, *reproducer, executor);
     if (trimmed.shrunk()) {
       *reproducer = std::move(trimmed.seed);
       record.minimized = true;

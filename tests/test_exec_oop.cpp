@@ -446,9 +446,9 @@ TEST(OopDifferential, CompletedExecutionsAdoptFromThePublishedDirtyList) {
 // -- Persistent-mode hygiene. ---------------------------------------------
 
 /// Raw backend config for `project` with a persistent budget.
-oop::OopExecutorConfig raw_oop_config(const std::string& project,
-                                      std::uint32_t budget) {
-  oop::OopExecutorConfig config;
+oop::TargetConfig raw_oop_config(const std::string& project,
+                                 std::uint32_t budget) {
+  oop::TargetConfig config;
   config.target_cmd = shim_cmd(project);
   config.exec_timeout_ms = kGenerousTimeoutMs;
   config.persistent_budget = budget;

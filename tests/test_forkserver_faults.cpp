@@ -105,6 +105,7 @@ class Reference {
     const fuzz::ExecResult& expected = executor_.run(*target_, packet);
     EXPECT_FALSE(result.crashed()) << "execution " << i;
     EXPECT_FALSE(expected.crashed()) << "execution " << i;
+    EXPECT_FALSE(expected.response.empty()) << "execution " << i;
     EXPECT_EQ(result.response, expected.response) << "execution " << i;
     if (bit_identical_) {
       EXPECT_EQ(result.trace_hash, expected.trace_hash) << "execution " << i;
@@ -113,8 +114,9 @@ class Reference {
   }
 
  private:
-  static inline const Bytes kWarmUp = {0x00, 0x01, 0x00, 0x00, 0x00, 0x06,
-                                       0x01, 0x03, 0x00, 0x00, 0x00, 0x01};
+  static inline const Bytes kWarmUp = {
+      0x00, 0x01, 0x00, 0x00, 0x00, 0x06,
+      proto::ModbusServer::kUnitId, 0x03, 0x00, 0x00, 0x00, 0x01};
   std::unique_ptr<ProtocolTarget> target_;
   fuzz::Executor executor_;
   bool bit_identical_;
@@ -132,8 +134,11 @@ bool has_fault_site(const fuzz::ExecResult& result, std::uint32_t site) {
   return false;
 }
 
+/// Read Holding Registers 0..9 of the stack's unit: it answers, so every
+/// response compared below carries bytes.
 const Bytes kPacket = {0x00, 0x01, 0x00, 0x00, 0x00, 0x06,
-                       0x01, 0x03, 0x00, 0x00, 0x00, 0x0A};
+                       proto::ModbusServer::kUnitId, 0x03, 0x00, 0x00, 0x00,
+                       0x0A};
 
 TEST(ForkServerFaults, ChildKilledMidExecutionReportsCrashAndRecovers) {
   for (const FaultTarget& target : fault_targets()) {
@@ -187,17 +192,14 @@ TEST(ForkServerFaults, ExecutionKilledBeforeItStartsCarriesNoStaleResult) {
       const std::unique_ptr<ProtocolTarget> placeholder =
           proto::target_factory("libmodbus")();
       fuzz::Executor executor(oop_config(target, kind));
-      // Addressed to the server's unit id, so every execution answers.
-      const Bytes answered = {0x00, 0x01, 0x00, 0x00, 0x00, 0x06,
-                              0x11, 0x03, 0x00, 0x00, 0x00, 0x0A};
 
       for (int i = 1; i <= 4; ++i) {
-        const fuzz::ExecResult& result = executor.run(*placeholder, answered);
+        const fuzz::ExecResult& result = executor.run(*placeholder, kPacket);
         ASSERT_FALSE(result.crashed()) << "execution " << i;
         ASSERT_GT(result.events, 0u) << "execution " << i;
         ASSERT_FALSE(result.response.empty()) << "execution " << i;
       }
-      const fuzz::ExecResult& killed = executor.run(*placeholder, answered);
+      const fuzz::ExecResult& killed = executor.run(*placeholder, kPacket);
       EXPECT_TRUE(killed.crashed());
       EXPECT_EQ(killed.events, 0u);
       ASSERT_FALSE(killed.faults.empty());
@@ -333,6 +335,7 @@ TEST(ForkServerFaults, HangInsidePipelinedBatchCostsOnlyItsOwnExecution) {
         EXPECT_FALSE(result.crashed()) << "execution " << index;
         EXPECT_EQ(result.trace_hash, expected.trace_hash)
             << "execution " << index;
+        EXPECT_FALSE(expected.response.empty()) << "execution " << index;
         EXPECT_EQ(result.response, expected.response) << "execution " << index;
       });
   EXPECT_EQ(delivered, packets.size());
@@ -477,14 +480,18 @@ TEST(ForkServerFaults, ServerLossMidWindowResubmitsEveryQueuedPacket) {
   // with 12 packets (the piped one 7th), a server that dies at its 3rd
   // execution serves two each (6 servers, the piped packet the one that
   // kills the 3rd), and one that retires after its 3rd serves three each
-  // (4 servers; the last retirement comes after the final result).
+  // (4 servers; the last retirement comes after the final result). The
+  // piped packet's kFork can reach a retiring server after its child
+  // published the 3rd result and before that child exited: the server must
+  // still retire, not serve the piped packet as its 4th.
   struct Fault {
     const char* knob;
     std::uint64_t restarts;
     std::uint64_t orderly_exits;
+    std::size_t served_per_server;
   };
-  const Fault faults[] = {{"ICSFUZZ_SHIM_SERVER_EXIT_AT", 5, 0},
-                          {"ICSFUZZ_SHIM_SERVER_RETIRE_AFTER", 3, 3}};
+  const Fault faults[] = {{"ICSFUZZ_SHIM_SERVER_EXIT_AT", 5, 0, 2},
+                          {"ICSFUZZ_SHIM_SERVER_RETIRE_AFTER", 3, 3, 3}};
   std::vector<Bytes> packets;
   for (std::uint8_t quantity = 1; quantity <= 3 * oop::kNumSlots;
        ++quantity) {
@@ -515,6 +522,12 @@ TEST(ForkServerFaults, ServerLossMidWindowResubmitsEveryQueuedPacket) {
       fuzz::Executor executor(oop_config(shim, kind));
       ASSERT_EQ(executor.window_depth(), oop::kNumSlots);
 
+      ASSERT_NE(executor.oop_backend(), nullptr);
+      const oop::TargetProcess& process = executor.oop_backend()->process();
+
+      // A result is delivered before anything later is awaited, so the
+      // server that served it is still the current spawn.
+      std::vector<std::size_t> served;  // per spawn, 1-based
       std::size_t delivered = 0;
       executor.run_batch(
           *placeholder, packets,
@@ -522,9 +535,13 @@ TEST(ForkServerFaults, ServerLossMidWindowResubmitsEveryQueuedPacket) {
             ASSERT_EQ(index, delivered++);
             reference.expect_match(result, packets[index],
                                    static_cast<int>(index));
+            served.resize(process.spawns());
+            ++served.back();
           });
       EXPECT_EQ(delivered, packets.size());
-      ASSERT_NE(executor.oop_backend(), nullptr);
+      EXPECT_EQ(served, std::vector<std::size_t>(
+                            packets.size() / fault.served_per_server,
+                            fault.served_per_server));
       EXPECT_EQ(executor.oop_backend()->server_restarts(), fault.restarts);
       EXPECT_EQ(executor.oop_backend()->orderly_server_exits(),
                 fault.orderly_exits);

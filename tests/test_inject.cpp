@@ -76,9 +76,9 @@ constexpr int kGenerousTimeoutMs = 30000;
 /// so the synthetic Hang fault's detail string matches bit for bit.
 constexpr int kHangTimeoutMs = 1000;
 
-oop::OopExecutorConfig injected_config(std::vector<std::string> cmd,
-                                       std::uint32_t budget = 0) {
-  oop::OopExecutorConfig config;
+oop::TargetConfig injected_config(std::vector<std::string> cmd,
+                                  std::uint32_t budget = 0) {
+  oop::TargetConfig config;
   config.target_cmd = std::move(cmd);
   config.preload = preload_path();
   config.exec_timeout_ms = kGenerousTimeoutMs;

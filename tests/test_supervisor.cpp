@@ -124,7 +124,7 @@ TEST(RetryPolicy, CrashLoopBudgetFailsFastInsteadOfRespawningForever) {
   // every respawn is doomed. With a finite budget the executor must stop
   // forking it and fail fast.
   ScopedEnv knob("ICSFUZZ_SHIM_SERVER_EXIT_AT", "1");
-  oop::OopExecutorConfig config;
+  oop::TargetConfig config;
   config.target_cmd = shim_cmd();
   config.retry.max_respawns = 2;
   oop::OutOfProcessExecutor executor(config);
@@ -173,9 +173,8 @@ TEST(RetryPolicy, TcpCrashLoopBudgetFailsFast) {
 
 TEST(RetryPolicy, DefaultsKeepUnlimitedRespawns) {
   const oop::RetryPolicy defaults;
-  EXPECT_EQ(defaults.max_retries, 1);
+  EXPECT_EQ(oop::kMaxRetries, 1);
   EXPECT_LT(defaults.max_respawns, 0);  // negative = unlimited (historical)
-  EXPECT_EQ(defaults.backoff_initial_ms, 0u);
 }
 
 // ------------------------------------------------------------- resource jail

@@ -236,10 +236,9 @@ int main(int argc, char** argv) {
   std::size_t trimmed_bytes = 0;
   if (trim) {
     const auto target = factory();
-    distill::TminConfig tmin_config;
-    tmin_config.executor = executor_config;
     for (Bytes& seed : result.seeds) {
-      distill::TminResult trimmed = distill::tmin(*target, seed, tmin_config);
+      distill::TminResult trimmed =
+          distill::tmin(*target, seed, executor_config);
       trimmed_bytes += trimmed.bytes_before - trimmed.seed.size();
       seed = std::move(trimmed.seed);
     }

@@ -61,7 +61,7 @@ const char* json_bool(bool value) { return value ? "true" : "false"; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  oop::OopExecutorConfig config;
+  oop::TargetConfig config;
   config.exec_timeout_ms = 2000;
 
   int i = 1;
