@@ -13,6 +13,14 @@
 //     the acceptance bar is fork-server execution in the thousands per
 //     second.
 //
+//   * plain fork + exec — the shim itself, fork()ed from this process,
+//     exec()ed and reaped, once per execution of the arm. Started without
+//     a segment, it builds its target and exits at once, so the arm times
+//     the host's process-creation cost and no fuzzing. `oop_vs_fork_exec`
+//     is oop_execs_per_sec over its rate: both arms pay the host's fork,
+//     measured in one run, so the ratio is gated with a `min` that holds
+//     on any runner, while the absolute floor stays as a sanity bound.
+//
 //   * persistent — the same backend in persistent mode (ICSFUZZ_LOOP-style
 //     children, packets through shm slots, run_batch keeping all four
 //     slots in flight):
@@ -50,8 +58,9 @@
 //     wasted round trip.
 //
 // Budget knobs:
-//   ICSFUZZ_BENCH_OOP_EXECS              executions per fork-per-exec arm
-//                                        (default 12000)
+//   ICSFUZZ_BENCH_OOP_EXECS              executions of the fork-per-exec
+//                                        arm and spawns of the fork + exec
+//                                        arm (default 12000)
 //   ICSFUZZ_BENCH_OOP_PERSISTENT_EXECS   executions for the persistent arm
 //                                        and steps of the adaptive-loop
 //                                        arm (default 60000)
@@ -61,6 +70,9 @@
 #include <memory>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "bench_common.hpp"
 #include "coverage/coverage_map.hpp"
@@ -133,6 +145,30 @@ ArmResult run_arm(fuzz::Executor& executor, ProtocolTarget& target,
   }
   arm.seconds = std::chrono::duration<double>(Clock::now() - start).count();
   return arm;
+}
+
+/// The plain fork + exec arm: `spawns` runs of the segment-less shim.
+/// Returns the seconds it took, or a negative value if a spawn failed or
+/// the shim did not exit with its no-segment status (3).
+double run_fork_exec_arm(std::size_t spawns) {
+  char* const argv[] = {const_cast<char*>(ICSFUZZ_SHIM_PATH),
+                        const_cast<char*>("--project"),
+                        const_cast<char*>("libmodbus"), nullptr};
+  const auto start = Clock::now();
+  for (std::size_t i = 0; i < spawns; ++i) {
+    const pid_t pid = ::fork();
+    if (pid < 0) return -1.0;
+    if (pid == 0) {
+      ::execv(ICSFUZZ_SHIM_PATH, argv);
+      ::_exit(127);
+    }
+    int status = 0;
+    if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status) ||
+        WEXITSTATUS(status) != 3) {
+      return -1.0;
+    }
+  }
+  return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
 /// The persistent arm dispatches through run_batch (the pipelined path a
@@ -264,6 +300,8 @@ int main() {
   run_arm(inproc_executor, *inproc_target, packets, 256);
 
   const ArmResult oop = run_arm(oop_executor, *placeholder, packets, execs);
+  run_fork_exec_arm(16);  // warm-up: the shim's pages into the page cache
+  const double fork_exec_seconds = run_fork_exec_arm(execs);
   const ArmResult inproc =
       run_arm(inproc_executor, *inproc_target, packets, execs);
   const auto* persistent_backend = persistent_executor.oop_backend();
@@ -322,6 +360,10 @@ int main() {
       persistent.seconds > 0.0
           ? static_cast<double>(persistent_execs) / persistent.seconds
           : 0.0;
+  const double fork_exec_rate =
+      fork_exec_seconds > 0.0
+          ? static_cast<double>(execs) / fork_exec_seconds
+          : 0.0;
   const std::uint64_t restarts =
       oop_executor.oop_backend() != nullptr
           ? oop_executor.oop_backend()->server_restarts()
@@ -338,6 +380,9 @@ int main() {
   std::printf("{\n  \"bench\": \"oop_exec\",\n");
   std::printf("  \"execs_per_arm\": %zu,\n", execs);
   std::printf("  \"oop_execs_per_sec\": %.0f,\n", oop_rate);
+  std::printf("  \"fork_exec_per_sec\": %.0f,\n", fork_exec_rate);
+  std::printf("  \"oop_vs_fork_exec\": %.3f,\n",
+              fork_exec_rate > 0.0 ? oop_rate / fork_exec_rate : 0.0);
   std::printf("  \"in_process_execs_per_sec\": %.0f,\n", inproc_rate);
   std::printf("  \"slowdown_vs_in_process\": %.2f,\n",
               oop_rate > 0.0 ? inproc_rate / oop_rate : 0.0);
@@ -376,7 +421,7 @@ int main() {
               static_cast<unsigned long long>(oop.checksum & 0xFFFF));
   return matches && persistent_matches && state_bleed_free &&
                  persistent_active && loop_matches && restarts == 0 &&
-                 persistent_restarts == 0
+                 persistent_restarts == 0 && fork_exec_rate > 0.0
              ? 0
              : 1;
 }

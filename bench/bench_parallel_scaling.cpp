@@ -3,6 +3,12 @@
 // W ∈ {1, 2, 4} workers on the Modbus target, emitted as one JSON document
 // for the bench trajectory.
 //
+// A fourth row runs W=2 again with the same budget, checkpointed 10 times
+// into a temporary directory. `checkpointed_vs_free` is its execs/sec over
+// the unchecked W=2 row's, both from the same process: the cost of
+// supervision (capture, checkpoint writes, the boundary rendezvous) as a
+// ratio that cancels the host's speed, gated with a `min`.
+//
 // Each configuration runs the same per-worker budget, so total work scales
 // with W and the speedup column is the throughput ratio vs W=1. On a
 // single-core container the ratio stays near 1.0 (the workers time-slice
@@ -15,6 +21,11 @@
 //   ICSFUZZ_BENCH_ITERS  executions per worker    (default 20000)
 //   ICSFUZZ_BENCH_SYNC   executions between syncs (default 1024)
 #include <cstdio>
+#include <filesystem>
+#include <iterator>
+#include <string>
+
+#include <unistd.h>
 
 #include "bench_common.hpp"
 #include "supervise/supervisor.hpp"
@@ -38,32 +49,58 @@ int main() {
               static_cast<unsigned long long>(sync_interval));
   std::printf("  \"results\": [\n");
 
+  const std::filesystem::path checkpoint_dir =
+      std::filesystem::temp_directory_path() /
+      ("icsfuzz-bench-parallel-" + std::to_string(::getpid()));
+  std::filesystem::create_directories(checkpoint_dir);
+
+  struct Arm {
+    std::size_t workers;
+    bool checkpointed;
+  };
+  constexpr Arm kArms[] = {{1, false}, {2, false}, {4, false}, {2, true}};
+  constexpr std::size_t kCheckpoints = 10;
   double w1_rate = 0.0;
   std::size_t w1_paths = 0;
-  const std::size_t worker_counts[] = {1, 2, 4};
-  for (std::size_t i = 0; i < 3; ++i) {
-    const std::size_t workers = worker_counts[i];
+  double w2_rate = 0.0;
+  double checkpointed_rate = 0.0;
+  bool saves_ok = true;
+  for (std::size_t i = 0; i < std::size(kArms); ++i) {
+    const std::size_t workers = kArms[i].workers;
     supervise::SupervisorConfig config;
     config.campaign.workers = workers;
     config.campaign.iterations_per_worker = iterations;
     config.campaign.base_seed = 1000;
     config.campaign.sync_interval = sync_interval;
     config.checkpoint_interval = 0;  // one chunk; no checkpoint_path, no image
+    if (kArms[i].checkpointed) {
+      config.checkpoint_path = (checkpoint_dir / "campaign.ckpt").string();
+      config.checkpoint_interval =
+          (iterations + kCheckpoints - 1) / kCheckpoints;
+    }
     supervise::CampaignSupervisor campaign(factory, models, config);
-    const par::ParallelCampaignResult result = campaign.run().campaign;
+    const supervise::SupervisorResult run = campaign.run();
+    const par::ParallelCampaignResult& result = run.campaign;
 
     const double rate = result.execs_per_second();
     if (workers == 1) {
       w1_rate = rate;
       w1_paths = result.global_paths;
     }
+    if (kArms[i].checkpointed) {
+      checkpointed_rate = rate;
+      saves_ok = run.checkpoints_saved > 0 && run.notes.empty();
+    } else if (workers == 2) {
+      w2_rate = rate;
+    }
     std::printf(
-        "    {\"workers\": %zu, \"executions\": %llu, "
+        "    {\"workers\": %zu, \"checkpoints\": %zu, \"executions\": %llu, "
         "\"wall_seconds\": %.3f, \"execs_per_sec\": %.0f, "
         "\"speedup_vs_w1\": %.2f, \"global_paths\": %zu, "
         "\"global_edges\": %zu, \"paths_vs_w1_pct\": %.2f, "
         "\"seeds_published\": %zu}%s\n",
-        workers, static_cast<unsigned long long>(result.total_executions),
+        workers, run.checkpoints_saved,
+        static_cast<unsigned long long>(result.total_executions),
         result.wall_seconds, rate, w1_rate > 0.0 ? rate / w1_rate : 0.0,
         result.global_paths, result.global_edges,
         w1_paths > 0
@@ -71,8 +108,11 @@ int main() {
                static_cast<double>(w1_paths)) /
                   static_cast<double>(w1_paths) * 100.0
             : 0.0,
-        result.seeds_published, i + 1 < 3 ? "," : "");
+        result.seeds_published, i + 1 < std::size(kArms) ? "," : "");
   }
-  std::printf("  ]\n}\n");
-  return 0;
+  std::filesystem::remove_all(checkpoint_dir);
+  std::printf("  ],\n");
+  std::printf("  \"checkpointed_vs_free\": %.3f\n}\n",
+              w2_rate > 0.0 ? checkpointed_rate / w2_rate : 0.0);
+  return saves_ok ? 0 : 1;
 }

@@ -9,41 +9,52 @@ std::uint64_t bytes_hash(const Bytes& data) { return content_hash(data); }
 
 }  // namespace
 
-bool PuzzleCorpus::add_to(std::unordered_map<std::uint64_t, Bucket>& tier,
-                          std::uint64_t key, const Bytes& puzzle, Rng& rng) {
-  Bucket& bucket = tier[key];
-  const std::uint64_t hash = bytes_hash(puzzle);
-  if (!bucket.hashes.insert(hash).second) return false;  // duplicate
-  ++revision_;
+bool PuzzleCorpus::insert(Bucket& bucket, bool exact, std::uint64_t hash,
+                          const Bytes& puzzle, Rng& rng) {
+  if (std::find(bucket.hashes.begin(), bucket.hashes.end(), hash) !=
+      bucket.hashes.end()) {
+    return false;  // duplicate
+  }
+  bucket.changed = ++revision_;
   if (bucket.entries.size() < config_.per_rule_cap) {
     bucket.entries.push_back(puzzle);
-    if (&tier == &exact_) ++exact_size_;
+    bucket.hashes.push_back(hash);
+    if (exact) ++exact_size_;
     return true;
   }
   // Random replacement keeps the bucket fresh without unbounded growth.
   const std::size_t victim = rng.index(bucket.entries.size());
-  bucket.hashes.erase(bytes_hash(bucket.entries[victim]));
   bucket.entries[victim] = puzzle;
+  bucket.hashes[victim] = hash;
   return true;
 }
 
 bool PuzzleCorpus::add(const model::Chunk& rule, Bytes puzzle, Rng& rng) {
-  const bool exact_added = add_to(exact_, rule.rule_key(), puzzle, rng);
-  const bool shape_added = add_to(shape_, rule.shape_key(), puzzle, rng);
+  const std::uint64_t hash = bytes_hash(puzzle);
+  const bool exact_added =
+      insert(exact_[rule.rule_key()], true, hash, puzzle, rng);
+  const bool shape_added =
+      insert(shape_[rule.shape_key()], false, hash, puzzle, rng);
   return exact_added || shape_added;
 }
 
-std::size_t PuzzleCorpus::merge_from(const PuzzleCorpus& other, Rng& rng) {
-  if (&other == this) return 0;
+std::size_t PuzzleCorpus::merge_from(const PuzzleCorpus& other, Rng& rng,
+                                     std::uint64_t since) {
+  // No bucket changed after the corpus' own revision.
+  if (&other == this || other.revision_ <= since) return 0;
   std::size_t added = 0;
   for (const auto& [key, bucket] : other.exact_) {
-    for (const Bytes& puzzle : bucket.entries) {
-      added += add_to(exact_, key, puzzle, rng) ? 1 : 0;
+    if (bucket.changed <= since || bucket.entries.empty()) continue;
+    Bucket& into = exact_[key];
+    for (std::size_t i = 0; i < bucket.entries.size(); ++i) {
+      added += insert(into, true, bucket.hashes[i], bucket.entries[i], rng);
     }
   }
   for (const auto& [key, bucket] : other.shape_) {
-    for (const Bytes& puzzle : bucket.entries) {
-      add_to(shape_, key, puzzle, rng);
+    if (bucket.changed <= since || bucket.entries.empty()) continue;
+    Bucket& into = shape_[key];
+    for (std::size_t i = 0; i < bucket.entries.size(); ++i) {
+      insert(into, false, bucket.hashes[i], bucket.entries[i], rng);
     }
   }
   return added;
@@ -87,13 +98,15 @@ std::vector<CorpusSnapshot::BucketImage> image_tier(const Tier& tier) {
 
 template <typename Tier>
 void restore_tier(Tier& tier,
-                  const std::vector<CorpusSnapshot::BucketImage>& images) {
+                  const std::vector<CorpusSnapshot::BucketImage>& images,
+                  std::uint64_t revision) {
   tier.clear();
   for (const CorpusSnapshot::BucketImage& image : images) {
     auto& bucket = tier[image.key];
     bucket.entries = image.entries;
+    bucket.changed = revision;
     for (const Bytes& entry : bucket.entries) {
-      bucket.hashes.insert(bytes_hash(entry));
+      bucket.hashes.push_back(bytes_hash(entry));
     }
   }
 }
@@ -109,8 +122,8 @@ CorpusSnapshot PuzzleCorpus::snapshot() const {
 }
 
 void PuzzleCorpus::restore(const CorpusSnapshot& image) {
-  restore_tier(exact_, image.exact);
-  restore_tier(shape_, image.shape);
+  restore_tier(exact_, image.exact, image.revision);
+  restore_tier(shape_, image.shape, image.revision);
   exact_size_ = 0;
   for (const auto& [key, bucket] : exact_) exact_size_ += bucket.entries.size();
   revision_ = image.revision;

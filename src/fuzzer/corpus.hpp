@@ -7,12 +7,13 @@
 //   * shape key       (kind + shape only)           — "similar rule".
 // Per-rule entry counts are capped; once full, new entries replace random
 // incumbents so the corpus keeps drifting toward recent discoveries without
-// unbounded growth.
+// unbounded growth. Every bucket remembers the corpus revision of its last
+// change, so a sync that has already seen revision R can merge only the
+// buckets changed after R (merge_from's `since`).
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "model/chunk.hpp"
@@ -57,13 +58,17 @@ class PuzzleCorpus {
   [[nodiscard]] const std::vector<Bytes>* similar_candidates(
       const model::Chunk& rule) const;
 
-  /// Folds every puzzle of `other` into this corpus, tier by tier, with the
-  /// usual per-bucket dedup and cap (rng picks replacement victims in full
-  /// buckets). Returns the number of exact-tier puzzles actually added, so
-  /// merging a corpus into itself — or re-merging an unchanged peer —
-  /// returns 0 and draws nothing from `rng`. This is the corpus-sync
-  /// primitive of the parallel campaign.
-  std::size_t merge_from(const PuzzleCorpus& other, Rng& rng);
+  /// Folds the buckets of `other` changed after its revision `since` into
+  /// this corpus, tier by tier, each offered whole, with the usual
+  /// per-bucket dedup and cap (rng picks replacement victims in full
+  /// buckets). `since` = 0 offers every bucket. Returns the number of
+  /// exact-tier puzzles actually added, so merging a corpus into itself —
+  /// or re-merging an unchanged peer — returns 0 and draws nothing from
+  /// `rng`. This is the corpus-sync primitive of the parallel campaign: a
+  /// caller that passes the revision of its last merge pays for what
+  /// changed since, not for the corpus size.
+  std::size_t merge_from(const PuzzleCorpus& other, Rng& rng,
+                         std::uint64_t since = 0);
 
   [[nodiscard]] bool empty() const { return exact_.empty(); }
 
@@ -74,8 +79,7 @@ class PuzzleCorpus {
   [[nodiscard]] std::size_t rule_count() const { return exact_.size(); }
 
   /// Monotonic mutation counter: bumped by every accepted add (including
-  /// replacements) and by clear(). Lets parallel-sync callers skip whole
-  /// corpus re-merges when nothing changed since their last visit.
+  /// replacements) and by clear(). The `since` of merge_from.
   [[nodiscard]] std::uint64_t revision() const { return revision_; }
 
   void clear();
@@ -84,17 +88,24 @@ class PuzzleCorpus {
   [[nodiscard]] CorpusSnapshot snapshot() const;
 
   /// Replaces the corpus contents with `image` (bucket hash sets are
-  /// recomputed from the entries; revision_ is restored verbatim).
+  /// recomputed from the entries; revision_ is restored verbatim and marks
+  /// every restored bucket as changed at that revision).
   void restore(const CorpusSnapshot& image);
 
  private:
   struct Bucket {
     std::vector<Bytes> entries;
-    std::unordered_set<std::uint64_t> hashes;  // dedup within the bucket
+    /// Content hash of each entry, index for index: the dedup within the
+    /// bucket (a cap-sized linear scan), and a merge reads it instead of
+    /// rehashing the entries it offers.
+    std::vector<std::uint64_t> hashes;
+    std::uint64_t changed = 0;  // revision_ of the last add or replacement
   };
 
-  bool add_to(std::unordered_map<std::uint64_t, Bucket>& tier,
-              std::uint64_t key, const Bytes& puzzle, Rng& rng);
+  /// Adds `puzzle`, whose content hash is `hash`, to `bucket` unless the
+  /// bucket holds it already; `exact` says the bucket is in exact_.
+  bool insert(Bucket& bucket, bool exact, std::uint64_t hash,
+              const Bytes& puzzle, Rng& rng);
 
   CorpusConfig config_;
   std::unordered_map<std::uint64_t, Bucket> exact_;

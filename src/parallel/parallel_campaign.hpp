@@ -13,6 +13,11 @@
 //                       target #W-1 ─ ... ─────┘   ├ global CoverageMap
 //                                                  └ global PuzzleCorpus
 //
+// Each worker runs on its own thread for the whole run and never waits for
+// a peer at the exchange; under checkpointing it also hands the supervisor
+// a capture of its state at each chunk boundary and fuzzes on
+// (supervise/supervisor.hpp).
+//
 // Each worker's RNG seed derives deterministically from `base_seed`
 // (worker.hpp), so a parallel campaign is reproducible up to OS thread
 // interleaving of the sync points — and exactly reproducible at W=1.

@@ -50,20 +50,18 @@ std::size_t SeedExchange::global_paths() const {
   return global_paths_.path_count();
 }
 
-void SeedExchange::publish_puzzles(const fuzz::PuzzleCorpus& corpus) {
+void SeedExchange::publish_puzzles(const fuzz::PuzzleCorpus& corpus,
+                                   std::uint64_t since) {
   std::lock_guard<std::mutex> lock(puzzle_mutex_);
-  global_corpus_.merge_from(corpus, corpus_rng_);
+  global_corpus_.merge_from(corpus, corpus_rng_, since);
 }
 
-std::size_t SeedExchange::import_puzzles(fuzz::PuzzleCorpus& into,
-                                         Rng& rng) const {
+std::size_t SeedExchange::import_puzzles(fuzz::PuzzleCorpus& into, Rng& rng,
+                                         std::uint64_t& since) const {
   std::lock_guard<std::mutex> lock(puzzle_mutex_);
-  return into.merge_from(global_corpus_, rng);
-}
-
-std::uint64_t SeedExchange::puzzle_revision() const {
-  std::lock_guard<std::mutex> lock(puzzle_mutex_);
-  return global_corpus_.revision();
+  const std::size_t added = into.merge_from(global_corpus_, rng, since);
+  since = global_corpus_.revision();
+  return added;
 }
 
 }  // namespace icsfuzz::par

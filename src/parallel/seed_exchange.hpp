@@ -10,10 +10,15 @@
 //     whole campaign, cf. the per-campaign metric of the paper's §V), and
 //   * swap cracked puzzles through a global PuzzleCorpus so one worker's
 //     File Cracker discoveries feed every worker's semantic generation.
+//     Both directions move only the buckets changed since the caller's
+//     last visit (PuzzleCorpus::merge_from's `since`), so a sync costs what
+//     changed, not the corpus size.
 //
 // All three surfaces are independently locked; a campaign with W=1 merely
 // publishes into an exchange nobody reads, which keeps the single-worker
-// campaign bit-for-bit identical to the sequential engine.
+// campaign bit-for-bit identical to the sequential engine. An exchange is
+// never checkpointed: a resumed campaign starts a fresh one, whose cursors
+// and puzzle revisions start at 0.
 #pragma once
 
 #include <array>
@@ -78,16 +83,17 @@ class SeedExchange {
 
   // -- Global puzzle pool. --
 
-  /// Folds a worker's puzzle corpus into the global pool.
-  void publish_puzzles(const fuzz::PuzzleCorpus& corpus);
+  /// Folds the buckets of a worker's puzzle corpus changed after its
+  /// revision `since` (0: all of them) into the global pool.
+  void publish_puzzles(const fuzz::PuzzleCorpus& corpus,
+                       std::uint64_t since = 0);
 
-  /// Folds the global pool into `into` using `rng` for replacement victims
-  /// (the caller's import RNG). Returns puzzles added to `into`.
-  std::size_t import_puzzles(fuzz::PuzzleCorpus& into, Rng& rng) const;
-
-  /// Mutation counter of the global pool; a worker whose last import saw
-  /// this revision can skip the next import wholesale.
-  [[nodiscard]] std::uint64_t puzzle_revision() const;
+  /// Folds the global pool's buckets changed after its revision `since`
+  /// into `into`, using `rng` for replacement victims (the caller's import
+  /// RNG), and advances `since` to the pool's revision under the same
+  /// lock. Returns puzzles added to `into`.
+  std::size_t import_puzzles(fuzz::PuzzleCorpus& into, Rng& rng,
+                             std::uint64_t& since) const;
 
  private:
   struct Shard {

@@ -75,14 +75,18 @@ WorkerState Worker::capture_state(bool delta) const {
 
 void Worker::restore_state(const WorkerState& state) {
   fuzzer_.restore_checkpoint(state.fuzzer);
-  cursor_.next = state.cursor_next;
+  // The exchange cursors are not restored: the exchange they index died
+  // with the process, and the fresh one starts its shards and its puzzle
+  // revision at 0. Starting over makes the first pull, publish and import
+  // full.
+  cursor_ = {};
+  published_corpus_revision_ = 0;
+  imported_global_revision_ = 0;
   sync_rng_.set_state(state.sync_rng);
   published_ = state.published;
   imported_ = state.imported;
   puzzles_imported_ = state.puzzles_imported;
   syncs_ = state.syncs;
-  published_corpus_revision_ = state.published_corpus_revision;
-  imported_global_revision_ = state.imported_global_revision;
   // The heartbeat resumes from the checkpointed position: the watchdog
   // only ever diffs progress, and a resumed worker's absolute count then
   // matches what an uninterrupted one would show.
@@ -103,12 +107,10 @@ void Worker::kill_target_server() const {
 void Worker::sync(bool import_phase) {
   ++syncs_;
 
-  // Publish: fresh valuable seeds, the cracked-puzzle corpus, and the
-  // accumulated coverage of this shard. The revision check skips the full
-  // re-merge while the corpus is quiet between discoveries; once hot
-  // buckets saturate their cap, replacement churn (local and global evict
-  // different random victims) can keep revisions moving and force
-  // re-merges — bounded at O(corpus) per sync, the pre-optimization cost.
+  // Publish: fresh valuable seeds, the puzzle buckets changed since the
+  // last publish, and the accumulated coverage of this shard. Offering
+  // only changed buckets means a puzzle the global pool evicted is offered
+  // again only once its local bucket changes again.
   for (fuzz::RetainedSeed& seed : fuzzer_.drain_new_retained()) {
     if (exchange_.publish(config_.id, std::move(seed.bytes),
                           std::move(seed.model_name), seed.execution)) {
@@ -116,15 +118,16 @@ void Worker::sync(bool import_phase) {
     }
   }
   if (fuzzer_.corpus().revision() != published_corpus_revision_) {
+    exchange_.publish_puzzles(fuzzer_.corpus(), published_corpus_revision_);
     published_corpus_revision_ = fuzzer_.corpus().revision();
-    exchange_.publish_puzzles(fuzzer_.corpus());
   }
   exchange_.merge_coverage(fuzzer_.executor().coverage(),
                            fuzzer_.executor().paths());
 
   // Import: peers' seeds are queued for execution (so their discoveries
   // enter this worker's map and corpus through the normal feedback loop),
-  // and the global puzzle pool is folded into the local corpus directly.
+  // and the global pool's buckets changed since the last import are folded
+  // into the local corpus directly.
   if (!import_phase || config_.worker_count <= 1) return;
   std::vector<ExchangeSeed> fresh;
   exchange_.pull(config_.id, cursor_, fresh);
@@ -139,12 +142,8 @@ void Worker::sync(bool import_phase) {
     fuzzer_.import_external_seed(std::move(seed.bytes));
     ++imported_;
   }
-  const std::uint64_t global_revision = exchange_.puzzle_revision();
-  if (global_revision != imported_global_revision_) {
-    imported_global_revision_ = global_revision;
-    puzzles_imported_ +=
-        exchange_.import_puzzles(fuzzer_.mutable_corpus(), sync_rng_);
-  }
+  puzzles_imported_ += exchange_.import_puzzles(
+      fuzzer_.mutable_corpus(), sync_rng_, imported_global_revision_);
 }
 
 }  // namespace icsfuzz::par

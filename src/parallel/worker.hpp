@@ -5,7 +5,11 @@
 // db), so the hot fuzzing loop runs entirely without synchronization —
 // coverage tracing and the fault sink are thread_local (instrument.hpp,
 // fault.hpp). Every `sync_interval` executions the worker visits the
-// SeedExchange to publish what it learned and import what its peers did.
+// SeedExchange to publish what it learned and import what its peers did;
+// the puzzle part of a visit moves only the corpus buckets changed since
+// the previous one. Under CampaignSupervisor each worker runs on one
+// thread for the whole run, chunk after chunk, and captures its own
+// WorkerState at each checkpoint boundary (supervise/supervisor.hpp).
 //
 // Determinism: worker w's RNG seed is derived as
 //     seed(w) = base_seed + w * kWorkerSeedStride     (seed(0) == base_seed)
@@ -49,9 +53,11 @@ struct WorkerConfig {
 };
 
 /// Everything a worker needs to continue a campaign after a process
-/// restart: the fuzzer checkpoint plus the exchange cursor, the import-side
+/// restart: the fuzzer checkpoint plus the exchange cursors, the import-side
 /// RNG and the sync bookkeeping. Captured between iterations only (see
-/// Fuzzer::capture_checkpoint).
+/// Fuzzer::capture_checkpoint). The exchange cursors (`cursor_next` and the
+/// two puzzle revisions) are recorded but not restored: they point into an
+/// exchange that died with the process.
 struct WorkerState {
   fuzz::FuzzerCheckpoint fuzzer;
   std::vector<std::size_t> cursor_next;
@@ -80,9 +86,12 @@ class Worker {
   /// (coverage tracing is thread-local).
   void run_range(std::uint64_t begin, std::uint64_t end, std::uint64_t total);
 
-  /// Checkpoint/resume (between run_range chunks only). A `delta` capture
-  /// copies the fuzzer's dedup journal instead of its dedup tables
-  /// (Fuzzer::capture_checkpoint).
+  /// Checkpoint/resume (between run_range chunks only, on the worker's own
+  /// thread or while it is stopped; its peers may fuzz on). A `delta`
+  /// capture copies the fuzzer's dedup journal instead of its dedup tables
+  /// (Fuzzer::capture_checkpoint). restore_state() starts the exchange
+  /// cursors over, so the first publish and the first import after it are
+  /// full: the worker is then attached to a fresh exchange.
   [[nodiscard]] WorkerState capture_state(bool delta = false) const;
   void restore_state(const WorkerState& state);
   /// Re-arms the fuzzer's dedup journal for the next `capacity` inserts.
@@ -132,8 +141,8 @@ class Worker {
   std::uint64_t imported_ = 0;
   std::uint64_t puzzles_imported_ = 0;
   std::uint64_t syncs_ = 0;
-  /// Corpus revisions seen at the last publish/import — unchanged revisions
-  /// let a sync skip the O(corpus) re-merges entirely.
+  /// The local corpus revision at the last publish and the global one at
+  /// the last import: each sync merges only the buckets changed since.
   std::uint64_t published_corpus_revision_ = 0;
   std::uint64_t imported_global_revision_ = 0;
   /// Lifetime iteration heartbeat (relaxed; written by the worker thread,

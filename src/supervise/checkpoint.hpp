@@ -2,7 +2,7 @@
 // resume.
 //
 // A CampaignCheckpoint is the complete trajectory-relevant state of a
-// (possibly parallel) campaign at a quiescent point: how many iterations
+// (possibly parallel) campaign at one chunk boundary: how many iterations
 // every worker has completed plus each worker's full WorkerState (fuzzer
 // checkpoint, exchange cursor, sync bookkeeping — see parallel/worker.hpp).
 // load_checkpoint() reinstates one on the next start; the resumed campaign
@@ -51,8 +51,9 @@
 namespace icsfuzz::supervise {
 
 struct CampaignCheckpoint {
-  /// Iterations every worker has completed (workers advance in lockstep
-  /// chunks, so one number covers all of them).
+  /// Iterations every worker has completed. Each worker captures its own
+  /// state at the same chunk boundary, whenever it gets there, so one
+  /// number covers all of them.
   std::uint64_t completed_iterations = 0;
   // Campaign identity — must match the resuming configuration.
   std::uint64_t base_seed = 0;

@@ -5,10 +5,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "distill/distill.hpp"
@@ -22,9 +24,53 @@ namespace {
 
 /// Process-wide stop flag: written by request_stop() (from any thread,
 /// or from a signal handler the embedding program installs), polled by
-/// every supervisor between chunks. Lock-free, so it is safe from both.
+/// every supervisor's workers at each chunk boundary and by its watchdog
+/// wait. Lock-free, so it is safe from both.
 std::atomic<int> g_stop_requested{0};
 static_assert(std::atomic<int>::is_always_lock_free);
+
+constexpr std::uint64_t kNoStop = std::numeric_limits<std::uint64_t>::max();
+
+/// Where one run's free-running workers meet the supervisor thread.
+/// Boundary k (counted from 1 where the run started) closes the run's k-th
+/// chunk. Every member is guarded by `mutex`.
+struct Rendezvous {
+  explicit Rendezvous(std::size_t workers)
+      : heading(workers, 1), idle(workers, 0), captures(workers),
+        running(workers) {}
+
+  /// Once a stop is requested, fixes stop_at at the furthest boundary any
+  /// worker has reached or is running toward, so no worker is past it.
+  /// Returns true when this call fixed it.
+  bool note_stop() {
+    if (g_stop_requested == 0 || stop_at != kNoStop) return false;
+    stop_at = *std::max_element(heading.begin(), heading.end());
+    return true;
+  }
+
+  std::mutex mutex;
+  /// Wakes workers waiting at a boundary: one was handled, or a stop set.
+  std::condition_variable workers_wake;
+  /// Wakes the supervisor: a boundary's captures are all in, or every
+  /// worker finished.
+  std::condition_variable supervisor_wake;
+  /// The boundary each worker is running toward or waiting at.
+  std::vector<std::uint64_t> heading;
+  /// Nonzero while a worker waits at a boundary or has finished.
+  std::vector<char> idle;
+  /// Each worker's capture of boundary handled + 1, once it arrived.
+  std::vector<par::WorkerState> captures;
+  std::size_t arrived = 0;
+  /// Boundaries written, or skipped as mixed.
+  std::uint64_t handled = 0;
+  /// Whether the next boundary may be a segment: the writer accepts one
+  /// and the last boundary was not skipped.
+  bool segment_ok = false;
+  std::uint64_t stop_at = kNoStop;
+  /// Worker threads still running, and the iteration they stopped at.
+  std::size_t running;
+  std::uint64_t finished_at = 0;
+};
 
 void append_note(std::string& notes, const std::string& note) {
   if (!notes.empty()) notes += "; ";
@@ -210,58 +256,64 @@ SupervisorResult CampaignSupervisor::run() {
   }
 
   // -- Checkpoint log. ------------------------------------------------------
-  // A save captures the workers between chunks, while they are quiescent,
-  // and is written while the next chunk runs, so the workers stop only for
-  // the capture. It is a segment holding every worker's dedup journal when
-  // the writer accepts one and no journal rotated or overflowed, a fresh
-  // base otherwise. The journals are sized for one chunk's inserts; a
-  // single-chunk campaign saves once, as a base, and never arms them.
+  // Each worker captures its own state at every checkpoint boundary short
+  // of its last, on its own thread, re-arms its dedup journal and fuzzes
+  // on; this thread writes boundary b once every worker's capture of b is
+  // in, while the workers run. A save is a segment holding every worker's
+  // dedup journal when the writer accepts one and no journal rotated or
+  // overflowed, a fresh base otherwise. The journals are sized for one
+  // chunk's inserts; a single-chunk campaign saves once, as a base, and
+  // never arms them.
   const std::uint64_t chunk_size =
       config_.checkpoint_interval != 0 ? config_.checkpoint_interval : total;
+  const bool checkpointing = !config_.checkpoint_path.empty();
   CheckpointWriter writer(config_.checkpoint_path);
-  const bool journaled =
-      !config_.checkpoint_path.empty() && chunk_size < total - completed;
-  const auto arm_journals = [&] {
-    if (!journaled) return;
+  const bool journaled = checkpointing && chunk_size < total - completed;
+  if (journaled) {
     for (const std::unique_ptr<par::Worker>& worker : workers) {
       worker->arm_dedup_journal(chunk_size);
     }
-  };
-  arm_journals();
+  }
 
-  const auto capture = [&](std::uint64_t done) {
-    bool delta = writer.accepts_segment();
-    for (const std::unique_ptr<par::Worker>& worker : workers) {
-      delta = delta && worker->fuzzer().dedup().journal_valid();
+  // Writes boundary `done` from the workers' captures and returns whether
+  // it landed. A boundary whose captures mix delta and full ones (a journal
+  // rotated or overflowed in one worker only) is skipped; after a skip, as
+  // after a failed save, the next boundary must be a base.
+  const auto write = [&](std::uint64_t done,
+                         std::vector<par::WorkerState> states) {
+    const auto deltas = std::count_if(
+        states.begin(), states.end(),
+        [](const par::WorkerState& s) { return s.fuzzer.dedup_delta; });
+    char detail[64];
+    if (deltas != 0 && static_cast<std::size_t>(deltas) != states.size()) {
+      if (sink.enabled()) {
+        std::snprintf(detail, sizeof detail, "skipped mixed at=%llu",
+                      static_cast<unsigned long long>(done));
+        sink.event(telem::EventType::kCheckpoint, 0, detail);
+      }
+      return false;
     }
     CampaignCheckpoint cp;
     cp.completed_iterations = done;
     cp.base_seed = cc.base_seed;
     cp.iterations_per_worker = cc.iterations_per_worker;
     cp.sync_interval = cc.sync_interval;
-    cp.workers.reserve(workers.size());
-    for (const std::unique_ptr<par::Worker>& worker : workers) {
-      cp.workers.push_back(worker->capture_state(delta));
-    }
-    arm_journals();
-    return cp;
-  };
-  const auto write = [&](const CampaignCheckpoint& cp) {
+    cp.workers = std::move(states);
     if (std::optional<std::string> error = writer.save(cp)) {
       append_note(result.notes, "checkpoint save failed: " + *error);
-      return;
+      return false;
     }
     ++result.checkpoints_saved;
     if (sink.enabled()) {
-      char detail[64];
-      std::snprintf(detail, sizeof detail, "saved at=%llu of=%llu",
-                    static_cast<unsigned long long>(cp.completed_iterations),
+      std::snprintf(detail, sizeof detail, "saved %s at=%llu of=%llu",
+                    deltas != 0 ? "segment" : "base",
+                    static_cast<unsigned long long>(done),
                     static_cast<unsigned long long>(total));
       sink.add(telem::Counter::kCheckpointsSaved);
       sink.event(telem::EventType::kCheckpoint, 0, detail);
     }
+    return true;
   };
-  std::optional<CampaignCheckpoint> pending;  // captured, not yet written
 
   // Live export: the watchdog's wait also wakes for each export deadline
   // and atomically rewrites metrics.json / metrics.prom / journal.jsonl
@@ -272,99 +324,146 @@ SupervisorResult CampaignSupervisor::run() {
       cc.telemetry_export_ms > 0 ? cc.telemetry_export_ms : 1000);
   telem::RateWindows rates;
 
-  // -- Chunk loop. ---------------------------------------------------------
+  // -- Free-running workers. -----------------------------------------------
+  // One thread per worker for the whole run. At boundary k a worker waits
+  // until boundary k-1 is handled (the lag bound), then either stops — at
+  // the budget's end or at the stop boundary — or captures k and runs on.
+  const std::size_t n = workers.size();
+  Rendezvous board(n);
+  const auto run_worker = [&](std::size_t w) {
+    par::Worker& worker = *workers[w];
+    std::uint64_t begin = completed;
+    for (std::uint64_t k = 1;; ++k) {
+      const std::uint64_t end = begin + std::min(chunk_size, total - begin);
+      worker.run_range(begin, end, total);
+      begin = end;
+      std::unique_lock<std::mutex> lock(board.mutex);
+      board.idle[w] = 1;
+      if (board.note_stop()) board.workers_wake.notify_all();
+      board.workers_wake.wait(lock, [&] {
+        return end == total || board.stop_at == k || board.handled + 1 >= k;
+      });
+      if (end == total || board.stop_at == k) {
+        board.finished_at = end;
+        if (--board.running == 0) board.supervisor_wake.notify_one();
+        return;
+      }
+      board.heading[w] = k + 1;
+      board.idle[w] = 0;
+      const bool delta =
+          board.segment_ok && worker.fuzzer().dedup().journal_valid();
+      lock.unlock();
+      par::WorkerState state;
+      if (checkpointing) {
+        state = worker.capture_state(delta);
+        if (journaled) worker.arm_dedup_journal(chunk_size);
+      }
+      lock.lock();
+      board.captures[w] = std::move(state);
+      if (++board.arrived == n) board.supervisor_wake.notify_one();
+    }
+  };
+
+  // This thread writes each boundary as it completes, runs the watchdog
+  // and the live export.
   const std::chrono::milliseconds poll(
       config_.watchdog_poll_ms > 0 ? config_.watchdog_poll_ms : 200);
   const auto start = std::chrono::steady_clock::now();
   auto next_export = live_export ? start + export_period
                                  : std::chrono::steady_clock::time_point::max();
-  while (completed < total && g_stop_requested == 0) {
-    const std::uint64_t chunk_end = std::min(total, completed + chunk_size);
-
-    // All workers on spawned threads; this thread runs the watchdog. The
-    // last worker to finish wakes it, so a chunk ends when its work does,
-    // not at the watchdog's next poll.
-    const std::size_t n = workers.size();
-    std::unique_ptr<std::atomic<bool>[]> done(new std::atomic<bool>[n]);
-    for (std::size_t w = 0; w < n; ++w) done[w].store(false);
-    std::mutex running_mutex;
-    std::condition_variable all_done;
-    std::size_t running = n;
-    std::vector<std::thread> threads;
+  std::vector<std::thread> threads;
+  if (completed < total && g_stop_requested == 0) {
     threads.reserve(n);
-    for (std::size_t w = 0; w < n; ++w) {
-      threads.emplace_back([&, w] {
-        workers[w]->run_range(completed, chunk_end, total);
-        done[w].store(true, std::memory_order_release);
-        const std::lock_guard<std::mutex> lock(running_mutex);
-        if (--running == 0) all_done.notify_one();
-      });
-    }
-    if (pending) {
-      write(*pending);
-      pending.reset();
-    }
-
-    std::vector<std::uint64_t> last_progress(n, 0);
-    std::vector<int> stalled_ms(n, 0);
-    std::vector<int> kicks(n, 0);
-    for (std::size_t w = 0; w < n; ++w) {
-      last_progress[w] = workers[w]->progress();
-    }
-    auto last_poll = std::chrono::steady_clock::now();
-    for (;;) {
-      const auto wake = std::min(last_poll + poll, next_export);
-      {
-        std::unique_lock<std::mutex> lock(running_mutex);
-        if (all_done.wait_until(lock, wake, [&] { return running == 0; })) {
-          break;
-        }
-      }
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= next_export) {
-        telem::export_live(*sink.hub(), rates, cc.telemetry_dir);
-        next_export = now + export_period;
-      }
-      if (now < last_poll + poll) continue;  // woken to export only
-      // A stall is charged the time that actually passed, so a late or
-      // early poll can neither hide a wedge nor fake one.
-      const int elapsed_ms = static_cast<int>(
-          std::chrono::duration_cast<std::chrono::milliseconds>(now -
-                                                                last_poll)
-              .count());
-      last_poll = now;
-      for (std::size_t w = 0; w < n; ++w) {
-        if (done[w].load(std::memory_order_acquire)) continue;
-        const std::uint64_t progress = workers[w]->progress();
-        if (progress != last_progress[w]) {
-          last_progress[w] = progress;
-          stalled_ms[w] = 0;
-          continue;
-        }
-        stalled_ms[w] += elapsed_ms;
-        if (stalled_ms[w] < config_.wedge_timeout_ms) continue;
-        stalled_ms[w] = 0;
-        if (kicks[w] >= config_.max_watchdog_kicks) continue;
-        ++kicks[w];
-        ++result.watchdog_kicks;
-        workers[w]->kill_target_server();
-        if (sink.enabled()) {
-          char detail[64];
-          std::snprintf(detail, sizeof detail, "worker=%zu kick=%d", w,
-                        kicks[w]);
-          sink.add(telem::Counter::kWatchdogKicks);
-          sink.event(telem::EventType::kWatchdogKick, 0, detail);
-        }
-      }
-    }
-    for (std::thread& thread : threads) thread.join();
-
-    completed = chunk_end;
-    if (!config_.checkpoint_path.empty()) pending = capture(completed);
+    for (std::size_t w = 0; w < n; ++w) threads.emplace_back(run_worker, w);
   }
-  // The last capture — after the final chunk it marks the campaign
-  // complete, so a rerun with resume=true is a no-op instead of a replay.
-  if (pending) write(*pending);
+  std::vector<std::uint64_t> last_progress(n, 0);
+  std::vector<int> stalled_ms(n, 0);
+  std::vector<int> kicks(n, 0);
+  std::vector<std::uint64_t> kick_chunk(n, 1);
+  auto last_poll = std::chrono::steady_clock::now();
+  std::unique_lock<std::mutex> lock(board.mutex);
+  while (!threads.empty()) {
+    const auto wake = std::min(last_poll + poll, next_export);
+    board.supervisor_wake.wait_until(
+        lock, wake, [&] { return board.arrived == n || board.running == 0; });
+    if (board.arrived == n) {
+      std::vector<par::WorkerState> states =
+          std::exchange(board.captures, std::vector<par::WorkerState>(n));
+      board.arrived = 0;
+      const std::uint64_t done = completed + (board.handled + 1) * chunk_size;
+      lock.unlock();
+      const bool written = !checkpointing || write(done, std::move(states));
+      lock.lock();
+      ++board.handled;
+      board.segment_ok = written && writer.accepts_segment();
+      board.workers_wake.notify_all();
+    }
+    if (board.running == 0) break;
+    if (board.note_stop()) board.workers_wake.notify_all();
+
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= next_export) {
+      lock.unlock();
+      telem::export_live(*sink.hub(), rates, cc.telemetry_dir);
+      lock.lock();
+      next_export = now + export_period;
+    }
+    if (now < last_poll + poll) continue;  // woken for other work only
+    // A stall is charged the time that actually passed, so a late or
+    // early poll can neither hide a wedge nor fake one. A worker waiting
+    // at a boundary is not stalled, and its kick budget renews per chunk.
+    const int elapsed_ms = static_cast<int>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(now - last_poll)
+            .count());
+    last_poll = now;
+    for (std::size_t w = 0; w < n; ++w) {
+      if (board.heading[w] != kick_chunk[w]) {
+        kick_chunk[w] = board.heading[w];
+        kicks[w] = 0;
+      }
+      const std::uint64_t progress = workers[w]->progress();
+      if (board.idle[w] != 0 || progress != last_progress[w]) {
+        last_progress[w] = progress;
+        stalled_ms[w] = 0;
+        continue;
+      }
+      stalled_ms[w] += elapsed_ms;
+      if (stalled_ms[w] < config_.wedge_timeout_ms) continue;
+      stalled_ms[w] = 0;
+      if (kicks[w] >= config_.max_watchdog_kicks) continue;
+      ++kicks[w];
+      ++result.watchdog_kicks;
+      workers[w]->kill_target_server();
+      if (sink.enabled()) {
+        char detail[64];
+        std::snprintf(detail, sizeof detail, "worker=%zu kick=%d", w,
+                      kicks[w]);
+        sink.add(telem::Counter::kWatchdogKicks);
+        sink.event(telem::EventType::kWatchdogKick, 0, detail);
+      }
+    }
+  }
+  lock.unlock();
+  for (std::thread& thread : threads) thread.join();
+
+  // The last boundary, captured here with every worker stopped — after the
+  // final chunk it marks the campaign complete, so a rerun with
+  // resume=true is a no-op instead of a replay.
+  if (!threads.empty()) {
+    completed = board.finished_at;
+    if (checkpointing) {
+      bool delta = board.segment_ok;
+      for (const std::unique_ptr<par::Worker>& worker : workers) {
+        delta = delta && worker->fuzzer().dedup().journal_valid();
+      }
+      std::vector<par::WorkerState> states;
+      states.reserve(n);
+      for (const std::unique_ptr<par::Worker>& worker : workers) {
+        states.push_back(worker->capture_state(delta));
+      }
+      write(completed, std::move(states));
+    }
+  }
   const auto stop = std::chrono::steady_clock::now();
   const double wall_seconds =
       std::chrono::duration<double>(stop - start).count();

@@ -37,6 +37,7 @@
 #include "protocols/modbus/modbus_server.hpp"
 #include "supervise/checkpoint.hpp"
 #include "supervise/supervisor.hpp"
+#include "telemetry/telemetry.hpp"
 #include "tests/test_support.hpp"
 #include "util/checksum.hpp"
 
@@ -601,6 +602,96 @@ TEST(CheckpointLog, AFailedSaveMakesTheNextSaveABase) {
   EXPECT_EQ(loaded_image(read_file(path)),
             supervise::serialize_checkpoint(full));
   EXPECT_TRUE(writer.accepts_segment());
+}
+
+TEST(CheckpointLog, AMixedBoundaryIsSkippedAndTheNextSaveIsABase) {
+  // Two workers that do not sync, with a dedup table that rotates every 32
+  // inserts — one per iteration, so every 32 iterations. Resumed from an
+  // image where worker 1's current generation holds 8 more hashes than
+  // worker 0's, their rotations fall in different chunks: some boundaries
+  // then mix worker 0's delta capture with worker 1's full one, or the
+  // other way round. Such a boundary is not written, the next one is
+  // written as a base, and the log loads as the finished campaign.
+  const model::DataModelSet models = pits::modbus_pit();
+  const ScopedTempDir dir("icsfuzz-ckpt-mixed");
+  const std::string path = (dir.path() / "campaign.ckpt").string();
+  constexpr std::uint64_t kChunk = 20;
+  constexpr std::uint64_t kTotal = 16 * kChunk;
+  constexpr std::uint64_t kSeed = 5;
+  fuzz::FuzzerConfig fuzzer = small_config(0);
+  fuzzer.dedup_capacity = 64;
+
+  supervise::CampaignCheckpoint image;
+  image.completed_iterations = kChunk;
+  image.base_seed = kSeed;
+  image.iterations_per_worker = kTotal;
+  image.sync_interval = 0;
+  par::SeedExchange exchange;
+  for (std::size_t w = 0; w < 2; ++w) {
+    par::WorkerConfig config;
+    config.id = w;
+    config.worker_count = 2;
+    config.sync_interval = 0;
+    config.fuzzer = fuzzer;
+    config.fuzzer.rng_seed = par::worker_seed(kSeed, w);
+    par::Worker worker(config, std::make_unique<proto::ModbusServer>(),
+                       models, exchange);
+    worker.run_range(0, kChunk, kTotal);
+    image.workers.push_back(worker.capture_state());
+  }
+  for (std::uint64_t h = 1; h <= 8; ++h) {
+    image.workers[1].fuzzer.dedup_current.push_back(h);
+  }
+  ASSERT_FALSE(supervise::save_checkpoint(image, path).has_value());
+
+  telem::Telemetry hub(1 << 14);
+  supervise::SupervisorConfig config;
+  config.campaign.workers = 2;
+  config.campaign.iterations_per_worker = kTotal;
+  config.campaign.base_seed = kSeed;
+  config.campaign.sync_interval = 0;
+  config.campaign.fuzzer = fuzzer;
+  config.campaign.fuzzer.telemetry = telem::Sink(&hub, 0);
+  config.checkpoint_path = path;
+  config.checkpoint_interval = kChunk;
+  supervise::CampaignSupervisor supervisor(
+      [] { return std::make_unique<proto::ModbusServer>(); }, models, config);
+  const supervise::SupervisorResult result = supervisor.run();
+  ASSERT_TRUE(result.resumed);
+  ASSERT_FALSE(result.interrupted);
+
+  // The supervisor journals each boundary as saved (base or segment) or
+  // skipped.
+  std::vector<std::string> boundaries;
+  for (const telem::Event& event : hub.journal().events()) {
+    if (event.type != telem::EventType::kCheckpoint) continue;
+    const std::string_view detail = event.detail_view();
+    if (detail.starts_with("resumed")) continue;
+    boundaries.emplace_back(detail.substr(0, detail.find(" at=")));
+  }
+  ASSERT_EQ(boundaries.size(), kTotal / kChunk - 1);
+  std::size_t skipped = 0;
+  std::size_t segments = 0;
+  for (std::size_t i = 0; i < boundaries.size(); ++i) {
+    if (boundaries[i] == "skipped mixed") {
+      ++skipped;
+      ASSERT_LT(i + 1, boundaries.size()) << "the final boundary is written";
+      EXPECT_EQ(boundaries[i + 1], "saved base") << "boundary " << i + 2;
+    } else if (boundaries[i] == "saved segment") {
+      ++segments;
+    }
+  }
+  EXPECT_GT(skipped, 0u) << "no boundary mixed delta and full captures";
+  EXPECT_GT(segments, 0u);
+  EXPECT_EQ(result.checkpoints_saved + skipped, boundaries.size());
+
+  const std::optional<supervise::CampaignCheckpoint> loaded =
+      supervise::load_checkpoint(path);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->completed_iterations, kTotal);
+  for (const par::WorkerState& state : loaded->workers) {
+    EXPECT_EQ(state.fuzzer.executions, kTotal);
+  }
 }
 
 // ------------------------------------------------------------ kill -9 oracle

@@ -193,6 +193,34 @@ TEST(CorpusMerge, MergeRespectsPerRuleCap) {
   EXPECT_EQ(a.exact_candidates(rule)->size(), 4u);
 }
 
+TEST(CorpusMerge, SinceOffersOnlyBucketsChangedAfterIt) {
+  PuzzleCorpus a;
+  PuzzleCorpus b;
+  Rng rng(4);
+  model::NumberSpec u32;
+  u32.width = 4;
+  model::Chunk quiet = model::Chunk::number("Quiet", u32);
+  model::Chunk busy = model::Chunk::number("Busy", u16());
+  b.add(quiet, {1, 1, 1, 1}, rng);
+  b.add(busy, {2, 2}, rng);
+  const std::uint64_t since = b.revision();
+  b.add(busy, {3, 3}, rng);
+
+  // The busy bucket changed after `since` and is offered whole, its older
+  // puzzle included; the quiet one is skipped, in both tiers.
+  EXPECT_EQ(a.merge_from(b, rng, since), 2u);
+  ASSERT_NE(a.exact_candidates(busy), nullptr);
+  EXPECT_EQ(a.exact_candidates(busy)->size(), 2u);
+  EXPECT_EQ(a.exact_candidates(quiet), nullptr);
+  EXPECT_EQ(a.similar_candidates(quiet), nullptr);
+  ASSERT_NE(a.similar_candidates(busy), nullptr);
+  EXPECT_EQ(a.similar_candidates(busy)->size(), 2u);
+
+  EXPECT_EQ(a.merge_from(b, rng, b.revision()), 0u);  // nothing since
+  EXPECT_EQ(a.merge_from(b, rng), 1u);  // since = 0: every bucket
+  EXPECT_NE(a.exact_candidates(quiet), nullptr);
+}
+
 // --------------------------------------------------------------- SeedExchange
 
 TEST(SeedExchange, PublishDeduplicatesContent) {
@@ -257,9 +285,11 @@ TEST(SeedExchange, PuzzlePoolRoundTrips) {
   source.add(rule, {0xAA, 0xBB}, rng);
 
   exchange.publish_puzzles(source);
-  EXPECT_EQ(exchange.import_puzzles(sink, rng), 1u);
+  std::uint64_t since = 0;
+  EXPECT_EQ(exchange.import_puzzles(sink, rng, since), 1u);
   ASSERT_NE(sink.exact_candidates(rule), nullptr);
-  EXPECT_EQ(exchange.import_puzzles(sink, rng), 0u);  // idempotent
+  EXPECT_GT(since, 0u);
+  EXPECT_EQ(exchange.import_puzzles(sink, rng, since), 0u);  // idempotent
 }
 
 TEST(SeedExchange, ConcurrentPublishersDeduplicateExactlyOnce) {
@@ -287,6 +317,52 @@ fuzz::FuzzerConfig small_config(std::uint64_t seed) {
   config.rng_seed = seed;
   config.stats_interval = 200;
   return config;
+}
+
+TEST(WorkerSync, FirstPullPublishAndImportAfterRestoreAreFull) {
+  const model::DataModelSet models = pits::modbus_pit();
+  par::WorkerConfig config;
+  config.id = 0;
+  config.worker_count = 2;
+  config.sync_interval = 200;
+  config.fuzzer = small_config(par::worker_seed(31, 0));
+
+  // Two syncs against a first exchange advance the seed cursor and both
+  // puzzle revisions.
+  SeedExchange first;
+  par::Worker before(config, std::make_unique<proto::ModbusServer>(), models,
+                     first);
+  before.run_range(0, 400, 2000);
+  const par::WorkerState state = before.capture_state();
+  ASSERT_GT(state.imported_global_revision, 2u);
+
+  // The resumed process's exchange: a peer's seeds and one peer puzzle, at
+  // shard positions and a revision the old cursors have already passed.
+  SeedExchange fresh;
+  constexpr std::uint8_t kPeerSeeds = 16;
+  for (std::uint8_t i = 0; i < kPeerSeeds; ++i) {
+    ASSERT_TRUE(fresh.publish(1, {0x7E, i, 0x7E}, "peer", i));
+  }
+  PuzzleCorpus peer;
+  Rng rng(8);
+  model::Chunk rule = model::Chunk::number("PeerOnly", u16());
+  rule.with_tag("peer-only");
+  peer.add(rule, {0xAB, 0xCD}, rng);
+  fresh.publish_puzzles(peer);
+
+  par::Worker after(config, std::make_unique<proto::ModbusServer>(), models,
+                    fresh);
+  after.restore_state(state);
+  after.run_range(400, 600, 2000);  // one sync, at 600
+
+  EXPECT_EQ(after.seeds_imported(), state.imported + kPeerSeeds);
+  EXPECT_GE(after.puzzles_imported(), state.puzzles_imported + 1);
+  EXPECT_NE(after.fuzzer().corpus().exact_candidates(rule), nullptr);
+  // The publish was full too: the fresh pool holds the whole local corpus.
+  PuzzleCorpus pool;
+  std::uint64_t since = 0;
+  fresh.import_puzzles(pool, rng, since);
+  EXPECT_EQ(pool.size(), after.fuzzer().corpus().size());
 }
 
 TEST(ParallelDeterminism, SoloWorkerReproducesSequentialFuzzerBitForBit) {

@@ -30,6 +30,7 @@
 #include "protocols/target_registry.hpp"
 #include "sanitizer/fault.hpp"
 #include "session/framing.hpp"
+#include "supervise/checkpoint.hpp"
 #include "supervise/supervisor.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tests/test_support.hpp"
@@ -614,6 +615,136 @@ TEST(Supervisor, GracefulStopCheckpointsAndResumeFinishesBitForBit) {
   EXPECT_EQ(actual.retained_seeds, expected.retained_seeds);
   EXPECT_EQ(resumed.campaign.pooled_crashes.unique_count(),
             reference.pooled_crashes.unique_count());
+}
+
+/// Shared by the two targets of LagBoundHoldsAWorkerOneChunkAhead: each
+/// counts its executions; worker 1's sleeps once, inside chunk 1.
+struct LagProbe {
+  std::atomic<std::uint64_t> executions[2] = {0, 0};
+  std::atomic<std::uint64_t> peer_after_stall{0};
+  std::atomic<int> passed_unwritten{0};
+};
+
+class LagProbeTarget final : public ProtocolTarget {
+ public:
+  LagProbeTarget(std::size_t worker, LagProbe* probe, fs::path checkpoint,
+                 std::uint64_t chunk)
+      : worker_(worker), probe_(probe), checkpoint_(std::move(checkpoint)),
+        chunk_(chunk) {}
+  [[nodiscard]] std::string_view name() const override {
+    return inner_.name();
+  }
+  void reset() override { inner_.reset(); }
+  Bytes process(ByteSpan packet) override {
+    Bytes response;
+    process_into(packet, response);
+    return response;
+  }
+  void process_into(ByteSpan packet, Bytes& response) override {
+    const std::uint64_t n = ++probe_->executions[worker_];
+    if (worker_ == 1 && n == chunk_ / 2) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      probe_->peer_after_stall = probe_->executions[0].load();
+    }
+    // Past boundary 2 before boundary 1 (the log's first record) landed?
+    if (worker_ == 0 && n > 2 * chunk_ && !fs::exists(checkpoint_)) {
+      probe_->passed_unwritten = 1;
+    }
+    inner_.process_into(packet, response);
+  }
+
+ private:
+  proto::ModbusServer inner_;
+  std::size_t worker_;
+  LagProbe* probe_;
+  fs::path checkpoint_;
+  std::uint64_t chunk_;
+};
+
+TEST(Supervisor, LagBoundHoldsAWorkerOneChunkAhead) {
+  // Worker 1 stalls ~200 ms inside chunk 1. Worker 0 runs on through
+  // boundary 1 — no stop-the-world join — but waits at boundary 2 until
+  // boundary 1, which needs worker 1's capture, is written.
+  const model::DataModelSet models = pits::modbus_pit();
+  const ScopedTempDir dir("icsfuzz-supervisor-lag");
+  const fs::path checkpoint = dir.path() / "campaign.ckpt";
+  constexpr std::uint64_t kChunk = 200;
+  LagProbe probe;
+
+  supervise::SupervisorConfig config;
+  config.campaign.workers = 2;
+  config.campaign.iterations_per_worker = 5 * kChunk;
+  config.campaign.base_seed = 23;
+  config.campaign.sync_interval = 100;
+  config.campaign.fuzzer = small_config(0);
+  config.checkpoint_path = checkpoint.string();
+  config.checkpoint_interval = kChunk;
+
+  std::size_t built = 0;
+  supervise::CampaignSupervisor supervisor(
+      [&]() -> std::unique_ptr<ProtocolTarget> {
+        return std::make_unique<LagProbeTarget>(built++, &probe, checkpoint,
+                                                kChunk);
+      },
+      models, config);
+  const supervise::SupervisorResult result = supervisor.run();
+
+  EXPECT_FALSE(result.interrupted);
+  EXPECT_EQ(result.checkpoints_saved, 5u);
+  ASSERT_EQ(built, 2u);
+  // One target execution per iteration, so the counts are positions.
+  EXPECT_EQ(probe.executions[0].load(), 5 * kChunk);
+  EXPECT_EQ(probe.executions[1].load(), 5 * kChunk);
+  EXPECT_EQ(probe.peer_after_stall.load(), 2 * kChunk)
+      << "worker 0 did not stand at boundary 2 while boundary 1 was open";
+  EXPECT_EQ(probe.passed_unwritten.load(), 0)
+      << "worker 0 passed boundary 2 before boundary 1 was written";
+}
+
+TEST(Supervisor, StopLandsEveryWorkerOnTheWrittenBoundary) {
+  const model::DataModelSet models = pits::modbus_pit();
+  const ScopedTempDir dir("icsfuzz-supervisor-stop-w2");
+  const std::string checkpoint_path = (dir.path() / "campaign.ckpt").string();
+  supervise::CampaignSupervisor::clear_stop();
+
+  supervise::SupervisorConfig config;
+  config.campaign.workers = 2;
+  config.campaign.iterations_per_worker = 200000;
+  config.campaign.base_seed = 77;
+  config.campaign.sync_interval = 256;
+  config.campaign.fuzzer = small_config(0);
+  config.checkpoint_path = checkpoint_path;
+  config.checkpoint_interval = 128;
+
+  std::thread interrupter([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!fs::exists(checkpoint_path) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    supervise::CampaignSupervisor::request_stop();
+  });
+  supervise::CampaignSupervisor supervisor(modbus_factory(), models, config);
+  const supervise::SupervisorResult stopped = supervisor.run();
+  interrupter.join();
+  supervise::CampaignSupervisor::clear_stop();
+
+  ASSERT_TRUE(stopped.interrupted);
+  EXPECT_GT(stopped.completed_iterations, 0u);
+  EXPECT_EQ(stopped.completed_iterations % 128, 0u);
+  ASSERT_EQ(stopped.campaign.workers.size(), 2u);
+  for (const par::WorkerReport& report : stopped.campaign.workers) {
+    EXPECT_EQ(report.executions, stopped.completed_iterations);
+  }
+  const std::optional<supervise::CampaignCheckpoint> written =
+      supervise::load_checkpoint(checkpoint_path);
+  ASSERT_TRUE(written.has_value());
+  EXPECT_EQ(written->completed_iterations, stopped.completed_iterations);
+  ASSERT_EQ(written->workers.size(), 2u);
+  for (const par::WorkerState& state : written->workers) {
+    EXPECT_EQ(state.fuzzer.executions, stopped.completed_iterations);
+  }
 }
 
 // -------------------------------------------------------------- shm hygiene
